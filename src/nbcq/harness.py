@@ -17,7 +17,9 @@ uncompensated quantized stream and deploy it feeding forward.
 Conventions fixed here and relied on by the analyses:
 
 * gelu is the tanh approximation 0.5*x*(1 + tanh(0.7978845608028654 *
-  (x + 0.044715*x^3))); the two constants are frozen.
+  (x + 0.044715*x^3))); the two constants are frozen. The cube is
+  computed as the product x*x*x (numpy's power is far slower), and the
+  rest of the expression in that order on one scratch array.
 * seed derivation: a pipeline seed s builds the model at s, draws
   calibration inputs at s + 1, splits the hold-out at s + 2 and draws the
   evaluation set (4x the calibration size, disjoint by construction) at
@@ -46,7 +48,7 @@ from .compensation import (
 from .errors import FitError
 from .fls import FlsConfig, FlsResult, compute_feature_loss, search_n_for_pipeline
 from .numerics import as_tensor
-from .quantizer import QuantParams, calibrate_params, dequantize, quantize, quantize_per_channel
+from .quantizer import QuantParams, calibrate_params, dequantize, fake_quantize, quantize_per_channel
 from .transform import BltTransform, TransformKind, blt_forward, blt_kind
 
 __all__ = [
@@ -92,7 +94,17 @@ MODES = ("none", "linear", "nbc")
 
 def gelu(x: np.ndarray) -> np.ndarray:
     """Smooth asymmetric activation (tanh-form gelu, constants frozen)."""
-    return 0.5 * x * (1.0 + np.tanh(GELU_TANH_COEFF * (x + GELU_TANH_CUBIC * x**3)))
+    x = np.asarray(x, dtype=np.float64)
+    t = np.multiply(x, x, out=np.empty_like(x))
+    t *= x
+    t *= GELU_TANH_CUBIC
+    t += x
+    t *= GELU_TANH_COEFF
+    np.tanh(t, out=t)
+    t += 1.0
+    out = np.multiply(0.5, x, out=np.empty_like(x))
+    out *= t
+    return out
 
 
 @dataclass(frozen=True)
@@ -134,10 +146,17 @@ class ToyModel:
 
     def block_io(self, x) -> list[tuple[np.ndarray, np.ndarray]]:
         """Full-precision forward; per block (input, output) of the stream."""
+        return self._block_io(x)
+
+    def _block_io(self, x, on_hidden=None) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The forward of ``block_io``; ``on_hidden`` sees each gelu output."""
         z = as_tensor(x, "inputs", ndim=2)
         pairs = []
         for w1, w2 in zip(self.w1, self.w2):
-            out = z + gelu(z @ w1.T) @ w2.T
+            a = gelu(z @ w1.T)
+            if on_hidden is not None:
+                on_hidden(a)
+            out = z + a @ w2.T
             pairs.append((z, out))
             z = out
         return pairs
@@ -203,25 +222,22 @@ class QuantizedToyModel:
     p_hid: tuple[QuantParams, ...]
 
     def fake_quant(self, x: np.ndarray, p: QuantParams) -> np.ndarray:
-        return dequantize(quantize(x, p))
+        """``dequantize(quantize(x, p))``, fused into one float64 pass."""
+        return fake_quantize(x, p)
 
     def block_io(self, x) -> list[tuple[np.ndarray, np.ndarray]]:
         """Quantized forward; per block (dequantized input, output)."""
-        z = as_tensor(x, "inputs", ndim=2)
-        pairs = []
-        for k in range(len(self.w1q)):
-            zq = self.fake_quant(z, self.p_in[k])
-            a = gelu(zq @ self.w1q[k].T)
-            aq = self.fake_quant(a, self.p_hid[k])
-            out = zq + aq @ self.w2q[k].T
-            pairs.append((zq, out))
-            z = out
-        return pairs
+        return self._block_io(x, None)
 
     def compensated_block_io(
         self, x, modules: Sequence[CompensationModule] | None
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Quantized forward with per-block compensation feeding forward."""
+        return self._block_io(x, modules)
+
+    def _block_io(
+        self, x, modules: Sequence[CompensationModule] | None
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
         z = as_tensor(x, "inputs", ndim=2)
         pairs = []
         for k in range(len(self.w1q)):
@@ -246,24 +262,28 @@ def quantize_model(model: ToyModel, bits_w: int, bits_a: int, calib_inputs) -> Q
     calibration inputs and are then frozen, which is how deployment reuses
     calibration statistics on unseen data.
     """
+    return _quantize_model(model, bits_w, bits_a, calib_inputs)[0]
+
+
+def _quantize_model(
+    model: ToyModel, bits_w: int, bits_a: int, calib_inputs
+) -> tuple[QuantizedToyModel, list[tuple[np.ndarray, np.ndarray]]]:
+    """``quantize_model``, plus the full-precision ``block_io`` pairs of the
+    calibration forward it runs."""
     x = as_tensor(calib_inputs, "calib_inputs", ndim=2)
     w1q = tuple(dequantize(quantize_per_channel(w, bits_w)) for w in model.w1)
     w2q = tuple(dequantize(quantize_per_channel(w, bits_w)) for w in model.w2)
-    p_in, p_hid = [], []
-    z = x
-    for w1, w2 in zip(model.w1, model.w2):
-        p_in.append(calibrate_params(z, bits_a))
-        a = gelu(z @ w1.T)
-        p_hid.append(calibrate_params(a, bits_a))
-        z = z + a @ w2.T
-    return QuantizedToyModel(
+    p_hid = []
+    fp_io = model._block_io(x, lambda a: p_hid.append(calibrate_params(a, bits_a)))
+    qmodel = QuantizedToyModel(
         bits_w=bits_w,
         bits_a=bits_a,
         w1q=w1q,
         w2q=w2q,
-        p_in=tuple(p_in),
+        p_in=tuple(calibrate_params(z, bits_a) for z, _ in fp_io),
         p_hid=tuple(p_hid),
     )
+    return qmodel, fp_io
 
 
 def draw_inputs(model: ToyModel, n_samples: int, spec: OutlierSpec, seed: int) -> np.ndarray:
@@ -312,12 +332,15 @@ def generate_calibration(
     bits_w: int = 4,
     bits_a: int = 4,
 ) -> CalibrationSet:
-    """Run both forwards on seeded inputs and record per-block (x_q, y, y_q)."""
+    """Run both forwards on seeded inputs and record per-block (x_q, y, y_q).
+
+    The full-precision outputs come from the forward that calibrates the
+    activation ranges; each forward runs once.
+    """
     if n_samples < model.d + 2:
         raise ValueError(f"need at least d + 2 = {model.d + 2} samples, got {n_samples}")
     inputs = draw_inputs(model, n_samples, spec, seed)
-    qmodel = quantize_model(model, bits_w, bits_a, inputs)
-    fp_io = model.block_io(inputs)
+    qmodel, fp_io = _quantize_model(model, bits_w, bits_a, inputs)
     q_io = qmodel.block_io(inputs)
     records = tuple(
         CalibrationRecord(x_q=q_in, y=fp_out, y_q=q_out)
@@ -331,7 +354,10 @@ class _RowSearchPipeline:
 
     The search's record units are row indices into the calibration set;
     fitting slices every block's record to those rows, and the hold-out
-    loss runs the compensated forward on the matching input rows.
+    loss runs the compensated forward on the matching input rows. The
+    full-precision features of the hold-out rows do not depend on the
+    candidate, so they are computed once and kept for the rows they were
+    computed on.
     """
 
     def __init__(self, model: ToyModel, calib: CalibrationSet, kind_name: str, ridge: float):
@@ -340,6 +366,8 @@ class _RowSearchPipeline:
         self.kind_name = kind_name
         self.ridge = ridge
         self.last_modules: list[CompensationModule] | None = None
+        self._holdout_rows: np.ndarray | None = None
+        self._holdout_full: np.ndarray | None = None
 
     def _kind(self, n_exp: float) -> TransformKind:
         if self.kind_name == "blt":
@@ -356,9 +384,11 @@ class _RowSearchPipeline:
     def holdout_loss(self, fitted: list[CompensationModule], records: Sequence[int]) -> float:
         rows = np.asarray(list(records), dtype=np.intp)
         x = self.calib.inputs[rows]
-        full = self.model.forward(x)
+        if self._holdout_rows is None or not np.array_equal(rows, self._holdout_rows):
+            self._holdout_rows = rows
+            self._holdout_full = self.model.forward(x)
         comp = self.calib.qmodel.forward(x, fitted)
-        return compute_feature_loss(full, comp)
+        return compute_feature_loss(self._holdout_full, comp)
 
 
 def fit_compensation(
@@ -396,7 +426,8 @@ class EvalReport:
 
     ``mae_outlier`` and ``mae_inlier`` are None when the respective
     partition is empty; the slope gaps are None when the analysis channel
-    has no outliers to compare against.
+    has no outliers to compare against, or when a slope on it is undefined
+    (a constant partition).
     """
 
     mode: str
@@ -418,12 +449,19 @@ class EvalReport:
 
 
 def excess_kurtosis(x: np.ndarray) -> np.ndarray:
-    """Columnwise excess kurtosis, m4 / m2^2 - 3."""
+    """Columnwise excess kurtosis, m4 / m2^2 - 3.
+
+    A column without spread (m2^2 is zero in float64, as for a constant
+    column) has no kurtosis; it gets -inf, so it is never the maximal column.
+    """
     arr = as_tensor(x, "x", ndim=2)
     centered = arr - arr.mean(axis=0)
-    m2 = np.maximum(np.mean(centered**2, axis=0), 1e-300)
+    m2 = np.mean(centered**2, axis=0)
     m4 = np.mean(centered**4, axis=0)
-    return m4 / m2**2 - 3.0
+    kurt = np.full(m2.shape, -np.inf)
+    spread = m2 * m2 > 0.0
+    kurt[spread] = m4[spread] / m2[spread] ** 2 - 3.0
+    return kurt
 
 
 def scalar_slope(x, r, *, fit_bias: bool = True) -> float:
@@ -502,14 +540,32 @@ def split_error_metrics(
 
     A position is an outlier when |x_q| exceeds the threshold. An empty
     partition reports None for its metric rather than zero.
+
+    Each argument is one array, or all three are equal-length lists of
+    per-block arrays; a list is scored as the concatenation of its blocks
+    along the first axis, without building that concatenation of the
+    inputs (only the error and the outlier mask are joined).
     """
-    yv = as_tensor(y, "y")
-    hv = as_tensor(y_hat, "y_hat")
-    xv = as_tensor(x_q, "x_q")
-    if yv.shape != hv.shape or yv.shape != xv.shape:
-        raise ValueError("y, y_hat and x_q must share one shape")
-    err = np.abs(yv - hv)
-    outlier = np.abs(xv) > threshold
+    if isinstance(y, list):
+        if not (isinstance(y_hat, list) and isinstance(x_q, list)):
+            raise ValueError("y, y_hat and x_q must all be arrays or all be lists")
+        if not len(y) == len(y_hat) == len(x_q):
+            raise ValueError("y, y_hat and x_q must have one block each")
+        blocks = list(zip(y, y_hat, x_q))
+    else:
+        blocks = [(y, y_hat, x_q)]
+    errs, masks = [], []
+    for yb, hb, xb in blocks:
+        yv = as_tensor(yb, "y")
+        hv = as_tensor(hb, "y_hat")
+        xv = as_tensor(xb, "x_q")
+        if yv.shape != hv.shape or yv.shape != xv.shape:
+            raise ValueError("y, y_hat and x_q must share one shape")
+        errs.append(np.abs(yv - hv))
+        masks.append(np.abs(xv) > threshold)
+    err = errs[0] if len(errs) == 1 else np.concatenate(errs)
+    outlier = masks[0] if len(masks) == 1 else np.concatenate(masks)
+    del errs, masks  # the per-block pieces go before the partition copies below
     mae_out = float(err[outlier].mean()) if outlier.any() else None
     mae_in = float(err[~outlier].mean()) if (~outlier).any() else None
     return mae_out, mae_in
@@ -567,10 +623,12 @@ def evaluate_pipeline(
         for (_, fp_out), (_, c_out) in zip(fp_io, comp_io)
     )
 
-    y_cat = np.concatenate([fp_out for _, fp_out in fp_io])
-    yhat_cat = np.concatenate([c_out for _, c_out in comp_io])
-    xq_cat = np.concatenate([zq for zq, _ in comp_io])
-    mae_out, mae_in = split_error_metrics(y_cat, yhat_cat, xq_cat, calib.spec.threshold)
+    mae_out, mae_in = split_error_metrics(
+        [fp_out for _, fp_out in fp_io],
+        [c_out for _, c_out in comp_io],
+        [zq for zq, _ in comp_io],
+        calib.spec.threshold,
+    )
 
     gap_before = gap_after = None
     rec = calib.records[-1]
@@ -582,7 +640,10 @@ def evaluate_pipeline(
     ).any()
     if has_both:
         t = BltTransform(chosen_n if chosen_n is not None else gap_reference_n)
-        gap_before, gap_after = slope_gap_analysis(xs, rs, calib.spec.threshold, t)
+        try:
+            gap_before, gap_after = slope_gap_analysis(xs, rs, calib.spec.threshold, t)
+        except FitError:  # a slope is undefined on this channel: report absent
+            pass
 
     return EvalReport(
         mode=mode,

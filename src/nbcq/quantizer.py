@@ -9,7 +9,9 @@ Calibration takes one min/max pass over the tensor, no percentile clipping:
 
 Rounding is half away from zero everywhere, which is deterministic and the
 convention most integer-quantization code bases use. Activations quantize
-per tensor; weight matrices quantize per output row.
+per tensor; weight matrices quantize per output row. ``fake_quantize``
+computes ``x_hat`` straight from ``x`` in float64, bit for bit equal to
+``dequantize(quantize(x, p))``, without materializing the integer codes.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ __all__ = [
     "calibrate_params",
     "quantize",
     "dequantize",
+    "fake_quantize",
     "quantize_per_channel",
 ]
 
@@ -88,20 +91,27 @@ class QuantizedTensor:
             plist = self.params
         else:
             plist = [self.params]
-        for p in plist:
-            hi = p.n_levels - 1
-            if codes.size and (codes.min() < 0 or codes.max() > hi):
-                raise ValueError(f"codes outside [0, {hi}]")
+        if codes.size:
+            lo, top = codes.min(), codes.max()
+            for p in plist:
+                hi = p.n_levels - 1
+                if lo < 0 or top > hi:
+                    raise ValueError(f"codes outside [0, {hi}]")
 
     @property
     def per_channel(self) -> bool:
         return isinstance(self.params, list)
 
 
-def calibrate_params(x, bits: int) -> QuantParams:
-    """Derive scale and zero point from the min/max of a calibration tensor."""
+def _check_bits(bits) -> int:
     if not isinstance(bits, (int, np.integer)) or not 2 <= int(bits) <= 8:
         raise ValueError(f"bits must be an integer in [2, 8], got {bits!r}")
+    return int(bits)
+
+
+def calibrate_params(x, bits: int) -> QuantParams:
+    """Derive scale and zero point from the min/max of a calibration tensor."""
+    _check_bits(bits)
     arr = as_tensor(x, "calibration tensor")
     if arr.size == 0:
         raise ValueError("calibration tensor is empty")
@@ -130,13 +140,47 @@ def dequantize(q: QuantizedTensor) -> np.ndarray:
     return scales[:, None] * (codes - zeros[:, None])
 
 
+def fake_quantize(x, p: QuantParams) -> np.ndarray:
+    """Quantize and dequantize ``x`` per tensor in one float64 pass.
+
+    Equal bit for bit to ``dequantize(quantize(x, p))``: the same rounding,
+    clip and affine map, applied in place on one scratch array. Rejects
+    non-finite input as :func:`quantize` does.
+    """
+    arr = as_tensor(x, "tensor")
+    t = arr / p.scale
+    # round half away from zero: |t| rounded up from .5, then the sign of x
+    # (that of t, as the scale is positive) put back
+    np.abs(t, out=t)
+    t += 0.5
+    np.floor(t, out=t)
+    np.copysign(t, arr, out=t)
+    t += p.zero_point  # a negative zero becomes +0 here, as in the int64 codes
+    np.clip(t, 0, p.n_levels - 1, out=t)
+    t -= p.zero_point
+    t *= p.scale
+    return t
+
+
 def quantize_per_channel(w, bits: int) -> QuantizedTensor:
-    """Quantize a rank-2 tensor row by row over the output-channel axis."""
+    """Quantize a rank-2 tensor row by row over the output-channel axis.
+
+    Each row gets the parameters :func:`calibrate_params` would derive from
+    it and the codes :func:`quantize` would give it; all rows are computed
+    at once.
+    """
     arr = as_tensor(w, "weight", ndim=2)
-    params = []
-    codes = np.empty(arr.shape, dtype=np.int64)
-    for i in range(arr.shape[0]):
-        p = calibrate_params(arr[i], bits)
-        codes[i] = quantize(arr[i], p).codes
-        params.append(p)
-    return QuantizedTensor(codes=codes, params=params)
+    if arr.shape[0] == 0:
+        return QuantizedTensor(codes=np.empty(arr.shape, dtype=np.int64), params=[])
+    bits = _check_bits(bits)
+    if arr.shape[1] == 0:
+        raise ValueError("calibration tensor is empty")
+    top = 2**bits - 1
+    lo = arr.min(axis=1)
+    scale = np.maximum((arr.max(axis=1) - lo) / top, SCALE_FLOOR)
+    zero = np.clip(round_half_away(-lo / scale), 0, top)
+    codes = np.clip(round_half_away(arr / scale[:, None]) + zero[:, None], 0, top)
+    params = [
+        QuantParams(bits=bits, scale=float(s), zero_point=int(z)) for s, z in zip(scale, zero)
+    ]
+    return QuantizedTensor(codes=codes.astype(np.int64), params=params)

@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 from nbcq.fls import FlsConfig, fls_search
 from nbcq.harness import (
     EVAL_SEED_OFFSET,
+    GELU_TANH_COEFF,
+    GELU_TANH_CUBIC,
     OutlierSpec,
+    ToyModel,
     build_toy_model,
     desk_setup,
     draw_inputs,
@@ -19,6 +24,7 @@ from nbcq.harness import (
     split_error_metrics,
     training_fit_loss,
 )
+from nbcq.quantizer import QuantParams, dequantize, quantize
 from nbcq.transform import BltTransform
 
 from helpers import brute_force_slope
@@ -65,6 +71,25 @@ class TestBuildToyModel:
         assert abs(gelu(np.array([10.0]))[0] - 10.0) < 1e-6
         assert abs(gelu(np.array([-10.0]))[0]) < 1e-6
 
+    def test_gelu_matches_scalar_tanh_oracle(self):
+        def oracle(v: float) -> float:
+            return 0.5 * v * (1.0 + math.tanh(GELU_TANH_COEFF * (v + GELU_TANH_CUBIC * v**3)))
+
+        rng = np.random.default_rng(60)
+        x = np.concatenate([
+            np.linspace(-12.0, 12.0, 481),
+            rng.standard_normal(500) * 4.0,
+            [0.0, 1e-300, -1e-300, 1e-8, -1e-8, 40.0, -40.0],
+        ]).reshape(-1, 4)
+        got = gelu(x)
+        assert got.shape == x.shape
+        for v, g in zip(x.ravel(), got.ravel()):
+            o = oracle(float(v))
+            # for x < 0, 1 + tanh cancels; the error there is measured
+            # against |x|, the scale of the terms that cancelled
+            scale = abs(o) if v >= 0 else abs(v)
+            assert abs(g - o) <= 1e-15 * scale, (v, g, o)
+
 
 class TestGenerateCalibration:
     def test_no_outliers_when_fraction_zero(self):
@@ -97,6 +122,22 @@ class TestGenerateCalibration:
         with pytest.raises(ValueError, match="samples"):
             generate_calibration(model, 10, OutlierSpec(), seed=1)
 
+    def test_fp_records_equal_block_io(self):
+        model, calib, _ = desk_setup(2)
+        fp_io = model.block_io(calib.inputs)
+        assert len(fp_io) == len(calib.records)
+        for rec, (_, fp_out) in zip(calib.records, fp_io):
+            assert rec.y.tobytes() == fp_out.tobytes()
+
+    def test_fake_quant_equals_integer_round_trip(self):
+        model, calib, _ = desk_setup(0)
+        x = calib.inputs * 3.0
+        for p in calib.qmodel.p_in + calib.qmodel.p_hid + (QuantParams(4, 0.5, 0),):
+            fused = calib.qmodel.fake_quant(x, p)
+            assert fused.tobytes() == dequantize(quantize(x, p)).tobytes()
+        with pytest.raises(ValueError, match="non-finite"):
+            calib.qmodel.fake_quant(np.array([[1.0, np.nan]]), calib.qmodel.p_in[0])
+
     def test_eval_inputs_disjoint_seed(self):
         model, calib, _ = desk_setup(0)
         ev = draw_inputs(model, 512, calib.spec, calib.seed + EVAL_SEED_OFFSET)
@@ -113,6 +154,32 @@ def reports():
             for mode in ("none", "linear", "nbc")
         }
     return out
+
+
+class TestForwardCounts:
+    @staticmethod
+    def count_fp_forwards(monkeypatch):
+        calls = []
+        original = ToyModel.block_io
+
+        def counting(self, x):
+            calls.append(np.shape(x))
+            return original(self, x)
+
+        monkeypatch.setattr(ToyModel, "block_io", counting)
+        return calls
+
+    def test_generate_calibration_reuses_the_calibrating_forward(self, monkeypatch):
+        calls = self.count_fp_forwards(monkeypatch)
+        desk_setup(0)
+        assert calls == []
+
+    def test_nbc_search_runs_at_most_one_fp_forward(self, monkeypatch):
+        model, calib, cfg = desk_setup(1)
+        calls = self.count_fp_forwards(monkeypatch)
+        modules, result = fit_compensation(model, calib, "nbc", cfg=cfg)
+        assert result.evaluations >= 3 and len(modules) == len(calib.records)
+        assert len(calls) <= 1
 
 
 class TestRunPipeline:
@@ -161,6 +228,15 @@ class TestRunPipeline:
         model2, calib2, cfg2 = desk_setup(3)
         b = run_pipeline(model2, calib2, "nbc", 4, 4, cfg2)
         assert a == b
+
+    def test_undefined_slope_reports_absent_gaps(self):
+        # the fit succeeds, but a slope on the analysis channel is undefined
+        model, calib, cfg = desk_setup(0, spec=OutlierSpec(outlier_scale=1e5))
+        rep = run_pipeline(model, calib, "linear", 4, 4, cfg)
+        assert rep.slope_gap_before is None
+        assert rep.slope_gap_after is None
+        assert math.isfinite(rep.feature_loss)
+        assert rep.mae_outlier is not None
 
     def test_bits_mismatch_rejected(self):
         model, calib, cfg = desk_setup(0)
@@ -322,6 +398,27 @@ class TestSplitErrorMetrics:
         with pytest.raises(ValueError):
             split_error_metrics(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 3)), 10.0)
 
+    def test_block_lists_score_as_their_concatenation(self):
+        rng = np.random.default_rng(70)
+        ys = [rng.standard_normal((n, 5)) for n in (7, 1, 12)]
+        hs = [y + rng.standard_normal(y.shape) * 0.1 for y in ys]
+        xs = [rng.standard_normal(y.shape) * 8.0 for y in ys]
+        listed = split_error_metrics(ys, hs, xs, 10.0)
+        joined = split_error_metrics(
+            np.concatenate(ys), np.concatenate(hs), np.concatenate(xs), 10.0
+        )
+        assert listed == joined
+        assert None not in listed
+
+    def test_block_list_mismatch(self):
+        z = np.zeros((2, 2))
+        with pytest.raises(ValueError):
+            split_error_metrics([z, z], [z], [z, z], 10.0)
+        with pytest.raises(ValueError):
+            split_error_metrics([z], z, [z], 10.0)
+        with pytest.raises(ValueError):
+            split_error_metrics([z], [z], [np.zeros((2, 3))], 10.0)
+
 
 class TestKurtosisChannelSelection:
     def test_heavy_channel_wins_on_outlier_config(self):
@@ -329,6 +426,18 @@ class TestKurtosisChannelSelection:
         channel = int(np.argmax(excess_kurtosis(calib.records[-1].x_q)))
         xs = calib.records[-1].x_q[:, channel]
         assert (np.abs(xs) > calib.spec.threshold).any()
+
+    def test_constant_column_never_chosen(self):
+        rng = np.random.default_rng(75)
+        x = rng.standard_normal((400, 4))
+        x[:, 0] = 2.0  # ahead of every other column, where argmax looks first
+        x[:, 2] = 0.1  # its mean is not exactly 0.1 in floating point
+        x[::40, 3] *= 30.0  # the heavy-tailed column
+        kurt = excess_kurtosis(x)
+        assert not np.isnan(kurt).any()
+        assert kurt[0] == -np.inf
+        assert int(np.argmax(kurt)) == 3
+        assert excess_kurtosis(np.full((5, 2), 2.0)).tolist() == [-np.inf, -np.inf]
 
 
 class TestReportText:

@@ -7,6 +7,7 @@ from nbcq.quantizer import (
     QuantizedTensor,
     calibrate_params,
     dequantize,
+    fake_quantize,
     quantize,
     quantize_per_channel,
     round_half_away,
@@ -97,6 +98,82 @@ class TestPerChannel:
     def test_rank_enforced(self):
         with pytest.raises(ValueError):
             quantize_per_channel(np.zeros(4), bits=4)
+
+
+class TestFakeQuantizeOracle:
+    """The fused path against the two-step integer round trip, bit for bit."""
+
+    @staticmethod
+    def assert_same_bits(x, p):
+        fused = fake_quantize(x, p)
+        oracle = dequantize(quantize(x, p))
+        assert fused.dtype == oracle.dtype and fused.shape == oracle.shape
+        assert fused.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("bits", [2, 4, 8])
+    def test_exact_halves_and_clip_ends(self, bits):
+        top = 2**bits - 1
+        for zero in (0, top, top // 2):
+            for scale in (0.25, 0.37, 1.0, 3e-7):
+                p = QuantParams(bits, scale, zero)
+                k = np.arange(-top - 3, top + 4, dtype=np.float64)
+                halves = np.concatenate([k + 0.5, k - 0.5, -(k + 0.5)]) * scale
+                beyond = np.array([-1e12, -(top + 5) * scale, (top + 5) * scale, 1e12])
+                x = np.concatenate([halves, beyond, k * scale, [0.0, -0.0, 1e-300, -1e-300]])
+                self.assert_same_bits(x, p)
+
+    def test_random_negative_heavy_tensor(self):
+        rng = np.random.default_rng(41)
+        x = rng.standard_normal((64, 48)) * 5.0 - 2.0
+        for bits in (2, 3, 4, 8):
+            self.assert_same_bits(x, calibrate_params(x[:8], bits))
+
+    def test_input_not_modified(self):
+        x = np.array([[-1.5, 0.5], [2.5, 7.0]])
+        before = x.copy()
+        fake_quantize(x, QuantParams(3, 1.0, 4))
+        assert np.array_equal(x, before)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            fake_quantize(np.array([0.0, bad]), QuantParams(4, 0.5, 8))
+
+
+class TestPerChannelOracle:
+    """Vectorized per-row quantization against a loop over single rows."""
+
+    @staticmethod
+    def loop(w, bits):
+        params = [calibrate_params(row, bits) for row in w]
+        codes = np.array([quantize(row, p).codes for row, p in zip(w, params)])
+        return codes, params
+
+    @pytest.mark.parametrize("bits", [2, 4, 8])
+    def test_matches_row_loop_with_constant_rows(self, bits):
+        rng = np.random.default_rng(43)
+        w = rng.standard_normal((9, 17)) * rng.uniform(0.01, 30.0, (9, 1))
+        w[2] = 3.25  # constant row: scale floor
+        w[5] = 0.0
+        w[7] = -np.abs(w[7])  # all-negative row: zero point at the top
+        top = 2**bits - 1
+        w[0] = np.linspace(-0.5, top - 0.5, 17)  # scale 1, -min/scale an exact half
+        w[1] = np.linspace(-2.5, top - 2.5, 17)
+        q = quantize_per_channel(w, bits)
+        codes, params = self.loop(w, bits)
+        assert q.per_channel
+        assert q.codes.dtype == np.int64
+        assert np.array_equal(q.codes, codes)
+        assert q.params == params
+        assert all(type(p.scale) is float and type(p.zero_point) is int for p in q.params)
+
+    def test_validation_errors_unchanged(self):
+        with pytest.raises(ValueError, match="bits"):
+            quantize_per_channel(np.ones((2, 3)), bits=9)
+        with pytest.raises(ValueError, match="empty"):
+            quantize_per_channel(np.ones((2, 0)), bits=4)
+        with pytest.raises(ValueError, match="non-finite"):
+            quantize_per_channel(np.array([[0.0, np.nan]]), bits=4)
 
 
 class TestProperties:
