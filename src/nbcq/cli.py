@@ -25,7 +25,8 @@ The seed column records the calibration draw seed (config seed + 1).
 
 The analyze-outliers command writes ``slope_gap.csv`` (block, channel,
 n_exp, gap_before, gap_after) and ``wstar_sweep.csv`` (outlier_magnitude,
-slope) into the output directory.
+slope) into the output directory. A block whose slope is undefined on its
+analysis channel gets empty gap cells.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import sys
 import numpy as np
 
 from .compensation import STORAGE_F32, store_params
-from .errors import ConfigError, NbcError
+from .errors import ConfigError, FitError, NbcError
 from .fls import FlsConfig
 from .formats import (
     RunConfig,
@@ -239,7 +240,10 @@ def cmd_analyze_outliers(config_path: str, out_dir: str | None, seed_override: i
         outliers = np.abs(xs) > spec.threshold
         if not outliers.any() or outliers.all():
             continue
-        before, after = slope_gap_analysis(xs, rs, spec.threshold, t)
+        try:
+            before, after = slope_gap_analysis(xs, rs, spec.threshold, t)
+        except FitError:  # a slope is undefined on this channel: report absent
+            before = after = None
         gap_rows.append(
             {
                 "block": block,

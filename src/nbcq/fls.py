@@ -35,6 +35,7 @@ __all__ = [
     "FlsConfig",
     "FlsResult",
     "compute_feature_loss",
+    "holdout_count",
     "holdout_indices",
     "holdout_split",
     "fls_search",
@@ -103,6 +104,11 @@ def compute_feature_loss(f_full, f_quant) -> float:
     return float(np.mean((a - b) ** 2))
 
 
+def holdout_count(n_records: int, holdout_fraction: float) -> int:
+    """Records :func:`holdout_indices` holds out: floor(n * fraction), at least 1."""
+    return max(1, int(np.floor(n_records * holdout_fraction)))
+
+
 def holdout_indices(n_records: int, cfg: FlsConfig) -> tuple[np.ndarray, np.ndarray]:
     """Seeded disjoint (fit, holdout) index partition of range(n_records).
 
@@ -111,7 +117,7 @@ def holdout_indices(n_records: int, cfg: FlsConfig) -> tuple[np.ndarray, np.ndar
     """
     if n_records < 2:
         raise ValueError(f"need at least 2 records to split, got {n_records}")
-    n_hold = max(1, int(np.floor(n_records * cfg.holdout_fraction)))
+    n_hold = holdout_count(n_records, cfg.holdout_fraction)
     perm = np.random.default_rng(cfg.seed).permutation(n_records)
     hold = np.sort(perm[:n_hold])
     fit = np.sort(perm[n_hold:])

@@ -46,6 +46,7 @@ from .errors import (
     FormatError,
     TruncatedFileError,
 )
+from .fls import holdout_count
 from .transform import TransformKind
 
 __all__ = [
@@ -340,4 +341,13 @@ def read_run_config(path: str) -> RunConfig:
         )
     if cfg.storage not in _STORAGE_VALUES:
         raise ConfigError(f"{path}: storage must be one of {_STORAGE_VALUES}, got '{cfg.storage}'")
+    # Every command but export may run the exponent search, whose fits see
+    # only the rows left after the hold-out split (this also implies the
+    # n_samples >= d + 2 that calibration needs).
+    fit_rows = cfg.n_samples - holdout_count(cfg.n_samples, cfg.holdout_fraction)
+    if fit_rows < cfg.d + 1:
+        raise ConfigError(
+            f"{path}: n_samples = {cfg.n_samples} with holdout_fraction = {cfg.holdout_fraction} "
+            f"leaves {fit_rows} rows to fit on; the search needs at least d + 1 = {cfg.d + 1}"
+        )
     return cfg

@@ -14,12 +14,21 @@ activation), with activation ranges calibrated on the calibration inputs
 of the same run. Pipelines fit one compensation module per block on the
 uncompensated quantized stream and deploy it feeding forward.
 
+Memory: both forwards yield one block at a time. Evaluation runs the
+full-precision and the compensated forward in lockstep and keeps only the
+current block's arrays, its loss, and its errors (the inlier errors in one
+buffer, in the order a concatenation of all blocks would give). gelu and
+fake-quant take an ``out=`` array, which may be their input itself; each
+forward computes the hidden activation in place in the fresh ``z @ W1^T``
+product. Any other ``out=`` must not overlap the input, since the kernels
+run tile by tile.
+
 Conventions fixed here and relied on by the analyses:
 
 * gelu is the tanh approximation 0.5*x*(1 + tanh(0.7978845608028654 *
   (x + 0.044715*x^3))); the two constants are frozen. The cube is
   computed as the product x*x*x (numpy's power is far slower), and the
-  rest of the expression in that order on one scratch array.
+  rest of the expression in that order on one tile-sized scratch array.
 * seed derivation: a pipeline seed s builds the model at s, draws
   calibration inputs at s + 1, splits the hold-out at s + 2 and draws the
   evaluation set (4x the calibration size, disjoint by construction) at
@@ -32,7 +41,7 @@ Conventions fixed here and relied on by the analyses:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -46,8 +55,14 @@ from .compensation import (
     store_params,
 )
 from .errors import FitError
-from .fls import FlsConfig, FlsResult, compute_feature_loss, search_n_for_pipeline
-from .numerics import as_tensor
+from .fls import (
+    FlsConfig,
+    FlsResult,
+    compute_feature_loss,
+    holdout_count,
+    search_n_for_pipeline,
+)
+from .numerics import as_tensor, map_tiles
 from .quantizer import QuantParams, calibrate_params, dequantize, fake_quantize, quantize_per_channel
 from .transform import BltTransform, TransformKind, blt_forward, blt_kind
 
@@ -92,19 +107,25 @@ EVAL_SET_MULTIPLIER = 4
 MODES = ("none", "linear", "nbc")
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    """Smooth asymmetric activation (tanh-form gelu, constants frozen)."""
-    x = np.asarray(x, dtype=np.float64)
-    t = np.multiply(x, x, out=np.empty_like(x))
+def gelu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Smooth asymmetric activation (tanh-form gelu, constants frozen).
+
+    Computed tile by tile; the result goes to ``out`` if given, which may
+    be ``x`` itself (see ``numerics.map_tiles``).
+    """
+    return map_tiles(_gelu_tile, x, out)
+
+
+def _gelu_tile(x: np.ndarray, out: np.ndarray) -> None:
+    t = x * x
     t *= x
     t *= GELU_TANH_CUBIC
     t += x
     t *= GELU_TANH_COEFF
     np.tanh(t, out=t)
     t += 1.0
-    out = np.multiply(0.5, x, out=np.empty_like(x))
+    np.multiply(0.5, x, out=out)  # x is read for the last time here
     out *= t
-    return out
 
 
 @dataclass(frozen=True)
@@ -146,20 +167,21 @@ class ToyModel:
 
     def block_io(self, x) -> list[tuple[np.ndarray, np.ndarray]]:
         """Full-precision forward; per block (input, output) of the stream."""
-        return self._block_io(x)
+        return list(self._block_io(x))
 
-    def _block_io(self, x, on_hidden=None) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The forward of ``block_io``; ``on_hidden`` sees each gelu output."""
+    def _block_io(self, x, on_hidden=None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Yield the pairs of ``block_io`` one block at a time; ``on_hidden``
+        sees each gelu output."""
         z = as_tensor(x, "inputs", ndim=2)
-        pairs = []
         for w1, w2 in zip(self.w1, self.w2):
-            a = gelu(z @ w1.T)
+            a = z @ w1.T
+            gelu(a, out=a)
             if on_hidden is not None:
                 on_hidden(a)
             out = z + a @ w2.T
-            pairs.append((z, out))
+            del a  # not kept while the generator waits
+            yield z, out
             z = out
-        return pairs
 
     def forward(self, x) -> np.ndarray:
         """Pre-head features: the output of the last block."""
@@ -221,35 +243,37 @@ class QuantizedToyModel:
     p_in: tuple[QuantParams, ...]
     p_hid: tuple[QuantParams, ...]
 
-    def fake_quant(self, x: np.ndarray, p: QuantParams) -> np.ndarray:
+    def fake_quant(
+        self, x: np.ndarray, p: QuantParams, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """``dequantize(quantize(x, p))``, fused into one float64 pass."""
-        return fake_quantize(x, p)
+        return fake_quantize(x, p, out)
 
     def block_io(self, x) -> list[tuple[np.ndarray, np.ndarray]]:
         """Quantized forward; per block (dequantized input, output)."""
-        return self._block_io(x, None)
+        return list(self._block_io(x, None))
 
     def compensated_block_io(
         self, x, modules: Sequence[CompensationModule] | None
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Quantized forward with per-block compensation feeding forward."""
-        return self._block_io(x, modules)
+        return list(self._block_io(x, modules))
 
     def _block_io(
         self, x, modules: Sequence[CompensationModule] | None
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Yield the pairs of ``compensated_block_io`` one block at a time."""
         z = as_tensor(x, "inputs", ndim=2)
-        pairs = []
         for k in range(len(self.w1q)):
             zq = self.fake_quant(z, self.p_in[k])
-            a = gelu(zq @ self.w1q[k].T)
-            aq = self.fake_quant(a, self.p_hid[k])
-            out = zq + aq @ self.w2q[k].T
+            a = zq @ self.w1q[k].T
+            self.fake_quant(gelu(a, out=a), self.p_hid[k], out=a)
+            out = zq + a @ self.w2q[k].T
+            del a  # not kept while the generator waits
             if modules is not None:
                 out = apply(modules[k], zq, out)
-            pairs.append((zq, out))
+            yield zq, out
             z = out
-        return pairs
 
     def forward(self, x, modules: Sequence[CompensationModule] | None = None) -> np.ndarray:
         return self.compensated_block_io(x, modules)[-1][1]
@@ -274,7 +298,7 @@ def _quantize_model(
     w1q = tuple(dequantize(quantize_per_channel(w, bits_w)) for w in model.w1)
     w2q = tuple(dequantize(quantize_per_channel(w, bits_w)) for w in model.w2)
     p_hid = []
-    fp_io = model._block_io(x, lambda a: p_hid.append(calibrate_params(a, bits_a)))
+    fp_io = list(model._block_io(x, lambda a: p_hid.append(calibrate_params(a, bits_a))))
     qmodel = QuantizedToyModel(
         bits_w=bits_w,
         bits_a=bits_a,
@@ -354,10 +378,10 @@ class _RowSearchPipeline:
 
     The search's record units are row indices into the calibration set;
     fitting slices every block's record to those rows, and the hold-out
-    loss runs the compensated forward on the matching input rows. The
-    full-precision features of the hold-out rows do not depend on the
-    candidate, so they are computed once and kept for the rows they were
-    computed on.
+    loss runs the compensated forward on the matching input rows. Neither
+    the sliced records nor the full-precision features of the hold-out
+    rows depend on the candidate, so each is computed once and kept for
+    the rows it was computed on.
     """
 
     def __init__(self, model: ToyModel, calib: CalibrationSet, kind_name: str, ridge: float):
@@ -366,6 +390,8 @@ class _RowSearchPipeline:
         self.kind_name = kind_name
         self.ridge = ridge
         self.last_modules: list[CompensationModule] | None = None
+        self._fit_rows: np.ndarray | None = None
+        self._fit_records: list[CalibrationRecord] | None = None
         self._holdout_rows: np.ndarray | None = None
         self._holdout_full: np.ndarray | None = None
 
@@ -376,8 +402,15 @@ class _RowSearchPipeline:
 
     def fit(self, records: Sequence[int], n_exp: float) -> list[CompensationModule]:
         rows = np.asarray(list(records), dtype=np.intp)
+        if self._fit_rows is None or not np.array_equal(rows, self._fit_rows):
+            self._fit_records = None  # let the old slices go before the new ones are made
+            self._fit_rows = rows
+            if np.array_equal(rows, np.arange(self.calib.n_samples)):
+                self._fit_records = list(self.calib.records)
+            else:
+                self._fit_records = self.calib.record_rows(rows)
         kind = self._kind(n_exp)
-        modules = [fit_nbc(rec, kind, self.ridge) for rec in self.calib.record_rows(rows)]
+        modules = [fit_nbc(rec, kind, self.ridge) for rec in self._fit_records]
         self.last_modules = modules
         return modules
 
@@ -413,6 +446,13 @@ def fit_compensation(
         return [fit_linear(rec, ridge) for rec in calib.records], None
     if transform == "blt":
         cfg = cfg if cfg is not None else FlsConfig(seed=calib.seed + 1)
+        n = calib.n_samples
+        fit_rows = n - holdout_count(n, cfg.holdout_fraction)
+        if fit_rows < model.d + 1:
+            raise ValueError(
+                f"the search fits on {fit_rows} of n_samples={n} rows at "
+                f"holdout_fraction={cfg.holdout_fraction}; it needs at least d + 1 = {model.d + 1}"
+            )
         pipeline = _RowSearchPipeline(model, calib, "blt", ridge)
         result = search_n_for_pipeline(list(range(calib.n_samples)), cfg, pipeline)
         return pipeline.last_modules, result
@@ -540,35 +580,47 @@ def split_error_metrics(
 
     A position is an outlier when |x_q| exceeds the threshold. An empty
     partition reports None for its metric rather than zero.
-
-    Each argument is one array, or all three are equal-length lists of
-    per-block arrays; a list is scored as the concatenation of its blocks
-    along the first axis, without building that concatenation of the
-    inputs (only the error and the outlier mask are joined).
     """
-    if isinstance(y, list):
-        if not (isinstance(y_hat, list) and isinstance(x_q, list)):
-            raise ValueError("y, y_hat and x_q must all be arrays or all be lists")
-        if not len(y) == len(y_hat) == len(x_q):
-            raise ValueError("y, y_hat and x_q must have one block each")
-        blocks = list(zip(y, y_hat, x_q))
-    else:
-        blocks = [(y, y_hat, x_q)]
-    errs, masks = [], []
-    for yb, hb, xb in blocks:
-        yv = as_tensor(yb, "y")
-        hv = as_tensor(hb, "y_hat")
-        xv = as_tensor(xb, "x_q")
+    errors = _SplitErrors(threshold, np.size(y))
+    errors.add(y, y_hat, x_q)
+    return errors.means()
+
+
+class _SplitErrors:
+    """``split_error_metrics`` over blocks that arrive one at a time.
+
+    The blocks are scored as their concatenation along the first axis would
+    be: the inlier errors go into one buffer of ``capacity`` elements in
+    flat order, so their mean sums the same values in the same order; the
+    few outlier errors are joined at the end.
+    """
+
+    def __init__(self, threshold: float, capacity: int):
+        self.threshold = threshold
+        self._inliers = np.empty(capacity)
+        self._n_inliers = 0
+        self._outliers: list[np.ndarray] = []
+
+    def add(self, y, y_hat, x_q) -> None:
+        yv = as_tensor(y, "y")
+        hv = as_tensor(y_hat, "y_hat")
+        xv = as_tensor(x_q, "x_q")
         if yv.shape != hv.shape or yv.shape != xv.shape:
             raise ValueError("y, y_hat and x_q must share one shape")
-        errs.append(np.abs(yv - hv))
-        masks.append(np.abs(xv) > threshold)
-    err = errs[0] if len(errs) == 1 else np.concatenate(errs)
-    outlier = masks[0] if len(masks) == 1 else np.concatenate(masks)
-    del errs, masks  # the per-block pieces go before the partition copies below
-    mae_out = float(err[outlier].mean()) if outlier.any() else None
-    mae_in = float(err[~outlier].mean()) if (~outlier).any() else None
-    return mae_out, mae_in
+        err = np.subtract(yv, hv)
+        np.abs(err, out=err)
+        outlier = np.abs(xv) > self.threshold
+        self._outliers.append(err[outlier])
+        inliers = err[~outlier]
+        stop = self._n_inliers + inliers.size
+        self._inliers[self._n_inliers:stop] = inliers
+        self._n_inliers = stop
+
+    def means(self) -> tuple[float | None, float | None]:
+        outliers = np.concatenate(self._outliers)
+        mae_out = float(outliers.mean()) if outliers.size else None
+        mae_in = float(self._inliers[: self._n_inliers].mean()) if self._n_inliers else None
+        return mae_out, mae_in
 
 
 def training_fit_loss(
@@ -601,7 +653,8 @@ def evaluate_pipeline(
     """Score fitted modules on a fresh evaluation set.
 
     The evaluation set is four times the calibration size, drawn with an
-    independent seed and the same outlier mechanism. Slope gaps use the
+    independent seed and the same outlier mechanism; it is scored one block
+    at a time, with the same bits as scoring all blocks at once. Slope gaps use the
     calibration records of the last block on its maximal-kurtosis channel,
     with the transform at ``chosen_n`` (falling back to the module's or
     ``gap_reference_n``).
@@ -614,21 +667,17 @@ def evaluate_pipeline(
     eval_inputs = draw_inputs(
         model, EVAL_SET_MULTIPLIER * calib.n_samples, calib.spec, calib.seed + EVAL_SEED_OFFSET
     )
-    fp_io = model.block_io(eval_inputs)
-    comp_io = calib.qmodel.compensated_block_io(eval_inputs, modules)
-
-    feature_loss = compute_feature_loss(fp_io[-1][1], comp_io[-1][1])
-    per_block = tuple(
-        compute_feature_loss(fp_out, c_out)
-        for (_, fp_out), (_, c_out) in zip(fp_io, comp_io)
-    )
-
-    mae_out, mae_in = split_error_metrics(
-        [fp_out for _, fp_out in fp_io],
-        [c_out for _, c_out in comp_io],
-        [zq for zq, _ in comp_io],
-        calib.spec.threshold,
-    )
+    # Both forwards advance one block at a time, and each block's arrays
+    # are dropped once its loss and errors are taken.
+    errors = _SplitErrors(calib.spec.threshold, model.n_blocks * eval_inputs.shape[0] * model.d)
+    per_block = []
+    for (_, fp_out), (zq, c_out) in zip(
+        model._block_io(eval_inputs), calib.qmodel._block_io(eval_inputs, modules)
+    ):
+        per_block.append(compute_feature_loss(fp_out, c_out))
+        errors.add(fp_out, c_out, zq)
+    feature_loss = per_block[-1]  # the last block's output is the pre-head feature
+    mae_out, mae_in = errors.means()
 
     gap_before = gap_after = None
     rec = calib.records[-1]
@@ -659,7 +708,7 @@ def evaluate_pipeline(
         mae_inlier=mae_in,
         slope_gap_before=gap_before,
         slope_gap_after=gap_after,
-        per_block_losses=per_block,
+        per_block_losses=tuple(per_block),
         ridge_used=tuple(m.ridge_used for m in modules) if modules else (),
         residual_rms=tuple(m.residual_rms for m in modules) if modules else (),
     )

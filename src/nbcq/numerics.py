@@ -17,7 +17,9 @@ from .errors import FitError
 
 __all__ = [
     "LstsqSolution",
+    "TILE_ELEMENTS",
     "as_tensor",
+    "map_tiles",
     "matmul",
     "solve_least_squares",
     "encode_f16_roundtrip",
@@ -29,6 +31,11 @@ __all__ = [
 # invariant to the number of columns and the data magnitude.
 RIDGE_FALLBACK_FACTOR = 1e-10
 
+# Elements per tile of the elementwise kernels: 128 KiB of float64, so the
+# few tile-sized temporaries of a kernel stay in the core's L2 cache
+# instead of making full-size passes through memory.
+TILE_ELEMENTS = 16384
+
 
 def as_tensor(x, name: str = "tensor", ndim: int | None = None) -> np.ndarray:
     """Coerce to a finite, C-contiguous float64 array."""
@@ -38,6 +45,35 @@ def as_tensor(x, name: str = "tensor", ndim: int | None = None) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite values")
     return arr
+
+
+def map_tiles(kernel, x, out: np.ndarray | None = None) -> np.ndarray:
+    """Apply an elementwise kernel to ``x`` in flat tiles; return ``out``.
+
+    ``kernel(src, dst)`` is called on matching flat tiles of ``x`` (as a
+    C-contiguous float64 array) and ``out``, and fills ``dst``. ``out``
+    defaults to a new array; a given one must be a C-contiguous float64
+    array of the shape of ``x``. It may be ``x`` itself, so a kernel reads
+    all of ``src`` that it needs before it writes ``dst``, but must not
+    overlap ``x`` otherwise. An elementwise kernel gives the same bits tile
+    by tile as on the whole array.
+    """
+    arr = np.asarray(x, dtype=np.float64, order="C")
+    if out is None:
+        out = np.empty_like(arr)
+    elif not (
+        isinstance(out, np.ndarray)
+        and out.dtype == np.float64
+        and out.flags.c_contiguous
+        and out.shape == arr.shape
+    ):
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {arr.shape}")
+    src = arr.reshape(-1)
+    dst = out.reshape(-1)
+    for start in range(0, src.size, TILE_ELEMENTS):
+        stop = start + TILE_ELEMENTS
+        kernel(src[start:stop], dst[start:stop])
+    return out
 
 
 def matmul(a, b) -> np.ndarray:

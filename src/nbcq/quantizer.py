@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import as_tensor
+from .numerics import as_tensor, map_tiles
 
 __all__ = [
     "SCALE_FLOOR",
@@ -140,26 +140,31 @@ def dequantize(q: QuantizedTensor) -> np.ndarray:
     return scales[:, None] * (codes - zeros[:, None])
 
 
-def fake_quantize(x, p: QuantParams) -> np.ndarray:
+def fake_quantize(x, p: QuantParams, out: np.ndarray | None = None) -> np.ndarray:
     """Quantize and dequantize ``x`` per tensor in one float64 pass.
 
     Equal bit for bit to ``dequantize(quantize(x, p))``: the same rounding,
-    clip and affine map, applied in place on one scratch array. Rejects
-    non-finite input as :func:`quantize` does.
+    clip and affine map, applied tile by tile. Rejects non-finite input as
+    :func:`quantize` does, before anything is written. The result goes to
+    ``out`` if given, which may be ``x`` itself (see ``numerics.map_tiles``).
     """
     arr = as_tensor(x, "tensor")
-    t = arr / p.scale
-    # round half away from zero: |t| rounded up from .5, then the sign of x
-    # (that of t, as the scale is positive) put back
-    np.abs(t, out=t)
-    t += 0.5
-    np.floor(t, out=t)
-    np.copysign(t, arr, out=t)
-    t += p.zero_point  # a negative zero becomes +0 here, as in the int64 codes
-    np.clip(t, 0, p.n_levels - 1, out=t)
-    t -= p.zero_point
-    t *= p.scale
-    return t
+    top = p.n_levels - 1
+
+    def kernel(src, dst):
+        t = src / p.scale  # keeps the sign of src (the scale is positive)
+        # round half away from zero: |t| rounded up from .5, then the sign
+        # put back from t, as dst may be src
+        np.abs(t, out=dst)
+        dst += 0.5
+        np.floor(dst, out=dst)
+        np.copysign(dst, t, out=dst)
+        dst += p.zero_point  # a negative zero becomes +0 here, as in the int64 codes
+        np.clip(dst, 0, top, out=dst)
+        dst -= p.zero_point
+        dst *= p.scale
+
+    return map_tiles(kernel, arr, out)
 
 
 def quantize_per_channel(w, bits: int) -> QuantizedTensor:

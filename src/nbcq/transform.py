@@ -19,7 +19,9 @@ Implementation notes: both directions compute the magnitude map once and
 mirror it with the sign, so odd symmetry holds bit-exactly, and the linear
 branch divides/multiplies by the threshold itself so the seam values land
 exactly on +-1 and +-2^-n. The map is continuous but not differentiable at
-the seams. log2/exp2 use the platform's native base-2 primitives.
+the seams. log2/exp2 use the platform's native base-2 primitives. Each map
+runs in cache-sized tiles: the forward takes log2 of max(|x|, 2^-n), so it
+never sees zero, then overwrites the linear region with |x| / 2^-n.
 
 Alternate kinds: asinh (total and invertible on all reals), identity (for
 testing equivalence with plain linear compensation), and tanh / sigmoid,
@@ -37,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .numerics import map_tiles
 
 __all__ = [
     "BltTransform",
@@ -85,11 +88,18 @@ class BltTransform:
 
 
 def _mirrored(x, magnitude_map):
-    arr = np.asarray(x, dtype=np.float64)
-    out = np.sign(arr) * magnitude_map(np.abs(arr))
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    """Odd extension ``sign(x) * m(|x|)`` of a map on magnitudes.
+
+    ``magnitude_map(mag, out)`` writes m(mag) into ``out`` and may overwrite
+    ``mag``; it runs on one tile at a time (see ``numerics.map_tiles``).
+    """
+
+    def kernel(src, dst):
+        magnitude_map(np.abs(src), dst)
+        dst *= np.sign(src)
+
+    out = map_tiles(kernel, x)
+    return float(out) if out.ndim == 0 else out
 
 
 def blt_forward(x, t: BltTransform):
@@ -97,10 +107,13 @@ def blt_forward(x, t: BltTransform):
     thr = t.threshold
     offset = t.n_exp + 1.0
 
-    def fwd(mag):
-        with np.errstate(divide="ignore"):
-            logs = np.log2(np.where(mag > thr, mag, 1.0)) + offset
-        return np.where(mag > thr, logs, mag / thr)
+    def fwd(mag, out):
+        np.maximum(mag, thr, out=out)
+        np.log2(out, out=out)
+        out += offset
+        linear = mag <= thr
+        mag /= thr
+        np.copyto(out, mag, where=linear)
 
     return _mirrored(x, fwd)
 
@@ -110,8 +123,12 @@ def blt_inverse(v, t: BltTransform):
     thr = t.threshold
     offset = t.n_exp + 1.0
 
-    def inv(mag):
-        return np.where(mag > 1.0, np.exp2(mag - offset), mag * thr)
+    def inv(mag, out):
+        np.subtract(mag, offset, out=out)
+        np.exp2(out, out=out)
+        linear = mag <= 1.0
+        mag *= thr
+        np.copyto(out, mag, where=linear)
 
     return _mirrored(v, inv)
 

@@ -178,6 +178,43 @@ class TestAnalyzeOutliers:
         assert slopes[-1] < slopes[0]
 
 
+    def test_undefined_slope_writes_empty_gap_cells(self, cfg_path, tmp_path, capsys, monkeypatch):
+        import nbcq.cli as cli_mod
+        from nbcq.errors import FitError
+
+        def undefined(*args, **kwargs):
+            raise FitError("x is constant; slope with bias is undefined")
+
+        monkeypatch.setattr(cli_mod, "slope_gap_analysis", undefined)
+        out_dir = str(tmp_path / "analysis")
+        code, _, err = run_cli(["analyze-outliers", "--config", cfg_path, "--out", out_dir], capsys)
+        assert code == 0, err
+        gap = open(os.path.join(out_dir, "slope_gap.csv")).read().splitlines()
+        assert len(gap) > 1
+        for line in gap[1:]:
+            assert line.endswith(",,"), line
+
+
+class TestSearchRowValidation:
+    @pytest.mark.parametrize(
+        "extra",
+        ["d = 16\nn_samples = 18\n", "d = 16\nn_samples = 64\nholdout_fraction = 0.9\n"],
+        ids=["n18-d16", "holdout0.9-n64"],
+    )
+    @pytest.mark.parametrize("command", ["calibrate", "search-n", "eval"])
+    def test_too_few_fit_rows_exit_2_naming_keys(self, tmp_path, capsys, extra, command):
+        path = tmp_path / "small.cfg"
+        path.write_text(SMALL_CFG + extra)
+        args = [command, "--config", str(path), "--out", str(tmp_path / "b.nbcb")]
+        if command == "eval":
+            args += ["--bundle", str(tmp_path / "absent.nbcb")]
+        code, out, err = run_cli(args, capsys)
+        assert code == 2
+        assert err.startswith("error\tconfig\t")
+        assert "n_samples" in err and "holdout_fraction" in err
+        assert out == ""
+
+
 class TestExport:
     def test_exports_tensor_files_and_manifest(self, cfg_path, tmp_path, capsys):
         bundle = str(tmp_path / "comp.nbcb")

@@ -1,11 +1,14 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from nbcq.fls import FlsConfig, fls_search
+from nbcq.fls import FlsConfig, compute_feature_loss, fls_search
 from nbcq.harness import (
     EVAL_SEED_OFFSET,
+    EVAL_SET_MULTIPLIER,
     GELU_TANH_COEFF,
     GELU_TANH_CUBIC,
     OutlierSpec,
@@ -13,6 +16,7 @@ from nbcq.harness import (
     build_toy_model,
     desk_setup,
     draw_inputs,
+    evaluate_pipeline,
     excess_kurtosis,
     fit_compensation,
     generate_calibration,
@@ -298,6 +302,135 @@ class TestRunPipeline:
         assert np.max(np.abs(out_lin - out_nbc)) <= 1e-9
 
 
+def report_from_whole_forwards(model, calib, modules, report):
+    """``report`` with every streamed field recomputed from whole forwards.
+
+    The oracle keeps all blocks of both forwards (``block_io`` and
+    ``compensated_block_io``) and scores the errors on their concatenation,
+    as evaluation did before it streamed.
+    """
+    ev = draw_inputs(
+        model, EVAL_SET_MULTIPLIER * calib.n_samples, calib.spec, calib.seed + EVAL_SEED_OFFSET
+    )
+    fp_io = model.block_io(ev)
+    comp_io = calib.qmodel.compensated_block_io(ev, modules)
+    thr = calib.spec.threshold
+    y = np.concatenate([out for _, out in fp_io])
+    y_hat = np.concatenate([out for _, out in comp_io])
+    x_q = np.concatenate([zq for zq, _ in comp_io])
+    err = np.abs(y - y_hat)
+    outlier = np.abs(x_q) > thr
+    mae_out = float(err[outlier].mean()) if outlier.any() else None
+    mae_in = float(err[~outlier].mean()) if (~outlier).any() else None
+    assert split_error_metrics(y, y_hat, x_q, thr) == (mae_out, mae_in)
+    return dataclasses.replace(
+        report,
+        feature_loss=compute_feature_loss(fp_io[-1][1], comp_io[-1][1]),
+        per_block_losses=tuple(
+            compute_feature_loss(f, c) for (_, f), (_, c) in zip(fp_io, comp_io)
+        ),
+        mae_outlier=mae_out,
+        mae_inlier=mae_in,
+    )
+
+
+class TestStreamedEvaluation:
+    @pytest.mark.parametrize("mode", ["none", "linear", "nbc"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_desk_report_equals_whole_forward_report(self, seed, mode):
+        model, calib, cfg = desk_setup(seed)
+        modules, _ = fit_compensation(model, calib, mode, cfg=cfg)
+        report = evaluate_pipeline(model, calib, modules, mode=mode)
+        assert report == report_from_whole_forwards(model, calib, modules, report)
+        assert report.mae_outlier is not None and report.mae_inlier is not None
+
+    def test_eight_block_report_equals_whole_forward_report(self):
+        model = build_toy_model(12, 40, 8, seed=21, heavy_scale=1.3, heavy_input_scale=3.0)
+        calib = generate_calibration(model, 96, OutlierSpec(), seed=22)
+        cfg = FlsConfig(n_init=1.0, n_min=0.0, n_max=3.0, seed=23)
+        modules, _ = fit_compensation(model, calib, "nbc", cfg=cfg)
+        report = evaluate_pipeline(model, calib, modules, mode="nbc")
+        assert len(report.per_block_losses) == 8
+        assert report == report_from_whole_forwards(model, calib, modules, report)
+
+    @staticmethod
+    def eval_peak_bytes(n_blocks: int) -> int:
+        model = build_toy_model(8, 128, n_blocks, seed=31, heavy_scale=1.3, heavy_input_scale=3.0)
+        calib = generate_calibration(model, 256, OutlierSpec(), seed=32)
+        modules, _ = fit_compensation(model, calib, "linear")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            evaluate_pipeline(model, calib, modules, mode="linear")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - before
+
+    def test_peak_memory_holds_one_block(self):
+        # eval rows are fixed (4 x 256); each block's hidden activation is
+        # 1024 x 128 float64 (1 MiB). Holding every block's outputs of both
+        # forwards adds about 1.2 MiB over six extra blocks; streaming adds
+        # only their share of the inlier-error buffer (6 x 1024 x 8 float64).
+        hidden_bytes = EVAL_SET_MULTIPLIER * 256 * 128 * 8
+        growth = self.eval_peak_bytes(8) - self.eval_peak_bytes(2)
+        assert growth < hidden_bytes, (growth, hidden_bytes)
+
+
+class TestSearchRowValidation:
+    @staticmethod
+    def count_fits(monkeypatch):
+        import nbcq.harness as harness_mod
+
+        calls = []
+        original = harness_mod.fit_nbc
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harness_mod, "fit_nbc", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "n_samples, holdout", [(18, 0.25), (64, 0.9)], ids=["n18-d16", "holdout0.9-n64"]
+    )
+    def test_too_few_fit_rows_rejected_before_any_fit(self, monkeypatch, n_samples, holdout):
+        model = build_toy_model(16, 32, 2, seed=0)
+        calib = generate_calibration(model, n_samples, OutlierSpec(), seed=1)
+        calls = self.count_fits(monkeypatch)
+        with pytest.raises(ValueError, match="n_samples.*holdout_fraction"):
+            fit_compensation(model, calib, "nbc", cfg=FlsConfig(holdout_fraction=holdout, seed=2))
+        assert calls == []
+
+    def test_smallest_accepted_split_fits(self, monkeypatch):
+        # 24 rows at 0.25 hold out 6 and fit on 18 >= d + 1 = 17
+        model = build_toy_model(16, 32, 2, seed=0)
+        calib = generate_calibration(model, 24, OutlierSpec(), seed=1)
+        calls = self.count_fits(monkeypatch)
+        modules, result = fit_compensation(model, calib, "nbc", cfg=FlsConfig(n_min=0.0, n_max=3.0, seed=2))
+        assert len(modules) == 2 and result.evaluations >= 2
+        assert len(calls) == 2 * (result.evaluations + 1)
+
+    def test_search_slices_each_row_set_once(self, monkeypatch):
+        from nbcq.compensation import CalibrationRecord
+
+        model, calib, cfg = desk_setup(0)
+        calls = []
+        original = CalibrationRecord.rows
+
+        def counting(self, indices):
+            calls.append(len(indices))
+            return original(self, indices)
+
+        monkeypatch.setattr(CalibrationRecord, "rows", counting)
+        _, result = fit_compensation(model, calib, "nbc", cfg=cfg)
+        assert result.evaluations >= 3
+        # one slice per block for the fit rows; the final refit on every row
+        # fits the calibration records as they are
+        assert calls == [384] * 4
+
+
 class TestSlopeGapAnalysis:
     def test_clean_linear_relation_no_outliers(self):
         rng = np.random.default_rng(80)
@@ -397,27 +530,6 @@ class TestSplitErrorMetrics:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             split_error_metrics(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 3)), 10.0)
-
-    def test_block_lists_score_as_their_concatenation(self):
-        rng = np.random.default_rng(70)
-        ys = [rng.standard_normal((n, 5)) for n in (7, 1, 12)]
-        hs = [y + rng.standard_normal(y.shape) * 0.1 for y in ys]
-        xs = [rng.standard_normal(y.shape) * 8.0 for y in ys]
-        listed = split_error_metrics(ys, hs, xs, 10.0)
-        joined = split_error_metrics(
-            np.concatenate(ys), np.concatenate(hs), np.concatenate(xs), 10.0
-        )
-        assert listed == joined
-        assert None not in listed
-
-    def test_block_list_mismatch(self):
-        z = np.zeros((2, 2))
-        with pytest.raises(ValueError):
-            split_error_metrics([z, z], [z], [z, z], 10.0)
-        with pytest.raises(ValueError):
-            split_error_metrics([z], z, [z], 10.0)
-        with pytest.raises(ValueError):
-            split_error_metrics([z], [z], [np.zeros((2, 3))], 10.0)
 
 
 class TestKurtosisChannelSelection:
