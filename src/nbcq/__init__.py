@@ -22,7 +22,6 @@ from .errors import (
     BadMagicError,
     BadVersionError,
     ConfigError,
-    DomainError,
     EvaluatorError,
     FitError,
     FormatError,
@@ -59,13 +58,11 @@ from .quantizer import (
     quantize_per_channel,
 )
 from .transform import (
-    BltTransform,
     TransformKind,
     apply_kind_forward,
     apply_kind_inverse,
     blt_forward,
     blt_inverse,
-    blt_kind,
 )
 
 __version__ = "0.1.0"

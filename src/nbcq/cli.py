@@ -21,7 +21,9 @@ this fixed column order:
     slope_gap_before, slope_gap_after, block, block_loss, ridge_used,
     residual_rms
 
-The seed column records the calibration draw seed (config seed + 1).
+The seed column records the calibration draw seed (config seed + 1). The
+ridge_used and residual_rms cells are empty: a bundle does not store the
+fit metadata (calibrate prints it).
 
 The analyze-outliers command writes ``slope_gap.csv`` (block, channel,
 n_exp, gap_before, gap_after) and ``wstar_sweep.csv`` (outlier_magnitude,
@@ -46,6 +48,7 @@ from .fls import FlsConfig
 from .formats import (
     RunConfig,
     _atomic_write,
+    _module_tensors,
     read_bundle,
     read_run_config,
     write_bundle,
@@ -63,7 +66,7 @@ from .harness import (
     ols_scalar_bias,
     slope_gap_analysis,
 )
-from .transform import BltTransform
+from .transform import TransformKind
 
 __all__ = ["main", "EVAL_CSV_COLUMNS"]
 
@@ -230,7 +233,7 @@ def cmd_analyze_outliers(config_path: str, out_dir: str | None, seed_override: i
     model, calib, spec, fls_cfg = _build_setup(cfg, seed)
     _, fls_result = fit_compensation(model, calib, "nbc", transform="blt", cfg=fls_cfg)
     n_exp = fls_result.chosen_n
-    t = BltTransform(n_exp)
+    kind = TransformKind("blt", n_exp)
 
     gap_rows = []
     for block, rec in enumerate(calib.records):
@@ -241,7 +244,7 @@ def cmd_analyze_outliers(config_path: str, out_dir: str | None, seed_override: i
         if not outliers.any() or outliers.all():
             continue
         try:
-            before, after = slope_gap_analysis(xs, rs, spec.threshold, t)
+            before, after = slope_gap_analysis(xs, rs, spec.threshold, kind)
         except FitError:  # a slope is undefined on this channel: report absent
             before = after = None
         gap_rows.append(
@@ -279,20 +282,14 @@ def cmd_export(config_path: str, bundle_path: str, out_dir: str | None) -> int:
     os.makedirs(directory, exist_ok=True)
     manifest = []
     for i, mod in enumerate(modules):
-        names = {}
-        if mod.storage == "i8_per_channel":
-            names["weight"] = (f"block{i:03d}_weight.nbct", mod.weight_codes.astype("<i1"))
-            names["scales"] = (f"block{i:03d}_scales.nbct", mod.weight_scales.astype("<f4"))
-            names["bias"] = (f"block{i:03d}_bias.nbct", mod.bias.astype("<f2"))
-        else:
-            narrow = "<f2" if mod.storage == "f16" else "<f4"
-            names["weight"] = (f"block{i:03d}_weight.nbct", mod.weight.astype(narrow))
-            names["bias"] = (f"block{i:03d}_bias.nbct", mod.bias.astype(narrow))
-        for _, (fname, arr) in names.items():
-            write_tensor(os.path.join(directory, fname), arr)
+        tensors = _module_tensors(mod)
+        files = []
+        for role in ("weight", "scales", "bias"):  # the manifest's file order
+            if role in tensors:
+                files.append(f"block{i:03d}_{role}.nbct")
+                write_tensor(os.path.join(directory, files[-1]), tensors[role])
         n_exp = mod.kind.n_exp if mod.kind.name == "blt" else ""
-        files = " ".join(fname for fname, _ in names.values())
-        manifest.append(f"{i}\t{mod.kind.name}\t{n_exp}\t{mod.storage}\t{files}")
+        manifest.append(f"{i}\t{mod.kind.name}\t{n_exp}\t{mod.storage}\t{' '.join(files)}")
     manifest_path = os.path.join(directory, "manifest.tsv")
     _atomic_write(manifest_path, ("\n".join(manifest) + "\n").encode("utf-8"))
     print(manifest_path)

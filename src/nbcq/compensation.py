@@ -105,7 +105,8 @@ class CompensationModule:
 
     Working-precision modules hold ``weight`` directly. Under int8 storage
     ``weight`` is None and the codes/scales pair reconstructs it on demand.
-    ``ridge_used`` and ``residual_rms`` carry the fit metadata forward.
+    ``ridge_used`` and ``residual_rms`` carry the fit metadata forward;
+    a bundle does not store them, so modules read from one hold None.
     """
 
     kind: TransformKind
@@ -114,8 +115,8 @@ class CompensationModule:
     weight: np.ndarray | None = None
     weight_codes: np.ndarray | None = None
     weight_scales: np.ndarray | None = None
-    ridge_used: float = 0.0
-    residual_rms: float = 0.0
+    ridge_used: float | None = None
+    residual_rms: float | None = None
 
     def __post_init__(self):
         if self.storage not in STORAGE_NAMES:
@@ -157,7 +158,8 @@ class CompensationModule:
         return self.weight
 
 
-def _fit(rec: CalibrationRecord, kind: TransformKind, ridge: float) -> CompensationModule:
+def fit_nbc(rec: CalibrationRecord, kind: TransformKind, ridge: float = 0.0) -> CompensationModule:
+    """Fit compensation in the transformed space of ``kind``."""
     if rec.n_rows < rec.d_in + 1:
         raise FitError(
             f"calibration record has {rec.n_rows} rows; need at least {rec.d_in + 1}"
@@ -177,12 +179,7 @@ def _fit(rec: CalibrationRecord, kind: TransformKind, ridge: float) -> Compensat
 
 def fit_linear(rec: CalibrationRecord, ridge: float = 0.0) -> CompensationModule:
     """Fit plain linear compensation on (x_q, y - y_q)."""
-    return _fit(rec, IDENTITY, ridge)
-
-
-def fit_nbc(rec: CalibrationRecord, kind: TransformKind, ridge: float = 0.0) -> CompensationModule:
-    """Fit compensation in the transformed space of ``kind``."""
-    return _fit(rec, kind, ridge)
+    return fit_nbc(rec, IDENTITY, ridge)
 
 
 def apply(mod: CompensationModule, x_q, y_q) -> np.ndarray:

@@ -12,7 +12,6 @@ __all__ = [
     "NbcError",
     "ConfigError",
     "FitError",
-    "DomainError",
     "EvaluatorError",
     "FormatError",
     "BadMagicError",
@@ -37,12 +36,6 @@ class FitError(NbcError):
     """A least-squares fit could not be performed."""
 
     code = "fit"
-
-
-class DomainError(NbcError):
-    """A transform received input outside its invertible range."""
-
-    code = "domain"
 
 
 class EvaluatorError(NbcError):

@@ -208,13 +208,15 @@ class SearchPipeline(Protocol):
         """Feature loss of the fitted pipeline evaluated on ``records``."""
 
 
-def search_n_for_pipeline(records: Sequence, cfg: FlsConfig, pipeline: SearchPipeline) -> FlsResult:
+def search_n_for_pipeline(
+    records: Sequence, cfg: FlsConfig, pipeline: SearchPipeline
+) -> tuple[Any, FlsResult]:
     """Select the exponent with the hold-out protocol, then refit in full.
 
     The record list is split once into fit and hold-out sets; every
     candidate is fitted on the former and scored on the latter. After the
     search picks an exponent, the pipeline is refitted on the complete
-    record set at that exponent (the pipeline keeps that final fit).
+    record set at that exponent. Returns ``(final_fit, result)``.
     """
     fit_set, holdout_set = holdout_split(records, cfg)
 
@@ -223,5 +225,4 @@ def search_n_for_pipeline(records: Sequence, cfg: FlsConfig, pipeline: SearchPip
         return pipeline.holdout_loss(fitted, holdout_set)
 
     result = fls_search(cfg, evaluator)
-    pipeline.fit(list(records), result.chosen_n)
-    return result
+    return pipeline.fit(list(records), result.chosen_n), result

@@ -14,8 +14,9 @@ Tensor file (magic "NBCT"):
 Compensation bundle (magic "NBCB"): after the magic, a version byte and a
 little-endian u16 block count, then per block
 
-    u16 block index, kind byte (0=identity 1=blt 2=asinh 3=tanh 4=sigmoid),
-    f64 LE threshold exponent (0.0 for kinds without one), storage byte
+    u16 block index, kind byte (0=identity 1=blt 2=asinh; 3 and 4 are
+    reserved and rejected on read), f64 LE threshold exponent (0.0 for
+    kinds without one), storage byte
     (0=f32 1=f16 2=i8_per_channel), then embedded tensor records for the
     weight and bias, plus the per-row scales (f32) when storage is i8.
 
@@ -25,7 +26,8 @@ with distinct errors for bad magic, bad version and truncation. All writes
 go through a temp file and an atomic rename.
 
 The run configuration is line-oriented ``key = value`` text with ``#``
-comments; unknown keys are rejected by name.
+comments; unknown keys are rejected by name, and so is every value the
+run would reject once it starts.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .compensation import STORAGE_F16, STORAGE_F32, STORAGE_I8, CompensationModule
+from .compensation import STORAGE_F16, STORAGE_F32, STORAGE_I8, STORAGE_NAMES, CompensationModule
 from .errors import (
     BadMagicError,
     BadVersionError,
@@ -47,7 +49,8 @@ from .errors import (
     TruncatedFileError,
 )
 from .fls import holdout_count
-from .transform import TransformKind
+from .harness import MODES
+from .transform import KIND_NAMES, N_EXP_RANGE, TransformKind
 
 __all__ = [
     "TENSOR_MAGIC",
@@ -74,7 +77,8 @@ _DTYPE_BY_CODE = {
     2: np.dtype("<f2"),
     3: np.dtype("<i1"),
 }
-_CODE_BY_KIND = {"identity": 0, "blt": 1, "asinh": 2, "tanh": 3, "sigmoid": 4}
+# Codes 3 and 4 stay unassigned: older bundles used them for tanh and sigmoid.
+_CODE_BY_KIND = {"identity": 0, "blt": 1, "asinh": 2}
 _KIND_BY_CODE = {v: k for k, v in _CODE_BY_KIND.items()}
 _CODE_BY_STORAGE = {STORAGE_F32: 0, STORAGE_F16: 1, STORAGE_I8: 2}
 _STORAGE_BY_CODE = {v: k for k, v in _CODE_BY_STORAGE.items()}
@@ -168,16 +172,16 @@ def read_tensor(path: str) -> np.ndarray:
     return arr
 
 
-def _module_tensors(mod: CompensationModule) -> list[np.ndarray]:
-    if mod.storage == STORAGE_F32:
-        return [mod.weight.astype("<f4"), mod.bias.astype("<f4")]
-    if mod.storage == STORAGE_F16:
-        return [mod.weight.astype("<f2"), mod.bias.astype("<f2")]
-    return [
-        mod.weight_codes.astype("<i1"),
-        mod.bias.astype("<f2"),
-        mod.weight_scales.astype("<f4"),
-    ]
+def _module_tensors(mod: CompensationModule) -> dict[str, np.ndarray]:
+    """A module's stored tensors by role, in bundle order, in their file dtypes."""
+    if mod.storage == STORAGE_I8:
+        return {
+            "weight": mod.weight_codes.astype("<i1"),
+            "bias": mod.bias.astype("<f2"),
+            "scales": mod.weight_scales.astype("<f4"),
+        }
+    narrow = "<f2" if mod.storage == STORAGE_F16 else "<f4"
+    return {"weight": mod.weight.astype(narrow), "bias": mod.bias.astype(narrow)}
 
 
 def write_bundle(path: str, modules) -> None:
@@ -195,7 +199,7 @@ def write_bundle(path: str, modules) -> None:
         n_exp = mod.kind.n_exp if mod.kind.name == "blt" else 0.0
         out.write(struct.pack("<d", n_exp))
         out.write(bytes([_CODE_BY_STORAGE[mod.storage]]))
-        for tensor in _module_tensors(mod):
+        for tensor in _module_tensors(mod).values():
             _write_tensor_stream(out, tensor)
     _atomic_write(path, out.getvalue())
 
@@ -227,27 +231,13 @@ def read_bundle(path: str) -> list[CompensationModule]:
             kind = TransformKind(kind_name, n_exp) if kind_name == "blt" else TransformKind(kind_name)
 
             weight = _read_tensor_stream(f, path)
-            bias = _read_tensor_stream(f, path)
+            bias = _read_tensor_stream(f, path).astype(np.float64)
             if storage == STORAGE_I8:
-                scales = _read_tensor_stream(f, path)
-                modules.append(
-                    CompensationModule(
-                        kind=kind,
-                        bias=bias.astype(np.float64),
-                        storage=storage,
-                        weight_codes=weight,
-                        weight_scales=scales.astype(np.float64),
-                    )
-                )
+                scales = _read_tensor_stream(f, path).astype(np.float64)
+                stored = {"weight_codes": weight, "weight_scales": scales}
             else:
-                modules.append(
-                    CompensationModule(
-                        kind=kind,
-                        bias=bias.astype(np.float64),
-                        storage=storage,
-                        weight=weight.astype(np.float64),
-                    )
-                )
+                stored = {"weight": weight.astype(np.float64)}
+            modules.append(CompensationModule(kind=kind, bias=bias, storage=storage, **stored))
         trailing = f.read(1)
     if trailing:
         raise FormatError(f"{path}: trailing bytes after the last block")
@@ -299,13 +289,10 @@ _STR_KEYS = {"mode", "transform", "storage", "out_dir"}
 _ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
 assert _ALL_KEYS == {f.name for f in fields(RunConfig)}
 
-_MODE_VALUES = ("none", "linear", "nbc")
-_TRANSFORM_VALUES = ("blt", "asinh", "tanh", "sigmoid", "identity")
-_STORAGE_VALUES = (STORAGE_F32, STORAGE_F16, STORAGE_I8)
-
 
 def read_run_config(path: str) -> RunConfig:
-    """Parse a ``key = value`` config file, rejecting unknown keys by name."""
+    """Parse a ``key = value`` config file, rejecting unknown keys and
+    out-of-range values by name."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             raw_lines = f.readlines()
@@ -333,14 +320,31 @@ def read_run_config(path: str) -> RunConfig:
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: invalid value {text!r} for key '{key}'") from None
     cfg = RunConfig(**values)
-    if cfg.mode not in _MODE_VALUES:
-        raise ConfigError(f"{path}: mode must be one of {_MODE_VALUES}, got '{cfg.mode}'")
-    if cfg.transform not in _TRANSFORM_VALUES:
-        raise ConfigError(
-            f"{path}: transform must be one of {_TRANSFORM_VALUES}, got '{cfg.transform}'"
-        )
-    if cfg.storage not in _STORAGE_VALUES:
-        raise ConfigError(f"{path}: storage must be one of {_STORAGE_VALUES}, got '{cfg.storage}'")
+    for key, names in (("mode", MODES), ("transform", KIND_NAMES), ("storage", STORAGE_NAMES)):
+        if getattr(cfg, key) not in names:
+            raise ConfigError(f"{path}: {key} must be one of {names}, got '{getattr(cfg, key)}'")
+    # The bounds the model, the outlier spec, the quantizer and the search
+    # check when the run is built, checked here so the run fails before any
+    # setup or fit, naming the key.
+    lo, hi = N_EXP_RANGE
+    for key, ok, rule in (
+        ("d", cfg.d >= 1, ">= 1"),
+        ("h", cfg.h >= 1, ">= 1"),
+        ("n_blocks", cfg.n_blocks >= 1, ">= 1"),
+        ("heavy_channel", 0 <= cfg.heavy_channel < cfg.d, f"in [0, d = {cfg.d})"),
+        ("bits_w", 2 <= cfg.bits_w <= 8, "in [2, 8]"),
+        ("bits_a", 2 <= cfg.bits_a <= 8, "in [2, 8]"),
+        ("outlier_fraction", 0.0 <= cfg.outlier_fraction <= 0.2, "in [0, 0.2]"),
+        ("outlier_scale", cfg.outlier_scale >= 1.0, ">= 1"),
+        ("outlier_threshold", cfg.outlier_threshold > 0.0, "> 0"),
+        ("n_min", lo <= cfg.n_min, f">= {lo}"),
+        ("n_max", cfg.n_max <= hi, f"<= {hi}"),
+        ("n_init", cfg.n_min <= cfg.n_init <= cfg.n_max, "in [n_min, n_max]"),
+        ("step", cfg.step > 0.0, "> 0"),
+        ("holdout_fraction", 0.0 < cfg.holdout_fraction < 1.0, "in (0, 1)"),
+    ):
+        if not ok:
+            raise ConfigError(f"{path}: {key} must be {rule}, got {getattr(cfg, key)!r}")
     # Every command but export may run the exponent search, whose fits see
     # only the rows left after the hold-out split (this also implies the
     # n_samples >= d + 2 that calibration needs).

@@ -64,7 +64,7 @@ from .fls import (
 )
 from .numerics import as_tensor, map_tiles
 from .quantizer import QuantParams, calibrate_params, dequantize, fake_quantize, quantize_per_channel
-from .transform import BltTransform, TransformKind, blt_forward, blt_kind
+from .transform import TransformKind, blt_forward
 
 __all__ = [
     "GELU_TANH_COEFF",
@@ -91,7 +91,6 @@ __all__ = [
     "ols_scalar_bias",
     "split_error_metrics",
     "excess_kurtosis",
-    "report_kv_lines",
 ]
 
 GELU_TANH_COEFF = 0.7978845608028654  # sqrt(2/pi)
@@ -384,21 +383,14 @@ class _RowSearchPipeline:
     the rows it was computed on.
     """
 
-    def __init__(self, model: ToyModel, calib: CalibrationSet, kind_name: str, ridge: float):
+    def __init__(self, model: ToyModel, calib: CalibrationSet, ridge: float):
         self.model = model
         self.calib = calib
-        self.kind_name = kind_name
         self.ridge = ridge
-        self.last_modules: list[CompensationModule] | None = None
         self._fit_rows: np.ndarray | None = None
         self._fit_records: list[CalibrationRecord] | None = None
         self._holdout_rows: np.ndarray | None = None
         self._holdout_full: np.ndarray | None = None
-
-    def _kind(self, n_exp: float) -> TransformKind:
-        if self.kind_name == "blt":
-            return blt_kind(n_exp)
-        return TransformKind(self.kind_name)
 
     def fit(self, records: Sequence[int], n_exp: float) -> list[CompensationModule]:
         rows = np.asarray(list(records), dtype=np.intp)
@@ -409,10 +401,8 @@ class _RowSearchPipeline:
                 self._fit_records = list(self.calib.records)
             else:
                 self._fit_records = self.calib.record_rows(rows)
-        kind = self._kind(n_exp)
-        modules = [fit_nbc(rec, kind, self.ridge) for rec in self._fit_records]
-        self.last_modules = modules
-        return modules
+        kind = TransformKind("blt", n_exp)
+        return [fit_nbc(rec, kind, self.ridge) for rec in self._fit_records]
 
     def holdout_loss(self, fitted: list[CompensationModule], records: Sequence[int]) -> float:
         rows = np.asarray(list(records), dtype=np.intp)
@@ -453,9 +443,8 @@ def fit_compensation(
                 f"the search fits on {fit_rows} of n_samples={n} rows at "
                 f"holdout_fraction={cfg.holdout_fraction}; it needs at least d + 1 = {model.d + 1}"
             )
-        pipeline = _RowSearchPipeline(model, calib, "blt", ridge)
-        result = search_n_for_pipeline(list(range(calib.n_samples)), cfg, pipeline)
-        return pipeline.last_modules, result
+        pipeline = _RowSearchPipeline(model, calib, ridge)
+        return search_n_for_pipeline(list(range(calib.n_samples)), cfg, pipeline)
     kind = TransformKind(transform)
     return [fit_nbc(rec, kind, ridge) for rec in calib.records], None
 
@@ -484,8 +473,8 @@ class EvalReport:
     slope_gap_before: float | None
     slope_gap_after: float | None
     per_block_losses: tuple[float, ...]
-    ridge_used: tuple[float, ...] = field(default=())
-    residual_rms: tuple[float, ...] = field(default=())
+    ridge_used: tuple[float | None, ...] = field(default=())
+    residual_rms: tuple[float | None, ...] = field(default=())
 
 
 def excess_kurtosis(x: np.ndarray) -> np.ndarray:
@@ -523,13 +512,14 @@ def scalar_slope(x, r, *, fit_bias: bool = True) -> float:
 
 
 def slope_gap_analysis(
-    x, r, threshold: float, t: BltTransform, *, fit_bias: bool = True
+    x, r, threshold: float, kind: TransformKind, *, fit_bias: bool = True
 ) -> tuple[float, float]:
     """Outlier drag on one channel pair, before and after the transform.
 
     ``gap_before`` is |slope(all) - slope(inliers)| in the original space,
-    ``gap_after`` the same computed on the transformed pair; the partition
-    uses |x| > threshold in the original space in both cases.
+    ``gap_after`` the same computed on the pair mapped through the ``blt``
+    kind; the partition uses |x| > threshold in the original space in both
+    cases.
     """
     xv = as_tensor(x, "x", ndim=1)
     rv = as_tensor(r, "r", ndim=1)
@@ -542,8 +532,8 @@ def slope_gap_analysis(
         scalar_slope(xv, rv, fit_bias=fit_bias)
         - scalar_slope(xv[inlier], rv[inlier], fit_bias=fit_bias)
     )
-    xf = blt_forward(xv, t)
-    rf = blt_forward(rv, t)
+    xf = blt_forward(xv, kind)
+    rf = blt_forward(rv, kind)
     gap_after = abs(
         scalar_slope(xf, rf, fit_bias=fit_bias)
         - scalar_slope(xf[inlier], rf[inlier], fit_bias=fit_bias)
@@ -688,9 +678,9 @@ def evaluate_pipeline(
         np.abs(xs) <= calib.spec.threshold
     ).any()
     if has_both:
-        t = BltTransform(chosen_n if chosen_n is not None else gap_reference_n)
+        kind = TransformKind("blt", chosen_n if chosen_n is not None else gap_reference_n)
         try:
-            gap_before, gap_after = slope_gap_analysis(xs, rs, calib.spec.threshold, t)
+            gap_before, gap_after = slope_gap_analysis(xs, rs, calib.spec.threshold, kind)
         except FitError:  # a slope is undefined on this channel: report absent
             pass
 
@@ -781,31 +771,3 @@ def desk_setup(
     calib = generate_calibration(model, DESK_SAMPLES, spec, seed + 1, bits_w=bits_w, bits_a=bits_a)
     return model, calib, FlsConfig(seed=seed + 2)
 
-
-def report_kv_lines(report: EvalReport) -> list[str]:
-    """EvalReport as flat ``key = value`` text lines."""
-    def fmt(v):
-        return "" if v is None else repr(v) if isinstance(v, float) else str(v)
-
-    lines = [
-        f"mode = {report.mode}",
-        f"transform = {report.transform}",
-        f"bits_w = {report.bits_w}",
-        f"bits_a = {report.bits_a}",
-        f"seed = {report.seed}",
-        f"storage = {report.storage}",
-        f"chosen_n = {fmt(report.chosen_n)}",
-        f"fls_evaluations = {fmt(report.fls_evaluations)}",
-        f"feature_loss = {fmt(report.feature_loss)}",
-        f"mae_outlier = {fmt(report.mae_outlier)}",
-        f"mae_inlier = {fmt(report.mae_inlier)}",
-        f"slope_gap_before = {fmt(report.slope_gap_before)}",
-        f"slope_gap_after = {fmt(report.slope_gap_after)}",
-    ]
-    for i, loss in enumerate(report.per_block_losses):
-        lines.append(f"block_{i}_loss = {fmt(loss)}")
-    for i, r in enumerate(report.ridge_used):
-        lines.append(f"block_{i}_ridge_used = {fmt(r)}")
-    for i, r in enumerate(report.residual_rms):
-        lines.append(f"block_{i}_residual_rms = {fmt(r)}")
-    return lines

@@ -37,7 +37,7 @@ from nbcq.harness import (
     run_pipeline,
     training_fit_loss,
 )
-from nbcq.transform import BltTransform, TransformKind, blt_forward, blt_inverse, blt_kind
+from nbcq.transform import TransformKind, blt_forward, blt_inverse
 
 from helpers import brute_force_slope, exhaustive_grid_minimum, pinv_affine_fit
 
@@ -80,7 +80,7 @@ def test_criterion_1_blt_bijection_suite():
     xs = np.concatenate([-mags[::-1], [0.0], mags])  # 10001 points on [-1e6, 1e6]
     worst = 0.0
     for n in np.arange(-10.0, 10.5, 0.5):
-        t = BltTransform(float(n))
+        t = TransformKind("blt", float(n))
         back = blt_inverse(blt_forward(xs, t), t)
         worst = max(worst, float(np.max(np.abs(back - xs) / np.maximum(1.0, np.abs(xs)))))
         # odd symmetry is exact by construction
@@ -99,7 +99,7 @@ def test_criterion_1_blt_bijection_suite():
 
 
 def test_criterion_2_blt_boundary_conformance():
-    t = BltTransform(5.0)
+    t = TransformKind("blt", 5.0)
     ok = (
         t.threshold == 2.0**-5 == 0.03125
         and blt_forward(0.03125, t) == 1.0
@@ -121,7 +121,7 @@ def test_criterion_3_ols_oracle_equivalence():
         y_q = rng.standard_normal((n, d_out))
         resid = rng.standard_normal((n, d_out))
         rec = CalibrationRecord(x_q=x_q, y=y_q + resid, y_q=y_q)
-        kind = [blt_kind(float(rng.uniform(-8, 8))), TransformKind("asinh"), TransformKind("identity")][i % 3]
+        kind = [TransformKind("blt", float(rng.uniform(-8, 8))), TransformKind("asinh"), TransformKind("identity")][i % 3]
 
         lin = fit_linear(rec)
         w_ref, b_ref = pinv_affine_fit(rec.x_q, rec.residual)
@@ -201,7 +201,7 @@ def test_criterion_6_linear_region_equivalence():
         y_q = rng.standard_normal((n, d_out))
         resid = rng.uniform(-0.5 * region, 0.5 * region, (n, d_out))
         rec = CalibrationRecord(x_q=x_q, y=y_q + resid, y_q=y_q)
-        out_nbc = apply(fit_nbc(rec, blt_kind(n_exp)), rec.x_q, rec.y_q)
+        out_nbc = apply(fit_nbc(rec, TransformKind("blt", n_exp)), rec.x_q, rec.y_q)
         out_lin = apply(fit_linear(rec), rec.x_q, rec.y_q)
         worst = max(worst, float(np.max(np.abs(out_nbc - out_lin))))
     verdict("criterion-6 linear-region-equivalence", worst <= 1e-9, f"worst diff {worst:.2e}")
@@ -259,7 +259,7 @@ def test_criterion_10_int8_storage(tmp_path, desk_runs):
     # bound (int8 payload + scales alone exceed 0.55x of the f16 payload)
     model = build_toy_model(64, 128, 4, seed=0, heavy_scale=1.3, heavy_input_scale=3.0)
     calib = generate_calibration(model, 512, OutlierSpec(), seed=1)
-    modules = [fit_nbc(rec, blt_kind(2.0)) for rec in calib.records]
+    modules = [fit_nbc(rec, TransformKind("blt", 2.0)) for rec in calib.records]
     p16 = str(tmp_path / "m_f16.nbcb")
     p8 = str(tmp_path / "m_i8.nbcb")
     write_bundle(p16, [store_params(m, STORAGE_F16) for m in modules])

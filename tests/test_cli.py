@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -153,6 +155,36 @@ class TestEval:
         assert code == 2
         assert "blocks" in err
 
+    def test_fit_metadata_not_in_bundle_writes_empty_cells(self, cfg_path, tmp_path, capsys):
+        bundle = str(tmp_path / "comp.nbcb")
+        code, out, err = run_cli(["calibrate", "--config", cfg_path, "--out", bundle], capsys)
+        assert code == 0, err
+        # calibrate knows the fit it made and prints it
+        fits = [line for line in out.splitlines() if line.startswith("block=")]
+        assert len(fits) == 2
+        assert all(float(line.rsplit("residual_rms=", 1)[1]) > 0.0 for line in fits)
+        code, out, err = run_cli(["eval", "--config", cfg_path, "--bundle", bundle], capsys)
+        assert code == 0, err
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 2
+        for row in rows:
+            assert row["ridge_used"] == "" and row["residual_rms"] == ""
+            assert row["block_loss"] != ""
+
+    def test_absent_metrics_write_empty_cells(self, tmp_path, capsys):
+        # no amplified rows: the outlier partition is empty and so is the slope gap
+        path = tmp_path / "clean.cfg"
+        path.write_text(SMALL_CFG.replace("outlier_fraction = 0.1", "outlier_fraction = 0.0"))
+        bundle = str(tmp_path / "comp.nbcb")
+        code, _, err = run_cli(["calibrate", "--config", str(path), "--out", bundle], capsys)
+        assert code == 0, err
+        code, out, err = run_cli(["eval", "--config", str(path), "--bundle", bundle], capsys)
+        assert code == 0, err
+        for row in csv.DictReader(io.StringIO(out)):
+            assert row["mae_outlier"] == ""
+            assert row["slope_gap_before"] == "" and row["slope_gap_after"] == ""
+            assert row["mae_inlier"] != "" and row["feature_loss"] != ""
+
     def test_corrupt_bundle_exits_1(self, cfg_path, tmp_path, capsys):
         bundle = tmp_path / "corrupt.nbcb"
         bundle.write_bytes(b"NOPE" + bytes(32))
@@ -215,6 +247,43 @@ class TestSearchRowValidation:
         assert out == ""
 
 
+# config lines that parse but that the run would reject, and the key each names
+BAD_VALUES = [
+    ("outlier_fraction = 0.5", "outlier_fraction"),
+    ("outlier_scale = 0.5", "outlier_scale"),
+    ("outlier_threshold = 0", "outlier_threshold"),
+    ("holdout_fraction = 0.0", "holdout_fraction"),
+    ("step = 0", "step"),
+    ("n_init = 20", "n_init"),
+    ("n_init = 15\nn_max = 20", "n_max"),
+    ("heavy_channel = 99", "heavy_channel"),
+    ("bits_w = 0", "bits_w"),
+    ("d = 0", "d"),
+    ("transform = tanh", "transform"),
+    ("transform = sigmoid", "transform"),
+]
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize(
+        "extra, key", BAD_VALUES, ids=[e.replace("\n", ",").replace(" ", "") for e, _ in BAD_VALUES]
+    )
+    def test_rejected_before_setup_exit_2_naming_key(self, tmp_path, capsys, monkeypatch, extra, key):
+        import nbcq.cli as cli_mod
+
+        def no_setup(*args, **kwargs):
+            raise AssertionError("the run was set up")
+
+        monkeypatch.setattr(cli_mod, "_build_setup", no_setup)
+        path = tmp_path / "bad.cfg"
+        path.write_text(SMALL_CFG + extra + "\n")
+        code, out, err = run_cli(["search-n", "--config", str(path)], capsys)
+        assert code == 2
+        assert err.startswith(f"error\tconfig\t{path}: {key} must be ")
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert out == ""
+
+
 class TestExport:
     def test_exports_tensor_files_and_manifest(self, cfg_path, tmp_path, capsys):
         bundle = str(tmp_path / "comp.nbcb")
@@ -230,6 +299,36 @@ class TestExport:
         assert weight.shape == (8, 8)
         modules = read_bundle(bundle)
         assert np.array_equal(weight.astype(np.float64), modules[0].weight)
+
+    @pytest.mark.parametrize("storage", ["f32", "f16", "i8_per_channel"])
+    def test_each_storage_exports_the_bundle_tensors(self, tmp_path, capsys, storage):
+        path = tmp_path / f"{storage}.cfg"
+        path.write_text(SMALL_CFG.replace("storage = f16", f"storage = {storage}"))
+        bundle = str(tmp_path / "comp.nbcb")
+        code, _, err = run_cli(["calibrate", "--config", str(path), "--out", bundle], capsys)
+        assert code == 0, err
+        out_dir = tmp_path / "export"
+        code, _, err = run_cli(
+            ["export", "--config", str(path), "--bundle", bundle, "--out", str(out_dir)], capsys
+        )
+        assert code == 0, err
+        manifest = (out_dir / "manifest.tsv").read_text().splitlines()
+        narrow = "<f4" if storage == "f32" else "<f2"
+        for i, mod in enumerate(read_bundle(bundle)):
+            roles = ["weight", "scales", "bias"] if storage == "i8_per_channel" else ["weight", "bias"]
+            files = [f"block{i:03d}_{role}.nbct" for role in roles]
+            assert manifest[i] == f"{i}\tblt\t{mod.kind.n_exp!r}\t{storage}\t{' '.join(files)}"
+            got = {role: read_tensor(str(out_dir / name)) for role, name in zip(roles, files)}
+            assert got["bias"].dtype == np.dtype(narrow)
+            assert np.array_equal(got["bias"].astype(np.float64), mod.bias)
+            if storage == "i8_per_channel":
+                assert got["weight"].dtype == np.int8
+                assert np.array_equal(got["weight"], mod.weight_codes)
+                assert got["scales"].dtype == np.dtype("<f4")
+                assert np.array_equal(got["scales"].astype(np.float64), mod.weight_scales)
+            else:
+                assert got["weight"].dtype == np.dtype(narrow)
+                assert np.array_equal(got["weight"].astype(np.float64), mod.weight)
 
 
 class TestGlobalFlags:

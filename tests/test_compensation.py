@@ -15,7 +15,7 @@ from nbcq.errors import FitError
 from nbcq.fls import compute_feature_loss
 from nbcq.harness import ols_scalar_bias, scalar_slope
 from nbcq.numerics import encode_f16_roundtrip
-from nbcq.transform import IDENTITY, TransformKind, apply_kind_forward, blt_kind
+from nbcq.transform import IDENTITY, TransformKind, apply_kind_forward
 
 from helpers import pinv_affine_fit
 
@@ -82,14 +82,14 @@ class TestFitNbc:
         y_q = rng.standard_normal((64, 4))
         residual = rng.uniform(-0.9 * region, 0.9 * region, (64, 4))
         rec = CalibrationRecord(x_q=x_q, y=y_q + residual, y_q=y_q)
-        out_nbc = apply(fit_nbc(rec, blt_kind(n_exp)), rec.x_q, rec.y_q)
+        out_nbc = apply(fit_nbc(rec, TransformKind("blt", n_exp)), rec.x_q, rec.y_q)
         out_lin = apply(fit_linear(rec), rec.x_q, rec.y_q)
         assert np.max(np.abs(out_nbc - out_lin)) <= 1e-9
 
     def test_zero_residual_is_noop(self):
         rng = np.random.default_rng(7)
         rec = make_record(rng, residual=np.zeros((60, 3)))
-        mod = fit_nbc(rec, blt_kind(2.0))
+        mod = fit_nbc(rec, TransformKind("blt", 2.0))
         out = apply(mod, rec.x_q, rec.y_q)
         assert np.max(np.abs(out - rec.y_q)) <= 1e-9
 
@@ -109,7 +109,7 @@ class TestFitNbc:
 
         oracle = scalar_slope(x_in, r_in)
         lin = fit_linear(rec)
-        nbc = fit_nbc(rec, blt_kind(2.0))
+        nbc = fit_nbc(rec, TransformKind("blt", 2.0))
         comp_lin = apply(lin, x_in.reshape(-1, 1), np.zeros((n_in, 1)))[:, 0]
         comp_nbc = apply(nbc, x_in.reshape(-1, 1), np.zeros((n_in, 1)))[:, 0]
         slope_lin = scalar_slope(x_in, comp_lin)
@@ -119,7 +119,7 @@ class TestFitNbc:
     def test_matches_pinv_oracle_in_transformed_space(self):
         rng = np.random.default_rng(9)
         rec = make_record(rng, n=90, d_in=5, d_out=4)
-        for kind in (blt_kind(1.5), TransformKind("asinh"), IDENTITY):
+        for kind in (TransformKind("blt", 1.5), TransformKind("asinh"), IDENTITY):
             mod = fit_nbc(rec, kind)
             design = apply_kind_forward(rec.x_q, kind)
             targets = apply_kind_forward(rec.residual, kind)
@@ -130,7 +130,7 @@ class TestFitNbc:
     def test_normal_equation_orthogonality(self):
         rng = np.random.default_rng(10)
         rec = make_record(rng, n=70, d_in=5, d_out=3)
-        kind = blt_kind(2.0)
+        kind = TransformKind("blt", 2.0)
         mod = fit_nbc(rec, kind)
         design = apply_kind_forward(rec.x_q, kind)
         targets = apply_kind_forward(rec.residual, kind)
@@ -161,7 +161,7 @@ class TestApply:
         rng = np.random.default_rng(12)
         x_q = rng.standard_normal((30, 4)) * 5.0
         y_q = rng.standard_normal((30, 4))
-        mod = CompensationModule(kind=blt_kind(2.0), weight=np.eye(4), bias=np.zeros(4))
+        mod = CompensationModule(kind=TransformKind("blt", 2.0), weight=np.eye(4), bias=np.zeros(4))
         out = apply(mod, x_q, y_q)
         assert np.max(np.abs(out - (y_q + x_q))) <= 1e-12 * np.max(np.abs(x_q))
 
@@ -169,7 +169,7 @@ class TestApply:
         rng = np.random.default_rng(13)
         x_q = rng.standard_normal((20, 3))
         y_q = rng.standard_normal((20, 2))
-        mod = CompensationModule(kind=blt_kind(1.0), weight=np.zeros((2, 3)), bias=np.zeros(2))
+        mod = CompensationModule(kind=TransformKind("blt", 1.0), weight=np.zeros((2, 3)), bias=np.zeros(2))
         assert np.array_equal(apply(mod, x_q, y_q), y_q)
 
     def test_fitted_module_beats_uncompensated_on_training_records(self):
@@ -178,7 +178,7 @@ class TestApply:
         y_q = rng.standard_normal((100, 4))
         residual = 0.5 * x_q + 0.05 * rng.standard_normal((100, 4))
         rec = CalibrationRecord(x_q=x_q, y=y_q + residual, y_q=y_q)
-        for mod in (fit_linear(rec), fit_nbc(rec, blt_kind(2.0))):
+        for mod in (fit_linear(rec), fit_nbc(rec, TransformKind("blt", 2.0))):
             out = apply(mod, rec.x_q, rec.y_q)
             assert compute_feature_loss(rec.y, out) < compute_feature_loss(rec.y, rec.y_q)
 

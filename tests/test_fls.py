@@ -195,17 +195,18 @@ class TestSearchForPipeline:
     def test_flat_loss_returns_n_init_and_refits_full(self):
         records = [object() for _ in range(16)]
         pipeline = _RecordPipeline()
-        res = search_n_for_pipeline(records, FlsConfig(seed=3), pipeline)
+        final, res = search_n_for_pipeline(records, FlsConfig(seed=3), pipeline)
         assert res.chosen_n == 2.0
-        # last fit call is the full-set refit at the chosen exponent
+        # last fit call is the full-set refit at the chosen exponent, and its fit is returned
         assert pipeline.fit_calls[-1] == (16, 2.0)
+        assert final == 2.0
         # all search fits used the fit subset only
         assert all(count == 12 for count, _ in pipeline.fit_calls[:-1])
 
     def test_evaluation_budget(self):
         cfg = FlsConfig()
         pipeline = _RecordPipeline({n: abs(n - 4.0) for n in np.arange(-10.0, 11.0)})
-        res = search_n_for_pipeline(list(range(8)), cfg, pipeline)
+        _, res = search_n_for_pipeline(list(range(8)), cfg, pipeline)
         assert res.evaluations <= cfg.grid_cardinality
 
     def test_record_level_split_respected(self):

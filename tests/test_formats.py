@@ -26,19 +26,19 @@ from nbcq.formats import (
     write_tensor,
 )
 from nbcq.numerics import encode_f16_roundtrip
-from nbcq.transform import IDENTITY, blt_kind
+from nbcq.transform import IDENTITY, TransformKind
 
 
 def sample_modules(rng):
     w = rng.standard_normal((4, 6))
     b = rng.standard_normal(4)
-    working = CompensationModule(kind=blt_kind(2.5), weight=w, bias=b)
+    working = CompensationModule(kind=TransformKind("blt", 2.5), weight=w, bias=b)
     f16 = store_params(
         CompensationModule(kind=IDENTITY, weight=rng.standard_normal((4, 6)), bias=rng.standard_normal(4)),
         STORAGE_F16,
     )
     i8 = store_params(
-        CompensationModule(kind=blt_kind(-1.0), weight=rng.standard_normal((4, 6)), bias=rng.standard_normal(4)),
+        CompensationModule(kind=TransformKind("blt", -1.0), weight=rng.standard_normal((4, 6)), bias=rng.standard_normal(4)),
         STORAGE_I8,
     )
     return [working, f16, i8]
@@ -135,6 +135,7 @@ class TestBundles:
         for orig, loaded in zip(modules, back):
             assert loaded.kind == orig.kind
             assert loaded.storage == orig.storage
+            assert loaded.ridge_used is None and loaded.residual_rms is None  # not stored
             if orig.storage == STORAGE_I8:
                 assert np.array_equal(loaded.weight_codes, orig.weight_codes)
                 assert np.array_equal(loaded.weight_scales, orig.weight_scales)
@@ -185,6 +186,18 @@ class TestBundles:
         data[9] = 250  # kind byte of block 0
         open(path, "wb").write(bytes(data))
         with pytest.raises(FormatError, match="kind"):
+            read_bundle(path)
+
+    @pytest.mark.parametrize("code", [3, 4])
+    def test_reserved_kind_codes_rejected(self, tmp_path, code):
+        # 3 and 4 named tanh and sigmoid in older bundles
+        rng = np.random.default_rng(6)
+        path = str(tmp_path / "b.nbcb")
+        write_bundle(path, sample_modules(rng))
+        data = bytearray(open(path, "rb").read())
+        data[9] = code  # kind byte of block 0
+        open(path, "wb").write(bytes(data))
+        with pytest.raises(FormatError, match=f"kind code {code}"):
             read_bundle(path)
 
 
