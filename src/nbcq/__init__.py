@@ -44,11 +44,10 @@ from .harness import (
     build_toy_model,
     generate_calibration,
     ols_scalar_bias,
-    run_pipeline,
     slope_gap_analysis,
     split_error_metrics,
 )
-from .numerics import LstsqSolution, encode_f16_roundtrip, matmul, solve_least_squares
+from .numerics import LstsqSolution, encode_f16_roundtrip, solve_least_squares
 from .quantizer import (
     QuantParams,
     QuantizedTensor,

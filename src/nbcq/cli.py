@@ -22,8 +22,9 @@ this fixed column order:
     residual_rms
 
 The seed column records the calibration draw seed (config seed + 1). The
-ridge_used and residual_rms cells are empty: a bundle does not store the
-fit metadata (calibrate prints it).
+fls_evaluations, ridge_used and residual_rms cells are empty: a bundle
+does not store the search or the fit metadata (calibrate prints the
+search's ``evaluations=`` and each block's fit metadata).
 
 The analyze-outliers command writes ``slope_gap.csv`` (block, channel,
 n_exp, gap_before, gap_after) and ``wstar_sweep.csv`` (outlier_magnitude,
@@ -43,7 +44,7 @@ import sys
 import numpy as np
 
 from .compensation import STORAGE_F32, store_params
-from .errors import ConfigError, FitError, NbcError
+from .errors import ConfigError, NbcError
 from .fls import FlsConfig
 from .formats import (
     RunConfig,
@@ -59,14 +60,12 @@ from .harness import (
     OutlierSpec,
     ToyModel,
     build_toy_model,
+    channel_slope_gap,
     evaluate_pipeline,
-    excess_kurtosis,
     fit_compensation,
     generate_calibration,
     ols_scalar_bias,
-    slope_gap_analysis,
 )
-from .transform import TransformKind
 
 __all__ = ["main", "EVAL_CSV_COLUMNS"]
 
@@ -102,7 +101,7 @@ def _setup_logging() -> None:
     logging.basicConfig(level=_LOG_LEVELS[name], stream=sys.stderr, format="%(levelname)s %(message)s")
 
 
-def _build_setup(cfg: RunConfig, seed: int) -> tuple[ToyModel, CalibrationSet, OutlierSpec, FlsConfig]:
+def _build_setup(cfg: RunConfig, seed: int) -> tuple[ToyModel, CalibrationSet, FlsConfig]:
     spec = OutlierSpec(
         outlier_fraction=cfg.outlier_fraction,
         outlier_scale=cfg.outlier_scale,
@@ -128,7 +127,7 @@ def _build_setup(cfg: RunConfig, seed: int) -> tuple[ToyModel, CalibrationSet, O
         holdout_fraction=cfg.holdout_fraction,
         seed=seed + 2,
     )
-    return model, calib, spec, fls_cfg
+    return model, calib, fls_cfg
 
 
 def _fmt(value) -> str:
@@ -144,7 +143,7 @@ def cmd_calibrate(config_path: str, out_path: str, seed_override: int | None) ->
     seed = cfg.seed if seed_override is None else seed_override
     if cfg.mode == "none":
         raise ConfigError("mode=none has no compensation to calibrate")
-    model, calib, _, fls_cfg = _build_setup(cfg, seed)
+    model, calib, fls_cfg = _build_setup(cfg, seed)
     log.info("fitting %s compensation for %d blocks", cfg.mode, cfg.n_blocks)
     modules, fls_result = fit_compensation(
         model, calib, cfg.mode, transform=cfg.transform, cfg=fls_cfg
@@ -163,7 +162,7 @@ def cmd_calibrate(config_path: str, out_path: str, seed_override: int | None) ->
 def cmd_search_n(config_path: str, seed_override: int | None) -> int:
     cfg = read_run_config(config_path)
     seed = cfg.seed if seed_override is None else seed_override
-    model, calib, _, fls_cfg = _build_setup(cfg, seed)
+    model, calib, fls_cfg = _build_setup(cfg, seed)
     _, fls_result = fit_compensation(model, calib, "nbc", transform="blt", cfg=fls_cfg)
     for n in sorted(fls_result.history):
         print(f"{_fmt(float(n))}\t{_fmt(fls_result.history[n])}")
@@ -212,7 +211,7 @@ def _write_csv(out_path: str | None, columns: list[str], rows: list[dict]) -> No
 def cmd_eval(config_path: str, bundle_path: str, out_path: str | None, seed_override: int | None) -> int:
     cfg = read_run_config(config_path)
     seed = cfg.seed if seed_override is None else seed_override
-    model, calib, _, _ = _build_setup(cfg, seed)
+    model, calib, _ = _build_setup(cfg, seed)
     modules = read_bundle(bundle_path)
     if len(modules) != cfg.n_blocks:
         raise ConfigError(
@@ -230,23 +229,16 @@ def cmd_eval(config_path: str, bundle_path: str, out_path: str | None, seed_over
 def cmd_analyze_outliers(config_path: str, out_dir: str | None, seed_override: int | None) -> int:
     cfg = read_run_config(config_path)
     seed = cfg.seed if seed_override is None else seed_override
-    model, calib, spec, fls_cfg = _build_setup(cfg, seed)
+    model, calib, fls_cfg = _build_setup(cfg, seed)
     _, fls_result = fit_compensation(model, calib, "nbc", transform="blt", cfg=fls_cfg)
     n_exp = fls_result.chosen_n
-    kind = TransformKind("blt", n_exp)
 
     gap_rows = []
     for block, rec in enumerate(calib.records):
-        channel = int(np.argmax(excess_kurtosis(rec.x_q)))
-        xs = rec.x_q[:, channel]
-        rs = rec.residual[:, channel]
-        outliers = np.abs(xs) > spec.threshold
-        if not outliers.any() or outliers.all():
+        gap = channel_slope_gap(rec, calib.spec.threshold, n_exp)
+        if gap is None:
             continue
-        try:
-            before, after = slope_gap_analysis(xs, rs, spec.threshold, kind)
-        except FitError:  # a slope is undefined on this channel: report absent
-            before = after = None
+        channel, before, after = gap
         gap_rows.append(
             {
                 "block": block,
@@ -323,6 +315,8 @@ def _dispatch(args: argparse.Namespace) -> int:
     out = getattr(args, "out", None)
     if config is None:
         raise ConfigError(f"the {args.command} command requires --config")
+    if seed is not None and seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
     if args.command == "calibrate":
         if out is None:
             raise ConfigError("calibrate requires --out for the bundle path")

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Protocol, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -39,7 +39,6 @@ __all__ = [
     "holdout_indices",
     "holdout_split",
     "fls_search",
-    "SearchPipeline",
     "search_n_for_pipeline",
 ]
 
@@ -67,18 +66,6 @@ class FlsConfig:
             raise ValueError("step must be > 0")
         if not 0.0 < self.holdout_fraction < 1.0:
             raise ValueError("holdout_fraction must be in (0, 1)")
-
-    @property
-    def grid_cardinality(self) -> int:
-        """Number of reachable grid points, counted with the same bound
-        predicate the search uses so float rounding cannot disagree."""
-        up = 0
-        while self.n_init + (up + 1) * self.step <= self.n_max:
-            up += 1
-        down = 0
-        while self.n_init - (down + 1) * self.step >= self.n_min:
-            down += 1
-        return down + up + 1
 
 
 @dataclass
@@ -198,23 +185,13 @@ def fls_search(cfg: FlsConfig, evaluator: Callable[[float], float]) -> FlsResult
     )
 
 
-class SearchPipeline(Protocol):
-    """What the hold-out search needs from a quantize/compensate pipeline."""
-
-    def fit(self, records: Sequence, n_exp: float) -> Any:
-        """Refit compensation on ``records`` for a candidate exponent."""
-
-    def holdout_loss(self, fitted: Any, records: Sequence) -> float:
-        """Feature loss of the fitted pipeline evaluated on ``records``."""
-
-
-def search_n_for_pipeline(
-    records: Sequence, cfg: FlsConfig, pipeline: SearchPipeline
-) -> tuple[Any, FlsResult]:
+def search_n_for_pipeline(records: Sequence, cfg: FlsConfig, pipeline) -> tuple[Any, FlsResult]:
     """Select the exponent with the hold-out protocol, then refit in full.
 
     The record list is split once into fit and hold-out sets; every
-    candidate is fitted on the former and scored on the latter. After the
+    candidate is fitted on the former (``pipeline.fit(records, n_exp)``)
+    and scored on the latter (``pipeline.holdout_loss(fitted, records)``,
+    the feature loss of the fitted pipeline on those records). After the
     search picks an exponent, the pipeline is refitted on the complete
     record set at that exponent. Returns ``(final_fit, result)``.
     """

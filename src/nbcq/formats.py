@@ -22,8 +22,10 @@ little-endian u16 block count, then per block
 
 Weight/bias dtypes follow the storage mode (f32, f16, or i8 codes with an
 f16 bias). Both formats round-trip bit-exactly and reject corrupt files
-with distinct errors for bad magic, bad version and truncation. All writes
-go through a temp file and an atomic rename.
+with distinct errors for bad magic, bad version and truncation; a bundle
+block whose bytes decode to an invalid module (a non-finite value, an
+exponent outside the operational range) is a FormatError naming the block.
+All writes go through a temp file and an atomic rename.
 
 The run configuration is line-oriented ``key = value`` text with ``#``
 comments; unknown keys are rejected by name, and so is every value the
@@ -33,6 +35,7 @@ run would reject once it starts.
 from __future__ import annotations
 
 import io
+import math
 import os
 import struct
 import tempfile
@@ -228,7 +231,6 @@ def read_bundle(path: str) -> list[CompensationModule]:
                 raise FormatError(f"{path}: unknown storage code {storage_code}")
             storage = _STORAGE_BY_CODE[storage_code]
             kind_name = _KIND_BY_CODE[kind_code]
-            kind = TransformKind(kind_name, n_exp) if kind_name == "blt" else TransformKind(kind_name)
 
             weight = _read_tensor_stream(f, path)
             bias = _read_tensor_stream(f, path).astype(np.float64)
@@ -237,7 +239,11 @@ def read_bundle(path: str) -> list[CompensationModule]:
                 stored = {"weight_codes": weight, "weight_scales": scales}
             else:
                 stored = {"weight": weight.astype(np.float64)}
-            modules.append(CompensationModule(kind=kind, bias=bias, storage=storage, **stored))
+            try:  # the bytes decode, but the values must make a valid module
+                kind = TransformKind(kind_name, n_exp) if kind_name == "blt" else TransformKind(kind_name)
+                modules.append(CompensationModule(kind=kind, bias=bias, storage=storage, **stored))
+            except ValueError as exc:
+                raise FormatError(f"{path}: block {position}: {exc}") from None
         trailing = f.read(1)
     if trailing:
         raise FormatError(f"{path}: trailing bytes after the last block")
@@ -272,22 +278,8 @@ class RunConfig:
     out_dir: str = "."
 
 
-_INT_KEYS = {"d", "h", "n_blocks", "n_samples", "seed", "bits_w", "bits_a", "heavy_channel"}
-_FLOAT_KEYS = {
-    "n_init",
-    "n_min",
-    "n_max",
-    "step",
-    "holdout_fraction",
-    "outlier_fraction",
-    "outlier_scale",
-    "outlier_threshold",
-    "heavy_scale",
-    "heavy_input_scale",
-}
-_STR_KEYS = {"mode", "transform", "storage", "out_dir"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
-assert _ALL_KEYS == {f.name for f in fields(RunConfig)}
+# key -> parser of its value text, from the field's annotation
+_PARSERS = {f.name: {"int": int, "float": float, "str": str}[f.type] for f in fields(RunConfig)}
 
 
 def read_run_config(path: str) -> RunConfig:
@@ -308,18 +300,16 @@ def read_run_config(path: str) -> RunConfig:
         key, _, text = line.partition("=")
         key = key.strip()
         text = text.strip()
-        if key not in _ALL_KEYS:
+        if key not in _PARSERS:
             raise ConfigError(f"{path}:{lineno}: unknown configuration key '{key}'")
         try:
-            if key in _INT_KEYS:
-                values[key] = int(text)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(text)
-            else:
-                values[key] = text
+            values[key] = _PARSERS[key](text)
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: invalid value {text!r} for key '{key}'") from None
     cfg = RunConfig(**values)
+    for key, value in values.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{path}: {key} must be finite, got {value!r}")
     for key, names in (("mode", MODES), ("transform", KIND_NAMES), ("storage", STORAGE_NAMES)):
         if getattr(cfg, key) not in names:
             raise ConfigError(f"{path}: {key} must be one of {names}, got '{getattr(cfg, key)}'")
@@ -328,6 +318,7 @@ def read_run_config(path: str) -> RunConfig:
     # setup or fit, naming the key.
     lo, hi = N_EXP_RANGE
     for key, ok, rule in (
+        ("seed", cfg.seed >= 0, ">= 0"),
         ("d", cfg.d >= 1, ">= 1"),
         ("h", cfg.h >= 1, ">= 1"),
         ("n_blocks", cfg.n_blocks >= 1, ">= 1"),

@@ -46,13 +46,11 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .compensation import (
-    STORAGE_F32,
     CalibrationRecord,
     CompensationModule,
     apply,
     fit_linear,
     fit_nbc,
-    store_params,
 )
 from .errors import FitError
 from .fls import (
@@ -79,15 +77,14 @@ __all__ = [
     "EvalReport",
     "gelu",
     "build_toy_model",
-    "quantize_model",
     "draw_inputs",
     "generate_calibration",
     "fit_compensation",
     "evaluate_pipeline",
-    "run_pipeline",
     "training_fit_loss",
     "scalar_slope",
     "slope_gap_analysis",
+    "channel_slope_gap",
     "ols_scalar_bias",
     "split_error_metrics",
     "excess_kurtosis",
@@ -278,22 +275,13 @@ class QuantizedToyModel:
         return self.compensated_block_io(x, modules)[-1][1]
 
 
-def quantize_model(model: ToyModel, bits_w: int, bits_a: int, calib_inputs) -> QuantizedToyModel:
-    """Quantize weights per channel; calibrate activation params per tensor.
-
-    Activation ranges come from the full-precision stream on the provided
-    calibration inputs and are then frozen, which is how deployment reuses
-    calibration statistics on unseen data.
-    """
-    return _quantize_model(model, bits_w, bits_a, calib_inputs)[0]
-
-
 def _quantize_model(
-    model: ToyModel, bits_w: int, bits_a: int, calib_inputs
+    model: ToyModel, bits_w: int, bits_a: int, x: np.ndarray
 ) -> tuple[QuantizedToyModel, list[tuple[np.ndarray, np.ndarray]]]:
-    """``quantize_model``, plus the full-precision ``block_io`` pairs of the
-    calibration forward it runs."""
-    x = as_tensor(calib_inputs, "calib_inputs", ndim=2)
+    """Quantize weights per channel and calibrate activation params per
+    tensor on the full-precision stream of ``x``, then freeze them, which is
+    how deployment reuses calibration statistics on unseen data. Also
+    returns the ``block_io`` pairs of that calibration forward."""
     w1q = tuple(dequantize(quantize_per_channel(w, bits_w)) for w in model.w1)
     w2q = tuple(dequantize(quantize_per_channel(w, bits_w)) for w in model.w2)
     p_hid = []
@@ -341,9 +329,6 @@ class CalibrationSet:
     @property
     def n_samples(self) -> int:
         return self.inputs.shape[0]
-
-    def record_rows(self, indices) -> list[CalibrationRecord]:
-        return [rec.rows(indices) for rec in self.records]
 
 
 def generate_calibration(
@@ -400,7 +385,7 @@ class _RowSearchPipeline:
             if np.array_equal(rows, np.arange(self.calib.n_samples)):
                 self._fit_records = list(self.calib.records)
             else:
-                self._fit_records = self.calib.record_rows(rows)
+                self._fit_records = [rec.rows(rows) for rec in self.calib.records]
         kind = TransformKind("blt", n_exp)
         return [fit_nbc(rec, kind, self.ridge) for rec in self._fit_records]
 
@@ -541,6 +526,29 @@ def slope_gap_analysis(
     return gap_before, gap_after
 
 
+def channel_slope_gap(
+    rec: CalibrationRecord, threshold: float, n_exp: float
+) -> tuple[int, float | None, float | None] | None:
+    """``slope_gap_analysis`` of one block on its maximal-kurtosis channel.
+
+    The pair is the column of ``rec.x_q`` with maximal excess kurtosis and
+    the same column of the residual. Returns ``(channel, gap_before,
+    gap_after)`` at the ``blt`` exponent ``n_exp``, with both gaps None when
+    a slope on the channel is undefined (a constant partition), or None when
+    the channel has no outliers or no inliers under ``threshold``.
+    """
+    channel = int(np.argmax(excess_kurtosis(rec.x_q)))
+    xs = rec.x_q[:, channel]
+    outliers = np.abs(xs) > threshold
+    if not outliers.any() or outliers.all():
+        return None
+    kind = TransformKind("blt", n_exp)
+    try:
+        return (channel, *slope_gap_analysis(xs, rec.residual[:, channel], threshold, kind))
+    except FitError:  # a slope is undefined on this channel: report absent
+        return channel, None, None
+
+
 def ols_scalar_bias(
     k: int, n: int, big_m: float, small_m: float, r_out: float, r_in: float
 ) -> float:
@@ -636,8 +644,6 @@ def evaluate_pipeline(
     *,
     mode: str,
     transform: str = "blt",
-    chosen_n: float | None = None,
-    fls_evaluations: int | None = None,
     gap_reference_n: float = 2.0,
 ) -> EvalReport:
     """Score fitted modules on a fresh evaluation set.
@@ -645,14 +651,12 @@ def evaluate_pipeline(
     The evaluation set is four times the calibration size, drawn with an
     independent seed and the same outlier mechanism; it is scored one block
     at a time, with the same bits as scoring all blocks at once. Slope gaps use the
-    calibration records of the last block on its maximal-kurtosis channel,
-    with the transform at ``chosen_n`` (falling back to the module's or
-    ``gap_reference_n``).
+    calibration records of the last block (see ``channel_slope_gap``), at
+    the last module's exponent, or ``gap_reference_n`` if it has none.
+    ``chosen_n`` is the last module's exponent; ``fls_evaluations`` is None,
+    since modules do not record the search that chose them.
     """
-    if modules is not None and chosen_n is None:
-        last_kind = modules[-1].kind
-        if last_kind.name == "blt":
-            chosen_n = last_kind.n_exp
+    chosen_n = modules[-1].kind.n_exp if modules else None
 
     eval_inputs = draw_inputs(
         model, EVAL_SET_MULTIPLIER * calib.n_samples, calib.spec, calib.seed + EVAL_SEED_OFFSET
@@ -669,20 +673,12 @@ def evaluate_pipeline(
     feature_loss = per_block[-1]  # the last block's output is the pre-head feature
     mae_out, mae_in = errors.means()
 
-    gap_before = gap_after = None
-    rec = calib.records[-1]
-    channel = int(np.argmax(excess_kurtosis(rec.x_q)))
-    xs = rec.x_q[:, channel]
-    rs = rec.residual[:, channel]
-    has_both = (np.abs(xs) > calib.spec.threshold).any() and (
-        np.abs(xs) <= calib.spec.threshold
-    ).any()
-    if has_both:
-        kind = TransformKind("blt", chosen_n if chosen_n is not None else gap_reference_n)
-        try:
-            gap_before, gap_after = slope_gap_analysis(xs, rs, calib.spec.threshold, kind)
-        except FitError:  # a slope is undefined on this channel: report absent
-            pass
+    gap = channel_slope_gap(
+        calib.records[-1],
+        calib.spec.threshold,
+        chosen_n if chosen_n is not None else gap_reference_n,
+    )
+    gap_before, gap_after = gap[1:] if gap is not None else (None, None)
 
     return EvalReport(
         mode=mode,
@@ -692,7 +688,7 @@ def evaluate_pipeline(
         seed=calib.seed,
         storage=modules[0].storage if modules else "none",
         chosen_n=chosen_n,
-        fls_evaluations=fls_evaluations,
+        fls_evaluations=None,
         feature_loss=feature_loss,
         mae_outlier=mae_out,
         mae_inlier=mae_in,
@@ -702,72 +698,3 @@ def evaluate_pipeline(
         ridge_used=tuple(m.ridge_used for m in modules) if modules else (),
         residual_rms=tuple(m.residual_rms for m in modules) if modules else (),
     )
-
-
-def run_pipeline(
-    model: ToyModel,
-    calib: CalibrationSet,
-    mode: str,
-    bits_w: int = 4,
-    bits_a: int = 4,
-    cfg: FlsConfig | None = None,
-    *,
-    transform: str = "blt",
-    storage: str = STORAGE_F32,
-    ridge: float = 0.0,
-) -> EvalReport:
-    """Quantize, fit the selected compensation and evaluate end to end."""
-    if (bits_w, bits_a) != (calib.qmodel.bits_w, calib.qmodel.bits_a):
-        raise ValueError(
-            f"calibration set was generated at W{calib.qmodel.bits_w}A{calib.qmodel.bits_a}, "
-            f"requested W{bits_w}A{bits_a}"
-        )
-    modules, fls_result = fit_compensation(
-        model, calib, mode, transform=transform, cfg=cfg, ridge=ridge
-    )
-    if modules is not None and storage != STORAGE_F32:
-        modules = [store_params(m, storage) for m in modules]
-    return evaluate_pipeline(
-        model,
-        calib,
-        modules,
-        mode=mode,
-        transform=transform,
-        chosen_n=fls_result.chosen_n if fls_result else None,
-        fls_evaluations=fls_result.evaluations if fls_result else None,
-        gap_reference_n=cfg.n_init if cfg is not None else 2.0,
-    )
-
-
-DESK_D = 16
-DESK_H = 32
-DESK_BLOCKS = 4
-DESK_SAMPLES = 512
-DESK_HEAVY_SCALE = 1.3
-DESK_HEAVY_INPUT_SCALE = 3.0
-
-
-def desk_setup(
-    seed: int,
-    *,
-    spec: OutlierSpec | None = None,
-    bits_w: int = 4,
-    bits_a: int = 4,
-) -> tuple[ToyModel, CalibrationSet, FlsConfig]:
-    """Default desk-scale configuration (d=16, h=32, 4 blocks, 512 samples).
-
-    Bit widths default to the hardest setting, W4A4. Seeds derive from the
-    pipeline seed per the scheme in the module docstring.
-    """
-    spec = spec if spec is not None else OutlierSpec()
-    model = build_toy_model(
-        DESK_D,
-        DESK_H,
-        DESK_BLOCKS,
-        seed,
-        heavy_scale=DESK_HEAVY_SCALE,
-        heavy_input_scale=DESK_HEAVY_INPUT_SCALE,
-    )
-    calib = generate_calibration(model, DESK_SAMPLES, spec, seed + 1, bits_w=bits_w, bits_a=bits_a)
-    return model, calib, FlsConfig(seed=seed + 2)
-

@@ -20,7 +20,6 @@ __all__ = [
     "TILE_ELEMENTS",
     "as_tensor",
     "map_tiles",
-    "matmul",
     "solve_least_squares",
     "encode_f16_roundtrip",
     "RIDGE_FALLBACK_FACTOR",
@@ -76,15 +75,6 @@ def map_tiles(kernel, x, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product of two rank-2 tensors in float64."""
-    a = as_tensor(a, "a", ndim=2)
-    b = as_tensor(b, "b", ndim=2)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"inner dimensions do not match: {a.shape} x {b.shape}")
-    return a @ b
-
-
 @dataclass(frozen=True)
 class LstsqSolution:
     """Affine least-squares fit ``targets ~ design @ weight.T + bias``.
@@ -99,23 +89,16 @@ class LstsqSolution:
     ridge_used: float
 
 
-def solve_least_squares(
-    design,
-    targets,
-    ridge: float = 0.0,
-    *,
-    allow_ridge_fallback: bool = True,
-) -> LstsqSolution:
+def solve_least_squares(design, targets, ridge: float = 0.0) -> LstsqSolution:
     """Minimize ``sum_i ||t_i - W d_i - b||^2 + ridge * ||W||_F^2``.
 
     The design matrix is augmented with a constant-1 column so the bias
     falls out of the same normal-equations solve; the ridge penalty skips
     that column. The system is solved by Cholesky factorization of the
     normal matrix. If factorization fails (rank-deficient design, e.g.
-    duplicated channels) and ``allow_ridge_fallback`` is set, the solve is
-    retried once with a small trace-scaled ridge added, and the effective
-    value is recorded in ``ridge_used``; with the fallback disabled the
-    failure is raised as a :class:`FitError`.
+    duplicated channels), the solve is retried once with a small
+    trace-scaled ridge added, and the effective value is recorded in
+    ``ridge_used``.
     """
     d = as_tensor(design, "design", ndim=2)
     t = as_tensor(targets, "targets", ndim=2)
@@ -141,10 +124,6 @@ def solve_least_squares(
     try:
         coef = attempt(ridge_used)
     except np.linalg.LinAlgError:
-        if not allow_ridge_fallback:
-            raise FitError(
-                "normal equations are singular and the ridge fallback is disabled"
-            ) from None
         ridge_used = float(ridge) + RIDGE_FALLBACK_FACTOR * float(np.trace(gram)) / (p + 1)
         try:
             coef = attempt(ridge_used)

@@ -1,31 +1,48 @@
-"""Independent oracles the tests check the library against.
+"""Independent oracles the tests check the library against, and the
+desk-scale setup the tests run.
 
 Each oracle deliberately takes a different computational route than the
-code under test: matmul gets a naive triple loop, the affine solver gets an
-SVD pseudo-inverse on the augmented system, binary16 rounding goes through
-struct's half-precision codec, and the scalar no-intercept slope gets a
-grid scan refined by an exact three-point parabola vertex.
+code under test: the affine solver gets an SVD pseudo-inverse on the
+augmented system, binary16 rounding goes through struct's half-precision
+codec, the scalar no-intercept slope gets a grid scan refined by an exact
+three-point parabola vertex, and the exponent search gets an exhaustive
+walk of its grid.
+
+The desk setup is the one ``nbcq`` builds from a run configuration, so the
+tests run the steps the command runs: setup, fit, evaluate.
 """
 
 from __future__ import annotations
 
 import struct
+from dataclasses import replace
 
 import numpy as np
 
+from nbcq.cli import _build_setup
+from nbcq.compensation import STORAGE_F32, store_params
+from nbcq.formats import RunConfig
+from nbcq.harness import evaluate_pipeline, fit_compensation
 
-def matmul_triple_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    m, k = a.shape
-    k2, n = b.shape
-    assert k == k2
-    out = np.zeros((m, n))
-    for i in range(m):
-        for j in range(n):
-            acc = 0.0
-            for l in range(k):
-                acc += a[i, l] * b[l, j]
-            out[i, j] = acc
-    return out
+
+def desk_setup(seed: int, **overrides):
+    """``(model, calib, search_cfg)`` of ``nbcq`` run at ``seed`` on the
+    default configuration (d=16, h=32, 4 blocks, 512 samples, W4A4) with
+    the given ``RunConfig`` fields replaced."""
+    return _build_setup(replace(RunConfig(), **overrides), seed)
+
+
+def fit_and_evaluate(model, calib, mode, cfg, *, transform="blt", storage=STORAGE_F32):
+    """Fit ``mode`` and score it as ``nbcq calibrate`` + ``eval`` do, with
+    the modules narrowed to ``storage`` in memory. Returns the report and
+    the search result (None when no search ran)."""
+    modules, search = fit_compensation(model, calib, mode, transform=transform, cfg=cfg)
+    if modules is not None and storage != STORAGE_F32:
+        modules = [store_params(m, storage) for m in modules]
+    report = evaluate_pipeline(
+        model, calib, modules, mode=mode, transform=transform, gap_reference_n=cfg.n_init
+    )
+    return report, search
 
 
 def pinv_affine_fit(design: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -64,9 +81,8 @@ def brute_force_slope(x: np.ndarray, r: np.ndarray, grid_points: int = 4001) -> 
     return float(vertex)
 
 
-def exhaustive_grid_minimum(cfg, loss) -> float:
-    """Evaluate the loss on every reachable grid point and return the argmin."""
-    best_n, best = None, np.inf
+def _grid(cfg) -> list[float]:
+    """Every reachable grid point n_init + k * step inside [n_min, n_max]."""
     k = 0
     while cfg.n_init + k * cfg.step >= cfg.n_min:
         k -= 1
@@ -75,8 +91,18 @@ def exhaustive_grid_minimum(cfg, loss) -> float:
     while cfg.n_init + k * cfg.step <= cfg.n_max:
         k += 1
     hi = k - 1
-    for k in range(lo, hi + 1):
-        n = cfg.n_init + k * cfg.step
+    return [cfg.n_init + k * cfg.step for k in range(lo, hi + 1)]
+
+
+def grid_points(cfg) -> int:
+    """How many grid points the search can reach: an upper bound on its evaluations."""
+    return len(_grid(cfg))
+
+
+def exhaustive_grid_minimum(cfg, loss) -> float:
+    """Evaluate the loss on every reachable grid point and return the argmin."""
+    best_n, best = None, np.inf
+    for n in _grid(cfg):
         value = loss(n)
         if value < best:
             best, best_n = value, n

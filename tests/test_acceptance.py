@@ -29,17 +29,22 @@ from nbcq.formats import read_bundle, read_tensor, write_bundle, write_tensor
 from nbcq.harness import (
     OutlierSpec,
     build_toy_model,
-    desk_setup,
     evaluate_pipeline,
     fit_compensation,
     generate_calibration,
     ols_scalar_bias,
-    run_pipeline,
     training_fit_loss,
 )
 from nbcq.transform import TransformKind, blt_forward, blt_inverse
 
-from helpers import brute_force_slope, exhaustive_grid_minimum, pinv_affine_fit
+from helpers import (
+    brute_force_slope,
+    desk_setup,
+    exhaustive_grid_minimum,
+    fit_and_evaluate,
+    grid_points,
+    pinv_affine_fit,
+)
 
 
 def verdict(name: str, ok: bool, detail: str = ""):
@@ -59,16 +64,8 @@ def desk_runs():
         model, calib, cfg = desk_setup(seed)
         per_mode = {}
         for mode in ("none", "linear", "nbc"):
-            modules, fls_result = fit_compensation(model, calib, mode, cfg=cfg)
-            report = evaluate_pipeline(
-                model,
-                calib,
-                modules,
-                mode=mode,
-                chosen_n=fls_result.chosen_n if fls_result else None,
-                fls_evaluations=fls_result.evaluations if fls_result else None,
-                gap_reference_n=cfg.n_init,
-            )
+            modules, _ = fit_compensation(model, calib, mode, cfg=cfg)
+            report = evaluate_pipeline(model, calib, modules, mode=mode, gap_reference_n=cfg.n_init)
             per_mode[mode] = (report, modules)
         runs[seed] = (calib, per_mode)
     return runs, time.perf_counter() - t0
@@ -178,7 +175,7 @@ def test_criterion_5_fls_trace_oracle():
         loss = lambda n, v=vertex: (n - v) ** 2
         r = fls_search(cfg, loss)
         grid_ok &= r.chosen_n == exhaustive_grid_minimum(cfg, loss)
-        grid_ok &= r.evaluations <= cfg.grid_cardinality
+        grid_ok &= r.evaluations <= grid_points(cfg)
     verdict(
         "criterion-5 fls-trace-oracle",
         trace_ok and grid_ok,
@@ -269,8 +266,8 @@ def test_criterion_10_int8_storage(tmp_path, desk_runs):
     # feature loss: default desk configuration, storage applied after the
     # searched refit, scored on the held-out evaluation set
     model, calib, cfg = desk_setup(0)
-    rep16 = run_pipeline(model, calib, "nbc", 4, 4, cfg, storage=STORAGE_F16)
-    rep8 = run_pipeline(model, calib, "nbc", 4, 4, cfg, storage=STORAGE_I8)
+    rep16, _ = fit_and_evaluate(model, calib, "nbc", cfg, storage=STORAGE_F16)
+    rep8, _ = fit_and_evaluate(model, calib, "nbc", cfg, storage=STORAGE_I8)
     rel = abs(rep8.feature_loss - rep16.feature_loss) / rep16.feature_loss
     verdict(
         "criterion-10 int8-storage",

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import os
+import struct
 import subprocess
 import sys
 
@@ -192,6 +193,21 @@ class TestEval:
         assert code == 1
         assert err.startswith("error\tbad-magic\t")
 
+    @pytest.mark.parametrize("command", ["eval", "export"])
+    def test_invalid_bundle_contents_exit_1_with_one_format_line(self, cfg_path, tmp_path, capsys, command):
+        bundle = tmp_path / "comp.nbcb"
+        code, _, err = run_cli(["calibrate", "--config", cfg_path, "--out", str(bundle)], capsys)
+        assert code == 0, err
+        data = bytearray(bundle.read_bytes())
+        data[10:18] = struct.pack("<d", float("nan"))  # block 0's threshold exponent
+        bundle.write_bytes(bytes(data))
+        args = [command, "--config", cfg_path, "--bundle", str(bundle), "--out", str(tmp_path / "out")]
+        code, out, err = run_cli(args, capsys)
+        assert code == 1
+        assert err.startswith(f"error\tformat\t{bundle}: block 0: ")
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert out == ""
+
 
 class TestAnalyzeOutliers:
     def test_writes_two_csvs(self, cfg_path, tmp_path, capsys):
@@ -211,13 +227,13 @@ class TestAnalyzeOutliers:
 
 
     def test_undefined_slope_writes_empty_gap_cells(self, cfg_path, tmp_path, capsys, monkeypatch):
-        import nbcq.cli as cli_mod
+        import nbcq.harness as harness_mod
         from nbcq.errors import FitError
 
         def undefined(*args, **kwargs):
             raise FitError("x is constant; slope with bias is undefined")
 
-        monkeypatch.setattr(cli_mod, "slope_gap_analysis", undefined)
+        monkeypatch.setattr(harness_mod, "slope_gap_analysis", undefined)
         out_dir = str(tmp_path / "analysis")
         code, _, err = run_cli(["analyze-outliers", "--config", cfg_path, "--out", out_dir], capsys)
         assert code == 0, err
@@ -225,6 +241,25 @@ class TestAnalyzeOutliers:
         assert len(gap) > 1
         for line in gap[1:]:
             assert line.endswith(",,"), line
+
+    def test_last_block_gaps_equal_eval_gaps(self, cfg_path, tmp_path, capsys):
+        bundle = str(tmp_path / "comp.nbcb")
+        code, _, err = run_cli(["calibrate", "--config", cfg_path, "--out", bundle], capsys)
+        assert code == 0, err
+        code, out, err = run_cli(["eval", "--config", cfg_path, "--bundle", bundle], capsys)
+        assert code == 0, err
+        report = list(csv.DictReader(io.StringIO(out)))[0]
+        out_dir = tmp_path / "analysis"
+        code, _, err = run_cli(["analyze-outliers", "--config", cfg_path, "--out", str(out_dir)], capsys)
+        assert code == 0, err
+        last = list(csv.DictReader(io.StringIO((out_dir / "slope_gap.csv").read_text())))[-1]
+        assert last["block"] == "1"  # the last of SMALL_CFG's two blocks
+        assert last["n_exp"] == report["chosen_n"]
+        assert last["gap_before"] != "" and last["gap_after"] != ""
+        assert (last["gap_before"], last["gap_after"]) == (
+            report["slope_gap_before"],
+            report["slope_gap_after"],
+        )
 
 
 class TestSearchRowValidation:
@@ -261,6 +296,12 @@ BAD_VALUES = [
     ("d = 0", "d"),
     ("transform = tanh", "transform"),
     ("transform = sigmoid", "transform"),
+    ("seed = -1", "seed"),
+    ("heavy_scale = nan", "heavy_scale"),
+    ("heavy_scale = inf", "heavy_scale"),
+    ("heavy_input_scale = -inf", "heavy_input_scale"),
+    ("outlier_scale = inf", "outlier_scale"),
+    ("step = inf", "step"),
 ]
 
 
@@ -281,6 +322,18 @@ class TestConfigValues:
         assert code == 2
         assert err.startswith(f"error\tconfig\t{path}: {key} must be ")
         assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert out == ""
+
+    def test_negative_seed_flag_rejected_before_setup(self, cfg_path, capsys, monkeypatch):
+        import nbcq.cli as cli_mod
+
+        def no_setup(*args, **kwargs):
+            raise AssertionError("the run was set up")
+
+        monkeypatch.setattr(cli_mod, "_build_setup", no_setup)
+        code, out, err = run_cli(["search-n", "--config", cfg_path, "--seed", "-3"], capsys)
+        assert code == 2
+        assert err == "error\tconfig\t--seed must be >= 0, got -3\n"
         assert out == ""
 
 

@@ -13,7 +13,7 @@ from nbcq.fls import (
     search_n_for_pipeline,
 )
 
-from helpers import exhaustive_grid_minimum
+from helpers import exhaustive_grid_minimum, grid_points
 
 
 class TestComputeFeatureLoss:
@@ -103,7 +103,7 @@ class TestFlsSearch:
             loss = lambda n, v=vertex: (n - v) ** 2
             res = fls_search(cfg, loss)
             assert res.chosen_n == exhaustive_grid_minimum(cfg, loss)
-            assert res.evaluations <= cfg.grid_cardinality
+            assert res.evaluations <= grid_points(cfg)
 
     def test_grid_containment_and_no_revisit(self):
         rng = np.random.default_rng(67)
@@ -122,7 +122,7 @@ class TestFlsSearch:
                 k = round((n - cfg.n_init) / cfg.step)
                 assert abs(cfg.n_init + k * cfg.step - n) <= 1e-12
                 assert cfg.n_min - 1e-12 <= n <= cfg.n_max + 1e-12
-            assert res.evaluations <= cfg.grid_cardinality
+            assert res.evaluations <= grid_points(cfg)
 
     def test_local_minimum_certificate(self):
         rng = np.random.default_rng(71)
@@ -207,7 +207,7 @@ class TestSearchForPipeline:
         cfg = FlsConfig()
         pipeline = _RecordPipeline({n: abs(n - 4.0) for n in np.arange(-10.0, 11.0)})
         _, res = search_n_for_pipeline(list(range(8)), cfg, pipeline)
-        assert res.evaluations <= cfg.grid_cardinality
+        assert res.evaluations <= grid_points(cfg)
 
     def test_record_level_split_respected(self):
         records = list(range(512))

@@ -1,4 +1,6 @@
 import os
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -199,6 +201,36 @@ class TestBundles:
         open(path, "wb").write(bytes(data))
         with pytest.raises(FormatError, match=f"kind code {code}"):
             read_bundle(path)
+
+    @pytest.mark.parametrize(
+        "field, offset, payload, reason",
+        [
+            ("exponent", 3, struct.pack("<d", float("nan")), "n_exp must be finite"),
+            ("exponent", 3, struct.pack("<d", 50.0), "outside operational range"),
+            ("weight", 36, np.array([np.nan], dtype="<f2").tobytes(), "weight contains non-finite"),
+        ],
+        ids=["exponent-nan", "exponent-50", "f16-weight-nan"],
+    )
+    def test_invalid_block_contents_rejected_naming_block(self, tmp_path, field, offset, payload, reason):
+        # the bytes decode, but block 1 does not make a valid module
+        rng = np.random.default_rng(7)
+        module = store_params(
+            CompensationModule(kind=TransformKind("blt", 2.0), weight=rng.standard_normal((4, 6)), bias=rng.standard_normal(4)),
+            STORAGE_F16,
+        )
+        path = str(tmp_path / "b.nbcb")
+        write_bundle(path, [module])
+        block_bytes = os.path.getsize(path) - 7  # after magic, version and block count
+        write_bundle(path, [module, module])
+        data = bytearray(open(path, "rb").read())
+        # block layout: u16 index, kind byte, f64 exponent, storage byte, then the
+        # weight tensor record (8-byte header, two u64 extents, f16 payload)
+        start = 7 + block_bytes + offset
+        data[start : start + len(payload)] = payload
+        open(path, "wb").write(bytes(data))
+        with pytest.raises(FormatError, match=re.escape(f"{path}: block 1: ") + ".*" + reason) as info:
+            read_bundle(path)
+        assert type(info.value) is FormatError
 
 
 class TestRunConfigFile:

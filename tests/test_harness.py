@@ -14,7 +14,6 @@ from nbcq.harness import (
     OutlierSpec,
     ToyModel,
     build_toy_model,
-    desk_setup,
     draw_inputs,
     evaluate_pipeline,
     excess_kurtosis,
@@ -22,7 +21,6 @@ from nbcq.harness import (
     generate_calibration,
     gelu,
     ols_scalar_bias,
-    run_pipeline,
     scalar_slope,
     slope_gap_analysis,
     split_error_metrics,
@@ -31,7 +29,7 @@ from nbcq.harness import (
 from nbcq.quantizer import QuantParams, dequantize, quantize
 from nbcq.transform import TransformKind
 
-from helpers import brute_force_slope
+from helpers import brute_force_slope, desk_setup, fit_and_evaluate, grid_points
 
 # Frozen regression envelope: W8A8 feature losses on the default desk
 # configuration at seed 0, measured once. A regression that degrades the
@@ -97,11 +95,11 @@ class TestBuildToyModel:
 
 class TestGenerateCalibration:
     def test_no_outliers_when_fraction_zero(self):
-        spec = OutlierSpec(outlier_fraction=0.0)
         for seed in range(5):
-            model, calib, _ = desk_setup(seed, spec=spec)
+            model, calib, _ = desk_setup(seed, outlier_fraction=0.0)
+            assert calib.spec.outlier_fraction == 0.0
             peak = max(float(np.abs(rec.x_q).max()) for rec in calib.records)
-            assert peak < spec.threshold
+            assert peak < calib.spec.threshold
 
     def test_row_counts(self):
         model, calib, _ = desk_setup(0)
@@ -149,15 +147,18 @@ class TestGenerateCalibration:
 
 
 @pytest.fixture(scope="module")
-def reports():
+def runs():
+    """(report, search result) per seed and mode of the default desk run."""
     out = {}
     for seed in range(5):
         model, calib, cfg = desk_setup(seed)
-        out[seed] = {
-            mode: run_pipeline(model, calib, mode, 4, 4, cfg)
-            for mode in ("none", "linear", "nbc")
-        }
+        out[seed] = {mode: fit_and_evaluate(model, calib, mode, cfg) for mode in ("none", "linear", "nbc")}
     return out
+
+
+@pytest.fixture(scope="module")
+def reports(runs):
+    return {seed: {mode: rep for mode, (rep, _) in per_mode.items()} for seed, per_mode in runs.items()}
 
 
 class TestForwardCounts:
@@ -210,49 +211,47 @@ class TestRunPipeline:
         assert med["nbc"] <= med["linear"]
         assert med["linear"] <= med["none"]
 
-    def test_chosen_exponent_interior(self, reports):
-        for seed in reports:
-            n = reports[seed]["nbc"].chosen_n
-            assert -10.0 < n < 10.0
+    def test_chosen_exponent_interior(self, runs):
+        for seed in runs:
+            rep, search = runs[seed]["nbc"]
+            assert rep.chosen_n == search.chosen_n  # read back from the fitted modules
+            assert -10.0 < rep.chosen_n < 10.0
 
-    def test_search_budget_respected(self, reports):
+    def test_search_budget_respected(self, runs):
         cfg = FlsConfig()
-        for seed in reports:
-            assert reports[seed]["nbc"].fls_evaluations <= cfg.grid_cardinality
+        for seed in runs:
+            _, search = runs[seed]["nbc"]
+            assert search.evaluations <= grid_points(cfg)
 
     def test_w8a8_within_frozen_envelope(self):
         model, calib, cfg = desk_setup(0, bits_w=8, bits_a=8)
         for mode, frozen in FROZEN_W8A8_FEATURE_LOSS.items():
-            rep = run_pipeline(model, calib, mode, 8, 8, cfg)
+            rep, _ = fit_and_evaluate(model, calib, mode, cfg)
+            assert (rep.bits_w, rep.bits_a) == (8, 8)
             assert rep.feature_loss <= 10.0 * frozen
 
     def test_determinism_bit_identical_reports(self):
         model, calib, cfg = desk_setup(3)
-        a = run_pipeline(model, calib, "nbc", 4, 4, cfg)
+        a, _ = fit_and_evaluate(model, calib, "nbc", cfg)
         model2, calib2, cfg2 = desk_setup(3)
-        b = run_pipeline(model2, calib2, "nbc", 4, 4, cfg2)
+        b, _ = fit_and_evaluate(model2, calib2, "nbc", cfg2)
         assert a == b
 
     def test_undefined_slope_reports_absent_gaps(self):
         # the fit succeeds, but a slope on the analysis channel is undefined
-        model, calib, cfg = desk_setup(0, spec=OutlierSpec(outlier_scale=1e5))
-        rep = run_pipeline(model, calib, "linear", 4, 4, cfg)
+        model, calib, cfg = desk_setup(0, outlier_scale=1e5)
+        rep, _ = fit_and_evaluate(model, calib, "linear", cfg)
         assert rep.slope_gap_before is None
         assert rep.slope_gap_after is None
         assert math.isfinite(rep.feature_loss)
         assert rep.mae_outlier is not None
 
-    def test_bits_mismatch_rejected(self):
-        model, calib, cfg = desk_setup(0)
-        with pytest.raises(ValueError, match="W4A4"):
-            run_pipeline(model, calib, "none", 8, 8, cfg)
-
     def test_asinh_transform_pipeline(self):
         model, calib, cfg = desk_setup(0)
-        rep = run_pipeline(model, calib, "nbc", 4, 4, cfg, transform="asinh")
+        rep, search = fit_and_evaluate(model, calib, "nbc", cfg, transform="asinh")
         assert rep.transform == "asinh"
-        assert rep.chosen_n is None  # no threshold exponent to search
-        base = run_pipeline(model, calib, "none", 4, 4, cfg)
+        assert rep.chosen_n is None and search is None  # no threshold exponent to search
+        base, _ = fit_and_evaluate(model, calib, "none", cfg)
         assert rep.feature_loss <= base.feature_loss
 
     def test_linear_region_pipeline_equivalence(self, monkeypatch):
@@ -274,8 +273,8 @@ class TestRunPipeline:
         assert peak < 2.0**-10  # inside the smallest grid region
 
         cfg = FlsConfig(seed=13)
-        rep_lin = run_pipeline(model, calib, "linear", 8, 8, cfg)
-        rep_nbc = run_pipeline(model, calib, "nbc", 8, 8, cfg)
+        rep_lin, _ = fit_and_evaluate(model, calib, "linear", cfg)
+        rep_nbc, _ = fit_and_evaluate(model, calib, "nbc", cfg)
         assert abs(rep_nbc.feature_loss - rep_lin.feature_loss) <= 1e-9
         for a, b in zip(rep_nbc.per_block_losses, rep_lin.per_block_losses):
             assert abs(a - b) <= 1e-9

@@ -2,43 +2,9 @@ import numpy as np
 import pytest
 
 from nbcq.errors import FitError
-from nbcq.numerics import encode_f16_roundtrip, matmul, solve_least_squares
+from nbcq.numerics import encode_f16_roundtrip, solve_least_squares
 
-from helpers import f16_roundtrip_struct, matmul_triple_loop, pinv_affine_fit
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.5, -2.0], [0.25, 7.0]])
-        assert np.array_equal(matmul(np.eye(2), a), a)
-
-    def test_hand_example(self):
-        out = matmul([[1, 2], [3, 4]], [[0], [1]])
-        assert np.array_equal(out, [[2.0], [4.0]])
-
-    def test_matches_triple_loop_oracle(self):
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal((5, 7))
-        b = rng.standard_normal((7, 3))
-        assert np.max(np.abs(matmul(a, b) - matmul_triple_loop(a, b))) <= 1e-12
-
-    def test_associativity(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            a = rng.standard_normal((4, 6))
-            b = rng.standard_normal((6, 5))
-            c = rng.standard_normal((5, 3))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            assert np.max(np.abs(left - right)) <= 1e-9 * max(1.0, np.max(np.abs(left)))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="inner dimensions"):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            matmul(np.array([[np.nan, 0.0]]), np.ones((2, 1)))
+from helpers import f16_roundtrip_struct, pinv_affine_fit
 
 
 class TestSolveLeastSquares:
@@ -79,12 +45,6 @@ class TestSolveLeastSquares:
         b_true = rng.standard_normal(2)
         sol = solve_least_squares(design, design @ w_true.T + b_true)
         assert sol.residual_rms <= 1e-10
-
-    def test_singular_design_without_fallback(self):
-        design = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
-        targets = np.array([[1.0], [2.0], [3.0]])
-        with pytest.raises(FitError, match="singular"):
-            solve_least_squares(design, targets, allow_ridge_fallback=False)
 
     def test_singular_design_fallback_records_ridge(self):
         design = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])

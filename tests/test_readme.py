@@ -1,0 +1,31 @@
+"""The README's library example is the program that ``nbcq`` runs."""
+
+import csv
+import io
+import re
+from pathlib import Path
+
+from nbcq.cli import main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def library_usage_block() -> str:
+    section = README.read_text().split("## Library usage", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_library_usage_prints_the_eval_feature_loss(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("NBC_LOG", raising=False)
+    monkeypatch.chdir(tmp_path)  # the block writes its bundle to the working directory
+    exec(compile(library_usage_block(), str(README), "exec"), {})
+    printed = capsys.readouterr().out.split()[0]
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 0\nstorage = f32\n")
+    bundle = str(tmp_path / "cli.nbcb")
+    assert main(["calibrate", "--config", str(cfg), "--out", bundle]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg), "--bundle", bundle]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert printed == rows[0]["feature_loss"]

@@ -11,7 +11,7 @@ import struct
 import numpy as np
 import pytest
 
-from nbcq.harness import GELU_TANH_COEFF, GELU_TANH_CUBIC, desk_setup, gelu
+from nbcq.harness import GELU_TANH_COEFF, GELU_TANH_CUBIC, gelu
 from nbcq.numerics import TILE_ELEMENTS, as_tensor, map_tiles
 from nbcq.quantizer import QuantParams, fake_quantize
 from nbcq.transform import (
@@ -21,6 +21,8 @@ from nbcq.transform import (
     blt_forward,
     blt_inverse,
 )
+
+from helpers import desk_setup
 
 T = TILE_ELEMENTS
 SHAPES = [(), (0,), (0, 3), (1,), (T - 1,), (T,), (T + 1,), (3 * T + 5,), (T // 32 + 3, 64)]
