@@ -217,6 +217,12 @@ def cmd_eval(config_path: str, bundle_path: str, out_path: str | None, seed_over
         raise ConfigError(
             f"bundle has {len(modules)} blocks but the configuration expects {cfg.n_blocks}"
         )
+    for block, mod in enumerate(modules):
+        if mod.d_in != cfg.d or mod.d_out != cfg.d:
+            raise ConfigError(
+                f"bundle block {block} maps {mod.d_in} to {mod.d_out} channels "
+                f"but the configuration has d = {cfg.d}"
+            )
     mode = "linear" if all(m.kind.name == "identity" for m in modules) else "nbc"
     transform = modules[-1].kind.name
     report = evaluate_pipeline(

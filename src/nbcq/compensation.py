@@ -193,8 +193,11 @@ def apply(mod: CompensationModule, x_q, y_q) -> np.ndarray:
     if x.shape[0] != yq.shape[0]:
         raise ValueError("x_q and y_q must have equal row counts")
     w = mod.effective_weight()
-    pred = apply_kind_forward(x, mod.kind) @ w.T + mod.bias
-    return yq + apply_kind_inverse(pred, mod.kind)
+    pred = apply_kind_forward(x, mod.kind) @ w.T
+    pred += mod.bias
+    out = apply_kind_inverse(pred, mod.kind)
+    out += yq  # IEEE addition commutes: the bits of yq + out
+    return out
 
 
 def store_params(mod: CompensationModule, precision: str) -> CompensationModule:

@@ -38,10 +38,10 @@ TILE_ELEMENTS = 16384
 
 def as_tensor(x, name: str = "tensor", ndim: int | None = None) -> np.ndarray:
     """Coerce to a finite, C-contiguous float64 array."""
-    arr = np.ascontiguousarray(np.asarray(x, dtype=np.float64))
+    arr = np.ascontiguousarray(x, dtype=np.float64)
     if ndim is not None and arr.ndim != ndim:
         raise ValueError(f"{name} must have {ndim} dimension(s), got {arr.ndim}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite values")
     return arr
 

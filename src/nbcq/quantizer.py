@@ -16,6 +16,7 @@ computes ``x_hat`` straight from ``x`` in float64, bit for bit equal to
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,7 +56,7 @@ class QuantParams:
     def __post_init__(self):
         if not 2 <= self.bits <= 8:
             raise ValueError(f"bits must be in [2, 8], got {self.bits}")
-        if not (np.isfinite(self.scale) and self.scale > 0):
+        if not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
         if not 0 <= self.zero_point <= 2**self.bits - 1:
             raise ValueError(
@@ -160,7 +161,8 @@ def fake_quantize(x, p: QuantParams, out: np.ndarray | None = None) -> np.ndarra
         np.floor(dst, out=dst)
         np.copysign(dst, t, out=dst)
         dst += p.zero_point  # a negative zero becomes +0 here, as in the int64 codes
-        np.clip(dst, 0, top, out=dst)
+        np.maximum(dst, 0, out=dst)  # clip to [0, top] without np.clip's wrapper
+        np.minimum(dst, top, out=dst)
         dst -= p.zero_point
         dst *= p.scale
 
@@ -186,6 +188,7 @@ def quantize_per_channel(w, bits: int) -> QuantizedTensor:
     zero = np.clip(round_half_away(-lo / scale), 0, top)
     codes = np.clip(round_half_away(arr / scale[:, None]) + zero[:, None], 0, top)
     params = [
-        QuantParams(bits=bits, scale=float(s), zero_point=int(z)) for s, z in zip(scale, zero)
+        QuantParams(bits=bits, scale=s, zero_point=int(z))
+        for s, z in zip(scale.tolist(), zero.tolist())
     ]
     return QuantizedTensor(codes=codes.astype(np.int64), params=params)

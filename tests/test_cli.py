@@ -156,6 +156,17 @@ class TestEval:
         assert code == 2
         assert "blocks" in err
 
+    def test_block_width_mismatch_exits_2_naming_d(self, cfg_path, tmp_path, capsys):
+        bundle = str(tmp_path / "comp.nbcb")
+        code, _, err = run_cli(["calibrate", "--config", cfg_path, "--out", bundle], capsys)
+        assert code == 0, err
+        other = tmp_path / "wide.cfg"
+        other.write_text(SMALL_CFG.replace("d = 8", "d = 12"))  # same block count
+        code, out, err = run_cli(["eval", "--config", str(other), "--bundle", bundle], capsys)
+        assert code == 2
+        assert err == "error\tconfig\tbundle block 0 maps 8 to 8 channels but the configuration has d = 12\n"
+        assert out == ""
+
     def test_fit_metadata_not_in_bundle_writes_empty_cells(self, cfg_path, tmp_path, capsys):
         bundle = str(tmp_path / "comp.nbcb")
         code, out, err = run_cli(["calibrate", "--config", cfg_path, "--out", bundle], capsys)

@@ -15,9 +15,9 @@ from nbcq.errors import FitError
 from nbcq.fls import compute_feature_loss
 from nbcq.harness import ols_scalar_bias, scalar_slope
 from nbcq.numerics import encode_f16_roundtrip
-from nbcq.transform import IDENTITY, TransformKind, apply_kind_forward
+from nbcq.transform import IDENTITY, TransformKind, apply_kind_forward, apply_kind_inverse
 
-from helpers import pinv_affine_fit
+from helpers import desk_setup, pinv_affine_fit
 
 
 def make_record(rng, n=60, d_in=4, d_out=3, residual=None):
@@ -156,6 +156,13 @@ class TestFitNbc:
             assert abs(empirical - ols_scalar_bias(k, n, big_m, small_m, r_out, r_in)) <= 1e-10
 
 
+@pytest.fixture(scope="module")
+def desk_records():
+    """Fake-quantized block inputs of the desk pipeline, outliers included."""
+    _, calib, _ = desk_setup(0)
+    return calib.records
+
+
 class TestApply:
     def test_identity_weight_blt_recovers_input(self):
         rng = np.random.default_rng(12)
@@ -181,6 +188,29 @@ class TestApply:
         for mod in (fit_linear(rec), fit_nbc(rec, TransformKind("blt", 2.0))):
             out = apply(mod, rec.x_q, rec.y_q)
             assert compute_feature_loss(rec.y, out) < compute_feature_loss(rec.y, rec.y_q)
+
+    @pytest.mark.parametrize("storage", ["f32", STORAGE_F16, STORAGE_I8])
+    @pytest.mark.parametrize(
+        "kind",
+        [TransformKind("blt", -2.0), TransformKind("blt", 0.5), TransformKind("blt", 3.0),
+         TransformKind("asinh"), IDENTITY],
+        ids=str,
+    )
+    def test_matches_the_plain_formula_bit_for_bit(self, desk_records, kind, storage):
+        # the formula apply used before it summed in place, kept verbatim
+        def old_apply(mod, x_q, y_q):
+            w = mod.effective_weight()
+            pred = apply_kind_forward(x_q, mod.kind) @ w.T + mod.bias
+            return y_q + apply_kind_inverse(pred, mod.kind)
+
+        for rec in desk_records:
+            mod = fit_nbc(rec, kind)
+            if storage != "f32":
+                mod = store_params(mod, storage)
+            out = apply(mod, rec.x_q, rec.y_q)
+            expected = old_apply(mod, rec.x_q, rec.y_q)
+            assert out.shape == expected.shape
+            assert out.tobytes() == expected.tobytes()
 
     def test_dimension_checks(self):
         mod = CompensationModule(kind=IDENTITY, weight=np.zeros((2, 3)), bias=np.zeros(2))

@@ -211,8 +211,9 @@ class TestProperties:
 
 class TestValidation:
     def test_quant_params_invariants(self):
-        with pytest.raises(ValueError):
-            QuantParams(4, -0.1, 0)
+        for scale in (-0.1, 0.0, float("nan"), float("inf"), float("-inf"), np.float64("nan")):
+            with pytest.raises(ValueError, match="scale"):
+                QuantParams(4, scale, 0)
         with pytest.raises(ValueError):
             QuantParams(4, 1.0, 16)
         with pytest.raises(ValueError):

@@ -145,6 +145,43 @@ def test_blt_inverse_matches_whole_array_formula(shape, n_exp):
     assert bits(apply_kind_inverse(v, t)) == bits(old_blt_inverse(v, t))
 
 
+@pytest.fixture(scope="module")
+def desk_block_inputs():
+    """The fake-quantized block inputs of the desk pipeline: a few levels on
+    both sides of the seam, so the branch changes from element to element."""
+    _, calib, _ = desk_setup(0)
+    return [rec.x_q for rec in calib.records]
+
+
+@pytest.mark.parametrize("n_exp", N_EXPS)
+def test_blt_maps_match_on_fake_quantized_pipeline_inputs(desk_block_inputs, n_exp):
+    t = TransformKind("blt", n_exp)
+    for x in desk_block_inputs:
+        if n_exp == 0.0:
+            linear = (np.abs(x) <= t.threshold).ravel()
+            assert np.count_nonzero(linear[1:] != linear[:-1]) > 0.3 * x.size
+        v = old_blt_forward(x, t)
+        assert bits(blt_forward(x, t)) == bits(v)
+        assert bits(blt_inverse(v, t)) == bits(old_blt_inverse(v, t))
+        # a compensated prediction: off the quantization levels, both seams crossed
+        pred = 1.5 * v[:, ::-1] - 0.25
+        assert bits(blt_inverse(pred, t)) == bits(old_blt_inverse(pred, t))
+
+
+@pytest.mark.parametrize("n_exp", [-10.0, 0.0, 10.0])
+def test_blt_maps_match_at_the_ends_of_the_float_range(n_exp):
+    # where |x| / 2^-n, |v| * 2^-n or exp2 overflow, the branch not taken
+    # must not turn into inf * 0 = nan
+    t = TransformKind("blt", n_exp)
+    big = np.finfo(np.float64).max
+    pool = [big, -big, 1e306, -1e306, 1e300, -1e300, 2000.0, -2000.0, np.inf, -np.inf,
+            0.0, -0.0, t.threshold, -t.threshold, 1.0, -1.0]
+    x = np.array(pool * 3)
+    with np.errstate(over="ignore"):
+        assert bits(blt_forward(x, t)) == bits(old_blt_forward(x, t))
+        assert bits(blt_inverse(x, t)) == bits(old_blt_inverse(x, t))
+
+
 @pytest.mark.parametrize("shape", SHAPES, ids=str)
 def test_mirrored_kinds_match_whole_array_formula(shape):
     # clipped to where sinh is finite
