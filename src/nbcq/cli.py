@@ -107,18 +107,29 @@ def _build_setup(cfg: RunConfig, seed: int) -> tuple[ToyModel, CalibrationSet, F
         outlier_scale=cfg.outlier_scale,
         threshold=cfg.outlier_threshold,
     )
-    model = build_toy_model(
-        cfg.d,
-        cfg.h,
-        cfg.n_blocks,
-        seed,
-        heavy_channel=cfg.heavy_channel,
-        heavy_scale=cfg.heavy_scale,
-        heavy_input_scale=cfg.heavy_input_scale,
-    )
-    calib = generate_calibration(
-        model, cfg.n_samples, spec, seed + 1, bits_w=cfg.bits_w, bits_a=cfg.bits_a
-    )
+    # Large scales can overflow the weights or the calibration forward; the
+    # finiteness checks turn that into the one ValueError an accepted config
+    # can still raise here, and numpy's warnings would only precede it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        model = build_toy_model(
+            cfg.d,
+            cfg.h,
+            cfg.n_blocks,
+            seed,
+            heavy_channel=cfg.heavy_channel,
+            heavy_scale=cfg.heavy_scale,
+            heavy_input_scale=cfg.heavy_input_scale,
+        )
+        try:
+            calib = generate_calibration(
+                model, cfg.n_samples, spec, seed + 1, bits_w=cfg.bits_w, bits_a=cfg.bits_a
+            )
+        except ValueError as exc:
+            raise ConfigError(
+                f"the calibration forward overflows at outlier_scale = {cfg.outlier_scale!r}, "
+                f"heavy_scale = {cfg.heavy_scale!r}, heavy_input_scale = {cfg.heavy_input_scale!r} "
+                f"({exc})"
+            ) from None
     fls_cfg = FlsConfig(
         n_init=cfg.n_init,
         n_min=cfg.n_min,

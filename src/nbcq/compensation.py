@@ -86,10 +86,6 @@ class CalibrationRecord:
     def d_in(self) -> int:
         return self.x_q.shape[1]
 
-    @property
-    def d_out(self) -> int:
-        return self.y.shape[1]
-
     def rows(self, indices) -> "CalibrationRecord":
         idx = np.asarray(indices, dtype=np.intp)
         return CalibrationRecord(self.x_q[idx], self.y[idx], self.y_q[idx])
@@ -158,7 +154,7 @@ class CompensationModule:
         return self.weight
 
 
-def fit_nbc(rec: CalibrationRecord, kind: TransformKind, ridge: float = 0.0) -> CompensationModule:
+def fit_nbc(rec: CalibrationRecord, kind: TransformKind) -> CompensationModule:
     """Fit compensation in the transformed space of ``kind``."""
     if rec.n_rows < rec.d_in + 1:
         raise FitError(
@@ -166,7 +162,7 @@ def fit_nbc(rec: CalibrationRecord, kind: TransformKind, ridge: float = 0.0) -> 
         )
     design = apply_kind_forward(rec.x_q, kind)
     targets = apply_kind_forward(rec.residual, kind)
-    sol = solve_least_squares(design, targets, ridge)
+    sol = solve_least_squares(design, targets)
     return CompensationModule(
         kind=kind,
         weight=sol.weight,
@@ -177,9 +173,9 @@ def fit_nbc(rec: CalibrationRecord, kind: TransformKind, ridge: float = 0.0) -> 
     )
 
 
-def fit_linear(rec: CalibrationRecord, ridge: float = 0.0) -> CompensationModule:
+def fit_linear(rec: CalibrationRecord) -> CompensationModule:
     """Fit plain linear compensation on (x_q, y - y_q)."""
-    return fit_nbc(rec, IDENTITY, ridge)
+    return fit_nbc(rec, IDENTITY)
 
 
 def apply(mod: CompensationModule, x_q, y_q) -> np.ndarray:

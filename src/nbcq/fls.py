@@ -36,7 +36,6 @@ __all__ = [
     "FlsResult",
     "compute_feature_loss",
     "holdout_count",
-    "holdout_indices",
     "holdout_split",
     "fls_search",
     "search_n_for_pipeline",
@@ -92,29 +91,25 @@ def compute_feature_loss(f_full, f_quant) -> float:
 
 
 def holdout_count(n_records: int, holdout_fraction: float) -> int:
-    """Records :func:`holdout_indices` holds out: floor(n * fraction), at least 1."""
+    """Records :func:`holdout_split` holds out: floor(n * fraction), at least 1."""
     return max(1, int(np.floor(n_records * holdout_fraction)))
 
 
-def holdout_indices(n_records: int, cfg: FlsConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded disjoint (fit, holdout) index partition of range(n_records).
+def holdout_split(records: Sequence, cfg: FlsConfig) -> tuple[list, list]:
+    """Split a record list into disjoint (fit_set, holdout_set) lists.
 
-    The hold-out count is floor(n * fraction), at least 1, so the 512-record
-    default splits 384/128. Indices come back sorted within each side.
+    A seeded permutation picks the hold-out records; the hold-out count is
+    floor(n * fraction), at least 1, so the 512-record default splits
+    384/128. Each side keeps the records in their input order.
     """
+    n_records = len(records)
     if n_records < 2:
         raise ValueError(f"need at least 2 records to split, got {n_records}")
     n_hold = holdout_count(n_records, cfg.holdout_fraction)
     perm = np.random.default_rng(cfg.seed).permutation(n_records)
     hold = np.sort(perm[:n_hold])
     fit = np.sort(perm[n_hold:])
-    return fit, hold
-
-
-def holdout_split(records: Sequence, cfg: FlsConfig) -> tuple[list, list]:
-    """Split a record list into disjoint (fit_set, holdout_set) lists."""
-    fit_idx, hold_idx = holdout_indices(len(records), cfg)
-    return [records[i] for i in fit_idx], [records[i] for i in hold_idx]
+    return [records[i] for i in fit], [records[i] for i in hold]
 
 
 def fls_search(cfg: FlsConfig, evaluator: Callable[[float], float]) -> FlsResult:

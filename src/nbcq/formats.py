@@ -291,6 +291,7 @@ def read_run_config(path: str) -> RunConfig:
     except FileNotFoundError:
         raise ConfigError(f"configuration file not found: {path}") from None
     values = {}
+    first_line = {}
     for lineno, raw in enumerate(raw_lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -302,6 +303,11 @@ def read_run_config(path: str) -> RunConfig:
         text = text.strip()
         if key not in _PARSERS:
             raise ConfigError(f"{path}:{lineno}: unknown configuration key '{key}'")
+        if key in first_line:
+            raise ConfigError(
+                f"{path}:{lineno}: configuration key '{key}' repeats, first set on line {first_line[key]}"
+            )
+        first_line[key] = lineno
         try:
             values[key] = _PARSERS[key](text)
         except ValueError:

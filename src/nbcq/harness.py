@@ -154,10 +154,7 @@ class ToyModel:
     d: int
     h: int
     n_blocks: int
-    seed: int
     heavy_channel: int
-    heavy_scale: float
-    heavy_input_scale: float
     w1: tuple[np.ndarray, ...]  # (h, d) per block
     w2: tuple[np.ndarray, ...]  # (d, h) per block
 
@@ -219,10 +216,7 @@ def build_toy_model(
         d=d,
         h=h,
         n_blocks=n_blocks,
-        seed=seed,
         heavy_channel=heavy_channel,
-        heavy_scale=float(heavy_scale),
-        heavy_input_scale=float(heavy_input_scale),
         w1=tuple(w1),
         w2=tuple(w2),
     )
@@ -368,10 +362,9 @@ class _RowSearchPipeline:
     the rows it was computed on.
     """
 
-    def __init__(self, model: ToyModel, calib: CalibrationSet, ridge: float):
+    def __init__(self, model: ToyModel, calib: CalibrationSet):
         self.model = model
         self.calib = calib
-        self.ridge = ridge
         self._fit_rows: np.ndarray | None = None
         self._fit_records: list[CalibrationRecord] | None = None
         self._holdout_rows: np.ndarray | None = None
@@ -387,7 +380,7 @@ class _RowSearchPipeline:
             else:
                 self._fit_records = [rec.rows(rows) for rec in self.calib.records]
         kind = TransformKind("blt", n_exp)
-        return [fit_nbc(rec, kind, self.ridge) for rec in self._fit_records]
+        return [fit_nbc(rec, kind) for rec in self._fit_records]
 
     def holdout_loss(self, fitted: list[CompensationModule], records: Sequence[int]) -> float:
         rows = np.asarray(list(records), dtype=np.intp)
@@ -406,7 +399,6 @@ def fit_compensation(
     *,
     transform: str = "blt",
     cfg: FlsConfig | None = None,
-    ridge: float = 0.0,
 ) -> tuple[list[CompensationModule] | None, FlsResult | None]:
     """Fit per-block modules for ``mode``; search the exponent for blt.
 
@@ -418,7 +410,7 @@ def fit_compensation(
     if mode == "none":
         return None, None
     if mode == "linear":
-        return [fit_linear(rec, ridge) for rec in calib.records], None
+        return [fit_linear(rec) for rec in calib.records], None
     if transform == "blt":
         cfg = cfg if cfg is not None else FlsConfig(seed=calib.seed + 1)
         n = calib.n_samples
@@ -428,10 +420,10 @@ def fit_compensation(
                 f"the search fits on {fit_rows} of n_samples={n} rows at "
                 f"holdout_fraction={cfg.holdout_fraction}; it needs at least d + 1 = {model.d + 1}"
             )
-        pipeline = _RowSearchPipeline(model, calib, ridge)
+        pipeline = _RowSearchPipeline(model, calib)
         return search_n_for_pipeline(list(range(calib.n_samples)), cfg, pipeline)
     kind = TransformKind(transform)
-    return [fit_nbc(rec, kind, ridge) for rec in calib.records], None
+    return [fit_nbc(rec, kind) for rec in calib.records], None
 
 
 @dataclass(frozen=True)

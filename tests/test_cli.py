@@ -29,6 +29,14 @@ outlier_scale = 12.0
 """
 
 
+def small_cfg_with(extra: str) -> str:
+    """SMALL_CFG with the keys that ``extra`` sets taken from ``extra``; a
+    config may set each key once."""
+    keys = {line.split("=")[0].strip() for line in extra.splitlines()}
+    kept = [line for line in SMALL_CFG.splitlines() if line.split("=")[0].strip() not in keys]
+    return "\n".join(kept + [extra]) + "\n"
+
+
 @pytest.fixture(autouse=True)
 def no_outer_nbc_log(monkeypatch):
     # main() reads NBC_LOG; a value set around the test run must not change the results
@@ -282,7 +290,7 @@ class TestSearchRowValidation:
     @pytest.mark.parametrize("command", ["calibrate", "search-n", "eval"])
     def test_too_few_fit_rows_exit_2_naming_keys(self, tmp_path, capsys, extra, command):
         path = tmp_path / "small.cfg"
-        path.write_text(SMALL_CFG + extra)
+        path.write_text(small_cfg_with(extra))
         args = [command, "--config", str(path), "--out", str(tmp_path / "b.nbcb")]
         if command == "eval":
             args += ["--bundle", str(tmp_path / "absent.nbcb")]
@@ -328,7 +336,7 @@ class TestConfigValues:
 
         monkeypatch.setattr(cli_mod, "_build_setup", no_setup)
         path = tmp_path / "bad.cfg"
-        path.write_text(SMALL_CFG + extra + "\n")
+        path.write_text(small_cfg_with(extra))
         code, out, err = run_cli(["search-n", "--config", str(path)], capsys)
         assert code == 2
         assert err.startswith(f"error\tconfig\t{path}: {key} must be ")
@@ -346,6 +354,53 @@ class TestConfigValues:
         assert code == 2
         assert err == "error\tconfig\t--seed must be >= 0, got -3\n"
         assert out == ""
+
+
+class TestRepeatedKey:
+    @pytest.mark.parametrize("first, second", [("seed = 0", "seed = 1"), ("mode = linear", "mode = nbc")])
+    def test_rejected_naming_key_and_both_lines(self, tmp_path, capsys, monkeypatch, first, second):
+        import nbcq.cli as cli_mod
+
+        def no_setup(*args, **kwargs):
+            raise AssertionError("the run was set up")
+
+        monkeypatch.setattr(cli_mod, "_build_setup", no_setup)
+        path = tmp_path / "twice.cfg"
+        path.write_text(f"{first}\n# the same key again\n{second}\n")
+        code, out, err = run_cli(["search-n", "--config", str(path)], capsys)
+        key = first.split()[0]
+        assert code == 2
+        assert err == f"error\tconfig\t{path}:3: configuration key '{key}' repeats, first set on line 1\n"
+        assert out == ""
+
+
+# values that validation accepts but that overflow the weights or the
+# calibration forward of the desk defaults
+OVERFLOWING = [
+    "heavy_input_scale = 1e300",
+    "heavy_scale = 1e150",
+    "outlier_scale = 1.7e308",  # the drawn inputs
+    "d = 1\nheavy_input_scale = 1.7e308",  # the model's weights
+]
+
+
+class TestSetupOverflow:
+    @pytest.mark.parametrize("extra", OVERFLOWING, ids=[e.replace("\n", ",").replace(" ", "") for e in OVERFLOWING])
+    @pytest.mark.parametrize("command", ["calibrate", "search-n"])
+    def test_exit_2_naming_the_scales_before_any_fit(self, tmp_path, capsys, monkeypatch, extra, command):
+        import nbcq.cli as cli_mod
+
+        fits = []
+        monkeypatch.setattr(cli_mod, "fit_compensation", lambda *args, **kwargs: fits.append(args))
+        path = tmp_path / "overflow.cfg"
+        path.write_text(extra + "\n")
+        bundle = tmp_path / "comp.nbcb"
+        code, out, err = run_cli([command, "--config", str(path), "--out", str(bundle)], capsys)
+        assert code == 2
+        assert err.startswith("error\tconfig\t") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert all(key in err for key in ("outlier_scale", "heavy_scale", "heavy_input_scale"))
+        assert fits == [] and out == "" and not bundle.exists()
 
 
 class TestExport:

@@ -2,6 +2,7 @@
 
 import importlib
 import pkgutil
+import types
 
 import pytest
 
@@ -24,3 +25,24 @@ def test_all_names_resolve(name):
     assert hasattr(module, "__all__"), f"{name} declares no __all__"
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+# names the import system binds on every package
+IMPORT_SYSTEM = {
+    "__name__", "__doc__", "__package__", "__loader__", "__spec__",
+    "__path__", "__file__", "__cached__", "__builtins__",
+}
+
+
+def test_package_root_binds_only_the_version_and_submodules():
+    # one import path per name: everything else comes from its submodule
+    for name in MODULES:
+        importlib.import_module(name)
+    extra = [
+        name
+        for name, value in vars(nbcq).items()
+        if name not in IMPORT_SYSTEM | {"__version__"}
+        and not (isinstance(value, types.ModuleType) and value.__name__ == f"nbcq.{name}")
+    ]
+    assert extra == []
+    assert isinstance(nbcq.__version__, str)

@@ -56,6 +56,12 @@ class TestHoldoutSplit:
         b = holdout_split(records, FlsConfig(seed=2))
         assert a != b
 
+    def test_each_side_keeps_the_input_order(self):
+        records = list(range(101))
+        for seed in range(5):
+            fit, hold = holdout_split(records, FlsConfig(seed=seed))
+            assert fit == sorted(fit) and hold == sorted(hold)
+
     def test_four_records_floor_rule(self):
         fit, hold = holdout_split(list(range(4)), FlsConfig(seed=0))
         assert len(fit) == 3 and len(hold) == 1
