@@ -10,8 +10,9 @@ Commands (all take ``--config``; ``--seed`` overrides the config seed):
 
 Exit status is 0 on success, 1 on computational failure and 2 on usage or
 configuration errors; failures print one machine-parsable line to stderr,
-``error<TAB>code<TAB>message``. The ``NBC_LOG`` environment variable
-(error, info or debug) controls logging verbosity on stderr.
+``error<TAB>code<TAB>message``; an overflow in a search or an eval is an
+``evaluator`` error (eval writes no CSV). The ``NBC_LOG`` environment
+variable (error, info or debug) controls logging verbosity on stderr.
 
 The eval CSV has one row per block with the summary metrics repeated, in
 this fixed column order:
@@ -38,13 +39,14 @@ import argparse
 import csv
 import io
 import logging
+import math
 import os
 import sys
 
 import numpy as np
 
 from .compensation import STORAGE_F32, store_params
-from .errors import ConfigError, NbcError
+from .errors import ConfigError, EvaluatorError, NbcError
 from .fls import FlsConfig
 from .formats import (
     RunConfig,
@@ -107,29 +109,28 @@ def _build_setup(cfg: RunConfig, seed: int) -> tuple[ToyModel, CalibrationSet, F
         outlier_scale=cfg.outlier_scale,
         threshold=cfg.outlier_threshold,
     )
+    model = build_toy_model(
+        cfg.d,
+        cfg.h,
+        cfg.n_blocks,
+        seed,
+        heavy_channel=cfg.heavy_channel,
+        heavy_scale=cfg.heavy_scale,
+        heavy_input_scale=cfg.heavy_input_scale,
+    )
     # Large scales can overflow the weights or the calibration forward; the
     # finiteness checks turn that into the one ValueError an accepted config
-    # can still raise here, and numpy's warnings would only precede it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        model = build_toy_model(
-            cfg.d,
-            cfg.h,
-            cfg.n_blocks,
-            seed,
-            heavy_channel=cfg.heavy_channel,
-            heavy_scale=cfg.heavy_scale,
-            heavy_input_scale=cfg.heavy_input_scale,
+    # can still raise here.
+    try:
+        calib = generate_calibration(
+            model, cfg.n_samples, spec, seed + 1, bits_w=cfg.bits_w, bits_a=cfg.bits_a
         )
-        try:
-            calib = generate_calibration(
-                model, cfg.n_samples, spec, seed + 1, bits_w=cfg.bits_w, bits_a=cfg.bits_a
-            )
-        except ValueError as exc:
-            raise ConfigError(
-                f"the calibration forward overflows at outlier_scale = {cfg.outlier_scale!r}, "
-                f"heavy_scale = {cfg.heavy_scale!r}, heavy_input_scale = {cfg.heavy_input_scale!r} "
-                f"({exc})"
-            ) from None
+    except ValueError as exc:
+        raise ConfigError(
+            f"the calibration forward overflows at outlier_scale = {cfg.outlier_scale!r}, "
+            f"heavy_scale = {cfg.heavy_scale!r}, heavy_input_scale = {cfg.heavy_input_scale!r} "
+            f"({exc})"
+        ) from None
     fls_cfg = FlsConfig(
         n_init=cfg.n_init,
         n_min=cfg.n_min,
@@ -236,9 +237,19 @@ def cmd_eval(config_path: str, bundle_path: str, out_path: str | None, seed_over
             )
     mode = "linear" if all(m.kind.name == "identity" for m in modules) else "nbc"
     transform = modules[-1].kind.name
-    report = evaluate_pipeline(
-        model, calib, modules, mode=mode, transform=transform, gap_reference_n=cfg.n_init
-    )
+    # Inputs beyond the calibration range can overflow the compensated forward
+    # (its finiteness checks raise ValueError) or a loss; neither reaches the CSV.
+    overflow = f"the evaluation overflows at outlier_scale = {cfg.outlier_scale!r}"
+    try:
+        report = evaluate_pipeline(
+            model, calib, modules, mode=mode, transform=transform, gap_reference_n=cfg.n_init
+        )
+    except ValueError as exc:
+        raise EvaluatorError(f"{overflow} ({exc})") from None
+    bad = [key for key, value in vars(report).items()
+           if any(isinstance(v, float) and not math.isfinite(v) for v in np.ravel(value))]
+    if bad:
+        raise EvaluatorError(f"{overflow} ({', '.join(bad)} not finite)")
     _write_csv(out_path, EVAL_CSV_COLUMNS, _report_rows(report))
     return 0
 
@@ -353,7 +364,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _setup_logging()
         args = _build_parser().parse_args(argv)
-        return _dispatch(args)
+        # An overflow or NaN is reported by the finiteness checks, as the one
+        # error line; numpy's warnings would only precede it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _dispatch(args)
     except ConfigError as exc:
         sys.stderr.write(f"error\t{exc.code}\t{exc}\n")
         return 2

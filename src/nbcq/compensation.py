@@ -18,7 +18,7 @@ Fitted parameters can be narrowed for storage: f16 rounds W and b to
 binary16; i8_per_channel stores W as symmetric int8 codes with one scale
 per output row (zero point 0, range +-max|row|) while the bias stays in
 f16, since a d_out-sized vector is negligible storage. Narrowed modules
-dequantize lazily on apply.
+decode their weights lazily on apply.
 """
 
 from __future__ import annotations

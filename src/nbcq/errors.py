@@ -39,7 +39,7 @@ class FitError(NbcError):
 
 
 class EvaluatorError(NbcError):
-    """A search evaluator failed; carries the candidate that triggered it."""
+    """A search or an evaluation failed; carries the search candidate, if any."""
 
     code = "evaluator"
 

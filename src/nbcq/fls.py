@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import EvaluatorError
 from .numerics import as_tensor
+from .transform import N_EXP_RANGE
 
 __all__ = [
     "TERMINATED_LOCAL_MINIMUM",
@@ -57,6 +58,10 @@ class FlsConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.n_min < N_EXP_RANGE[0]:
+            raise ValueError(f"n_min {self.n_min} below the transform's bound {N_EXP_RANGE[0]}")
+        if self.n_max > N_EXP_RANGE[1]:
+            raise ValueError(f"n_max {self.n_max} above the transform's bound {N_EXP_RANGE[1]}")
         if not self.n_min <= self.n_init <= self.n_max:
             raise ValueError(
                 f"n_init {self.n_init} outside [{self.n_min}, {self.n_max}]"

@@ -61,7 +61,7 @@ from .fls import (
     search_n_for_pipeline,
 )
 from .numerics import as_tensor, map_tiles
-from .quantizer import QuantParams, calibrate_params, dequantize, fake_quantize, quantize_per_channel
+from .quantizer import QuantParams, calibrate_params, fake_quantize, quantize_per_channel
 from .transform import TransformKind, blt_forward
 
 __all__ = [
@@ -236,7 +236,8 @@ class QuantizedToyModel:
     def fake_quant(
         self, x: np.ndarray, p: QuantParams, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """``dequantize(quantize(x, p))``, fused into one float64 pass."""
+        """``x`` quantized to ``p``'s integer grid and mapped back, in one
+        float64 pass (``quantizer.fake_quantize``)."""
         return fake_quantize(x, p, out)
 
     def block_io(self, x) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -276,8 +277,8 @@ def _quantize_model(
     tensor on the full-precision stream of ``x``, then freeze them, which is
     how deployment reuses calibration statistics on unseen data. Also
     returns the ``block_io`` pairs of that calibration forward."""
-    w1q = tuple(dequantize(quantize_per_channel(w, bits_w)) for w in model.w1)
-    w2q = tuple(dequantize(quantize_per_channel(w, bits_w)) for w in model.w2)
+    w1q = tuple(quantize_per_channel(w, bits_w) for w in model.w1)
+    w2q = tuple(quantize_per_channel(w, bits_w) for w in model.w2)
     p_hid = []
     fp_io = list(model._block_io(x, lambda a: p_hid.append(calibrate_params(a, bits_a))))
     qmodel = QuantizedToyModel(

@@ -3,10 +3,11 @@ desk-scale setup the tests run.
 
 Each oracle deliberately takes a different computational route than the
 code under test: the affine solver gets an SVD pseudo-inverse on the
-augmented system, binary16 rounding goes through struct's half-precision
-codec, the scalar no-intercept slope gets a grid scan refined by an exact
-three-point parabola vertex, and the exponent search gets an exhaustive
-walk of its grid.
+augmented system, fake quantization goes through int64 codes and a
+separate dequantize step, binary16 rounding goes through struct's
+half-precision codec, the scalar no-intercept slope gets a grid scan
+refined by an exact three-point parabola vertex, and the exponent search
+gets an exhaustive walk of its grid.
 
 The desk setup is the one ``nbcq`` builds from a run configuration, so the
 tests run the steps the command runs: setup, fit, evaluate.
@@ -51,6 +52,16 @@ def pinv_affine_fit(design: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray
     aug = np.hstack([design, np.ones((n, 1))])
     coef = np.linalg.pinv(aug) @ targets
     return coef[:-1].T, coef[-1]
+
+
+def integer_round_trip(x, p) -> np.ndarray:
+    """Quantize ``x`` to int64 codes with the parameters ``p`` (rounding
+    halves away from zero, clipping to ``[0, 2^bits - 1]``), then map the
+    codes back to ``scale * (code - zero_point)``."""
+    t = np.asarray(x, dtype=np.float64) / p.scale
+    rounded = np.where(t >= 0, np.floor(t + 0.5), np.ceil(t - 0.5))
+    codes = np.clip(rounded + p.zero_point, 0, 2**p.bits - 1).astype(np.int64)
+    return p.scale * (codes - p.zero_point).astype(np.float64)
 
 
 def f16_roundtrip_struct(value: float) -> float:

@@ -56,6 +56,30 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
+def run_module(args, cwd):
+    """Run ``python -m nbcq`` in a child process, whose stderr is what a user
+    sees, warnings included; returns (exit code, stdout, stderr)."""
+    # The child runs outside the repository, where a relative PYTHONPATH entry
+    # such as "src" names nothing, so put the root of the package this suite
+    # imported in front. os.environ no longer holds NBC_LOG (autouse fixture).
+    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(nbcq.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nbcq", *args], capture_output=True, text=True, cwd=str(cwd), env=env
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def assert_failed(code, err, exit_code, err_code):
+    """A failing run exits with ``exit_code`` and prints exactly one stderr
+    line, ``error<TAB>err_code<TAB>message``, with no traceback or warning."""
+    assert code == exit_code, err
+    assert err.startswith(f"error\t{err_code}\t"), err
+    assert err.endswith("\n") and err.count("\n") == 1, err
+    assert "Traceback" not in err and "Warning" not in err, err
+
+
 class TestCalibrate:
     def test_writes_bundle_with_magic(self, cfg_path, tmp_path, capsys):
         bundle = str(tmp_path / "comp.nbcb")
@@ -72,13 +96,12 @@ class TestCalibrate:
         code, out, err = run_cli(
             ["calibrate", "--config", missing, "--out", str(tmp_path / "b.nbcb")], capsys
         )
-        assert code == 2
+        assert_failed(code, err, 2, "config")
         assert "nope.cfg" in err
-        assert err.startswith("error\tconfig\t")
 
     def test_missing_out_flag_exits_2(self, cfg_path, capsys):
         code, _, err = run_cli(["calibrate", "--config", cfg_path], capsys)
-        assert code == 2
+        assert_failed(code, err, 2, "config")
         assert "--out" in err
 
     def test_rerun_byte_identical(self, cfg_path, tmp_path, capsys):
@@ -104,7 +127,8 @@ class TestCalibrate:
         code, _, err = run_cli(
             ["calibrate", "--config", str(path), "--out", str(tmp_path / "x.nbcb")], capsys
         )
-        assert code == 2
+        assert_failed(code, err, 2, "config")
+        assert "mode=none" in err
 
     def test_asinh_transform_round_trips_through_bundle(self, tmp_path, capsys):
         path = tmp_path / "asinh.cfg"
@@ -161,7 +185,7 @@ class TestEval:
         code, _, err = run_cli(
             ["eval", "--config", str(other), "--bundle", bundle], capsys
         )
-        assert code == 2
+        assert_failed(code, err, 2, "config")
         assert "blocks" in err
 
     def test_block_width_mismatch_exits_2_naming_d(self, cfg_path, tmp_path, capsys):
@@ -171,7 +195,7 @@ class TestEval:
         other = tmp_path / "wide.cfg"
         other.write_text(SMALL_CFG.replace("d = 8", "d = 12"))  # same block count
         code, out, err = run_cli(["eval", "--config", str(other), "--bundle", bundle], capsys)
-        assert code == 2
+        assert_failed(code, err, 2, "config")
         assert err == "error\tconfig\tbundle block 0 maps 8 to 8 channels but the configuration has d = 12\n"
         assert out == ""
 
@@ -209,8 +233,7 @@ class TestEval:
         bundle = tmp_path / "corrupt.nbcb"
         bundle.write_bytes(b"NOPE" + bytes(32))
         code, _, err = run_cli(["eval", "--config", cfg_path, "--bundle", str(bundle)], capsys)
-        assert code == 1
-        assert err.startswith("error\tbad-magic\t")
+        assert_failed(code, err, 1, "bad-magic")
 
     @pytest.mark.parametrize("command", ["eval", "export"])
     def test_invalid_bundle_contents_exit_1_with_one_format_line(self, cfg_path, tmp_path, capsys, command):
@@ -222,9 +245,8 @@ class TestEval:
         bundle.write_bytes(bytes(data))
         args = [command, "--config", cfg_path, "--bundle", str(bundle), "--out", str(tmp_path / "out")]
         code, out, err = run_cli(args, capsys)
-        assert code == 1
+        assert_failed(code, err, 1, "format")
         assert err.startswith(f"error\tformat\t{bundle}: block 0: ")
-        assert "Traceback" not in err and len(err.splitlines()) == 1
         assert out == ""
 
 
@@ -295,8 +317,7 @@ class TestSearchRowValidation:
         if command == "eval":
             args += ["--bundle", str(tmp_path / "absent.nbcb")]
         code, out, err = run_cli(args, capsys)
-        assert code == 2
-        assert err.startswith("error\tconfig\t")
+        assert_failed(code, err, 2, "config")
         assert "n_samples" in err and "holdout_fraction" in err
         assert out == ""
 
@@ -338,9 +359,8 @@ class TestConfigValues:
         path = tmp_path / "bad.cfg"
         path.write_text(small_cfg_with(extra))
         code, out, err = run_cli(["search-n", "--config", str(path)], capsys)
-        assert code == 2
+        assert_failed(code, err, 2, "config")
         assert err.startswith(f"error\tconfig\t{path}: {key} must be ")
-        assert "Traceback" not in err and len(err.splitlines()) == 1
         assert out == ""
 
     def test_negative_seed_flag_rejected_before_setup(self, cfg_path, capsys, monkeypatch):
@@ -351,7 +371,7 @@ class TestConfigValues:
 
         monkeypatch.setattr(cli_mod, "_build_setup", no_setup)
         code, out, err = run_cli(["search-n", "--config", cfg_path, "--seed", "-3"], capsys)
-        assert code == 2
+        assert_failed(code, err, 2, "config")
         assert err == "error\tconfig\t--seed must be >= 0, got -3\n"
         assert out == ""
 
@@ -369,7 +389,7 @@ class TestRepeatedKey:
         path.write_text(f"{first}\n# the same key again\n{second}\n")
         code, out, err = run_cli(["search-n", "--config", str(path)], capsys)
         key = first.split()[0]
-        assert code == 2
+        assert_failed(code, err, 2, "config")
         assert err == f"error\tconfig\t{path}:3: configuration key '{key}' repeats, first set on line 1\n"
         assert out == ""
 
@@ -396,11 +416,46 @@ class TestSetupOverflow:
         path.write_text(extra + "\n")
         bundle = tmp_path / "comp.nbcb"
         code, out, err = run_cli([command, "--config", str(path), "--out", str(bundle)], capsys)
-        assert code == 2
-        assert err.startswith("error\tconfig\t") and len(err.splitlines()) == 1
-        assert "Traceback" not in err
+        assert_failed(code, err, 2, "config")
         assert all(key in err for key in ("outlier_scale", "heavy_scale", "heavy_input_scale"))
         assert fits == [] and out == "" and not bundle.exists()
+
+
+class TestOverflowBeyondCalibration:
+    """Outliers far beyond the calibration range overflow the compensated
+    forward (exp2 in the inverse map) or a loss. The run fails with the one
+    error line and writes nothing."""
+
+    @pytest.mark.parametrize("scale", ["1e3", "1e5"])
+    def test_eval_exits_1_naming_outlier_scale(self, tmp_path, capsys, scale):
+        # desk defaults: the bundle's search picks n = 3 at scale 100, seed 1
+        calib_cfg = tmp_path / "calib.cfg"
+        calib_cfg.write_text("outlier_scale = 100\nseed = 1\n")
+        bundle = str(tmp_path / "comp.nbcb")
+        code, out, err = run_cli(["calibrate", "--config", str(calib_cfg), "--out", bundle], capsys)
+        assert code == 0, err
+        assert "chosen_n=3.0\t" in out
+        # 1e3 overflows block 2's loss; 1e5 the compensated forward itself
+        eval_cfg = tmp_path / "eval.cfg"
+        eval_cfg.write_text(f"outlier_scale = {scale}\n")
+        csv_path = tmp_path / "report.csv"
+        code, out, err = run_cli(
+            ["eval", "--config", str(eval_cfg), "--bundle", bundle, "--out", str(csv_path)], capsys
+        )
+        assert_failed(code, err, 1, "evaluator")
+        assert f"outlier_scale = {float(scale)!r}" in err
+        assert out == "" and not csv_path.exists()
+
+    @pytest.mark.parametrize("command", ["calibrate", "search-n"])
+    def test_search_stderr_is_the_one_error_line(self, tmp_path, command):
+        # a child process, so that numpy's warnings would show on its stderr
+        path = tmp_path / "run.cfg"
+        path.write_text("outlier_scale = 1e5\n")
+        bundle = tmp_path / "comp.nbcb"
+        code, out, err = run_module([command, "--config", str(path), "--out", str(bundle)], tmp_path)
+        assert_failed(code, err, 1, "evaluator")
+        assert "non-finite" in err
+        assert out == "" and not bundle.exists()
 
 
 class TestExport:
@@ -464,28 +519,18 @@ class TestLogging:
     def test_invalid_nbc_log_rejected(self, cfg_path, capsys, monkeypatch):
         monkeypatch.setenv("NBC_LOG", "verbose")
         code, _, err = run_cli(["search-n", "--config", cfg_path], capsys)
-        assert code == 2
+        assert_failed(code, err, 2, "config")
         assert "NBC_LOG" in err
 
     def test_module_entry_point(self, cfg_path, tmp_path, capsys):
-        # The child runs outside the repository, where a relative PYTHONPATH entry
-        # such as "src" names nothing, so put the root of the package this suite
-        # imported in front. os.environ no longer holds NBC_LOG (autouse fixture).
-        pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(nbcq.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
         bundle = str(tmp_path / "m.nbcb")
-        proc = subprocess.run(
-            [sys.executable, "-m", "nbcq", "calibrate", "--config", cfg_path, "--out", bundle],
-            capture_output=True,
-            text=True,
-            cwd=str(tmp_path),
-            env=env,
+        child_code, child_out, child_err = run_module(
+            ["calibrate", "--config", cfg_path, "--out", bundle], tmp_path
         )
-        assert proc.returncode == 0, proc.stderr
+        assert child_code == 0, child_err
         # the child ran the same program: same bundle bytes, same stdout up to the path
         in_process = str(tmp_path / "in_process.nbcb")
         code, out, err = run_cli(["calibrate", "--config", cfg_path, "--out", in_process], capsys)
         assert code == 0, err
         assert open(bundle, "rb").read() == open(in_process, "rb").read()
-        assert proc.stdout == out.replace(in_process, bundle)
+        assert child_out == out.replace(in_process, bundle)

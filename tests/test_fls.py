@@ -181,6 +181,14 @@ class TestFlsSearch:
         with pytest.raises(ValueError):
             FlsConfig(holdout_fraction=1.0)
 
+    def test_grid_outside_the_transform_range_rejected_naming_the_bound(self):
+        # the transform takes n in [-10, 10]; a wider grid would only fail in the fit
+        with pytest.raises(ValueError, match=r"n_min -14.0 below the transform's bound -10.0"):
+            FlsConfig(n_init=-10.0, n_min=-14.0, n_max=10.0)
+        with pytest.raises(ValueError, match=r"n_max 10.5 above the transform's bound 10.0"):
+            FlsConfig(n_max=10.5)
+        FlsConfig(n_init=-10.0, n_min=-10.0, n_max=10.0)  # the bounds themselves are fine
+
 
 class _RecordPipeline:
     """Minimal record-list pipeline: fits a scalar mean, scores on records."""

@@ -26,10 +26,10 @@ from nbcq.harness import (
     split_error_metrics,
     training_fit_loss,
 )
-from nbcq.quantizer import QuantParams, dequantize, quantize
+from nbcq.quantizer import QuantParams
 from nbcq.transform import TransformKind
 
-from helpers import brute_force_slope, desk_setup, fit_and_evaluate, grid_points
+from helpers import brute_force_slope, desk_setup, fit_and_evaluate, grid_points, integer_round_trip
 
 # Frozen regression envelope: W8A8 feature losses on the default desk
 # configuration at seed 0, measured once. A regression that degrades the
@@ -136,7 +136,7 @@ class TestGenerateCalibration:
         x = calib.inputs * 3.0
         for p in calib.qmodel.p_in + calib.qmodel.p_hid + (QuantParams(4, 0.5, 0),):
             fused = calib.qmodel.fake_quant(x, p)
-            assert fused.tobytes() == dequantize(quantize(x, p)).tobytes()
+            assert fused.tobytes() == integer_round_trip(x, p).tobytes()
         with pytest.raises(ValueError, match="non-finite"):
             calib.qmodel.fake_quant(np.array([[1.0, np.nan]]), calib.qmodel.p_in[0])
 

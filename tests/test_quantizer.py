@@ -4,14 +4,13 @@ import pytest
 from nbcq.quantizer import (
     SCALE_FLOOR,
     QuantParams,
-    QuantizedTensor,
     calibrate_params,
-    dequantize,
     fake_quantize,
-    quantize,
     quantize_per_channel,
     round_half_away,
 )
+
+from helpers import integer_round_trip
 
 
 class TestRounding:
@@ -49,51 +48,51 @@ class TestCalibrateParams:
 
 class TestQuantizeDequantize:
     def test_unit_scale_integer_input(self):
-        q = quantize([1.0], QuantParams(2, 1.0, 0))
-        assert q.codes[0] == 1
+        assert fake_quantize([1.0], QuantParams(2, 1.0, 0))[0] == 1.0
 
     def test_direct_code_example(self):
-        q = quantize([0.5], QuantParams(8, 0.01, 100))
-        assert q.codes[0] == 150
+        # 0.5 / 0.01 + 100 is code 150, which maps back to 0.01 * 50
+        back = fake_quantize([0.5], QuantParams(8, 0.01, 100))[0]
+        assert back == 0.01 * 50 and abs(back - 0.5) <= 1e-12
 
     def test_saturation(self):
-        q = quantize([10.0], QuantParams(2, 1.0, 0))
-        assert q.codes[0] == 3
+        # code 3, the top of two bits
+        assert fake_quantize([10.0], QuantParams(2, 1.0, 0))[0] == 3.0
 
     def test_dequantize_examples(self):
-        assert dequantize(QuantizedTensor(np.array([1]), QuantParams(2, 1.0, 0)))[0] == 1.0
-        back = dequantize(QuantizedTensor(np.array([150]), QuantParams(8, 0.01, 100)))[0]
-        assert abs(back - 0.5) <= 1e-12
+        # between grid points: 0.5049 / 0.01 rounds to 50 steps above the zero point
+        assert fake_quantize([0.5049], QuantParams(8, 0.01, 100))[0] == 0.01 * 50
+        assert fake_quantize([-0.7], QuantParams(2, 1.0, 2))[0] == -1.0
 
     def test_zero_point_maps_to_zero(self):
         for scale in (0.3, 1.0, 17.5):
-            q = QuantizedTensor(np.array([7]), QuantParams(4, scale, 7))
-            assert dequantize(q)[0] == 0.0
+            back = fake_quantize([0.0, 0.4 * scale, -0.4 * scale], QuantParams(4, scale, 7))
+            assert np.array_equal(back, [0.0, 0.0, 0.0]) and not np.signbit(back).any()
 
     def test_tie_rounding_is_half_away(self):
         # 2.5 / 1.0 rounds to 3 under half-away, 2 under ties-to-even
-        assert quantize([2.5], QuantParams(3, 1.0, 0)).codes[0] == 3
-        assert quantize([-2.5], QuantParams(3, 1.0, 4)).codes[0] == 1
+        assert fake_quantize([2.5], QuantParams(3, 1.0, 0))[0] == 3.0
+        # code -3 + 4 = 1, one step above the bottom of [0, 7]
+        assert fake_quantize([-2.5], QuantParams(3, 1.0, 4))[0] == -3.0
 
 
 class TestPerChannel:
     def test_rowwise_scales(self):
-        w = np.array([[0.0, 1.0, 2.0, 3.0], [0.0, 10.0, 20.0, 30.0]])
+        # scales 1 and 10: 1.2 and 12 both round down one step
+        w = np.array([[0.0, 1.2, 2.0, 3.0], [0.0, 12.0, 20.0, 30.0]])
         q = quantize_per_channel(w, bits=2)
-        assert q.params[0].scale == 1.0
-        assert q.params[1].scale == 10.0
+        assert np.array_equal(q, [[0.0, 1.0, 2.0, 3.0], [0.0, 10.0, 20.0, 30.0]])
 
     def test_single_row_matches_per_tensor(self):
         rng = np.random.default_rng(23)
         row = rng.standard_normal((1, 32))
         per_channel = quantize_per_channel(row, bits=6)
-        per_tensor = quantize(row[0], calibrate_params(row[0], 6))
-        assert np.array_equal(per_channel.codes[0], per_tensor.codes)
+        per_tensor = integer_round_trip(row[0], calibrate_params(row[0], 6))
+        assert per_channel[0].tobytes() == per_tensor.tobytes()
 
     def test_all_zero_rows_code_at_zero_point(self):
         q = quantize_per_channel(np.zeros((3, 5)), bits=4)
-        for i, p in enumerate(q.params):
-            assert np.all(q.codes[i] == p.zero_point)
+        assert np.array_equal(q, np.zeros((3, 5))) and not np.signbit(q).any()
 
     def test_rank_enforced(self):
         with pytest.raises(ValueError):
@@ -106,7 +105,7 @@ class TestFakeQuantizeOracle:
     @staticmethod
     def assert_same_bits(x, p):
         fused = fake_quantize(x, p)
-        oracle = dequantize(quantize(x, p))
+        oracle = integer_round_trip(x, p)
         assert fused.dtype == oracle.dtype and fused.shape == oracle.shape
         assert fused.tobytes() == oracle.tobytes()
 
@@ -145,9 +144,7 @@ class TestPerChannelOracle:
 
     @staticmethod
     def loop(w, bits):
-        params = [calibrate_params(row, bits) for row in w]
-        codes = np.array([quantize(row, p).codes for row, p in zip(w, params)])
-        return codes, params
+        return [fake_quantize(row, calibrate_params(row, bits)) for row in w]
 
     @pytest.mark.parametrize("bits", [2, 4, 8])
     def test_matches_row_loop_with_constant_rows(self, bits):
@@ -160,12 +157,10 @@ class TestPerChannelOracle:
         w[0] = np.linspace(-0.5, top - 0.5, 17)  # scale 1, -min/scale an exact half
         w[1] = np.linspace(-2.5, top - 2.5, 17)
         q = quantize_per_channel(w, bits)
-        codes, params = self.loop(w, bits)
-        assert q.per_channel
-        assert q.codes.dtype == np.int64
-        assert np.array_equal(q.codes, codes)
-        assert q.params == params
-        assert all(type(p.scale) is float and type(p.zero_point) is int for p in q.params)
+        assert q.dtype == np.float64 and q.shape == w.shape
+        for got, row, want in zip(q, w, self.loop(w, bits)):
+            assert got.tobytes() == want.tobytes()
+            assert got.tobytes() == integer_round_trip(row, calibrate_params(row, bits)).tobytes()
 
     def test_validation_errors_unchanged(self):
         with pytest.raises(ValueError, match="bits"):
@@ -174,6 +169,8 @@ class TestPerChannelOracle:
             quantize_per_channel(np.ones((2, 0)), bits=4)
         with pytest.raises(ValueError, match="non-finite"):
             quantize_per_channel(np.array([[0.0, np.nan]]), bits=4)
+        with pytest.raises(ValueError, match="dimension"):
+            quantize_per_channel(np.ones((2, 3, 1)), bits=4)
 
 
 class TestProperties:
@@ -183,16 +180,16 @@ class TestProperties:
             for _ in range(20):
                 x = rng.standard_normal(200) * rng.uniform(0.1, 50.0)
                 p = calibrate_params(x, bits)
-                back = dequantize(quantize(x, p))
+                back = fake_quantize(x, p)
                 assert np.max(np.abs(back - x)) <= p.scale / 2 + 1e-12
 
     def test_quantize_idempotent_on_codes(self):
         rng = np.random.default_rng(31)
         x = rng.standard_normal(500) * 3.0
         p = calibrate_params(x, 4)
-        q1 = quantize(x, p)
-        q2 = quantize(dequantize(q1), p)
-        assert np.array_equal(q1.codes, q2.codes)
+        q1 = fake_quantize(x, p)
+        q2 = fake_quantize(q1, p)
+        assert q1.tobytes() == q2.tobytes()
 
     def test_monotonicity(self):
         rng = np.random.default_rng(37)
@@ -200,13 +197,14 @@ class TestProperties:
         pairs = rng.standard_normal((500, 2)) * 20.0
         lo = pairs.min(axis=1)
         hi = pairs.max(axis=1)
-        assert np.all(quantize(lo, p).codes <= quantize(hi, p).codes)
+        assert np.all(fake_quantize(lo, p) <= fake_quantize(hi, p))
 
     def test_codes_always_in_range(self):
         p = QuantParams(3, 0.05, 2)
         x = np.array([-1e12, -5.0, 0.0, 5.0, 1e12, 1e-300])
-        codes = quantize(x, p).codes
-        assert codes.min() >= 0 and codes.max() <= 7
+        back = fake_quantize(x, p)
+        # codes 0 and 7 map back to (0 - 2) and (7 - 2) steps, scaled as the kernel does
+        assert back.min() == (0 - 2) * 0.05 and back.max() == (7 - 2) * 0.05
 
 
 class TestValidation:
@@ -219,10 +217,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             QuantParams(1, 1.0, 0)
 
-    def test_quantized_tensor_code_range_checked(self):
-        with pytest.raises(ValueError, match="codes"):
-            QuantizedTensor(np.array([16]), QuantParams(4, 1.0, 0))
-
-    def test_per_channel_params_length_checked(self):
-        with pytest.raises(ValueError, match="channel params"):
-            QuantizedTensor(np.zeros((3, 2), dtype=np.int64), [QuantParams(4, 1.0, 0)] * 2)
+    def test_overflowing_range_rejected_naming_the_scale(self):
+        # max - min overflows float64: no finite scale encodes the range
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="scale"):
+                quantize_per_channel(np.array([[-1e308, 1e308]]), 4)
+            with pytest.raises(ValueError, match="scale"):
+                calibrate_params(np.array([-1e308, 1e308]), 4)
+            with pytest.raises(ValueError, match="scale"):
+                quantize_per_channel(np.array([[0.0, 1.0], [-1e308, 1e308]]), 4)
