@@ -26,7 +26,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .errors import EvaluatorError
+from .errors import EvaluatorError, FitError
 from .numerics import as_tensor
 from .transform import N_EXP_RANGE
 
@@ -122,8 +122,10 @@ def fls_search(cfg: FlsConfig, evaluator: Callable[[float], float]) -> FlsResult
 
     ``evaluator`` must be a pure function of the candidate exponent; calls
     never overlap and queue order is part of the contract (it feeds the
-    tie-break). Evaluator failures propagate as :class:`EvaluatorError`
-    with the offending exponent attached.
+    tie-break). The failures a pipeline raises on purpose, a ``ValueError``
+    (such as a finiteness check) or a :class:`FitError`, propagate as
+    :class:`EvaluatorError` with the offending exponent attached; any other
+    exception propagates unchanged.
     """
     # Candidates are tracked as integer offsets k with N = n_init + k*step,
     # so grid points compare exactly and no point is evaluated twice.
@@ -155,7 +157,7 @@ def fls_search(cfg: FlsConfig, evaluator: Callable[[float], float]) -> FlsResult
         n = n_of(k)
         try:
             loss = float(evaluator(n))
-        except Exception as exc:
+        except (ValueError, FitError) as exc:
             raise EvaluatorError(f"evaluator failed at n_exp={n!r}: {exc}", n_exp=n) from exc
         losses[k] = loss
         history[n] = loss

@@ -153,7 +153,16 @@ def _read_tensor_stream(f, path: str) -> np.ndarray:
         # guards corrupt headers from triggering enormous allocations
         if count > _MAX_PAYLOAD_ELEMENTS:
             raise FormatError(f"{path}: tensor payload of {count} elements exceeds the format limit")
-    payload = _read_exact(f, count * dtype.itemsize, path, "tensor payload")
+    # checked before the read, so a corrupt extent never sizes a buffer
+    nbytes = count * dtype.itemsize
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if nbytes > left:
+        raise TruncatedFileError(
+            f"{path}: truncated while reading tensor payload; expected {nbytes} bytes, got {left}",
+            expected=nbytes,
+            actual=left,
+        )
+    payload = _read_exact(f, nbytes, path, "tensor payload")
     return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
 
 
@@ -290,6 +299,10 @@ def read_run_config(path: str) -> RunConfig:
             raw_lines = f.readlines()
     except FileNotFoundError:
         raise ConfigError(f"configuration file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason})"
+        ) from None
     values = {}
     first_line = {}
     for lineno, raw in enumerate(raw_lines, start=1):

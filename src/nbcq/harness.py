@@ -14,14 +14,22 @@ activation), with activation ranges calibrated on the calibration inputs
 of the same run. Pipelines fit one compensation module per block on the
 uncompensated quantized stream and deploy it feeding forward.
 
-Memory: both forwards yield one block at a time. Evaluation runs the
-full-precision and the compensated forward in lockstep and keeps only the
-current block's arrays, its loss, and its errors (the inlier errors in one
-buffer, in the order a concatenation of all blocks would give). gelu and
-fake-quant take an ``out=`` array, which may be their input itself; each
-forward computes the hidden activation in place in the fresh ``z @ W1^T``
-product. Any other ``out=`` must not overlap the input, since the kernels
-run tile by tile.
+Memory: each model has one per-block step, which every forward runs: the
+list forms (``block_io``), calibration, the hold-out search and
+evaluation. A step computes the hidden activation in place in the fresh
+``z @ W1^T`` product and adds the residual in place to the ``W2`` product.
+Evaluation runs both steps block by block and drops each array after its
+last reader: between blocks it holds one array per stream; the quantized
+input is written over the compensated stream's input; the difference
+``y - y_hat`` is taken once per block, into the unused tail of the
+inlier-error buffer, and gives both the block's loss and its errors. At
+its peak it holds that buffer, one hidden activation and at most four rows
+x d arrays, five while a module applies. The buffer holds every block's
+inlier errors in the order a concatenation of all blocks would give,
+because numpy's pairwise sum depends on the element count: a streamed mean
+would not keep ``mae_inlier``'s bits. gelu and fake-quant take an ``out=``
+array, which may be their input itself; any other ``out=`` must not
+overlap the input, since the kernels run tile by tile.
 
 Conventions fixed here and relied on by the analyses:
 
@@ -41,7 +49,7 @@ Conventions fixed here and relied on by the analyses:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -160,21 +168,33 @@ class ToyModel:
 
     def block_io(self, x) -> list[tuple[np.ndarray, np.ndarray]]:
         """Full-precision forward; per block (input, output) of the stream."""
-        return list(self._block_io(x))
+        return self._block_io(x)
 
-    def _block_io(self, x, on_hidden=None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Yield the pairs of ``block_io`` one block at a time; ``on_hidden``
-        sees each gelu output."""
+    def _block_io(self, x, on_hidden=None) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The pairs of ``block_io``; ``on_hidden`` sees each gelu output."""
         z = as_tensor(x, "inputs", ndim=2)
-        for w1, w2 in zip(self.w1, self.w2):
-            a = z @ w1.T
-            gelu(a, out=a)
-            if on_hidden is not None:
-                on_hidden(a)
-            out = z + a @ w2.T
-            del a  # not kept while the generator waits
-            yield z, out
+        pairs = []
+        for k in range(self.n_blocks):
+            out = self.block_step(k, z, on_hidden)
+            pairs.append((z, out))
             z = out
+        return pairs
+
+    def block_step(self, k: int, z: np.ndarray, on_hidden=None) -> np.ndarray:
+        """Block ``k`` on its input ``z``: ``z + W2 @ gelu(W1 @ z)``.
+
+        ``on_hidden`` sees the gelu output. The hidden activation is
+        computed in place in the ``z @ W1^T`` product and the residual added
+        in place to the ``W2`` product, so a step allocates one array of
+        each width.
+        """
+        a = z @ self.w1[k].T
+        gelu(a, out=a)
+        if on_hidden is not None:
+            on_hidden(a)
+        out = a @ self.w2[k].T
+        out += z  # the bits of z + out: IEEE addition commutes
+        return out
 
     def forward(self, x) -> np.ndarray:
         """Pre-head features: the output of the last block."""
@@ -242,29 +262,47 @@ class QuantizedToyModel:
 
     def block_io(self, x) -> list[tuple[np.ndarray, np.ndarray]]:
         """Quantized forward; per block (dequantized input, output)."""
-        return list(self._block_io(x, None))
+        return self._block_io(x, None)
 
     def compensated_block_io(
         self, x, modules: Sequence[CompensationModule] | None
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Quantized forward with per-block compensation feeding forward."""
-        return list(self._block_io(x, modules))
+        return self._block_io(x, modules)
 
     def _block_io(
         self, x, modules: Sequence[CompensationModule] | None
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Yield the pairs of ``compensated_block_io`` one block at a time."""
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
         z = as_tensor(x, "inputs", ndim=2)
+        pairs = []
         for k in range(len(self.w1q)):
-            zq = self.fake_quant(z, self.p_in[k])
-            a = zq @ self.w1q[k].T
-            self.fake_quant(gelu(a, out=a), self.p_hid[k], out=a)
-            out = zq + a @ self.w2q[k].T
-            del a  # not kept while the generator waits
-            if modules is not None:
-                out = apply(modules[k], zq, out)
-            yield zq, out
-            z = out
+            zq, z = self.block_step(k, z, None if modules is None else modules[k])
+            pairs.append((zq, z))
+        return pairs
+
+    def block_step(
+        self,
+        k: int,
+        z: np.ndarray,
+        module: CompensationModule | None = None,
+        *,
+        overwrite_input: bool = False,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Block ``k`` on its input ``z``; returns the dequantized input and
+        the output, compensated by ``module`` if one is given.
+
+        With ``overwrite_input`` the dequantized input is written over
+        ``z``, for a caller that reads ``z`` no more.
+        """
+        zq = self.fake_quant(z, self.p_in[k], out=z if overwrite_input else None)
+        a = zq @ self.w1q[k].T
+        self.fake_quant(gelu(a, out=a), self.p_hid[k], out=a)
+        out = a @ self.w2q[k].T
+        del a  # not held while the module applies
+        out += zq  # the bits of zq + out
+        if module is not None:
+            out = apply(module, zq, out)
+        return zq, out
 
     def forward(self, x, modules: Sequence[CompensationModule] | None = None) -> np.ndarray:
         return self.compensated_block_io(x, modules)[-1][1]
@@ -280,7 +318,7 @@ def _quantize_model(
     w1q = tuple(quantize_per_channel(w, bits_w) for w in model.w1)
     w2q = tuple(quantize_per_channel(w, bits_w) for w in model.w2)
     p_hid = []
-    fp_io = list(model._block_io(x, lambda a: p_hid.append(calibrate_params(a, bits_a))))
+    fp_io = model._block_io(x, lambda a: p_hid.append(calibrate_params(a, bits_a)))
     qmodel = QuantizedToyModel(
         bits_w=bits_w,
         bits_a=bits_a,
@@ -592,20 +630,29 @@ class _SplitErrors:
         self._n_inliers = 0
         self._outliers: list[np.ndarray] = []
 
-    def add(self, y, y_hat, x_q) -> None:
+    def add(self, y, y_hat, x_q) -> float:
+        """Take one block's errors; return its feature loss, the mean of
+        ``(y - y_hat)^2`` (NaN for an empty block)."""
         yv = as_tensor(y, "y")
         hv = as_tensor(y_hat, "y_hat")
         xv = as_tensor(x_q, "x_q")
         if yv.shape != hv.shape or yv.shape != xv.shape:
             raise ValueError("y, y_hat and x_q must share one shape")
-        err = np.subtract(yv, hv)
+        # The difference goes to the buffer's unused tail, where this
+        # block's inliers end up; it always has room for one block.
+        start = self._n_inliers
+        err = self._inliers[start : start + yv.size].reshape(yv.shape)
+        np.subtract(yv, hv, out=err)
+        # err * err has the bits of (y - y_hat) ** 2, which numpy squares
+        loss = float(np.mean(err * err)) if err.size else np.nan
         np.abs(err, out=err)
-        outlier = np.abs(xv) > self.threshold
-        self._outliers.append(err[outlier])
-        inliers = err[~outlier]
-        stop = self._n_inliers + inliers.size
-        self._inliers[self._n_inliers:stop] = inliers
-        self._n_inliers = stop
+        mask = np.abs(xv) > self.threshold
+        self._outliers.append(err[mask])
+        np.logical_not(mask, out=mask)
+        inliers = err[mask]  # a copy, so the overlapping write below is safe
+        self._n_inliers = start + inliers.size
+        self._inliers[start : self._n_inliers] = inliers
+        return loss
 
     def means(self) -> tuple[float | None, float | None]:
         outliers = np.concatenate(self._outliers)
@@ -643,26 +690,36 @@ def evaluate_pipeline(
 
     The evaluation set is four times the calibration size, drawn with an
     independent seed and the same outlier mechanism; it is scored one block
-    at a time, with the same bits as scoring all blocks at once. Slope gaps use the
-    calibration records of the last block (see ``channel_slope_gap``), at
-    the last module's exponent, or ``gap_reference_n`` if it has none.
+    at a time, with the same bits as scoring all blocks at once. Each
+    stream keeps one array between blocks: the full-precision output
+    replaces its input, and the quantized input overwrites the compensated
+    stream's input, which no step reads again; the block's quantized input
+    is dropped once its errors are taken (see the module notes on memory).
+
+    Slope gaps use the calibration records of the last block (see
+    ``channel_slope_gap``), at the last module's exponent, or
+    ``gap_reference_n`` if it has none.
     ``chosen_n`` is the last module's exponent; ``fls_evaluations`` is None,
     since modules do not record the search that chose them.
     """
     chosen_n = modules[-1].kind.n_exp if modules else None
 
-    eval_inputs = draw_inputs(
-        model, EVAL_SET_MULTIPLIER * calib.n_samples, calib.spec, calib.seed + EVAL_SEED_OFFSET
+    n_rows = EVAL_SET_MULTIPLIER * calib.n_samples
+    # no other name holds the inputs: block 0 overwrites them
+    z = zc = as_tensor(
+        draw_inputs(model, n_rows, calib.spec, calib.seed + EVAL_SEED_OFFSET), "inputs", ndim=2
     )
-    # Both forwards advance one block at a time, and each block's arrays
-    # are dropped once its loss and errors are taken.
-    errors = _SplitErrors(calib.spec.threshold, model.n_blocks * eval_inputs.shape[0] * model.d)
+    errors = _SplitErrors(calib.spec.threshold, model.n_blocks * z.size)
     per_block = []
-    for (_, fp_out), (zq, c_out) in zip(
-        model._block_io(eval_inputs), calib.qmodel._block_io(eval_inputs, modules)
-    ):
-        per_block.append(compute_feature_loss(fp_out, c_out))
-        errors.add(fp_out, c_out, zq)
+    for k in range(model.n_blocks):
+        z = model.block_step(k, z)
+        # zc may be overwritten: in block 0 it is the evaluation set, which
+        # the full-precision step has read by now
+        zq, zc = calib.qmodel.block_step(
+            k, zc, None if modules is None else modules[k], overwrite_input=True
+        )
+        per_block.append(errors.add(z, zc, zq))
+        del zq  # not held while the next block runs
     feature_loss = per_block[-1]  # the last block's output is the pre-head feature
     mae_out, mae_in = errors.means()
 

@@ -1,5 +1,5 @@
-"""Independent oracles the tests check the library against, and the
-desk-scale setup the tests run.
+"""Independent oracles the tests check the library against, the
+desk-scale setup the tests run, and corrupt files for the readers.
 
 Each oracle deliberately takes a different computational route than the
 code under test: the affine solver gets an SVD pseudo-inverse on the
@@ -44,6 +44,20 @@ def fit_and_evaluate(model, calib, mode, cfg, *, transform="blt", storage=STORAG
         model, calib, modules, mode=mode, transform=transform, gap_reference_n=cfg.n_init
     )
     return report, search
+
+
+def oversized_tensor_header() -> bytes:
+    """A tensor record header whose extents declare far more payload than
+    any test file holds: 2^16 x 2^17 f32 elements, 32 GiB."""
+    return b"NBCT" + bytes([1, 0, 2, 0]) + struct.pack("<QQ", 1 << 16, 1 << 17)
+
+
+def oversized_bundle_bytes() -> bytes:
+    """A 60-byte one-block bundle (identity kind, f32 storage) whose weight
+    header declares an ``oversized_tensor_header`` payload."""
+    block = struct.pack("<H", 0) + bytes([0]) + struct.pack("<d", 0.0) + bytes([0])
+    data = b"NBCB" + bytes([1]) + struct.pack("<H", 1) + block + oversized_tensor_header()
+    return data + bytes(60 - len(data))
 
 
 def pinv_affine_fit(design: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

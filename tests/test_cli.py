@@ -13,6 +13,8 @@ import nbcq
 from nbcq.cli import EVAL_CSV_COLUMNS, main
 from nbcq.formats import BUNDLE_MAGIC, read_bundle, read_tensor
 
+from helpers import oversized_bundle_bytes
+
 SMALL_CFG = """
 d = 8
 h = 12
@@ -249,6 +251,17 @@ class TestEval:
         assert err.startswith(f"error\tformat\t{bundle}: block 0: ")
         assert out == ""
 
+    @pytest.mark.parametrize("command", ["eval", "export"])
+    def test_payload_beyond_the_file_exits_1_truncated(self, cfg_path, tmp_path, capsys, command):
+        # the weight header declares 32 GiB; the file holds 17 payload bytes
+        bundle = tmp_path / "huge.nbcb"
+        bundle.write_bytes(oversized_bundle_bytes())
+        args = [command, "--config", cfg_path, "--bundle", str(bundle), "--out", str(tmp_path / "out")]
+        code, out, err = run_cli(args, capsys)
+        assert_failed(code, err, 1, "truncated")
+        assert "expected 34359738368 bytes, got 17" in err
+        assert out == ""
+
 
 class TestAnalyzeOutliers:
     def test_writes_two_csvs(self, cfg_path, tmp_path, capsys):
@@ -373,6 +386,22 @@ class TestConfigValues:
         code, out, err = run_cli(["search-n", "--config", cfg_path, "--seed", "-3"], capsys)
         assert_failed(code, err, 2, "config")
         assert err == "error\tconfig\t--seed must be >= 0, got -3\n"
+        assert out == ""
+
+
+class TestConfigEncoding:
+    def test_non_utf8_config_exits_2_naming_path(self, tmp_path, capsys, monkeypatch):
+        import nbcq.cli as cli_mod
+
+        def no_setup(*args, **kwargs):
+            raise AssertionError("the run was set up")
+
+        monkeypatch.setattr(cli_mod, "_build_setup", no_setup)
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"seed = 1\n# caf\xe9\nd = 8 \xff\n")
+        code, out, err = run_cli(["search-n", "--config", str(path)], capsys)
+        assert_failed(code, err, 2, "config")
+        assert err == f"error\tconfig\t{path}: not UTF-8 text (byte 0xe9: invalid continuation byte)\n"
         assert out == ""
 
 

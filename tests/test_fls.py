@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from nbcq.compensation import CalibrationRecord
-from nbcq.errors import EvaluatorError
+from nbcq.errors import EvaluatorError, FitError
 from nbcq.fls import (
     TERMINATED_BOUNDS,
     TERMINATED_LOCAL_MINIMUM,
@@ -172,6 +174,31 @@ class TestFlsSearch:
             fls_search(FlsConfig(), evaluator)
         assert exc_info.value.n_exp == 1.0
         assert isinstance(exc_info.value.__cause__, ValueError)
+
+    def test_unexpected_evaluator_error_propagates_unwrapped(self):
+        def evaluator(n):
+            raise TypeError("a bug, not a failed candidate")
+
+        with pytest.raises(TypeError, match="a bug"):
+            fls_search(FlsConfig(), evaluator)
+
+    def test_promoted_warning_propagates_unwrapped(self):
+        # an overflow warning turned into an error is not a failed candidate
+        def evaluator(n):
+            return float(np.exp2(np.float64(2000.0)))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                fls_search(FlsConfig(), evaluator)
+
+    def test_fit_error_carries_candidate(self):
+        def evaluator(n):
+            raise FitError("singular")
+
+        with pytest.raises(EvaluatorError, match="n_exp=2.0: singular") as exc_info:
+            fls_search(FlsConfig(), evaluator)
+        assert isinstance(exc_info.value.__cause__, FitError)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -30,6 +30,8 @@ from nbcq.formats import (
 from nbcq.numerics import encode_f16_roundtrip
 from nbcq.transform import IDENTITY, TransformKind
 
+from helpers import oversized_bundle_bytes, oversized_tensor_header
+
 
 def sample_modules(rng):
     w = rng.standard_normal((4, 6))
@@ -125,6 +127,17 @@ class TestTensorFiles:
         with pytest.raises(FormatError, match="exceeds the format limit"):
             read_tensor(str(path))
 
+    def test_payload_beyond_the_file_is_truncation_before_the_read(self, tmp_path):
+        # the header is within the element limit, but the file holds 4 of
+        # the 2^35 payload bytes it declares
+        path = tmp_path / "short.nbct"
+        path.write_bytes(oversized_tensor_header() + bytes(4))
+        with pytest.raises(TruncatedFileError) as exc_info:
+            read_tensor(str(path))
+        assert exc_info.value.expected == 4 << 33
+        assert exc_info.value.actual == 4
+        assert "tensor payload" in str(exc_info.value)
+
 
 class TestBundles:
     def test_round_trip_all_storages(self, tmp_path):
@@ -179,6 +192,13 @@ class TestBundles:
         open(path, "wb").write(data[: len(data) // 2])
         with pytest.raises(TruncatedFileError):
             read_bundle(path)
+
+    def test_oversized_weight_header_is_truncation(self, tmp_path):
+        path = tmp_path / "huge.nbcb"
+        path.write_bytes(oversized_bundle_bytes())
+        assert path.stat().st_size == 60
+        with pytest.raises(TruncatedFileError, match="tensor payload; expected 34359738368 bytes, got 17"):
+            read_bundle(str(path))
 
     def test_unknown_kind_code(self, tmp_path):
         rng = np.random.default_rng(6)

@@ -362,6 +362,35 @@ class TestStreamedEvaluation:
         growth = self.eval_peak_bytes(8) - self.eval_peak_bytes(2)
         assert growth < hidden_bytes, (growth, hidden_bytes)
 
+    @pytest.mark.parametrize("mode, arrays", [("none", 4), ("linear", 5), ("nbc", 5)])
+    def test_peak_memory_bounded_by_block_arrays(self, mode, arrays):
+        # d > h, so the hidden activation (8192 x 32 float64, 2 MiB) is
+        # smaller than a rows x d array (8192 x 64, 4 MiB) and covers the
+        # masks and the tile-sized temporaries beside the d-wide arrays.
+        # Eval holds the inlier-error buffer, one hidden activation and four
+        # d-wide arrays at a time (the two streams, the quantized input and
+        # one temporary); a module's apply adds one more, since it holds its
+        # transformed input and that input's product with the weight beside
+        # the full-precision stream, the quantized input and the
+        # uncompensated output. Holding the previous block's arrays takes
+        # eight or more.
+        d, h, n_blocks, n_samples = 64, 32, 4, 2048
+        model = build_toy_model(d, h, n_blocks, seed=41, heavy_scale=1.3, heavy_input_scale=3.0)
+        calib = generate_calibration(model, n_samples, OutlierSpec(), seed=42)
+        cfg = FlsConfig(n_init=1.0, n_min=0.0, n_max=2.0, seed=43)
+        modules, _ = fit_compensation(model, calib, mode, cfg=cfg)
+        rows = EVAL_SET_MULTIPLIER * n_samples
+        block_bytes = rows * d * 8
+        bound = n_blocks * block_bytes + rows * h * 8 + arrays * block_bytes
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            evaluate_pipeline(model, calib, modules, mode=mode)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (peak, bound)
+
 
 class TestSearchRowValidation:
     @staticmethod
