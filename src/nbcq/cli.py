@@ -150,9 +150,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def cmd_calibrate(config_path: str, out_path: str, seed_override: int | None) -> int:
-    cfg = read_run_config(config_path)
-    seed = cfg.seed if seed_override is None else seed_override
+def cmd_calibrate(cfg: RunConfig, seed: int, out_path: str) -> int:
     if cfg.mode == "none":
         raise ConfigError("mode=none has no compensation to calibrate")
     model, calib, fls_cfg = _build_setup(cfg, seed)
@@ -171,9 +169,7 @@ def cmd_calibrate(config_path: str, out_path: str, seed_override: int | None) ->
     return 0
 
 
-def cmd_search_n(config_path: str, seed_override: int | None) -> int:
-    cfg = read_run_config(config_path)
-    seed = cfg.seed if seed_override is None else seed_override
+def cmd_search_n(cfg: RunConfig, seed: int) -> int:
     model, calib, fls_cfg = _build_setup(cfg, seed)
     _, fls_result = fit_compensation(model, calib, "nbc", transform="blt", cfg=fls_cfg)
     for n in sorted(fls_result.history):
@@ -220,9 +216,7 @@ def _write_csv(out_path: str | None, columns: list[str], rows: list[dict]) -> No
         _atomic_write(out_path, buf.getvalue().encode("utf-8"))
 
 
-def cmd_eval(config_path: str, bundle_path: str, out_path: str | None, seed_override: int | None) -> int:
-    cfg = read_run_config(config_path)
-    seed = cfg.seed if seed_override is None else seed_override
+def cmd_eval(cfg: RunConfig, seed: int, bundle_path: str, out_path: str | None) -> int:
     model, calib, _ = _build_setup(cfg, seed)
     modules = read_bundle(bundle_path)
     if len(modules) != cfg.n_blocks:
@@ -254,9 +248,7 @@ def cmd_eval(config_path: str, bundle_path: str, out_path: str | None, seed_over
     return 0
 
 
-def cmd_analyze_outliers(config_path: str, out_dir: str | None, seed_override: int | None) -> int:
-    cfg = read_run_config(config_path)
-    seed = cfg.seed if seed_override is None else seed_override
+def cmd_analyze_outliers(cfg: RunConfig, seed: int, out_dir: str | None) -> int:
     model, calib, fls_cfg = _build_setup(cfg, seed)
     _, fls_result = fit_compensation(model, calib, "nbc", transform="blt", cfg=fls_cfg)
     n_exp = fls_result.chosen_n
@@ -295,8 +287,7 @@ def cmd_analyze_outliers(config_path: str, out_dir: str | None, seed_override: i
     return 0
 
 
-def cmd_export(config_path: str, bundle_path: str, out_dir: str | None) -> int:
-    cfg = read_run_config(config_path)
+def cmd_export(cfg: RunConfig, bundle_path: str, out_dir: str | None) -> int:
     modules = read_bundle(bundle_path)
     directory = out_dir if out_dir is not None else cfg.out_dir
     os.makedirs(directory, exist_ok=True)
@@ -345,18 +336,20 @@ def _dispatch(args: argparse.Namespace) -> int:
         raise ConfigError(f"the {args.command} command requires --config")
     if seed is not None and seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {seed}")
+    if args.command == "calibrate" and out is None:
+        raise ConfigError("calibrate requires --out for the bundle path")
+    cfg = read_run_config(config)
+    seed = cfg.seed if seed is None else seed
     if args.command == "calibrate":
-        if out is None:
-            raise ConfigError("calibrate requires --out for the bundle path")
-        return cmd_calibrate(config, out, seed)
+        return cmd_calibrate(cfg, seed, out)
     if args.command == "search-n":
-        return cmd_search_n(config, seed)
+        return cmd_search_n(cfg, seed)
     if args.command == "eval":
-        return cmd_eval(config, args.bundle, out, seed)
+        return cmd_eval(cfg, seed, args.bundle, out)
     if args.command == "analyze-outliers":
-        return cmd_analyze_outliers(config, out, seed)
+        return cmd_analyze_outliers(cfg, seed, out)
     if args.command == "export":
-        return cmd_export(config, args.bundle, out)
+        return cmd_export(cfg, args.bundle, out)
     raise ConfigError(f"unknown command {args.command!r}")
 
 

@@ -33,6 +33,7 @@ from .transform import N_EXP_RANGE
 __all__ = [
     "TERMINATED_LOCAL_MINIMUM",
     "TERMINATED_BOUNDS",
+    "MIN_STEP",
     "FlsConfig",
     "FlsResult",
     "compute_feature_loss",
@@ -44,6 +45,11 @@ __all__ = [
 
 TERMINATED_LOCAL_MINIMUM = "local_minimum"
 TERMINATED_BOUNDS = "bounds_exhausted"
+
+# The finest grid step: N_EXP_RANGE then holds at most 1,281 grid points, and
+# n_init + k * step moves with every k, so the walk ends. A step so small that
+# it vanishes next to n_init would score the same exponent forever.
+MIN_STEP = 2.0**-6
 
 
 @dataclass(frozen=True)
@@ -66,8 +72,8 @@ class FlsConfig:
             raise ValueError(
                 f"n_init {self.n_init} outside [{self.n_min}, {self.n_max}]"
             )
-        if not self.step > 0:
-            raise ValueError("step must be > 0")
+        if not self.step >= MIN_STEP:
+            raise ValueError(f"step must be >= {MIN_STEP}, got {self.step}")
         if not 0.0 < self.holdout_fraction < 1.0:
             raise ValueError("holdout_fraction must be in (0, 1)")
 
@@ -125,7 +131,8 @@ def fls_search(cfg: FlsConfig, evaluator: Callable[[float], float]) -> FlsResult
     tie-break). The failures a pipeline raises on purpose, a ``ValueError``
     (such as a finiteness check) or a :class:`FitError`, propagate as
     :class:`EvaluatorError` with the offending exponent attached; any other
-    exception propagates unchanged.
+    exception propagates unchanged. A search in which no candidate scores a
+    finite loss has nothing to choose and raises :class:`EvaluatorError`.
     """
     # Candidates are tracked as integer offsets k with N = n_init + k*step,
     # so grid points compare exactly and no point is evaluated twice.
@@ -179,6 +186,11 @@ def fls_search(cfg: FlsConfig, evaluator: Callable[[float], float]) -> FlsResult
         if loss < best:
             best = loss
             chosen = n
+    if chosen is None:
+        raise EvaluatorError(
+            f"no candidate scored a finite loss: {len(history)} scored, "
+            f"n_exp in [{min(history)!r}, {max(history)!r}]"
+        )
     return FlsResult(
         chosen_n=chosen,
         history=history,

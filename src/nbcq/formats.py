@@ -51,7 +51,7 @@ from .errors import (
     FormatError,
     TruncatedFileError,
 )
-from .fls import holdout_count
+from .fls import MIN_STEP, holdout_count
 from .harness import MODES
 from .transform import KIND_NAMES, N_EXP_RANGE, TransformKind
 
@@ -350,7 +350,7 @@ def read_run_config(path: str) -> RunConfig:
         ("n_min", lo <= cfg.n_min, f">= {lo}"),
         ("n_max", cfg.n_max <= hi, f"<= {hi}"),
         ("n_init", cfg.n_min <= cfg.n_init <= cfg.n_max, "in [n_min, n_max]"),
-        ("step", cfg.step > 0.0, "> 0"),
+        ("step", cfg.step >= MIN_STEP, f">= {MIN_STEP}"),
         ("holdout_fraction", 0.0 < cfg.holdout_fraction < 1.0, "in (0, 1)"),
     ):
         if not ok:

@@ -16,8 +16,12 @@ uncompensated quantized stream and deploy it feeding forward.
 
 Memory: each model has one per-block step, which every forward runs: the
 list forms (``block_io``), calibration, the hold-out search and
-evaluation. A step computes the hidden activation in place in the fresh
-``z @ W1^T`` product and adds the residual in place to the ``W2`` product.
+evaluation. Calibration runs each product once: one full-precision loop
+calibrates the activation ranges and keeps every block's output as its
+target, and the hold-out search scores against the last block's targets
+instead of running a full-precision forward of its own. A step computes
+the hidden activation in place in the fresh ``z @ W1^T`` product and adds
+the residual in place to the ``W2`` product.
 Evaluation runs both steps block by block and drops each array after its
 last reader: between blocks it holds one array per stream; the quantized
 input is written over the compensated stream's input; the difference
@@ -89,7 +93,6 @@ __all__ = [
     "generate_calibration",
     "fit_compensation",
     "evaluate_pipeline",
-    "training_fit_loss",
     "scalar_slope",
     "slope_gap_analysis",
     "channel_slope_gap",
@@ -168,14 +171,10 @@ class ToyModel:
 
     def block_io(self, x) -> list[tuple[np.ndarray, np.ndarray]]:
         """Full-precision forward; per block (input, output) of the stream."""
-        return self._block_io(x)
-
-    def _block_io(self, x, on_hidden=None) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The pairs of ``block_io``; ``on_hidden`` sees each gelu output."""
         z = as_tensor(x, "inputs", ndim=2)
         pairs = []
         for k in range(self.n_blocks):
-            out = self.block_step(k, z, on_hidden)
+            out = self.block_step(k, z)
             pairs.append((z, out))
             z = out
         return pairs
@@ -195,10 +194,6 @@ class ToyModel:
         out = a @ self.w2[k].T
         out += z  # the bits of z + out: IEEE addition commutes
         return out
-
-    def forward(self, x) -> np.ndarray:
-        """Pre-head features: the output of the last block."""
-        return self.block_io(x)[-1][1]
 
 
 def build_toy_model(
@@ -304,31 +299,6 @@ class QuantizedToyModel:
             out = apply(module, zq, out)
         return zq, out
 
-    def forward(self, x, modules: Sequence[CompensationModule] | None = None) -> np.ndarray:
-        return self.compensated_block_io(x, modules)[-1][1]
-
-
-def _quantize_model(
-    model: ToyModel, bits_w: int, bits_a: int, x: np.ndarray
-) -> tuple[QuantizedToyModel, list[tuple[np.ndarray, np.ndarray]]]:
-    """Quantize weights per channel and calibrate activation params per
-    tensor on the full-precision stream of ``x``, then freeze them, which is
-    how deployment reuses calibration statistics on unseen data. Also
-    returns the ``block_io`` pairs of that calibration forward."""
-    w1q = tuple(quantize_per_channel(w, bits_w) for w in model.w1)
-    w2q = tuple(quantize_per_channel(w, bits_w) for w in model.w2)
-    p_hid = []
-    fp_io = model._block_io(x, lambda a: p_hid.append(calibrate_params(a, bits_a)))
-    qmodel = QuantizedToyModel(
-        bits_w=bits_w,
-        bits_a=bits_a,
-        w1q=w1q,
-        w2q=w2q,
-        p_in=tuple(calibrate_params(z, bits_a) for z, _ in fp_io),
-        p_hid=tuple(p_hid),
-    )
-    return qmodel, fp_io
-
 
 def draw_inputs(model: ToyModel, n_samples: int, spec: OutlierSpec, seed: int) -> np.ndarray:
     """Seeded standard-normal inputs with amplified heavy-channel rows.
@@ -373,19 +343,35 @@ def generate_calibration(
     bits_w: int = 4,
     bits_a: int = 4,
 ) -> CalibrationSet:
-    """Run both forwards on seeded inputs and record per-block (x_q, y, y_q).
+    """Calibrate the quantized twin on seeded inputs and record per-block
+    (x_q, y, y_q).
 
-    The full-precision outputs come from the forward that calibrates the
-    activation ranges; each forward runs once.
+    Weights are quantized per output channel. One full-precision loop over
+    ``ToyModel.block_step`` calibrates each block's input and hidden
+    activation ranges per tensor and keeps each block's output as its target
+    ``y``. The ranges are then frozen, which is how deployment reuses
+    calibration statistics on unseen data, and the quantized forward
+    (``QuantizedToyModel.block_io``) gives ``x_q`` and ``y_q``. Each forward
+    runs once; the exponent search scores its hold-out rows against the
+    last block's ``y``.
     """
     if n_samples < model.d + 2:
         raise ValueError(f"need at least d + 2 = {model.d + 2} samples, got {n_samples}")
     inputs = draw_inputs(model, n_samples, spec, seed)
-    qmodel, fp_io = _quantize_model(model, bits_w, bits_a, inputs)
-    q_io = qmodel.block_io(inputs)
+    w1q = tuple(quantize_per_channel(w, bits_w) for w in model.w1)
+    w2q = tuple(quantize_per_channel(w, bits_w) for w in model.w2)
+    p_in, p_hid, targets = [], [], []
+    z = as_tensor(inputs, "inputs", ndim=2)
+    for k in range(model.n_blocks):
+        p_in.append(calibrate_params(z, bits_a))
+        z = model.block_step(k, z, lambda a: p_hid.append(calibrate_params(a, bits_a)))
+        targets.append(z)
+    qmodel = QuantizedToyModel(
+        bits_w=bits_w, bits_a=bits_a, w1q=w1q, w2q=w2q, p_in=tuple(p_in), p_hid=tuple(p_hid)
+    )
     records = tuple(
-        CalibrationRecord(x_q=q_in, y=fp_out, y_q=q_out)
-        for (_, fp_out), (q_in, q_out) in zip(fp_io, q_io)
+        CalibrationRecord(x_q=q_in, y=y, y_q=q_out)
+        for y, (q_in, q_out) in zip(targets, qmodel.block_io(inputs))
     )
     return CalibrationSet(inputs=inputs, records=records, qmodel=qmodel, spec=spec, seed=seed)
 
@@ -395,19 +381,16 @@ class _RowSearchPipeline:
 
     The search's record units are row indices into the calibration set;
     fitting slices every block's record to those rows, and the hold-out
-    loss runs the compensated forward on the matching input rows. Neither
-    the sliced records nor the full-precision features of the hold-out
-    rows depend on the candidate, so each is computed once and kept for
-    the rows it was computed on.
+    loss runs the compensated forward on the matching input rows and scores
+    it against the last block's targets, which calibration recorded for
+    every row. The sliced records do not depend on the candidate, so they
+    are made once and kept for the rows they were made on.
     """
 
-    def __init__(self, model: ToyModel, calib: CalibrationSet):
-        self.model = model
+    def __init__(self, calib: CalibrationSet):
         self.calib = calib
         self._fit_rows: np.ndarray | None = None
         self._fit_records: list[CalibrationRecord] | None = None
-        self._holdout_rows: np.ndarray | None = None
-        self._holdout_full: np.ndarray | None = None
 
     def fit(self, records: Sequence[int], n_exp: float) -> list[CompensationModule]:
         rows = np.asarray(list(records), dtype=np.intp)
@@ -423,12 +406,8 @@ class _RowSearchPipeline:
 
     def holdout_loss(self, fitted: list[CompensationModule], records: Sequence[int]) -> float:
         rows = np.asarray(list(records), dtype=np.intp)
-        x = self.calib.inputs[rows]
-        if self._holdout_rows is None or not np.array_equal(rows, self._holdout_rows):
-            self._holdout_rows = rows
-            self._holdout_full = self.model.forward(x)
-        comp = self.calib.qmodel.forward(x, fitted)
-        return compute_feature_loss(self._holdout_full, comp)
+        comp = self.calib.qmodel.compensated_block_io(self.calib.inputs[rows], fitted)[-1][1]
+        return compute_feature_loss(self.calib.records[-1].y[rows], comp)
 
 
 def fit_compensation(
@@ -459,7 +438,7 @@ def fit_compensation(
                 f"the search fits on {fit_rows} of n_samples={n} rows at "
                 f"holdout_fraction={cfg.holdout_fraction}; it needs at least d + 1 = {model.d + 1}"
             )
-        pipeline = _RowSearchPipeline(model, calib)
+        pipeline = _RowSearchPipeline(calib)
         return search_n_for_pipeline(list(range(calib.n_samples)), cfg, pipeline)
     kind = TransformKind(transform)
     return [fit_nbc(rec, kind) for rec in calib.records], None
@@ -659,22 +638,6 @@ class _SplitErrors:
         mae_out = float(outliers.mean()) if outliers.size else None
         mae_in = float(self._inliers[: self._n_inliers].mean()) if self._n_inliers else None
         return mae_out, mae_in
-
-
-def training_fit_loss(
-    records: Sequence[CalibrationRecord],
-    modules: Sequence[CompensationModule] | None,
-) -> float:
-    """Blockwise feature loss of compensated outputs on the fitting records.
-
-    With ``modules`` None this is the uncompensated loss; since the zero
-    module is always feasible, a fitted linear module can never exceed it.
-    """
-    total = 0.0
-    for i, rec in enumerate(records):
-        out = rec.y_q if modules is None else apply(modules[i], rec.x_q, rec.y_q)
-        total += compute_feature_loss(rec.y, out)
-    return total / len(records)
 
 
 def evaluate_pipeline(

@@ -7,7 +7,9 @@ augmented system, fake quantization goes through int64 codes and a
 separate dequantize step, binary16 rounding goes through struct's
 half-precision codec, the scalar no-intercept slope gets a grid scan
 refined by an exact three-point parabola vertex, and the exponent search
-gets an exhaustive walk of its grid.
+gets an exhaustive walk of its grid. The blockwise training loss scores
+each block's module on its own calibration record, apart from the
+forward that deploys the modules.
 
 The desk setup is the one ``nbcq`` builds from a run configuration, so the
 tests run the steps the command runs: setup, fit, evaluate.
@@ -21,7 +23,8 @@ from dataclasses import replace
 import numpy as np
 
 from nbcq.cli import _build_setup
-from nbcq.compensation import STORAGE_F32, store_params
+from nbcq.compensation import STORAGE_F32, apply, store_params
+from nbcq.fls import compute_feature_loss
 from nbcq.formats import RunConfig
 from nbcq.harness import evaluate_pipeline, fit_compensation
 
@@ -44,6 +47,19 @@ def fit_and_evaluate(model, calib, mode, cfg, *, transform="blt", storage=STORAG
         model, calib, modules, mode=mode, transform=transform, gap_reference_n=cfg.n_init
     )
     return report, search
+
+
+def training_fit_loss(records, modules) -> float:
+    """Blockwise feature loss of compensated outputs on the fitting records.
+
+    With ``modules`` None this is the uncompensated loss; since the zero
+    module is always feasible, a fitted linear module can never exceed it.
+    """
+    total = 0.0
+    for i, rec in enumerate(records):
+        out = rec.y_q if modules is None else apply(modules[i], rec.x_q, rec.y_q)
+        total += compute_feature_loss(rec.y, out)
+    return total / len(records)
 
 
 def oversized_tensor_header() -> bytes:

@@ -33,7 +33,6 @@ from nbcq.harness import (
     fit_compensation,
     generate_calibration,
     ols_scalar_bias,
-    training_fit_loss,
 )
 from nbcq.transform import TransformKind, blt_forward, blt_inverse
 
@@ -44,6 +43,7 @@ from helpers import (
     fit_and_evaluate,
     grid_points,
     pinv_affine_fit,
+    training_fit_loss,
 )
 
 

@@ -355,6 +355,8 @@ BAD_VALUES = [
     ("heavy_input_scale = -inf", "heavy_input_scale"),
     ("outlier_scale = inf", "outlier_scale"),
     ("step = inf", "step"),
+    ("step = 1e-300", "step"),
+    ("step = 1e-300\nn_init = 2\nn_min = 2\nn_max = 2", "step"),
 ]
 
 
@@ -484,6 +486,20 @@ class TestOverflowBeyondCalibration:
         code, out, err = run_module([command, "--config", str(path), "--out", str(bundle)], tmp_path)
         assert_failed(code, err, 1, "evaluator")
         assert "non-finite" in err
+        assert out == "" and not bundle.exists()
+
+
+class TestNoFiniteCandidate:
+    @pytest.mark.parametrize("command", ["calibrate", "search-n"])
+    def test_exit_1_with_one_evaluator_line_and_no_bundle(self, tmp_path, command):
+        # desk defaults at scale 1e3, seed 2: the hold-out loss at n = 4
+        # overflows to inf, the only candidate on this grid
+        path = tmp_path / "run.cfg"
+        path.write_text("outlier_scale = 1e3\nseed = 2\nn_init = 4\nn_min = 4\nn_max = 4\n")
+        bundle = tmp_path / "comp.nbcb"
+        code, out, err = run_module([command, "--config", str(path), "--out", str(bundle)], tmp_path)
+        assert_failed(code, err, 1, "evaluator")
+        assert "no candidate scored a finite loss" in err
         assert out == "" and not bundle.exists()
 
 

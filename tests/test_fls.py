@@ -8,6 +8,7 @@ from nbcq.errors import EvaluatorError, FitError
 from nbcq.fls import (
     TERMINATED_BOUNDS,
     TERMINATED_LOCAL_MINIMUM,
+    MIN_STEP,
     FlsConfig,
     compute_feature_loss,
     fls_search,
@@ -199,6 +200,24 @@ class TestFlsSearch:
         with pytest.raises(EvaluatorError, match="n_exp=2.0: singular") as exc_info:
             fls_search(FlsConfig(), evaluator)
         assert isinstance(exc_info.value.__cause__, FitError)
+
+    def test_no_finite_loss_raises_evaluator_error(self):
+        with pytest.raises(EvaluatorError, match="no candidate scored a finite loss: 21 scored"):
+            fls_search(FlsConfig(), lambda n: np.inf)
+        with pytest.raises(EvaluatorError, match="finite loss: 1 scored"):
+            fls_search(FlsConfig(n_init=4.0, n_min=4.0, n_max=4.0), lambda n: np.inf)
+
+    def test_one_finite_loss_is_chosen_among_inf(self):
+        res = fls_search(FlsConfig(), lambda n: 5.0 if n == 2.0 else np.inf)
+        assert res.chosen_n == 2.0 and res.history[1.0] == res.history[3.0] == np.inf
+
+    def test_step_that_vanishes_next_to_n_init_rejected(self):
+        # n_init + k * 1e-300 == n_init for every k: the walk would never end
+        with pytest.raises(ValueError, match="step must be >= 0.015625"):
+            FlsConfig(step=1e-300)
+        with pytest.raises(ValueError, match="step"):
+            FlsConfig(n_init=2.0, n_min=2.0, n_max=2.0, step=1e-300)
+        assert FlsConfig(step=MIN_STEP).step == 2.0**-6
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

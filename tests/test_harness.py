@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nbcq.fls import FlsConfig, compute_feature_loss, fls_search
+from nbcq.fls import FlsConfig, compute_feature_loss, fls_search, holdout_split
 from nbcq.harness import (
     EVAL_SEED_OFFSET,
     EVAL_SET_MULTIPLIER,
@@ -24,12 +24,18 @@ from nbcq.harness import (
     scalar_slope,
     slope_gap_analysis,
     split_error_metrics,
-    training_fit_loss,
 )
 from nbcq.quantizer import QuantParams
 from nbcq.transform import TransformKind
 
-from helpers import brute_force_slope, desk_setup, fit_and_evaluate, grid_points, integer_round_trip
+from helpers import (
+    brute_force_slope,
+    desk_setup,
+    fit_and_evaluate,
+    grid_points,
+    integer_round_trip,
+    training_fit_loss,
+)
 
 # Frozen regression envelope: W8A8 feature losses on the default desk
 # configuration at seed 0, measured once. A regression that degrades the
@@ -50,14 +56,14 @@ class TestBuildToyModel:
 
     def test_zeros_map_to_zeros(self):
         model = build_toy_model(8, 16, 2, seed=1)
-        out = model.forward(np.zeros((4, 8)))
+        out = model.block_io(np.zeros((4, 8)))[-1][1]
         assert np.array_equal(out, np.zeros((4, 8)))
 
     def test_heavy_channel_percentile_dominance(self):
         scale = 8.0
         model = build_toy_model(16, 32, 4, seed=3, heavy_scale=scale)
         x = np.random.default_rng(30).standard_normal((2048, 16))
-        acts = np.abs(model.forward(x))
+        acts = np.abs(model.block_io(x)[-1][1])
         p99 = np.percentile(acts, 99, axis=0)
         others = np.delete(p99, model.heavy_channel)
         assert p99[model.heavy_channel] - np.median(others) >= scale / 2
@@ -163,28 +169,43 @@ def reports(runs):
 
 class TestForwardCounts:
     @staticmethod
-    def count_fp_forwards(monkeypatch):
+    def count_fp_steps(monkeypatch):
+        """The input shape of every full-precision block step; every
+        full-precision forward runs them."""
         calls = []
-        original = ToyModel.block_io
+        original = ToyModel.block_step
 
-        def counting(self, x):
-            calls.append(np.shape(x))
-            return original(self, x)
+        def counting(self, k, z, *args, **kwargs):
+            calls.append(np.shape(z))
+            return original(self, k, z, *args, **kwargs)
 
-        monkeypatch.setattr(ToyModel, "block_io", counting)
+        monkeypatch.setattr(ToyModel, "block_step", counting)
         return calls
 
     def test_generate_calibration_reuses_the_calibrating_forward(self, monkeypatch):
-        calls = self.count_fp_forwards(monkeypatch)
+        calls = self.count_fp_steps(monkeypatch)
         desk_setup(0)
-        assert calls == []
+        assert calls == [(512, 16)] * 4
 
-    def test_nbc_search_runs_at_most_one_fp_forward(self, monkeypatch):
+    def test_nbc_search_runs_no_fp_forward(self, monkeypatch):
+        # the hold-out rows are scored against the targets calibration recorded
         model, calib, cfg = desk_setup(1)
-        calls = self.count_fp_forwards(monkeypatch)
+        calls = self.count_fp_steps(monkeypatch)
         modules, result = fit_compensation(model, calib, "nbc", cfg=cfg)
         assert result.evaluations >= 3 and len(modules) == len(calib.records)
-        assert len(calls) <= 1
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "d, h, n_blocks, n_samples", [(16, 32, 4, 512), (64, 256, 8, 2048)], ids=["desk", "mid"]
+    )
+    def test_holdout_targets_equal_a_fresh_fp_forward(self, d, h, n_blocks, n_samples):
+        # what the search relies on when it takes the recorded targets of
+        # the hold-out rows: the forward of those rows alone has the same bits
+        model = build_toy_model(d, h, n_blocks, seed=5, heavy_scale=1.3, heavy_input_scale=3.0)
+        calib = generate_calibration(model, n_samples, OutlierSpec(), seed=6)
+        _, rows = holdout_split(list(range(n_samples)), FlsConfig(seed=7))
+        fresh = model.block_io(calib.inputs[rows])[-1][1]
+        assert fresh.tobytes() == calib.records[-1].y[rows].tobytes()
 
 
 class TestRunPipeline:
@@ -283,8 +304,8 @@ class TestRunPipeline:
         lin_mods, _ = fit_compensation(model, calib, "linear")
         nbc_mods, _ = fit_compensation(model, calib, "nbc", cfg=cfg)
         ev = tiny_inputs(model, 64, spec, 99)
-        out_lin = calib.qmodel.forward(ev, lin_mods)
-        out_nbc = calib.qmodel.forward(ev, nbc_mods)
+        out_lin = calib.qmodel.compensated_block_io(ev, lin_mods)[-1][1]
+        out_nbc = calib.qmodel.compensated_block_io(ev, nbc_mods)[-1][1]
         assert np.max(np.abs(out_lin - out_nbc)) <= 1e-9
 
 
