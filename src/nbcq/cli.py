@@ -11,8 +11,10 @@ Commands (all take ``--config``; ``--seed`` overrides the config seed):
 Exit status is 0 on success, 1 on computational failure and 2 on usage or
 configuration errors; failures print one machine-parsable line to stderr,
 ``error<TAB>code<TAB>message``; an overflow in a search or an eval is an
-``evaluator`` error (eval writes no CSV). The ``NBC_LOG`` environment
-variable (error, info or debug) controls logging verbosity on stderr.
+``evaluator`` error (eval writes no CSV), and a fitted parameter beyond the
+range of its storage type is a ``format`` error naming the block (calibrate
+writes no bundle). The ``NBC_LOG`` environment variable (error, info or
+debug) controls logging verbosity on stderr.
 
 The eval CSV has one row per block with the summary metrics repeated, in
 this fixed column order:
@@ -46,7 +48,7 @@ import sys
 import numpy as np
 
 from .compensation import STORAGE_F32, store_params
-from .errors import ConfigError, EvaluatorError, NbcError
+from .errors import ConfigError, EvaluatorError, FormatError, NbcError
 from .fls import FlsConfig
 from .formats import (
     RunConfig,
@@ -158,9 +160,18 @@ def cmd_calibrate(cfg: RunConfig, seed: int, out_path: str) -> int:
     modules, fls_result = fit_compensation(
         model, calib, cfg.mode, transform=cfg.transform, cfg=fls_cfg
     )
+    # A parameter beyond the range of its storage type fails here, naming
+    # its block and the storage, and no bundle is written.
     if cfg.storage != STORAGE_F32:
-        modules = [store_params(m, cfg.storage) for m in modules]
-    write_bundle(out_path, modules)
+        for block, mod in enumerate(modules):
+            try:
+                modules[block] = store_params(mod, cfg.storage)
+            except ValueError as exc:
+                raise FormatError(f"block {block}: {exc} ({cfg.storage} storage)") from None
+    try:
+        write_bundle(out_path, modules)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
     for i, mod in enumerate(modules):
         print(f"block={i}\tridge_used={_fmt(mod.ridge_used)}\tresidual_rms={_fmt(mod.residual_rms)}")
     if fls_result is not None:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import FitError
-from .numerics import as_tensor, encode_f16_roundtrip, solve_least_squares
+from .numerics import as_tensor, encode_f16_roundtrip, solve_coefficients, solve_least_squares
 from .quantizer import round_half_away
 from .transform import IDENTITY, TransformKind, apply_kind_forward, apply_kind_inverse
 
@@ -42,6 +42,7 @@ __all__ = [
     "CompensationModule",
     "fit_linear",
     "fit_nbc",
+    "fit_nbc_levels",
     "apply",
     "store_params",
 ]
@@ -173,6 +174,30 @@ def fit_nbc(rec: CalibrationRecord, kind: TransformKind) -> CompensationModule:
     )
 
 
+def fit_nbc_levels(
+    levels: np.ndarray, codes: np.ndarray, residual: np.ndarray, kind: TransformKind
+) -> CompensationModule:
+    """``fit_nbc`` for a block input held as ``codes`` into a table of its
+    ``levels``, without the residual pass; for candidate fits, which are
+    scored and dropped.
+
+    The map runs on the levels only and is gathered by the codes: it is
+    elementwise, so ``f(levels)[codes]`` has the bits of
+    ``f(levels[codes])``. Weight, bias and ``ridge_used`` are those of
+    ``fit_nbc`` on the record with ``x_q = levels[codes]``, bit for bit;
+    ``residual_rms`` is None.
+    """
+    n_rows, d_in = np.shape(codes)
+    if n_rows < d_in + 1:
+        raise FitError(f"calibration record has {n_rows} rows; need at least {d_in + 1}")
+    design = apply_kind_forward(levels, kind)[codes]
+    targets = apply_kind_forward(residual, kind)
+    sol = solve_coefficients(design, targets)
+    return CompensationModule(
+        kind=kind, weight=sol.weight, bias=sol.bias, storage=STORAGE_F32, ridge_used=sol.ridge_used
+    )
+
+
 def fit_linear(rec: CalibrationRecord) -> CompensationModule:
     """Fit plain linear compensation on (x_q, y - y_q)."""
     return fit_nbc(rec, IDENTITY)
@@ -197,14 +222,18 @@ def apply(mod: CompensationModule, x_q, y_q) -> np.ndarray:
 
 
 def store_params(mod: CompensationModule, precision: str) -> CompensationModule:
-    """Narrow a working-precision module's parameters for storage."""
+    """Narrow a working-precision module's parameters for storage.
+
+    A value beyond the range of its storage type raises ValueError naming
+    the parameter.
+    """
     if mod.storage != STORAGE_F32:
         raise ValueError(f"module is already stored as {mod.storage}")
     if precision == STORAGE_F16:
         return replace(
             mod,
-            weight=encode_f16_roundtrip(mod.weight),
-            bias=encode_f16_roundtrip(mod.bias),
+            weight=_f16(mod.weight, "weight"),
+            bias=_f16(mod.bias, "bias"),
             storage=STORAGE_F16,
         )
     if precision == STORAGE_I8:
@@ -216,7 +245,7 @@ def store_params(mod: CompensationModule, precision: str) -> CompensationModule:
         codes = np.clip(round_half_away(w / scales[:, None]), -127, 127).astype(np.int8)
         return CompensationModule(
             kind=mod.kind,
-            bias=encode_f16_roundtrip(mod.bias),
+            bias=_f16(mod.bias, "bias"),
             storage=STORAGE_I8,
             weight_codes=codes,
             weight_scales=scales,
@@ -224,3 +253,10 @@ def store_params(mod: CompensationModule, precision: str) -> CompensationModule:
             residual_rms=mod.residual_rms,
         )
     raise ValueError(f"unknown storage precision {precision!r}")
+
+
+def _f16(values: np.ndarray, role: str) -> np.ndarray:
+    try:
+        return encode_f16_roundtrip(values)
+    except ValueError as exc:
+        raise ValueError(f"{role} {exc}") from None

@@ -185,19 +185,37 @@ def read_tensor(path: str) -> np.ndarray:
 
 
 def _module_tensors(mod: CompensationModule) -> dict[str, np.ndarray]:
-    """A module's stored tensors by role, in bundle order, in their file dtypes."""
+    """A module's stored tensors by role, in bundle order, in their file dtypes.
+
+    Raises ValueError, naming the role and the storage, when a value does
+    not survive its narrowing: a bundle holds only finite values.
+    """
     if mod.storage == STORAGE_I8:
-        return {
-            "weight": mod.weight_codes.astype("<i1"),
-            "bias": mod.bias.astype("<f2"),
-            "scales": mod.weight_scales.astype("<f4"),
-        }
-    narrow = "<f2" if mod.storage == STORAGE_F16 else "<f4"
-    return {"weight": mod.weight.astype(narrow), "bias": mod.bias.astype(narrow)}
+        wide = {"weight": (mod.weight_codes, "<i1"), "bias": (mod.bias, "<f2"),
+                "scales": (mod.weight_scales, "<f4")}
+    else:
+        narrow = "<f2" if mod.storage == STORAGE_F16 else "<f4"
+        wide = {"weight": (mod.weight, narrow), "bias": (mod.bias, narrow)}
+    tensors = {}
+    for role, (values, dtype) in wide.items():
+        with np.errstate(over="ignore"):
+            tensors[role] = values.astype(dtype)
+        overflow = ~np.isfinite(tensors[role])
+        if overflow.any():
+            i = int(np.flatnonzero(overflow)[0])
+            raise ValueError(
+                f"{role} value {float(values.flat[i])!r} at flat index {i} overflows "
+                f"{mod.storage} storage ({np.dtype(dtype).name})"
+            )
+    return tensors
 
 
 def write_bundle(path: str, modules) -> None:
-    """Write per-block compensation modules as one bundle file."""
+    """Write per-block compensation modules as one bundle file.
+
+    A value that its storage cannot hold (see ``_module_tensors``) raises
+    ValueError naming the block, before anything is written.
+    """
     modules = list(modules)
     if len(modules) > 0xFFFF:
         raise ValueError("bundle supports at most 65535 blocks")
@@ -206,12 +224,16 @@ def write_bundle(path: str, modules) -> None:
     out.write(bytes([FORMAT_VERSION]))
     out.write(struct.pack("<H", len(modules)))
     for index, mod in enumerate(modules):
+        try:
+            tensors = _module_tensors(mod)
+        except ValueError as exc:
+            raise ValueError(f"block {index}: {exc}") from None
         out.write(struct.pack("<H", index))
         out.write(bytes([_CODE_BY_KIND[mod.kind.name]]))
         n_exp = mod.kind.n_exp if mod.kind.name == "blt" else 0.0
         out.write(struct.pack("<d", n_exp))
         out.write(bytes([_CODE_BY_STORAGE[mod.storage]]))
-        for tensor in _module_tensors(mod).values():
+        for tensor in tensors.values():
             _write_tensor_stream(out, tensor)
     _atomic_write(path, out.getvalue())
 

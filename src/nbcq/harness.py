@@ -19,9 +19,14 @@ list forms (``block_io``), calibration, the hold-out search and
 evaluation. Calibration runs each product once: one full-precision loop
 calibrates the activation ranges and keeps every block's output as its
 target, and the hold-out search scores against the last block's targets
-instead of running a full-precision forward of its own. A step computes
-the hidden activation in place in the fresh ``z @ W1^T`` product and adds
-the residual in place to the ``W2`` product.
+instead of running a full-precision forward of its own. The search takes
+block 0's quantized input and output of the hold-out rows from the
+records too, so a candidate runs the quantized steps of blocks 1..n-1
+only. For the fit rows it holds two arrays per block, the integer codes
+of the block input and the residual ``y - y_q``, where slices of ``x_q``,
+``y`` and ``y_q`` would be three. A step computes the hidden activation
+in place in the fresh ``z @ W1^T`` product and adds the residual in place
+to the ``W2`` product.
 Evaluation runs both steps block by block and drops each array after its
 last reader: between blocks it holds one array per stream; the quantized
 input is written over the compensated stream's input; the difference
@@ -63,6 +68,7 @@ from .compensation import (
     apply,
     fit_linear,
     fit_nbc,
+    fit_nbc_levels,
 )
 from .errors import FitError
 from .fls import (
@@ -73,7 +79,14 @@ from .fls import (
     search_n_for_pipeline,
 )
 from .numerics import as_tensor, map_tiles
-from .quantizer import QuantParams, calibrate_params, fake_quantize, quantize_per_channel
+from .quantizer import (
+    QuantParams,
+    calibrate_params,
+    fake_quantize,
+    level_codes,
+    level_table,
+    quantize_per_channel,
+)
 from .transform import TransformKind, blt_forward
 
 __all__ = [
@@ -379,35 +392,55 @@ def generate_calibration(
 class _RowSearchPipeline:
     """Adapts blockwise fitting to the hold-out search over sample rows.
 
-    The search's record units are row indices into the calibration set;
-    fitting slices every block's record to those rows, and the hold-out
-    loss runs the compensated forward on the matching input rows and scores
-    it against the last block's targets, which calibration recorded for
-    every row. The sliced records do not depend on the candidate, so they
-    are made once and kept for the rows they were made on.
+    The search's record units are row indices into the calibration set. A
+    candidate does only the work that depends on its exponent:
+
+    * Fit: every block input is fake-quantized per tensor to the 2^bits_a
+      levels of its ``p_in``, so its transform is that of the level table,
+      gathered by integer codes (``fit_nbc_levels``). The fit rows' codes
+      and residuals ``y - y_q`` do not depend on the candidate: they are
+      made once and kept for the rows they were made on. A candidate's
+      modules are scored and dropped, so its fits skip the residual pass;
+      the final refit on every row is ``fit_nbc`` on the calibration
+      records, which reports ``residual_rms``.
+    * Hold-out: block 0's quantized step does not depend on the candidate
+      either, and the records hold its input and output for every row. The
+      hold-out forward applies the first module to those rows, runs blocks
+      1..n-1 through ``block_step`` and scores the last output against the
+      last block's targets, which calibration recorded for every row.
     """
 
     def __init__(self, calib: CalibrationSet):
         self.calib = calib
+        self._levels = [level_table(p) for p in calib.qmodel.p_in]
         self._fit_rows: np.ndarray | None = None
-        self._fit_records: list[CalibrationRecord] | None = None
+        self._fit_data: list[tuple[np.ndarray, np.ndarray]] | None = None  # (codes, residual)
 
     def fit(self, records: Sequence[int], n_exp: float) -> list[CompensationModule]:
         rows = np.asarray(list(records), dtype=np.intp)
-        if self._fit_rows is None or not np.array_equal(rows, self._fit_rows):
-            self._fit_records = None  # let the old slices go before the new ones are made
-            self._fit_rows = rows
-            if np.array_equal(rows, np.arange(self.calib.n_samples)):
-                self._fit_records = list(self.calib.records)
-            else:
-                self._fit_records = [rec.rows(rows) for rec in self.calib.records]
         kind = TransformKind("blt", n_exp)
-        return [fit_nbc(rec, kind) for rec in self._fit_records]
+        if np.array_equal(rows, np.arange(self.calib.n_samples)):
+            self._fit_rows = self._fit_data = None  # the search is done with them
+            return [fit_nbc(rec, kind) for rec in self.calib.records]
+        if self._fit_rows is None or not np.array_equal(rows, self._fit_rows):
+            self._fit_data = None  # let the old arrays go before the new ones are made
+            self._fit_rows = rows
+            self._fit_data = [
+                (level_codes(rec.x_q[rows], p), rec.y[rows] - rec.y_q[rows])
+                for rec, p in zip(self.calib.records, self.calib.qmodel.p_in)
+            ]
+        return [
+            fit_nbc_levels(levels, codes, residual, kind)
+            for levels, (codes, residual) in zip(self._levels, self._fit_data)
+        ]
 
     def holdout_loss(self, fitted: list[CompensationModule], records: Sequence[int]) -> float:
         rows = np.asarray(list(records), dtype=np.intp)
-        comp = self.calib.qmodel.compensated_block_io(self.calib.inputs[rows], fitted)[-1][1]
-        return compute_feature_loss(self.calib.records[-1].y[rows], comp)
+        first = self.calib.records[0]
+        z = apply(fitted[0], first.x_q[rows], first.y_q[rows])
+        for k in range(1, len(fitted)):
+            _, z = self.calib.qmodel.block_step(k, z, fitted[k], overwrite_input=True)
+        return compute_feature_loss(self.calib.records[-1].y[rows], z)
 
 
 def fit_compensation(

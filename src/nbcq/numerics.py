@@ -21,6 +21,7 @@ __all__ = [
     "as_tensor",
     "map_tiles",
     "solve_least_squares",
+    "solve_coefficients",
     "encode_f16_roundtrip",
     "RIDGE_FALLBACK_FACTOR",
 ]
@@ -81,11 +82,12 @@ class LstsqSolution:
 
     ``ridge_used`` records the effective penalty, which differs from the
     requested one only when the automatic singularity fallback engaged.
+    ``residual_rms`` is None for a fit that skipped the residual pass.
     """
 
     weight: np.ndarray  # (d_out, d_in)
     bias: np.ndarray  # (d_out,)
-    residual_rms: float
+    residual_rms: float | None
     ridge_used: float
 
 
@@ -99,7 +101,41 @@ def solve_least_squares(design, targets, ridge: float = 0.0) -> LstsqSolution:
     duplicated channels), the solve is retried once with a small
     trace-scaled ridge added, and the effective value is recorded in
     ``ridge_used``.
+
+    Then a residual pass, ``t - aug @ coef`` over every row, gives
+    ``residual_rms``; it costs about as much as the solve itself. Only the
+    fits that are kept pay it: ``fit_nbc`` and ``fit_linear``, which give
+    the final refit of the exponent search and the unsearched modes. The
+    search's candidate fits, which are scored and dropped, call
+    :func:`solve_coefficients`, which returns the same weight, bias and
+    ``ridge_used`` bit for bit.
     """
+    aug, t, coef, ridge_used = _solve(design, targets, ridge)
+    resid = t - aug @ coef
+    return _solution(coef, ridge_used, float(np.sqrt(np.mean(resid**2))))
+
+
+def solve_coefficients(design, targets, ridge: float = 0.0) -> LstsqSolution:
+    """:func:`solve_least_squares` without the residual pass: the same
+    weight, bias and ``ridge_used``, and ``residual_rms`` None."""
+    _, _, coef, ridge_used = _solve(design, targets, ridge)
+    return _solution(coef, ridge_used, None)
+
+
+def _solution(coef: np.ndarray, ridge_used: float, residual_rms: float | None) -> LstsqSolution:
+    p = coef.shape[0] - 1
+    return LstsqSolution(
+        weight=coef[:p].T.copy(),
+        bias=coef[p].copy(),
+        residual_rms=residual_rms,
+        ridge_used=ridge_used,
+    )
+
+
+def _solve(design, targets, ridge: float):
+    """The checks and the solve of :func:`solve_least_squares`; returns the
+    augmented design, the targets, the coefficients (bias last) and the
+    effective ridge."""
     d = as_tensor(design, "design", ndim=2)
     t = as_tensor(targets, "targets", ndim=2)
     n, p = d.shape
@@ -129,16 +165,7 @@ def solve_least_squares(design, targets, ridge: float = 0.0) -> LstsqSolution:
             coef = attempt(ridge_used)
         except np.linalg.LinAlgError:
             raise FitError("normal equations remain singular after the ridge fallback") from None
-
-    weight = coef[:p].T.copy()
-    bias = coef[p].copy()
-    resid = t - aug @ coef
-    return LstsqSolution(
-        weight=weight,
-        bias=bias,
-        residual_rms=float(np.sqrt(np.mean(resid**2))),
-        ridge_used=ridge_used,
-    )
+    return aug, t, coef, ridge_used
 
 
 def encode_f16_roundtrip(t) -> np.ndarray:
@@ -155,6 +182,6 @@ def encode_f16_roundtrip(t) -> np.ndarray:
     if np.any(overflow):
         idx = int(np.flatnonzero(overflow.ravel())[0])
         raise ValueError(
-            f"value {arr.ravel()[idx]!r} at flat index {idx} overflows binary16 storage"
+            f"value {float(arr.ravel()[idx])!r} at flat index {idx} overflows binary16 storage"
         )
     return narrowed.astype(np.float64)

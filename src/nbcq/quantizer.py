@@ -11,7 +11,10 @@ Rounding is half away from zero everywhere, which is deterministic and the
 convention most integer-quantization code bases use. Activations quantize
 per tensor (``fake_quantize``); weight matrices quantize per output row
 (``quantize_per_channel``). Both compute ``x_hat`` straight from ``x`` in
-float64, without materializing the integer codes ``q``.
+float64, without materializing the integer codes ``q``. A per-tensor
+``x_hat`` takes one of 2^b values: ``level_table`` lists them by code and
+``level_codes`` recovers the code of each entry, so that a map applied
+elementwise to ``x_hat`` can run on the 2^b levels instead.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ __all__ = [
     "round_half_away",
     "calibrate_params",
     "fake_quantize",
+    "level_table",
+    "level_codes",
     "quantize_per_channel",
 ]
 
@@ -117,6 +122,36 @@ def fake_quantize(x, p: QuantParams, out: np.ndarray | None = None) -> np.ndarra
     arr = as_tensor(x, "tensor")
     top = p.n_levels - 1
     return map_tiles(lambda src, dst: _fake_quant(src, dst, p.scale, p.zero_point, top), arr, out)
+
+
+def level_table(p: QuantParams) -> np.ndarray:
+    """The 2^bits values ``fake_quantize`` maps to under ``p``, indexed by
+    code: ``(code - zero_point) * scale``, with the float64 operations
+    ``fake_quantize`` applies to a code, so each level has its bits."""
+    levels = np.arange(p.n_levels, dtype=np.float64)
+    levels -= p.zero_point
+    levels *= p.scale
+    return levels
+
+
+def level_codes(x_q, p: QuantParams) -> np.ndarray:
+    """The integer codes (``intp``) of a tensor that ``fake_quantize`` made
+    under ``p``: ``level_table(p)[codes]`` has the bits of ``x_q``.
+
+    Raises ValueError if an entry of ``x_q`` is not bit for bit a level of
+    ``p``, such as a value quantized under other parameters.
+    """
+    arr = as_tensor(x_q, "x_q")
+    # a level divided by the scale lies within a few ulps of its integer
+    # code - zero_point, far closer than the 0.5 that rounding needs
+    t = arr / p.scale
+    np.rint(t, out=t)
+    t += p.zero_point
+    np.clip(t, 0, p.n_levels - 1, out=t)
+    codes = t.astype(np.intp)
+    if not np.array_equal(level_table(p)[codes].view(np.int64), arr.view(np.int64)):
+        raise ValueError(f"x_q holds values that are not levels of {p}")
+    return codes
 
 
 def quantize_per_channel(w, bits: int) -> np.ndarray:

@@ -9,7 +9,9 @@ half-precision codec, the scalar no-intercept slope gets a grid scan
 refined by an exact three-point parabola vertex, and the exponent search
 gets an exhaustive walk of its grid. The blockwise training loss scores
 each block's module on its own calibration record, apart from the
-forward that deploys the modules.
+forward that deploys the modules. The reference search runs each exponent
+candidate the direct way: ``fit_nbc`` on every block's sliced record, and
+the whole compensated forward of the hold-out inputs.
 
 The desk setup is the one ``nbcq`` builds from a run configuration, so the
 tests run the steps the command runs: setup, fit, evaluate.
@@ -23,10 +25,11 @@ from dataclasses import replace
 import numpy as np
 
 from nbcq.cli import _build_setup
-from nbcq.compensation import STORAGE_F32, apply, store_params
-from nbcq.fls import compute_feature_loss
+from nbcq.compensation import STORAGE_F32, apply, fit_nbc, store_params
+from nbcq.fls import compute_feature_loss, search_n_for_pipeline
 from nbcq.formats import RunConfig
 from nbcq.harness import evaluate_pipeline, fit_compensation
+from nbcq.transform import TransformKind
 
 
 def desk_setup(seed: int, **overrides):
@@ -62,6 +65,32 @@ def training_fit_loss(records, modules) -> float:
     return total / len(records)
 
 
+class _ReferenceRowSearch:
+    """Search pipeline over calibration rows that fits and scores each
+    candidate in full (see :func:`reference_search`)."""
+
+    def __init__(self, calib):
+        self.calib = calib
+
+    def fit(self, records, n_exp):
+        rows = np.asarray(list(records), dtype=np.intp)
+        return [fit_nbc(rec.rows(rows), TransformKind("blt", n_exp)) for rec in self.calib.records]
+
+    def holdout_loss(self, fitted, records):
+        rows = np.asarray(list(records), dtype=np.intp)
+        comp = self.calib.qmodel.compensated_block_io(self.calib.inputs[rows], fitted)[-1][1]
+        return compute_feature_loss(self.calib.records[-1].y[rows], comp)
+
+
+def reference_search(calib, cfg):
+    """``(modules, result)`` of the blt exponent search on ``calib`` with
+    every candidate run in full: each block fitted by ``fit_nbc`` on its
+    record sliced to the fit rows, the hold-out rows run through the whole
+    compensated forward and scored against the recorded targets, then the
+    final refit on every row."""
+    return search_n_for_pipeline(list(range(calib.n_samples)), cfg, _ReferenceRowSearch(calib))
+
+
 def oversized_tensor_header() -> bytes:
     """A tensor record header whose extents declare far more payload than
     any test file holds: 2^16 x 2^17 f32 elements, 32 GiB."""
@@ -84,14 +113,17 @@ def pinv_affine_fit(design: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray
     return coef[:-1].T, coef[-1]
 
 
-def integer_round_trip(x, p) -> np.ndarray:
-    """Quantize ``x`` to int64 codes with the parameters ``p`` (rounding
-    halves away from zero, clipping to ``[0, 2^bits - 1]``), then map the
-    codes back to ``scale * (code - zero_point)``."""
+def integer_codes(x, p) -> np.ndarray:
+    """Quantize ``x`` to int64 codes with the parameters ``p``, rounding
+    halves away from zero and clipping to ``[0, 2^bits - 1]``."""
     t = np.asarray(x, dtype=np.float64) / p.scale
     rounded = np.where(t >= 0, np.floor(t + 0.5), np.ceil(t - 0.5))
-    codes = np.clip(rounded + p.zero_point, 0, 2**p.bits - 1).astype(np.int64)
-    return p.scale * (codes - p.zero_point).astype(np.float64)
+    return np.clip(rounded + p.zero_point, 0, 2**p.bits - 1).astype(np.int64)
+
+
+def integer_round_trip(x, p) -> np.ndarray:
+    """``integer_codes`` of ``x`` mapped back to ``scale * (code - zero_point)``."""
+    return p.scale * (integer_codes(x, p) - p.zero_point).astype(np.float64)
 
 
 def f16_roundtrip_struct(value: float) -> float:

@@ -503,6 +503,27 @@ class TestNoFiniteCandidate:
         assert out == "" and not bundle.exists()
 
 
+class TestStorageOverflow:
+    """Fitted parameters beyond the range of their storage type: calibrate
+    fails with the one format line, naming the block and the storage, and
+    writes no bundle."""
+
+    @pytest.mark.parametrize(
+        "storage, scale",
+        [("f32", "1e60"), ("f16", "1e20"), ("i8_per_channel", "1e20")],  # f32 holds up to 3.4e38
+    )
+    def test_calibrate_exits_1_naming_block_and_storage(self, tmp_path, storage, scale):
+        # a child process, so that a traceback or numpy's warnings would show
+        path = tmp_path / "run.cfg"
+        path.write_text(f"mode = linear\nstorage = {storage}\noutlier_scale = {scale}\n")
+        bundle = tmp_path / "comp.nbcb"
+        code, out, err = run_module(["calibrate", "--config", str(path), "--out", str(bundle)], tmp_path)
+        assert_failed(code, err, 1, "format")
+        assert "block 0: bias value " in err and f"{storage} storage" in err
+        assert out == "" and not bundle.exists()
+        assert os.listdir(tmp_path) == ["run.cfg"]  # no temporary file left either
+
+
 class TestExport:
     def test_exports_tensor_files_and_manifest(self, cfg_path, tmp_path, capsys):
         bundle = str(tmp_path / "comp.nbcb")

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import struct
@@ -177,6 +178,38 @@ class TestBundles:
         back = read_bundle(path)
         for orig, loaded in zip(modules, back):
             assert np.array_equal(apply(orig, x_q, y_q), apply(loaded, x_q, y_q))
+
+    @pytest.mark.parametrize(
+        "storage, field, value, dtype",
+        [
+            ("f32", "bias", 1e39, "float32"),
+            ("f32", "weight", -3.5e38, "float32"),
+            (STORAGE_F16, "weight", 65520.0, "float16"),
+            (STORAGE_I8, "bias", 1e5, "float16"),
+            (STORAGE_I8, "weight_scales", 1e39, "float32"),
+        ],
+    )
+    def test_value_that_overflows_its_storage_refused(self, tmp_path, storage, field, value, dtype):
+        # modules built directly, as store_params would refuse these values
+        if storage == STORAGE_I8:
+            module = CompensationModule(
+                kind=IDENTITY, bias=np.zeros(4), storage=STORAGE_I8,
+                weight_codes=np.ones((4, 6), dtype=np.int8), weight_scales=np.ones(4),
+            )
+        else:
+            module = CompensationModule(
+                kind=IDENTITY, weight=np.zeros((4, 6)), bias=np.zeros(4), storage=storage
+            )
+        values = getattr(module, field).copy()
+        values.flat[3] = value
+        module = dataclasses.replace(module, **{field: values})
+        role = "scales" if field == "weight_scales" else field
+        with pytest.raises(ValueError) as info:
+            write_bundle(str(tmp_path / "b.nbcb"), [sample_modules(np.random.default_rng(5))[0], module])
+        assert str(info.value) == (
+            f"block 1: {role} value {value!r} at flat index 3 overflows {storage} storage ({dtype})"
+        )
+        assert os.listdir(tmp_path) == []  # nothing written, not even a temporary file
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.nbcb"

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from helpers import (
     fit_and_evaluate,
     grid_points,
     integer_round_trip,
+    reference_search,
     training_fit_loss,
 )
 
@@ -415,17 +417,19 @@ class TestStreamedEvaluation:
 
 class TestSearchRowValidation:
     @staticmethod
-    def count_fits(monkeypatch):
+    def count_calls(monkeypatch, *names):
+        """Names of the ``nbcq.harness`` functions in ``names`` in call order."""
         import nbcq.harness as harness_mod
 
         calls = []
-        original = harness_mod.fit_nbc
+        for name in names:
+            original = getattr(harness_mod, name)
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
 
-        monkeypatch.setattr(harness_mod, "fit_nbc", counting)
+            monkeypatch.setattr(harness_mod, name, counting)
         return calls
 
     @pytest.mark.parametrize(
@@ -434,7 +438,7 @@ class TestSearchRowValidation:
     def test_too_few_fit_rows_rejected_before_any_fit(self, monkeypatch, n_samples, holdout):
         model = build_toy_model(16, 32, 2, seed=0)
         calib = generate_calibration(model, n_samples, OutlierSpec(), seed=1)
-        calls = self.count_fits(monkeypatch)
+        calls = self.count_calls(monkeypatch, "fit_nbc", "fit_nbc_levels", "level_codes")
         with pytest.raises(ValueError, match="n_samples.*holdout_fraction"):
             fit_compensation(model, calib, "nbc", cfg=FlsConfig(holdout_fraction=holdout, seed=2))
         assert calls == []
@@ -443,28 +447,120 @@ class TestSearchRowValidation:
         # 24 rows at 0.25 hold out 6 and fit on 18 >= d + 1 = 17
         model = build_toy_model(16, 32, 2, seed=0)
         calib = generate_calibration(model, 24, OutlierSpec(), seed=1)
-        calls = self.count_fits(monkeypatch)
+        calls = self.count_calls(monkeypatch, "fit_nbc", "fit_nbc_levels", "level_codes")
         modules, result = fit_compensation(model, calib, "nbc", cfg=FlsConfig(n_min=0.0, n_max=3.0, seed=2))
         assert len(modules) == 2 and result.evaluations >= 2
-        assert len(calls) == 2 * (result.evaluations + 1)
+        # the fit rows are coded once per block; every candidate fits each
+        # block on them, and the final refit fits each block on every row
+        assert calls == (
+            ["level_codes"] * 2 + ["fit_nbc_levels"] * 2 * result.evaluations + ["fit_nbc"] * 2
+        )
 
     def test_search_slices_each_row_set_once(self, monkeypatch):
+        import nbcq.harness as harness_mod
         from nbcq.compensation import CalibrationRecord
 
         model, calib, cfg = desk_setup(0)
-        calls = []
-        original = CalibrationRecord.rows
+        coded, sliced = [], []
+        original_codes = harness_mod.level_codes
+        original_rows = CalibrationRecord.rows
 
-        def counting(self, indices):
-            calls.append(len(indices))
-            return original(self, indices)
+        def counting_codes(x_q, p):
+            coded.append(np.shape(x_q))
+            return original_codes(x_q, p)
 
-        monkeypatch.setattr(CalibrationRecord, "rows", counting)
+        def counting_rows(self, indices):
+            sliced.append(len(indices))
+            return original_rows(self, indices)
+
+        monkeypatch.setattr(harness_mod, "level_codes", counting_codes)
+        monkeypatch.setattr(CalibrationRecord, "rows", counting_rows)
         _, result = fit_compensation(model, calib, "nbc", cfg=cfg)
         assert result.evaluations >= 3
-        # one slice per block for the fit rows; the final refit on every row
-        # fits the calibration records as they are
-        assert calls == [384] * 4
+        # one set of codes per block for the fit rows, whatever the number
+        # of candidates; the final refit fits the calibration records as
+        # they are, and no record is sliced
+        assert coded == [(384, 16)] * 4
+        assert sliced == []
+
+
+class TestSearchCost:
+    """Guards the candidate's cost by counting its work: a candidate
+    transforms the 2^bits_a input levels, not rows x d inputs, and only the
+    final refit runs the least-squares residual pass."""
+
+    @pytest.mark.parametrize("bits_a", [3, 4])
+    def test_design_transform_sees_the_levels_and_one_residual_pass_per_block(
+        self, monkeypatch, bits_a
+    ):
+        import nbcq.compensation as comp_mod
+
+        model, calib, cfg = desk_setup(0, bits_a=bits_a)
+        sizes, solves = [], []
+        forward = comp_mod.apply_kind_forward
+
+        def counting_forward(x, kind):
+            sizes.append(np.size(x))
+            return forward(x, kind)
+
+        def counting(name):
+            original = getattr(comp_mod, name)
+
+            def wrapper(*args, **kwargs):
+                solves.append(name)
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(comp_mod, "apply_kind_forward", counting_forward)
+        for name in ("solve_least_squares", "solve_coefficients"):
+            monkeypatch.setattr(comp_mod, name, counting(name))
+        _, result = fit_compensation(model, calib, "nbc", cfg=cfg)
+        per_block = result.evaluations * len(calib.records)
+        d, levels = 16, 2**bits_a
+        assert Counter(sizes) == {
+            levels: per_block,  # the design of each candidate fit
+            384 * d: per_block,  # its targets, the residuals of the fit rows
+            128 * d: per_block,  # the hold-out apply
+            512 * d: 2 * len(calib.records),  # design and targets of the final refit
+        }
+        assert Counter(solves) == {
+            "solve_coefficients": per_block,
+            "solve_least_squares": len(calib.records),  # the residual pass
+        }
+
+
+class TestSearchOracle:
+    """The search keeps the bits of the reference search in ``helpers``,
+    which fits each candidate with ``fit_nbc`` on sliced records and scores
+    the whole compensated forward of the hold-out inputs."""
+
+    @pytest.mark.parametrize("bits_a", [2, 4, 8])
+    @pytest.mark.parametrize(
+        "d, h, n_blocks, n_samples, cfg",
+        [
+            (16, 32, 4, 512, FlsConfig(seed=3)),
+            (64, 256, 8, 2048, FlsConfig(n_init=0.0, n_min=0.0, n_max=3.0, seed=3)),
+        ],
+        ids=["desk", "mid"],
+    )
+    def test_search_equals_reference_bit_for_bit(self, d, h, n_blocks, n_samples, cfg, bits_a):
+        model = build_toy_model(d, h, n_blocks, seed=0, heavy_scale=1.3, heavy_input_scale=3.0)
+        calib = generate_calibration(model, n_samples, OutlierSpec(), seed=1, bits_a=bits_a)
+        modules, result = fit_compensation(model, calib, "nbc", cfg=cfg)
+        ref_modules, ref = reference_search(calib, cfg)
+
+        assert result.evaluations >= 3
+        assert list(result.history.items()) == list(ref.history.items())
+        assert (result.chosen_n, result.evaluations, result.terminated_by) == (
+            ref.chosen_n, ref.evaluations, ref.terminated_by
+        )
+        for mod, want in zip(modules, ref_modules, strict=True):
+            assert mod.kind == want.kind
+            assert mod.weight.tobytes() == want.weight.tobytes()
+            assert mod.bias.tobytes() == want.bias.tobytes()
+            assert (mod.ridge_used, mod.residual_rms) == (want.ridge_used, want.residual_rms)
+            assert mod.residual_rms is not None
 
 
 class TestSlopeGapAnalysis:

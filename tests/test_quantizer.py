@@ -6,11 +6,13 @@ from nbcq.quantizer import (
     QuantParams,
     calibrate_params,
     fake_quantize,
+    level_codes,
+    level_table,
     quantize_per_channel,
     round_half_away,
 )
 
-from helpers import integer_round_trip
+from helpers import integer_codes, integer_round_trip
 
 
 class TestRounding:
@@ -205,6 +207,47 @@ class TestProperties:
         back = fake_quantize(x, p)
         # codes 0 and 7 map back to (0 - 2) and (7 - 2) steps, scaled as the kernel does
         assert back.min() == (0 - 2) * 0.05 and back.max() == (7 - 2) * 0.05
+
+
+class TestLevelTable:
+    """``level_table(p)[level_codes(x_q, p)]`` rebuilds a fake-quantized
+    tensor bit for bit, sign bit included, from the integer oracle's codes."""
+
+    @staticmethod
+    def assert_rebuilds(x, p):
+        x_q = fake_quantize(x, p)
+        codes = level_codes(x_q, p)
+        assert codes.dtype == np.intp and codes.shape == x_q.shape
+        assert np.array_equal(codes, integer_codes(x, p))
+        levels = level_table(p)
+        assert levels.shape == (2**p.bits,)
+        rebuilt = levels[codes]
+        assert rebuilt.tobytes() == x_q.tobytes()
+        assert np.array_equal(np.signbit(rebuilt), np.signbit(x_q))
+
+    @pytest.mark.parametrize("bits", range(2, 9))
+    def test_levels_at_codes_equal_fake_quantize(self, bits):
+        rng = np.random.default_rng(bits)
+        x = rng.standard_normal((96, 24)) * 3.0 - 1.0
+        x[::9, 0] *= 40.0  # an outlier channel
+        # ranges from a part of the rows, so the rest also clips at both ends
+        for p in (calibrate_params(x[:12], bits), calibrate_params(x, bits)):
+            self.assert_rebuilds(np.concatenate([x.ravel(), [0.0, -0.0, 1e-300, -1e-300]]), p)
+
+    @pytest.mark.parametrize("value", [5.0, -5.0, 0.0, -0.0])
+    def test_constant_tensor_at_the_scale_floor(self, value):
+        x = np.full((4, 3), value)
+        p = calibrate_params(x, 4)
+        assert p.scale == SCALE_FLOOR
+        self.assert_rebuilds(x, p)
+
+    def test_values_off_the_grid_rejected(self):
+        p = QuantParams(2, 1.0, 0)
+        for bad in ([0.3], [-0.0], [1.0, 5.0]):
+            with pytest.raises(ValueError, match="not levels"):
+                level_codes(bad, p)
+        with pytest.raises(ValueError, match="non-finite"):
+            level_codes([np.nan], p)
 
 
 class TestValidation:
