@@ -6,15 +6,16 @@ Commands (all take ``--config``; ``--seed`` overrides the config seed):
     search-n           print the explored exponent map and the chosen value
     eval               score a bundle on a fresh evaluation set (CSV)
     analyze-outliers   write slope-gap and slope-sweep CSVs for plotting
-    export             unpack a bundle into individual tensor files
+    export             unpack a bundle into one tensor file per stored role
 
 Exit status is 0 on success, 1 on computational failure and 2 on usage or
 configuration errors; failures print one machine-parsable line to stderr,
 ``error<TAB>code<TAB>message``; an overflow in a search or an eval is an
-``evaluator`` error (eval writes no CSV), and a fitted parameter beyond the
-range of its storage type is a ``format`` error naming the block (calibrate
-writes no bundle). The ``NBC_LOG`` environment variable (error, info or
-debug) controls logging verbosity on stderr.
+``evaluator`` error (eval writes no CSV); an overflow in a kept fit is a
+``fit`` error and a parameter beyond its stored dtype (``narrow``) a
+``format`` error, both naming the block (calibrate writes no bundle). The
+``NBC_LOG`` environment variable (error, info or debug) controls logging
+verbosity on stderr.
 
 The eval CSV has one row per block with the summary metrics repeated, in
 this fixed column order:
@@ -47,13 +48,12 @@ import sys
 
 import numpy as np
 
-from .compensation import STORAGE_F32, store_params
+from .compensation import store_params, stored_tensors
 from .errors import ConfigError, EvaluatorError, FormatError, NbcError
 from .fls import FlsConfig
 from .formats import (
     RunConfig,
-    _atomic_write,
-    _module_tensors,
+    atomic_write,
     read_bundle,
     read_run_config,
     write_bundle,
@@ -162,12 +162,11 @@ def cmd_calibrate(cfg: RunConfig, seed: int, out_path: str) -> int:
     )
     # A parameter beyond the range of its storage type fails here, naming
     # its block and the storage, and no bundle is written.
-    if cfg.storage != STORAGE_F32:
-        for block, mod in enumerate(modules):
-            try:
-                modules[block] = store_params(mod, cfg.storage)
-            except ValueError as exc:
-                raise FormatError(f"block {block}: {exc} ({cfg.storage} storage)") from None
+    for block, mod in enumerate(modules):
+        try:
+            modules[block] = store_params(mod, cfg.storage)
+        except ValueError as exc:
+            raise FormatError(f"block {block}: {exc}") from None
     try:
         write_bundle(out_path, modules)
     except ValueError as exc:
@@ -224,7 +223,7 @@ def _write_csv(out_path: str | None, columns: list[str], rows: list[dict]) -> No
     if out_path is None:
         sys.stdout.write(buf.getvalue())
     else:
-        _atomic_write(out_path, buf.getvalue().encode("utf-8"))
+        atomic_write(out_path, buf.getvalue().encode("utf-8"))
 
 
 def cmd_eval(cfg: RunConfig, seed: int, bundle_path: str, out_path: str | None) -> int:
@@ -304,7 +303,7 @@ def cmd_export(cfg: RunConfig, bundle_path: str, out_dir: str | None) -> int:
     os.makedirs(directory, exist_ok=True)
     manifest = []
     for i, mod in enumerate(modules):
-        tensors = _module_tensors(mod)
+        tensors = stored_tensors(mod)
         files = []
         for role in ("weight", "scales", "bias"):  # the manifest's file order
             if role in tensors:
@@ -313,7 +312,7 @@ def cmd_export(cfg: RunConfig, bundle_path: str, out_dir: str | None) -> int:
         n_exp = mod.kind.n_exp if mod.kind.name == "blt" else ""
         manifest.append(f"{i}\t{mod.kind.name}\t{n_exp}\t{mod.storage}\t{' '.join(files)}")
     manifest_path = os.path.join(directory, "manifest.tsv")
-    _atomic_write(manifest_path, ("\n".join(manifest) + "\n").encode("utf-8"))
+    atomic_write(manifest_path, ("\n".join(manifest) + "\n").encode("utf-8"))
     print(manifest_path)
     return 0
 

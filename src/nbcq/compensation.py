@@ -14,21 +14,24 @@ directly for the linear case and on (f(x_q), f(y - y_q)) for the
 transformed case. x_q here is the dequantized real-valued block input, not
 the integer codes, so the residual and the design live on the same scale.
 
-Fitted parameters can be narrowed for storage: f16 rounds W and b to
-binary16; i8_per_channel stores W as symmetric int8 codes with one scale
-per output row (zero point 0, range +-max|row|) while the bias stays in
-f16, since a d_out-sized vector is negligible storage. Narrowed modules
-decode their weights lazily on apply.
+Fitted parameters are narrowed for storage (``STORED_DTYPES``): f32 and
+f16 round W and b; i8_per_channel stores W as symmetric int8 codes with
+one f32 scale per output row (zero point 0, range +-max|row|) and the bias
+in f16, since a d_out-sized vector is negligible storage. ``narrow`` is
+the one cast to a stored dtype and the one overflow check, and
+``stored_module`` the one builder of a module from stored tensors; the
+bundle reader and writer and ``nbcq export`` use them too. Narrowed
+modules decode their weights lazily on apply.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FitError
-from .numerics import as_tensor, encode_f16_roundtrip, solve_coefficients, solve_least_squares
+from .numerics import as_tensor, solve_coefficients, solve_least_squares
 from .quantizer import round_half_away
 from .transform import IDENTITY, TransformKind, apply_kind_forward, apply_kind_inverse
 
@@ -37,6 +40,7 @@ __all__ = [
     "STORAGE_F16",
     "STORAGE_I8",
     "STORAGE_NAMES",
+    "STORED_DTYPES",
     "I8_SCALE_FLOOR",
     "CalibrationRecord",
     "CompensationModule",
@@ -44,13 +48,22 @@ __all__ = [
     "fit_nbc",
     "fit_nbc_levels",
     "apply",
+    "narrow",
+    "stored_module",
+    "stored_tensors",
     "store_params",
 ]
 
 STORAGE_F32 = "f32"
 STORAGE_F16 = "f16"
 STORAGE_I8 = "i8_per_channel"
-STORAGE_NAMES = (STORAGE_F32, STORAGE_F16, STORAGE_I8)
+# storage -> {role: file dtype}, in bundle order
+STORED_DTYPES = {
+    STORAGE_F32: {"weight": "<f4", "bias": "<f4"},
+    STORAGE_F16: {"weight": "<f2", "bias": "<f2"},
+    STORAGE_I8: {"weight": "<i1", "bias": "<f2", "scales": "<f4"},
+}
+STORAGE_NAMES = tuple(STORED_DTYPES)
 
 # Keeps all-zero weight rows encodable under symmetric int8 storage. Pinned
 # to an f32-exact value so stored scales survive serialization unchanged.
@@ -86,10 +99,6 @@ class CalibrationRecord:
     @property
     def d_in(self) -> int:
         return self.x_q.shape[1]
-
-    def rows(self, indices) -> "CalibrationRecord":
-        idx = np.asarray(indices, dtype=np.intp)
-        return CalibrationRecord(self.x_q[idx], self.y[idx], self.y_q[idx])
 
     @property
     def residual(self) -> np.ndarray:
@@ -221,42 +230,55 @@ def apply(mod: CompensationModule, x_q, y_q) -> np.ndarray:
     return out
 
 
-def store_params(mod: CompensationModule, precision: str) -> CompensationModule:
-    """Narrow a working-precision module's parameters for storage.
+def narrow(values: np.ndarray, storage: str, role: str) -> np.ndarray:
+    """``values`` cast to the file dtype of ``role`` under ``storage``; a
+    value beyond that dtype's range raises ValueError naming the role, the
+    storage and its flat index."""
+    dtype = np.dtype(STORED_DTYPES[storage][role])
+    with np.errstate(over="ignore"):
+        out = values.astype(dtype)
+    overflow = ~np.isfinite(out)
+    if overflow.any():
+        i = int(np.flatnonzero(overflow)[0])
+        raise ValueError(
+            f"{role} value {float(values.flat[i])!r} at flat index {i} overflows "
+            f"{storage} storage ({dtype.name})"
+        )
+    return out
 
-    A value beyond the range of its storage type raises ValueError naming
-    the parameter.
-    """
+
+def stored_module(kind: TransformKind, storage: str, tensors: dict, **fit_metadata) -> CompensationModule:
+    """The module whose stored tensors, by role, are ``tensors``;
+    ``fit_metadata`` sets ``ridge_used`` and ``residual_rms``."""
+    weight = {"weight": tensors["weight"]}
+    if storage == STORAGE_I8:
+        weight = {"weight_codes": tensors["weight"], "weight_scales": tensors["scales"]}
+    return CompensationModule(kind=kind, bias=tensors["bias"], storage=storage, **weight, **fit_metadata)
+
+
+def stored_tensors(mod: CompensationModule) -> dict[str, np.ndarray]:
+    """The module's tensors by role, in bundle order, narrowed to their
+    file dtypes."""
+    wide = {"weight": mod.weight, "bias": mod.bias}
+    if mod.storage == STORAGE_I8:
+        wide = {"weight": mod.weight_codes, "bias": mod.bias, "scales": mod.weight_scales}
+    return {role: narrow(wide[role], mod.storage, role) for role in STORED_DTYPES[mod.storage]}
+
+
+def store_params(mod: CompensationModule, storage: str) -> CompensationModule:
+    """Narrow a working-precision module's parameters to ``storage``; a
+    value beyond the range of its stored dtype raises ValueError."""
     if mod.storage != STORAGE_F32:
         raise ValueError(f"module is already stored as {mod.storage}")
-    if precision == STORAGE_F16:
-        return replace(
-            mod,
-            weight=_f16(mod.weight, "weight"),
-            bias=_f16(mod.bias, "bias"),
-            storage=STORAGE_F16,
-        )
-    if precision == STORAGE_I8:
-        w = mod.weight
-        # Scales are narrowed to f32 first so codes quantize against the
-        # exact value that storage will reproduce.
-        scales = np.abs(w).max(axis=1) / 127.0
-        scales = np.maximum(scales.astype(np.float32).astype(np.float64), I8_SCALE_FLOOR)
-        codes = np.clip(round_half_away(w / scales[:, None]), -127, 127).astype(np.int8)
-        return CompensationModule(
-            kind=mod.kind,
-            bias=_f16(mod.bias, "bias"),
-            storage=STORAGE_I8,
-            weight_codes=codes,
-            weight_scales=scales,
-            ridge_used=mod.ridge_used,
-            residual_rms=mod.residual_rms,
-        )
-    raise ValueError(f"unknown storage precision {precision!r}")
-
-
-def _f16(values: np.ndarray, role: str) -> np.ndarray:
-    try:
-        return encode_f16_roundtrip(values)
-    except ValueError as exc:
-        raise ValueError(f"{role} {exc}") from None
+    if storage not in STORAGE_NAMES:
+        raise ValueError(f"unknown storage precision {storage!r}")
+    wide = {"weight": mod.weight, "bias": mod.bias}
+    if storage == STORAGE_I8:
+        # codes quantize against the scales storage will reproduce
+        scales = narrow(np.abs(mod.weight).max(axis=1) / 127.0, storage, "scales")
+        scales = np.maximum(scales.astype(np.float64), I8_SCALE_FLOOR)
+        wide["weight"] = np.clip(round_half_away(mod.weight / scales[:, None]), -127, 127)
+        wide["scales"] = scales
+    tensors = {role: narrow(wide[role], storage, role) for role in STORED_DTYPES[storage]}
+    return stored_module(mod.kind, storage, tensors, ridge_used=mod.ridge_used,
+                         residual_rms=mod.residual_rms)

@@ -17,15 +17,18 @@ little-endian u16 block count, then per block
     u16 block index, kind byte (0=identity 1=blt 2=asinh; 3 and 4 are
     reserved and rejected on read), f64 LE threshold exponent (0.0 for
     kinds without one), storage byte
-    (0=f32 1=f16 2=i8_per_channel), then embedded tensor records for the
-    weight and bias, plus the per-row scales (f32) when storage is i8.
+    (0=f32 1=f16 2=i8_per_channel), then one embedded tensor record per
+    role the storage keeps, in the order and file dtypes of
+    ``compensation.STORED_DTYPES``: weight and bias, plus the per-row
+    scales when storage is i8.
 
-Weight/bias dtypes follow the storage mode (f32, f16, or i8 codes with an
-f16 bias). Both formats round-trip bit-exactly and reject corrupt files
-with distinct errors for bad magic, bad version and truncation; a bundle
-block whose bytes decode to an invalid module (a non-finite value, an
-exponent outside the operational range) is a FormatError naming the block.
-All writes go through a temp file and an atomic rename.
+This module maps bytes to tensors only; which tensors a storage keeps,
+how a module narrows to them and how they build a module back live in
+``compensation``. Both formats round-trip bit-exactly and reject corrupt
+files with distinct errors for bad magic, bad version and truncation; a
+bundle block whose bytes decode to an invalid module (a non-finite value,
+an exponent outside the operational range) is a FormatError naming the
+block. All writes go through a temp file and an atomic rename.
 
 The run configuration is line-oriented ``key = value`` text with ``#``
 comments; unknown keys are rejected by name, and so is every value the
@@ -43,7 +46,16 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .compensation import STORAGE_F16, STORAGE_F32, STORAGE_I8, STORAGE_NAMES, CompensationModule
+from .compensation import (
+    STORAGE_F16,
+    STORAGE_F32,
+    STORAGE_I8,
+    STORAGE_NAMES,
+    STORED_DTYPES,
+    CompensationModule,
+    stored_module,
+    stored_tensors,
+)
 from .errors import (
     BadMagicError,
     BadVersionError,
@@ -59,6 +71,7 @@ __all__ = [
     "TENSOR_MAGIC",
     "BUNDLE_MAGIC",
     "FORMAT_VERSION",
+    "atomic_write",
     "write_tensor",
     "read_tensor",
     "write_bundle",
@@ -94,7 +107,9 @@ def _dtype_code(dtype: np.dtype) -> int:
     raise ValueError(f"unsupported tensor dtype {dtype}")
 
 
-def _atomic_write(path: str, data: bytes) -> None:
+def atomic_write(path: str, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temporary file in the same
+    directory and a rename, so ``path`` never holds part of it."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".nbc-", suffix=".tmp")
     try:
@@ -171,7 +186,7 @@ def write_tensor(path: str, arr) -> None:
     arr = np.asarray(arr)
     out = io.BytesIO()
     _write_tensor_stream(out, arr)
-    _atomic_write(path, out.getvalue())
+    atomic_write(path, out.getvalue())
 
 
 def read_tensor(path: str) -> np.ndarray:
@@ -184,37 +199,11 @@ def read_tensor(path: str) -> np.ndarray:
     return arr
 
 
-def _module_tensors(mod: CompensationModule) -> dict[str, np.ndarray]:
-    """A module's stored tensors by role, in bundle order, in their file dtypes.
-
-    Raises ValueError, naming the role and the storage, when a value does
-    not survive its narrowing: a bundle holds only finite values.
-    """
-    if mod.storage == STORAGE_I8:
-        wide = {"weight": (mod.weight_codes, "<i1"), "bias": (mod.bias, "<f2"),
-                "scales": (mod.weight_scales, "<f4")}
-    else:
-        narrow = "<f2" if mod.storage == STORAGE_F16 else "<f4"
-        wide = {"weight": (mod.weight, narrow), "bias": (mod.bias, narrow)}
-    tensors = {}
-    for role, (values, dtype) in wide.items():
-        with np.errstate(over="ignore"):
-            tensors[role] = values.astype(dtype)
-        overflow = ~np.isfinite(tensors[role])
-        if overflow.any():
-            i = int(np.flatnonzero(overflow)[0])
-            raise ValueError(
-                f"{role} value {float(values.flat[i])!r} at flat index {i} overflows "
-                f"{mod.storage} storage ({np.dtype(dtype).name})"
-            )
-    return tensors
-
-
 def write_bundle(path: str, modules) -> None:
     """Write per-block compensation modules as one bundle file.
 
-    A value that its storage cannot hold (see ``_module_tensors``) raises
-    ValueError naming the block, before anything is written.
+    A value that its storage cannot hold (see ``compensation.narrow``)
+    raises ValueError naming the block, before anything is written.
     """
     modules = list(modules)
     if len(modules) > 0xFFFF:
@@ -225,7 +214,7 @@ def write_bundle(path: str, modules) -> None:
     out.write(struct.pack("<H", len(modules)))
     for index, mod in enumerate(modules):
         try:
-            tensors = _module_tensors(mod)
+            tensors = stored_tensors(mod)
         except ValueError as exc:
             raise ValueError(f"block {index}: {exc}") from None
         out.write(struct.pack("<H", index))
@@ -235,7 +224,7 @@ def write_bundle(path: str, modules) -> None:
         out.write(bytes([_CODE_BY_STORAGE[mod.storage]]))
         for tensor in tensors.values():
             _write_tensor_stream(out, tensor)
-    _atomic_write(path, out.getvalue())
+    atomic_write(path, out.getvalue())
 
 
 def read_bundle(path: str) -> list[CompensationModule]:
@@ -263,16 +252,10 @@ def read_bundle(path: str) -> list[CompensationModule]:
             storage = _STORAGE_BY_CODE[storage_code]
             kind_name = _KIND_BY_CODE[kind_code]
 
-            weight = _read_tensor_stream(f, path)
-            bias = _read_tensor_stream(f, path).astype(np.float64)
-            if storage == STORAGE_I8:
-                scales = _read_tensor_stream(f, path).astype(np.float64)
-                stored = {"weight_codes": weight, "weight_scales": scales}
-            else:
-                stored = {"weight": weight.astype(np.float64)}
+            tensors = {role: _read_tensor_stream(f, path) for role in STORED_DTYPES[storage]}
             try:  # the bytes decode, but the values must make a valid module
                 kind = TransformKind(kind_name, n_exp) if kind_name == "blt" else TransformKind(kind_name)
-                modules.append(CompensationModule(kind=kind, bias=bias, storage=storage, **stored))
+                modules.append(stored_module(kind, storage, tensors))
             except ValueError as exc:
                 raise FormatError(f"{path}: block {position}: {exc}") from None
         trailing = f.read(1)

@@ -421,7 +421,7 @@ class _RowSearchPipeline:
         kind = TransformKind("blt", n_exp)
         if np.array_equal(rows, np.arange(self.calib.n_samples)):
             self._fit_rows = self._fit_data = None  # the search is done with them
-            return [fit_nbc(rec, kind) for rec in self.calib.records]
+            return _fit_blocks(self.calib.records, lambda rec: fit_nbc(rec, kind))
         if self._fit_rows is None or not np.array_equal(rows, self._fit_rows):
             self._fit_data = None  # let the old arrays go before the new ones are made
             self._fit_rows = rows
@@ -443,6 +443,17 @@ class _RowSearchPipeline:
         return compute_feature_loss(self.calib.records[-1].y[rows], z)
 
 
+def _fit_blocks(records: Sequence[CalibrationRecord], fit) -> list[CompensationModule]:
+    """``fit`` of every block's record; a ValueError becomes a FitError naming the block."""
+    modules = []
+    for block, rec in enumerate(records):
+        try:
+            modules.append(fit(rec))
+        except ValueError as exc:
+            raise FitError(f"block {block}: {exc}") from None
+    return modules
+
+
 def fit_compensation(
     model: ToyModel,
     calib: CalibrationSet,
@@ -454,14 +465,15 @@ def fit_compensation(
     """Fit per-block modules for ``mode``; search the exponent for blt.
 
     Returns ``(modules, search_result)``; both are None/None for mode
-    "none" and the search result is None whenever no search ran.
+    "none" and the search result is None whenever no search ran. A kept
+    fit that fails a check raises FitError naming the block.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if mode == "none":
         return None, None
     if mode == "linear":
-        return [fit_linear(rec) for rec in calib.records], None
+        return _fit_blocks(calib.records, fit_linear), None
     if transform == "blt":
         cfg = cfg if cfg is not None else FlsConfig(seed=calib.seed + 1)
         n = calib.n_samples
@@ -474,7 +486,7 @@ def fit_compensation(
         pipeline = _RowSearchPipeline(calib)
         return search_n_for_pipeline(list(range(calib.n_samples)), cfg, pipeline)
     kind = TransformKind(transform)
-    return [fit_nbc(rec, kind) for rec in calib.records], None
+    return _fit_blocks(calib.records, lambda rec: fit_nbc(rec, kind)), None
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ __all__ = [
     "map_tiles",
     "solve_least_squares",
     "solve_coefficients",
-    "encode_f16_roundtrip",
     "RIDGE_FALLBACK_FACTOR",
 ]
 
@@ -167,21 +166,3 @@ def _solve(design, targets, ridge: float):
             raise FitError("normal equations remain singular after the ridge fallback") from None
     return aug, t, coef, ridge_used
 
-
-def encode_f16_roundtrip(t) -> np.ndarray:
-    """Round every value to its nearest IEEE binary16 value and widen back.
-
-    Rounding is ties-to-even (the IEEE default). Values whose magnitude
-    exceeds the largest finite binary16 value overflow; the first offending
-    flat index is reported in the error.
-    """
-    arr = as_tensor(t, "tensor")
-    with np.errstate(over="ignore"):
-        narrowed = arr.astype(np.float16)
-    overflow = ~np.isfinite(narrowed.astype(np.float64))
-    if np.any(overflow):
-        idx = int(np.flatnonzero(overflow.ravel())[0])
-        raise ValueError(
-            f"value {float(arr.ravel()[idx])!r} at flat index {idx} overflows binary16 storage"
-        )
-    return narrowed.astype(np.float64)

@@ -4,8 +4,8 @@ desk-scale setup the tests run, and corrupt files for the readers.
 Each oracle deliberately takes a different computational route than the
 code under test: the affine solver gets an SVD pseudo-inverse on the
 augmented system, fake quantization goes through int64 codes and a
-separate dequantize step, binary16 rounding goes through struct's
-half-precision codec, the scalar no-intercept slope gets a grid scan
+separate dequantize step, binary16 and binary32 rounding go through
+struct's codecs, the scalar no-intercept slope gets a grid scan
 refined by an exact three-point parabola vertex, and the exponent search
 gets an exhaustive walk of its grid. The blockwise training loss scores
 each block's module on its own calibration record, apart from the
@@ -25,7 +25,7 @@ from dataclasses import replace
 import numpy as np
 
 from nbcq.cli import _build_setup
-from nbcq.compensation import STORAGE_F32, apply, fit_nbc, store_params
+from nbcq.compensation import STORAGE_F32, CalibrationRecord, apply, fit_nbc, store_params
 from nbcq.fls import compute_feature_loss, search_n_for_pipeline
 from nbcq.formats import RunConfig
 from nbcq.harness import evaluate_pipeline, fit_compensation
@@ -74,7 +74,11 @@ class _ReferenceRowSearch:
 
     def fit(self, records, n_exp):
         rows = np.asarray(list(records), dtype=np.intp)
-        return [fit_nbc(rec.rows(rows), TransformKind("blt", n_exp)) for rec in self.calib.records]
+        kind = TransformKind("blt", n_exp)
+        return [
+            fit_nbc(CalibrationRecord(rec.x_q[rows], rec.y[rows], rec.y_q[rows]), kind)
+            for rec in self.calib.records
+        ]
 
     def holdout_loss(self, fitted, records):
         rows = np.asarray(list(records), dtype=np.intp)
@@ -129,6 +133,11 @@ def integer_round_trip(x, p) -> np.ndarray:
 def f16_roundtrip_struct(value: float) -> float:
     """Round one float to binary16 and back using struct's half codec."""
     return struct.unpack("<e", struct.pack("<e", value))[0]
+
+
+def f32_roundtrip_struct(value: float) -> float:
+    """Round one float to binary32 and back using struct's single codec."""
+    return struct.unpack("<f", struct.pack("<f", value))[0]
 
 
 def brute_force_slope(x: np.ndarray, r: np.ndarray, grid_points: int = 4001) -> float:

@@ -524,6 +524,18 @@ class TestStorageOverflow:
         assert os.listdir(tmp_path) == ["run.cfg"]  # no temporary file left either
 
 
+class TestKeptFitFailure:
+    def test_linear_overflow_is_the_one_fit_line(self, tmp_path):
+        # a child process, so that a traceback or numpy's warnings would show
+        path = tmp_path / "run.cfg"
+        path.write_text("mode = linear\noutlier_scale = 1e200\nstorage = f32\n")
+        bundle = tmp_path / "comp.nbcb"
+        code, out, err = run_module(["calibrate", "--config", str(path), "--out", str(bundle)], tmp_path)
+        assert_failed(code, err, 1, "fit")
+        assert err == "error\tfit\tblock 0: bias contains non-finite values\n"
+        assert out == "" and os.listdir(tmp_path) == ["run.cfg"]
+
+
 class TestExport:
     def test_exports_tensor_files_and_manifest(self, cfg_path, tmp_path, capsys):
         bundle = str(tmp_path / "comp.nbcb")

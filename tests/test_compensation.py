@@ -3,21 +3,22 @@ import pytest
 
 from nbcq.compensation import (
     STORAGE_F16,
+    STORAGE_F32,
     STORAGE_I8,
     CalibrationRecord,
     CompensationModule,
     apply,
     fit_linear,
     fit_nbc,
+    narrow,
     store_params,
 )
 from nbcq.errors import FitError
 from nbcq.fls import compute_feature_loss
 from nbcq.harness import ols_scalar_bias, scalar_slope
-from nbcq.numerics import encode_f16_roundtrip
 from nbcq.transform import IDENTITY, TransformKind, apply_kind_forward, apply_kind_inverse
 
-from helpers import desk_setup, pinv_affine_fit
+from helpers import desk_setup, f16_roundtrip_struct, f32_roundtrip_struct, pinv_affine_fit
 
 
 def make_record(rng, n=60, d_in=4, d_out=3, residual=None):
@@ -32,13 +33,6 @@ class TestCalibrationRecord:
     def test_row_count_mismatch(self):
         with pytest.raises(ValueError, match="row counts"):
             CalibrationRecord(np.zeros((3, 2)), np.zeros((4, 2)), np.zeros((4, 2)))
-
-    def test_rows_subset(self):
-        rng = np.random.default_rng(1)
-        rec = make_record(rng, n=10)
-        sub = rec.rows([0, 3, 7])
-        assert sub.n_rows == 3
-        assert np.array_equal(sub.x_q, rec.x_q[[0, 3, 7]])
 
 
 class TestFitLinear:
@@ -244,8 +238,34 @@ class TestStoreParams:
         b = rng.standard_normal(3)
         mod = CompensationModule(kind=IDENTITY, weight=w, bias=b)
         f16 = store_params(mod, STORAGE_F16)
-        assert np.array_equal(f16.weight, encode_f16_roundtrip(w))
-        assert np.array_equal(f16.bias, encode_f16_roundtrip(b))
+        assert np.array_equal(f16.weight, np.vectorize(f16_roundtrip_struct)(w))
+        assert np.array_equal(f16.bias, np.vectorize(f16_roundtrip_struct)(b))
+
+    def test_f32_rounds_parameters_and_keeps_fit_metadata(self):
+        rng = np.random.default_rng(20)
+        w = rng.standard_normal((3, 5))
+        b = rng.standard_normal(3)
+        mod = CompensationModule(kind=IDENTITY, weight=w, bias=b, ridge_used=0.0, residual_rms=0.25)
+        f32 = store_params(mod, STORAGE_F32)
+        assert f32.storage == STORAGE_F32
+        assert np.array_equal(f32.weight, np.vectorize(f32_roundtrip_struct)(w))
+        assert np.array_equal(f32.bias, np.vectorize(f32_roundtrip_struct)(b))
+        assert (f32.ridge_used, f32.residual_rms) == (0.0, 0.25)
+
+    def test_unknown_storage_rejected(self):
+        mod = CompensationModule(kind=IDENTITY, weight=np.zeros((2, 2)), bias=np.zeros(2))
+        with pytest.raises(ValueError, match="unknown storage precision 'f8'"):
+            store_params(mod, "f8")
+
+    def test_i8_scale_beyond_f32_range_names_scales(self):
+        w = np.ones((3, 2))
+        w[1, 0] = 1e43  # its row's scale, 1e43 / 127, exceeds the largest f32
+        mod = CompensationModule(kind=IDENTITY, weight=w, bias=np.zeros(3))
+        with pytest.raises(ValueError) as info:
+            store_params(mod, STORAGE_I8)
+        assert str(info.value) == (
+            f"scales value {1e43 / 127.0!r} at flat index 1 overflows i8_per_channel storage (float32)"
+        )
 
     def test_storage_applied_lazily_on_apply(self):
         rng = np.random.default_rng(17)
@@ -276,3 +296,48 @@ class TestStoreParams:
         mod = CompensationModule(kind=IDENTITY, weight=np.zeros((2, 2)), bias=np.zeros(2))
         with pytest.raises(Exception):
             mod.storage = STORAGE_F16
+
+
+def row_module(values) -> CompensationModule:
+    """A working-precision module whose one weight row holds ``values``."""
+    return CompensationModule(kind=IDENTITY, weight=np.array([values], dtype=np.float64), bias=np.zeros(1))
+
+
+class TestF16Narrowing:
+    """f16 storage rounds each value to its nearest binary16 value, ties to
+    even, and refuses a value beyond the largest finite one."""
+
+    def test_exactly_representable(self):
+        out = store_params(row_module([0.0, 1.0, -2.5, 65504.0]), STORAGE_F16).weight
+        assert np.array_equal(out, [[0.0, 1.0, -2.5, 65504.0]])
+
+    def test_tenth_rounds_to_frozen_value(self):
+        assert store_params(row_module([0.1]), STORAGE_F16).weight[0, 0] == 0.0999755859375
+
+    def test_matches_struct_codec(self):
+        rng = np.random.default_rng(17)
+        values = np.concatenate([
+            rng.standard_normal(100) * 10.0,
+            rng.standard_normal(50) * 1e-4,
+            [6.1e-5, -6.1e-5, 5e-8, 65503.0],
+        ])
+        ours = store_params(row_module(values), STORAGE_F16).weight[0]
+        ref = np.array([f16_roundtrip_struct(v) for v in values])
+        assert np.array_equal(ours, ref)
+
+    def test_idempotent_bit_exact(self):
+        rng = np.random.default_rng(19)
+        once = store_params(row_module(rng.standard_normal(200) * 100.0), STORAGE_F16).weight
+        twice = store_params(row_module(once[0]), STORAGE_F16).weight
+        assert once.tobytes() == twice.tobytes()
+
+    def test_overflow_names_role_index_and_storage(self):
+        with pytest.raises(ValueError) as info:
+            store_params(row_module([1.0, 2.0, 70000.0, 3.0]), STORAGE_F16)
+        assert str(info.value) == "weight value 70000.0 at flat index 2 overflows f16 storage (float16)"
+
+    def test_overflow_threshold(self):
+        # 65519.99... still rounds down to the largest finite half
+        assert narrow(np.array([65519.9]), STORAGE_F16, "bias")[0] == 65504.0
+        with pytest.raises(ValueError, match="bias value 65520.0 at flat index 0 overflows"):
+            narrow(np.array([65520.0]), STORAGE_F16, "bias")

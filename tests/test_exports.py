@@ -1,5 +1,7 @@
-"""Every name a module exports must exist, so a deletion cannot leave a stale one."""
+"""Every name a module exports must exist, so a deletion cannot leave a
+stale one, and a module uses another only through names it exports."""
 
+import ast
 import importlib
 import pkgutil
 import types
@@ -46,3 +48,18 @@ def test_package_root_binds_only_the_version_and_submodules():
     ]
     assert extra == []
     assert isinstance(nbcq.__version__, str)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_private_name_imported_from_another_module(name):
+    module = importlib.import_module(name)
+    tree = ast.parse(open(module.__file__, encoding="utf-8").read())
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "nbcq")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+    assert private == []

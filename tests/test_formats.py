@@ -9,6 +9,7 @@ import pytest
 from nbcq.compensation import (
     STORAGE_F16,
     STORAGE_I8,
+    STORAGE_NAMES,
     CompensationModule,
     fit_linear,
     store_params,
@@ -28,10 +29,14 @@ from nbcq.formats import (
     write_bundle,
     write_tensor,
 )
-from nbcq.numerics import encode_f16_roundtrip
 from nbcq.transform import IDENTITY, TransformKind
 
-from helpers import oversized_bundle_bytes, oversized_tensor_header
+from helpers import (
+    f16_roundtrip_struct,
+    f32_roundtrip_struct,
+    oversized_bundle_bytes,
+    oversized_tensor_header,
+)
 
 
 def sample_modules(rng):
@@ -155,7 +160,27 @@ class TestBundles:
             if orig.storage == STORAGE_I8:
                 assert np.array_equal(loaded.weight_codes, orig.weight_codes)
                 assert np.array_equal(loaded.weight_scales, orig.weight_scales)
-            assert np.array_equal(loaded.bias, encode_f16_roundtrip(orig.bias) if orig.storage != "f32" else orig.bias.astype(np.float32).astype(np.float64))
+            codec = f32_roundtrip_struct if orig.storage == "f32" else f16_roundtrip_struct
+            assert np.array_equal(loaded.bias, [codec(v) for v in orig.bias])
+
+    @pytest.mark.parametrize("storage", STORAGE_NAMES)
+    def test_stored_module_reads_back_bit_for_bit(self, tmp_path, storage):
+        rng = np.random.default_rng(6)
+        mod = CompensationModule(
+            kind=TransformKind("blt", 2.5), weight=100.0 * rng.standard_normal((4, 6)),
+            bias=100.0 * rng.standard_normal(4),
+        )
+        stored = store_params(mod, storage)
+        path = str(tmp_path / "b.nbcb")
+        write_bundle(path, [stored])
+        (loaded,) = read_bundle(path)
+        assert (loaded.kind, loaded.storage) == (stored.kind, storage)
+        for field in ("weight", "weight_codes", "weight_scales", "bias"):
+            ours, back = getattr(stored, field), getattr(loaded, field)
+            if ours is None:
+                assert back is None, field
+            else:
+                assert back.dtype == ours.dtype and back.tobytes() == ours.tobytes(), field
 
     def test_file_level_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from nbcq.errors import FitError
 from nbcq.fls import FlsConfig, compute_feature_loss, fls_search, holdout_split
 from nbcq.harness import (
     EVAL_SEED_OFFSET,
@@ -456,32 +457,54 @@ class TestSearchRowValidation:
             ["level_codes"] * 2 + ["fit_nbc_levels"] * 2 * result.evaluations + ["fit_nbc"] * 2
         )
 
-    def test_search_slices_each_row_set_once(self, monkeypatch):
+    def test_search_codes_each_row_set_once(self, monkeypatch):
         import nbcq.harness as harness_mod
-        from nbcq.compensation import CalibrationRecord
 
         model, calib, cfg = desk_setup(0)
-        coded, sliced = [], []
+        coded = []
         original_codes = harness_mod.level_codes
-        original_rows = CalibrationRecord.rows
 
         def counting_codes(x_q, p):
             coded.append(np.shape(x_q))
             return original_codes(x_q, p)
 
-        def counting_rows(self, indices):
-            sliced.append(len(indices))
-            return original_rows(self, indices)
-
         monkeypatch.setattr(harness_mod, "level_codes", counting_codes)
-        monkeypatch.setattr(CalibrationRecord, "rows", counting_rows)
         _, result = fit_compensation(model, calib, "nbc", cfg=cfg)
         assert result.evaluations >= 3
         # one set of codes per block for the fit rows, whatever the number
         # of candidates; the final refit fits the calibration records as
-        # they are, and no record is sliced
+        # they are
         assert coded == [(384, 16)] * 4
-        assert sliced == []
+
+
+class TestKeptFitFailure:
+    """A kept fit that fails its checks raises FitError naming the block:
+    the linear fits, the unsearched kinds and the search's final refit."""
+
+    def test_linear_bias_overflow_names_the_block(self):
+        # numpy's overflow warnings are ignored, as the command does: the
+        # finiteness checks report the overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            model, calib, cfg = desk_setup(0, mode="linear", outlier_scale=1e200)
+            with pytest.raises(FitError) as info:
+                fit_compensation(model, calib, "linear", cfg=cfg)
+        assert str(info.value) == "block 0: bias contains non-finite values"
+
+    @pytest.mark.parametrize("transform", ["asinh", "blt"])
+    def test_failing_block_named(self, monkeypatch, transform):
+        import nbcq.harness as harness_mod
+
+        model, calib, cfg = desk_setup(0)
+        original = harness_mod.fit_nbc
+
+        def failing_on_block_2(rec, kind):
+            if rec is calib.records[2]:  # the calibration record, so only a kept fit
+                raise ValueError("bias contains non-finite values")
+            return original(rec, kind)
+
+        monkeypatch.setattr(harness_mod, "fit_nbc", failing_on_block_2)
+        with pytest.raises(FitError, match="^block 2: bias contains non-finite values$"):
+            fit_compensation(model, calib, "nbc", transform=transform, cfg=cfg)
 
 
 class TestSearchCost:

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from nbcq.errors import FitError
-from nbcq.numerics import encode_f16_roundtrip, solve_least_squares
+from nbcq.numerics import solve_least_squares
 
-from helpers import f16_roundtrip_struct, pinv_affine_fit
+from helpers import pinv_affine_fit
 
 
 class TestSolveLeastSquares:
@@ -78,39 +78,3 @@ class TestSolveLeastSquares:
         assert np.linalg.norm(tight.weight) < np.linalg.norm(loose.weight)
         assert tight.ridge_used == 1e3
 
-
-class TestEncodeF16Roundtrip:
-    def test_exactly_representable(self):
-        out = encode_f16_roundtrip([0.0, 1.0, -2.5, 65504.0])
-        assert np.array_equal(out, [0.0, 1.0, -2.5, 65504.0])
-
-    def test_tenth_rounds_to_frozen_value(self):
-        assert encode_f16_roundtrip([0.1])[0] == 0.0999755859375
-
-    def test_matches_struct_codec(self):
-        rng = np.random.default_rng(17)
-        values = np.concatenate([
-            rng.standard_normal(100) * 10.0,
-            rng.standard_normal(50) * 1e-4,
-            [6.1e-5, -6.1e-5, 5e-8, 65503.0],
-        ])
-        ours = encode_f16_roundtrip(values)
-        ref = np.array([f16_roundtrip_struct(v) for v in values])
-        assert np.array_equal(ours, ref)
-
-    def test_idempotent_bit_exact(self):
-        rng = np.random.default_rng(19)
-        values = rng.standard_normal(200) * 100.0
-        once = encode_f16_roundtrip(values)
-        twice = encode_f16_roundtrip(once)
-        assert once.tobytes() == twice.tobytes()
-
-    def test_overflow_names_index(self):
-        with pytest.raises(ValueError, match="flat index 2"):
-            encode_f16_roundtrip([1.0, 2.0, 70000.0, 3.0])
-
-    def test_overflow_threshold(self):
-        # 65519.99... still rounds down to the largest finite half
-        assert encode_f16_roundtrip([65519.9])[0] == 65504.0
-        with pytest.raises(ValueError, match="overflows"):
-            encode_f16_roundtrip([65520.0])
