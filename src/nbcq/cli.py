@@ -13,12 +13,16 @@ configuration errors; failures print one machine-parsable line to stderr,
 ``error<TAB>code<TAB>message``; an overflow in a search or an eval is an
 ``evaluator`` error (eval writes no CSV); an overflow in a kept fit is a
 ``fit`` error and a parameter beyond its stored dtype (``narrow``) a
-``format`` error, both naming the block (calibrate writes no bundle). The
-``NBC_LOG`` environment variable (error, info or debug) controls logging
-verbosity on stderr.
+``format`` error, both naming the block (calibrate writes no bundle).
 
-The eval CSV has one row per block with the summary metrics repeated, in
-this fixed column order:
+The run configuration is line-oriented ``key = value`` text with ``#``
+comments, one key per ``RunConfig`` field; unknown keys are rejected by
+name, and so is every value the run would reject once it starts.
+
+The eval CSV has one row per block: the ``EvalReport`` fields in order,
+each repeated on every row, then the block index and the block's entry of
+each per-block field (``per_block_losses`` as block_loss), in this fixed
+column order:
 
     mode, transform, bits_w, bits_a, seed, storage, chosen_n,
     fls_evaluations, feature_loss, mae_outlier, mae_inlier,
@@ -41,26 +45,21 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import logging
 import math
 import os
 import sys
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .compensation import store_params, stored_tensors
+from .compensation import STORAGE_F32, STORAGE_NAMES, store_params, stored_tensors
 from .errors import ConfigError, EvaluatorError, FormatError, NbcError
-from .fls import FlsConfig
-from .formats import (
-    RunConfig,
-    atomic_write,
-    read_bundle,
-    read_run_config,
-    write_bundle,
-    write_tensor,
-)
+from .fls import MIN_STEP, FlsConfig, holdout_count
+from .formats import atomic_write, read_bundle, write_bundle, write_tensor
 from .harness import (
+    MODES,
     CalibrationSet,
+    EvalReport,
     OutlierSpec,
     ToyModel,
     build_toy_model,
@@ -70,39 +69,125 @@ from .harness import (
     generate_calibration,
     ols_scalar_bias,
 )
+from .transform import KIND_NAMES, N_EXP_RANGE
 
-__all__ = ["main", "EVAL_CSV_COLUMNS"]
+__all__ = ["main", "EVAL_CSV_COLUMNS", "RunConfig", "read_run_config"]
 
-log = logging.getLogger("nbcq")
-
-EVAL_CSV_COLUMNS = [
-    "mode",
-    "transform",
-    "bits_w",
-    "bits_a",
-    "seed",
-    "storage",
-    "chosen_n",
-    "fls_evaluations",
-    "feature_loss",
-    "mae_outlier",
-    "mae_inlier",
-    "slope_gap_before",
-    "slope_gap_after",
-    "block",
-    "block_loss",
-    "ridge_used",
-    "residual_rms",
-]
-
-_LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
+# CSV column -> the EvalReport field that holds one value per block; every
+# other field is one cell, repeated on each block's row
+_PER_BLOCK = {"block_loss": "per_block_losses", "ridge_used": "ridge_used", "residual_rms": "residual_rms"}
+_SHARED = [f.name for f in fields(EvalReport) if f.name not in _PER_BLOCK.values()]
+EVAL_CSV_COLUMNS = [*_SHARED, "block", *_PER_BLOCK]
 
 
-def _setup_logging() -> None:
-    name = os.environ.get("NBC_LOG", "error").strip().lower()
-    if name not in _LOG_LEVELS:
-        raise ConfigError(f"NBC_LOG must be one of {sorted(_LOG_LEVELS)}, got '{name}'")
-    logging.basicConfig(level=_LOG_LEVELS[name], stream=sys.stderr, format="%(levelname)s %(message)s")
+@dataclass(frozen=True)
+class RunConfig:
+    """Everything a batch run needs, parsed from a config file."""
+
+    d: int = 16
+    h: int = 32
+    n_blocks: int = 4
+    n_samples: int = 512
+    seed: int = 0
+    bits_w: int = 4
+    bits_a: int = 4
+    mode: str = "nbc"
+    transform: str = "blt"
+    storage: str = STORAGE_F32
+    n_init: float = FlsConfig.n_init
+    n_min: float = FlsConfig.n_min
+    n_max: float = FlsConfig.n_max
+    step: float = FlsConfig.step
+    holdout_fraction: float = FlsConfig.holdout_fraction
+    outlier_fraction: float = OutlierSpec.outlier_fraction
+    outlier_scale: float = OutlierSpec.outlier_scale
+    outlier_threshold: float = OutlierSpec.threshold
+    heavy_channel: int = 0
+    heavy_scale: float = 1.3
+    heavy_input_scale: float = 3.0
+    out_dir: str = "."
+
+
+# key -> parser of its value text, from the field's annotation
+_PARSERS = {f.name: {"int": int, "float": float, "str": str}[f.type] for f in fields(RunConfig)}
+
+
+def read_run_config(path: str) -> RunConfig:
+    """Parse a ``key = value`` config file, rejecting unknown keys and
+    out-of-range values by name."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            raw_lines = f.readlines()
+    except FileNotFoundError:
+        raise ConfigError(f"configuration file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason})"
+        ) from None
+    values = {}
+    first_line = {}
+    for lineno, raw in enumerate(raw_lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+        key, _, text = line.partition("=")
+        key = key.strip()
+        text = text.strip()
+        if key not in _PARSERS:
+            raise ConfigError(f"{path}:{lineno}: unknown configuration key '{key}'")
+        if key in first_line:
+            raise ConfigError(
+                f"{path}:{lineno}: configuration key '{key}' repeats, first set on line {first_line[key]}"
+            )
+        first_line[key] = lineno
+        try:
+            values[key] = _PARSERS[key](text)
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: invalid value {text!r} for key '{key}'") from None
+    cfg = RunConfig(**values)
+    for key, value in values.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{path}: {key} must be finite, got {value!r}")
+    for key, names in (("mode", MODES), ("transform", KIND_NAMES), ("storage", STORAGE_NAMES)):
+        if getattr(cfg, key) not in names:
+            raise ConfigError(f"{path}: {key} must be one of {names}, got '{getattr(cfg, key)}'")
+    # The bounds the model, the outlier spec, the quantizer and the search
+    # check when the run is built, and the output directory the commands
+    # write to, checked here so the run fails before any setup or fit,
+    # naming the key.
+    lo, hi = N_EXP_RANGE
+    for key, ok, rule in (
+        ("seed", cfg.seed >= 0, ">= 0"),
+        ("d", cfg.d >= 1, ">= 1"),
+        ("h", cfg.h >= 1, ">= 1"),
+        ("n_blocks", cfg.n_blocks >= 1, ">= 1"),
+        ("heavy_channel", 0 <= cfg.heavy_channel < cfg.d, f"in [0, d = {cfg.d})"),
+        ("bits_w", 2 <= cfg.bits_w <= 8, "in [2, 8]"),
+        ("bits_a", 2 <= cfg.bits_a <= 8, "in [2, 8]"),
+        ("outlier_fraction", 0.0 <= cfg.outlier_fraction <= 0.2, "in [0, 0.2]"),
+        ("outlier_scale", cfg.outlier_scale >= 1.0, ">= 1"),
+        ("outlier_threshold", cfg.outlier_threshold > 0.0, "> 0"),
+        ("n_min", lo <= cfg.n_min, f">= {lo}"),
+        ("n_max", cfg.n_max <= hi, f"<= {hi}"),
+        ("n_init", cfg.n_min <= cfg.n_init <= cfg.n_max, "in [n_min, n_max]"),
+        ("step", cfg.step >= MIN_STEP, f">= {MIN_STEP}"),
+        ("holdout_fraction", 0.0 < cfg.holdout_fraction < 1.0, "in (0, 1)"),
+        ("out_dir", cfg.out_dir != "", "a non-empty path"),
+    ):
+        if not ok:
+            raise ConfigError(f"{path}: {key} must be {rule}, got {getattr(cfg, key)!r}")
+    # Every command but export may run the exponent search, whose fits see
+    # only the rows left after the hold-out split (this also implies the
+    # n_samples >= d + 2 that calibration needs).
+    fit_rows = cfg.n_samples - holdout_count(cfg.n_samples, cfg.holdout_fraction)
+    if fit_rows < cfg.d + 1:
+        raise ConfigError(
+            f"{path}: n_samples = {cfg.n_samples} with holdout_fraction = {cfg.holdout_fraction} "
+            f"leaves {fit_rows} rows to fit on; the search needs at least d + 1 = {cfg.d + 1}"
+        )
+    return cfg
 
 
 def _build_setup(cfg: RunConfig, seed: int) -> tuple[ToyModel, CalibrationSet, FlsConfig]:
@@ -156,7 +241,6 @@ def cmd_calibrate(cfg: RunConfig, seed: int, out_path: str) -> int:
     if cfg.mode == "none":
         raise ConfigError("mode=none has no compensation to calibrate")
     model, calib, fls_cfg = _build_setup(cfg, seed)
-    log.info("fitting %s compensation for %d blocks", cfg.mode, cfg.n_blocks)
     modules, fls_result = fit_compensation(
         model, calib, cfg.mode, transform=cfg.transform, cfg=fls_cfg
     )
@@ -188,29 +272,14 @@ def cmd_search_n(cfg: RunConfig, seed: int) -> int:
     return 0
 
 
-def _report_rows(report) -> list[dict]:
-    shared = {
-        "mode": report.mode,
-        "transform": report.transform,
-        "bits_w": report.bits_w,
-        "bits_a": report.bits_a,
-        "seed": report.seed,
-        "storage": report.storage,
-        "chosen_n": _fmt(report.chosen_n),
-        "fls_evaluations": _fmt(report.fls_evaluations),
-        "feature_loss": _fmt(report.feature_loss),
-        "mae_outlier": _fmt(report.mae_outlier),
-        "mae_inlier": _fmt(report.mae_inlier),
-        "slope_gap_before": _fmt(report.slope_gap_before),
-        "slope_gap_after": _fmt(report.slope_gap_after),
-    }
+def _report_rows(report: EvalReport) -> list[dict]:
+    shared = {name: _fmt(getattr(report, name)) for name in _SHARED}
+    per_block = {column: getattr(report, name) for column, name in _PER_BLOCK.items()}
     rows = []
-    for i, loss in enumerate(report.per_block_losses):
-        row = dict(shared)
-        row["block"] = i
-        row["block_loss"] = _fmt(loss)
-        row["ridge_used"] = _fmt(report.ridge_used[i]) if report.ridge_used else ""
-        row["residual_rms"] = _fmt(report.residual_rms[i]) if report.residual_rms else ""
+    for i in range(len(report.per_block_losses)):
+        row = {**shared, "block": i}
+        for column, values in per_block.items():
+            row[column] = _fmt(values[i]) if values else ""
         rows.append(row)
     return rows
 
@@ -365,7 +434,6 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        _setup_logging()
         args = _build_parser().parse_args(argv)
         # An overflow or NaN is reported by the finiteness checks, as the one
         # error line; numpy's warnings would only precede it.

@@ -18,10 +18,10 @@ Fitted parameters are narrowed for storage (``STORED_DTYPES``): f32 and
 f16 round W and b; i8_per_channel stores W as symmetric int8 codes with
 one f32 scale per output row (zero point 0, range +-max|row|) and the bias
 in f16, since a d_out-sized vector is negligible storage. ``narrow`` is
-the one cast to a stored dtype and the one overflow check, and
-``stored_module`` the one builder of a module from stored tensors; the
-bundle reader and writer and ``nbcq export`` use them too. Narrowed
-modules decode their weights lazily on apply.
+the one cast to a stored dtype and the one check that a value survives
+it, and ``stored_module`` the one builder of a module from stored
+tensors; the bundle reader and writer and ``nbcq export`` use them too.
+Narrowed modules decode their weights lazily on apply.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ class CompensationModule:
         if self.storage == STORAGE_I8:
             if self.weight_codes is None or self.weight_scales is None:
                 raise ValueError("i8 storage requires weight codes and scales")
-            codes = np.asarray(self.weight_codes, dtype=np.int8)
+            codes = narrow(np.asarray(self.weight_codes), STORAGE_I8, "weight")
             scales = as_tensor(self.weight_scales, "weight_scales", ndim=1)
             if codes.ndim != 2 or scales.shape[0] != codes.shape[0]:
                 raise ValueError("per-row scales must match the weight row count")
@@ -232,16 +232,19 @@ def apply(mod: CompensationModule, x_q, y_q) -> np.ndarray:
 
 def narrow(values: np.ndarray, storage: str, role: str) -> np.ndarray:
     """``values`` cast to the file dtype of ``role`` under ``storage``; a
-    value beyond that dtype's range raises ValueError naming the role, the
-    storage and its flat index."""
+    value that dtype cannot hold raises ValueError naming the role, the
+    storage and its flat index. A float dtype rounds, so only a value
+    beyond its range fails; an integer dtype holds only the integers in
+    its range, which the cast must keep exactly."""
     dtype = np.dtype(STORED_DTYPES[storage][role])
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         out = values.astype(dtype)
-    overflow = ~np.isfinite(out)
-    if overflow.any():
-        i = int(np.flatnonzero(overflow)[0])
+        bad = ~np.isfinite(out) if dtype.kind == "f" else out != values
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        fails = "overflows" if dtype.kind == "f" else "does not fit"
         raise ValueError(
-            f"{role} value {float(values.flat[i])!r} at flat index {i} overflows "
+            f"{role} value {float(values.flat[i])!r} at flat index {i} {fails} "
             f"{storage} storage ({dtype.name})"
         )
     return out

@@ -1,4 +1,4 @@
-"""Binary file formats and the run configuration file.
+"""Binary tensor and bundle formats.
 
 Tensor file (magic "NBCT"):
 
@@ -28,21 +28,17 @@ how a module narrows to them and how they build a module back live in
 files with distinct errors for bad magic, bad version and truncation; a
 bundle block whose bytes decode to an invalid module (a non-finite value,
 an exponent outside the operational range) is a FormatError naming the
-block. All writes go through a temp file and an atomic rename.
-
-The run configuration is line-oriented ``key = value`` text with ``#``
-comments; unknown keys are rejected by name, and so is every value the
-run would reject once it starts.
+block, and so is a tensor record whose dtype is not the one its role
+has under the block's storage. All writes go through a temp file and an
+atomic rename.
 """
 
 from __future__ import annotations
 
 import io
-import math
 import os
 import struct
 import tempfile
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -50,22 +46,13 @@ from .compensation import (
     STORAGE_F16,
     STORAGE_F32,
     STORAGE_I8,
-    STORAGE_NAMES,
     STORED_DTYPES,
     CompensationModule,
     stored_module,
     stored_tensors,
 )
-from .errors import (
-    BadMagicError,
-    BadVersionError,
-    ConfigError,
-    FormatError,
-    TruncatedFileError,
-)
-from .fls import MIN_STEP, holdout_count
-from .harness import MODES
-from .transform import KIND_NAMES, N_EXP_RANGE, TransformKind
+from .errors import BadMagicError, BadVersionError, FormatError, TruncatedFileError
+from .transform import TransformKind
 
 __all__ = [
     "TENSOR_MAGIC",
@@ -76,8 +63,6 @@ __all__ = [
     "read_tensor",
     "write_bundle",
     "read_bundle",
-    "RunConfig",
-    "read_run_config",
 ]
 
 TENSOR_MAGIC = b"NBCT"
@@ -252,7 +237,14 @@ def read_bundle(path: str) -> list[CompensationModule]:
             storage = _STORAGE_BY_CODE[storage_code]
             kind_name = _KIND_BY_CODE[kind_code]
 
-            tensors = {role: _read_tensor_stream(f, path) for role in STORED_DTYPES[storage]}
+            tensors = {}
+            for role, dtype in STORED_DTYPES[storage].items():
+                tensors[role] = _read_tensor_stream(f, path)
+                if tensors[role].dtype != dtype:
+                    raise FormatError(
+                        f"{path}: block {position}: {role} record is {tensors[role].dtype.str}, "
+                        f"{storage} storage stores {dtype}"
+                    )
             try:  # the bytes decode, but the values must make a valid module
                 kind = TransformKind(kind_name, n_exp) if kind_name == "blt" else TransformKind(kind_name)
                 modules.append(stored_module(kind, storage, tensors))
@@ -262,111 +254,3 @@ def read_bundle(path: str) -> list[CompensationModule]:
     if trailing:
         raise FormatError(f"{path}: trailing bytes after the last block")
     return modules
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a batch run needs, parsed from a config file."""
-
-    d: int = 16
-    h: int = 32
-    n_blocks: int = 4
-    n_samples: int = 512
-    seed: int = 0
-    bits_w: int = 4
-    bits_a: int = 4
-    mode: str = "nbc"
-    transform: str = "blt"
-    storage: str = STORAGE_F32
-    n_init: float = 2.0
-    n_min: float = -10.0
-    n_max: float = 10.0
-    step: float = 1.0
-    holdout_fraction: float = 0.25
-    outlier_fraction: float = 0.1
-    outlier_scale: float = 12.0
-    outlier_threshold: float = 10.0
-    heavy_channel: int = 0
-    heavy_scale: float = 1.3
-    heavy_input_scale: float = 3.0
-    out_dir: str = "."
-
-
-# key -> parser of its value text, from the field's annotation
-_PARSERS = {f.name: {"int": int, "float": float, "str": str}[f.type] for f in fields(RunConfig)}
-
-
-def read_run_config(path: str) -> RunConfig:
-    """Parse a ``key = value`` config file, rejecting unknown keys and
-    out-of-range values by name."""
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            raw_lines = f.readlines()
-    except FileNotFoundError:
-        raise ConfigError(f"configuration file not found: {path}") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(
-            f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason})"
-        ) from None
-    values = {}
-    first_line = {}
-    for lineno, raw in enumerate(raw_lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-        key, _, text = line.partition("=")
-        key = key.strip()
-        text = text.strip()
-        if key not in _PARSERS:
-            raise ConfigError(f"{path}:{lineno}: unknown configuration key '{key}'")
-        if key in first_line:
-            raise ConfigError(
-                f"{path}:{lineno}: configuration key '{key}' repeats, first set on line {first_line[key]}"
-            )
-        first_line[key] = lineno
-        try:
-            values[key] = _PARSERS[key](text)
-        except ValueError:
-            raise ConfigError(f"{path}:{lineno}: invalid value {text!r} for key '{key}'") from None
-    cfg = RunConfig(**values)
-    for key, value in values.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{path}: {key} must be finite, got {value!r}")
-    for key, names in (("mode", MODES), ("transform", KIND_NAMES), ("storage", STORAGE_NAMES)):
-        if getattr(cfg, key) not in names:
-            raise ConfigError(f"{path}: {key} must be one of {names}, got '{getattr(cfg, key)}'")
-    # The bounds the model, the outlier spec, the quantizer and the search
-    # check when the run is built, checked here so the run fails before any
-    # setup or fit, naming the key.
-    lo, hi = N_EXP_RANGE
-    for key, ok, rule in (
-        ("seed", cfg.seed >= 0, ">= 0"),
-        ("d", cfg.d >= 1, ">= 1"),
-        ("h", cfg.h >= 1, ">= 1"),
-        ("n_blocks", cfg.n_blocks >= 1, ">= 1"),
-        ("heavy_channel", 0 <= cfg.heavy_channel < cfg.d, f"in [0, d = {cfg.d})"),
-        ("bits_w", 2 <= cfg.bits_w <= 8, "in [2, 8]"),
-        ("bits_a", 2 <= cfg.bits_a <= 8, "in [2, 8]"),
-        ("outlier_fraction", 0.0 <= cfg.outlier_fraction <= 0.2, "in [0, 0.2]"),
-        ("outlier_scale", cfg.outlier_scale >= 1.0, ">= 1"),
-        ("outlier_threshold", cfg.outlier_threshold > 0.0, "> 0"),
-        ("n_min", lo <= cfg.n_min, f">= {lo}"),
-        ("n_max", cfg.n_max <= hi, f"<= {hi}"),
-        ("n_init", cfg.n_min <= cfg.n_init <= cfg.n_max, "in [n_min, n_max]"),
-        ("step", cfg.step >= MIN_STEP, f">= {MIN_STEP}"),
-        ("holdout_fraction", 0.0 < cfg.holdout_fraction < 1.0, "in (0, 1)"),
-    ):
-        if not ok:
-            raise ConfigError(f"{path}: {key} must be {rule}, got {getattr(cfg, key)!r}")
-    # Every command but export may run the exponent search, whose fits see
-    # only the rows left after the hold-out split (this also implies the
-    # n_samples >= d + 2 that calibration needs).
-    fit_rows = cfg.n_samples - holdout_count(cfg.n_samples, cfg.holdout_fraction)
-    if fit_rows < cfg.d + 1:
-        raise ConfigError(
-            f"{path}: n_samples = {cfg.n_samples} with holdout_fraction = {cfg.holdout_fraction} "
-            f"leaves {fit_rows} rows to fit on; the search needs at least d + 1 = {cfg.d + 1}"
-        )
-    return cfg

@@ -24,10 +24,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from nbcq.cli import _build_setup
+from nbcq.cli import RunConfig, _build_setup
 from nbcq.compensation import STORAGE_F32, CalibrationRecord, apply, fit_nbc, store_params
 from nbcq.fls import compute_feature_loss, search_n_for_pipeline
-from nbcq.formats import RunConfig
 from nbcq.harness import evaluate_pipeline, fit_compensation
 from nbcq.transform import TransformKind
 

@@ -31,18 +31,20 @@ outlier_scale = 12.0
 """
 
 
+# the eval CSV columns in the order the README documents
+README_EVAL_COLUMNS = [
+    "mode", "transform", "bits_w", "bits_a", "seed", "storage", "chosen_n", "fls_evaluations",
+    "feature_loss", "mae_outlier", "mae_inlier", "slope_gap_before", "slope_gap_after",
+    "block", "block_loss", "ridge_used", "residual_rms",
+]
+
+
 def small_cfg_with(extra: str) -> str:
     """SMALL_CFG with the keys that ``extra`` sets taken from ``extra``; a
     config may set each key once."""
     keys = {line.split("=")[0].strip() for line in extra.splitlines()}
     kept = [line for line in SMALL_CFG.splitlines() if line.split("=")[0].strip() not in keys]
     return "\n".join(kept + [extra]) + "\n"
-
-
-@pytest.fixture(autouse=True)
-def no_outer_nbc_log(monkeypatch):
-    # main() reads NBC_LOG; a value set around the test run must not change the results
-    monkeypatch.delenv("NBC_LOG", raising=False)
 
 
 @pytest.fixture()
@@ -63,7 +65,7 @@ def run_module(args, cwd):
     sees, warnings included; returns (exit code, stdout, stderr)."""
     # The child runs outside the repository, where a relative PYTHONPATH entry
     # such as "src" names nothing, so put the root of the package this suite
-    # imported in front. os.environ no longer holds NBC_LOG (autouse fixture).
+    # imported in front.
     pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(nbcq.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
@@ -163,7 +165,8 @@ class TestEval:
         code, out, err = run_cli(["eval", "--config", cfg_path, "--bundle", bundle], capsys)
         assert code == 0, err
         lines = out.strip().splitlines()
-        assert lines[0] == ",".join(EVAL_CSV_COLUMNS)
+        assert lines[0] == ",".join(README_EVAL_COLUMNS)
+        assert EVAL_CSV_COLUMNS == README_EVAL_COLUMNS
         assert len(lines) == 1 + 2  # header + one row per block
 
     def test_csv_to_file_deterministic(self, cfg_path, tmp_path, capsys):
@@ -391,6 +394,27 @@ class TestConfigValues:
         assert out == ""
 
 
+class TestEmptyOutDir:
+    @pytest.mark.parametrize("command", ["analyze-outliers", "export"])
+    def test_rejected_before_setup_exit_2_naming_key(self, tmp_path, capsys, monkeypatch, command):
+        import nbcq.cli as cli_mod
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run was set up")
+
+        monkeypatch.setattr(cli_mod, "_build_setup", no_run)
+        monkeypatch.setattr(cli_mod, "read_bundle", no_run)
+        path = tmp_path / "run.cfg"
+        path.write_text(small_cfg_with("out_dir ="))
+        args = [command, "--config", str(path)]
+        if command == "export":
+            args += ["--bundle", str(tmp_path / "comp.nbcb")]
+        code, out, err = run_cli(args, capsys)
+        assert_failed(code, err, 2, "config")
+        assert err == f"error\tconfig\t{path}: out_dir must be a non-empty path, got ''\n"
+        assert out == ""
+
+
 class TestConfigEncoding:
     def test_non_utf8_config_exits_2_naming_path(self, tmp_path, capsys, monkeypatch):
         import nbcq.cli as cli_mod
@@ -593,13 +617,7 @@ class TestGlobalFlags:
         assert os.path.exists(bundle)
 
 
-class TestLogging:
-    def test_invalid_nbc_log_rejected(self, cfg_path, capsys, monkeypatch):
-        monkeypatch.setenv("NBC_LOG", "verbose")
-        code, _, err = run_cli(["search-n", "--config", cfg_path], capsys)
-        assert_failed(code, err, 2, "config")
-        assert "NBC_LOG" in err
-
+class TestEntryPoint:
     def test_module_entry_point(self, cfg_path, tmp_path, capsys):
         bundle = str(tmp_path / "m.nbcb")
         child_code, child_out, child_err = run_module(

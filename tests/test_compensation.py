@@ -341,3 +341,27 @@ class TestF16Narrowing:
         assert narrow(np.array([65519.9]), STORAGE_F16, "bias")[0] == 65504.0
         with pytest.raises(ValueError, match="bias value 65520.0 at flat index 0 overflows"):
             narrow(np.array([65520.0]), STORAGE_F16, "bias")
+
+
+class TestI8Codes:
+    """int8 storage holds only the integers in [-128, 127]: any other code
+    is refused by name, never wrapped or truncated by the cast."""
+
+    @pytest.mark.parametrize("value", [300.0, -129.0, 1.5, np.nan], ids=["300", "-129", "1.5", "nan"])
+    def test_narrow_refuses_a_value_the_cast_would_change(self, value):
+        with pytest.raises(ValueError) as info:
+            narrow(np.array([0.0, value]), STORAGE_I8, "weight")
+        assert str(info.value) == (
+            f"weight value {value!r} at flat index 1 does not fit i8_per_channel storage (int8)"
+        )
+
+    def test_narrow_keeps_the_full_code_range(self):
+        codes = narrow(np.array([-128.0, -127.0, 0.0, 127.0]), STORAGE_I8, "weight")
+        assert codes.dtype == np.int8 and codes.tolist() == [-128, -127, 0, 127]
+
+    def test_module_refuses_codes_beyond_int8(self):
+        with pytest.raises(ValueError, match="weight value 300.0 at flat index 2 does not fit"):
+            CompensationModule(
+                kind=IDENTITY, bias=np.zeros(2), storage=STORAGE_I8,
+                weight_codes=np.array([[1, 2], [300, 4]]), weight_scales=np.ones(2),
+            )

@@ -50,16 +50,37 @@ def test_package_root_binds_only_the_version_and_submodules():
     assert isinstance(nbcq.__version__, str)
 
 
-@pytest.mark.parametrize("name", MODULES)
-def test_no_private_name_imported_from_another_module(name):
+def package_imports(name):
+    """The ``from`` imports in ``name``'s source that name an ``nbcq`` module."""
     module = importlib.import_module(name)
     tree = ast.parse(open(module.__file__, encoding="utf-8").read())
-    private = [
-        f"{node.module}.{alias.name}"
+    return [
+        node
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom)
         and (node.level > 0 or (node.module or "").split(".")[0] == "nbcq")
+    ]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_private_name_imported_from_another_module(name):
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in package_imports(name)
         for alias in node.names
         if alias.name.startswith("_") and not alias.name.startswith("__")
     ]
     assert private == []
+
+
+# The text interface sits on top: no module imports it. The bundle format
+# maps bytes to tensors and knows nothing of the model or the search.
+BELOW = {"nbcq.formats": {"nbcq.harness", "nbcq.fls"}}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_imports_a_layer_above_it(name):
+    imported = {
+        f"nbcq.{node.module}" if node.level > 0 else node.module for node in package_imports(name)
+    }
+    assert imported & ({"nbcq.cli"} | BELOW.get(name, set())) == set()

@@ -14,6 +14,7 @@ from nbcq.compensation import (
     fit_linear,
     store_params,
 )
+from nbcq.cli import RunConfig, read_run_config
 from nbcq.errors import (
     BadMagicError,
     BadVersionError,
@@ -21,14 +22,7 @@ from nbcq.errors import (
     FormatError,
     TruncatedFileError,
 )
-from nbcq.formats import (
-    RunConfig,
-    read_bundle,
-    read_run_config,
-    read_tensor,
-    write_bundle,
-    write_tensor,
-)
+from nbcq.formats import BUNDLE_MAGIC, read_bundle, read_tensor, write_bundle, write_tensor
 from nbcq.transform import IDENTITY, TransformKind
 
 from helpers import (
@@ -311,6 +305,36 @@ class TestBundles:
         assert type(info.value) is FormatError
 
 
+def tensor_record(tmp_path, arr) -> bytes:
+    path = str(tmp_path / "record.nbct")
+    write_tensor(path, arr)
+    return open(path, "rb").read()
+
+
+class TestRecordDtypes:
+    """A bundle block's tensor records must have the file dtypes its storage
+    keeps; a record of another dtype is refused, naming the block and role."""
+
+    @pytest.mark.parametrize(
+        "storage_code, records, role",
+        [
+            # i8 storage whose weight record is f32: a cast would wrap -300.25 to code -44
+            (2, [("<f4", [[-300.25]]), ("<f2", [0.5]), ("<f4", [1.0])], "weight"),
+            (2, [("<i1", [[3]]), ("<f4", [0.5]), ("<f4", [1.0])], "bias"),
+            (1, [("<f8", [[0.1]]), ("<f8", [0.5])], "weight"),  # f16 storage, f64 records
+        ],
+        ids=["i8-f32-weight", "i8-f32-bias", "f16-f64-records"],
+    )
+    def test_wrong_dtype_record_rejected(self, tmp_path, storage_code, records, role):
+        # magic, version, one block: index 0, identity kind, exponent 0.0, storage byte
+        data = BUNDLE_MAGIC + bytes([1]) + struct.pack("<HHBdB", 1, 0, 0, 0.0, storage_code)
+        data += b"".join(tensor_record(tmp_path, np.array(v, dtype=dt)) for dt, v in records)
+        path = tmp_path / "b.nbcb"
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match=f"{re.escape(str(path))}: block 0: {role} record is "):
+            read_bundle(str(path))
+
+
 class TestRunConfigFile:
     def test_parse_with_comments_and_defaults(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -329,6 +353,16 @@ class TestRunConfigFile:
         assert cfg.mode == "linear"
         assert cfg.outlier_scale == 6.5
         assert cfg.n_blocks == RunConfig().n_blocks  # default preserved
+
+    def test_defaults_are_the_documented_desk_configuration(self):
+        # written out, so a changed library default cannot move a CLI default unseen
+        assert dataclasses.asdict(RunConfig()) == {
+            "d": 16, "h": 32, "n_blocks": 4, "n_samples": 512, "seed": 0, "bits_w": 4, "bits_a": 4,
+            "mode": "nbc", "transform": "blt", "storage": "f32",
+            "n_init": 2.0, "n_min": -10.0, "n_max": 10.0, "step": 1.0, "holdout_fraction": 0.25,
+            "outlier_fraction": 0.1, "outlier_scale": 12.0, "outlier_threshold": 10.0,
+            "heavy_channel": 0, "heavy_scale": 1.3, "heavy_input_scale": 3.0, "out_dir": ".",
+        }
 
     def test_unknown_key_named(self, tmp_path):
         path = tmp_path / "run.cfg"

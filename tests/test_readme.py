@@ -16,7 +16,6 @@ def library_usage_block() -> str:
 
 
 def test_library_usage_prints_the_eval_feature_loss(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("NBC_LOG", raising=False)
     monkeypatch.chdir(tmp_path)  # the block writes its bundle to the working directory
     exec(compile(library_usage_block(), str(README), "exec"), {})
     printed = capsys.readouterr().out.split()[0]
