@@ -417,6 +417,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         raise ConfigError(f"--seed must be >= 0, got {seed}")
     if args.command == "calibrate" and out is None:
         raise ConfigError("calibrate requires --out for the bundle path")
+    if out == "":
+        raise ConfigError("--out must be a non-empty path, got ''")
     cfg = read_run_config(config)
     seed = cfg.seed if seed is None else seed
     if args.command == "calibrate":

@@ -27,18 +27,18 @@ of the block input and the residual ``y - y_q``, where slices of ``x_q``,
 ``y`` and ``y_q`` would be three. A step computes the hidden activation
 in place in the fresh ``z @ W1^T`` product and adds the residual in place
 to the ``W2`` product.
-Evaluation runs both steps block by block and drops each array after its
-last reader: between blocks it holds one array per stream; the quantized
-input is written over the compensated stream's input; the difference
-``y - y_hat`` is taken once per block, into the unused tail of the
-inlier-error buffer, and gives both the block's loss and its errors. At
-its peak it holds that buffer, one hidden activation and at most four rows
-x d arrays, five while a module applies. The buffer holds every block's
-inlier errors in the order a concatenation of all blocks would give,
-because numpy's pairwise sum depends on the element count: a streamed mean
-would not keep ``mae_inlier``'s bits. gelu and fake-quant take an ``out=``
-array, which may be their input itself; any other ``out=`` must not
-overlap the input, since the kernels run tile by tile.
+Evaluation runs the rows in chunks of ``EVAL_CHUNK_ROWS``, each through
+every block of both forwards, so the streams, the hidden activation and
+the temporaries of a step and of a module's apply are chunk-sized; the
+quantized input is written over the compensated stream's input. Each chunk
+leaves every block's difference ``y - y_hat`` in a block-major buffer of
+all rows and its outlier flags in a bool array of the same shape. Then
+each block is scored whole: its loss from the squares, written into the
+evaluation inputs, which no step reads any more, and its inlier errors
+compacted forward in the buffer. At its peak evaluation holds the buffer,
+the flags, the inputs and one chunk's arrays. gelu and fake-quant take
+an ``out=`` array, which may be their input itself; any other ``out=``
+must not overlap the input, since the kernels run tile by tile.
 
 Conventions fixed here and relied on by the analyses:
 
@@ -94,6 +94,7 @@ __all__ = [
     "GELU_TANH_CUBIC",
     "EVAL_SEED_OFFSET",
     "EVAL_SET_MULTIPLIER",
+    "EVAL_CHUNK_ROWS",
     "MODES",
     "OutlierSpec",
     "ToyModel",
@@ -123,6 +124,12 @@ BLOCK_UPDATE_GAIN = 0.45
 
 EVAL_SEED_OFFSET = 104729
 EVAL_SET_MULTIPLIER = 4
+
+# Rows per chunk of the evaluation forward: a chunk's hidden activation and
+# temporaries stay in cache. OpenBLAS gives a row chunk of a product other
+# bits than the whole product at some small row counts (up to 100 rows at
+# the shapes measured, none from 128 on), so no chunk is smaller than this.
+EVAL_CHUNK_ROWS = 1024
 
 MODES = ("none", "linear", "nbc")
 
@@ -599,7 +606,8 @@ def channel_slope_gap(
         return None
     kind = TransformKind("blt", n_exp)
     try:
-        return (channel, *slope_gap_analysis(xs, rec.residual[:, channel], threshold, kind))
+        residual = rec.y[:, channel] - rec.y_q[:, channel]
+        return (channel, *slope_gap_analysis(xs, residual, threshold, kind))
     except FitError:  # a slope is undefined on this channel: report absent
         return channel, None, None
 
@@ -634,55 +642,25 @@ def split_error_metrics(
     A position is an outlier when |x_q| exceeds the threshold. An empty
     partition reports None for its metric rather than zero.
     """
-    errors = _SplitErrors(threshold, np.size(y))
-    errors.add(y, y_hat, x_q)
-    return errors.means()
+    yv = as_tensor(y, "y")
+    hv = as_tensor(y_hat, "y_hat")
+    xv = as_tensor(x_q, "x_q")
+    if yv.shape != hv.shape or yv.shape != xv.shape:
+        raise ValueError("y, y_hat and x_q must share one shape")
+    err = np.abs(yv - hv)
+    outlier = np.abs(xv) > threshold
+    return _mean_or_none(err[outlier]), _mean_or_none(err[~outlier])
 
 
-class _SplitErrors:
-    """``split_error_metrics`` over blocks that arrive one at a time.
+def _mean_or_none(values: np.ndarray) -> float | None:
+    return float(values.mean()) if values.size else None
 
-    The blocks are scored as their concatenation along the first axis would
-    be: the inlier errors go into one buffer of ``capacity`` elements in
-    flat order, so their mean sums the same values in the same order; the
-    few outlier errors are joined at the end.
-    """
 
-    def __init__(self, threshold: float, capacity: int):
-        self.threshold = threshold
-        self._inliers = np.empty(capacity)
-        self._n_inliers = 0
-        self._outliers: list[np.ndarray] = []
-
-    def add(self, y, y_hat, x_q) -> float:
-        """Take one block's errors; return its feature loss, the mean of
-        ``(y - y_hat)^2`` (NaN for an empty block)."""
-        yv = as_tensor(y, "y")
-        hv = as_tensor(y_hat, "y_hat")
-        xv = as_tensor(x_q, "x_q")
-        if yv.shape != hv.shape or yv.shape != xv.shape:
-            raise ValueError("y, y_hat and x_q must share one shape")
-        # The difference goes to the buffer's unused tail, where this
-        # block's inliers end up; it always has room for one block.
-        start = self._n_inliers
-        err = self._inliers[start : start + yv.size].reshape(yv.shape)
-        np.subtract(yv, hv, out=err)
-        # err * err has the bits of (y - y_hat) ** 2, which numpy squares
-        loss = float(np.mean(err * err)) if err.size else np.nan
-        np.abs(err, out=err)
-        mask = np.abs(xv) > self.threshold
-        self._outliers.append(err[mask])
-        np.logical_not(mask, out=mask)
-        inliers = err[mask]  # a copy, so the overlapping write below is safe
-        self._n_inliers = start + inliers.size
-        self._inliers[start : self._n_inliers] = inliers
-        return loss
-
-    def means(self) -> tuple[float | None, float | None]:
-        outliers = np.concatenate(self._outliers)
-        mae_out = float(outliers.mean()) if outliers.size else None
-        mae_in = float(self._inliers[: self._n_inliers].mean()) if self._n_inliers else None
-        return mae_out, mae_in
+def _row_chunks(n_rows: int) -> list[tuple[int, int]]:
+    """``[r0, r1)`` bounds of ``EVAL_CHUNK_ROWS`` rows each, in order; the
+    remainder joins the last chunk, and fewer rows make one chunk."""
+    starts = list(range(0, n_rows - EVAL_CHUNK_ROWS + 1, EVAL_CHUNK_ROWS)) or [0]
+    return list(zip(starts, starts[1:] + [n_rows]))
 
 
 def evaluate_pipeline(
@@ -697,12 +675,12 @@ def evaluate_pipeline(
     """Score fitted modules on a fresh evaluation set.
 
     The evaluation set is four times the calibration size, drawn with an
-    independent seed and the same outlier mechanism; it is scored one block
-    at a time, with the same bits as scoring all blocks at once. Each
-    stream keeps one array between blocks: the full-precision output
-    replaces its input, and the quantized input overwrites the compensated
-    stream's input, which no step reads again; the block's quantized input
-    is dropped once its errors are taken (see the module notes on memory).
+    independent seed and the same outlier mechanism. It runs in row chunks
+    (``_row_chunks``): each chunk goes through every block of both forwards
+    before the next one starts, and leaves each block's errors ``y - y_hat``
+    and outlier flags ``|x_q| > threshold`` in block-major buffers. Then
+    each block is scored whole, so the report has the bits of scoring all
+    blocks of two whole forwards at once (see the module notes on memory).
 
     Slope gaps use the calibration records of the last block (see
     ``channel_slope_gap``), at the last module's exponent, or
@@ -711,32 +689,57 @@ def evaluate_pipeline(
     since modules do not record the search that chose them.
     """
     chosen_n = modules[-1].kind.n_exp if modules else None
-
-    n_rows = EVAL_SET_MULTIPLIER * calib.n_samples
-    # no other name holds the inputs: block 0 overwrites them
-    z = zc = as_tensor(
-        draw_inputs(model, n_rows, calib.spec, calib.seed + EVAL_SEED_OFFSET), "inputs", ndim=2
-    )
-    errors = _SplitErrors(calib.spec.threshold, model.n_blocks * z.size)
-    per_block = []
-    for k in range(model.n_blocks):
-        z = model.block_step(k, z)
-        # zc may be overwritten: in block 0 it is the evaluation set, which
-        # the full-precision step has read by now
-        zq, zc = calib.qmodel.block_step(
-            k, zc, None if modules is None else modules[k], overwrite_input=True
-        )
-        per_block.append(errors.add(z, zc, zq))
-        del zq  # not held while the next block runs
-    feature_loss = per_block[-1]  # the last block's output is the pre-head feature
-    mae_out, mae_in = errors.means()
-
+    # before the buffers are made, so its temporaries do not add to theirs
     gap = channel_slope_gap(
         calib.records[-1],
         calib.spec.threshold,
         chosen_n if chosen_n is not None else gap_reference_n,
     )
     gap_before, gap_after = gap[1:] if gap is not None else (None, None)
+
+    n_rows = EVAL_SET_MULTIPLIER * calib.n_samples
+    # no other name holds the inputs: block 0 overwrites them, and once
+    # every chunk has run they are scratch
+    inputs = as_tensor(
+        draw_inputs(model, n_rows, calib.spec, calib.seed + EVAL_SEED_OFFSET), "inputs", ndim=2
+    )
+    err = np.empty((model.n_blocks, *inputs.shape))
+    outlier = np.empty(err.shape, dtype=bool)
+    chunks = _row_chunks(n_rows)
+    for r0, r1 in chunks:
+        z = zc = inputs[r0:r1]
+        for k in range(model.n_blocks):
+            z = model.block_step(k, z)
+            # zc may be overwritten: in block 0 it is the evaluation set,
+            # which the full-precision step has read by now
+            zq, zc = calib.qmodel.block_step(
+                k, zc, None if modules is None else modules[k], overwrite_input=True
+            )
+            np.subtract(as_tensor(z, "y"), as_tensor(zc, "y_hat"), out=err[k, r0:r1])
+            np.greater(np.abs(zq, out=zq), calib.spec.threshold, out=outlier[k, r0:r1])
+            del zq  # not held while the next block runs
+
+    # Each block's inlier errors move forward in the buffer behind the
+    # earlier blocks', a chunk at a time, so its head holds them all in the
+    # order a concatenation of all blocks would give: numpy's pairwise sum
+    # depends on the element count, and a streamed mean would not keep
+    # mae_inlier's bits. A chunk's inliers never reach past its own rows.
+    inliers = err.reshape(-1)
+    n_inliers = 0
+    per_block, outlier_errors = [], []
+    for e, flags in zip(err, outlier):
+        # e * e has the bits of (y - y_hat) ** 2, which numpy squares
+        per_block.append(float(np.mean(np.multiply(e, e, out=inputs))))
+        np.abs(e, out=e)
+        outlier_errors.append(e[flags])
+        np.logical_not(flags, out=flags)
+        for r0, r1 in chunks:
+            kept = e[r0:r1][flags[r0:r1]]  # a copy, so the overlapping write is safe
+            inliers[n_inliers : n_inliers + kept.size] = kept
+            n_inliers += kept.size
+    feature_loss = per_block[-1]  # the last block's output is the pre-head feature
+    mae_out = _mean_or_none(np.concatenate(outlier_errors))
+    mae_in = _mean_or_none(inliers[:n_inliers])
 
     return EvalReport(
         mode=mode,

@@ -415,6 +415,24 @@ class TestEmptyOutDir:
         assert out == ""
 
 
+class TestEmptyOut:
+    @pytest.mark.parametrize("command", ["calibrate", "search-n", "eval", "analyze-outliers", "export"])
+    def test_rejected_before_config_exit_2(self, tmp_path, capsys, monkeypatch, command):
+        import nbcq.cli as cli_mod
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the config was read")
+
+        monkeypatch.setattr(cli_mod, "read_run_config", no_run)
+        args = [command, "--config", str(tmp_path / "run.cfg"), "--out", ""]
+        if command in ("eval", "export"):
+            args += ["--bundle", str(tmp_path / "comp.nbcb")]
+        code, out, err = run_cli(args, capsys)
+        assert_failed(code, err, 2, "config")
+        assert err == "error\tconfig\t--out must be a non-empty path, got ''\n"
+        assert out == "" and os.listdir(tmp_path) == []
+
+
 class TestConfigEncoding:
     def test_non_utf8_config_exits_2_naming_path(self, tmp_path, capsys, monkeypatch):
         import nbcq.cli as cli_mod

@@ -9,11 +9,14 @@ import pytest
 from nbcq.errors import FitError
 from nbcq.fls import FlsConfig, compute_feature_loss, fls_search, holdout_split
 from nbcq.harness import (
+    EVAL_CHUNK_ROWS,
     EVAL_SEED_OFFSET,
     EVAL_SET_MULTIPLIER,
     GELU_TANH_COEFF,
     GELU_TANH_CUBIC,
+    MODES,
     OutlierSpec,
+    QuantizedToyModel,
     ToyModel,
     build_toy_model,
     draw_inputs,
@@ -27,6 +30,7 @@ from nbcq.harness import (
     slope_gap_analysis,
     split_error_metrics,
 )
+from nbcq.numerics import TILE_ELEMENTS
 from nbcq.quantizer import QuantParams
 from nbcq.transform import TransformKind
 
@@ -364,40 +368,97 @@ class TestStreamedEvaluation:
         assert report == report_from_whole_forwards(model, calib, modules, report)
 
     @staticmethod
+    def chunk_setup(n_samples: int):
+        model = build_toy_model(12, 40, 4, seed=51, heavy_scale=1.3, heavy_input_scale=3.0)
+        calib = generate_calibration(model, n_samples, OutlierSpec(), seed=52)
+        return model, calib, FlsConfig(n_init=1.0, n_min=0.0, n_max=3.0, seed=53)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n_samples", [530, 100], ids=["two-chunks", "one-chunk"])
+    def test_chunked_report_equals_whole_forward_report(self, n_samples, mode):
+        # 4 x 530 = 2120 rows run as 1024 + 1096 rows; 4 x 100 = 400 as one chunk
+        model, calib, cfg = self.chunk_setup(n_samples)
+        modules, _ = fit_compensation(model, calib, mode, cfg=cfg)
+        report = evaluate_pipeline(model, calib, modules, mode=mode)
+        assert report == report_from_whole_forwards(model, calib, modules, report)
+
+    @pytest.mark.parametrize(
+        "n_samples, chunk_rows",
+        [(530, [1024, 1096]), (512, [1024, 1024]), (100, [400])],
+        ids=["2120-rows", "2048-rows", "400-rows"],
+    )
+    def test_block_steps_run_whole_chunks_in_row_order(self, monkeypatch, n_samples, chunk_rows):
+        model, calib, _ = self.chunk_setup(n_samples)
+        modules, _ = fit_compensation(model, calib, "linear")
+        calls, first_inputs = [], []
+
+        def spy(stream, original):
+            def step(self, k, z, *args, **kwargs):
+                calls.append((stream, k, len(z)))
+                if (stream, k) == ("fp", 0):
+                    first_inputs.append(np.array(z))  # before the quantized step overwrites it
+                return original(self, k, z, *args, **kwargs)
+
+            return step
+
+        monkeypatch.setattr(ToyModel, "block_step", spy("fp", ToyModel.block_step))
+        monkeypatch.setattr(QuantizedToyModel, "block_step", spy("q", QuantizedToyModel.block_step))
+        evaluate_pipeline(model, calib, modules, mode="linear")
+        n_rows = EVAL_SET_MULTIPLIER * n_samples
+        assert all(rows >= min(EVAL_CHUNK_ROWS, n_rows) for _, _, rows in calls)
+        # each chunk runs every block of both streams before the next one starts
+        assert calls == [
+            (stream, k, rows)
+            for rows in chunk_rows
+            for k in range(model.n_blocks)
+            for stream in ("fp", "q")
+        ]
+        # and the chunks tile the evaluation set in row order
+        ev = draw_inputs(model, n_rows, calib.spec, calib.seed + EVAL_SEED_OFFSET)
+        assert np.concatenate(first_inputs).tobytes() == ev.tobytes()
+
+    @staticmethod
     def eval_peak_bytes(n_blocks: int) -> int:
         model = build_toy_model(8, 128, n_blocks, seed=31, heavy_scale=1.3, heavy_input_scale=3.0)
         calib = generate_calibration(model, 256, OutlierSpec(), seed=32)
         modules, _ = fit_compensation(model, calib, "linear")
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            evaluate_pipeline(model, calib, modules, mode="linear")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        return peak - before
+        return traced_eval_peak(model, calib, modules, "linear")
 
     def test_peak_memory_holds_one_block(self):
         # eval rows are fixed (4 x 256); each block's hidden activation is
         # 1024 x 128 float64 (1 MiB). Holding every block's outputs of both
         # forwards adds about 1.2 MiB over six extra blocks; streaming adds
-        # only their share of the inlier-error buffer (6 x 1024 x 8 float64).
+        # only their share of the error buffer and the outlier flags
+        # (6 x 1024 x 8 float64 and bools).
         hidden_bytes = EVAL_SET_MULTIPLIER * 256 * 128 * 8
         growth = self.eval_peak_bytes(8) - self.eval_peak_bytes(2)
         assert growth < hidden_bytes, (growth, hidden_bytes)
 
+    def test_peak_memory_below_one_whole_hidden_activation(self):
+        # h >> d: the hidden activation of all rows (8192 x 512 float64,
+        # 32 MiB) outweighs the error buffer (2 x 8192 x 8 float64, 1 MiB)
+        # many times; a chunk's is an eighth of it
+        d, h, n_samples = 8, 512, 2048
+        model = build_toy_model(d, h, 2, seed=61, heavy_scale=1.3, heavy_input_scale=3.0)
+        calib = generate_calibration(model, n_samples, OutlierSpec(), seed=62)
+        modules, _ = fit_compensation(model, calib, "linear")
+        hidden_bytes = EVAL_SET_MULTIPLIER * n_samples * h * 8
+        peak = traced_eval_peak(model, calib, modules, "linear")
+        assert peak < hidden_bytes, (peak, hidden_bytes)
+
     @pytest.mark.parametrize("mode, arrays", [("none", 4), ("linear", 5), ("nbc", 5)])
     def test_peak_memory_bounded_by_block_arrays(self, mode, arrays):
-        # d > h, so the hidden activation (8192 x 32 float64, 2 MiB) is
-        # smaller than a rows x d array (8192 x 64, 4 MiB) and covers the
-        # masks and the tile-sized temporaries beside the d-wide arrays.
-        # Eval holds the inlier-error buffer, one hidden activation and four
-        # d-wide arrays at a time (the two streams, the quantized input and
-        # one temporary); a module's apply adds one more, since it holds its
-        # transformed input and that input's product with the weight beside
-        # the full-precision stream, the quantized input and the
-        # uncompensated output. Holding the previous block's arrays takes
-        # eight or more.
+        # Eval holds the error buffer (n_blocks rows x d float64 arrays),
+        # the outlier flags (one byte per element of the buffer) and the
+        # evaluation inputs, which score the squares once the chunks have
+        # run. Beside them it holds one chunk's arrays: its hidden
+        # activation and four d-wide arrays (the full-precision stream, the
+        # quantized input written over the compensated stream, the step's
+        # output and one temporary); a module's apply adds one more,
+        # since it holds its product with the weight and the inverse beside
+        # the step's output. The elementwise kernels add tile-sized
+        # temporaries. No rows x d array besides the buffer and the inputs
+        # is left: one more would cost eight chunk arrays.
         d, h, n_blocks, n_samples = 64, 32, 4, 2048
         model = build_toy_model(d, h, n_blocks, seed=41, heavy_scale=1.3, heavy_input_scale=3.0)
         calib = generate_calibration(model, n_samples, OutlierSpec(), seed=42)
@@ -405,15 +466,28 @@ class TestStreamedEvaluation:
         modules, _ = fit_compensation(model, calib, mode, cfg=cfg)
         rows = EVAL_SET_MULTIPLIER * n_samples
         block_bytes = rows * d * 8
-        bound = n_blocks * block_bytes + rows * h * 8 + arrays * block_bytes
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            evaluate_pipeline(model, calib, modules, mode=mode)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        chunk_bytes = EVAL_CHUNK_ROWS * d * 8
+        bound = (
+            n_blocks * block_bytes
+            + n_blocks * rows * d
+            + block_bytes
+            + EVAL_CHUNK_ROWS * h * 8
+            + arrays * chunk_bytes
+            + 2 * TILE_ELEMENTS * 8
+        )
+        peak = traced_eval_peak(model, calib, modules, mode)
         assert peak <= bound, (peak, bound)
+
+
+def traced_eval_peak(model, calib, modules, mode) -> int:
+    """Bytes ``evaluate_pipeline`` allocates at its peak, as tracemalloc sees them."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        evaluate_pipeline(model, calib, modules, mode=mode)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 class TestSearchRowValidation:
