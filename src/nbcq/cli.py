@@ -153,6 +153,12 @@ def read_run_config(path: str) -> RunConfig:
     for key, names in (("mode", MODES), ("transform", KIND_NAMES), ("storage", STORAGE_NAMES)):
         if getattr(cfg, key) not in names:
             raise ConfigError(f"{path}: {key} must be one of {names}, got '{getattr(cfg, key)}'")
+    if cfg.mode == "nbc" and cfg.transform == "identity":  # that run is mode = linear
+        nbc_kinds = tuple(name for name in KIND_NAMES if name != "identity")
+        raise ConfigError(
+            f"{path}: transform must be one of {nbc_kinds} under mode = nbc, got 'identity' "
+            "(the identity transform is mode = linear)"
+        )
     # The bounds the model, the outlier spec, the quantizer and the search
     # check when the run is built, and the output directory the commands
     # write to, checked here so the run fails before any setup or fit,

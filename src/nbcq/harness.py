@@ -30,15 +30,13 @@ to the ``W2`` product.
 Evaluation runs the rows in chunks of ``EVAL_CHUNK_ROWS``, each through
 every block of both forwards, so the streams, the hidden activation and
 the temporaries of a step and of a module's apply are chunk-sized; the
-quantized input is written over the compensated stream's input. Each chunk
-leaves every block's difference ``y - y_hat`` in a block-major buffer of
-all rows and its outlier flags in a bool array of the same shape. Then
-each block is scored whole: its loss from the squares, written into the
-evaluation inputs, which no step reads any more, and its inlier errors
-compacted forward in the buffer. At its peak evaluation holds the buffer,
-the flags, the inputs and one chunk's arrays. gelu and fake-quant take
-an ``out=`` array, which may be their input itself; any other ``out=``
-must not overlap the input, since the kernels run tile by tile.
+quantized input is written over the compensated stream's input, and
+``|y - y_hat|`` over the quantized input once its outlier flags are
+taken. Each block of a chunk is scored at once and leaves only sums, so
+at its peak evaluation holds the inputs and one chunk's arrays. gelu and
+fake-quant take an ``out=`` array, which may be their input itself; any
+other ``out=`` must not overlap the input, since the kernels run tile by
+tile.
 
 Conventions fixed here and relied on by the analyses:
 
@@ -57,6 +55,7 @@ Conventions fixed here and relied on by the analyses:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -129,6 +128,7 @@ EVAL_SET_MULTIPLIER = 4
 # temporaries stay in cache. OpenBLAS gives a row chunk of a product other
 # bits than the whole product at some small row counts (up to 100 rows at
 # the shapes measured, none from 128 on), so no chunk is smaller than this.
+# The chunks also fix the metrics' bits: each is a sum of per-chunk sums.
 EVAL_CHUNK_ROWS = 1024
 
 MODES = ("none", "linear", "nbc")
@@ -500,6 +500,9 @@ def fit_compensation(
 class EvalReport:
     """Evaluation-set metrics of one pipeline run.
 
+    The losses (mean squared errors, per block) and the two mean absolute
+    errors are each their sums over the row chunks of evaluation added
+    exactly rounded, then divided by the count (``_mean_of_partials``).
     ``mae_outlier`` and ``mae_inlier`` are None when the respective
     partition is empty; the slope gaps are None when the analysis channel
     has no outliers to compare against, or when a slope on it is undefined
@@ -649,11 +652,18 @@ def split_error_metrics(
         raise ValueError("y, y_hat and x_q must share one shape")
     err = np.abs(yv - hv)
     outlier = np.abs(xv) > threshold
-    return _mean_or_none(err[outlier]), _mean_or_none(err[~outlier])
+    return tuple(_mean_of_partials([np.sum(e)], e.size) for e in (err[outlier], err[~outlier]))
 
 
-def _mean_or_none(values: np.ndarray) -> float | None:
-    return float(values.mean()) if values.size else None
+def _mean_of_partials(partials: Sequence[float], count: int) -> float | None:
+    """Exactly rounded sum of nonnegative ``partials`` over ``count`` (None
+    for none); a sum past the float maximum is inf, where fsum raises."""
+    if not count:
+        return None
+    try:
+        return math.fsum(partials) / count
+    except OverflowError:
+        return math.inf
 
 
 def _row_chunks(n_rows: int) -> list[tuple[int, int]]:
@@ -677,10 +687,10 @@ def evaluate_pipeline(
     The evaluation set is four times the calibration size, drawn with an
     independent seed and the same outlier mechanism. It runs in row chunks
     (``_row_chunks``): each chunk goes through every block of both forwards
-    before the next one starts, and leaves each block's errors ``y - y_hat``
-    and outlier flags ``|x_q| > threshold`` in block-major buffers. Then
-    each block is scored whole, so the report has the bits of scoring all
-    blocks of two whole forwards at once (see the module notes on memory).
+    before the next one starts, and leaves only sums of its errors
+    ``y - y_hat``: squared per block, absolute over the outlier
+    (``|x_q| > threshold``) and inlier positions. The means are
+    deterministic for a fixed ``EVAL_CHUNK_ROWS``, not whole-array means.
 
     Slope gaps use the calibration records of the last block (see
     ``channel_slope_gap``), at the last module's exponent, or
@@ -689,7 +699,7 @@ def evaluate_pipeline(
     since modules do not record the search that chose them.
     """
     chosen_n = modules[-1].kind.n_exp if modules else None
-    # before the buffers are made, so its temporaries do not add to theirs
+    # before the inputs are drawn, so its temporaries do not add to theirs
     gap = channel_slope_gap(
         calib.records[-1],
         calib.spec.threshold,
@@ -698,15 +708,13 @@ def evaluate_pipeline(
     gap_before, gap_after = gap[1:] if gap is not None else (None, None)
 
     n_rows = EVAL_SET_MULTIPLIER * calib.n_samples
-    # no other name holds the inputs: block 0 overwrites them, and once
-    # every chunk has run they are scratch
+    # no other name holds the inputs: block 0 overwrites them
     inputs = as_tensor(
         draw_inputs(model, n_rows, calib.spec, calib.seed + EVAL_SEED_OFFSET), "inputs", ndim=2
     )
-    err = np.empty((model.n_blocks, *inputs.shape))
-    outlier = np.empty(err.shape, dtype=bool)
-    chunks = _row_chunks(n_rows)
-    for r0, r1 in chunks:
+    squares = [[] for _ in range(model.n_blocks)]  # per block: each chunk's sum of e * e
+    outlier_sums, inlier_sums, n_outliers = [], [], 0  # sums of |e| per chunk and block
+    for r0, r1 in _row_chunks(n_rows):
         z = zc = inputs[r0:r1]
         for k in range(model.n_blocks):
             z = model.block_step(k, z)
@@ -715,31 +723,19 @@ def evaluate_pipeline(
             zq, zc = calib.qmodel.block_step(
                 k, zc, None if modules is None else modules[k], overwrite_input=True
             )
-            np.subtract(as_tensor(z, "y"), as_tensor(zc, "y_hat"), out=err[k, r0:r1])
-            np.greater(np.abs(zq, out=zq), calib.spec.threshold, out=outlier[k, r0:r1])
-            del zq  # not held while the next block runs
-
-    # Each block's inlier errors move forward in the buffer behind the
-    # earlier blocks', a chunk at a time, so its head holds them all in the
-    # order a concatenation of all blocks would give: numpy's pairwise sum
-    # depends on the element count, and a streamed mean would not keep
-    # mae_inlier's bits. A chunk's inliers never reach past its own rows.
-    inliers = err.reshape(-1)
-    n_inliers = 0
-    per_block, outlier_errors = [], []
-    for e, flags in zip(err, outlier):
-        # e * e has the bits of (y - y_hat) ** 2, which numpy squares
-        per_block.append(float(np.mean(np.multiply(e, e, out=inputs))))
-        np.abs(e, out=e)
-        outlier_errors.append(e[flags])
-        np.logical_not(flags, out=flags)
-        for r0, r1 in chunks:
-            kept = e[r0:r1][flags[r0:r1]]  # a copy, so the overlapping write is safe
-            inliers[n_inliers : n_inliers + kept.size] = kept
-            n_inliers += kept.size
+            outlier = np.abs(zq, out=zq) > calib.spec.threshold
+            # |y - y_hat| goes over zq, read for the last time above;
+            # |e| * |e| has the bits of (y - y_hat) ** 2
+            e = np.abs(np.subtract(as_tensor(z, "y"), as_tensor(zc, "y_hat"), out=zq), out=zq)
+            squares[k].append(np.sum(e * e))
+            outlier_sums.append(np.sum(e[outlier]))
+            n_outliers += int(np.count_nonzero(outlier))
+            inlier_sums.append(np.sum(e[np.logical_not(outlier, out=outlier)]))
+            del zq, e, outlier  # not held while the next block runs
+    per_block = [_mean_of_partials(sums, n_rows * model.d) for sums in squares]
     feature_loss = per_block[-1]  # the last block's output is the pre-head feature
-    mae_out = _mean_or_none(np.concatenate(outlier_errors))
-    mae_in = _mean_or_none(inliers[:n_inliers])
+    mae_out = _mean_of_partials(outlier_sums, n_outliers)
+    mae_in = _mean_of_partials(inlier_sums, model.n_blocks * n_rows * model.d - n_outliers)
 
     return EvalReport(
         mode=mode,

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import nbcq
-from nbcq.cli import EVAL_CSV_COLUMNS, main
+from nbcq.cli import EVAL_CSV_COLUMNS, main, read_run_config
 from nbcq.formats import BUNDLE_MAGIC, read_bundle, read_tensor
 
 from helpers import oversized_bundle_bytes
@@ -352,6 +352,7 @@ BAD_VALUES = [
     ("d = 0", "d"),
     ("transform = tanh", "transform"),
     ("transform = sigmoid", "transform"),
+    ("transform = identity", "transform"),
     ("seed = -1", "seed"),
     ("heavy_scale = nan", "heavy_scale"),
     ("heavy_scale = inf", "heavy_scale"),
@@ -380,6 +381,12 @@ class TestConfigValues:
         assert_failed(code, err, 2, "config")
         assert err.startswith(f"error\tconfig\t{path}: {key} must be ")
         assert out == ""
+
+    @pytest.mark.parametrize("mode", ["none", "linear"])
+    def test_identity_transform_accepted_outside_nbc(self, tmp_path, mode):
+        path = tmp_path / "run.cfg"
+        path.write_text(small_cfg_with(f"mode = {mode}\ntransform = identity"))
+        assert read_run_config(str(path)).transform == "identity"
 
     def test_negative_seed_flag_rejected_before_setup(self, cfg_path, capsys, monkeypatch):
         import nbcq.cli as cli_mod

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nbcq.errors import FitError
-from nbcq.fls import FlsConfig, compute_feature_loss, fls_search, holdout_split
+from nbcq.fls import FlsConfig, fls_search, holdout_split
 from nbcq.harness import (
     EVAL_CHUNK_ROWS,
     EVAL_SEED_OFFSET,
@@ -30,6 +30,7 @@ from nbcq.harness import (
     slope_gap_analysis,
     split_error_metrics,
 )
+from nbcq.harness import _mean_of_partials
 from nbcq.numerics import TILE_ELEMENTS
 from nbcq.quantizer import QuantParams
 from nbcq.transform import TransformKind
@@ -320,31 +321,32 @@ def report_from_whole_forwards(model, calib, modules, report):
     """``report`` with every streamed field recomputed from whole forwards.
 
     The oracle keeps all blocks of both forwards (``block_io`` and
-    ``compensated_block_io``) and scores the errors on their concatenation,
-    as evaluation did before it streamed.
+    ``compensated_block_io``) and scores them as evaluation defines its
+    metrics: every block's rows are cut into chunks of ``EVAL_CHUNK_ROWS``
+    (the remainder joins the last chunk), each chunk gives a sum, and a
+    mean is the exactly rounded sum of its chunk sums over its count.
     """
-    ev = draw_inputs(
-        model, EVAL_SET_MULTIPLIER * calib.n_samples, calib.spec, calib.seed + EVAL_SEED_OFFSET
-    )
+    n_rows = EVAL_SET_MULTIPLIER * calib.n_samples
+    ev = draw_inputs(model, n_rows, calib.spec, calib.seed + EVAL_SEED_OFFSET)
     fp_io = model.block_io(ev)
     comp_io = calib.qmodel.compensated_block_io(ev, modules)
-    thr = calib.spec.threshold
-    y = np.concatenate([out for _, out in fp_io])
-    y_hat = np.concatenate([out for _, out in comp_io])
-    x_q = np.concatenate([zq for zq, _ in comp_io])
-    err = np.abs(y - y_hat)
-    outlier = np.abs(x_q) > thr
-    mae_out = float(err[outlier].mean()) if outlier.any() else None
-    mae_in = float(err[~outlier].mean()) if (~outlier).any() else None
-    assert split_error_metrics(y, y_hat, x_q, thr) == (mae_out, mae_in)
+    bounds = [i * EVAL_CHUNK_ROWS for i in range(max(1, n_rows // EVAL_CHUNK_ROWS))] + [n_rows]
+    chunks = [slice(r0, r1) for r0, r1 in zip(bounds, bounds[1:])]
+    losses, outlier_sums, inlier_sums, n_outliers = [], [], [], 0
+    for (_, y), (x_q, y_hat) in zip(fp_io, comp_io):
+        err = np.abs(y - y_hat)
+        outlier = np.abs(x_q) > calib.spec.threshold
+        losses.append(math.fsum(np.sum((y[c] - y_hat[c]) ** 2) for c in chunks) / y.size)
+        outlier_sums += [np.sum(err[c][outlier[c]]) for c in chunks]
+        inlier_sums += [np.sum(err[c][~outlier[c]]) for c in chunks]
+        n_outliers += int(outlier.sum())
+    n_inliers = len(fp_io) * n_rows * model.d - n_outliers
     return dataclasses.replace(
         report,
-        feature_loss=compute_feature_loss(fp_io[-1][1], comp_io[-1][1]),
-        per_block_losses=tuple(
-            compute_feature_loss(f, c) for (_, f), (_, c) in zip(fp_io, comp_io)
-        ),
-        mae_outlier=mae_out,
-        mae_inlier=mae_in,
+        feature_loss=losses[-1],
+        per_block_losses=tuple(losses),
+        mae_outlier=math.fsum(outlier_sums) / n_outliers if n_outliers else None,
+        mae_inlier=math.fsum(inlier_sums) / n_inliers if n_inliers else None,
     )
 
 
@@ -425,19 +427,19 @@ class TestStreamedEvaluation:
         return traced_eval_peak(model, calib, modules, "linear")
 
     def test_peak_memory_holds_one_block(self):
-        # eval rows are fixed (4 x 256); each block's hidden activation is
-        # 1024 x 128 float64 (1 MiB). Holding every block's outputs of both
-        # forwards adds about 1.2 MiB over six extra blocks; streaming adds
-        # only their share of the error buffer and the outlier flags
-        # (6 x 1024 x 8 float64 and bools).
-        hidden_bytes = EVAL_SET_MULTIPLIER * 256 * 128 * 8
+        # eval rows are fixed (4 x 256, one chunk). Six more blocks add only
+        # their partial sums, a few floats each, so eval's peak grows by
+        # less than one chunk's d-wide array (1024 x 8 float64); keeping
+        # every block's errors and outlier flags would add six of those
+        # arrays and their bools.
+        chunk_bytes = EVAL_CHUNK_ROWS * 8 * 8
         growth = self.eval_peak_bytes(8) - self.eval_peak_bytes(2)
-        assert growth < hidden_bytes, (growth, hidden_bytes)
+        assert growth < chunk_bytes, (growth, chunk_bytes)
 
     def test_peak_memory_below_one_whole_hidden_activation(self):
         # h >> d: the hidden activation of all rows (8192 x 512 float64,
-        # 32 MiB) outweighs the error buffer (2 x 8192 x 8 float64, 1 MiB)
-        # many times; a chunk's is an eighth of it
+        # 32 MiB) outweighs the evaluation inputs (8192 x 8 float64,
+        # 0.5 MiB) many times; a chunk's is an eighth of it
         d, h, n_samples = 8, 512, 2048
         model = build_toy_model(d, h, 2, seed=61, heavy_scale=1.3, heavy_input_scale=3.0)
         calib = generate_calibration(model, n_samples, OutlierSpec(), seed=62)
@@ -448,31 +450,29 @@ class TestStreamedEvaluation:
 
     @pytest.mark.parametrize("mode, arrays", [("none", 4), ("linear", 5), ("nbc", 5)])
     def test_peak_memory_bounded_by_block_arrays(self, mode, arrays):
-        # Eval holds the error buffer (n_blocks rows x d float64 arrays),
-        # the outlier flags (one byte per element of the buffer) and the
-        # evaluation inputs, which score the squares once the chunks have
-        # run. Beside them it holds one chunk's arrays: its hidden
-        # activation and four d-wide arrays (the full-precision stream, the
-        # quantized input written over the compensated stream, the step's
-        # output and one temporary); a module's apply adds one more,
-        # since it holds its product with the weight and the inverse beside
-        # the step's output. The elementwise kernels add tile-sized
-        # temporaries. No rows x d array besides the buffer and the inputs
-        # is left: one more would cost eight chunk arrays.
+        # Eval holds the evaluation inputs, which block 0 overwrites a
+        # chunk at a time, and the partial sums of its metrics. Beside them
+        # it holds one chunk's arrays: its hidden activation and four
+        # d-wide arrays (the full-precision stream, the quantized input
+        # written over the compensated stream, the step's output and one
+        # temporary, or the squares when the chunk is scored), and the
+        # chunk's outlier flags; a module's apply adds one more, since it
+        # holds its product with the weight and the inverse beside the
+        # step's output. The elementwise kernels add tile-sized
+        # temporaries. No rows x d array besides the inputs is left: one
+        # more would cost eight chunk arrays.
         d, h, n_blocks, n_samples = 64, 32, 4, 2048
         model = build_toy_model(d, h, n_blocks, seed=41, heavy_scale=1.3, heavy_input_scale=3.0)
         calib = generate_calibration(model, n_samples, OutlierSpec(), seed=42)
         cfg = FlsConfig(n_init=1.0, n_min=0.0, n_max=2.0, seed=43)
         modules, _ = fit_compensation(model, calib, mode, cfg=cfg)
         rows = EVAL_SET_MULTIPLIER * n_samples
-        block_bytes = rows * d * 8
         chunk_bytes = EVAL_CHUNK_ROWS * d * 8
         bound = (
-            n_blocks * block_bytes
-            + n_blocks * rows * d
-            + block_bytes
+            rows * d * 8
             + EVAL_CHUNK_ROWS * h * 8
             + arrays * chunk_bytes
+            + EVAL_CHUNK_ROWS * d
             + 2 * TILE_ELEMENTS * 8
         )
         peak = traced_eval_peak(model, calib, modules, mode)
@@ -759,6 +759,21 @@ class TestSplitErrorMetrics:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             split_error_metrics(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 3)), 10.0)
+
+
+class TestMeanOfPartials:
+    def test_exactly_rounded_sum_over_count(self):
+        assert sum([0.1] * 10) != 1.0
+        assert _mean_of_partials([0.1] * 10, 4) == 0.25
+
+    def test_no_elements_reports_absent(self):
+        assert _mean_of_partials([], 0) is None
+
+    def test_sum_past_float_max_is_inf(self):
+        with pytest.raises(OverflowError):
+            math.fsum([1e308, 1e308])
+        assert _mean_of_partials([np.float64(1e308), np.float64(1e308)], 2) == math.inf
+        assert _mean_of_partials([np.float64(np.inf), 1.0], 2) == math.inf
 
 
 class TestKurtosisChannelSelection:
