@@ -16,8 +16,9 @@ configuration errors; failures print one machine-parsable line to stderr,
 ``format`` error, both naming the block (calibrate writes no bundle).
 
 The run configuration is line-oriented ``key = value`` text with ``#``
-comments, one key per ``RunConfig`` field; unknown keys are rejected by
-name, and so is every value the run would reject once it starts.
+comments, one key per ``RunConfig`` field. Unknown keys are rejected by
+name, and so are every value the run would reject once it starts and a
+``transform`` set under a mode other than nbc, which reads none.
 
 The eval CSV has one row per block: the ``EvalReport`` fields in order,
 each repeated on every row, then the block index and the block's entry of
@@ -158,6 +159,10 @@ def read_run_config(path: str) -> RunConfig:
         raise ConfigError(
             f"{path}: transform must be one of {nbc_kinds} under mode = nbc, got 'identity' "
             "(the identity transform is mode = linear)"
+        )
+    if "transform" in values and cfg.mode != "nbc":  # no command reads it then
+        raise ConfigError(
+            f"{path}: transform must be unset under mode = {cfg.mode}; only mode = nbc reads it"
         )
     # The bounds the model, the outlier spec, the quantizer and the search
     # check when the run is built, and the output directory the commands
@@ -380,10 +385,10 @@ def cmd_export(cfg: RunConfig, bundle_path: str, out_dir: str | None) -> int:
     for i, mod in enumerate(modules):
         tensors = stored_tensors(mod)
         files = []
-        for role in ("weight", "scales", "bias"):  # the manifest's file order
-            if role in tensors:
-                files.append(f"block{i:03d}_{role}.nbct")
-                write_tensor(os.path.join(directory, files[-1]), tensors[role])
+        # the manifest's file order: weight first, bias last, other roles in table order
+        for role in sorted(tensors, key=lambda role: (role == "bias", role != "weight")):
+            files.append(f"block{i:03d}_{role}.nbct")
+            write_tensor(os.path.join(directory, files[-1]), tensors[role])
         n_exp = mod.kind.n_exp if mod.kind.name == "blt" else ""
         manifest.append(f"{i}\t{mod.kind.name}\t{n_exp}\t{mod.storage}\t{' '.join(files)}")
     manifest_path = os.path.join(directory, "manifest.tsv")

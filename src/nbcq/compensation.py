@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError
 from .numerics import as_tensor, solve_coefficients, solve_least_squares
 from .quantizer import round_half_away
 from .transform import IDENTITY, TransformKind, apply_kind_forward, apply_kind_inverse
@@ -97,10 +96,6 @@ class CalibrationRecord:
         return self.x_q.shape[0]
 
     @property
-    def d_in(self) -> int:
-        return self.x_q.shape[1]
-
-    @property
     def residual(self) -> np.ndarray:
         return self.y - self.y_q
 
@@ -165,11 +160,8 @@ class CompensationModule:
 
 
 def fit_nbc(rec: CalibrationRecord, kind: TransformKind) -> CompensationModule:
-    """Fit compensation in the transformed space of ``kind``."""
-    if rec.n_rows < rec.d_in + 1:
-        raise FitError(
-            f"calibration record has {rec.n_rows} rows; need at least {rec.d_in + 1}"
-        )
+    """Fit compensation in the transformed space of ``kind``; the solve
+    rejects a record with fewer than d_in + 1 rows (FitError)."""
     design = apply_kind_forward(rec.x_q, kind)
     targets = apply_kind_forward(rec.residual, kind)
     sol = solve_least_squares(design, targets)
@@ -196,9 +188,6 @@ def fit_nbc_levels(
     ``fit_nbc`` on the record with ``x_q = levels[codes]``, bit for bit;
     ``residual_rms`` is None.
     """
-    n_rows, d_in = np.shape(codes)
-    if n_rows < d_in + 1:
-        raise FitError(f"calibration record has {n_rows} rows; need at least {d_in + 1}")
     design = apply_kind_forward(levels, kind)[codes]
     targets = apply_kind_forward(residual, kind)
     sol = solve_coefficients(design, targets)

@@ -39,13 +39,9 @@ class FitError(NbcError):
 
 
 class EvaluatorError(NbcError):
-    """A search or an evaluation failed; carries the search candidate, if any."""
+    """A search or an evaluation failed; the message names the candidate, if any."""
 
     code = "evaluator"
-
-    def __init__(self, message: str, n_exp: float | None = None):
-        super().__init__(message)
-        self.n_exp = n_exp
 
 
 class FormatError(NbcError):
@@ -64,8 +60,3 @@ class BadVersionError(FormatError):
 
 class TruncatedFileError(FormatError):
     code = "truncated"
-
-    def __init__(self, message: str, expected: int | None = None, actual: int | None = None):
-        super().__init__(message)
-        self.expected = expected
-        self.actual = actual

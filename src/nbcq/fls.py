@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -165,7 +165,7 @@ def fls_search(cfg: FlsConfig, evaluator: Callable[[float], float]) -> FlsResult
         try:
             loss = float(evaluator(n))
         except (ValueError, FitError) as exc:
-            raise EvaluatorError(f"evaluator failed at n_exp={n!r}: {exc}", n_exp=n) from exc
+            raise EvaluatorError(f"evaluator failed at n_exp={n!r}: {exc}") from exc
         losses[k] = loss
         history[n] = loss
 
@@ -199,15 +199,14 @@ def fls_search(cfg: FlsConfig, evaluator: Callable[[float], float]) -> FlsResult
     )
 
 
-def search_n_for_pipeline(records: Sequence, cfg: FlsConfig, pipeline) -> tuple[Any, FlsResult]:
-    """Select the exponent with the hold-out protocol, then refit in full.
+def search_n_for_pipeline(records: Sequence, cfg: FlsConfig, pipeline) -> FlsResult:
+    """Select the exponent with the hold-out protocol.
 
     The record list is split once into fit and hold-out sets; every
     candidate is fitted on the former (``pipeline.fit(records, n_exp)``)
     and scored on the latter (``pipeline.holdout_loss(fitted, records)``,
-    the feature loss of the fitted pipeline on those records). After the
-    search picks an exponent, the pipeline is refitted on the complete
-    record set at that exponent. Returns ``(final_fit, result)``.
+    the feature loss of the fitted pipeline on those records). No call sees
+    the whole record list: the caller fits the chosen exponent on it.
     """
     fit_set, holdout_set = holdout_split(records, cfg)
 
@@ -215,5 +214,4 @@ def search_n_for_pipeline(records: Sequence, cfg: FlsConfig, pipeline) -> tuple[
         fitted = pipeline.fit(fit_set, n_exp)
         return pipeline.holdout_loss(fitted, holdout_set)
 
-    result = fls_search(cfg, evaluator)
-    return pipeline.fit(list(records), result.chosen_n), result
+    return fls_search(cfg, evaluator)

@@ -15,7 +15,7 @@ Compensation bundle (magic "NBCB"): after the magic, a version byte and a
 little-endian u16 block count, then per block
 
     u16 block index, kind byte (0=identity 1=blt 2=asinh; 3 and 4 are
-    reserved and rejected on read), f64 LE threshold exponent (0.0 for
+    reserved and rejected on read), f64 LE threshold exponent (+0.0 for
     kinds without one), storage byte
     (0=f32 1=f16 2=i8_per_channel), then one embedded tensor record per
     role the storage keeps, in the order and file dtypes of
@@ -27,10 +27,10 @@ how a module narrows to them and how they build a module back live in
 ``compensation``. Both formats round-trip bit-exactly and reject corrupt
 files with distinct errors for bad magic, bad version and truncation; a
 bundle block whose bytes decode to an invalid module (a non-finite value,
-an exponent outside the operational range) is a FormatError naming the
-block, and so is a tensor record whose dtype is not the one its role
-has under the block's storage. All writes go through a temp file and an
-atomic rename.
+an exponent outside the operational range or under a kind without one) is
+a FormatError naming the block, and so is a tensor record whose dtype is
+not the one its role has under the block's storage. All writes go through
+a temp file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -113,9 +113,7 @@ def _read_exact(f, count: int, path: str, what: str) -> bytes:
     data = f.read(count)
     if len(data) != count:
         raise TruncatedFileError(
-            f"{path}: truncated while reading {what}; expected {count} bytes, got {len(data)}",
-            expected=count,
-            actual=len(data),
+            f"{path}: truncated while reading {what}; expected {count} bytes, got {len(data)}"
         )
     return data
 
@@ -158,9 +156,7 @@ def _read_tensor_stream(f, path: str) -> np.ndarray:
     left = os.fstat(f.fileno()).st_size - f.tell()
     if nbytes > left:
         raise TruncatedFileError(
-            f"{path}: truncated while reading tensor payload; expected {nbytes} bytes, got {left}",
-            expected=nbytes,
-            actual=left,
+            f"{path}: truncated while reading tensor payload; expected {nbytes} bytes, got {left}"
         )
     payload = _read_exact(f, nbytes, path, "tensor payload")
     return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
@@ -230,7 +226,7 @@ def read_bundle(path: str) -> list[CompensationModule]:
             kind_code = _read_exact(f, 1, path, "kind byte")[0]
             if kind_code not in _KIND_BY_CODE:
                 raise FormatError(f"{path}: unknown kind code {kind_code}")
-            n_exp = struct.unpack("<d", _read_exact(f, 8, path, "threshold exponent"))[0]
+            n_field = _read_exact(f, 8, path, "threshold exponent")
             storage_code = _read_exact(f, 1, path, "storage byte")[0]
             if storage_code not in _STORAGE_BY_CODE:
                 raise FormatError(f"{path}: unknown storage code {storage_code}")
@@ -246,8 +242,9 @@ def read_bundle(path: str) -> list[CompensationModule]:
                         f"{storage} storage stores {dtype}"
                     )
             try:  # the bytes decode, but the values must make a valid module
-                kind = TransformKind(kind_name, n_exp) if kind_name == "blt" else TransformKind(kind_name)
-                modules.append(stored_module(kind, storage, tensors))
+                # a kind without an exponent stores +0.0, which reads as none
+                n_exp = struct.unpack("<d", n_field)[0] if kind_name == "blt" or any(n_field) else None
+                modules.append(stored_module(TransformKind(kind_name, n_exp), storage, tensors))
             except ValueError as exc:
                 raise FormatError(f"{path}: block {position}: {exc}") from None
         trailing = f.read(1)

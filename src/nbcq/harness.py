@@ -18,13 +18,14 @@ Memory: each model has one per-block step, which every forward runs: the
 list forms (``block_io``), calibration, the hold-out search and
 evaluation. Calibration runs each product once: one full-precision loop
 calibrates the activation ranges and keeps every block's output as its
-target, and the hold-out search scores against the last block's targets
-instead of running a full-precision forward of its own. The search takes
-block 0's quantized input and output of the hold-out rows from the
-records too, so a candidate runs the quantized steps of blocks 1..n-1
-only. For the fit rows it holds two arrays per block, the integer codes
-of the block input and the residual ``y - y_q``, where slices of ``x_q``,
-``y`` and ``y_q`` would be three. A step computes the hidden activation
+target, and the calibration set keeps these records, not the inputs. The
+hold-out search scores against the last block's targets instead of
+running a full-precision forward of its own. The search takes block 0's
+quantized input and output of the hold-out rows from the records too, so
+a candidate runs the quantized steps of blocks 1..n-1 only. For the fit
+rows it holds two arrays per block, the integer codes of the block input
+and the residual ``y - y_q``, where slices of ``x_q``, ``y`` and ``y_q``
+would be three, and drops them when the search ends. A step computes the hidden activation
 in place in the fresh ``z @ W1^T`` product and adds the residual in place
 to the ``W2`` product.
 Evaluation runs the rows in chunks of ``EVAL_CHUNK_ROWS``, each through
@@ -341,9 +342,8 @@ def draw_inputs(model: ToyModel, n_samples: int, spec: OutlierSpec, seed: int) -
 
 @dataclass(frozen=True)
 class CalibrationSet:
-    """Calibration inputs plus everything derived from them in one pass."""
+    """Everything one pass derives from the calibration inputs, which it does not keep."""
 
-    inputs: np.ndarray
     records: tuple[CalibrationRecord, ...]  # one per block
     qmodel: QuantizedToyModel
     spec: OutlierSpec
@@ -351,7 +351,7 @@ class CalibrationSet:
 
     @property
     def n_samples(self) -> int:
-        return self.inputs.shape[0]
+        return self.records[0].n_rows
 
 
 def generate_calibration(
@@ -375,8 +375,6 @@ def generate_calibration(
     runs once; the exponent search scores its hold-out rows against the
     last block's ``y``.
     """
-    if n_samples < model.d + 2:
-        raise ValueError(f"need at least d + 2 = {model.d + 2} samples, got {n_samples}")
     inputs = draw_inputs(model, n_samples, spec, seed)
     w1q = tuple(quantize_per_channel(w, bits_w) for w in model.w1)
     w2q = tuple(quantize_per_channel(w, bits_w) for w in model.w2)
@@ -393,23 +391,23 @@ def generate_calibration(
         CalibrationRecord(x_q=q_in, y=y, y_q=q_out)
         for y, (q_in, q_out) in zip(targets, qmodel.block_io(inputs))
     )
-    return CalibrationSet(inputs=inputs, records=records, qmodel=qmodel, spec=spec, seed=seed)
+    return CalibrationSet(records=records, qmodel=qmodel, spec=spec, seed=seed)
 
 
 class _RowSearchPipeline:
     """Adapts blockwise fitting to the hold-out search over sample rows.
 
-    The search's record units are row indices into the calibration set. A
-    candidate does only the work that depends on its exponent:
+    The search's record units are row indices into the calibration set; it
+    fits on the fit rows only and keeps no module, since
+    ``fit_compensation`` fits the kept ones on every row. A candidate does
+    only the work that depends on its exponent:
 
     * Fit: every block input is fake-quantized per tensor to the 2^bits_a
       levels of its ``p_in``, so its transform is that of the level table,
       gathered by integer codes (``fit_nbc_levels``). The fit rows' codes
       and residuals ``y - y_q`` do not depend on the candidate: they are
       made once and kept for the rows they were made on. A candidate's
-      modules are scored and dropped, so its fits skip the residual pass;
-      the final refit on every row is ``fit_nbc`` on the calibration
-      records, which reports ``residual_rms``.
+      modules are scored and dropped, so its fits skip the residual pass.
     * Hold-out: block 0's quantized step does not depend on the candidate
       either, and the records hold its input and output for every row. The
       hold-out forward applies the first module to those rows, runs blocks
@@ -426,9 +424,6 @@ class _RowSearchPipeline:
     def fit(self, records: Sequence[int], n_exp: float) -> list[CompensationModule]:
         rows = np.asarray(list(records), dtype=np.intp)
         kind = TransformKind("blt", n_exp)
-        if np.array_equal(rows, np.arange(self.calib.n_samples)):
-            self._fit_rows = self._fit_data = None  # the search is done with them
-            return _fit_blocks(self.calib.records, lambda rec: fit_nbc(rec, kind))
         if self._fit_rows is None or not np.array_equal(rows, self._fit_rows):
             self._fit_data = None  # let the old arrays go before the new ones are made
             self._fit_rows = rows
@@ -472,8 +467,10 @@ def fit_compensation(
     """Fit per-block modules for ``mode``; search the exponent for blt.
 
     Returns ``(modules, search_result)``; both are None/None for mode
-    "none" and the search result is None whenever no search ran. A kept
-    fit that fails a check raises FitError naming the block.
+    "none" and the search result is None whenever no search ran. The search
+    only scores candidates; the kept modules are ``fit_nbc`` of every
+    block's whole record, at the chosen exponent under blt. A kept fit that
+    fails a check raises FitError naming the block.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -490,10 +487,11 @@ def fit_compensation(
                 f"the search fits on {fit_rows} of n_samples={n} rows at "
                 f"holdout_fraction={cfg.holdout_fraction}; it needs at least d + 1 = {model.d + 1}"
             )
-        pipeline = _RowSearchPipeline(calib)
-        return search_n_for_pipeline(list(range(calib.n_samples)), cfg, pipeline)
-    kind = TransformKind(transform)
-    return _fit_blocks(calib.records, lambda rec: fit_nbc(rec, kind)), None
+        result = search_n_for_pipeline(list(range(n)), cfg, _RowSearchPipeline(calib))
+        kind = TransformKind("blt", result.chosen_n)
+    else:
+        result, kind = None, TransformKind(transform)
+    return _fit_blocks(calib.records, lambda rec: fit_nbc(rec, kind)), result
 
 
 @dataclass(frozen=True)
@@ -543,27 +541,20 @@ def excess_kurtosis(x: np.ndarray) -> np.ndarray:
     return kurt
 
 
-def scalar_slope(x, r, *, fit_bias: bool = True) -> float:
-    """Scalar OLS slope of r on x, with or without an intercept."""
+def scalar_slope(x, r) -> float:
+    """Scalar OLS slope of r on x, with an intercept."""
     xv = as_tensor(x, "x", ndim=1)
     rv = as_tensor(r, "r", ndim=1)
     if xv.shape != rv.shape:
         raise ValueError("x and r must have equal length")
-    if fit_bias:
-        xc = xv - xv.mean()
-        denom = float(np.sum(xc**2))
-        if denom == 0.0:
-            raise FitError("x is constant; slope with bias is undefined")
-        return float(np.sum(xc * (rv - rv.mean())) / denom)
-    denom = float(np.sum(xv**2))
+    xc = xv - xv.mean()
+    denom = float(np.sum(xc**2))
     if denom == 0.0:
-        raise FitError("x is identically zero; slope is undefined")
-    return float(np.sum(xv * rv) / denom)
+        raise FitError("x is constant; slope with bias is undefined")
+    return float(np.sum(xc * (rv - rv.mean())) / denom)
 
 
-def slope_gap_analysis(
-    x, r, threshold: float, kind: TransformKind, *, fit_bias: bool = True
-) -> tuple[float, float]:
+def slope_gap_analysis(x, r, threshold: float, kind: TransformKind) -> tuple[float, float]:
     """Outlier drag on one channel pair, before and after the transform.
 
     ``gap_before`` is |slope(all) - slope(inliers)| in the original space,
@@ -578,16 +569,10 @@ def slope_gap_analysis(
         raise ValueError("no inliers under the threshold")
     if inlier.all():
         raise ValueError("no outliers above the threshold")
-    gap_before = abs(
-        scalar_slope(xv, rv, fit_bias=fit_bias)
-        - scalar_slope(xv[inlier], rv[inlier], fit_bias=fit_bias)
-    )
+    gap_before = abs(scalar_slope(xv, rv) - scalar_slope(xv[inlier], rv[inlier]))
     xf = blt_forward(xv, kind)
     rf = blt_forward(rv, kind)
-    gap_after = abs(
-        scalar_slope(xf, rf, fit_bias=fit_bias)
-        - scalar_slope(xf[inlier], rf[inlier], fit_bias=fit_bias)
-    )
+    gap_after = abs(scalar_slope(xf, rf) - scalar_slope(xf[inlier], rf[inlier]))
     return gap_before, gap_after
 
 

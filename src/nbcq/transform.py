@@ -162,7 +162,7 @@ class TransformKind:
             raise ValueError(f"unknown transform kind {self.name!r}")
         if self.name != "blt":
             if self.n_exp is not None:
-                raise ValueError(f"{self.name} kind does not take n_exp")
+                raise ValueError(f"{self.name} kind does not take n_exp, got {self.n_exp!r}")
             return
         if self.n_exp is None:
             raise ValueError("blt kind requires n_exp")

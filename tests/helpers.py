@@ -11,7 +11,7 @@ gets an exhaustive walk of its grid. The blockwise training loss scores
 each block's module on its own calibration record, apart from the
 forward that deploys the modules. The reference search runs each exponent
 candidate the direct way: ``fit_nbc`` on every block's sliced record, and
-the whole compensated forward of the hold-out inputs.
+the whole compensated forward of the hold-out inputs, drawn again.
 
 The desk setup is the one ``nbcq`` builds from a run configuration, so the
 tests run the steps the command runs: setup, fit, evaluate.
@@ -27,7 +27,7 @@ import numpy as np
 from nbcq.cli import RunConfig, _build_setup
 from nbcq.compensation import STORAGE_F32, CalibrationRecord, apply, fit_nbc, store_params
 from nbcq.fls import compute_feature_loss, search_n_for_pipeline
-from nbcq.harness import evaluate_pipeline, fit_compensation
+from nbcq.harness import draw_inputs, evaluate_pipeline, fit_compensation
 from nbcq.transform import TransformKind
 
 
@@ -68,8 +68,9 @@ class _ReferenceRowSearch:
     """Search pipeline over calibration rows that fits and scores each
     candidate in full (see :func:`reference_search`)."""
 
-    def __init__(self, calib):
+    def __init__(self, calib, inputs):
         self.calib = calib
+        self.inputs = inputs
 
     def fit(self, records, n_exp):
         rows = np.asarray(list(records), dtype=np.intp)
@@ -81,17 +82,21 @@ class _ReferenceRowSearch:
 
     def holdout_loss(self, fitted, records):
         rows = np.asarray(list(records), dtype=np.intp)
-        comp = self.calib.qmodel.compensated_block_io(self.calib.inputs[rows], fitted)[-1][1]
+        comp = self.calib.qmodel.compensated_block_io(self.inputs[rows], fitted)[-1][1]
         return compute_feature_loss(self.calib.records[-1].y[rows], comp)
 
 
-def reference_search(calib, cfg):
+def reference_search(model, calib, cfg):
     """``(modules, result)`` of the blt exponent search on ``calib`` with
     every candidate run in full: each block fitted by ``fit_nbc`` on its
-    record sliced to the fit rows, the hold-out rows run through the whole
-    compensated forward and scored against the recorded targets, then the
-    final refit on every row."""
-    return search_n_for_pipeline(list(range(calib.n_samples)), cfg, _ReferenceRowSearch(calib))
+    record sliced to the fit rows, the hold-out rows of the calibration
+    inputs of ``model`` run through the whole compensated forward and scored
+    against the recorded targets, then ``fit_nbc`` on every row at the
+    chosen exponent."""
+    inputs = draw_inputs(model, calib.n_samples, calib.spec, calib.seed)
+    result = search_n_for_pipeline(list(range(calib.n_samples)), cfg, _ReferenceRowSearch(calib, inputs))
+    kind = TransformKind("blt", result.chosen_n)
+    return [fit_nbc(rec, kind) for rec in calib.records], result
 
 
 def oversized_tensor_header() -> bytes:

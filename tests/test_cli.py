@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import nbcq
-from nbcq.cli import EVAL_CSV_COLUMNS, main, read_run_config
+from nbcq.cli import EVAL_CSV_COLUMNS, main
 from nbcq.formats import BUNDLE_MAGIC, read_bundle, read_tensor
 
 from helpers import oversized_bundle_bytes
@@ -127,7 +127,7 @@ class TestCalibrate:
 
     def test_mode_none_rejected(self, tmp_path, capsys):
         path = tmp_path / "none.cfg"
-        path.write_text(SMALL_CFG.replace("mode = nbc", "mode = none"))
+        path.write_text(SMALL_CFG.replace("mode = nbc", "mode = none").replace("transform = blt\n", ""))
         code, _, err = run_cli(
             ["calibrate", "--config", str(path), "--out", str(tmp_path / "x.nbcb")], capsys
         )
@@ -382,11 +382,23 @@ class TestConfigValues:
         assert err.startswith(f"error\tconfig\t{path}: {key} must be ")
         assert out == ""
 
+    @pytest.mark.parametrize("transform", ["identity", "blt"])
     @pytest.mark.parametrize("mode", ["none", "linear"])
-    def test_identity_transform_accepted_outside_nbc(self, tmp_path, mode):
+    def test_transform_rejected_outside_nbc_before_setup(self, tmp_path, capsys, monkeypatch, mode, transform):
+        # no command reads it: eval takes the kind from the bundle, and
+        # search-n and analyze-outliers always search blt
+        import nbcq.cli as cli_mod
+
+        def no_setup(*args, **kwargs):
+            raise AssertionError("the run was set up")
+
+        monkeypatch.setattr(cli_mod, "_build_setup", no_setup)
         path = tmp_path / "run.cfg"
-        path.write_text(small_cfg_with(f"mode = {mode}\ntransform = identity"))
-        assert read_run_config(str(path)).transform == "identity"
+        path.write_text(small_cfg_with(f"mode = {mode}\ntransform = {transform}"))
+        code, out, err = run_cli(["search-n", "--config", str(path)], capsys)
+        assert_failed(code, err, 2, "config")
+        assert err.startswith(f"error\tconfig\t{path}: transform must be unset under mode = {mode}")
+        assert out == ""
 
     def test_negative_seed_flag_rejected_before_setup(self, cfg_path, capsys, monkeypatch):
         import nbcq.cli as cli_mod
@@ -630,6 +642,34 @@ class TestExport:
             else:
                 assert got["weight"].dtype == np.dtype(narrow)
                 assert np.array_equal(got["weight"].astype(np.float64), mod.weight)
+
+    @pytest.mark.parametrize("storage", ["f32", "i8_per_channel"])
+    def test_every_stored_role_is_exported(self, tmp_path, capsys, monkeypatch, storage):
+        # a role the storage table gains goes between the weight and the bias
+        import nbcq.cli as cli_mod
+
+        stored = cli_mod.stored_tensors
+        monkeypatch.setattr(
+            cli_mod, "stored_tensors", lambda mod: {**stored(mod), "offsets": np.arange(3, dtype="<f4")}
+        )
+        path = tmp_path / "run.cfg"
+        path.write_text(small_cfg_with(f"storage = {storage}"))
+        bundle = str(tmp_path / "comp.nbcb")
+        assert run_cli(["calibrate", "--config", str(path), "--out", bundle], capsys)[0] == 0
+        out_dir = tmp_path / "export"
+        code, _, err = run_cli(
+            ["export", "--config", str(path), "--bundle", bundle, "--out", str(out_dir)], capsys
+        )
+        assert code == 0, err
+        roles = ["weight", "offsets", "bias"]
+        if storage == "i8_per_channel":
+            roles.insert(1, "scales")
+        manifest = (out_dir / "manifest.tsv").read_text().splitlines()
+        assert len(manifest) == 2
+        for i, line in enumerate(manifest):
+            files = [f"block{i:03d}_{role}.nbct" for role in roles]
+            assert line.split("\t")[-1] == " ".join(files)
+            assert read_tensor(str(out_dir / files[-2])).tobytes() == np.arange(3, dtype="<f4").tobytes()
 
 
 class TestGlobalFlags:

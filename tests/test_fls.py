@@ -171,9 +171,8 @@ class TestFlsSearch:
                 raise ValueError("boom")
             return 0.0
 
-        with pytest.raises(EvaluatorError, match="n_exp=1.0") as exc_info:
+        with pytest.raises(EvaluatorError, match="^evaluator failed at n_exp=1.0: boom$") as exc_info:
             fls_search(FlsConfig(), evaluator)
-        assert exc_info.value.n_exp == 1.0
         assert isinstance(exc_info.value.__cause__, ValueError)
 
     def test_unexpected_evaluator_error_propagates_unwrapped(self):
@@ -252,26 +251,24 @@ class _RecordPipeline:
 
 
 class TestSearchForPipeline:
-    def test_flat_loss_returns_n_init_and_refits_full(self):
+    def test_flat_loss_returns_n_init_and_fits_only_the_fit_set(self):
         records = [object() for _ in range(16)]
         pipeline = _RecordPipeline()
-        final, res = search_n_for_pipeline(records, FlsConfig(seed=3), pipeline)
+        res = search_n_for_pipeline(records, FlsConfig(seed=3), pipeline)
         assert res.chosen_n == 2.0
-        # last fit call is the full-set refit at the chosen exponent, and its fit is returned
-        assert pipeline.fit_calls[-1] == (16, 2.0)
-        assert final == 2.0
-        # all search fits used the fit subset only
-        assert all(count == 12 for count, _ in pipeline.fit_calls[:-1])
+        # one fit per candidate, each on the fit subset only: no refit on every record
+        assert [n for _, n in pipeline.fit_calls] == list(res.history)
+        assert all(count == 12 for count, _ in pipeline.fit_calls)
 
     def test_evaluation_budget(self):
         cfg = FlsConfig()
         pipeline = _RecordPipeline({n: abs(n - 4.0) for n in np.arange(-10.0, 11.0)})
-        _, res = search_n_for_pipeline(list(range(8)), cfg, pipeline)
+        res = search_n_for_pipeline(list(range(8)), cfg, pipeline)
         assert res.evaluations <= grid_points(cfg)
 
     def test_record_level_split_respected(self):
         records = list(range(512))
         pipeline = _RecordPipeline()
         search_n_for_pipeline(records, FlsConfig(seed=11), pipeline)
-        search_sizes = {count for count, _ in pipeline.fit_calls[:-1]}
+        search_sizes = {count for count, _ in pipeline.fit_calls}
         assert search_sizes == {384}

@@ -26,7 +26,6 @@ from nbcq.harness import (
     generate_calibration,
     gelu,
     ols_scalar_bias,
-    scalar_slope,
     slope_gap_analysis,
     split_error_metrics,
 )
@@ -134,20 +133,22 @@ class TestGenerateCalibration:
         assert (np.abs(last.x_q) > calib.spec.threshold).any()
 
     def test_minimum_samples(self):
+        # calibration records any row count; the fit rejects fewer than d + 1 rows
         model = build_toy_model(16, 8, 2, seed=0)
-        with pytest.raises(ValueError, match="samples"):
-            generate_calibration(model, 10, OutlierSpec(), seed=1)
+        calib = generate_calibration(model, 10, OutlierSpec(), seed=1)
+        with pytest.raises(FitError, match="^need at least 17 rows to fit 16 weights plus a bias, got 10$"):
+            fit_compensation(model, calib, "linear")
 
     def test_fp_records_equal_block_io(self):
         model, calib, _ = desk_setup(2)
-        fp_io = model.block_io(calib.inputs)
+        fp_io = model.block_io(draw_inputs(model, calib.n_samples, calib.spec, calib.seed))
         assert len(fp_io) == len(calib.records)
         for rec, (_, fp_out) in zip(calib.records, fp_io):
             assert rec.y.tobytes() == fp_out.tobytes()
 
     def test_fake_quant_equals_integer_round_trip(self):
         model, calib, _ = desk_setup(0)
-        x = calib.inputs * 3.0
+        x = draw_inputs(model, calib.n_samples, calib.spec, calib.seed) * 3.0
         for p in calib.qmodel.p_in + calib.qmodel.p_hid + (QuantParams(4, 0.5, 0),):
             fused = calib.qmodel.fake_quant(x, p)
             assert fused.tobytes() == integer_round_trip(x, p).tobytes()
@@ -157,7 +158,7 @@ class TestGenerateCalibration:
     def test_eval_inputs_disjoint_seed(self):
         model, calib, _ = desk_setup(0)
         ev = draw_inputs(model, 512, calib.spec, calib.seed + EVAL_SEED_OFFSET)
-        assert not np.array_equal(ev, calib.inputs)
+        assert not np.array_equal(ev, draw_inputs(model, calib.n_samples, calib.spec, calib.seed))
 
 
 @pytest.fixture(scope="module")
@@ -212,7 +213,8 @@ class TestForwardCounts:
         model = build_toy_model(d, h, n_blocks, seed=5, heavy_scale=1.3, heavy_input_scale=3.0)
         calib = generate_calibration(model, n_samples, OutlierSpec(), seed=6)
         _, rows = holdout_split(list(range(n_samples)), FlsConfig(seed=7))
-        fresh = model.block_io(calib.inputs[rows])[-1][1]
+        inputs = draw_inputs(model, n_samples, calib.spec, calib.seed)
+        fresh = model.block_io(inputs[rows])[-1][1]
         assert fresh.tobytes() == calib.records[-1].y[rows].tobytes()
 
 
@@ -645,7 +647,7 @@ class TestSearchOracle:
         model = build_toy_model(d, h, n_blocks, seed=0, heavy_scale=1.3, heavy_input_scale=3.0)
         calib = generate_calibration(model, n_samples, OutlierSpec(), seed=1, bits_a=bits_a)
         modules, result = fit_compensation(model, calib, "nbc", cfg=cfg)
-        ref_modules, ref = reference_search(calib, cfg)
+        ref_modules, ref = reference_search(model, calib, cfg)
 
         assert result.evaluations >= 3
         assert list(result.history.items()) == list(ref.history.items())
@@ -673,23 +675,30 @@ class TestSlopeGapAnalysis:
     def test_two_population_no_bias_worked_example(self):
         x = np.array([10.0, 1.0, 1.0, 1.0])
         r = np.array([0.0, 1.0, 1.0, 1.0])
-        before, _ = slope_gap_analysis(x, r, 5.0, TransformKind("blt", 2.0), fit_bias=False)
-        all_slope = scalar_slope(x, r, fit_bias=False)
-        inlier_slope = scalar_slope(x[1:], r[1:], fit_bias=False)
+        all_slope = float(np.sum(x * r) / np.sum(x * x))  # the no-intercept OLS slope
+        inlier_slope = float(np.sum(x[1:] * r[1:]) / np.sum(x[1:] * x[1:]))
         assert abs(all_slope - 3.0 / 103.0) <= 1e-15
+        assert abs(all_slope - ols_scalar_bias(1, 4, 10.0, 1.0, 0.0, 1.0)) <= 1e-15
         assert abs(inlier_slope - 1.0) <= 1e-15
-        assert abs(before - 100.0 / 103.0) <= 1e-12
-        assert abs(before - 0.9709) <= 1e-4
+        assert abs(abs(all_slope - inlier_slope) - 100.0 / 103.0) <= 1e-12
+
+    def test_intercept_worked_example(self):
+        # centred, x is [6, -3, -2, -1] and r is [-1.5, -0.5, 0.5, 1.5]: the
+        # slope of all rows is -10 / 50, and the inliers lie on r = x
+        x = np.array([10.0, 1.0, 2.0, 3.0])
+        r = np.array([0.0, 1.0, 2.0, 3.0])
+        before, _ = slope_gap_analysis(x, r, 5.0, TransformKind("blt", 2.0))
+        assert abs(before - 1.2) <= 1e-12
 
     def test_transform_shrinks_gap_with_searched_exponent(self):
-        x = np.array([10.0, 1.0, 1.0, 1.0])
-        r = np.array([0.0, 1.0, 1.0, 1.0])
+        x = np.array([10.0, 1.0, 2.0, 3.0])
+        r = np.array([0.0, 1.0, 2.0, 3.0])
 
         def gap_after_of(n):
-            return slope_gap_analysis(x, r, 5.0, TransformKind("blt", n), fit_bias=False)[1]
+            return slope_gap_analysis(x, r, 5.0, TransformKind("blt", n))[1]
 
         res = fls_search(FlsConfig(), gap_after_of)
-        before, after = slope_gap_analysis(x, r, 5.0, TransformKind("blt", res.chosen_n), fit_bias=False)
+        before, after = slope_gap_analysis(x, r, 5.0, TransformKind("blt", res.chosen_n))
         assert after < before
 
     def test_empty_partitions_rejected(self):

@@ -11,7 +11,7 @@ import struct
 import numpy as np
 import pytest
 
-from nbcq.harness import GELU_TANH_COEFF, GELU_TANH_CUBIC, gelu
+from nbcq.harness import GELU_TANH_COEFF, GELU_TANH_CUBIC, draw_inputs, gelu
 from nbcq.numerics import TILE_ELEMENTS, as_tensor, map_tiles
 from nbcq.quantizer import QuantParams, fake_quantize
 from nbcq.transform import (
@@ -234,8 +234,8 @@ class TestOutAliasing:
         assert bits(y) == bits(expected)
 
     def test_model_fake_quant_in_place(self):
-        _, calib, _ = desk_setup(0)
-        x = calib.inputs * 3.0
+        model, calib, _ = desk_setup(0)
+        x = draw_inputs(model, calib.n_samples, calib.spec, calib.seed) * 3.0
         p = calib.qmodel.p_in[0]
         y = x.copy()
         assert calib.qmodel.fake_quant(y, p, out=y) is y
