@@ -11,7 +11,7 @@ Commands (all take ``--config``; ``--seed`` overrides the config seed):
 Exit status is 0 on success, 1 on computational failure and 2 on usage or
 configuration errors; failures print one machine-parsable line to stderr,
 ``error<TAB>code<TAB>message``; an overflow in a search or an eval is an
-``evaluator`` error (eval writes no CSV); an overflow in a kept fit is a
+``evaluator`` error (eval writes no CSV); any failing kept fit is a
 ``fit`` error and a parameter beyond its stored dtype (``narrow``) a
 ``format`` error, both naming the block (calibrate writes no bundle).
 

@@ -21,7 +21,7 @@ in f16, since a d_out-sized vector is negligible storage. ``narrow`` is
 the one cast to a stored dtype and the one check that a value survives
 it, and ``stored_module`` the one builder of a module from stored
 tensors; the bundle reader and writer and ``nbcq export`` use them too.
-Narrowed modules decode their weights lazily on apply.
+A module holds one float64 weight under every storage; i8 adds its scales.
 """
 
 from __future__ import annotations
@@ -104,18 +104,18 @@ class CalibrationRecord:
 class CompensationModule:
     """One block's fitted compensation. Immutable; apply never mutates it.
 
-    Working-precision modules hold ``weight`` directly. Under int8 storage
-    ``weight`` is None and the codes/scales pair reconstructs it on demand.
-    ``ridge_used`` and ``residual_rms`` carry the fit metadata forward;
-    a bundle does not store them, so modules read from one hold None.
+    ``weight`` is the float64 matrix ``apply`` multiplies by, under every
+    storage; under int8 storage it is decoded once and ``scales`` holds the
+    stored per-row scales, so the codes are ``weight / scales[:, None]``
+    exactly. ``ridge_used`` and ``residual_rms`` carry the fit metadata
+    forward; a bundle does not store them, so modules read from one hold None.
     """
 
     kind: TransformKind
+    weight: np.ndarray
     bias: np.ndarray
     storage: str = STORAGE_F32
-    weight: np.ndarray | None = None
-    weight_codes: np.ndarray | None = None
-    weight_scales: np.ndarray | None = None
+    scales: np.ndarray | None = None
     ridge_used: float | None = None
     residual_rms: float | None = None
 
@@ -123,24 +123,19 @@ class CompensationModule:
         if self.storage not in STORAGE_NAMES:
             raise ValueError(f"unknown storage {self.storage!r}")
         object.__setattr__(self, "bias", as_tensor(self.bias, "bias", ndim=1))
+        object.__setattr__(self, "weight", as_tensor(self.weight, "weight", ndim=2))
+        if self.weight.shape[0] != self.bias.shape[0]:
+            raise ValueError("weight rows must match bias length")
         if self.storage == STORAGE_I8:
-            if self.weight_codes is None or self.weight_scales is None:
-                raise ValueError("i8 storage requires weight codes and scales")
-            codes = narrow(np.asarray(self.weight_codes), STORAGE_I8, "weight")
-            scales = as_tensor(self.weight_scales, "weight_scales", ndim=1)
-            if codes.ndim != 2 or scales.shape[0] != codes.shape[0]:
+            scales = np.asarray(self.scales, dtype=np.float64)
+            if scales.shape != self.bias.shape:
                 raise ValueError("per-row scales must match the weight row count")
-            if codes.shape[0] != self.bias.shape[0]:
-                raise ValueError("weight rows must match bias length")
-            object.__setattr__(self, "weight_codes", codes)
-            object.__setattr__(self, "weight_scales", scales)
-        else:
-            if self.weight is None:
-                raise ValueError(f"{self.storage} storage requires a weight matrix")
-            w = as_tensor(self.weight, "weight", ndim=2)
-            if w.shape[0] != self.bias.shape[0]:
-                raise ValueError("weight rows must match bias length")
-            object.__setattr__(self, "weight", w)
+            if not np.all((scales > 0) & np.isfinite(scales)):
+                raise ValueError("scales must be finite and > 0")
+            object.__setattr__(self, "scales", scales)
+            narrow(self.weight / scales[:, None], STORAGE_I8, "weight")  # each an int8 code times its row's scale
+        elif self.scales is not None:
+            raise ValueError(f"{self.storage} storage stores no scales")
 
     @property
     def d_out(self) -> int:
@@ -148,15 +143,7 @@ class CompensationModule:
 
     @property
     def d_in(self) -> int:
-        if self.storage == STORAGE_I8:
-            return self.weight_codes.shape[1]
         return self.weight.shape[1]
-
-    def effective_weight(self) -> np.ndarray:
-        """Weight matrix in working precision, dequantized if stored as i8."""
-        if self.storage == STORAGE_I8:
-            return self.weight_codes.astype(np.float64) * self.weight_scales[:, None]
-        return self.weight
 
 
 def fit_nbc(rec: CalibrationRecord, kind: TransformKind) -> CompensationModule:
@@ -211,8 +198,7 @@ def apply(mod: CompensationModule, x_q, y_q) -> np.ndarray:
         raise ValueError(f"y_q has {yq.shape[1]} columns, module expects {mod.d_out}")
     if x.shape[0] != yq.shape[0]:
         raise ValueError("x_q and y_q must have equal row counts")
-    w = mod.effective_weight()
-    pred = apply_kind_forward(x, mod.kind) @ w.T
+    pred = apply_kind_forward(x, mod.kind) @ mod.weight.T
     pred += mod.bias
     out = apply_kind_inverse(pred, mod.kind)
     out += yq  # IEEE addition commutes: the bits of yq + out
@@ -240,20 +226,24 @@ def narrow(values: np.ndarray, storage: str, role: str) -> np.ndarray:
 
 
 def stored_module(kind: TransformKind, storage: str, tensors: dict, **fit_metadata) -> CompensationModule:
-    """The module whose stored tensors, by role, are ``tensors``;
-    ``fit_metadata`` sets ``ridge_used`` and ``residual_rms``."""
-    weight = {"weight": tensors["weight"]}
-    if storage == STORAGE_I8:
-        weight = {"weight_codes": tensors["weight"], "weight_scales": tensors["scales"]}
-    return CompensationModule(kind=kind, bias=tensors["bias"], storage=storage, **weight, **fit_metadata)
+    """The module whose stored tensors, by role, are ``tensors`` (an int8
+    weight decoded); ``fit_metadata`` sets ``ridge_used`` and ``residual_rms``."""
+    weight, scales = tensors["weight"], None
+    if storage == STORAGE_I8:  # shapes checked before the decode can broadcast them
+        scales = tensors["scales"].astype(np.float64)
+        if weight.ndim != 2 or scales.shape != weight.shape[:1]:
+            raise ValueError("per-row scales must match the weight row count")
+        weight = weight.astype(np.float64) * scales[:, None]
+    return CompensationModule(kind=kind, weight=weight, bias=tensors["bias"], storage=storage,
+                              scales=scales, **fit_metadata)
 
 
 def stored_tensors(mod: CompensationModule) -> dict[str, np.ndarray]:
     """The module's tensors by role, in bundle order, narrowed to their
-    file dtypes."""
-    wide = {"weight": mod.weight, "bias": mod.bias}
+    file dtypes; an int8 weight is encoded back to its codes."""
+    wide = {"weight": mod.weight, "bias": mod.bias, "scales": mod.scales}
     if mod.storage == STORAGE_I8:
-        wide = {"weight": mod.weight_codes, "bias": mod.bias, "scales": mod.weight_scales}
+        wide["weight"] = mod.weight / mod.scales[:, None]
     return {role: narrow(wide[role], mod.storage, role) for role in STORED_DTYPES[mod.storage]}
 
 

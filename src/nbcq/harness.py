@@ -446,12 +446,12 @@ class _RowSearchPipeline:
 
 
 def _fit_blocks(records: Sequence[CalibrationRecord], fit) -> list[CompensationModule]:
-    """``fit`` of every block's record; a ValueError becomes a FitError naming the block."""
+    """``fit`` of every block's record; a failing fit raises a FitError naming the block."""
     modules = []
     for block, rec in enumerate(records):
         try:
             modules.append(fit(rec))
-        except ValueError as exc:
+        except (ValueError, FitError) as exc:
             raise FitError(f"block {block}: {exc}") from None
     return modules
 

@@ -103,21 +103,20 @@ def solve_least_squares(design, targets, ridge: float = 0.0) -> LstsqSolution:
 
     Then a residual pass, ``t - aug @ coef`` over every row, gives
     ``residual_rms``; it costs about as much as the solve itself. Only the
-    fits that are kept pay it: ``fit_nbc`` and ``fit_linear``, which give
-    the final refit of the exponent search and the unsearched modes. The
-    search's candidate fits, which are scored and dropped, call
-    :func:`solve_coefficients`, which returns the same weight, bias and
-    ``ridge_used`` bit for bit.
+    fits that are kept pay it: ``fit_nbc`` and ``fit_linear``, which fit
+    every block's whole record in every mode. The search's candidate fits,
+    which are scored and dropped, call :func:`solve_coefficients`, which
+    returns the same weight, bias and ``ridge_used`` bit for bit.
     """
     aug, t, coef, ridge_used = _solve(design, targets, ridge)
     resid = t - aug @ coef
     return _solution(coef, ridge_used, float(np.sqrt(np.mean(resid**2))))
 
 
-def solve_coefficients(design, targets, ridge: float = 0.0) -> LstsqSolution:
-    """:func:`solve_least_squares` without the residual pass: the same
-    weight, bias and ``ridge_used``, and ``residual_rms`` None."""
-    _, _, coef, ridge_used = _solve(design, targets, ridge)
+def solve_coefficients(design, targets) -> LstsqSolution:
+    """:func:`solve_least_squares` at ridge 0 without the residual pass:
+    the same weight, bias and ``ridge_used``, and ``residual_rms`` None."""
+    _, _, coef, ridge_used = _solve(design, targets, 0.0)
     return _solution(coef, ridge_used, None)
 
 

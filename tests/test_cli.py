@@ -11,6 +11,7 @@ import pytest
 
 import nbcq
 from nbcq.cli import EVAL_CSV_COLUMNS, main
+from nbcq.errors import FitError
 from nbcq.formats import BUNDLE_MAGIC, read_bundle, read_tensor
 
 from helpers import oversized_bundle_bytes
@@ -252,6 +253,23 @@ class TestEval:
         code, out, err = run_cli(args, capsys)
         assert_failed(code, err, 1, "format")
         assert err.startswith(f"error\tformat\t{bundle}: block 0: ")
+        assert out == ""
+
+    @pytest.mark.parametrize("scale", [0.0, -0.5])
+    @pytest.mark.parametrize("command", ["eval", "export"])
+    def test_non_positive_i8_scale_exits_1_with_one_format_line(self, tmp_path, capsys, command, scale):
+        path = tmp_path / "run.cfg"
+        path.write_text(small_cfg_with("storage = i8_per_channel"))
+        bundle = tmp_path / "comp.nbcb"
+        code, _, err = run_cli(["calibrate", "--config", str(path), "--out", str(bundle)], capsys)
+        assert code == 0, err
+        data = bundle.read_bytes()
+        # the file ends with the last block's d = 8 f32 scales; set its first
+        bundle.write_bytes(data[:-32] + struct.pack("<f", scale) + data[-28:])
+        args = [command, "--config", str(path), "--bundle", str(bundle), "--out", str(tmp_path / "out")]
+        code, out, err = run_cli(args, capsys)
+        assert_failed(code, err, 1, "format")
+        assert err == f"error\tformat\t{bundle}: block 1: scales must be finite and > 0\n"
         assert out == ""
 
     @pytest.mark.parametrize("command", ["eval", "export"])
@@ -597,6 +615,22 @@ class TestKeptFitFailure:
         assert out == "" and os.listdir(tmp_path) == ["run.cfg"]
 
 
+    def test_singular_solve_is_the_one_fit_line_naming_the_block(self, tmp_path, capsys, monkeypatch):
+        import nbcq.compensation as compensation_mod
+
+        def singular(design, targets):
+            raise FitError("normal equations remain singular after the ridge fallback")
+
+        monkeypatch.setattr(compensation_mod, "solve_least_squares", singular)
+        path = tmp_path / "run.cfg"
+        path.write_text("mode = linear\nstorage = f32\n")
+        bundle = tmp_path / "comp.nbcb"
+        code, out, err = run_cli(["calibrate", "--config", str(path), "--out", str(bundle)], capsys)
+        assert_failed(code, err, 1, "fit")
+        assert err == "error\tfit\tblock 0: normal equations remain singular after the ridge fallback\n"
+        assert out == "" and os.listdir(tmp_path) == ["run.cfg"]
+
+
 class TestExport:
     def test_exports_tensor_files_and_manifest(self, cfg_path, tmp_path, capsys):
         bundle = str(tmp_path / "comp.nbcb")
@@ -636,9 +670,9 @@ class TestExport:
             assert np.array_equal(got["bias"].astype(np.float64), mod.bias)
             if storage == "i8_per_channel":
                 assert got["weight"].dtype == np.int8
-                assert np.array_equal(got["weight"], mod.weight_codes)
+                assert np.array_equal(got["weight"] * mod.scales[:, None], mod.weight)
                 assert got["scales"].dtype == np.dtype("<f4")
-                assert np.array_equal(got["scales"].astype(np.float64), mod.weight_scales)
+                assert np.array_equal(got["scales"].astype(np.float64), mod.scales)
             else:
                 assert got["weight"].dtype == np.dtype(narrow)
                 assert np.array_equal(got["weight"].astype(np.float64), mod.weight)

@@ -12,6 +12,7 @@ from nbcq.compensation import (
     fit_nbc,
     narrow,
     store_params,
+    stored_tensors,
 )
 from nbcq.errors import FitError
 from nbcq.fls import compute_feature_loss
@@ -193,8 +194,7 @@ class TestApply:
     def test_matches_the_plain_formula_bit_for_bit(self, desk_records, kind, storage):
         # the formula apply used before it summed in place, kept verbatim
         def old_apply(mod, x_q, y_q):
-            w = mod.effective_weight()
-            pred = apply_kind_forward(x_q, mod.kind) @ w.T + mod.bias
+            pred = apply_kind_forward(x_q, mod.kind) @ mod.weight.T + mod.bias
             return y_q + apply_kind_inverse(pred, mod.kind)
 
         for rec in desk_records:
@@ -221,7 +221,7 @@ class TestStoreParams:
         assert np.array_equal(f16.weight, mod.weight)
         assert np.array_equal(f16.bias, mod.bias)
         i8 = store_params(mod, STORAGE_I8)
-        assert np.array_equal(i8.effective_weight(), mod.weight)
+        assert np.array_equal(i8.weight, mod.weight)
         assert np.array_equal(i8.bias, mod.bias)
 
     def test_i8_round_trip_error_bounded_by_half_scale(self):
@@ -229,8 +229,8 @@ class TestStoreParams:
         w = rng.uniform(-0.5, 0.5, (8, 16))
         mod = CompensationModule(kind=IDENTITY, weight=w, bias=np.zeros(8))
         i8 = store_params(mod, STORAGE_I8)
-        err = np.abs(i8.effective_weight() - w)
-        assert np.all(err <= i8.weight_scales[:, None] / 2)
+        err = np.abs(i8.weight - w)
+        assert np.all(err <= i8.scales[:, None] / 2)
 
     def test_f16_rounds_parameters(self):
         rng = np.random.default_rng(16)
@@ -267,12 +267,15 @@ class TestStoreParams:
             f"scales value {1e43 / 127.0!r} at flat index 1 overflows i8_per_channel storage (float32)"
         )
 
-    def test_storage_applied_lazily_on_apply(self):
+    def test_i8_weight_is_decoded_once(self):
         rng = np.random.default_rng(17)
         rec = make_record(rng, n=50, d_in=4, d_out=4, residual=0.3 * rng.standard_normal((50, 4)))
         mod = fit_linear(rec)
         i8 = store_params(mod, STORAGE_I8)
-        assert i8.weight is None and i8.weight_codes.dtype == np.int8
+        codes = stored_tensors(i8)["weight"]
+        assert codes.dtype == np.int8
+        assert i8.weight.dtype == np.float64
+        assert i8.weight.tobytes() == (codes.astype(np.float64) * i8.scales[:, None]).tobytes()
         out_full = apply(mod, rec.x_q, rec.y_q)
         out_i8 = apply(i8, rec.x_q, rec.y_q)
         # coarse storage still approximates the working-precision output
@@ -283,8 +286,9 @@ class TestStoreParams:
         w = rng.standard_normal((6, 6)) * 10.0
         mod = CompensationModule(kind=IDENTITY, weight=w, bias=np.zeros(6))
         i8 = store_params(mod, STORAGE_I8)
-        assert i8.weight_codes.min() >= -127 and i8.weight_codes.max() <= 127
-        assert i8.weight_scales.shape == (6,)
+        codes = stored_tensors(i8)["weight"]
+        assert codes.min() >= -127 and codes.max() <= 127
+        assert i8.scales.shape == (6,)
 
     def test_restoring_stored_module_rejected(self):
         mod = CompensationModule(kind=IDENTITY, weight=np.zeros((2, 2)), bias=np.zeros(2))
@@ -362,6 +366,30 @@ class TestI8Codes:
     def test_module_refuses_codes_beyond_int8(self):
         with pytest.raises(ValueError, match="weight value 300.0 at flat index 2 does not fit"):
             CompensationModule(
-                kind=IDENTITY, bias=np.zeros(2), storage=STORAGE_I8,
-                weight_codes=np.array([[1, 2], [300, 4]]), weight_scales=np.ones(2),
+                kind=IDENTITY, weight=np.array([[1, 2], [300, 4]]), bias=np.zeros(2),
+                storage=STORAGE_I8, scales=np.ones(2),
+            )
+
+    def test_module_refuses_a_weight_off_its_row_scale(self):
+        # row 1 is 1.5 times its scale: no int8 code decodes to it
+        with pytest.raises(ValueError, match="weight value 1.5 at flat index 2 does not fit"):
+            CompensationModule(
+                kind=IDENTITY, weight=np.array([[1.0, 2.0], [0.75, 1.0]]), bias=np.zeros(2),
+                storage=STORAGE_I8, scales=np.array([1.0, 0.5]),
+            )
+
+    @pytest.mark.parametrize("scale", [0.0, -0.5, np.inf, np.nan], ids=str)
+    def test_module_refuses_a_scale_not_finite_and_positive(self, scale):
+        with pytest.raises(ValueError, match="^scales must be finite and > 0$"):
+            CompensationModule(
+                kind=IDENTITY, weight=np.zeros((2, 2)), bias=np.zeros(2),
+                storage=STORAGE_I8, scales=np.array([1.0, scale]),
+            )
+
+    @pytest.mark.parametrize("storage", [STORAGE_F32, STORAGE_F16])
+    def test_float_storage_holds_no_scales(self, storage):
+        with pytest.raises(ValueError, match=f"^{storage} storage stores no scales$"):
+            CompensationModule(
+                kind=IDENTITY, weight=np.zeros((2, 2)), bias=np.zeros(2), storage=storage,
+                scales=np.ones(2),
             )

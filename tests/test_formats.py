@@ -146,8 +146,8 @@ class TestBundles:
             assert loaded.storage == orig.storage
             assert loaded.ridge_used is None and loaded.residual_rms is None  # not stored
             if orig.storage == STORAGE_I8:
-                assert np.array_equal(loaded.weight_codes, orig.weight_codes)
-                assert np.array_equal(loaded.weight_scales, orig.weight_scales)
+                assert np.array_equal(loaded.weight, orig.weight)
+                assert np.array_equal(loaded.scales, orig.scales)
             codec = f32_roundtrip_struct if orig.storage == "f32" else f16_roundtrip_struct
             assert np.array_equal(loaded.bias, [codec(v) for v in orig.bias])
 
@@ -163,7 +163,7 @@ class TestBundles:
         write_bundle(path, [stored])
         (loaded,) = read_bundle(path)
         assert (loaded.kind, loaded.storage) == (stored.kind, storage)
-        for field in ("weight", "weight_codes", "weight_scales", "bias"):
+        for field in ("weight", "scales", "bias"):
             ours, back = getattr(stored, field), getattr(loaded, field)
             if ours is None:
                 assert back is None, field
@@ -199,30 +199,38 @@ class TestBundles:
             ("f32", "weight", -3.5e38, "float32"),
             (STORAGE_F16, "weight", 65520.0, "float16"),
             (STORAGE_I8, "bias", 1e5, "float16"),
-            (STORAGE_I8, "weight_scales", 1e39, "float32"),
+            (STORAGE_I8, "scales", 1e39, "float32"),
         ],
     )
     def test_value_that_overflows_its_storage_refused(self, tmp_path, storage, field, value, dtype):
         # modules built directly, as store_params would refuse these values
-        if storage == STORAGE_I8:
-            module = CompensationModule(
-                kind=IDENTITY, bias=np.zeros(4), storage=STORAGE_I8,
-                weight_codes=np.ones((4, 6), dtype=np.int8), weight_scales=np.ones(4),
-            )
-        else:
-            module = CompensationModule(
-                kind=IDENTITY, weight=np.zeros((4, 6)), bias=np.zeros(4), storage=storage
-            )
+        scales = np.ones(4) if storage == STORAGE_I8 else None
+        module = CompensationModule(
+            kind=IDENTITY, weight=np.ones((4, 6)), bias=np.zeros(4), storage=storage, scales=scales
+        )
         values = getattr(module, field).copy()
         values.flat[3] = value
-        module = dataclasses.replace(module, **{field: values})
-        role = "scales" if field == "weight_scales" else field
+        changed = {field: values}
+        if field == "scales":  # the weight keeps its codes: one times each row's scale
+            changed["weight"] = np.ones((4, 6)) * values[:, None]
+        module = dataclasses.replace(module, **changed)
         with pytest.raises(ValueError) as info:
             write_bundle(str(tmp_path / "b.nbcb"), [sample_modules(np.random.default_rng(5))[0], module])
         assert str(info.value) == (
-            f"block 1: {role} value {value!r} at flat index 3 overflows {storage} storage ({dtype})"
+            f"block 1: {field} value {value!r} at flat index 3 overflows {storage} storage ({dtype})"
         )
         assert os.listdir(tmp_path) == []  # nothing written, not even a temporary file
+
+    @pytest.mark.parametrize("scale", [0.0, -0.5])
+    def test_non_positive_i8_scale_refused_naming_block_and_scales(self, tmp_path, scale):
+        mod = CompensationModule(kind=IDENTITY, weight=np.ones((4, 6)), bias=np.zeros(4))
+        path = tmp_path / "b.nbcb"
+        write_bundle(str(path), [store_params(mod, STORAGE_I8)])
+        data = path.read_bytes()
+        # the file ends with the block's four f32 scales; set the first
+        path.write_bytes(data[:-16] + struct.pack("<f", scale) + data[-12:])
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: block 0: scales must be finite and > 0$"):
+            read_bundle(str(path))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.nbcb"
@@ -324,7 +332,8 @@ def tensor_record(tmp_path, arr) -> bytes:
 
 class TestRecordDtypes:
     """A bundle block's tensor records must have the file dtypes its storage
-    keeps; a record of another dtype is refused, naming the block and role."""
+    keeps; a record of another dtype is refused, naming the block and role.
+    The records of an i8 block must also agree in shape."""
 
     @pytest.mark.parametrize(
         "storage_code, records, role",
@@ -344,6 +353,27 @@ class TestRecordDtypes:
         path.write_bytes(data)
         with pytest.raises(FormatError, match=f"{re.escape(str(path))}: block 0: {role} record is "):
             read_bundle(str(path))
+
+    @pytest.mark.parametrize(
+        "codes, scales",
+        [
+            ([1, 2, 3], [1.0, 1.0, 1.0]),  # 1-D codes of length d_in next to d_out scales
+            ([[1, 2, 3]], [1.0, 1.0, 1.0]),  # one row of codes next to d_out scales
+            ([[1, 2, 3], [4, 5, 6], [7, 8, 9]], 1.0),  # 0-d scales
+            ([[1, 2, 3], [4, 5, 6], [7, 8, 9]], [[1.0], [1.0], [1.0]]),  # (d_out, 1) scales
+        ],
+        ids=["1d-codes", "one-row-codes", "0d-scales", "column-scales"],
+    )
+    def test_i8_codes_and_scales_of_mismatched_shapes_rejected(self, tmp_path, codes, scales):
+        # the decode must not broadcast these into a weight the file does not hold
+        records = [("<i1", codes), ("<f2", [0.5, 0.5, 0.5]), ("<f4", scales)]
+        data = BUNDLE_MAGIC + bytes([1]) + struct.pack("<HHBdB", 1, 0, 0, 0.0, 2)
+        data += b"".join(tensor_record(tmp_path, np.array(v, dtype=dt)) for dt, v in records)
+        path = tmp_path / "b.nbcb"
+        path.write_bytes(data)
+        with pytest.raises(FormatError) as info:
+            read_bundle(str(path))
+        assert str(info.value) == f"{path}: block 0: per-row scales must match the weight row count"
 
 
 class TestRunConfigFile:

@@ -136,7 +136,7 @@ class TestGenerateCalibration:
         # calibration records any row count; the fit rejects fewer than d + 1 rows
         model = build_toy_model(16, 8, 2, seed=0)
         calib = generate_calibration(model, 10, OutlierSpec(), seed=1)
-        with pytest.raises(FitError, match="^need at least 17 rows to fit 16 weights plus a bias, got 10$"):
+        with pytest.raises(FitError, match="^block 0: need at least 17 rows to fit 16 weights plus a bias, got 10$"):
             fit_compensation(model, calib, "linear")
 
     def test_fp_records_equal_block_io(self):
