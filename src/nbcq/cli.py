@@ -15,10 +15,11 @@ configuration errors; failures print one machine-parsable line to stderr,
 ``fit`` error and a parameter beyond its stored dtype (``narrow``) a
 ``format`` error, both naming the block (calibrate writes no bundle).
 
-The run configuration is line-oriented ``key = value`` text with ``#``
-comments, one key per ``RunConfig`` field. Unknown keys are rejected by
-name, and so are every value the run would reject once it starts and a
-``transform`` set under a mode other than nbc, which reads none.
+The run configuration is line-oriented ``key = value`` UTF-8 text (a
+leading byte order mark is skipped) with ``#`` comments, one key per
+``RunConfig`` field. Unknown keys are rejected by name, and so are every
+value the run would reject once it starts and a ``transform`` set under a
+mode other than nbc, which reads none.
 
 The eval CSV has one row per block: the ``EvalReport`` fields in order,
 each repeated on every row, then the block index and the block's entry of
@@ -55,7 +56,7 @@ import numpy as np
 
 from .compensation import STORAGE_F32, STORAGE_NAMES, store_params, stored_tensors
 from .errors import ConfigError, EvaluatorError, FormatError, NbcError
-from .fls import MIN_STEP, FlsConfig, holdout_count
+from .fls import FlsConfig, check_fit_rows
 from .formats import atomic_write, read_bundle, write_bundle, write_tensor
 from .harness import (
     MODES,
@@ -69,8 +70,9 @@ from .harness import (
     fit_compensation,
     generate_calibration,
     ols_scalar_bias,
+    search_exponent,
 )
-from .transform import KIND_NAMES, N_EXP_RANGE
+from .transform import KIND_NAMES
 
 __all__ = ["main", "EVAL_CSV_COLUMNS", "RunConfig", "read_run_config"]
 
@@ -102,11 +104,23 @@ class RunConfig:
     holdout_fraction: float = FlsConfig.holdout_fraction
     outlier_fraction: float = OutlierSpec.outlier_fraction
     outlier_scale: float = OutlierSpec.outlier_scale
-    outlier_threshold: float = OutlierSpec.threshold
+    outlier_threshold: float = OutlierSpec.outlier_threshold
     heavy_channel: int = 0
     heavy_scale: float = 1.3
     heavy_input_scale: float = 3.0
     out_dir: str = "."
+
+    def outlier_spec(self) -> OutlierSpec:
+        """The calibration's outlier spec; ValueError names a key out of its bounds."""
+        return OutlierSpec(**self._shared(OutlierSpec))
+
+    def search_config(self, seed: int) -> FlsConfig:
+        """The search of a run at ``seed``, split at seed + 2; ValueError names a key."""
+        return FlsConfig(**{**self._shared(FlsConfig), "seed": seed + 2})
+
+    def _shared(self, cls) -> dict:
+        """This config's values of the fields of ``cls``, each a key by the same name."""
+        return {f.name: getattr(self, f.name) for f in fields(cls)}
 
 
 # key -> parser of its value text, from the field's annotation
@@ -115,12 +129,16 @@ _PARSERS = {f.name: {"int": int, "float": float, "str": str}[f.type] for f in fi
 
 def read_run_config(path: str) -> RunConfig:
     """Parse a ``key = value`` config file, rejecting unknown keys and
-    out-of-range values by name."""
+    out-of-range values by name. The outlier and search bounds are stated
+    by ``OutlierSpec`` and ``FlsConfig``, the fit-row rule by
+    ``fls.check_fit_rows``, and every other rule here."""
     try:
-        with open(path, "r", encoding="utf-8") as f:
+        with open(path, "r", encoding="utf-8-sig") as f:
             raw_lines = f.readlines()
     except FileNotFoundError:
         raise ConfigError(f"configuration file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"configuration file not readable: {path} ({exc.strerror})") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(
             f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason})"
@@ -164,11 +182,10 @@ def read_run_config(path: str) -> RunConfig:
         raise ConfigError(
             f"{path}: transform must be unset under mode = {cfg.mode}; only mode = nbc reads it"
         )
-    # The bounds the model, the outlier spec, the quantizer and the search
-    # check when the run is built, and the output directory the commands
-    # write to, checked here so the run fails before any setup or fit,
-    # naming the key.
-    lo, hi = N_EXP_RANGE
+    # The bounds the run checks when it is built, and the output directory
+    # the commands write to, checked here so the run fails before any setup
+    # or fit, naming the key: the model's and the quantizer's, then those
+    # that OutlierSpec and FlsConfig state.
     for key, ok, rule in (
         ("seed", cfg.seed >= 0, ">= 0"),
         ("d", cfg.d >= 1, ">= 1"),
@@ -177,36 +194,23 @@ def read_run_config(path: str) -> RunConfig:
         ("heavy_channel", 0 <= cfg.heavy_channel < cfg.d, f"in [0, d = {cfg.d})"),
         ("bits_w", 2 <= cfg.bits_w <= 8, "in [2, 8]"),
         ("bits_a", 2 <= cfg.bits_a <= 8, "in [2, 8]"),
-        ("outlier_fraction", 0.0 <= cfg.outlier_fraction <= 0.2, "in [0, 0.2]"),
-        ("outlier_scale", cfg.outlier_scale >= 1.0, ">= 1"),
-        ("outlier_threshold", cfg.outlier_threshold > 0.0, "> 0"),
-        ("n_min", lo <= cfg.n_min, f">= {lo}"),
-        ("n_max", cfg.n_max <= hi, f"<= {hi}"),
-        ("n_init", cfg.n_min <= cfg.n_init <= cfg.n_max, "in [n_min, n_max]"),
-        ("step", cfg.step >= MIN_STEP, f">= {MIN_STEP}"),
-        ("holdout_fraction", 0.0 < cfg.holdout_fraction < 1.0, "in (0, 1)"),
-        ("out_dir", cfg.out_dir != "", "a non-empty path"),
     ):
         if not ok:
             raise ConfigError(f"{path}: {key} must be {rule}, got {getattr(cfg, key)!r}")
-    # Every command but export may run the exponent search, whose fits see
-    # only the rows left after the hold-out split (this also implies the
-    # n_samples >= d + 2 that calibration needs).
-    fit_rows = cfg.n_samples - holdout_count(cfg.n_samples, cfg.holdout_fraction)
-    if fit_rows < cfg.d + 1:
-        raise ConfigError(
-            f"{path}: n_samples = {cfg.n_samples} with holdout_fraction = {cfg.holdout_fraction} "
-            f"leaves {fit_rows} rows to fit on; the search needs at least d + 1 = {cfg.d + 1}"
-        )
+    try:
+        cfg.outlier_spec()
+        cfg.search_config(cfg.seed)
+        if cfg.out_dir == "":
+            raise ConfigError(f"{path}: out_dir must be a non-empty path, got ''")
+        # every command but export may search; this implies n_samples >= d + 2
+        check_fit_rows(cfg.n_samples, cfg.holdout_fraction, cfg.d)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     return cfg
 
 
 def _build_setup(cfg: RunConfig, seed: int) -> tuple[ToyModel, CalibrationSet, FlsConfig]:
-    spec = OutlierSpec(
-        outlier_fraction=cfg.outlier_fraction,
-        outlier_scale=cfg.outlier_scale,
-        threshold=cfg.outlier_threshold,
-    )
+    spec = cfg.outlier_spec()
     model = build_toy_model(
         cfg.d,
         cfg.h,
@@ -229,15 +233,7 @@ def _build_setup(cfg: RunConfig, seed: int) -> tuple[ToyModel, CalibrationSet, F
             f"heavy_scale = {cfg.heavy_scale!r}, heavy_input_scale = {cfg.heavy_input_scale!r} "
             f"({exc})"
         ) from None
-    fls_cfg = FlsConfig(
-        n_init=cfg.n_init,
-        n_min=cfg.n_min,
-        n_max=cfg.n_max,
-        step=cfg.step,
-        holdout_fraction=cfg.holdout_fraction,
-        seed=seed + 2,
-    )
-    return model, calib, fls_cfg
+    return model, calib, cfg.search_config(seed)
 
 
 def _fmt(value) -> str:
@@ -276,7 +272,7 @@ def cmd_calibrate(cfg: RunConfig, seed: int, out_path: str) -> int:
 
 def cmd_search_n(cfg: RunConfig, seed: int) -> int:
     model, calib, fls_cfg = _build_setup(cfg, seed)
-    _, fls_result = fit_compensation(model, calib, "nbc", transform="blt", cfg=fls_cfg)
+    fls_result = search_exponent(model, calib, fls_cfg)
     for n in sorted(fls_result.history):
         print(f"{_fmt(float(n))}\t{_fmt(fls_result.history[n])}")
     print(f"chosen\t{_fmt(float(fls_result.chosen_n))}")
@@ -340,12 +336,11 @@ def cmd_eval(cfg: RunConfig, seed: int, bundle_path: str, out_path: str | None) 
 
 def cmd_analyze_outliers(cfg: RunConfig, seed: int, out_dir: str | None) -> int:
     model, calib, fls_cfg = _build_setup(cfg, seed)
-    _, fls_result = fit_compensation(model, calib, "nbc", transform="blt", cfg=fls_cfg)
-    n_exp = fls_result.chosen_n
+    n_exp = search_exponent(model, calib, fls_cfg).chosen_n
 
     gap_rows = []
     for block, rec in enumerate(calib.records):
-        gap = channel_slope_gap(rec, calib.spec.threshold, n_exp)
+        gap = channel_slope_gap(rec, calib.spec.outlier_threshold, n_exp)
         if gap is None:
             continue
         channel, before, after = gap
@@ -389,7 +384,7 @@ def cmd_export(cfg: RunConfig, bundle_path: str, out_dir: str | None) -> int:
         for role in sorted(tensors, key=lambda role: (role == "bias", role != "weight")):
             files.append(f"block{i:03d}_{role}.nbct")
             write_tensor(os.path.join(directory, files[-1]), tensors[role])
-        n_exp = mod.kind.n_exp if mod.kind.name == "blt" else ""
+        n_exp = "" if mod.kind.n_exp is None else mod.kind.n_exp
         manifest.append(f"{i}\t{mod.kind.name}\t{n_exp}\t{mod.storage}\t{' '.join(files)}")
     manifest_path = os.path.join(directory, "manifest.tsv")
     atomic_write(manifest_path, ("\n".join(manifest) + "\n").encode("utf-8"))

@@ -36,6 +36,7 @@ __all__ = [
     "MIN_STEP",
     "FlsConfig",
     "FlsResult",
+    "check_fit_rows",
     "compute_feature_loss",
     "holdout_count",
     "holdout_split",
@@ -54,7 +55,9 @@ MIN_STEP = 2.0**-6
 
 @dataclass(frozen=True)
 class FlsConfig:
-    """Search grid, hold-out fraction and seed for the exponent search."""
+    """Search grid, hold-out fraction and seed for the exponent search; the
+    bounds of all but the seed are stated here only, for the run
+    configuration too (the fit-row rule is :func:`check_fit_rows`)."""
 
     n_init: float = 2.0
     n_min: float = -10.0
@@ -64,18 +67,15 @@ class FlsConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_min < N_EXP_RANGE[0]:
-            raise ValueError(f"n_min {self.n_min} below the transform's bound {N_EXP_RANGE[0]}")
-        if self.n_max > N_EXP_RANGE[1]:
-            raise ValueError(f"n_max {self.n_max} above the transform's bound {N_EXP_RANGE[1]}")
-        if not self.n_min <= self.n_init <= self.n_max:
-            raise ValueError(
-                f"n_init {self.n_init} outside [{self.n_min}, {self.n_max}]"
-            )
-        if not self.step >= MIN_STEP:
-            raise ValueError(f"step must be >= {MIN_STEP}, got {self.step}")
-        if not 0.0 < self.holdout_fraction < 1.0:
-            raise ValueError("holdout_fraction must be in (0, 1)")
+        for key, ok, rule in (
+            ("n_min", N_EXP_RANGE[0] <= self.n_min, f">= {N_EXP_RANGE[0]}"),
+            ("n_max", self.n_max <= N_EXP_RANGE[1], f"<= {N_EXP_RANGE[1]}"),
+            ("n_init", self.n_min <= self.n_init <= self.n_max, "in [n_min, n_max]"),
+            ("step", self.step >= MIN_STEP, f">= {MIN_STEP}"),
+            ("holdout_fraction", 0.0 < self.holdout_fraction < 1.0, "in (0, 1)"),
+        ):
+            if not ok:
+                raise ValueError(f"{key} must be {rule}, got {getattr(self, key)!r}")
 
 
 @dataclass
@@ -104,6 +104,16 @@ def compute_feature_loss(f_full, f_quant) -> float:
 def holdout_count(n_records: int, holdout_fraction: float) -> int:
     """Records :func:`holdout_split` holds out: floor(n * fraction), at least 1."""
     return max(1, int(np.floor(n_records * holdout_fraction)))
+
+
+def check_fit_rows(n_samples: int, holdout_fraction: float, d: int) -> None:
+    """Raise ValueError unless the hold-out split leaves d + 1 rows to fit d weights and a bias."""
+    fit_rows = n_samples - holdout_count(n_samples, holdout_fraction)
+    if fit_rows < d + 1:
+        raise ValueError(
+            f"n_samples = {n_samples} with holdout_fraction = {holdout_fraction} "
+            f"leaves {fit_rows} rows to fit on; the search needs at least d + 1 = {d + 1}"
+        )
 
 
 def holdout_split(records: Sequence, cfg: FlsConfig) -> tuple[list, list]:

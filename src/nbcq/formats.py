@@ -200,7 +200,7 @@ def write_bundle(path: str, modules) -> None:
             raise ValueError(f"block {index}: {exc}") from None
         out.write(struct.pack("<H", index))
         out.write(bytes([_CODE_BY_KIND[mod.kind.name]]))
-        n_exp = mod.kind.n_exp if mod.kind.name == "blt" else 0.0
+        n_exp = 0.0 if mod.kind.n_exp is None else mod.kind.n_exp
         out.write(struct.pack("<d", n_exp))
         out.write(bytes([_CODE_BY_STORAGE[mod.storage]]))
         for tensor in tensors.values():

@@ -71,13 +71,7 @@ from .compensation import (
     fit_nbc_levels,
 )
 from .errors import FitError
-from .fls import (
-    FlsConfig,
-    FlsResult,
-    compute_feature_loss,
-    holdout_count,
-    search_n_for_pipeline,
-)
+from .fls import FlsConfig, FlsResult, check_fit_rows, compute_feature_loss, search_n_for_pipeline
 from .numerics import as_tensor, map_tiles
 from .quantizer import (
     QuantParams,
@@ -106,6 +100,7 @@ __all__ = [
     "draw_inputs",
     "generate_calibration",
     "fit_compensation",
+    "search_exponent",
     "evaluate_pipeline",
     "scalar_slope",
     "slope_gap_analysis",
@@ -162,21 +157,22 @@ class OutlierSpec:
 
     ``outlier_fraction`` of input rows get the heavy channel's coordinate
     multiplied by ``outlier_scale``; fraction 0 yields pure inlier data.
-    ``threshold`` is the absolute activation value past which a position
-    counts as an outlier in the error metrics.
-    """
+    ``outlier_threshold`` is the absolute activation value past which a
+    position counts as an outlier in the error metrics. The bounds of all
+    three are stated here only, for the run configuration too."""
 
     outlier_fraction: float = 0.1
     outlier_scale: float = 12.0
-    threshold: float = 10.0
+    outlier_threshold: float = 10.0
 
     def __post_init__(self):
-        if not 0.0 <= self.outlier_fraction <= 0.2:
-            raise ValueError("outlier_fraction must be in [0, 0.2]")
-        if not self.outlier_scale >= 1.0:
-            raise ValueError("outlier_scale must be >= 1")
-        if not self.threshold > 0:
-            raise ValueError("threshold must be > 0")
+        for key, ok, rule in (
+            ("outlier_fraction", 0.0 <= self.outlier_fraction <= 0.2, "in [0, 0.2]"),
+            ("outlier_scale", self.outlier_scale >= 1.0, ">= 1"),
+            ("outlier_threshold", self.outlier_threshold > 0.0, "> 0"),
+        ):
+            if not ok:
+                raise ValueError(f"{key} must be {rule}, got {getattr(self, key)!r}")
 
 
 @dataclass(frozen=True)
@@ -464,7 +460,8 @@ def fit_compensation(
     transform: str = "blt",
     cfg: FlsConfig | None = None,
 ) -> tuple[list[CompensationModule] | None, FlsResult | None]:
-    """Fit per-block modules for ``mode``; search the exponent for blt.
+    """Fit per-block modules for ``mode``; search the exponent for blt
+    (``search_exponent``).
 
     Returns ``(modules, search_result)``; both are None/None for mode
     "none" and the search result is None whenever no search ran. The search
@@ -480,18 +477,19 @@ def fit_compensation(
         return _fit_blocks(calib.records, fit_linear), None
     if transform == "blt":
         cfg = cfg if cfg is not None else FlsConfig(seed=calib.seed + 1)
-        n = calib.n_samples
-        fit_rows = n - holdout_count(n, cfg.holdout_fraction)
-        if fit_rows < model.d + 1:
-            raise ValueError(
-                f"the search fits on {fit_rows} of n_samples={n} rows at "
-                f"holdout_fraction={cfg.holdout_fraction}; it needs at least d + 1 = {model.d + 1}"
-            )
-        result = search_n_for_pipeline(list(range(n)), cfg, _RowSearchPipeline(calib))
+        result = search_exponent(model, calib, cfg)
         kind = TransformKind("blt", result.chosen_n)
     else:
         result, kind = None, TransformKind(transform)
     return _fit_blocks(calib.records, lambda rec: fit_nbc(rec, kind)), result
+
+
+def search_exponent(model: ToyModel, calib: CalibrationSet, cfg: FlsConfig) -> FlsResult:
+    """The hold-out search for the ``blt`` exponent over the calibration
+    rows, which fits no kept module. Too few fit rows raise ValueError
+    before any fit (``fls.check_fit_rows``)."""
+    check_fit_rows(calib.n_samples, cfg.holdout_fraction, model.d)
+    return search_n_for_pipeline(list(range(calib.n_samples)), cfg, _RowSearchPipeline(calib))
 
 
 @dataclass(frozen=True)
@@ -687,7 +685,7 @@ def evaluate_pipeline(
     # before the inputs are drawn, so its temporaries do not add to theirs
     gap = channel_slope_gap(
         calib.records[-1],
-        calib.spec.threshold,
+        calib.spec.outlier_threshold,
         chosen_n if chosen_n is not None else gap_reference_n,
     )
     gap_before, gap_after = gap[1:] if gap is not None else (None, None)
@@ -708,7 +706,7 @@ def evaluate_pipeline(
             zq, zc = calib.qmodel.block_step(
                 k, zc, None if modules is None else modules[k], overwrite_input=True
             )
-            outlier = np.abs(zq, out=zq) > calib.spec.threshold
+            outlier = np.abs(zq, out=zq) > calib.spec.outlier_threshold
             # |y - y_hat| goes over zq, read for the last time above;
             # |e| * |e| has the bits of (y - y_hat) ** 2
             e = np.abs(np.subtract(as_tensor(z, "y"), as_tensor(zc, "y_hat"), out=zq), out=zq)

@@ -159,6 +159,25 @@ class TestSearchN:
         assert chosen in explored
 
 
+    @pytest.mark.parametrize("command", ["search-n", "analyze-outliers"])
+    def test_fits_no_kept_module(self, cfg_path, tmp_path, capsys, monkeypatch, command):
+        # both commands read only the search; the candidates fit through fit_nbc_levels
+        import nbcq.harness as harness_mod
+
+        calls = {"fit_nbc": 0, "fit_nbc_levels": 0}
+        for name in calls:
+            original = getattr(harness_mod, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(harness_mod, name, counting)
+        code, _, err = run_cli([command, "--config", cfg_path, "--out", str(tmp_path / "out")], capsys)
+        assert code == 0, err
+        assert calls["fit_nbc"] == 0 and calls["fit_nbc_levels"] > 0
+
+
 class TestEval:
     def test_csv_to_stdout(self, cfg_path, tmp_path, capsys):
         bundle = str(tmp_path / "comp.nbcb")
@@ -382,6 +401,30 @@ BAD_VALUES = [
 ]
 
 
+# the stderr line, after "error<TAB>config<TAB><path>: ", of each bound that
+# OutlierSpec and FlsConfig state and of the fit-row rule
+LIBRARY_RULE_LINES = [
+    ("outlier_fraction = 0.5", "outlier_fraction must be in [0, 0.2], got 0.5"),
+    ("outlier_scale = 0.5", "outlier_scale must be >= 1, got 0.5"),
+    ("outlier_threshold = 0", "outlier_threshold must be > 0, got 0.0"),
+    ("n_min = -14", "n_min must be >= -10.0, got -14.0"),
+    ("n_max = 10.5", "n_max must be <= 10.0, got 10.5"),
+    ("n_init = 20", "n_init must be in [n_min, n_max], got 20.0"),
+    ("step = 1e-300", "step must be >= 0.015625, got 1e-300"),
+    ("holdout_fraction = 0.0", "holdout_fraction must be in (0, 1), got 0.0"),
+    (
+        "d = 16\nn_samples = 18",
+        "n_samples = 18 with holdout_fraction = 0.25 leaves 14 rows to fit on; "
+        "the search needs at least d + 1 = 17",
+    ),
+    (
+        "d = 16\nn_samples = 64\nholdout_fraction = 0.9",
+        "n_samples = 64 with holdout_fraction = 0.9 leaves 7 rows to fit on; "
+        "the search needs at least d + 1 = 17",
+    ),
+]
+
+
 class TestConfigValues:
     @pytest.mark.parametrize(
         "extra, key", BAD_VALUES, ids=[e.replace("\n", ",").replace(" ", "") for e, _ in BAD_VALUES]
@@ -398,6 +441,25 @@ class TestConfigValues:
         code, out, err = run_cli(["search-n", "--config", str(path)], capsys)
         assert_failed(code, err, 2, "config")
         assert err.startswith(f"error\tconfig\t{path}: {key} must be ")
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "extra, line",
+        LIBRARY_RULE_LINES,
+        ids=[e.replace("\n", ",").replace(" ", "") for e, _ in LIBRARY_RULE_LINES],
+    )
+    def test_library_rule_is_the_exact_line_before_setup(self, tmp_path, capsys, monkeypatch, extra, line):
+        import nbcq.cli as cli_mod
+
+        def no_setup(*args, **kwargs):
+            raise AssertionError("the run was set up")
+
+        monkeypatch.setattr(cli_mod, "_build_setup", no_setup)
+        path = tmp_path / "bad.cfg"
+        path.write_text(small_cfg_with(extra))
+        code, out, err = run_cli(["search-n", "--config", str(path)], capsys)
+        assert code == 2
+        assert err == f"error\tconfig\t{path}: {line}\n"
         assert out == ""
 
     @pytest.mark.parametrize("transform", ["identity", "blt"])
@@ -483,6 +545,28 @@ class TestConfigEncoding:
         code, out, err = run_cli(["search-n", "--config", str(path)], capsys)
         assert_failed(code, err, 2, "config")
         assert err == f"error\tconfig\t{path}: not UTF-8 text (byte 0xe9: invalid continuation byte)\n"
+        assert out == ""
+
+
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path, capsys):
+        from nbcq.cli import read_run_config
+
+        text = "seed = 0\n" + SMALL_CFG.replace("seed = 3\n", "")
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_text(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert read_run_config(str(marked)) == read_run_config(str(plain))
+        outs = []
+        for path in (plain, marked):
+            code, out, err = run_cli(["search-n", "--config", str(path)], capsys)
+            assert code == 0, err
+            outs.append(out)
+        assert outs[1] == outs[0]
+
+    def test_directory_config_exits_2_naming_path(self, tmp_path, capsys):
+        code, out, err = run_cli(["search-n", "--config", str(tmp_path)], capsys)
+        assert_failed(code, err, 2, "config")
+        assert err == f"error\tconfig\tconfiguration file not readable: {tmp_path} (Is a directory)\n"
         assert out == ""
 
 
@@ -646,6 +730,23 @@ class TestExport:
         assert weight.shape == (8, 8)
         modules = read_bundle(bundle)
         assert np.array_equal(weight.astype(np.float64), modules[0].weight)
+
+    def test_manifest_exponent_column(self, cfg_path, tmp_path, capsys):
+        # empty for a kind without an exponent; a blt exponent keeps the sign of zero
+        from nbcq.compensation import CompensationModule
+        from nbcq.formats import write_bundle
+        from nbcq.transform import TransformKind
+
+        rng = np.random.default_rng(5)
+        weight, bias = rng.standard_normal((8, 8)), rng.standard_normal(8)
+        bundle = str(tmp_path / "comp.nbcb")
+        write_bundle(bundle, [CompensationModule(kind=TransformKind(*kind), weight=weight, bias=bias)
+                              for kind in (("blt", -0.0), ("blt", 2.5), ("identity",))])
+        out_dir = tmp_path / "export"
+        code, _, err = run_cli(["export", "--config", cfg_path, "--bundle", bundle, "--out", str(out_dir)], capsys)
+        assert code == 0, err
+        rows = [line.split("\t")[:4] for line in (out_dir / "manifest.tsv").read_text().splitlines()]
+        assert rows == [["0", "blt", "-0.0", "f32"], ["1", "blt", "2.5", "f32"], ["2", "identity", "", "f32"]]
 
     @pytest.mark.parametrize("storage", ["f32", "f16", "i8_per_channel"])
     def test_each_storage_exports_the_bundle_tensors(self, tmp_path, capsys, storage):

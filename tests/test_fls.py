@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from nbcq.fls import (
     TERMINATED_LOCAL_MINIMUM,
     MIN_STEP,
     FlsConfig,
+    check_fit_rows,
     compute_feature_loss,
     fls_search,
     holdout_split,
@@ -228,11 +230,51 @@ class TestFlsSearch:
 
     def test_grid_outside_the_transform_range_rejected_naming_the_bound(self):
         # the transform takes n in [-10, 10]; a wider grid would only fail in the fit
-        with pytest.raises(ValueError, match=r"n_min -14.0 below the transform's bound -10.0"):
+        with pytest.raises(ValueError, match=r"^n_min must be >= -10\.0, got -14\.0$"):
             FlsConfig(n_init=-10.0, n_min=-14.0, n_max=10.0)
-        with pytest.raises(ValueError, match=r"n_max 10.5 above the transform's bound 10.0"):
+        with pytest.raises(ValueError, match=r"^n_max must be <= 10\.0, got 10\.5$"):
             FlsConfig(n_max=10.5)
         FlsConfig(n_init=-10.0, n_min=-10.0, n_max=10.0)  # the bounds themselves are fine
+
+
+class TestConfigMessages:
+    """Each rule's ValueError names the key, the bound and the value, in the
+    words the command line prints after the config path."""
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"n_init": -10.0, "n_min": -14.0}, "n_min must be >= -10.0, got -14.0"),
+            ({"n_max": 10.5}, "n_max must be <= 10.0, got 10.5"),
+            ({"n_init": 11.0}, "n_init must be in [n_min, n_max], got 11.0"),
+            ({"n_init": -3.0, "n_min": -2.0}, "n_init must be in [n_min, n_max], got -3.0"),
+            ({"step": 0.0}, "step must be >= 0.015625, got 0.0"),
+            ({"holdout_fraction": 1.0}, "holdout_fraction must be in (0, 1), got 1.0"),
+            ({"holdout_fraction": 0.0}, "holdout_fraction must be in (0, 1), got 0.0"),
+        ],
+        ids=["n_min", "n_max", "n_init-above", "n_init-below", "step", "holdout-1", "holdout-0"],
+    )
+    def test_flsconfig_names_key_bound_and_value(self, overrides, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FlsConfig(**overrides)
+
+    @pytest.mark.parametrize(
+        "n_samples, holdout, d, fit_rows",
+        [(18, 0.25, 16, 14), (64, 0.9, 16, 7), (2, 0.5, 1, 1)],
+        ids=["n18-d16", "holdout0.9-n64", "n2-d1"],
+    )
+    def test_too_few_fit_rows_named_with_the_keys(self, n_samples, holdout, d, fit_rows):
+        message = (
+            f"n_samples = {n_samples} with holdout_fraction = {holdout} leaves {fit_rows} rows "
+            f"to fit on; the search needs at least d + 1 = {d + 1}"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_fit_rows(n_samples, holdout, d)
+
+    def test_smallest_accepted_fit_rows(self):
+        # 24 rows at 0.25 hold out 6 and fit on 18 = d + 1; 3 rows hold out 1 and fit on 2
+        assert check_fit_rows(24, 0.25, 17) is None
+        assert check_fit_rows(3, 0.01, 1) is None
 
 
 class _RecordPipeline:

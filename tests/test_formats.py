@@ -22,7 +22,9 @@ from nbcq.errors import (
     FormatError,
     TruncatedFileError,
 )
+from nbcq.fls import FlsConfig
 from nbcq.formats import BUNDLE_MAGIC, read_bundle, read_tensor, write_bundle, write_tensor
+from nbcq.harness import OutlierSpec
 from nbcq.transform import IDENTITY, TransformKind
 
 from helpers import (
@@ -169,6 +171,22 @@ class TestBundles:
                 assert back is None, field
             else:
                 assert back.dtype == ours.dtype and back.tobytes() == ours.tobytes(), field
+
+    def test_exponent_field_keeps_the_sign_of_zero(self, tmp_path):
+        # a kind without an exponent writes +0.0; blt writes its own, -0.0 included
+        rng = np.random.default_rng(4)
+        weight, bias = rng.standard_normal((4, 6)), rng.standard_normal(4)
+        modules = [CompensationModule(kind=kind, weight=weight, bias=bias)
+                   for kind in (TransformKind("blt", -0.0), TransformKind("asinh"))]
+        path = str(tmp_path / "b.nbcb")
+        write_bundle(path, modules)
+        data = open(path, "rb").read()
+        block = (len(data) - 7) // 2
+        assert data[10:18] == struct.pack("<d", -0.0)  # block 0's field, after its index and kind byte
+        assert data[7 + block + 3 : 7 + block + 11] == bytes(8)
+        blt, asinh = read_bundle(path)
+        assert blt.kind.n_exp == 0.0 and np.signbit(blt.kind.n_exp)
+        assert asinh.kind.n_exp is None
 
     def test_file_level_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -404,6 +422,12 @@ class TestRunConfigFile:
             "outlier_fraction": 0.1, "outlier_scale": 12.0, "outlier_threshold": 10.0,
             "heavy_channel": 0, "heavy_scale": 1.3, "heavy_input_scale": 3.0, "out_dir": ".",
         }
+
+    def test_builds_the_library_configs(self):
+        cfg = RunConfig(outlier_threshold=4.0, n_init=1.0, step=0.5, holdout_fraction=0.5)
+        assert cfg.outlier_spec() == OutlierSpec(outlier_threshold=4.0)
+        # a run at seed s splits its hold-out at s + 2
+        assert cfg.search_config(5) == FlsConfig(n_init=1.0, step=0.5, holdout_fraction=0.5, seed=7)
 
     def test_unknown_key_named(self, tmp_path):
         path = tmp_path / "run.cfg"

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 from collections import Counter
 
@@ -26,6 +27,7 @@ from nbcq.harness import (
     generate_calibration,
     gelu,
     ols_scalar_bias,
+    search_exponent,
     slope_gap_analysis,
     split_error_metrics,
 )
@@ -106,13 +108,37 @@ class TestBuildToyModel:
             assert abs(g - o) <= 1e-15 * scale, (v, g, o)
 
 
+class TestOutlierSpec:
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"outlier_fraction": 0.5}, "outlier_fraction must be in [0, 0.2], got 0.5"),
+            ({"outlier_fraction": -0.1}, "outlier_fraction must be in [0, 0.2], got -0.1"),
+            ({"outlier_fraction": math.nan}, "outlier_fraction must be in [0, 0.2], got nan"),
+            ({"outlier_scale": 0.5}, "outlier_scale must be >= 1, got 0.5"),
+            ({"outlier_threshold": 0.0}, "outlier_threshold must be > 0, got 0.0"),
+            ({"outlier_threshold": -2.5}, "outlier_threshold must be > 0, got -2.5"),
+        ],
+        ids=["fraction-high", "fraction-negative", "fraction-nan", "scale", "threshold-0", "threshold-negative"],
+    )
+    def test_names_key_bound_and_value(self, overrides, message):
+        # the words the command line prints after the config path
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            OutlierSpec(**overrides)
+
+    def test_bounds_themselves_accepted(self):
+        spec = OutlierSpec(outlier_fraction=0.2, outlier_scale=1.0, outlier_threshold=1e-300)
+        assert (spec.outlier_fraction, spec.outlier_scale, spec.outlier_threshold) == (0.2, 1.0, 1e-300)
+        assert OutlierSpec(outlier_fraction=0.0).outlier_fraction == 0.0
+
+
 class TestGenerateCalibration:
     def test_no_outliers_when_fraction_zero(self):
         for seed in range(5):
             model, calib, _ = desk_setup(seed, outlier_fraction=0.0)
             assert calib.spec.outlier_fraction == 0.0
             peak = max(float(np.abs(rec.x_q).max()) for rec in calib.records)
-            assert peak < calib.spec.threshold
+            assert peak < calib.spec.outlier_threshold
 
     def test_row_counts(self):
         model, calib, _ = desk_setup(0)
@@ -130,7 +156,7 @@ class TestGenerateCalibration:
     def test_outliers_present_under_default_spec(self):
         model, calib, _ = desk_setup(0)
         last = calib.records[-1]
-        assert (np.abs(last.x_q) > calib.spec.threshold).any()
+        assert (np.abs(last.x_q) > calib.spec.outlier_threshold).any()
 
     def test_minimum_samples(self):
         # calibration records any row count; the fit rejects fewer than d + 1 rows
@@ -337,7 +363,7 @@ def report_from_whole_forwards(model, calib, modules, report):
     losses, outlier_sums, inlier_sums, n_outliers = [], [], [], 0
     for (_, y), (x_q, y_hat) in zip(fp_io, comp_io):
         err = np.abs(y - y_hat)
-        outlier = np.abs(x_q) > calib.spec.threshold
+        outlier = np.abs(x_q) > calib.spec.outlier_threshold
         losses.append(math.fsum(np.sum((y[c] - y_hat[c]) ** 2) for c in chunks) / y.size)
         outlier_sums += [np.sum(err[c][outlier[c]]) for c in chunks]
         inlier_sums += [np.sum(err[c][~outlier[c]]) for c in chunks]
@@ -532,6 +558,17 @@ class TestSearchRowValidation:
         assert calls == (
             ["level_codes"] * 2 + ["fit_nbc_levels"] * 2 * result.evaluations + ["fit_nbc"] * 2
         )
+
+    def test_search_exponent_fits_no_kept_module(self, monkeypatch):
+        model = build_toy_model(16, 32, 2, seed=0)
+        calib = generate_calibration(model, 24, OutlierSpec(), seed=1)
+        cfg = FlsConfig(n_min=0.0, n_max=3.0, seed=2)
+        calls = self.count_calls(monkeypatch, "fit_nbc", "fit_nbc_levels", "level_codes")
+        result = search_exponent(model, calib, cfg)
+        assert calls == ["level_codes"] * 2 + ["fit_nbc_levels"] * 2 * result.evaluations
+        # the search fit_compensation runs before its kept fits
+        _, searched = fit_compensation(model, calib, "nbc", cfg=cfg)
+        assert searched == result
 
     def test_search_codes_each_row_set_once(self, monkeypatch):
         import nbcq.harness as harness_mod
@@ -790,7 +827,7 @@ class TestKurtosisChannelSelection:
         model, calib, _ = desk_setup(0)
         channel = int(np.argmax(excess_kurtosis(calib.records[-1].x_q)))
         xs = calib.records[-1].x_q[:, channel]
-        assert (np.abs(xs) > calib.spec.threshold).any()
+        assert (np.abs(xs) > calib.spec.outlier_threshold).any()
 
     def test_constant_column_never_chosen(self):
         rng = np.random.default_rng(75)
