@@ -17,9 +17,9 @@ configuration errors; failures print one machine-parsable line to stderr,
 
 The run configuration is line-oriented ``key = value`` UTF-8 text (a
 leading byte order mark is skipped) with ``#`` comments, one key per
-``RunConfig`` field. Unknown keys are rejected by name, and so are every
-value the run would reject once it starts and a ``transform`` set under a
-mode other than nbc, which reads none.
+``RunConfig`` field. Every command checks the whole config: unknown keys,
+every value the run would reject once it starts or a bundle cannot hold,
+and a ``transform`` set under a mode other than nbc are rejected by name.
 
 The eval CSV has one row per block: the ``EvalReport`` fields in order,
 each repeated on every row, then the block index and the block's entry of
@@ -50,14 +50,14 @@ import io
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .compensation import STORAGE_F32, STORAGE_NAMES, store_params, stored_tensors
 from .errors import ConfigError, EvaluatorError, FormatError, NbcError
 from .fls import FlsConfig, check_fit_rows
-from .formats import atomic_write, read_bundle, write_bundle, write_tensor
+from .formats import MAX_BUNDLE_BLOCKS, atomic_write, read_bundle, write_bundle, write_tensor
 from .harness import (
     MODES,
     CalibrationSet,
@@ -66,12 +66,14 @@ from .harness import (
     ToyModel,
     build_toy_model,
     channel_slope_gap,
+    check_model_shape,
     evaluate_pipeline,
     fit_compensation,
     generate_calibration,
     ols_scalar_bias,
     search_exponent,
 )
+from .quantizer import check_bits
 from .transform import KIND_NAMES
 
 __all__ = ["main", "EVAL_CSV_COLUMNS", "RunConfig", "read_run_config"]
@@ -114,9 +116,9 @@ class RunConfig:
         """The calibration's outlier spec; ValueError names a key out of its bounds."""
         return OutlierSpec(**self._shared(OutlierSpec))
 
-    def search_config(self, seed: int) -> FlsConfig:
-        """The search of a run at ``seed``, split at seed + 2; ValueError names a key."""
-        return FlsConfig(**{**self._shared(FlsConfig), "seed": seed + 2})
+    def search_config(self) -> FlsConfig:
+        """This run's search, split at seed + 2; ValueError names a key."""
+        return FlsConfig(**{**self._shared(FlsConfig), "seed": self.seed + 2})
 
     def _shared(self, cls) -> dict:
         """This config's values of the fields of ``cls``, each a key by the same name."""
@@ -129,9 +131,9 @@ _PARSERS = {f.name: {"int": int, "float": float, "str": str}[f.type] for f in fi
 
 def read_run_config(path: str) -> RunConfig:
     """Parse a ``key = value`` config file, rejecting unknown keys and
-    out-of-range values by name. The outlier and search bounds are stated
-    by ``OutlierSpec`` and ``FlsConfig``, the fit-row rule by
-    ``fls.check_fit_rows``, and every other rule here."""
+    out-of-range values by name. Every bound the library checks when the
+    run is built is stated there; the choices, the seed and ``out_dir``
+    are stated here."""
     try:
         with open(path, "r", encoding="utf-8-sig") as f:
             raw_lines = f.readlines()
@@ -182,40 +184,33 @@ def read_run_config(path: str) -> RunConfig:
         raise ConfigError(
             f"{path}: transform must be unset under mode = {cfg.mode}; only mode = nbc reads it"
         )
-    # The bounds the run checks when it is built, and the output directory
-    # the commands write to, checked here so the run fails before any setup
-    # or fit, naming the key: the model's and the quantizer's, then those
-    # that OutlierSpec and FlsConfig state.
-    for key, ok, rule in (
-        ("seed", cfg.seed >= 0, ">= 0"),
-        ("d", cfg.d >= 1, ">= 1"),
-        ("h", cfg.h >= 1, ">= 1"),
-        ("n_blocks", cfg.n_blocks >= 1, ">= 1"),
-        ("heavy_channel", 0 <= cfg.heavy_channel < cfg.d, f"in [0, d = {cfg.d})"),
-        ("bits_w", 2 <= cfg.bits_w <= 8, "in [2, 8]"),
-        ("bits_a", 2 <= cfg.bits_a <= 8, "in [2, 8]"),
-    ):
-        if not ok:
-            raise ConfigError(f"{path}: {key} must be {rule}, got {getattr(cfg, key)!r}")
+    # Every command checks the whole config, the keys it does not read too,
+    # so that the run fails before any setup or fit, naming the key.
     try:
+        if cfg.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {cfg.seed!r}")
+        check_model_shape(cfg.d, cfg.h, cfg.n_blocks, cfg.heavy_channel)
+        check_bits(cfg.bits_w, "bits_w")
+        check_bits(cfg.bits_a, "bits_a")
         cfg.outlier_spec()
-        cfg.search_config(cfg.seed)
+        cfg.search_config()
         if cfg.out_dir == "":
-            raise ConfigError(f"{path}: out_dir must be a non-empty path, got ''")
-        # every command but export may search; this implies n_samples >= d + 2
-        check_fit_rows(cfg.n_samples, cfg.holdout_fraction, cfg.d)
+            raise ValueError("out_dir must be a non-empty path, got ''")
+        check_fit_rows(cfg.n_samples, cfg.holdout_fraction, cfg.d)  # so n_samples >= d + 2
+        if cfg.n_blocks > MAX_BUNDLE_BLOCKS:
+            raise ValueError(f"n_blocks must be <= {MAX_BUNDLE_BLOCKS}, got {cfg.n_blocks!r}")
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     return cfg
 
 
-def _build_setup(cfg: RunConfig, seed: int) -> tuple[ToyModel, CalibrationSet, FlsConfig]:
+def _build_setup(cfg: RunConfig) -> tuple[ToyModel, CalibrationSet, FlsConfig]:
     spec = cfg.outlier_spec()
     model = build_toy_model(
         cfg.d,
         cfg.h,
         cfg.n_blocks,
-        seed,
+        cfg.seed,
         heavy_channel=cfg.heavy_channel,
         heavy_scale=cfg.heavy_scale,
         heavy_input_scale=cfg.heavy_input_scale,
@@ -225,7 +220,7 @@ def _build_setup(cfg: RunConfig, seed: int) -> tuple[ToyModel, CalibrationSet, F
     # can still raise here.
     try:
         calib = generate_calibration(
-            model, cfg.n_samples, spec, seed + 1, bits_w=cfg.bits_w, bits_a=cfg.bits_a
+            model, cfg.n_samples, spec, cfg.seed + 1, bits_w=cfg.bits_w, bits_a=cfg.bits_a
         )
     except ValueError as exc:
         raise ConfigError(
@@ -233,7 +228,7 @@ def _build_setup(cfg: RunConfig, seed: int) -> tuple[ToyModel, CalibrationSet, F
             f"heavy_scale = {cfg.heavy_scale!r}, heavy_input_scale = {cfg.heavy_input_scale!r} "
             f"({exc})"
         ) from None
-    return model, calib, cfg.search_config(seed)
+    return model, calib, cfg.search_config()
 
 
 def _fmt(value) -> str:
@@ -244,10 +239,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def cmd_calibrate(cfg: RunConfig, seed: int, out_path: str) -> int:
+def cmd_calibrate(cfg: RunConfig, out_path: str) -> int:
     if cfg.mode == "none":
         raise ConfigError("mode=none has no compensation to calibrate")
-    model, calib, fls_cfg = _build_setup(cfg, seed)
+    model, calib, fls_cfg = _build_setup(cfg)
     modules, fls_result = fit_compensation(
         model, calib, cfg.mode, transform=cfg.transform, cfg=fls_cfg
     )
@@ -258,10 +253,7 @@ def cmd_calibrate(cfg: RunConfig, seed: int, out_path: str) -> int:
             modules[block] = store_params(mod, cfg.storage)
         except ValueError as exc:
             raise FormatError(f"block {block}: {exc}") from None
-    try:
-        write_bundle(out_path, modules)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
+    write_bundle(out_path, modules)
     for i, mod in enumerate(modules):
         print(f"block={i}\tridge_used={_fmt(mod.ridge_used)}\tresidual_rms={_fmt(mod.residual_rms)}")
     if fls_result is not None:
@@ -270,8 +262,8 @@ def cmd_calibrate(cfg: RunConfig, seed: int, out_path: str) -> int:
     return 0
 
 
-def cmd_search_n(cfg: RunConfig, seed: int) -> int:
-    model, calib, fls_cfg = _build_setup(cfg, seed)
+def cmd_search_n(cfg: RunConfig) -> int:
+    model, calib, fls_cfg = _build_setup(cfg)
     fls_result = search_exponent(model, calib, fls_cfg)
     for n in sorted(fls_result.history):
         print(f"{_fmt(float(n))}\t{_fmt(fls_result.history[n])}")
@@ -302,8 +294,8 @@ def _write_csv(out_path: str | None, columns: list[str], rows: list[dict]) -> No
         atomic_write(out_path, buf.getvalue().encode("utf-8"))
 
 
-def cmd_eval(cfg: RunConfig, seed: int, bundle_path: str, out_path: str | None) -> int:
-    model, calib, _ = _build_setup(cfg, seed)
+def cmd_eval(cfg: RunConfig, bundle_path: str, out_path: str | None) -> int:
+    # the bundle is checked against the config before the calibration forwards
     modules = read_bundle(bundle_path)
     if len(modules) != cfg.n_blocks:
         raise ConfigError(
@@ -315,6 +307,7 @@ def cmd_eval(cfg: RunConfig, seed: int, bundle_path: str, out_path: str | None) 
                 f"bundle block {block} maps {mod.d_in} to {mod.d_out} channels "
                 f"but the configuration has d = {cfg.d}"
             )
+    model, calib, _ = _build_setup(cfg)
     mode = "linear" if all(m.kind.name == "identity" for m in modules) else "nbc"
     transform = modules[-1].kind.name
     # Inputs beyond the calibration range can overflow the compensated forward
@@ -334,8 +327,8 @@ def cmd_eval(cfg: RunConfig, seed: int, bundle_path: str, out_path: str | None) 
     return 0
 
 
-def cmd_analyze_outliers(cfg: RunConfig, seed: int, out_dir: str | None) -> int:
-    model, calib, fls_cfg = _build_setup(cfg, seed)
+def cmd_analyze_outliers(cfg: RunConfig, out_dir: str | None) -> int:
+    model, calib, fls_cfg = _build_setup(cfg)
     n_exp = search_exponent(model, calib, fls_cfg).chosen_n
 
     gap_rows = []
@@ -426,18 +419,17 @@ def _dispatch(args: argparse.Namespace) -> int:
     if out == "":
         raise ConfigError("--out must be a non-empty path, got ''")
     cfg = read_run_config(config)
-    seed = cfg.seed if seed is None else seed
+    if seed is not None:
+        cfg = replace(cfg, seed=seed)
     if args.command == "calibrate":
-        return cmd_calibrate(cfg, seed, out)
+        return cmd_calibrate(cfg, out)
     if args.command == "search-n":
-        return cmd_search_n(cfg, seed)
+        return cmd_search_n(cfg)
     if args.command == "eval":
-        return cmd_eval(cfg, seed, args.bundle, out)
+        return cmd_eval(cfg, args.bundle, out)
     if args.command == "analyze-outliers":
-        return cmd_analyze_outliers(cfg, seed, out)
-    if args.command == "export":
-        return cmd_export(cfg, args.bundle, out)
-    raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_analyze_outliers(cfg, out)
+    return cmd_export(cfg, args.bundle, out)  # argparse admits no other command
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -58,6 +58,7 @@ __all__ = [
     "TENSOR_MAGIC",
     "BUNDLE_MAGIC",
     "FORMAT_VERSION",
+    "MAX_BUNDLE_BLOCKS",
     "atomic_write",
     "write_tensor",
     "read_tensor",
@@ -68,6 +69,7 @@ __all__ = [
 TENSOR_MAGIC = b"NBCT"
 BUNDLE_MAGIC = b"NBCB"
 FORMAT_VERSION = 1
+MAX_BUNDLE_BLOCKS = 0xFFFF  # the u16 block count; the run configuration checks it too
 
 # 2^33 elements (64 GiB of f64) is far beyond anything this toolkit writes.
 _MAX_PAYLOAD_ELEMENTS = 1 << 33
@@ -187,8 +189,8 @@ def write_bundle(path: str, modules) -> None:
     raises ValueError naming the block, before anything is written.
     """
     modules = list(modules)
-    if len(modules) > 0xFFFF:
-        raise ValueError("bundle supports at most 65535 blocks")
+    if len(modules) > MAX_BUNDLE_BLOCKS:
+        raise ValueError(f"bundle supports at most {MAX_BUNDLE_BLOCKS} blocks")
     out = io.BytesIO()
     out.write(BUNDLE_MAGIC)
     out.write(bytes([FORMAT_VERSION]))

@@ -96,6 +96,7 @@ __all__ = [
     "CalibrationSet",
     "EvalReport",
     "gelu",
+    "check_model_shape",
     "build_toy_model",
     "draw_inputs",
     "generate_calibration",
@@ -213,6 +214,16 @@ class ToyModel:
         return out
 
 
+def check_model_shape(d: int, h: int, n_blocks: int, heavy_channel: int) -> None:
+    """Raise ValueError naming the first argument out of its bounds; the
+    bounds are stated here only, for the run configuration too."""
+    for key, value in (("d", d), ("h", h), ("n_blocks", n_blocks)):
+        if value < 1:
+            raise ValueError(f"{key} must be >= 1, got {value!r}")
+    if not 0 <= heavy_channel < d:
+        raise ValueError(f"heavy_channel must be in [0, d = {d}), got {heavy_channel!r}")
+
+
 def build_toy_model(
     d: int,
     h: int,
@@ -231,10 +242,7 @@ def build_toy_model(
     heavy-tailed channel; the second makes the hidden layer's response, and
     with it the weight-quantization error, grow with that channel's value.
     """
-    if min(d, h, n_blocks) < 1:
-        raise ValueError("d, h and n_blocks must all be >= 1")
-    if not 0 <= heavy_channel < d:
-        raise ValueError(f"heavy_channel {heavy_channel} outside [0, {d})")
+    check_model_shape(d, h, n_blocks, heavy_channel)
     rng = np.random.default_rng(seed)
     w1, w2 = [], []
     for _ in range(n_blocks):
@@ -464,10 +472,10 @@ def fit_compensation(
     (``search_exponent``).
 
     Returns ``(modules, search_result)``; both are None/None for mode
-    "none" and the search result is None whenever no search ran. The search
-    only scores candidates; the kept modules are ``fit_nbc`` of every
-    block's whole record, at the chosen exponent under blt. A kept fit that
-    fails a check raises FitError naming the block.
+    "none" and the search result is None whenever no search ran. The search,
+    under ``cfg``, only scores candidates; the kept modules are ``fit_nbc``
+    of every block's whole record, at the chosen exponent under blt. A kept
+    fit that fails a check raises FitError naming the block.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -476,7 +484,6 @@ def fit_compensation(
     if mode == "linear":
         return _fit_blocks(calib.records, fit_linear), None
     if transform == "blt":
-        cfg = cfg if cfg is not None else FlsConfig(seed=calib.seed + 1)
         result = search_exponent(model, calib, cfg)
         kind = TransformKind("blt", result.chosen_n)
     else:

@@ -29,6 +29,7 @@ from .numerics import as_tensor, map_tiles
 __all__ = [
     "SCALE_FLOOR",
     "QuantParams",
+    "check_bits",
     "round_half_away",
     "calibrate_params",
     "fake_quantize",
@@ -56,8 +57,7 @@ class QuantParams:
     zero_point: int
 
     def __post_init__(self):
-        if not 2 <= self.bits <= 8:
-            raise ValueError(f"bits must be in [2, 8], got {self.bits}")
+        check_bits(self.bits)
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
         if not 0 <= self.zero_point <= 2**self.bits - 1:
@@ -70,9 +70,10 @@ class QuantParams:
         return 2**self.bits
 
 
-def _check_bits(bits) -> int:
-    if not isinstance(bits, (int, np.integer)) or not 2 <= int(bits) <= 8:
-        raise ValueError(f"bits must be an integer in [2, 8], got {bits!r}")
+def check_bits(bits, key: str = "bits") -> int:
+    """``bits`` as an int; ValueError names ``key`` unless it is an integer in [2, 8]."""
+    if not isinstance(bits, (int, np.integer)) or not 2 <= bits <= 8:
+        raise ValueError(f"{key} must be in [2, 8], got {bits!r}")
     return int(bits)
 
 
@@ -102,7 +103,7 @@ def _fake_quant(src, dst, scale, zero, top: int) -> None:
 
 def calibrate_params(x, bits: int) -> QuantParams:
     """Derive scale and zero point from the min/max of a calibration tensor."""
-    bits = _check_bits(bits)
+    bits = check_bits(bits)
     arr = as_tensor(x, "calibration tensor")
     if arr.size == 0:
         raise ValueError("calibration tensor is empty")
@@ -164,7 +165,7 @@ def quantize_per_channel(w, bits: int) -> np.ndarray:
     arr = as_tensor(w, "weight", ndim=2)
     if arr.shape[0] == 0:
         return np.empty(arr.shape)
-    bits = _check_bits(bits)
+    bits = check_bits(bits)
     if arr.shape[1] == 0:
         raise ValueError("calibration tensor is empty")
     scale, zero = _scale_zero(arr.min(axis=1), arr.max(axis=1), bits)

@@ -35,7 +35,7 @@ def desk_setup(seed: int, **overrides):
     """``(model, calib, search_cfg)`` of ``nbcq`` run at ``seed`` on the
     default configuration (d=16, h=32, 4 blocks, 512 samples, W4A4) with
     the given ``RunConfig`` fields replaced."""
-    return _build_setup(replace(RunConfig(), **overrides), seed)
+    return _build_setup(replace(RunConfig(), seed=seed, **overrides))
 
 
 def fit_and_evaluate(model, calib, mode, cfg, *, transform="blt", storage=STORAGE_F32):
@@ -150,13 +150,10 @@ def brute_force_slope(x: np.ndarray, r: np.ndarray, grid_points: int = 4001) -> 
     The objective is exactly quadratic in w, so the vertex of the parabola
     through the best grid point and its neighbors is the exact minimizer.
     """
-
-    def sse(w: float) -> float:
-        return float(np.sum((r - w * x) ** 2))
-
     bound = 1.0 + float(np.sum(np.abs(x * r)) / np.sum(x**2))
     grid = np.linspace(-bound, bound, grid_points)
-    values = np.array([sse(w) for w in grid])
+    # one row of residuals per grid point, summed along the row
+    values = np.sum((r[None, :] - grid[:, None] * x[None, :]) ** 2, axis=1)
     i = int(np.clip(np.argmin(values), 1, grid_points - 2))
     w0, w1, w2 = grid[i - 1], grid[i], grid[i + 1]
     y0, y1, y2 = values[i - 1], values[i], values[i + 1]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import nbcq
-from nbcq.cli import EVAL_CSV_COLUMNS, main
+from nbcq.cli import EVAL_CSV_COLUMNS, main, read_run_config
 from nbcq.errors import FitError
 from nbcq.formats import BUNDLE_MAGIC, read_bundle, read_tensor
 
@@ -224,6 +224,38 @@ class TestEval:
         assert err == "error\tconfig\tbundle block 0 maps 8 to 8 channels but the configuration has d = 12\n"
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "case, other_cfg, exit_code, line",
+        [
+            ("corrupt", SMALL_CFG, 1, "error\tbad-magic\t{bundle}: bad bundle magic b'NOPE'\n"),
+            ("blocks", SMALL_CFG.replace("n_blocks = 2", "n_blocks = 3"), 2,
+             "error\tconfig\tbundle has 2 blocks but the configuration expects 3\n"),
+            ("width", SMALL_CFG.replace("d = 8", "d = 12"), 2,
+             "error\tconfig\tbundle block 0 maps 8 to 8 channels but the configuration has d = 12\n"),
+        ],
+        ids=["corrupt", "blocks", "width"],
+    )
+    def test_bundle_checked_before_setup(self, cfg_path, tmp_path, capsys, monkeypatch,
+                                         case, other_cfg, exit_code, line):
+        import nbcq.cli as cli_mod
+
+        bundle = tmp_path / "comp.nbcb"
+        code, _, err = run_cli(["calibrate", "--config", cfg_path, "--out", str(bundle)], capsys)
+        assert code == 0, err
+        if case == "corrupt":
+            bundle.write_bytes(b"NOPE" + bundle.read_bytes()[4:])
+
+        def no_setup(*args, **kwargs):
+            raise AssertionError("the run was set up")
+
+        monkeypatch.setattr(cli_mod, "_build_setup", no_setup)
+        other = tmp_path / "other.cfg"
+        other.write_text(other_cfg)
+        code, out, err = run_cli(["eval", "--config", str(other), "--bundle", str(bundle)], capsys)
+        assert code == exit_code
+        assert err == line.format(bundle=bundle)
+        assert out == ""
+
     def test_fit_metadata_not_in_bundle_writes_empty_cells(self, cfg_path, tmp_path, capsys):
         bundle = str(tmp_path / "comp.nbcb")
         code, out, err = run_cli(["calibrate", "--config", cfg_path, "--out", bundle], capsys)
@@ -402,8 +434,14 @@ BAD_VALUES = [
 
 
 # the stderr line, after "error<TAB>config<TAB><path>: ", of each bound that
-# OutlierSpec and FlsConfig state and of the fit-row rule
+# check_model_shape, check_bits, OutlierSpec and FlsConfig state and of the
+# fit-row rule
 LIBRARY_RULE_LINES = [
+    ("d = 0", "d must be >= 1, got 0"),
+    ("h = 0", "h must be >= 1, got 0"),
+    ("heavy_channel = 8", "heavy_channel must be in [0, d = 8), got 8"),
+    ("bits_w = 1", "bits_w must be in [2, 8], got 1"),
+    ("bits_a = 9", "bits_a must be in [2, 8], got 9"),
     ("outlier_fraction = 0.5", "outlier_fraction must be in [0, 0.2], got 0.5"),
     ("outlier_scale = 0.5", "outlier_scale must be >= 1, got 0.5"),
     ("outlier_threshold = 0", "outlier_threshold must be > 0, got 0.0"),
@@ -491,6 +529,81 @@ class TestConfigValues:
         assert_failed(code, err, 2, "config")
         assert err == "error\tconfig\t--seed must be >= 0, got -3\n"
         assert out == ""
+
+
+class TestBundleBlockLimit:
+    """A bundle counts its blocks in a u16, so a config with more blocks
+    than a bundle holds is rejected before any setup, by every command."""
+
+    # every other rule passes: one fit row more than d, a linear fit
+    LIMIT_CFG = (
+        "d = 1\nh = 1\nn_samples = 3\nmode = linear\nheavy_scale = 1\n"
+        "heavy_input_scale = 1\noutlier_fraction = 0\n"
+    )
+
+    @pytest.mark.parametrize(
+        "n_blocks, rule",
+        [("65536", "n_blocks must be <= 65535, got 65536"), ("0", "n_blocks must be >= 1, got 0")],
+    )
+    @pytest.mark.parametrize("command", ["calibrate", "search-n", "eval", "analyze-outliers", "export"])
+    def test_rejected_before_setup_exit_2_naming_n_blocks(
+        self, tmp_path, capsys, monkeypatch, command, n_blocks, rule
+    ):
+        import nbcq.cli as cli_mod
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run was set up")
+
+        monkeypatch.setattr(cli_mod, "_build_setup", no_run)
+        monkeypatch.setattr(cli_mod, "read_bundle", no_run)
+        path = tmp_path / "run.cfg"
+        path.write_text(self.LIMIT_CFG + f"n_blocks = {n_blocks}\n")
+        args = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+        if command in ("eval", "export"):
+            args += ["--bundle", str(tmp_path / "comp.nbcb")]
+        code, out, err = run_cli(args, capsys)
+        assert code == 2
+        assert err == f"error\tconfig\t{path}: {rule}\n"
+        assert out == "" and os.listdir(tmp_path) == ["run.cfg"]
+
+    def test_the_limit_itself_accepted(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(self.LIMIT_CFG + "n_blocks = 65535\n")
+        assert read_run_config(str(path)).n_blocks == 65535
+
+
+class TestSeedFlag:
+    """``--seed N`` runs the config with ``seed = N``: the same bytes as
+    setting it in the file, from every command that reads the seed."""
+
+    @pytest.mark.parametrize("command", ["calibrate", "search-n", "eval", "analyze-outliers"])
+    def test_flag_gives_the_bytes_of_the_config_key(self, tmp_path, capsys, command):
+        bundle = tmp_path / "comp.nbcb"
+        out_dir = tmp_path / "analysis"
+        flag_cfg = tmp_path / "flag.cfg"
+        flag_cfg.write_text(SMALL_CFG)  # seed = 3
+        key_cfg = tmp_path / "key.cfg"
+        key_cfg.write_text(small_cfg_with("seed = 5"))
+        if command == "eval":
+            code, _, err = run_cli(["calibrate", "--config", str(key_cfg), "--out", str(bundle)], capsys)
+            assert code == 0, err
+        results = []
+        for args in (["--config", str(flag_cfg), "--seed", "5"], ["--config", str(key_cfg)]):
+            extra = {
+                "calibrate": ["--out", str(bundle)],
+                "search-n": [],
+                "eval": ["--bundle", str(bundle)],
+                "analyze-outliers": ["--out", str(out_dir)],
+            }[command]
+            code, out, err = run_cli([command, *args, *extra], capsys)
+            assert code == 0, err
+            files = {}
+            if command == "calibrate":
+                files["bundle"] = bundle.read_bytes()
+            if command == "analyze-outliers":
+                files = {name: (out_dir / name).read_bytes() for name in ("slope_gap.csv", "wstar_sweep.csv")}
+            results.append((out, files))
+        assert results[0] == results[1]
 
 
 class TestEmptyOutDir:

@@ -424,10 +424,10 @@ class TestRunConfigFile:
         }
 
     def test_builds_the_library_configs(self):
-        cfg = RunConfig(outlier_threshold=4.0, n_init=1.0, step=0.5, holdout_fraction=0.5)
+        cfg = RunConfig(seed=5, outlier_threshold=4.0, n_init=1.0, step=0.5, holdout_fraction=0.5)
         assert cfg.outlier_spec() == OutlierSpec(outlier_threshold=4.0)
         # a run at seed s splits its hold-out at s + 2
-        assert cfg.search_config(5) == FlsConfig(n_init=1.0, step=0.5, holdout_fraction=0.5, seed=7)
+        assert cfg.search_config() == FlsConfig(n_init=1.0, step=0.5, holdout_fraction=0.5, seed=7)
 
     def test_unknown_key_named(self, tmp_path):
         path = tmp_path / "run.cfg"

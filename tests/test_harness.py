@@ -78,9 +78,9 @@ class TestBuildToyModel:
         assert p99[model.heavy_channel] - np.median(others) >= scale / 2
 
     def test_argument_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^d must be >= 1, got 0$"):
             build_toy_model(0, 4, 2, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^heavy_channel must be in \[0, d = 4\), got 4$"):
             build_toy_model(4, 4, 2, seed=0, heavy_channel=4)
 
     def test_gelu_shape(self):
