@@ -13,6 +13,8 @@ with (W, b) fitted in closed form by least squares, on (x_q, y - y_q)
 directly for the linear case and on (f(x_q), f(y - y_q)) for the
 transformed case. x_q here is the dequantized real-valued block input, not
 the integer codes, so the residual and the design live on the same scale.
+A fit reads only these two, so a ``CalibrationRecord`` holds x_q and the
+residual y - y_q, computed once, and neither output.
 
 Fitted parameters are narrowed for storage (``STORED_DTYPES``): f32 and
 f16 round W and b; i8_per_channel stores W as symmetric int8 codes with
@@ -74,30 +76,24 @@ class CalibrationRecord:
     """Per-block calibration data: rows are samples, aligned across fields.
 
     ``x_q`` holds the dequantized block inputs seen by the quantized
-    forward, ``y`` the full-precision block outputs and ``y_q`` the
-    quantized-path block outputs, all on identical input samples.
+    forward and ``residual`` the quantization error ``y - y_q`` of the block
+    outputs, full-precision minus quantized-path, on identical input
+    samples: the two arrays a fit reads. The outputs themselves are not
+    kept.
     """
 
     x_q: np.ndarray  # (T, d_in)
-    y: np.ndarray  # (T, d_out)
-    y_q: np.ndarray  # (T, d_out)
+    residual: np.ndarray  # (T, d_out)
 
     def __post_init__(self):
         object.__setattr__(self, "x_q", as_tensor(self.x_q, "x_q", ndim=2))
-        object.__setattr__(self, "y", as_tensor(self.y, "y", ndim=2))
-        object.__setattr__(self, "y_q", as_tensor(self.y_q, "y_q", ndim=2))
-        if not (self.x_q.shape[0] == self.y.shape[0] == self.y_q.shape[0]):
-            raise ValueError("x_q, y and y_q must have equal row counts")
-        if self.y.shape != self.y_q.shape:
-            raise ValueError("y and y_q must have equal shapes")
+        object.__setattr__(self, "residual", as_tensor(self.residual, "residual", ndim=2))
+        if self.x_q.shape[0] != self.residual.shape[0]:
+            raise ValueError("x_q and residual must have equal row counts")
 
     @property
     def n_rows(self) -> int:
         return self.x_q.shape[0]
-
-    @property
-    def residual(self) -> np.ndarray:
-        return self.y - self.y_q
 
 
 @dataclass(frozen=True)
@@ -184,7 +180,7 @@ def fit_nbc_levels(
 
 
 def fit_linear(rec: CalibrationRecord) -> CompensationModule:
-    """Fit plain linear compensation on (x_q, y - y_q)."""
+    """Fit plain linear compensation on (x_q, residual)."""
     return fit_nbc(rec, IDENTITY)
 
 

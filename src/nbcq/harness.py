@@ -17,17 +17,19 @@ uncompensated quantized stream and deploy it feeding forward.
 Memory: each model has one per-block step, which every forward runs: the
 list forms (``block_io``), calibration, the hold-out search and
 evaluation. Calibration runs each product once: one full-precision loop
-calibrates the activation ranges and keeps every block's output as its
-target, and the calibration set keeps these records, not the inputs. The
-hold-out search scores against the last block's targets instead of
-running a full-precision forward of its own. The search takes block 0's
-quantized input and output of the hold-out rows from the records too, so
-a candidate runs the quantized steps of blocks 1..n-1 only. For the fit
-rows it holds two arrays per block, the integer codes of the block input
-and the residual ``y - y_q``, where slices of ``x_q``, ``y`` and ``y_q``
-would be three, and drops them when the search ends. A step computes the hidden activation
-in place in the fresh ``z @ W1^T`` product and adds the residual in place
-to the ``W2`` product.
+calibrates the activation ranges and keeps every block's output, then the
+quantized steps run over all rows, each writing over its input (block 1's
+input, block 0's output, is kept), and each block's residual ``y - y_q``
+is written over its output. The calibration set keeps what the fits and
+the search read, not the inputs: per block ``x_q`` and the residual, plus
+the last block's ``y`` (the hold-out target, so the search runs no
+full-precision forward) and block 0's ``y_q`` (so a hold-out candidate
+runs the quantized steps of blocks 1..n-1 only): 2 * n_blocks + 2 arrays
+of the stream's shape. For the fit rows the search caches one array per
+block, the integer codes of the block input; each fit slices its block's
+residual to those rows and drops the slice, and the codes go when the
+search ends. A step computes the hidden activation in place in the fresh
+``z @ W1^T`` product and adds the residual in place to the ``W2`` product.
 Evaluation runs the rows in chunks of ``EVAL_CHUNK_ROWS``, each through
 every block of both forwards, so the streams, the hidden activation and
 the temporaries of a step and of a module's apply are chunk-sized; the
@@ -346,12 +348,20 @@ def draw_inputs(model: ToyModel, n_samples: int, spec: OutlierSpec, seed: int) -
 
 @dataclass(frozen=True)
 class CalibrationSet:
-    """Everything one pass derives from the calibration inputs, which it does not keep."""
+    """Everything one pass derives from the calibration inputs, which it does not keep.
+
+    Besides each block's record, the set keeps the two arrays the hold-out
+    search reads, for every row: ``y_last``, the last block's
+    full-precision output (the hold-out target), and ``y_q_first``, block
+    0's quantized output (where the hold-out forward starts).
+    """
 
     records: tuple[CalibrationRecord, ...]  # one per block
     qmodel: QuantizedToyModel
     spec: OutlierSpec
     seed: int
+    y_last: np.ndarray  # (T, d)
+    y_q_first: np.ndarray  # (T, d)
 
     @property
     def n_samples(self) -> int:
@@ -368,16 +378,18 @@ def generate_calibration(
     bits_a: int = 4,
 ) -> CalibrationSet:
     """Calibrate the quantized twin on seeded inputs and record per-block
-    (x_q, y, y_q).
+    (x_q, y - y_q).
 
     Weights are quantized per output channel. One full-precision loop over
     ``ToyModel.block_step`` calibrates each block's input and hidden
-    activation ranges per tensor and keeps each block's output as its target
-    ``y``. The ranges are then frozen, which is how deployment reuses
-    calibration statistics on unseen data, and the quantized forward
-    (``QuantizedToyModel.block_io``) gives ``x_q`` and ``y_q``. Each forward
-    runs once; the exponent search scores its hold-out rows against the
-    last block's ``y``.
+    activation ranges per tensor and keeps each block's output ``y``. The
+    ranges are then frozen, which is how deployment reuses calibration
+    statistics on unseen data, and the quantized forward runs block by block
+    (``QuantizedToyModel.block_step``) on all rows, giving ``x_q`` and
+    ``y_q``. Each residual is written over its block's ``y``, except the
+    last block's, whose ``y`` the set keeps as the hold-out target; block
+    0's ``y_q`` is kept too. Each forward runs once, and the set holds
+    2 * n_blocks + 2 arrays of the stream's shape.
     """
     inputs = draw_inputs(model, n_samples, spec, seed)
     w1q = tuple(quantize_per_channel(w, bits_w) for w in model.w1)
@@ -391,11 +403,25 @@ def generate_calibration(
     qmodel = QuantizedToyModel(
         bits_w=bits_w, bits_a=bits_a, w1q=w1q, w2q=w2q, p_in=tuple(p_in), p_hid=tuple(p_hid)
     )
-    records = tuple(
-        CalibrationRecord(x_q=q_in, y=y, y_q=q_out)
-        for y, (q_in, q_out) in zip(targets, qmodel.block_io(inputs))
+    pairs, z = [], inputs
+    for k, y in enumerate(targets):
+        # a step writes its input over, but block 1 reads block 0's output, which is kept
+        x_q, z = qmodel.block_step(k, z, overwrite_input=k != 1)
+        if k == 0:
+            y_q_first = z
+        if k < model.n_blocks - 1:
+            pairs.append((x_q, np.subtract(y, z, out=y)))  # z is checked as block k+1's input
+    # the last block's outputs are no step's input: checked here, before any record
+    y_last = as_tensor(targets[-1], "y")
+    pairs.append((x_q, y_last - as_tensor(z, "y_q")))
+    return CalibrationSet(
+        records=tuple(CalibrationRecord(x_q, residual) for x_q, residual in pairs),
+        qmodel=qmodel,
+        spec=spec,
+        seed=seed,
+        y_last=y_last,
+        y_q_first=y_q_first,
     )
-    return CalibrationSet(records=records, qmodel=qmodel, spec=spec, seed=seed)
 
 
 class _RowSearchPipeline:
@@ -409,44 +435,44 @@ class _RowSearchPipeline:
     * Fit: every block input is fake-quantized per tensor to the 2^bits_a
       levels of its ``p_in``, so its transform is that of the level table,
       gathered by integer codes (``fit_nbc_levels``). The fit rows' codes
-      and residuals ``y - y_q`` do not depend on the candidate: they are
-      made once and kept for the rows they were made on. A candidate's
-      modules are scored and dropped, so its fits skip the residual pass.
+      do not depend on the candidate: they are made once and kept for the
+      rows they were made on. Each fit slices its block's residual to the
+      fit rows and drops the slice. A candidate's modules are scored and
+      dropped, so its fits skip the residual pass.
     * Hold-out: block 0's quantized step does not depend on the candidate
-      either, and the records hold its input and output for every row. The
+      either, and the set holds its input and output for every row. The
       hold-out forward applies the first module to those rows, runs blocks
       1..n-1 through ``block_step`` and scores the last output against the
-      last block's targets, which calibration recorded for every row.
+      last block's full-precision output, which the set holds for every row.
     """
 
     def __init__(self, calib: CalibrationSet):
         self.calib = calib
         self._levels = [level_table(p) for p in calib.qmodel.p_in]
         self._fit_rows: np.ndarray | None = None
-        self._fit_data: list[tuple[np.ndarray, np.ndarray]] | None = None  # (codes, residual)
+        self._codes: list[np.ndarray] | None = None
 
     def fit(self, records: Sequence[int], n_exp: float) -> list[CompensationModule]:
         rows = np.asarray(list(records), dtype=np.intp)
         kind = TransformKind("blt", n_exp)
         if self._fit_rows is None or not np.array_equal(rows, self._fit_rows):
-            self._fit_data = None  # let the old arrays go before the new ones are made
+            self._codes = None  # let the old arrays go before the new ones are made
             self._fit_rows = rows
-            self._fit_data = [
-                (level_codes(rec.x_q[rows], p), rec.y[rows] - rec.y_q[rows])
+            self._codes = [
+                level_codes(rec.x_q[rows], p)
                 for rec, p in zip(self.calib.records, self.calib.qmodel.p_in)
             ]
         return [
-            fit_nbc_levels(levels, codes, residual, kind)
-            for levels, (codes, residual) in zip(self._levels, self._fit_data)
+            fit_nbc_levels(levels, codes, rec.residual[rows], kind)
+            for levels, codes, rec in zip(self._levels, self._codes, self.calib.records)
         ]
 
     def holdout_loss(self, fitted: list[CompensationModule], records: Sequence[int]) -> float:
         rows = np.asarray(list(records), dtype=np.intp)
-        first = self.calib.records[0]
-        z = apply(fitted[0], first.x_q[rows], first.y_q[rows])
+        z = apply(fitted[0], self.calib.records[0].x_q[rows], self.calib.y_q_first[rows])
         for k in range(1, len(fitted)):
             _, z = self.calib.qmodel.block_step(k, z, fitted[k], overwrite_input=True)
-        return compute_feature_loss(self.calib.records[-1].y[rows], z)
+        return compute_feature_loss(self.calib.y_last[rows], z)
 
 
 def _fit_blocks(records: Sequence[CalibrationRecord], fit) -> list[CompensationModule]:
@@ -537,9 +563,11 @@ def excess_kurtosis(x: np.ndarray) -> np.ndarray:
     column) has no kurtosis; it gets -inf, so it is never the maximal column.
     """
     arr = as_tensor(x, "x", ndim=2)
-    centered = arr - arr.mean(axis=0)
-    m2 = np.mean(centered**2, axis=0)
-    m4 = np.mean(centered**4, axis=0)
+    squares = arr - arr.mean(axis=0)
+    squares *= squares  # the bits of centered**2; squared again, not libm pow, for m4
+    m2 = np.mean(squares, axis=0)
+    squares *= squares
+    m4 = np.mean(squares, axis=0)
     kurt = np.full(m2.shape, -np.inf)
     spread = m2 * m2 > 0.0
     kurt[spread] = m4[spread] / m2[spread] ** 2 - 3.0
@@ -599,8 +627,7 @@ def channel_slope_gap(
         return None
     kind = TransformKind("blt", n_exp)
     try:
-        residual = rec.y[:, channel] - rec.y_q[:, channel]
-        return (channel, *slope_gap_analysis(xs, residual, threshold, kind))
+        return (channel, *slope_gap_analysis(xs, rec.residual[:, channel], threshold, kind))
     except FitError:  # a slope is undefined on this channel: report absent
         return channel, None, None
 

@@ -162,10 +162,10 @@ def quantize_per_channel(w, bits: int) -> np.ndarray:
     Each row comes out as ``fake_quantize(row, calibrate_params(row, bits))``
     would give it, bit for bit; all rows are computed at once.
     """
+    bits = check_bits(bits)
     arr = as_tensor(w, "weight", ndim=2)
     if arr.shape[0] == 0:
         return np.empty(arr.shape)
-    bits = check_bits(bits)
     if arr.shape[1] == 0:
         raise ValueError("calibration tensor is empty")
     scale, zero = _scale_zero(arr.min(axis=1), arr.max(axis=1), bits)

@@ -52,15 +52,18 @@ def fit_and_evaluate(model, calib, mode, cfg, *, transform="blt", storage=STORAG
 
 
 def training_fit_loss(records, modules) -> float:
-    """Blockwise feature loss of compensated outputs on the fitting records.
+    """Blockwise feature loss of compensated outputs on the fitting records,
+    scored as ``(residual - correction)^2``.
 
     With ``modules`` None this is the uncompensated loss; since the zero
     module is always feasible, a fitted linear module can never exceed it.
     """
     total = 0.0
     for i, rec in enumerate(records):
-        out = rec.y_q if modules is None else apply(modules[i], rec.x_q, rec.y_q)
-        total += compute_feature_loss(rec.y, out)
+        # the correction alone: the module's output over a zero y_q
+        zero = np.zeros_like(rec.residual)
+        correction = zero if modules is None else apply(modules[i], rec.x_q, zero)
+        total += compute_feature_loss(rec.residual, correction)
     return total / len(records)
 
 
@@ -76,14 +79,14 @@ class _ReferenceRowSearch:
         rows = np.asarray(list(records), dtype=np.intp)
         kind = TransformKind("blt", n_exp)
         return [
-            fit_nbc(CalibrationRecord(rec.x_q[rows], rec.y[rows], rec.y_q[rows]), kind)
+            fit_nbc(CalibrationRecord(rec.x_q[rows], rec.residual[rows]), kind)
             for rec in self.calib.records
         ]
 
     def holdout_loss(self, fitted, records):
         rows = np.asarray(list(records), dtype=np.intp)
         comp = self.calib.qmodel.compensated_block_io(self.inputs[rows], fitted)[-1][1]
-        return compute_feature_loss(self.calib.records[-1].y[rows], comp)
+        return compute_feature_loss(self.calib.y_last[rows], comp)
 
 
 def reference_search(model, calib, cfg):

@@ -702,13 +702,14 @@ class TestRepeatedKey:
 
 
 # values that validation accepts but that overflow the weights or the
-# calibration forward of the desk defaults
-OVERFLOWING = [
-    "heavy_input_scale = 1e300",
-    "heavy_scale = 1e150",
-    "outlier_scale = 1.7e308",  # the drawn inputs
-    "d = 1\nheavy_input_scale = 1.7e308",  # the model's weights
-]
+# calibration forward of the desk defaults, each with the array its error names
+OVERFLOWING = {
+    "heavy_input_scale = 1e300": "calibration tensor",
+    "heavy_scale = 1e150": "calibration tensor",
+    "heavy_scale = 1e100": "y",  # only the last block's output
+    "outlier_scale = 1.7e308": "inputs",  # the drawn inputs
+    "d = 1\nheavy_input_scale = 1.7e308": "weight",  # the model's weights
+}
 
 
 class TestSetupOverflow:
@@ -725,6 +726,7 @@ class TestSetupOverflow:
         code, out, err = run_cli([command, "--config", str(path), "--out", str(bundle)], capsys)
         assert_failed(code, err, 2, "config")
         assert all(key in err for key in ("outlier_scale", "heavy_scale", "heavy_input_scale"))
+        assert err.endswith(f" ({OVERFLOWING[extra]} contains non-finite values)\n")
         assert fits == [] and out == "" and not bundle.exists()
 
 

@@ -16,30 +16,31 @@ from nbcq.compensation import (
 )
 from nbcq.errors import FitError
 from nbcq.fls import compute_feature_loss
-from nbcq.harness import ols_scalar_bias, scalar_slope
+from nbcq.harness import draw_inputs, ols_scalar_bias, scalar_slope
 from nbcq.transform import IDENTITY, TransformKind, apply_kind_forward, apply_kind_inverse
 
 from helpers import desk_setup, f16_roundtrip_struct, f32_roundtrip_struct, pinv_affine_fit
 
 
 def make_record(rng, n=60, d_in=4, d_out=3, residual=None):
+    """A random record and the quantized output ``y_q`` it was drawn with."""
     x_q = rng.standard_normal((n, d_in))
     y_q = rng.standard_normal((n, d_out))
     if residual is None:
         residual = 0.1 * rng.standard_normal((n, d_out))
-    return CalibrationRecord(x_q=x_q, y=y_q + residual, y_q=y_q)
+    return CalibrationRecord(x_q=x_q, residual=residual), y_q
 
 
 class TestCalibrationRecord:
     def test_row_count_mismatch(self):
         with pytest.raises(ValueError, match="row counts"):
-            CalibrationRecord(np.zeros((3, 2)), np.zeros((4, 2)), np.zeros((4, 2)))
+            CalibrationRecord(np.zeros((3, 2)), np.zeros((4, 2)))
 
 
 class TestFitLinear:
     def test_zero_residual_gives_zero_module(self):
         rng = np.random.default_rng(2)
-        rec = make_record(rng, residual=np.zeros((60, 3)))
+        rec, _ = make_record(rng, residual=np.zeros((60, 3)))
         mod = fit_linear(rec)
         assert np.max(np.abs(mod.weight)) <= 1e-10
         assert np.max(np.abs(mod.bias)) <= 1e-10
@@ -48,14 +49,14 @@ class TestFitLinear:
         rng = np.random.default_rng(3)
         x_q = rng.standard_normal((50, 4))
         y_q = rng.standard_normal((50, 4))
-        rec = CalibrationRecord(x_q=x_q, y=y_q + 2.0 * x_q + 1.0, y_q=y_q)
+        rec = CalibrationRecord(x_q=x_q, residual=(y_q + 2.0 * x_q + 1.0) - y_q)
         mod = fit_linear(rec)
         assert np.max(np.abs(mod.weight - 2.0 * np.eye(4))) <= 1e-10
         assert np.max(np.abs(mod.bias - 1.0)) <= 1e-10
 
     def test_matches_pinv_oracle(self):
         rng = np.random.default_rng(4)
-        rec = make_record(rng, n=80, d_in=6, d_out=5)
+        rec, _ = make_record(rng, n=80, d_in=6, d_out=5)
         mod = fit_linear(rec)
         w_ref, b_ref = pinv_affine_fit(rec.x_q, rec.residual)
         assert np.max(np.abs(mod.weight - w_ref)) <= 1e-8
@@ -63,7 +64,7 @@ class TestFitLinear:
 
     def test_insufficient_rows(self):
         rng = np.random.default_rng(5)
-        rec = make_record(rng, n=4, d_in=4)
+        rec, _ = make_record(rng, n=4, d_in=4)
         with pytest.raises(FitError):
             fit_linear(rec)
 
@@ -76,17 +77,17 @@ class TestFitNbc:
         x_q = rng.uniform(-0.9 * region, 0.9 * region, (64, 4))
         y_q = rng.standard_normal((64, 4))
         residual = rng.uniform(-0.9 * region, 0.9 * region, (64, 4))
-        rec = CalibrationRecord(x_q=x_q, y=y_q + residual, y_q=y_q)
-        out_nbc = apply(fit_nbc(rec, TransformKind("blt", n_exp)), rec.x_q, rec.y_q)
-        out_lin = apply(fit_linear(rec), rec.x_q, rec.y_q)
+        rec = CalibrationRecord(x_q=x_q, residual=(y_q + residual) - y_q)
+        out_nbc = apply(fit_nbc(rec, TransformKind("blt", n_exp)), rec.x_q, y_q)
+        out_lin = apply(fit_linear(rec), rec.x_q, y_q)
         assert np.max(np.abs(out_nbc - out_lin)) <= 1e-9
 
     def test_zero_residual_is_noop(self):
         rng = np.random.default_rng(7)
-        rec = make_record(rng, residual=np.zeros((60, 3)))
+        rec, y_q = make_record(rng, residual=np.zeros((60, 3)))
         mod = fit_nbc(rec, TransformKind("blt", 2.0))
-        out = apply(mod, rec.x_q, rec.y_q)
-        assert np.max(np.abs(out - rec.y_q)) <= 1e-9
+        out = apply(mod, rec.x_q, y_q)
+        assert np.max(np.abs(out - y_q)) <= 1e-9
 
     def test_outlier_channel_slope_closer_to_inlier_oracle(self):
         # one scalar channel; inliers follow a clean multiplicative trend,
@@ -99,8 +100,7 @@ class TestFitNbc:
         r_out = np.full(n_out, 1.0)
         x = np.concatenate([x_in, x_out]).reshape(-1, 1)
         r = np.concatenate([r_in, r_out]).reshape(-1, 1)
-        y_q = np.zeros_like(r)
-        rec = CalibrationRecord(x_q=x, y=r, y_q=y_q)
+        rec = CalibrationRecord(x_q=x, residual=r)  # y_q = 0
 
         oracle = scalar_slope(x_in, r_in)
         lin = fit_linear(rec)
@@ -113,7 +113,7 @@ class TestFitNbc:
 
     def test_matches_pinv_oracle_in_transformed_space(self):
         rng = np.random.default_rng(9)
-        rec = make_record(rng, n=90, d_in=5, d_out=4)
+        rec, _ = make_record(rng, n=90, d_in=5, d_out=4)
         for kind in (TransformKind("blt", 1.5), TransformKind("asinh"), IDENTITY):
             mod = fit_nbc(rec, kind)
             design = apply_kind_forward(rec.x_q, kind)
@@ -124,7 +124,7 @@ class TestFitNbc:
 
     def test_normal_equation_orthogonality(self):
         rng = np.random.default_rng(10)
-        rec = make_record(rng, n=70, d_in=5, d_out=3)
+        rec, _ = make_record(rng, n=70, d_in=5, d_out=3)
         kind = TransformKind("blt", 2.0)
         mod = fit_nbc(rec, kind)
         design = apply_kind_forward(rec.x_q, kind)
@@ -153,9 +153,11 @@ class TestFitNbc:
 
 @pytest.fixture(scope="module")
 def desk_records():
-    """Fake-quantized block inputs of the desk pipeline, outliers included."""
-    _, calib, _ = desk_setup(0)
-    return calib.records
+    """Per block of the desk pipeline, its record and its quantized output
+    from the list form of the quantized forward; outliers included."""
+    model, calib, _ = desk_setup(0)
+    q_io = calib.qmodel.block_io(draw_inputs(model, calib.n_samples, calib.spec, calib.seed))
+    return [(rec, y_q) for rec, (_, y_q) in zip(calib.records, q_io)]
 
 
 class TestApply:
@@ -179,10 +181,11 @@ class TestApply:
         x_q = rng.standard_normal((100, 4))
         y_q = rng.standard_normal((100, 4))
         residual = 0.5 * x_q + 0.05 * rng.standard_normal((100, 4))
-        rec = CalibrationRecord(x_q=x_q, y=y_q + residual, y_q=y_q)
+        y = y_q + residual
+        rec = CalibrationRecord(x_q=x_q, residual=y - y_q)
         for mod in (fit_linear(rec), fit_nbc(rec, TransformKind("blt", 2.0))):
-            out = apply(mod, rec.x_q, rec.y_q)
-            assert compute_feature_loss(rec.y, out) < compute_feature_loss(rec.y, rec.y_q)
+            out = apply(mod, rec.x_q, y_q)
+            assert compute_feature_loss(y, out) < compute_feature_loss(y, y_q)
 
     @pytest.mark.parametrize("storage", ["f32", STORAGE_F16, STORAGE_I8])
     @pytest.mark.parametrize(
@@ -197,12 +200,12 @@ class TestApply:
             pred = apply_kind_forward(x_q, mod.kind) @ mod.weight.T + mod.bias
             return y_q + apply_kind_inverse(pred, mod.kind)
 
-        for rec in desk_records:
+        for rec, y_q in desk_records:
             mod = fit_nbc(rec, kind)
             if storage != "f32":
                 mod = store_params(mod, storage)
-            out = apply(mod, rec.x_q, rec.y_q)
-            expected = old_apply(mod, rec.x_q, rec.y_q)
+            out = apply(mod, rec.x_q, y_q)
+            expected = old_apply(mod, rec.x_q, y_q)
             assert out.shape == expected.shape
             assert out.tobytes() == expected.tobytes()
 
@@ -269,15 +272,15 @@ class TestStoreParams:
 
     def test_i8_weight_is_decoded_once(self):
         rng = np.random.default_rng(17)
-        rec = make_record(rng, n=50, d_in=4, d_out=4, residual=0.3 * rng.standard_normal((50, 4)))
+        rec, y_q = make_record(rng, n=50, d_in=4, d_out=4, residual=0.3 * rng.standard_normal((50, 4)))
         mod = fit_linear(rec)
         i8 = store_params(mod, STORAGE_I8)
         codes = stored_tensors(i8)["weight"]
         assert codes.dtype == np.int8
         assert i8.weight.dtype == np.float64
         assert i8.weight.tobytes() == (codes.astype(np.float64) * i8.scales[:, None]).tobytes()
-        out_full = apply(mod, rec.x_q, rec.y_q)
-        out_i8 = apply(i8, rec.x_q, rec.y_q)
+        out_full = apply(mod, rec.x_q, y_q)
+        out_i8 = apply(i8, rec.x_q, y_q)
         # coarse storage still approximates the working-precision output
         assert np.max(np.abs(out_full - out_i8)) <= 0.1
 

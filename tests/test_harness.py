@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from nbcq.errors import FitError
-from nbcq.fls import FlsConfig, fls_search, holdout_split
+from nbcq.fls import FlsConfig, fls_search, holdout_count, holdout_split
 from nbcq.harness import (
     EVAL_CHUNK_ROWS,
     EVAL_SEED_OFFSET,
@@ -150,8 +150,9 @@ class TestGenerateCalibration:
         _, b, _ = desk_setup(7)
         for ra, rb in zip(a.records, b.records):
             assert ra.x_q.tobytes() == rb.x_q.tobytes()
-            assert ra.y.tobytes() == rb.y.tobytes()
-            assert ra.y_q.tobytes() == rb.y_q.tobytes()
+            assert ra.residual.tobytes() == rb.residual.tobytes()
+        assert a.y_last.tobytes() == b.y_last.tobytes()
+        assert a.y_q_first.tobytes() == b.y_q_first.tobytes()
 
     def test_outliers_present_under_default_spec(self):
         model, calib, _ = desk_setup(0)
@@ -166,11 +167,18 @@ class TestGenerateCalibration:
             fit_compensation(model, calib, "linear")
 
     def test_fp_records_equal_block_io(self):
+        # the records against both list forms: x_q and y - y_q per block,
+        # the last y and block 0's y_q whole
         model, calib, _ = desk_setup(2)
-        fp_io = model.block_io(draw_inputs(model, calib.n_samples, calib.spec, calib.seed))
-        assert len(fp_io) == len(calib.records)
-        for rec, (_, fp_out) in zip(calib.records, fp_io):
-            assert rec.y.tobytes() == fp_out.tobytes()
+        inputs = draw_inputs(model, calib.n_samples, calib.spec, calib.seed)
+        fp_io = model.block_io(inputs)
+        q_io = calib.qmodel.block_io(inputs)
+        assert len(fp_io) == len(q_io) == len(calib.records)
+        for rec, (_, y), (x_q, y_q) in zip(calib.records, fp_io, q_io):
+            assert rec.x_q.tobytes() == x_q.tobytes()
+            assert rec.residual.tobytes() == (y - y_q).tobytes()
+        assert calib.y_last.tobytes() == fp_io[-1][1].tobytes()
+        assert calib.y_q_first.tobytes() == q_io[0][1].tobytes()
 
     def test_fake_quant_equals_integer_round_trip(self):
         model, calib, _ = desk_setup(0)
@@ -185,6 +193,45 @@ class TestGenerateCalibration:
         model, calib, _ = desk_setup(0)
         ev = draw_inputs(model, 512, calib.spec, calib.seed + EVAL_SEED_OFFSET)
         assert not np.array_equal(ev, draw_inputs(model, calib.n_samples, calib.spec, calib.seed))
+
+
+class TestCalibrationMemory:
+    """What calibration keeps and what the search adds to it, in bytes, so
+    that a kept block output or a search cache that comes back fails here."""
+
+    @pytest.mark.parametrize("n_blocks", [1, 4])
+    def test_set_holds_two_arrays_per_block_and_the_two_boundary_arrays(self, n_blocks):
+        d, n_samples = 16, 512
+        model = build_toy_model(d, 32, n_blocks, seed=0, heavy_scale=1.3, heavy_input_scale=3.0)
+        calib = generate_calibration(model, n_samples, OutlierSpec(), seed=1)
+        held = [getattr(calib, f.name) for f in dataclasses.fields(calib)]
+        held += [getattr(rec, f.name) for rec in calib.records for f in dataclasses.fields(rec)]
+        arrays = [a for a in held if isinstance(a, np.ndarray)]
+        assert len(arrays) == 2 * n_blocks + 2
+        assert sum(a.nbytes for a in arrays) == (2 * n_blocks + 2) * n_samples * d * 8
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+
+    def test_search_peak_above_the_set_is_the_codes_and_a_few_arrays(self):
+        d, h, n_blocks, n_samples = 16, 32, 8, 512
+        model = build_toy_model(d, h, n_blocks, seed=0, heavy_scale=1.3, heavy_input_scale=3.0)
+        calib = generate_calibration(model, n_samples, OutlierSpec(), seed=1)
+        cfg = FlsConfig(seed=3)
+        search_exponent(model, calib, cfg)  # one-off set-up stays out of the measurement
+        fit_rows = n_samples - holdout_count(n_samples, cfg.holdout_fraction)
+        codes = n_blocks * fit_rows * d * np.dtype(np.intp).itemsize
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            search_exponent(model, calib, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # a candidate's transients, block by block: the residual slice, the
+        # design and targets of one fit, and the hold-out stream with its
+        # hidden activation (measured: 4.6 arrays). A cache of the fit rows'
+        # residuals would add 8 blocks x 384 rows, another 6 arrays.
+        assert peak <= codes + 6 * n_samples * d * 8, (peak, codes)
 
 
 @pytest.fixture(scope="module")
@@ -241,7 +288,7 @@ class TestForwardCounts:
         _, rows = holdout_split(list(range(n_samples)), FlsConfig(seed=7))
         inputs = draw_inputs(model, n_samples, calib.spec, calib.seed)
         fresh = model.block_io(inputs[rows])[-1][1]
-        assert fresh.tobytes() == calib.records[-1].y[rows].tobytes()
+        assert fresh.tobytes() == calib.y_last[rows].tobytes()
 
 
 class TestRunPipeline:

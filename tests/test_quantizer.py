@@ -174,6 +174,11 @@ class TestPerChannelOracle:
         with pytest.raises(ValueError, match="dimension"):
             quantize_per_channel(np.ones((2, 3, 1)), bits=4)
 
+    def test_zero_row_weight_still_checks_the_bit_width(self):
+        with pytest.raises(ValueError, match=r"^bits must be in \[2, 8\], got 99$"):
+            quantize_per_channel(np.zeros((0, 3)), 99)
+        assert quantize_per_channel(np.zeros((0, 3)), 4).shape == (0, 3)
+
 
 class TestProperties:
     def test_round_trip_bound(self):
