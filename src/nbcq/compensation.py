@@ -11,10 +11,13 @@ and the transformed module corrects
 
 with (W, b) fitted in closed form by least squares, on (x_q, y - y_q)
 directly for the linear case and on (f(x_q), f(y - y_q)) for the
-transformed case. x_q here is the dequantized real-valued block input, not
-the integer codes, so the residual and the design live on the same scale.
-A fit reads only these two, so a ``CalibrationRecord`` holds x_q and the
-residual y - y_q, computed once, and neither output.
+transformed case. x_q here is the dequantized real-valued block input, so
+the residual and the design live on the same scale. A fit reads only these
+two, so a ``CalibrationRecord`` holds the residual y - y_q, computed once,
+and x_q as integer codes into a table of its levels: a per-tensor
+quantized x_q takes one of 2^bits values. Every fit builds its design as
+``f(levels)[codes]``, so the map runs on the levels, not on rows x d
+inputs; it is elementwise, so that has the bits of ``f(x_q)``.
 
 Fitted parameters are narrowed for storage (``STORED_DTYPES``): f32 and
 f16 round W and b; i8_per_channel stores W as symmetric int8 codes with
@@ -75,25 +78,41 @@ I8_SCALE_FLOOR = float(np.float32(1e-12))
 class CalibrationRecord:
     """Per-block calibration data: rows are samples, aligned across fields.
 
-    ``x_q`` holds the dequantized block inputs seen by the quantized
-    forward and ``residual`` the quantization error ``y - y_q`` of the block
-    outputs, full-precision minus quantized-path, on identical input
-    samples: the two arrays a fit reads. The outputs themselves are not
-    kept.
+    The dequantized block input ``x_q`` seen by the quantized forward is
+    held as ``codes``, integers into ``levels``, and gathered
+    (``levels[codes]``) only when read; calibration stores the codes as
+    ``uint8``, since a per-tensor quantized input has at most 2^8 levels.
+    ``residual`` is the quantization error ``y - y_q`` of the block outputs,
+    full-precision minus quantized-path, on identical input samples. The
+    outputs themselves are not kept.
     """
 
-    x_q: np.ndarray  # (T, d_in)
+    codes: np.ndarray  # (T, d_in), integers in [0, len(levels))
+    levels: np.ndarray  # (L,)
     residual: np.ndarray  # (T, d_out)
 
     def __post_init__(self):
-        object.__setattr__(self, "x_q", as_tensor(self.x_q, "x_q", ndim=2))
+        codes = np.ascontiguousarray(self.codes)
+        if codes.ndim != 2 or codes.dtype.kind not in "iu":
+            raise ValueError(
+                f"codes must be a 2-dimensional integer array, got {codes.ndim}-d {codes.dtype}"
+            )
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "levels", as_tensor(self.levels, "levels", ndim=1))
         object.__setattr__(self, "residual", as_tensor(self.residual, "residual", ndim=2))
-        if self.x_q.shape[0] != self.residual.shape[0]:
-            raise ValueError("x_q and residual must have equal row counts")
+        if codes.size and (codes.min() < 0 or codes.max() >= self.levels.size):
+            raise ValueError(f"codes must be in [0, {self.levels.size}), the indices of the levels")
+        if codes.shape[0] != self.residual.shape[0]:
+            raise ValueError("codes and residual must have equal row counts")
+
+    @property
+    def x_q(self) -> np.ndarray:
+        """The dequantized block inputs, ``levels[codes]``: a new array."""
+        return self.levels[self.codes]
 
     @property
     def n_rows(self) -> int:
-        return self.x_q.shape[0]
+        return self.codes.shape[0]
 
 
 @dataclass(frozen=True)
@@ -142,10 +161,20 @@ class CompensationModule:
         return self.weight.shape[1]
 
 
+def _levels_design(levels: np.ndarray, codes: np.ndarray, kind: TransformKind) -> np.ndarray:
+    """The design of a fit on the block input ``levels[codes]``:
+    ``f(levels)[codes]``, the map run on the levels only. It is
+    elementwise, so this has the bits of ``f(levels[codes])``. The codes
+    are cast to ``intp`` first, which numpy gathers faster than narrower
+    indices."""
+    return apply_kind_forward(levels, kind)[codes.astype(np.intp)]
+
+
 def fit_nbc(rec: CalibrationRecord, kind: TransformKind) -> CompensationModule:
-    """Fit compensation in the transformed space of ``kind``; the solve
-    rejects a record with fewer than d_in + 1 rows (FitError)."""
-    design = apply_kind_forward(rec.x_q, kind)
+    """Fit compensation in the transformed space of ``kind``, on the design
+    ``f(levels)[codes]``; the solve rejects a record with fewer than
+    d_in + 1 rows (FitError)."""
+    design = _levels_design(rec.levels, rec.codes, kind)
     targets = apply_kind_forward(rec.residual, kind)
     sol = solve_least_squares(design, targets)
     return CompensationModule(
@@ -161,17 +190,13 @@ def fit_nbc(rec: CalibrationRecord, kind: TransformKind) -> CompensationModule:
 def fit_nbc_levels(
     levels: np.ndarray, codes: np.ndarray, residual: np.ndarray, kind: TransformKind
 ) -> CompensationModule:
-    """``fit_nbc`` for a block input held as ``codes`` into a table of its
-    ``levels``, without the residual pass; for candidate fits, which are
-    scored and dropped.
+    """``fit_nbc`` on the record ``(codes, levels, residual)`` without the
+    residual pass, for candidate fits, which are scored and dropped.
 
-    The map runs on the levels only and is gathered by the codes: it is
-    elementwise, so ``f(levels)[codes]`` has the bits of
-    ``f(levels[codes])``. Weight, bias and ``ridge_used`` are those of
-    ``fit_nbc`` on the record with ``x_q = levels[codes]``, bit for bit;
+    Weight, bias and ``ridge_used`` are those of ``fit_nbc`` bit for bit;
     ``residual_rms`` is None.
     """
-    design = apply_kind_forward(levels, kind)[codes]
+    design = _levels_design(levels, codes, kind)
     targets = apply_kind_forward(residual, kind)
     sol = solve_coefficients(design, targets)
     return CompensationModule(
@@ -180,7 +205,8 @@ def fit_nbc_levels(
 
 
 def fit_linear(rec: CalibrationRecord) -> CompensationModule:
-    """Fit plain linear compensation on (x_q, residual)."""
+    """Fit plain linear compensation on (x_q, residual), with x_q gathered
+    from the levels as every fit's design is."""
     return fit_nbc(rec, IDENTITY)
 
 

@@ -19,16 +19,20 @@ list forms (``block_io``), calibration, the hold-out search and
 evaluation. Calibration runs each product once: one full-precision loop
 calibrates the activation ranges and keeps every block's output, then the
 quantized steps run over all rows, each writing over its input (block 1's
-input, block 0's output, is kept), and each block's residual ``y - y_q``
-is written over its output. The calibration set keeps what the fits and
-the search read, not the inputs: per block ``x_q`` and the residual, plus
-the last block's ``y`` (the hold-out target, so the search runs no
+input, block 0's output, is kept). Each block's quantized input is coded
+(``level_codes``) right after its step and the float array let go, and
+its residual ``y - y_q`` is written over its output. The calibration set
+keeps what the fits and the search read, not the inputs: per block the
+residual and ``x_q`` as ``uint8`` codes into its level table, plus the
+last block's ``y`` (the hold-out target, so the search runs no
 full-precision forward) and block 0's ``y_q`` (so a hold-out candidate
-runs the quantized steps of blocks 1..n-1 only): 2 * n_blocks + 2 arrays
-of the stream's shape. For the fit rows the search caches one array per
-block, the integer codes of the block input; each fit slices its block's
-residual to those rows and drops the slice, and the codes go when the
-search ends. A step computes the hidden activation in place in the fresh
+runs the quantized steps of blocks 1..n-1 only): n_blocks + 2 float64
+arrays of the stream's shape and n_blocks byte arrays of it. The search
+caches nothing: each fit slices its block's codes and residual to the fit
+rows and drops the slices, and every fit, kept ones too, transforms the
+2^bits_a levels and gathers them by the codes, so no float ``x_q`` of the
+stream's shape is made outside the hold-out apply of block 0 and the
+slope-gap channel pick. A step computes the hidden activation in place in the fresh
 ``z @ W1^T`` product and adds the residual in place to the ``W2`` product.
 Evaluation runs the rows in chunks of ``EVAL_CHUNK_ROWS``, each through
 every block of both forwards, so the streams, the hidden activation and
@@ -350,10 +354,12 @@ def draw_inputs(model: ToyModel, n_samples: int, spec: OutlierSpec, seed: int) -
 class CalibrationSet:
     """Everything one pass derives from the calibration inputs, which it does not keep.
 
-    Besides each block's record, the set keeps the two arrays the hold-out
-    search reads, for every row: ``y_last``, the last block's
-    full-precision output (the hold-out target), and ``y_q_first``, block
-    0's quantized output (where the hold-out forward starts).
+    Each block's record holds its quantized input as ``uint8`` codes into
+    its level table, and its residual. Besides the records, the set keeps
+    the two arrays the hold-out search reads, for every row: ``y_last``,
+    the last block's full-precision output (the hold-out target), and
+    ``y_q_first``, block 0's quantized output (where the hold-out forward
+    starts).
     """
 
     records: tuple[CalibrationRecord, ...]  # one per block
@@ -378,7 +384,7 @@ def generate_calibration(
     bits_a: int = 4,
 ) -> CalibrationSet:
     """Calibrate the quantized twin on seeded inputs and record per-block
-    (x_q, y - y_q).
+    (x_q, y - y_q), with x_q as codes into its level table.
 
     Weights are quantized per output channel. One full-precision loop over
     ``ToyModel.block_step`` calibrates each block's input and hidden
@@ -386,16 +392,18 @@ def generate_calibration(
     ranges are then frozen, which is how deployment reuses calibration
     statistics on unseen data, and the quantized forward runs block by block
     (``QuantizedToyModel.block_step``) on all rows, giving ``x_q`` and
-    ``y_q``. Each residual is written over its block's ``y``, except the
-    last block's, whose ``y`` the set keeps as the hold-out target; block
-    0's ``y_q`` is kept too. Each forward runs once, and the set holds
-    2 * n_blocks + 2 arrays of the stream's shape.
+    ``y_q``. Each ``x_q`` is coded (``level_codes``, ``uint8``) as soon as
+    its step returns, and only the codes and ``level_table(p_in[k])`` are
+    kept. Each residual is written over its block's ``y``, except the last
+    block's, whose ``y`` the set keeps as the hold-out target; block 0's
+    ``y_q`` is kept too. Each forward runs once, and the set holds
+    n_blocks + 2 float64 arrays and n_blocks byte arrays of the stream's
+    shape.
     """
-    inputs = draw_inputs(model, n_samples, spec, seed)
     w1q = tuple(quantize_per_channel(w, bits_w) for w in model.w1)
     w2q = tuple(quantize_per_channel(w, bits_w) for w in model.w2)
     p_in, p_hid, targets = [], [], []
-    z = as_tensor(inputs, "inputs", ndim=2)
+    z = inputs = as_tensor(draw_inputs(model, n_samples, spec, seed), "inputs", ndim=2)
     for k in range(model.n_blocks):
         p_in.append(calibrate_params(z, bits_a))
         z = model.block_step(k, z, lambda a: p_hid.append(calibrate_params(a, bits_a)))
@@ -403,19 +411,24 @@ def generate_calibration(
     qmodel = QuantizedToyModel(
         bits_w=bits_w, bits_a=bits_a, w1q=w1q, w2q=w2q, p_in=tuple(p_in), p_hid=tuple(p_hid)
     )
-    pairs, z = [], inputs
+    codes, residuals, z = [], [], inputs
+    del inputs  # block 0 writes its quantized input over them, which is coded and let go
     for k, y in enumerate(targets):
         # a step writes its input over, but block 1 reads block 0's output, which is kept
         x_q, z = qmodel.block_step(k, z, overwrite_input=k != 1)
+        codes.append(level_codes(x_q, qmodel.p_in[k]))
+        del x_q  # held as its codes from here on
         if k == 0:
             y_q_first = z
         if k < model.n_blocks - 1:
-            pairs.append((x_q, np.subtract(y, z, out=y)))  # z is checked as block k+1's input
+            residuals.append(np.subtract(y, z, out=y))  # z is checked as block k+1's input
     # the last block's outputs are no step's input: checked here, before any record
     y_last = as_tensor(targets[-1], "y")
-    pairs.append((x_q, y_last - as_tensor(z, "y_q")))
+    residuals.append(y_last - as_tensor(z, "y_q"))
     return CalibrationSet(
-        records=tuple(CalibrationRecord(x_q, residual) for x_q, residual in pairs),
+        records=tuple(
+            CalibrationRecord(c, level_table(p), r) for c, p, r in zip(codes, p_in, residuals)
+        ),
         qmodel=qmodel,
         spec=spec,
         seed=seed,
@@ -432,13 +445,12 @@ class _RowSearchPipeline:
     ``fit_compensation`` fits the kept ones on every row. A candidate does
     only the work that depends on its exponent:
 
-    * Fit: every block input is fake-quantized per tensor to the 2^bits_a
-      levels of its ``p_in``, so its transform is that of the level table,
-      gathered by integer codes (``fit_nbc_levels``). The fit rows' codes
-      do not depend on the candidate: they are made once and kept for the
-      rows they were made on. Each fit slices its block's residual to the
-      fit rows and drops the slice. A candidate's modules are scored and
-      dropped, so its fits skip the residual pass.
+    * Fit: each block input is held as codes into its level table, so the
+      fit transforms the levels only and gathers them by the fit rows'
+      codes (``fit_nbc_levels``). Each fit slices its block's codes and
+      residual to the fit rows and drops the slices, so the search keeps
+      nothing of its own. A candidate's modules are scored and dropped, so
+      its fits skip the residual pass.
     * Hold-out: block 0's quantized step does not depend on the candidate
       either, and the set holds its input and output for every row. The
       hold-out forward applies the first module to those rows, runs blocks
@@ -448,28 +460,19 @@ class _RowSearchPipeline:
 
     def __init__(self, calib: CalibrationSet):
         self.calib = calib
-        self._levels = [level_table(p) for p in calib.qmodel.p_in]
-        self._fit_rows: np.ndarray | None = None
-        self._codes: list[np.ndarray] | None = None
 
     def fit(self, records: Sequence[int], n_exp: float) -> list[CompensationModule]:
         rows = np.asarray(list(records), dtype=np.intp)
         kind = TransformKind("blt", n_exp)
-        if self._fit_rows is None or not np.array_equal(rows, self._fit_rows):
-            self._codes = None  # let the old arrays go before the new ones are made
-            self._fit_rows = rows
-            self._codes = [
-                level_codes(rec.x_q[rows], p)
-                for rec, p in zip(self.calib.records, self.calib.qmodel.p_in)
-            ]
         return [
-            fit_nbc_levels(levels, codes, rec.residual[rows], kind)
-            for levels, codes, rec in zip(self._levels, self._codes, self.calib.records)
+            fit_nbc_levels(rec.levels, rec.codes[rows], rec.residual[rows], kind)
+            for rec in self.calib.records
         ]
 
     def holdout_loss(self, fitted: list[CompensationModule], records: Sequence[int]) -> float:
         rows = np.asarray(list(records), dtype=np.intp)
-        z = apply(fitted[0], self.calib.records[0].x_q[rows], self.calib.y_q_first[rows])
+        first = self.calib.records[0]
+        z = apply(fitted[0], first.levels[first.codes[rows]], self.calib.y_q_first[rows])
         for k in range(1, len(fitted)):
             _, z = self.calib.qmodel.block_step(k, z, fitted[k], overwrite_input=True)
         return compute_feature_loss(self.calib.y_last[rows], z)
@@ -620,8 +623,9 @@ def channel_slope_gap(
     a slope on the channel is undefined (a constant partition), or None when
     the channel has no outliers or no inliers under ``threshold``.
     """
-    channel = int(np.argmax(excess_kurtosis(rec.x_q)))
-    xs = rec.x_q[:, channel]
+    x_q = rec.x_q
+    channel = int(np.argmax(excess_kurtosis(x_q)))
+    xs = x_q[:, channel]
     outliers = np.abs(xs) > threshold
     if not outliers.any() or outliers.all():
         return None

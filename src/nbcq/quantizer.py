@@ -13,8 +13,9 @@ per tensor (``fake_quantize``); weight matrices quantize per output row
 (``quantize_per_channel``). Both compute ``x_hat`` straight from ``x`` in
 float64, without materializing the integer codes ``q``. A per-tensor
 ``x_hat`` takes one of 2^b values: ``level_table`` lists them by code and
-``level_codes`` recovers the code of each entry, so that a map applied
-elementwise to ``x_hat`` can run on the 2^b levels instead.
+``level_codes`` recovers the code of each entry as one byte (b <= 8), so
+that ``x_hat`` can be held in an eighth of its float64 size and a map
+applied elementwise to it can run on the 2^b levels instead.
 """
 
 from __future__ import annotations
@@ -129,15 +130,20 @@ def level_table(p: QuantParams) -> np.ndarray:
     """The 2^bits values ``fake_quantize`` maps to under ``p``, indexed by
     code: ``(code - zero_point) * scale``, with the float64 operations
     ``fake_quantize`` applies to a code, so each level has its bits."""
-    levels = np.arange(p.n_levels, dtype=np.float64)
-    levels -= p.zero_point
-    levels *= p.scale
-    return levels
+    return _levels_of(np.arange(p.n_levels, dtype=np.float64), p)
+
+
+def _levels_of(codes: np.ndarray, p: QuantParams) -> np.ndarray:
+    """The levels of float64 ``codes`` under ``p``, written over them."""
+    codes -= p.zero_point
+    codes *= p.scale
+    return codes
 
 
 def level_codes(x_q, p: QuantParams) -> np.ndarray:
-    """The integer codes (``intp``) of a tensor that ``fake_quantize`` made
-    under ``p``: ``level_table(p)[codes]`` has the bits of ``x_q``.
+    """The integer codes (``uint8``; ``check_bits`` bounds the bit width to
+    8) of a tensor that ``fake_quantize`` made under ``p``:
+    ``level_table(p)[codes]`` has the bits of ``x_q``.
 
     Raises ValueError if an entry of ``x_q`` is not bit for bit a level of
     ``p``, such as a value quantized under other parameters.
@@ -148,9 +154,11 @@ def level_codes(x_q, p: QuantParams) -> np.ndarray:
     t = arr / p.scale
     np.rint(t, out=t)
     t += p.zero_point
-    np.clip(t, 0, p.n_levels - 1, out=t)
-    codes = t.astype(np.intp)
-    if not np.array_equal(level_table(p)[codes].view(np.int64), arr.view(np.int64)):
+    np.maximum(t, 0, out=t)  # clip to the codes without np.clip's wrapper
+    np.minimum(t, p.n_levels - 1, out=t)
+    codes = t.astype(np.uint8)
+    # t holds the codes, exactly: their levels are level_table's entries
+    if not np.array_equal(_levels_of(t, p).view(np.int64), arr.view(np.int64)):
         raise ValueError(f"x_q holds values that are not levels of {p}")
     return codes
 

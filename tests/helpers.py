@@ -51,6 +51,18 @@ def fit_and_evaluate(model, calib, mode, cfg, *, transform="blt", storage=STORAG
     return report, search
 
 
+def record_of(x_q, residual) -> CalibrationRecord:
+    """The record of a block input ``x_q`` of any values and its
+    ``residual``: the codes index the distinct bit patterns of ``x_q``
+    (``np.unique``), so ``levels[codes]`` is ``x_q`` bit for bit, which is
+    asserted."""
+    x_q = np.ascontiguousarray(x_q, dtype=np.float64)
+    bits, codes = np.unique(x_q.view(np.int64), return_inverse=True)
+    rec = CalibrationRecord(codes.reshape(x_q.shape), bits.view(np.float64), residual)
+    assert rec.x_q.tobytes() == x_q.tobytes()
+    return rec
+
+
 def training_fit_loss(records, modules) -> float:
     """Blockwise feature loss of compensated outputs on the fitting records,
     scored as ``(residual - correction)^2``.
@@ -79,7 +91,7 @@ class _ReferenceRowSearch:
         rows = np.asarray(list(records), dtype=np.intp)
         kind = TransformKind("blt", n_exp)
         return [
-            fit_nbc(CalibrationRecord(rec.x_q[rows], rec.residual[rows]), kind)
+            fit_nbc(record_of(rec.x_q[rows], rec.residual[rows]), kind)
             for rec in self.calib.records
         ]
 

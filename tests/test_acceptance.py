@@ -17,7 +17,6 @@ from nbcq.cli import main as cli_main
 from nbcq.compensation import (
     STORAGE_F16,
     STORAGE_I8,
-    CalibrationRecord,
     apply,
     fit_linear,
     fit_nbc,
@@ -43,6 +42,7 @@ from helpers import (
     fit_and_evaluate,
     grid_points,
     pinv_affine_fit,
+    record_of,
     training_fit_loss,
 )
 
@@ -117,7 +117,7 @@ def test_criterion_3_ols_oracle_equivalence():
         x_q = rng.standard_normal((n, d_in)) * rng.uniform(0.5, 3.0)
         y_q = rng.standard_normal((n, d_out))
         resid = rng.standard_normal((n, d_out))
-        rec = CalibrationRecord(x_q=x_q, residual=(y_q + resid) - y_q)
+        rec = record_of(x_q, (y_q + resid) - y_q)
         kind = [TransformKind("blt", float(rng.uniform(-8, 8))), TransformKind("asinh"), TransformKind("identity")][i % 3]
 
         lin = fit_linear(rec)
@@ -197,7 +197,7 @@ def test_criterion_6_linear_region_equivalence():
         x_q = rng.uniform(-0.5 * region, 0.5 * region, (n, d_in))
         y_q = rng.standard_normal((n, d_out))
         resid = rng.uniform(-0.5 * region, 0.5 * region, (n, d_out))
-        rec = CalibrationRecord(x_q=x_q, residual=(y_q + resid) - y_q)
+        rec = record_of(x_q, (y_q + resid) - y_q)
         out_nbc = apply(fit_nbc(rec, TransformKind("blt", n_exp)), rec.x_q, y_q)
         out_lin = apply(fit_linear(rec), rec.x_q, y_q)
         worst = max(worst, float(np.max(np.abs(out_nbc - out_lin))))

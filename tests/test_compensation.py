@@ -19,7 +19,7 @@ from nbcq.fls import compute_feature_loss
 from nbcq.harness import draw_inputs, ols_scalar_bias, scalar_slope
 from nbcq.transform import IDENTITY, TransformKind, apply_kind_forward, apply_kind_inverse
 
-from helpers import desk_setup, f16_roundtrip_struct, f32_roundtrip_struct, pinv_affine_fit
+from helpers import desk_setup, f16_roundtrip_struct, f32_roundtrip_struct, pinv_affine_fit, record_of
 
 
 def make_record(rng, n=60, d_in=4, d_out=3, residual=None):
@@ -28,13 +28,42 @@ def make_record(rng, n=60, d_in=4, d_out=3, residual=None):
     y_q = rng.standard_normal((n, d_out))
     if residual is None:
         residual = 0.1 * rng.standard_normal((n, d_out))
-    return CalibrationRecord(x_q=x_q, residual=residual), y_q
+    return record_of(x_q, residual), y_q
 
 
 class TestCalibrationRecord:
+    LEVELS = np.array([-1.5, 0.0, 1.5, 3.0])
+
     def test_row_count_mismatch(self):
         with pytest.raises(ValueError, match="row counts"):
-            CalibrationRecord(np.zeros((3, 2)), np.zeros((4, 2)))
+            CalibrationRecord(np.zeros((3, 2), dtype=np.uint8), self.LEVELS, np.zeros((4, 2)))
+
+    @pytest.mark.parametrize(
+        "codes, message",
+        [
+            (np.array([[0, 4]], dtype=np.uint8), r"codes must be in \[0, 4\)"),
+            (np.array([[0, 255]], dtype=np.uint8), r"codes must be in \[0, 4\)"),
+            (np.array([[-1, 2]], dtype=np.int64), r"codes must be in \[0, 4\)"),
+            (np.array([[0.0, 1.0]]), "integer array"),
+            (np.array([[True, False]]), "integer array"),
+            (np.array([0, 1], dtype=np.uint8), "2-dimensional"),
+        ],
+        ids=["len-levels", "uint8-max", "negative", "float", "bool", "1-d"],
+    )
+    def test_codes_outside_the_level_indices_rejected(self, codes, message):
+        with pytest.raises(ValueError, match=message):
+            CalibrationRecord(codes, self.LEVELS, np.zeros((codes.shape[0], 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_levels_rejected(self, bad):
+        with pytest.raises(ValueError, match="levels contains non-finite values"):
+            CalibrationRecord(np.zeros((1, 2), dtype=np.uint8), [0.0, bad], np.zeros((1, 1)))
+
+    def test_x_q_is_the_levels_gathered_by_the_codes(self):
+        codes = np.array([[3, 0], [1, 2], [3, 3]], dtype=np.uint8)
+        rec = CalibrationRecord(codes, self.LEVELS, np.zeros((3, 1)))
+        assert rec.codes.dtype == np.uint8 and rec.n_rows == 3
+        assert rec.x_q.tobytes() == np.array([[3.0, -1.5], [0.0, 1.5], [3.0, 3.0]]).tobytes()
 
 
 class TestFitLinear:
@@ -49,7 +78,7 @@ class TestFitLinear:
         rng = np.random.default_rng(3)
         x_q = rng.standard_normal((50, 4))
         y_q = rng.standard_normal((50, 4))
-        rec = CalibrationRecord(x_q=x_q, residual=(y_q + 2.0 * x_q + 1.0) - y_q)
+        rec = record_of(x_q, (y_q + 2.0 * x_q + 1.0) - y_q)
         mod = fit_linear(rec)
         assert np.max(np.abs(mod.weight - 2.0 * np.eye(4))) <= 1e-10
         assert np.max(np.abs(mod.bias - 1.0)) <= 1e-10
@@ -77,7 +106,7 @@ class TestFitNbc:
         x_q = rng.uniform(-0.9 * region, 0.9 * region, (64, 4))
         y_q = rng.standard_normal((64, 4))
         residual = rng.uniform(-0.9 * region, 0.9 * region, (64, 4))
-        rec = CalibrationRecord(x_q=x_q, residual=(y_q + residual) - y_q)
+        rec = record_of(x_q, (y_q + residual) - y_q)
         out_nbc = apply(fit_nbc(rec, TransformKind("blt", n_exp)), rec.x_q, y_q)
         out_lin = apply(fit_linear(rec), rec.x_q, y_q)
         assert np.max(np.abs(out_nbc - out_lin)) <= 1e-9
@@ -100,7 +129,7 @@ class TestFitNbc:
         r_out = np.full(n_out, 1.0)
         x = np.concatenate([x_in, x_out]).reshape(-1, 1)
         r = np.concatenate([r_in, r_out]).reshape(-1, 1)
-        rec = CalibrationRecord(x_q=x, residual=r)  # y_q = 0
+        rec = record_of(x, r)  # y_q = 0
 
         oracle = scalar_slope(x_in, r_in)
         lin = fit_linear(rec)
@@ -182,7 +211,7 @@ class TestApply:
         y_q = rng.standard_normal((100, 4))
         residual = 0.5 * x_q + 0.05 * rng.standard_normal((100, 4))
         y = y_q + residual
-        rec = CalibrationRecord(x_q=x_q, residual=y - y_q)
+        rec = record_of(x_q, y - y_q)
         for mod in (fit_linear(rec), fit_nbc(rec, TransformKind("blt", 2.0))):
             out = apply(mod, rec.x_q, y_q)
             assert compute_feature_loss(y, out) < compute_feature_loss(y, y_q)

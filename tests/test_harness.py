@@ -180,6 +180,17 @@ class TestGenerateCalibration:
         assert calib.y_last.tobytes() == fp_io[-1][1].tobytes()
         assert calib.y_q_first.tobytes() == q_io[0][1].tobytes()
 
+    @pytest.mark.parametrize("bits_a", [2, 8])
+    def test_records_at_the_ends_of_the_bit_range_equal_block_io(self, bits_a):
+        model, calib, _ = desk_setup(2, bits_a=bits_a)
+        q_io = calib.qmodel.block_io(draw_inputs(model, calib.n_samples, calib.spec, calib.seed))
+        for rec, (x_q, _) in zip(calib.records, q_io, strict=True):
+            assert rec.codes.dtype == np.uint8
+            assert rec.x_q.tobytes() == x_q.tobytes()
+        # the lowest and the highest code both occur and survive uint8
+        codes = np.concatenate([rec.codes.ravel() for rec in calib.records])
+        assert (codes.min(), codes.max()) == (0, 2**bits_a - 1)
+
     def test_fake_quant_equals_integer_round_trip(self):
         model, calib, _ = desk_setup(0)
         x = draw_inputs(model, calib.n_samples, calib.spec, calib.seed) * 3.0
@@ -199,16 +210,23 @@ class TestCalibrationMemory:
     """What calibration keeps and what the search adds to it, in bytes, so
     that a kept block output or a search cache that comes back fails here."""
 
+    @pytest.mark.parametrize("bits_a", [2, 4, 8])
     @pytest.mark.parametrize("n_blocks", [1, 4])
-    def test_set_holds_two_arrays_per_block_and_the_two_boundary_arrays(self, n_blocks):
+    def test_set_holds_codes_levels_and_residual_per_block_and_the_two_boundary_arrays(
+        self, n_blocks, bits_a
+    ):
         d, n_samples = 16, 512
         model = build_toy_model(d, 32, n_blocks, seed=0, heavy_scale=1.3, heavy_input_scale=3.0)
-        calib = generate_calibration(model, n_samples, OutlierSpec(), seed=1)
+        calib = generate_calibration(model, n_samples, OutlierSpec(), seed=1, bits_a=bits_a)
         held = [getattr(calib, f.name) for f in dataclasses.fields(calib)]
         held += [getattr(rec, f.name) for rec in calib.records for f in dataclasses.fields(rec)]
         arrays = [a for a in held if isinstance(a, np.ndarray)]
-        assert len(arrays) == 2 * n_blocks + 2
-        assert sum(a.nbytes for a in arrays) == (2 * n_blocks + 2) * n_samples * d * 8
+        assert len(arrays) == 3 * n_blocks + 2
+        assert sum(a.nbytes for a in arrays) == (
+            (n_blocks + 2) * n_samples * d * 8  # the residuals, y_last and y_q_first
+            + n_blocks * n_samples * d  # the uint8 codes of the block inputs
+            + n_blocks * 2**bits_a * 8  # the level tables
+        )
         for i, a in enumerate(arrays):
             assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
 
@@ -219,7 +237,7 @@ class TestCalibrationMemory:
         cfg = FlsConfig(seed=3)
         search_exponent(model, calib, cfg)  # one-off set-up stays out of the measurement
         fit_rows = n_samples - holdout_count(n_samples, cfg.holdout_fraction)
-        codes = n_blocks * fit_rows * d * np.dtype(np.intp).itemsize
+        codes = n_blocks * fit_rows * d  # the fit rows' codes as uint8
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -227,10 +245,11 @@ class TestCalibrationMemory:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        # a candidate's transients, block by block: the residual slice, the
-        # design and targets of one fit, and the hold-out stream with its
-        # hidden activation (measured: 4.6 arrays). A cache of the fit rows'
-        # residuals would add 8 blocks x 384 rows, another 6 arrays.
+        # a candidate's transients, block by block: the codes and residual
+        # slices, the design and targets of one fit, and the hold-out stream
+        # with its hidden activation. A cache of the fit rows' codes as intp
+        # would add 8 blocks x 384 rows x 8 bytes, another 6 arrays; one of
+        # their residuals another 6.
         assert peak <= codes + 6 * n_samples * d * 8, (peak, codes)
 
 
@@ -600,11 +619,9 @@ class TestSearchRowValidation:
         calls = self.count_calls(monkeypatch, "fit_nbc", "fit_nbc_levels", "level_codes")
         modules, result = fit_compensation(model, calib, "nbc", cfg=FlsConfig(n_min=0.0, n_max=3.0, seed=2))
         assert len(modules) == 2 and result.evaluations >= 2
-        # the fit rows are coded once per block; every candidate fits each
-        # block on them, and the final refit fits each block on every row
-        assert calls == (
-            ["level_codes"] * 2 + ["fit_nbc_levels"] * 2 * result.evaluations + ["fit_nbc"] * 2
-        )
+        # every candidate fits each block on the fit rows, and the final
+        # refit fits each block on every row; the codes come from calibration
+        assert calls == ["fit_nbc_levels"] * 2 * result.evaluations + ["fit_nbc"] * 2
 
     def test_search_exponent_fits_no_kept_module(self, monkeypatch):
         model = build_toy_model(16, 32, 2, seed=0)
@@ -612,15 +629,14 @@ class TestSearchRowValidation:
         cfg = FlsConfig(n_min=0.0, n_max=3.0, seed=2)
         calls = self.count_calls(monkeypatch, "fit_nbc", "fit_nbc_levels", "level_codes")
         result = search_exponent(model, calib, cfg)
-        assert calls == ["level_codes"] * 2 + ["fit_nbc_levels"] * 2 * result.evaluations
+        assert calls == ["fit_nbc_levels"] * 2 * result.evaluations
         # the search fit_compensation runs before its kept fits
         _, searched = fit_compensation(model, calib, "nbc", cfg=cfg)
         assert searched == result
 
-    def test_search_codes_each_row_set_once(self, monkeypatch):
+    def test_calibration_codes_each_block_input_once(self, monkeypatch):
         import nbcq.harness as harness_mod
 
-        model, calib, cfg = desk_setup(0)
         coded = []
         original_codes = harness_mod.level_codes
 
@@ -629,12 +645,13 @@ class TestSearchRowValidation:
             return original_codes(x_q, p)
 
         monkeypatch.setattr(harness_mod, "level_codes", counting_codes)
+        model, calib, cfg = desk_setup(0)
+        # one pass per block, over every row, right after its quantized step
+        assert coded == [(512, 16)] * 4
         _, result = fit_compensation(model, calib, "nbc", cfg=cfg)
         assert result.evaluations >= 3
-        # one set of codes per block for the fit rows, whatever the number
-        # of candidates; the final refit fits the calibration records as
-        # they are
-        assert coded == [(384, 16)] * 4
+        # neither the search nor the kept fits code anything again
+        assert coded == [(512, 16)] * 4
 
 
 class TestKeptFitFailure:
@@ -668,9 +685,9 @@ class TestKeptFitFailure:
 
 
 class TestSearchCost:
-    """Guards the candidate's cost by counting its work: a candidate
-    transforms the 2^bits_a input levels, not rows x d inputs, and only the
-    final refit runs the least-squares residual pass."""
+    """Guards the fits' cost by counting their work: every fit transforms
+    the 2^bits_a input levels, not rows x d inputs, and only the final
+    refit runs the least-squares residual pass."""
 
     @pytest.mark.parametrize("bits_a", [3, 4])
     def test_design_transform_sees_the_levels_and_one_residual_pass_per_block(
@@ -702,10 +719,10 @@ class TestSearchCost:
         per_block = result.evaluations * len(calib.records)
         d, levels = 16, 2**bits_a
         assert Counter(sizes) == {
-            levels: per_block,  # the design of each candidate fit
-            384 * d: per_block,  # its targets, the residuals of the fit rows
+            levels: per_block + len(calib.records),  # the design of every fit, kept ones too
+            384 * d: per_block,  # a candidate fit's targets, the residuals of the fit rows
             128 * d: per_block,  # the hold-out apply
-            512 * d: 2 * len(calib.records),  # design and targets of the final refit
+            512 * d: len(calib.records),  # the targets of the final refit
         }
         assert Counter(solves) == {
             "solve_coefficients": per_block,

@@ -222,7 +222,7 @@ class TestLevelTable:
     def assert_rebuilds(x, p):
         x_q = fake_quantize(x, p)
         codes = level_codes(x_q, p)
-        assert codes.dtype == np.intp and codes.shape == x_q.shape
+        assert codes.dtype == np.uint8 and codes.shape == x_q.shape
         assert np.array_equal(codes, integer_codes(x, p))
         levels = level_table(p)
         assert levels.shape == (2**p.bits,)
@@ -245,6 +245,17 @@ class TestLevelTable:
         p = calibrate_params(x, 4)
         assert p.scale == SCALE_FLOOR
         self.assert_rebuilds(x, p)
+
+    @pytest.mark.parametrize("bits", [2, 8])
+    def test_end_codes_round_trip_through_uint8(self, bits):
+        top = 2**bits - 1
+        p = QuantParams(bits, 0.25, 2 ** (bits - 1))
+        codes = level_codes(level_table(p), p)
+        assert codes.dtype == np.uint8 and codes.tolist() == list(range(top + 1))
+        # values past both ends of the range clip to codes 0 and 2^bits - 1
+        x_q = fake_quantize([-1e9, 1e9, -1e9], p)
+        assert level_codes(x_q, p).tolist() == [0, top, 0]
+        assert level_table(p)[level_codes(x_q, p)].tobytes() == x_q.tobytes()
 
     def test_values_off_the_grid_rejected(self):
         p = QuantParams(2, 1.0, 0)
