@@ -17,9 +17,11 @@ configuration errors; failures print one machine-parsable line to stderr,
 
 The run configuration is line-oriented ``key = value`` UTF-8 text (a
 leading byte order mark is skipped) with ``#`` comments, one key per
-``RunConfig`` field. Every command checks the whole config: unknown keys,
-every value the run would reject once it starts or a bundle cannot hold,
-and a ``transform`` set under a mode other than nbc are rejected by name.
+``RunConfig`` field. Every command checks the whole config: unknown keys
+and every value the run would reject once it starts or a bundle cannot
+hold are rejected by name. The mode alone names the map; eval takes it
+from the bundle, where a block of another kind than block 0's is a
+``format`` error naming the block.
 
 The eval CSV has one row per block: the ``EvalReport`` fields in order,
 each repeated on every row, then the block index and the block's entry of
@@ -70,11 +72,11 @@ from .harness import (
     evaluate_pipeline,
     fit_compensation,
     generate_calibration,
+    mode_of_modules,
     ols_scalar_bias,
     search_exponent,
 )
 from .quantizer import check_bits
-from .transform import KIND_NAMES
 
 __all__ = ["main", "EVAL_CSV_COLUMNS", "RunConfig", "read_run_config"]
 
@@ -97,7 +99,6 @@ class RunConfig:
     bits_w: int = 4
     bits_a: int = 4
     mode: str = "nbc"
-    transform: str = "blt"
     storage: str = STORAGE_F32
     n_init: float = FlsConfig.n_init
     n_min: float = FlsConfig.n_min
@@ -171,19 +172,9 @@ def read_run_config(path: str) -> RunConfig:
     for key, value in values.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{path}: {key} must be finite, got {value!r}")
-    for key, names in (("mode", MODES), ("transform", KIND_NAMES), ("storage", STORAGE_NAMES)):
+    for key, names in (("mode", MODES), ("storage", STORAGE_NAMES)):
         if getattr(cfg, key) not in names:
             raise ConfigError(f"{path}: {key} must be one of {names}, got '{getattr(cfg, key)}'")
-    if cfg.mode == "nbc" and cfg.transform == "identity":  # that run is mode = linear
-        nbc_kinds = tuple(name for name in KIND_NAMES if name != "identity")
-        raise ConfigError(
-            f"{path}: transform must be one of {nbc_kinds} under mode = nbc, got 'identity' "
-            "(the identity transform is mode = linear)"
-        )
-    if "transform" in values and cfg.mode != "nbc":  # no command reads it then
-        raise ConfigError(
-            f"{path}: transform must be unset under mode = {cfg.mode}; only mode = nbc reads it"
-        )
     # Every command checks the whole config, the keys it does not read too,
     # so that the run fails before any setup or fit, naming the key.
     try:
@@ -232,20 +223,14 @@ def _build_setup(cfg: RunConfig) -> tuple[ToyModel, CalibrationSet, FlsConfig]:
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return "" if value is None else str(value)  # str of a float is its repr
 
 
 def cmd_calibrate(cfg: RunConfig, out_path: str) -> int:
     if cfg.mode == "none":
         raise ConfigError("mode=none has no compensation to calibrate")
     model, calib, fls_cfg = _build_setup(cfg)
-    modules, fls_result = fit_compensation(
-        model, calib, cfg.mode, transform=cfg.transform, cfg=fls_cfg
-    )
+    modules, fls_result = fit_compensation(model, calib, cfg.mode, cfg=fls_cfg)
     # A parameter beyond the range of its storage type fails here, naming
     # its block and the storage, and no bundle is written.
     for block, mod in enumerate(modules):
@@ -297,6 +282,10 @@ def _write_csv(out_path: str | None, columns: list[str], rows: list[dict]) -> No
 def cmd_eval(cfg: RunConfig, bundle_path: str, out_path: str | None) -> int:
     # the bundle is checked against the config before the calibration forwards
     modules = read_bundle(bundle_path)
+    try:
+        mode = mode_of_modules(modules)
+    except ValueError as exc:
+        raise FormatError(f"{bundle_path}: {exc}") from None
     if len(modules) != cfg.n_blocks:
         raise ConfigError(
             f"bundle has {len(modules)} blocks but the configuration expects {cfg.n_blocks}"
@@ -308,15 +297,11 @@ def cmd_eval(cfg: RunConfig, bundle_path: str, out_path: str | None) -> int:
                 f"but the configuration has d = {cfg.d}"
             )
     model, calib, _ = _build_setup(cfg)
-    mode = "linear" if all(m.kind.name == "identity" for m in modules) else "nbc"
-    transform = modules[-1].kind.name
     # Inputs beyond the calibration range can overflow the compensated forward
     # (its finiteness checks raise ValueError) or a loss; neither reaches the CSV.
     overflow = f"the evaluation overflows at outlier_scale = {cfg.outlier_scale!r}"
     try:
-        report = evaluate_pipeline(
-            model, calib, modules, mode=mode, transform=transform, gap_reference_n=cfg.n_init
-        )
+        report = evaluate_pipeline(model, calib, modules, mode=mode, gap_reference_n=cfg.n_init)
     except ValueError as exc:
         raise EvaluatorError(f"{overflow} ({exc})") from None
     bad = [key for key, value in vars(report).items()
@@ -377,8 +362,7 @@ def cmd_export(cfg: RunConfig, bundle_path: str, out_dir: str | None) -> int:
         for role in sorted(tensors, key=lambda role: (role == "bias", role != "weight")):
             files.append(f"block{i:03d}_{role}.nbct")
             write_tensor(os.path.join(directory, files[-1]), tensors[role])
-        n_exp = "" if mod.kind.n_exp is None else mod.kind.n_exp
-        manifest.append(f"{i}\t{mod.kind.name}\t{n_exp}\t{mod.storage}\t{' '.join(files)}")
+        manifest.append(f"{i}\t{mod.kind.name}\t{_fmt(mod.kind.n_exp)}\t{mod.storage}\t{' '.join(files)}")
     manifest_path = os.path.join(directory, "manifest.tsv")
     atomic_write(manifest_path, ("\n".join(manifest) + "\n").encode("utf-8"))
     print(manifest_path)

@@ -14,20 +14,19 @@ Tensor file (magic "NBCT"):
 Compensation bundle (magic "NBCB"): after the magic, a version byte and a
 little-endian u16 block count, then per block
 
-    u16 block index, kind byte (0=identity 1=blt 2=asinh; 3 and 4 are
-    reserved and rejected on read), f64 LE threshold exponent (+0.0 for
-    kinds without one), storage byte
-    (0=f32 1=f16 2=i8_per_channel), then one embedded tensor record per
-    role the storage keeps, in the order and file dtypes of
-    ``compensation.STORED_DTYPES``: weight and bias, plus the per-row
-    scales when storage is i8.
+    u16 block index, kind byte (0=identity 1=blt; other codes are
+    rejected on read), f64 LE threshold exponent (+0.0 for identity),
+    storage byte (0=f32 1=f16 2=i8_per_channel), then one embedded
+    tensor record per role the storage keeps, in the order and file
+    dtypes of ``compensation.STORED_DTYPES``: weight and bias, plus the
+    per-row scales when storage is i8.
 
 This module maps bytes to tensors only; which tensors a storage keeps,
 how a module narrows to them and how they build a module back live in
 ``compensation``. Both formats round-trip bit-exactly and reject corrupt
 files with distinct errors for bad magic, bad version and truncation; a
 bundle block whose bytes decode to an invalid module (a non-finite value,
-an exponent outside the operational range or under a kind without one) is
+an exponent outside the operational range or under identity) is
 a FormatError naming the block, and so is a tensor record whose dtype is
 not the one its role has under the block's storage. All writes go through
 a temp file and an atomic rename.
@@ -80,8 +79,8 @@ _DTYPE_BY_CODE = {
     2: np.dtype("<f2"),
     3: np.dtype("<i1"),
 }
-# Codes 3 and 4 stay unassigned: older bundles used them for tanh and sigmoid.
-_CODE_BY_KIND = {"identity": 0, "blt": 1, "asinh": 2}
+# Codes 2, 3 and 4 stay unassigned: older bundles used them for maps the library dropped.
+_CODE_BY_KIND = {"identity": 0, "blt": 1}
 _KIND_BY_CODE = {v: k for k, v in _CODE_BY_KIND.items()}
 _CODE_BY_STORAGE = {STORAGE_F32: 0, STORAGE_F16: 1, STORAGE_I8: 2}
 _STORAGE_BY_CODE = {v: k for k, v in _CODE_BY_STORAGE.items()}
@@ -244,7 +243,7 @@ def read_bundle(path: str) -> list[CompensationModule]:
                         f"{storage} storage stores {dtype}"
                     )
             try:  # the bytes decode, but the values must make a valid module
-                # a kind without an exponent stores +0.0, which reads as none
+                # identity stores +0.0, which reads as no exponent
                 n_exp = struct.unpack("<d", n_field)[0] if kind_name == "blt" or any(n_field) else None
                 modules.append(stored_module(TransformKind(kind_name, n_exp), storage, tensors))
             except ValueError as exc:

@@ -96,6 +96,7 @@ __all__ = [
     "EVAL_SET_MULTIPLIER",
     "EVAL_CHUNK_ROWS",
     "MODES",
+    "MODE_MAPS",
     "OutlierSpec",
     "ToyModel",
     "QuantizedToyModel",
@@ -107,6 +108,7 @@ __all__ = [
     "draw_inputs",
     "generate_calibration",
     "fit_compensation",
+    "mode_of_modules",
     "search_exponent",
     "evaluate_pipeline",
     "scalar_slope",
@@ -134,7 +136,10 @@ EVAL_SET_MULTIPLIER = 4
 # The chunks also fix the metrics' bits: each is a sum of per-chunk sums.
 EVAL_CHUNK_ROWS = 1024
 
-MODES = ("none", "linear", "nbc")
+# mode -> the map its modules apply (none: no module), as the eval report names it
+MODE_MAPS = {"none": "none", "linear": "identity", "nbc": "blt"}
+MODES = tuple(MODE_MAPS)
+_MODE_BY_MAP = {name: mode for mode, name in MODE_MAPS.items()}
 
 
 def gelu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -489,6 +494,25 @@ def _fit_blocks(records: Sequence[CalibrationRecord], fit) -> list[CompensationM
     return modules
 
 
+def _mode_map(mode: str, transform: str) -> str:
+    """``MODE_MAPS[mode]``; ValueError names a bad mode, or a ``transform`` but blt."""
+    if transform != "blt":  # bench/workloads.py still passes it
+        raise ValueError(f"transform must be 'blt', got {transform!r}: the mode names the map")
+    if mode not in MODE_MAPS:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    return MODE_MAPS[mode]
+
+
+def mode_of_modules(modules: Sequence[CompensationModule] | None) -> str:
+    """The mode whose map ``modules`` apply: none without modules, else block
+    0's. ValueError names the first block whose kind is not block 0's."""
+    names = [mod.kind.name for mod in modules or ()] or ["none"]
+    for block, name in enumerate(names):
+        if name != names[0]:
+            raise ValueError(f"block {block} is {name} but block 0 is {names[0]}; every block applies one map")
+    return _MODE_BY_MAP[names[0]]
+
+
 def fit_compensation(
     model: ToyModel,
     calib: CalibrationSet,
@@ -497,26 +521,21 @@ def fit_compensation(
     transform: str = "blt",
     cfg: FlsConfig | None = None,
 ) -> tuple[list[CompensationModule] | None, FlsResult | None]:
-    """Fit per-block modules for ``mode``; search the exponent for blt
-    (``search_exponent``).
+    """Fit per-block modules of the map ``mode`` names (``MODE_MAPS``).
 
-    Returns ``(modules, search_result)``; both are None/None for mode
-    "none" and the search result is None whenever no search ran. The search,
-    under ``cfg``, only scores candidates; the kept modules are ``fit_nbc``
-    of every block's whole record, at the chosen exponent under blt. A kept
-    fit that fails a check raises FitError naming the block.
+    Returns ``(modules, search_result)``: None/None under none, and no
+    search result under linear. Under nbc ``search_exponent`` (under
+    ``cfg``) only scores candidates; the kept modules are fitted on every
+    block's whole record at its chosen exponent. A kept fit that fails a
+    check raises FitError naming the block.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if mode == "none":
+    name = _mode_map(mode, transform)
+    if name == "none":
         return None, None
-    if mode == "linear":
+    if name == "identity":
         return _fit_blocks(calib.records, fit_linear), None
-    if transform == "blt":
-        result = search_exponent(model, calib, cfg)
-        kind = TransformKind("blt", result.chosen_n)
-    else:
-        result, kind = None, TransformKind(transform)
+    result = search_exponent(model, calib, cfg)
+    kind = TransformKind(name, result.chosen_n)
     return _fit_blocks(calib.records, lambda rec: fit_nbc(rec, kind)), result
 
 
@@ -715,10 +734,14 @@ def evaluate_pipeline(
 
     Slope gaps use the calibration records of the last block (see
     ``channel_slope_gap``), at the last module's exponent, or
-    ``gap_reference_n`` if it has none.
-    ``chosen_n`` is the last module's exponent; ``fls_evaluations`` is None,
-    since modules do not record the search that chose them.
+    ``gap_reference_n`` if it has none. ``chosen_n`` is the last module's
+    exponent; ``fls_evaluations`` is None, since modules do not record the
+    search that chose them. The report's ``transform`` is the map ``mode``
+    names (``MODE_MAPS``); modules of another map raise ValueError first.
     """
+    label = _mode_map(mode, transform)
+    if (found := mode_of_modules(modules)) != mode:
+        raise ValueError(f"mode {mode!r} applies {label}, the modules apply {MODE_MAPS[found]}")
     chosen_n = modules[-1].kind.n_exp if modules else None
     # before the inputs are drawn, so its temporaries do not add to theirs
     gap = channel_slope_gap(
@@ -760,7 +783,7 @@ def evaluate_pipeline(
 
     return EvalReport(
         mode=mode,
-        transform=transform if mode == "nbc" else "identity" if mode == "linear" else "none",
+        transform=label,
         bits_w=calib.qmodel.bits_w,
         bits_a=calib.qmodel.bits_a,
         seed=calib.seed,

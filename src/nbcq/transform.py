@@ -1,4 +1,4 @@
-"""Bipolar logarithmic range compression and the alternate maps.
+"""Bipolar logarithmic range compression and the identity map.
 
 The core map is odd and piecewise around a threshold 2^-n:
 
@@ -41,9 +41,9 @@ inverse clamps it to min(|v|, 1) * 2^-n, and an exp2 that overflows to
 not ``copysign``: sign(-0.0) is 0, so -0.0 maps to +0.0, where
 ``copysign`` would give -0.0.
 
-One table maps each kind name to its (forward, inverse) pair: ``blt``,
-``asinh`` (total and invertible on all reals) and ``identity`` (which turns
-the transformed compensation into the plain linear one).
+One table maps each kind name to its (forward, inverse) pair: ``blt``, and
+``identity``, which makes the compensation plain linear. A run's mode
+names its kind (``harness.MODE_MAPS``).
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ __all__ = [
     "blt_inverse",
     "apply_kind_forward",
     "apply_kind_inverse",
-    "KIND_NAMES",
     "N_EXP_RANGE",
 ]
 
@@ -139,10 +138,8 @@ def _copy(x, kind: TransformKind):
 # name -> (forward, inverse), each called as map(x, kind)
 _MAPS = {
     "blt": (blt_forward, blt_inverse),
-    "asinh": (lambda x, kind: _mirrored(x, np.arcsinh), lambda v, kind: _mirrored(v, np.sinh)),
     "identity": (_copy, _copy),
 }
-KIND_NAMES = tuple(_MAPS)
 
 
 @dataclass(frozen=True)
@@ -150,7 +147,7 @@ class TransformKind:
     """A named map usable as the compensation transform.
 
     ``n_exp``, the threshold exponent, is required for the ``blt`` kind and
-    must be absent for the others. It is real-valued; fractional thresholds
+    must be absent for ``identity``. It is real-valued; fractional thresholds
     are legitimate search points, not rounding artifacts.
     """
 

@@ -38,16 +38,14 @@ def desk_setup(seed: int, **overrides):
     return _build_setup(replace(RunConfig(), seed=seed, **overrides))
 
 
-def fit_and_evaluate(model, calib, mode, cfg, *, transform="blt", storage=STORAGE_F32):
+def fit_and_evaluate(model, calib, mode, cfg, *, storage=STORAGE_F32):
     """Fit ``mode`` and score it as ``nbcq calibrate`` + ``eval`` do, with
     the modules narrowed to ``storage`` in memory. Returns the report and
     the search result (None when no search ran)."""
-    modules, search = fit_compensation(model, calib, mode, transform=transform, cfg=cfg)
+    modules, search = fit_compensation(model, calib, mode, cfg=cfg)
     if modules is not None and storage != STORAGE_F32:
         modules = [store_params(m, storage) for m in modules]
-    report = evaluate_pipeline(
-        model, calib, modules, mode=mode, transform=transform, gap_reference_n=cfg.n_init
-    )
+    report = evaluate_pipeline(model, calib, modules, mode=mode, gap_reference_n=cfg.n_init)
     return report, search
 
 

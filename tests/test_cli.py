@@ -25,7 +25,6 @@ seed = 3
 bits_w = 4
 bits_a = 4
 mode = nbc
-transform = blt
 storage = f16
 outlier_fraction = 0.1
 outlier_scale = 12.0
@@ -128,23 +127,12 @@ class TestCalibrate:
 
     def test_mode_none_rejected(self, tmp_path, capsys):
         path = tmp_path / "none.cfg"
-        path.write_text(SMALL_CFG.replace("mode = nbc", "mode = none").replace("transform = blt\n", ""))
+        path.write_text(SMALL_CFG.replace("mode = nbc", "mode = none"))
         code, _, err = run_cli(
             ["calibrate", "--config", str(path), "--out", str(tmp_path / "x.nbcb")], capsys
         )
         assert_failed(code, err, 2, "config")
         assert "mode=none" in err
-
-    def test_asinh_transform_round_trips_through_bundle(self, tmp_path, capsys):
-        path = tmp_path / "asinh.cfg"
-        path.write_text(SMALL_CFG.replace("transform = blt", "transform = asinh"))
-        bundle = str(tmp_path / "a.nbcb")
-        code, _, err = run_cli(["calibrate", "--config", str(path), "--out", bundle], capsys)
-        assert code == 0, err
-        assert all(m.kind.name == "asinh" for m in read_bundle(bundle))
-        code, out, err = run_cli(["eval", "--config", str(path), "--bundle", bundle], capsys)
-        assert code == 0, err
-        assert ",asinh," in out.splitlines()[1]
 
 
 class TestSearchN:
@@ -255,6 +243,74 @@ class TestEval:
         assert code == exit_code
         assert err == line.format(bundle=bundle)
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "kinds, first_other",
+        [((("blt", 1.0), ("blt", 1.0), ("identity",)), 2),
+         ((("identity",), ("blt", 0.5), ("identity",)), 1)],
+        ids=["nbc-then-identity", "linear-then-blt"],
+    )
+    def test_mixed_kind_bundle_is_a_format_error_before_setup(self, tmp_path, capsys, monkeypatch,
+                                                              kinds, first_other):
+        import nbcq.cli as cli_mod
+        from nbcq.compensation import CompensationModule
+        from nbcq.formats import write_bundle
+        from nbcq.transform import TransformKind
+
+        rng = np.random.default_rng(11)
+        bundle = tmp_path / "mixed.nbcb"
+        write_bundle(str(bundle), [
+            CompensationModule(kind=TransformKind(*kind), weight=rng.standard_normal((8, 8)),
+                               bias=rng.standard_normal(8))
+            for kind in kinds
+        ])
+
+        def no_setup(*args, **kwargs):
+            raise AssertionError("the run was set up")
+
+        monkeypatch.setattr(cli_mod, "_build_setup", no_setup)
+        path = tmp_path / "run.cfg"
+        path.write_text(small_cfg_with("n_blocks = 3"))
+        report = tmp_path / "report.csv"
+        code, out, err = run_cli(
+            ["eval", "--config", str(path), "--bundle", str(bundle), "--out", str(report)], capsys
+        )
+        assert code == 1
+        other, first = kinds[first_other][0], kinds[0][0]
+        assert err == (f"error\tformat\t{bundle}: block {first_other} is {other} but block 0 is "
+                       f"{first}; every block applies one map\n")
+        assert out == "" and not report.exists()
+
+    def test_blocks_with_different_blt_exponents_evaluate(self, cfg_path, tmp_path, capsys):
+        from dataclasses import replace
+
+        from nbcq.formats import write_bundle
+        from nbcq.transform import TransformKind
+
+        bundle = str(tmp_path / "comp.nbcb")
+        assert run_cli(["calibrate", "--config", cfg_path, "--out", bundle], capsys)[0] == 0
+        first, last = read_bundle(bundle)
+        write_bundle(bundle, [replace(first, kind=TransformKind("blt", 0.5)),
+                              replace(last, kind=TransformKind("blt", 2.0))])
+        code, out, err = run_cli(["eval", "--config", cfg_path, "--bundle", bundle], capsys)
+        assert code == 0, err
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [(r["mode"], r["transform"], r["chosen_n"]) for r in rows] == [("nbc", "blt", "2.0")] * 2
+
+    @pytest.mark.parametrize("command", ["eval", "export"])
+    def test_kind_byte_2_is_an_unknown_kind(self, cfg_path, tmp_path, capsys, command):
+        bundle = tmp_path / "comp.nbcb"
+        assert run_cli(["calibrate", "--config", cfg_path, "--out", str(bundle)], capsys)[0] == 0
+        data = bytearray(bundle.read_bytes())
+        data[9] = 2  # block 0's kind byte, once the code of asinh
+        bundle.write_bytes(bytes(data))
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            [command, "--config", cfg_path, "--bundle", str(bundle), "--out", str(out_dir)], capsys
+        )
+        assert code == 1
+        assert err == f"error\tformat\t{bundle}: unknown kind code 2\n"
+        assert out == "" and not out_dir.exists()
 
     def test_fit_metadata_not_in_bundle_writes_empty_cells(self, cfg_path, tmp_path, capsys):
         bundle = str(tmp_path / "comp.nbcb")
@@ -419,9 +475,6 @@ BAD_VALUES = [
     ("heavy_channel = 99", "heavy_channel"),
     ("bits_w = 0", "bits_w"),
     ("d = 0", "d"),
-    ("transform = tanh", "transform"),
-    ("transform = sigmoid", "transform"),
-    ("transform = identity", "transform"),
     ("seed = -1", "seed"),
     ("heavy_scale = nan", "heavy_scale"),
     ("heavy_scale = inf", "heavy_scale"),
@@ -500,11 +553,9 @@ class TestConfigValues:
         assert err == f"error\tconfig\t{path}: {line}\n"
         assert out == ""
 
-    @pytest.mark.parametrize("transform", ["identity", "blt"])
-    @pytest.mark.parametrize("mode", ["none", "linear"])
-    def test_transform_rejected_outside_nbc_before_setup(self, tmp_path, capsys, monkeypatch, mode, transform):
-        # no command reads it: eval takes the kind from the bundle, and
-        # search-n and analyze-outliers always search blt
+    @pytest.mark.parametrize("command", ["calibrate", "search-n", "eval", "analyze-outliers", "export"])
+    def test_transform_key_is_unknown_before_setup(self, tmp_path, capsys, monkeypatch, command):
+        # the mode alone names the map, so no config sets one
         import nbcq.cli as cli_mod
 
         def no_setup(*args, **kwargs):
@@ -512,10 +563,35 @@ class TestConfigValues:
 
         monkeypatch.setattr(cli_mod, "_build_setup", no_setup)
         path = tmp_path / "run.cfg"
-        path.write_text(small_cfg_with(f"mode = {mode}\ntransform = {transform}"))
+        path.write_text(SMALL_CFG + "transform = blt\n")
+        args = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+        if command in ("eval", "export"):
+            args += ["--bundle", str(tmp_path / "absent.nbcb")]
+        code, out, err = run_cli(args, capsys)
+        assert code == 2
+        line = len(SMALL_CFG.splitlines()) + 1
+        assert err == f"error\tconfig\t{path}:{line}: unknown configuration key 'transform'\n"
+        assert out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("transform", ["blt", "asinh"])
+    @pytest.mark.parametrize("mode", ["none", "linear", "nbc"])
+    def test_transform_key_is_unknown_under_every_mode(self, tmp_path, capsys, monkeypatch, mode, transform):
+        # the key is refused before its value or the mode is read: once
+        # both values passed under nbc and failed as set under none and linear
+        import nbcq.cli as cli_mod
+
+        def no_setup(*args, **kwargs):
+            raise AssertionError("the run was set up")
+
+        monkeypatch.setattr(cli_mod, "_build_setup", no_setup)
+        path = tmp_path / "run.cfg"
+        text = small_cfg_with(f"mode = {mode}\ntransform = {transform}")
+        path.write_text(text)
         code, out, err = run_cli(["search-n", "--config", str(path)], capsys)
-        assert_failed(code, err, 2, "config")
-        assert err.startswith(f"error\tconfig\t{path}: transform must be unset under mode = {mode}")
+        assert code == 2
+        line = text.splitlines().index(f"transform = {transform}") + 1
+        assert err == f"error\tconfig\t{path}:{line}: unknown configuration key 'transform'\n"
         assert out == ""
 
     def test_negative_seed_flag_rejected_before_setup(self, cfg_path, capsys, monkeypatch):

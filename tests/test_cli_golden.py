@@ -34,7 +34,7 @@ CONFIGS = {
     "nbc-f32": "mode = nbc\nstorage = f32\n",
     "nbc-i8-seed3": "mode = nbc\nstorage = i8_per_channel\nseed = 3\n",
     "linear-f16": "mode = linear\nstorage = f16\n",
-    "asinh-d8": "mode = nbc\ntransform = asinh\nd = 8\n",
+    "error-transform-key": "transform = blt\n",
     "d8-3blocks-scale30": "d = 8\nn_blocks = 3\nn_samples = 256\noutlier_scale = 30\n",
     "error-n-min": "n_min = -11\n",
     "error-linear-overflow": "mode = linear\noutlier_scale = 1e200\n",

@@ -173,20 +173,20 @@ class TestBundles:
                 assert back.dtype == ours.dtype and back.tobytes() == ours.tobytes(), field
 
     def test_exponent_field_keeps_the_sign_of_zero(self, tmp_path):
-        # a kind without an exponent writes +0.0; blt writes its own, -0.0 included
+        # identity writes +0.0; blt writes its own, -0.0 included
         rng = np.random.default_rng(4)
         weight, bias = rng.standard_normal((4, 6)), rng.standard_normal(4)
         modules = [CompensationModule(kind=kind, weight=weight, bias=bias)
-                   for kind in (TransformKind("blt", -0.0), TransformKind("asinh"))]
+                   for kind in (TransformKind("blt", -0.0), IDENTITY)]
         path = str(tmp_path / "b.nbcb")
         write_bundle(path, modules)
         data = open(path, "rb").read()
         block = (len(data) - 7) // 2
         assert data[10:18] == struct.pack("<d", -0.0)  # block 0's field, after its index and kind byte
         assert data[7 + block + 3 : 7 + block + 11] == bytes(8)
-        blt, asinh = read_bundle(path)
+        blt, identity = read_bundle(path)
         assert blt.kind.n_exp == 0.0 and np.signbit(blt.kind.n_exp)
-        assert asinh.kind.n_exp is None
+        assert identity.kind.n_exp is None
 
     def test_file_level_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -282,16 +282,16 @@ class TestBundles:
         with pytest.raises(FormatError, match="kind"):
             read_bundle(path)
 
-    @pytest.mark.parametrize("code", [3, 4])
+    @pytest.mark.parametrize("code", [2, 3, 4])
     def test_reserved_kind_codes_rejected(self, tmp_path, code):
-        # 3 and 4 named tanh and sigmoid in older bundles
+        # 2, 3 and 4 named asinh, tanh and sigmoid in older bundles
         rng = np.random.default_rng(6)
         path = str(tmp_path / "b.nbcb")
         write_bundle(path, sample_modules(rng))
         data = bytearray(open(path, "rb").read())
         data[9] = code  # kind byte of block 0
         open(path, "wb").write(bytes(data))
-        with pytest.raises(FormatError, match=f"kind code {code}"):
+        with pytest.raises(FormatError, match=re.escape(f"{path}: unknown kind code {code}")):
             read_bundle(path)
 
     @pytest.mark.parametrize(
@@ -325,9 +325,9 @@ class TestBundles:
         assert type(info.value) is FormatError
 
     @pytest.mark.parametrize("value", [5.0, float("nan"), -0.0], ids=["5", "nan", "minus-zero"])
-    @pytest.mark.parametrize("kind", [IDENTITY, TransformKind("asinh")], ids=["identity", "asinh"])
+    @pytest.mark.parametrize("kind", [IDENTITY], ids=["identity"])
     def test_exponent_under_a_kind_without_one_rejected_naming_block(self, tmp_path, kind, value):
-        # the field is +0.0 for such kinds; a block read with any other
+        # the field is +0.0 for identity; a block read with any other
         # value there would be written back as other bytes
         rng = np.random.default_rng(8)
         module = CompensationModule(kind=kind, weight=rng.standard_normal((4, 6)), bias=rng.standard_normal(4))
@@ -417,7 +417,7 @@ class TestRunConfigFile:
         # written out, so a changed library default cannot move a CLI default unseen
         assert dataclasses.asdict(RunConfig()) == {
             "d": 16, "h": 32, "n_blocks": 4, "n_samples": 512, "seed": 0, "bits_w": 4, "bits_a": 4,
-            "mode": "nbc", "transform": "blt", "storage": "f32",
+            "mode": "nbc", "storage": "f32",
             "n_init": 2.0, "n_min": -10.0, "n_max": 10.0, "step": 1.0, "holdout_fraction": 0.25,
             "outlier_fraction": 0.1, "outlier_scale": 12.0, "outlier_threshold": 10.0,
             "heavy_channel": 0, "heavy_scale": 1.3, "heavy_input_scale": 3.0, "out_dir": ".",

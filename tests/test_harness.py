@@ -15,6 +15,7 @@ from nbcq.harness import (
     EVAL_SET_MULTIPLIER,
     GELU_TANH_COEFF,
     GELU_TANH_CUBIC,
+    MODE_MAPS,
     MODES,
     OutlierSpec,
     QuantizedToyModel,
@@ -26,6 +27,7 @@ from nbcq.harness import (
     fit_compensation,
     generate_calibration,
     gelu,
+    mode_of_modules,
     ols_scalar_bias,
     search_exponent,
     slope_gap_analysis,
@@ -369,14 +371,6 @@ class TestRunPipeline:
         assert math.isfinite(rep.feature_loss)
         assert rep.mae_outlier is not None
 
-    def test_asinh_transform_pipeline(self):
-        model, calib, cfg = desk_setup(0)
-        rep, search = fit_and_evaluate(model, calib, "nbc", cfg, transform="asinh")
-        assert rep.transform == "asinh"
-        assert rep.chosen_n is None and search is None  # no threshold exponent to search
-        base, _ = fit_and_evaluate(model, calib, "none", cfg)
-        assert rep.feature_loss <= base.feature_loss
-
     def test_linear_region_pipeline_equivalence(self, monkeypatch):
         # shrink all inputs so every activation and residual sits far inside
         # the linear region of every exponent on the search grid; the two
@@ -656,7 +650,7 @@ class TestSearchRowValidation:
 
 class TestKeptFitFailure:
     """A kept fit that fails its checks raises FitError naming the block:
-    the linear fits, the unsearched kinds and the search's final refit."""
+    the linear fits and the blt fits at the searched exponent."""
 
     def test_linear_bias_overflow_names_the_block(self):
         # numpy's overflow warnings are ignored, as the command does: the
@@ -667,8 +661,7 @@ class TestKeptFitFailure:
                 fit_compensation(model, calib, "linear", cfg=cfg)
         assert str(info.value) == "block 0: bias contains non-finite values"
 
-    @pytest.mark.parametrize("transform", ["asinh", "blt"])
-    def test_failing_block_named(self, monkeypatch, transform):
+    def test_failing_block_named(self, monkeypatch):
         import nbcq.harness as harness_mod
 
         model, calib, cfg = desk_setup(0)
@@ -681,7 +674,76 @@ class TestKeptFitFailure:
 
         monkeypatch.setattr(harness_mod, "fit_nbc", failing_on_block_2)
         with pytest.raises(FitError, match="^block 2: bias contains non-finite values$"):
+            fit_compensation(model, calib, "nbc", cfg=cfg)
+
+
+class TestModeMaps:
+    """The mode alone names the map its modules apply."""
+
+    def test_each_mode_fits_and_reports_its_map(self, reports):
+        assert MODE_MAPS == {"none": "none", "linear": "identity", "nbc": "blt"}
+        assert MODES == ("none", "linear", "nbc")
+        for per_mode in reports.values():
+            assert {mode: rep.transform for mode, rep in per_mode.items()} == MODE_MAPS
+
+    @pytest.mark.parametrize("transform", ["asinh", "identity", "none"])
+    def test_transform_other_than_blt_raises_before_any_work(self, monkeypatch, transform):
+        import nbcq.harness as harness_mod
+
+        model, calib, cfg = desk_setup(0)
+        modules, _ = fit_compensation(model, calib, "nbc", cfg=cfg)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the call did work")
+
+        monkeypatch.setattr(harness_mod, "search_exponent", no_work)
+        monkeypatch.setattr(harness_mod, "draw_inputs", no_work)
+        line = f"transform must be 'blt', got {transform!r}: the mode names the map"
+        with pytest.raises(ValueError, match=re.escape(line)):
             fit_compensation(model, calib, "nbc", transform=transform, cfg=cfg)
+        with pytest.raises(ValueError, match=re.escape(line)):
+            evaluate_pipeline(model, calib, modules, mode="nbc", transform=transform)
+
+    def test_unknown_mode_raises(self):
+        model, calib, cfg = desk_setup(0)
+        line = "mode must be one of ('none', 'linear', 'nbc'), got 'asinh'"
+        with pytest.raises(ValueError, match=re.escape(line)):
+            fit_compensation(model, calib, "asinh", cfg=cfg)
+        with pytest.raises(ValueError, match=re.escape(line)):
+            evaluate_pipeline(model, calib, None, mode="asinh")
+
+    def test_modules_of_another_map_raise_before_the_forward(self, monkeypatch):
+        import nbcq.harness as harness_mod
+
+        model, calib, cfg = desk_setup(0)
+        nbc, _ = fit_compensation(model, calib, "nbc", cfg=cfg)
+        linear, _ = fit_compensation(model, calib, "linear")
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("the evaluation set was drawn")
+
+        monkeypatch.setattr(harness_mod, "draw_inputs", no_forward)
+        for modules, mode, found in [(linear, "nbc", "identity"), (nbc, "linear", "blt"),
+                                     (None, "nbc", "none"), (nbc, "none", "blt")]:
+            line = f"mode {mode!r} applies {MODE_MAPS[mode]}, the modules apply {found}"
+            with pytest.raises(ValueError, match=f"^{re.escape(line)}$"):
+                evaluate_pipeline(model, calib, modules, mode=mode)
+        mixed = [*nbc[:-1], linear[-1]]
+        with pytest.raises(ValueError, match="^block 3 is identity but block 0 is blt; "):
+            evaluate_pipeline(model, calib, mixed, mode="nbc")
+
+    def test_mode_of_modules(self):
+        model, calib, cfg = desk_setup(0)
+        nbc, _ = fit_compensation(model, calib, "nbc", cfg=cfg)
+        linear, _ = fit_compensation(model, calib, "linear")
+        assert mode_of_modules(None) == mode_of_modules([]) == "none"
+        assert mode_of_modules(linear) == "linear"
+        assert mode_of_modules(nbc) == "nbc"
+        # one map, not one exponent: each block may keep its own n
+        per_block = [dataclasses.replace(m, kind=TransformKind("blt", float(k))) for k, m in enumerate(nbc)]
+        assert mode_of_modules(per_block) == "nbc"
+        with pytest.raises(ValueError, match="^block 1 is blt but block 0 is identity; every block applies one map$"):
+            mode_of_modules([linear[0], *nbc[1:]])
 
 
 class TestSearchCost:

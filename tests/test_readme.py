@@ -3,9 +3,10 @@
 import csv
 import io
 import re
+from dataclasses import fields
 from pathlib import Path
 
-from nbcq.cli import main
+from nbcq.cli import RunConfig, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -28,3 +29,11 @@ def test_library_usage_prints_the_eval_feature_loss(tmp_path, capsys, monkeypatc
     assert main(["eval", "--config", str(cfg), "--bundle", bundle]) == 0
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
     assert printed == rows[0]["feature_loss"]
+
+
+def test_key_table_names_every_run_config_field_once():
+    # the keys column of the CLI section's table: the first cell of each row
+    section = README.read_text().split("## CLI", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    names = [name for row in rows for name in re.findall(r"`([^`]+)`", row.split("|")[1])]
+    assert sorted(names) == sorted(f.name for f in fields(RunConfig))

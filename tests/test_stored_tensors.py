@@ -21,7 +21,7 @@ from nbcq.transform import IDENTITY, TransformKind, apply_kind_forward, apply_ki
 
 
 F32_MAX = float(np.finfo(np.float32).max)
-KINDS = [IDENTITY, TransformKind("asinh"), TransformKind("blt", -2.0), TransformKind("blt", 3.0)]
+KINDS = [IDENTITY, TransformKind("blt", -2.0), TransformKind("blt", 0.5), TransformKind("blt", 3.0)]
 
 
 @st.composite
