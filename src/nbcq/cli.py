@@ -40,7 +40,8 @@ search's ``evaluations=`` and each block's fit metadata).
 
 The analyze-outliers command writes ``slope_gap.csv`` (block, channel,
 n_exp, gap_before, gap_after) and ``wstar_sweep.csv`` (outlier_magnitude,
-slope) into the output directory. A block whose slope is undefined on its
+slope) into the ``--out`` directory; it and export write to the working
+directory without ``--out``. A block whose slope is undefined on its
 analysis channel gets empty gap cells.
 """
 
@@ -108,10 +109,8 @@ class RunConfig:
     outlier_fraction: float = OutlierSpec.outlier_fraction
     outlier_scale: float = OutlierSpec.outlier_scale
     outlier_threshold: float = OutlierSpec.outlier_threshold
-    heavy_channel: int = 0
     heavy_scale: float = 1.3
     heavy_input_scale: float = 3.0
-    out_dir: str = "."
 
     def outlier_spec(self) -> OutlierSpec:
         """The calibration's outlier spec; ValueError names a key out of its bounds."""
@@ -133,8 +132,9 @@ _PARSERS = {f.name: {"int": int, "float": float, "str": str}[f.type] for f in fi
 def read_run_config(path: str) -> RunConfig:
     """Parse a ``key = value`` config file, rejecting unknown keys and
     out-of-range values by name. Every bound the library checks when the
-    run is built is stated there; the choices, the seed and ``out_dir``
-    are stated here."""
+    run is built is stated there; the choices, the seed and the block count
+    a bundle holds are stated here. Output paths are not keys: ``--out``
+    names them."""
     try:
         with open(path, "r", encoding="utf-8-sig") as f:
             raw_lines = f.readlines()
@@ -180,13 +180,11 @@ def read_run_config(path: str) -> RunConfig:
     try:
         if cfg.seed < 0:
             raise ValueError(f"seed must be >= 0, got {cfg.seed!r}")
-        check_model_shape(cfg.d, cfg.h, cfg.n_blocks, cfg.heavy_channel)
+        check_model_shape(cfg.d, cfg.h, cfg.n_blocks)
         check_bits(cfg.bits_w, "bits_w")
         check_bits(cfg.bits_a, "bits_a")
         cfg.outlier_spec()
         cfg.search_config()
-        if cfg.out_dir == "":
-            raise ValueError("out_dir must be a non-empty path, got ''")
         check_fit_rows(cfg.n_samples, cfg.holdout_fraction, cfg.d)  # so n_samples >= d + 2
         if cfg.n_blocks > MAX_BUNDLE_BLOCKS:
             raise ValueError(f"n_blocks must be <= {MAX_BUNDLE_BLOCKS}, got {cfg.n_blocks!r}")
@@ -202,7 +200,6 @@ def _build_setup(cfg: RunConfig) -> tuple[ToyModel, CalibrationSet, FlsConfig]:
         cfg.h,
         cfg.n_blocks,
         cfg.seed,
-        heavy_channel=cfg.heavy_channel,
         heavy_scale=cfg.heavy_scale,
         heavy_input_scale=cfg.heavy_input_scale,
     )
@@ -312,7 +309,7 @@ def cmd_eval(cfg: RunConfig, bundle_path: str, out_path: str | None) -> int:
     return 0
 
 
-def cmd_analyze_outliers(cfg: RunConfig, out_dir: str | None) -> int:
+def cmd_analyze_outliers(cfg: RunConfig, directory: str) -> int:
     model, calib, fls_cfg = _build_setup(cfg)
     n_exp = search_exponent(model, calib, fls_cfg).chosen_n
 
@@ -339,7 +336,6 @@ def cmd_analyze_outliers(cfg: RunConfig, out_dir: str | None) -> int:
         slope = ols_scalar_bias(1, 64, float(big_m), 1.0, 0.0, 1.0)
         sweep_rows.append({"outlier_magnitude": _fmt(float(big_m)), "slope": _fmt(slope)})
 
-    directory = out_dir if out_dir is not None else cfg.out_dir
     os.makedirs(directory, exist_ok=True)
     gap_path = os.path.join(directory, "slope_gap.csv")
     sweep_path = os.path.join(directory, "wstar_sweep.csv")
@@ -350,9 +346,8 @@ def cmd_analyze_outliers(cfg: RunConfig, out_dir: str | None) -> int:
     return 0
 
 
-def cmd_export(cfg: RunConfig, bundle_path: str, out_dir: str | None) -> int:
+def cmd_export(bundle_path: str, directory: str) -> int:
     modules = read_bundle(bundle_path)
-    directory = out_dir if out_dir is not None else cfg.out_dir
     os.makedirs(directory, exist_ok=True)
     manifest = []
     for i, mod in enumerate(modules):
@@ -411,9 +406,10 @@ def _dispatch(args: argparse.Namespace) -> int:
         return cmd_search_n(cfg)
     if args.command == "eval":
         return cmd_eval(cfg, args.bundle, out)
+    directory = out or "."  # without --out, the working directory
     if args.command == "analyze-outliers":
-        return cmd_analyze_outliers(cfg, out)
-    return cmd_export(cfg, args.bundle, out)  # argparse admits no other command
+        return cmd_analyze_outliers(cfg, directory)
+    return cmd_export(args.bundle, directory)  # argparse admits no other command
 
 
 def main(argv: list[str] | None = None) -> int:

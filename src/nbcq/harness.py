@@ -16,17 +16,20 @@ uncompensated quantized stream and deploy it feeding forward.
 
 Memory: each model has one per-block step, which every forward runs: the
 list forms (``block_io``), calibration, the hold-out search and
-evaluation. Calibration runs each product once: one full-precision loop
+evaluation. A quantized step writes its quantized input over its input
+``z``, so a caller that still reads ``z`` passes a copy, as the list forms
+do. Calibration runs each product once: one full-precision loop
 calibrates the activation ranges and keeps every block's output, then the
-quantized steps run over all rows, each writing over its input (block 1's
-input, block 0's output, is kept). Each block's quantized input is coded
-(``level_codes``) right after its step and the float array let go, and
-its residual ``y - y_q`` is written over its output. The calibration set
-keeps what the fits and the search read, not the inputs: per block the
-residual and ``x_q`` as ``uint8`` codes into its level table, plus the
-last block's ``y`` (the hold-out target, so the search runs no
-full-precision forward) and block 0's ``y_q`` (so a hold-out candidate
-runs the quantized steps of blocks 1..n-1 only): n_blocks + 2 float64
+quantized steps run over all rows, each writing over its input; block 0's
+output, which the set keeps, is copied once, before block 1 writes over
+it. Each block's quantized input is coded (``level_codes``) right after
+its step and the float array let go, and its residual ``y - y_q`` is
+written over its output. The calibration set keeps what the fits and the
+search read, not the inputs: per block the residual and ``x_q`` as
+``uint8`` codes into its level table, plus the last block's ``y`` (the
+hold-out target, so the search runs no full-precision forward) and block
+0's ``y_q`` (so a hold-out candidate runs the quantized steps of blocks
+1..n-1 only): n_blocks + 2 float64
 arrays of the stream's shape and n_blocks byte arrays of it. The search
 caches nothing: each fit slices its block's codes and residual to the fit
 rows and drops the slices, and every fit, kept ones too, transforms the
@@ -97,6 +100,7 @@ __all__ = [
     "EVAL_CHUNK_ROWS",
     "MODES",
     "MODE_MAPS",
+    "HEAVY_CHANNEL",
     "OutlierSpec",
     "ToyModel",
     "QuantizedToyModel",
@@ -140,6 +144,11 @@ EVAL_CHUNK_ROWS = 1024
 MODE_MAPS = {"none": "none", "linear": "identity", "nbc": "blt"}
 MODES = tuple(MODE_MAPS)
 _MODE_BY_MAP = {name: mode for mode, name in MODE_MAPS.items()}
+
+# The structurally heavy channel. Another index would give a model equal in
+# distribution up to a channel permutation, which per-tensor activation and
+# per-row weight quantization do not see, so the seed covers what it varies.
+HEAVY_CHANNEL = 0
 
 
 def gelu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -194,7 +203,6 @@ class ToyModel:
     d: int
     h: int
     n_blocks: int
-    heavy_channel: int
     w1: tuple[np.ndarray, ...]  # (h, d) per block
     w2: tuple[np.ndarray, ...]  # (d, h) per block
 
@@ -225,14 +233,12 @@ class ToyModel:
         return out
 
 
-def check_model_shape(d: int, h: int, n_blocks: int, heavy_channel: int) -> None:
+def check_model_shape(d: int, h: int, n_blocks: int) -> None:
     """Raise ValueError naming the first argument out of its bounds; the
     bounds are stated here only, for the run configuration too."""
     for key, value in (("d", d), ("h", h), ("n_blocks", n_blocks)):
         if value < 1:
             raise ValueError(f"{key} must be >= 1, got {value!r}")
-    if not 0 <= heavy_channel < d:
-        raise ValueError(f"heavy_channel must be in [0, d = {d}), got {heavy_channel!r}")
 
 
 def build_toy_model(
@@ -241,36 +247,28 @@ def build_toy_model(
     n_blocks: int,
     seed: int,
     *,
-    heavy_channel: int = 0,
     heavy_scale: float = 1.0,
     heavy_input_scale: float = 1.0,
 ) -> ToyModel:
     """Draw block weights from a seeded zero-mean normal distribution.
 
-    The heavy channel's weights are scaled up on both sides of every block:
-    its W2 row (fan-out) by ``heavy_scale`` and its W1 column (fan-in) by
-    ``heavy_input_scale``. The first gives the residual stream a
+    The weights of channel ``HEAVY_CHANNEL`` are scaled up on both sides of
+    every block: its W2 row (fan-out) by ``heavy_scale`` and its W1 column
+    (fan-in) by ``heavy_input_scale``. The first gives the residual stream a
     heavy-tailed channel; the second makes the hidden layer's response, and
     with it the weight-quantization error, grow with that channel's value.
     """
-    check_model_shape(d, h, n_blocks, heavy_channel)
+    check_model_shape(d, h, n_blocks)
     rng = np.random.default_rng(seed)
     w1, w2 = [], []
     for _ in range(n_blocks):
         a = rng.normal(0.0, 1.0 / np.sqrt(d), size=(h, d))
-        a[:, heavy_channel] *= heavy_input_scale
+        a[:, HEAVY_CHANNEL] *= heavy_input_scale
         b = rng.normal(0.0, BLOCK_UPDATE_GAIN / np.sqrt(h), size=(d, h))
-        b[heavy_channel, :] *= heavy_scale
+        b[HEAVY_CHANNEL, :] *= heavy_scale
         w1.append(a)
         w2.append(b)
-    return ToyModel(
-        d=d,
-        h=h,
-        n_blocks=n_blocks,
-        heavy_channel=heavy_channel,
-        w1=tuple(w1),
-        w2=tuple(w2),
-    )
+    return ToyModel(d=d, h=h, n_blocks=n_blocks, w1=tuple(w1), w2=tuple(w2))
 
 
 @dataclass(frozen=True)
@@ -307,25 +305,22 @@ class QuantizedToyModel:
         z = as_tensor(x, "inputs", ndim=2)
         pairs = []
         for k in range(len(self.w1q)):
-            zq, z = self.block_step(k, z, None if modules is None else modules[k])
+            # a copy: the step writes over it, and the caller's array or the
+            # previous pair's output is still read
+            zq, z = self.block_step(k, z.copy(), None if modules is None else modules[k])
             pairs.append((zq, z))
         return pairs
 
     def block_step(
-        self,
-        k: int,
-        z: np.ndarray,
-        module: CompensationModule | None = None,
-        *,
-        overwrite_input: bool = False,
+        self, k: int, z: np.ndarray, module: CompensationModule | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Block ``k`` on its input ``z``; returns the dequantized input and
         the output, compensated by ``module`` if one is given.
 
-        With ``overwrite_input`` the dequantized input is written over
-        ``z``, for a caller that reads ``z`` no more.
+        The dequantized input is written over ``z`` and returned as the
+        first array, so a caller that still reads ``z`` passes a copy.
         """
-        zq = self.fake_quant(z, self.p_in[k], out=z if overwrite_input else None)
+        zq = self.fake_quant(z, self.p_in[k], out=z)
         a = zq @ self.w1q[k].T
         self.fake_quant(gelu(a, out=a), self.p_hid[k], out=a)
         out = a @ self.w2q[k].T
@@ -349,7 +344,7 @@ def draw_inputs(model: ToyModel, n_samples: int, spec: OutlierSpec, seed: int) -
     n_out = int(np.floor(spec.outlier_fraction * n_samples))
     if n_out > 0:
         rows = rng.choice(n_samples, size=n_out, replace=False)
-        x[rows, model.heavy_channel] = spec.outlier_scale * (
+        x[rows, HEAVY_CHANNEL] = spec.outlier_scale * (
             1.0 + 0.1 * rng.standard_normal(n_out)
         )
     return x
@@ -399,11 +394,12 @@ def generate_calibration(
     (``QuantizedToyModel.block_step``) on all rows, giving ``x_q`` and
     ``y_q``. Each ``x_q`` is coded (``level_codes``, ``uint8``) as soon as
     its step returns, and only the codes and ``level_table(p_in[k])`` are
-    kept. Each residual is written over its block's ``y``, except the last
-    block's, whose ``y`` the set keeps as the hold-out target; block 0's
-    ``y_q`` is kept too. Each forward runs once, and the set holds
-    n_blocks + 2 float64 arrays and n_blocks byte arrays of the stream's
-    shape.
+    kept. Each step writes its quantized input over its input, so block 0's
+    ``y_q``, which the set keeps, is copied before block 1 runs. Each
+    residual is written over its block's ``y``, except the last block's,
+    whose ``y`` the set keeps as the hold-out target. Each forward runs
+    once, and the set holds n_blocks + 2 float64 arrays and n_blocks byte
+    arrays of the stream's shape.
     """
     w1q = tuple(quantize_per_channel(w, bits_w) for w in model.w1)
     w2q = tuple(quantize_per_channel(w, bits_w) for w in model.w2)
@@ -419,12 +415,11 @@ def generate_calibration(
     codes, residuals, z = [], [], inputs
     del inputs  # block 0 writes its quantized input over them, which is coded and let go
     for k, y in enumerate(targets):
-        # a step writes its input over, but block 1 reads block 0's output, which is kept
-        x_q, z = qmodel.block_step(k, z, overwrite_input=k != 1)
+        x_q, z = qmodel.block_step(k, z)
         codes.append(level_codes(x_q, qmodel.p_in[k]))
         del x_q  # held as its codes from here on
         if k == 0:
-            y_q_first = z
+            y_q_first = z.copy()  # block 1 writes its quantized input over z
         if k < model.n_blocks - 1:
             residuals.append(np.subtract(y, z, out=y))  # z is checked as block k+1's input
     # the last block's outputs are no step's input: checked here, before any record
@@ -479,7 +474,7 @@ class _RowSearchPipeline:
         first = self.calib.records[0]
         z = apply(fitted[0], first.levels[first.codes[rows]], self.calib.y_q_first[rows])
         for k in range(1, len(fitted)):
-            _, z = self.calib.qmodel.block_step(k, z, fitted[k], overwrite_input=True)
+            _, z = self.calib.qmodel.block_step(k, z, fitted[k])
         return compute_feature_loss(self.calib.y_last[rows], z)
 
 
@@ -519,13 +514,15 @@ def fit_compensation(
     mode: str,
     *,
     transform: str = "blt",
-    cfg: FlsConfig | None = None,
+    cfg: FlsConfig,
 ) -> tuple[list[CompensationModule] | None, FlsResult | None]:
     """Fit per-block modules of the map ``mode`` names (``MODE_MAPS``).
 
     Returns ``(modules, search_result)``: None/None under none, and no
-    search result under linear. Under nbc ``search_exponent`` (under
-    ``cfg``) only scores candidates; the kept modules are fitted on every
+    search result under linear. ``cfg`` is required in every mode, so a
+    run states its search, and its split seed, in one place
+    (``RunConfig.search_config``). Under nbc ``search_exponent`` only
+    scores candidates; the kept modules are fitted on every
     block's whole record at its chosen exponent. A kept fit that fails a
     check raises FitError naming the block.
     """
@@ -764,9 +761,7 @@ def evaluate_pipeline(
             z = model.block_step(k, z)
             # zc may be overwritten: in block 0 it is the evaluation set,
             # which the full-precision step has read by now
-            zq, zc = calib.qmodel.block_step(
-                k, zc, None if modules is None else modules[k], overwrite_input=True
-            )
+            zq, zc = calib.qmodel.block_step(k, zc, None if modules is None else modules[k])
             outlier = np.abs(zq, out=zq) > calib.spec.outlier_threshold
             # |y - y_hat| goes over zq, read for the last time above;
             # |e| * |e| has the bits of (y - y_hat) ** 2

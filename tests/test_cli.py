@@ -212,6 +212,21 @@ class TestEval:
         assert err == "error\tconfig\tbundle block 0 maps 8 to 8 channels but the configuration has d = 12\n"
         assert out == ""
 
+    def test_bad_bundle_version_exits_1_writing_no_csv(self, cfg_path, tmp_path, capsys):
+        bundle = tmp_path / "comp.nbcb"
+        code, _, err = run_cli(["calibrate", "--config", cfg_path, "--out", str(bundle)], capsys)
+        assert code == 0, err
+        data = bytearray(bundle.read_bytes())
+        data[4] = 2  # the version byte
+        bundle.write_bytes(bytes(data))
+        report = tmp_path / "report.csv"
+        code, out, err = run_cli(
+            ["eval", "--config", cfg_path, "--bundle", str(bundle), "--out", str(report)], capsys
+        )
+        assert code == 1
+        assert err == f"error\tbad-version\t{bundle}: unsupported bundle version 2\n"
+        assert out == "" and not report.exists()
+
     @pytest.mark.parametrize(
         "case, other_cfg, exit_code, line",
         [
@@ -472,7 +487,6 @@ BAD_VALUES = [
     ("step = 0", "step"),
     ("n_init = 20", "n_init"),
     ("n_init = 15\nn_max = 20", "n_max"),
-    ("heavy_channel = 99", "heavy_channel"),
     ("bits_w = 0", "bits_w"),
     ("d = 0", "d"),
     ("seed = -1", "seed"),
@@ -492,7 +506,6 @@ BAD_VALUES = [
 LIBRARY_RULE_LINES = [
     ("d = 0", "d must be >= 1, got 0"),
     ("h = 0", "h must be >= 1, got 0"),
-    ("heavy_channel = 8", "heavy_channel must be in [0, d = 8), got 8"),
     ("bits_w = 1", "bits_w must be in [2, 8], got 1"),
     ("bits_a = 9", "bits_a must be in [2, 8], got 9"),
     ("outlier_fraction = 0.5", "outlier_fraction must be in [0, 0.2], got 0.5"),
@@ -594,6 +607,28 @@ class TestConfigValues:
         assert err == f"error\tconfig\t{path}:{line}: unknown configuration key 'transform'\n"
         assert out == ""
 
+    @pytest.mark.parametrize("line", ["heavy_channel = 0", "out_dir = ."])
+    @pytest.mark.parametrize("command", ["calibrate", "search-n", "eval", "analyze-outliers", "export"])
+    def test_removed_key_is_unknown_before_setup(self, tmp_path, capsys, monkeypatch, command, line):
+        # the heavy channel is fixed, and --out alone names an output path
+        import nbcq.cli as cli_mod
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run was set up")
+
+        monkeypatch.setattr(cli_mod, "_build_setup", no_run)
+        monkeypatch.setattr(cli_mod, "read_bundle", no_run)
+        path = tmp_path / "run.cfg"
+        path.write_text(line + "\n" + SMALL_CFG)
+        args = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+        if command in ("eval", "export"):
+            args += ["--bundle", str(tmp_path / "absent.nbcb")]
+        code, out, err = run_cli(args, capsys)
+        assert code == 2
+        key = line.split(" = ")[0]
+        assert err == f"error\tconfig\t{path}:1: unknown configuration key '{key}'\n"
+        assert out == "" and os.listdir(tmp_path) == ["run.cfg"]
+
     def test_negative_seed_flag_rejected_before_setup(self, cfg_path, capsys, monkeypatch):
         import nbcq.cli as cli_mod
 
@@ -680,27 +715,6 @@ class TestSeedFlag:
                 files = {name: (out_dir / name).read_bytes() for name in ("slope_gap.csv", "wstar_sweep.csv")}
             results.append((out, files))
         assert results[0] == results[1]
-
-
-class TestEmptyOutDir:
-    @pytest.mark.parametrize("command", ["analyze-outliers", "export"])
-    def test_rejected_before_setup_exit_2_naming_key(self, tmp_path, capsys, monkeypatch, command):
-        import nbcq.cli as cli_mod
-
-        def no_run(*args, **kwargs):
-            raise AssertionError("the run was set up")
-
-        monkeypatch.setattr(cli_mod, "_build_setup", no_run)
-        monkeypatch.setattr(cli_mod, "read_bundle", no_run)
-        path = tmp_path / "run.cfg"
-        path.write_text(small_cfg_with("out_dir ="))
-        args = [command, "--config", str(path)]
-        if command == "export":
-            args += ["--bundle", str(tmp_path / "comp.nbcb")]
-        code, out, err = run_cli(args, capsys)
-        assert_failed(code, err, 2, "config")
-        assert err == f"error\tconfig\t{path}: out_dir must be a non-empty path, got ''\n"
-        assert out == ""
 
 
 class TestEmptyOut:
@@ -878,6 +892,31 @@ class TestStorageOverflow:
         assert os.listdir(tmp_path) == ["run.cfg"]  # no temporary file left either
 
 
+    def test_weight_beyond_f16_is_the_one_format_line(self, tmp_path, capsys, monkeypatch):
+        import dataclasses
+
+        import nbcq.cli as cli_mod
+
+        fit = cli_mod.fit_compensation
+
+        def huge_first_weight(*args, **kwargs):
+            modules, search = fit(*args, **kwargs)
+            weight = modules[0].weight.copy()
+            weight[0, 0] = 1e6  # beyond float16's 65504
+            return [dataclasses.replace(modules[0], weight=weight), *modules[1:]], search
+
+        monkeypatch.setattr(cli_mod, "fit_compensation", huge_first_weight)
+        path = tmp_path / "run.cfg"
+        path.write_text(small_cfg_with("mode = linear\nstorage = f16"))
+        bundle = tmp_path / "comp.nbcb"
+        code, out, err = run_cli(["calibrate", "--config", str(path), "--out", str(bundle)], capsys)
+        assert code == 1
+        assert err == (
+            "error\tformat\tblock 0: weight value 1000000.0 at flat index 0 overflows f16 storage (float16)\n"
+        )
+        assert out == "" and os.listdir(tmp_path) == ["run.cfg"]
+
+
 class TestKeptFitFailure:
     def test_linear_overflow_is_the_one_fit_line(self, tmp_path):
         # a child process, so that a traceback or numpy's warnings would show
@@ -999,6 +1038,16 @@ class TestExport:
 
 
 class TestGlobalFlags:
+    @pytest.mark.parametrize("command", ["calibrate", "search-n", "eval", "analyze-outliers", "export"])
+    def test_command_without_config_exits_2(self, tmp_path, capsys, command):
+        args = [command, "--out", str(tmp_path / "out")]
+        if command in ("eval", "export"):
+            args += ["--bundle", str(tmp_path / "comp.nbcb")]
+        code, out, err = run_cli(args, capsys)
+        assert code == 2
+        assert err == f"error\tconfig\tthe {command} command requires --config\n"
+        assert out == "" and os.listdir(tmp_path) == []
+
     def test_flags_accepted_before_subcommand(self, cfg_path, tmp_path, capsys):
         bundle = str(tmp_path / "g.nbcb")
         code, _, err = run_cli(

@@ -324,6 +324,35 @@ class TestBundles:
             read_bundle(path)
         assert type(info.value) is FormatError
 
+    @pytest.mark.parametrize(
+        "offset, value, error, message",
+        [
+            (4, 2, BadVersionError, "unsupported bundle version 2"),
+            (7, 1, FormatError, "block index 1 out of order at 0"),
+            (18, 7, FormatError, "unknown storage code 7"),
+            (19 + 7, 1, FormatError, "nonzero pad byte 1"),
+            (None, 0, FormatError, "trailing bytes after the last block"),
+        ],
+        ids=["version", "block-index", "storage", "tensor-pad", "trailing"],
+    )
+    def test_header_rejections_name_the_field(self, tmp_path, offset, value, error, message):
+        # offsets into the bundle: magic 0-3, version 4, block count 5-6,
+        # then block 0's u16 index 7-8, kind 9, exponent 10-17, storage 18,
+        # and its weight record from 19 (pad byte at record offset 7);
+        # no offset appends one byte after the last block
+        rng = np.random.default_rng(9)
+        path = str(tmp_path / "b.nbcb")
+        write_bundle(path, sample_modules(rng))
+        data = bytearray(open(path, "rb").read())
+        if offset is None:
+            data.append(value)
+        else:
+            data[offset] = value
+        open(path, "wb").write(bytes(data))
+        with pytest.raises(error, match=f"^{re.escape(f'{path}: {message}')}$") as info:
+            read_bundle(path)
+        assert type(info.value) is error
+
     @pytest.mark.parametrize("value", [5.0, float("nan"), -0.0], ids=["5", "nan", "minus-zero"])
     @pytest.mark.parametrize("kind", [IDENTITY], ids=["identity"])
     def test_exponent_under_a_kind_without_one_rejected_naming_block(self, tmp_path, kind, value):
@@ -420,7 +449,7 @@ class TestRunConfigFile:
             "mode": "nbc", "storage": "f32",
             "n_init": 2.0, "n_min": -10.0, "n_max": 10.0, "step": 1.0, "holdout_fraction": 0.25,
             "outlier_fraction": 0.1, "outlier_scale": 12.0, "outlier_threshold": 10.0,
-            "heavy_channel": 0, "heavy_scale": 1.3, "heavy_input_scale": 3.0, "out_dir": ".",
+            "heavy_scale": 1.3, "heavy_input_scale": 3.0,
         }
 
     def test_builds_the_library_configs(self):

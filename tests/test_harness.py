@@ -15,6 +15,7 @@ from nbcq.harness import (
     EVAL_SET_MULTIPLIER,
     GELU_TANH_COEFF,
     GELU_TANH_CUBIC,
+    HEAVY_CHANNEL,
     MODE_MAPS,
     MODES,
     OutlierSpec,
@@ -76,14 +77,12 @@ class TestBuildToyModel:
         x = np.random.default_rng(30).standard_normal((2048, 16))
         acts = np.abs(model.block_io(x)[-1][1])
         p99 = np.percentile(acts, 99, axis=0)
-        others = np.delete(p99, model.heavy_channel)
-        assert p99[model.heavy_channel] - np.median(others) >= scale / 2
+        others = np.delete(p99, HEAVY_CHANNEL)
+        assert p99[HEAVY_CHANNEL] - np.median(others) >= scale / 2
 
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="^d must be >= 1, got 0$"):
             build_toy_model(0, 4, 2, seed=0)
-        with pytest.raises(ValueError, match=r"^heavy_channel must be in \[0, d = 4\), got 4$"):
-            build_toy_model(4, 4, 2, seed=0, heavy_channel=4)
 
     def test_gelu_shape(self):
         assert gelu(np.array([0.0]))[0] == 0.0
@@ -166,7 +165,7 @@ class TestGenerateCalibration:
         model = build_toy_model(16, 8, 2, seed=0)
         calib = generate_calibration(model, 10, OutlierSpec(), seed=1)
         with pytest.raises(FitError, match="^block 0: need at least 17 rows to fit 16 weights plus a bias, got 10$"):
-            fit_compensation(model, calib, "linear")
+            fit_compensation(model, calib, "linear", cfg=FlsConfig())
 
     def test_fp_records_equal_block_io(self):
         # the records against both list forms: x_q and y - y_q per block,
@@ -312,6 +311,49 @@ class TestForwardCounts:
         assert fresh.tobytes() == calib.y_last[rows].tobytes()
 
 
+class TestQuantizedBlockStep:
+    """A quantized step writes its quantized input over its input; the list
+    forms pass each step a copy, so what they return and what the caller
+    passed stay intact."""
+
+    def test_step_writes_the_quantized_input_over_z(self):
+        model, calib, cfg = desk_setup(0)
+        modules, _ = fit_compensation(model, calib, "linear", cfg=cfg)
+        z = draw_inputs(model, 64, calib.spec, seed=9)
+        for k, module in enumerate((None, *modules[1:])):
+            expected = calib.qmodel.fake_quant(z, calib.qmodel.p_in[k])
+            zq, out = calib.qmodel.block_step(k, z, module)
+            assert zq is z
+            assert z.tobytes() == expected.tobytes()
+            assert not np.shares_memory(out, z)
+            z = out
+
+    @pytest.mark.parametrize("compensated", [False, True], ids=["block_io", "compensated_block_io"])
+    def test_list_forms_leave_the_callers_array_and_their_outputs_unchanged(self, compensated):
+        model, calib, cfg = desk_setup(0)
+        qmodel = calib.qmodel
+        modules, _ = fit_compensation(model, calib, "linear", cfg=cfg)
+        x = draw_inputs(model, 64, calib.spec, seed=9)
+        before = x.copy()
+        pairs = qmodel.compensated_block_io(x, modules) if compensated else qmodel.block_io(x)
+        assert x.tobytes() == before.tobytes()
+        # each block's output is still its own array, the next input unquantized
+        for k in range(1, len(pairs)):
+            out = pairs[k - 1][1]
+            assert not np.shares_memory(out, pairs[k][0])
+            assert pairs[k][0].tobytes() == qmodel.fake_quant(out, qmodel.p_in[k]).tobytes()
+
+
+class TestFitCompensationConfig:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_call_without_cfg_raises_type_error_in_every_mode(self, mode):
+        # the search and its split seed are stated once, by the caller's
+        # config: no mode falls back to a default
+        model, calib, _ = desk_setup(0)
+        with pytest.raises(TypeError, match="'cfg'"):
+            fit_compensation(model, calib, mode)
+
+
 class TestRunPipeline:
 
     def test_compensation_reduces_median_feature_loss(self, reports):
@@ -323,7 +365,7 @@ class TestRunPipeline:
         for seed in range(5):
             model, calib, cfg = desk_setup(seed)
             base = training_fit_loss(calib.records, None)
-            lin, _ = fit_compensation(model, calib, "linear")
+            lin, _ = fit_compensation(model, calib, "linear", cfg=cfg)
             nbc, _ = fit_compensation(model, calib, "nbc", cfg=cfg)
             assert training_fit_loss(calib.records, lin) <= base + 1e-12
             assert training_fit_loss(calib.records, nbc) <= base + 1e-12
@@ -397,7 +439,7 @@ class TestRunPipeline:
             assert abs(a - b) <= 1e-9
 
         # array-level equivalence of the deployed forward passes
-        lin_mods, _ = fit_compensation(model, calib, "linear")
+        lin_mods, _ = fit_compensation(model, calib, "linear", cfg=cfg)
         nbc_mods, _ = fit_compensation(model, calib, "nbc", cfg=cfg)
         ev = tiny_inputs(model, 64, spec, 99)
         out_lin = calib.qmodel.compensated_block_io(ev, lin_mods)[-1][1]
@@ -478,8 +520,8 @@ class TestStreamedEvaluation:
         ids=["2120-rows", "2048-rows", "400-rows"],
     )
     def test_block_steps_run_whole_chunks_in_row_order(self, monkeypatch, n_samples, chunk_rows):
-        model, calib, _ = self.chunk_setup(n_samples)
-        modules, _ = fit_compensation(model, calib, "linear")
+        model, calib, cfg = self.chunk_setup(n_samples)
+        modules, _ = fit_compensation(model, calib, "linear", cfg=cfg)
         calls, first_inputs = [], []
 
         def spy(stream, original):
@@ -511,7 +553,7 @@ class TestStreamedEvaluation:
     def eval_peak_bytes(n_blocks: int) -> int:
         model = build_toy_model(8, 128, n_blocks, seed=31, heavy_scale=1.3, heavy_input_scale=3.0)
         calib = generate_calibration(model, 256, OutlierSpec(), seed=32)
-        modules, _ = fit_compensation(model, calib, "linear")
+        modules, _ = fit_compensation(model, calib, "linear", cfg=FlsConfig())
         return traced_eval_peak(model, calib, modules, "linear")
 
     def test_peak_memory_holds_one_block(self):
@@ -531,7 +573,7 @@ class TestStreamedEvaluation:
         d, h, n_samples = 8, 512, 2048
         model = build_toy_model(d, h, 2, seed=61, heavy_scale=1.3, heavy_input_scale=3.0)
         calib = generate_calibration(model, n_samples, OutlierSpec(), seed=62)
-        modules, _ = fit_compensation(model, calib, "linear")
+        modules, _ = fit_compensation(model, calib, "linear", cfg=FlsConfig())
         hidden_bytes = EVAL_SET_MULTIPLIER * n_samples * h * 8
         peak = traced_eval_peak(model, calib, modules, "linear")
         assert peak < hidden_bytes, (peak, hidden_bytes)
@@ -717,7 +759,7 @@ class TestModeMaps:
 
         model, calib, cfg = desk_setup(0)
         nbc, _ = fit_compensation(model, calib, "nbc", cfg=cfg)
-        linear, _ = fit_compensation(model, calib, "linear")
+        linear, _ = fit_compensation(model, calib, "linear", cfg=cfg)
 
         def no_forward(*args, **kwargs):
             raise AssertionError("the evaluation set was drawn")
@@ -735,7 +777,7 @@ class TestModeMaps:
     def test_mode_of_modules(self):
         model, calib, cfg = desk_setup(0)
         nbc, _ = fit_compensation(model, calib, "nbc", cfg=cfg)
-        linear, _ = fit_compensation(model, calib, "linear")
+        linear, _ = fit_compensation(model, calib, "linear", cfg=cfg)
         assert mode_of_modules(None) == mode_of_modules([]) == "none"
         assert mode_of_modules(linear) == "linear"
         assert mode_of_modules(nbc) == "nbc"

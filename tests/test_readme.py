@@ -37,3 +37,12 @@ def test_key_table_names_every_run_config_field_once():
     rows = [line for line in section.splitlines() if line.startswith("| `")]
     names = [name for row in rows for name in re.findall(r"`([^`]+)`", row.split("|")[1])]
     assert sorted(names) == sorted(f.name for f in fields(RunConfig))
+    # and some command reads each row's keys: a key that no command reads
+    # is a setting that does nothing
+    header = next(line for line in section.splitlines() if line.startswith("| keys |"))
+    commands = [cell.strip() for cell in header.strip("|").split("|")[1:]]
+    assert commands == ["calibrate", "search-n", "eval", "analyze-outliers", "export"]
+    for row in rows:
+        cells = [cell.strip() for cell in row.strip().strip("|").split("|")]
+        assert len(cells) == 1 + len(commands), row
+        assert any(cells[1:]), f"no command reads {cells[0]}"
