@@ -17,7 +17,9 @@ configuration errors; failures print one machine-parsable line to stderr,
 
 The run configuration is line-oriented ``key = value`` UTF-8 text (a
 leading byte order mark is skipped) with ``#`` comments, one key per
-``RunConfig`` field. Every command checks the whole config: unknown keys
+``RunConfig`` field; the hold-out quarter (``fls.HOLDOUT_FRACTION``) and
+the outlier threshold (``harness.OUTLIER_THRESHOLD``) are fixed. Every
+command checks the whole config: unknown keys
 and every value the run would reject once it starts or a bundle cannot
 hold are rejected by name. The mode alone names the map; eval takes it
 from the bundle, where a block of another kind than block 0's is a
@@ -42,7 +44,8 @@ The analyze-outliers command writes ``slope_gap.csv`` (block, channel,
 n_exp, gap_before, gap_after) and ``wstar_sweep.csv`` (outlier_magnitude,
 slope) into the ``--out`` directory; it and export write to the working
 directory without ``--out``. A block whose slope is undefined on its
-analysis channel gets empty gap cells.
+analysis channel gets empty gap cells, and a block with no outliers on it
+no row. ``calibrate`` and ``eval`` reject an ``--out`` directory before setup.
 """
 
 from __future__ import annotations
@@ -105,12 +108,10 @@ class RunConfig:
     n_min: float = FlsConfig.n_min
     n_max: float = FlsConfig.n_max
     step: float = FlsConfig.step
-    holdout_fraction: float = FlsConfig.holdout_fraction
     outlier_fraction: float = OutlierSpec.outlier_fraction
     outlier_scale: float = OutlierSpec.outlier_scale
-    outlier_threshold: float = OutlierSpec.outlier_threshold
-    heavy_scale: float = 1.3
-    heavy_input_scale: float = 3.0
+    heavy_scale: float = build_toy_model.__kwdefaults__["heavy_scale"]
+    heavy_input_scale: float = build_toy_model.__kwdefaults__["heavy_input_scale"]
 
     def outlier_spec(self) -> OutlierSpec:
         """The calibration's outlier spec; ValueError names a key out of its bounds."""
@@ -185,7 +186,7 @@ def read_run_config(path: str) -> RunConfig:
         check_bits(cfg.bits_a, "bits_a")
         cfg.outlier_spec()
         cfg.search_config()
-        check_fit_rows(cfg.n_samples, cfg.holdout_fraction, cfg.d)  # so n_samples >= d + 2
+        check_fit_rows(cfg.n_samples, cfg.d)  # so n_samples >= d + 2
         if cfg.n_blocks > MAX_BUNDLE_BLOCKS:
             raise ValueError(f"n_blocks must be <= {MAX_BUNDLE_BLOCKS}, got {cfg.n_blocks!r}")
     except ValueError as exc:
@@ -195,14 +196,8 @@ def read_run_config(path: str) -> RunConfig:
 
 def _build_setup(cfg: RunConfig) -> tuple[ToyModel, CalibrationSet, FlsConfig]:
     spec = cfg.outlier_spec()
-    model = build_toy_model(
-        cfg.d,
-        cfg.h,
-        cfg.n_blocks,
-        cfg.seed,
-        heavy_scale=cfg.heavy_scale,
-        heavy_input_scale=cfg.heavy_input_scale,
-    )
+    model = build_toy_model(cfg.d, cfg.h, cfg.n_blocks, cfg.seed,
+                            heavy_scale=cfg.heavy_scale, heavy_input_scale=cfg.heavy_input_scale)
     # Large scales can overflow the weights or the calibration forward; the
     # finiteness checks turn that into the one ValueError an accepted config
     # can still raise here.
@@ -313,21 +308,15 @@ def cmd_analyze_outliers(cfg: RunConfig, directory: str) -> int:
     model, calib, fls_cfg = _build_setup(cfg)
     n_exp = search_exponent(model, calib, fls_cfg).chosen_n
 
+    gap_columns = ["block", "channel", "n_exp", "gap_before", "gap_after"]
     gap_rows = []
     for block, rec in enumerate(calib.records):
-        gap = channel_slope_gap(rec, calib.spec.outlier_threshold, n_exp)
-        if gap is None:
+        gap = channel_slope_gap(rec, n_exp)
+        if gap is None:  # no outliers on its channel: the block gets no row
             continue
         channel, before, after = gap
-        gap_rows.append(
-            {
-                "block": block,
-                "channel": channel,
-                "n_exp": _fmt(float(n_exp)),
-                "gap_before": _fmt(before),
-                "gap_after": _fmt(after),
-            }
-        )
+        values = [block, channel, _fmt(float(n_exp)), _fmt(before), _fmt(after)]
+        gap_rows.append(dict(zip(gap_columns, values)))
 
     # Sweep the closed-form two-population slope over the outlier magnitude
     # to show the squared-magnitude denominator taking over the fit.
@@ -339,7 +328,7 @@ def cmd_analyze_outliers(cfg: RunConfig, directory: str) -> int:
     os.makedirs(directory, exist_ok=True)
     gap_path = os.path.join(directory, "slope_gap.csv")
     sweep_path = os.path.join(directory, "wstar_sweep.csv")
-    _write_csv(gap_path, ["block", "channel", "n_exp", "gap_before", "gap_after"], gap_rows)
+    _write_csv(gap_path, gap_columns, gap_rows)
     _write_csv(sweep_path, ["outlier_magnitude", "slope"], sweep_rows)
     print(gap_path)
     print(sweep_path)
@@ -397,6 +386,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         raise ConfigError("calibrate requires --out for the bundle path")
     if out == "":
         raise ConfigError("--out must be a non-empty path, got ''")
+    if args.command in ("calibrate", "eval") and out is not None and os.path.isdir(out):
+        raise ConfigError(f"--out names a directory, {args.command} writes a file: {out}")
     cfg = read_run_config(config)
     if seed is not None:
         cfg = replace(cfg, seed=seed)

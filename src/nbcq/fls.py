@@ -34,6 +34,7 @@ __all__ = [
     "TERMINATED_LOCAL_MINIMUM",
     "TERMINATED_BOUNDS",
     "MIN_STEP",
+    "HOLDOUT_FRACTION",
     "FlsConfig",
     "FlsResult",
     "check_fit_rows",
@@ -52,18 +53,20 @@ TERMINATED_BOUNDS = "bounds_exhausted"
 # it vanishes next to n_init would score the same exponent forever.
 MIN_STEP = 2.0**-6
 
+# The share of the records the search holds out to score its candidates.
+HOLDOUT_FRACTION = 0.25
+
 
 @dataclass(frozen=True)
 class FlsConfig:
-    """Search grid, hold-out fraction and seed for the exponent search; the
-    bounds of all but the seed are stated here only, for the run
-    configuration too (the fit-row rule is :func:`check_fit_rows`)."""
+    """Search grid and hold-out seed for the exponent search; the bounds of
+    the grid are stated here only, for the run configuration too (the
+    fit-row rule is :func:`check_fit_rows`)."""
 
     n_init: float = 2.0
     n_min: float = -10.0
     n_max: float = 10.0
     step: float = 1.0
-    holdout_fraction: float = 0.25
     seed: int = 0
 
     def __post_init__(self):
@@ -72,7 +75,6 @@ class FlsConfig:
             ("n_max", self.n_max <= N_EXP_RANGE[1], f"<= {N_EXP_RANGE[1]}"),
             ("n_init", self.n_min <= self.n_init <= self.n_max, "in [n_min, n_max]"),
             ("step", self.step >= MIN_STEP, f">= {MIN_STEP}"),
-            ("holdout_fraction", 0.0 < self.holdout_fraction < 1.0, "in (0, 1)"),
         ):
             if not ok:
                 raise ValueError(f"{key} must be {rule}, got {getattr(self, key)!r}")
@@ -101,32 +103,32 @@ def compute_feature_loss(f_full, f_quant) -> float:
     return float(np.mean((a - b) ** 2))
 
 
-def holdout_count(n_records: int, holdout_fraction: float) -> int:
-    """Records :func:`holdout_split` holds out: floor(n * fraction), at least 1."""
-    return max(1, int(np.floor(n_records * holdout_fraction)))
+def holdout_count(n_records: int) -> int:
+    """Records :func:`holdout_split` holds out: floor(n * HOLDOUT_FRACTION), at least 1."""
+    return max(1, int(np.floor(n_records * HOLDOUT_FRACTION)))
 
 
-def check_fit_rows(n_samples: int, holdout_fraction: float, d: int) -> None:
-    """Raise ValueError unless the hold-out split leaves d + 1 rows to fit d weights and a bias."""
-    fit_rows = n_samples - holdout_count(n_samples, holdout_fraction)
+def check_fit_rows(n_samples: int, d: int) -> None:
+    """Raise ValueError unless the hold-out quarter leaves d + 1 rows to fit d weights and a bias."""
+    fit_rows = n_samples - holdout_count(n_samples)
     if fit_rows < d + 1:
         raise ValueError(
-            f"n_samples = {n_samples} with holdout_fraction = {holdout_fraction} "
-            f"leaves {fit_rows} rows to fit on; the search needs at least d + 1 = {d + 1}"
+            f"n_samples = {n_samples} leaves {fit_rows} rows to fit on after the hold-out "
+            f"quarter; the search needs at least d + 1 = {d + 1}"
         )
 
 
 def holdout_split(records: Sequence, cfg: FlsConfig) -> tuple[list, list]:
     """Split a record list into disjoint (fit_set, holdout_set) lists.
 
-    A seeded permutation picks the hold-out records; the hold-out count is
-    floor(n * fraction), at least 1, so the 512-record default splits
-    384/128. Each side keeps the records in their input order.
+    A seeded permutation picks the hold-out quarter, floor(n *
+    HOLDOUT_FRACTION) records and at least 1, so the 512-record default
+    splits 384/128. Each side keeps the records in their input order.
     """
     n_records = len(records)
     if n_records < 2:
         raise ValueError(f"need at least 2 records to split, got {n_records}")
-    n_hold = holdout_count(n_records, cfg.holdout_fraction)
+    n_hold = holdout_count(n_records)
     perm = np.random.default_rng(cfg.seed).permutation(n_records)
     hold = np.sort(perm[:n_hold])
     fit = np.sort(perm[n_hold:])

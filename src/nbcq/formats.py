@@ -34,6 +34,7 @@ a temp file and an atomic rename.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import os
 import struct
@@ -95,18 +96,21 @@ def _dtype_code(dtype: np.dtype) -> int:
 
 def atomic_write(path: str, data: bytes) -> None:
     """Write ``data`` to ``path`` through a temporary file in the same
-    directory and a rename, so ``path`` never holds part of it."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".nbc-", suffix=".tmp")
+    directory and a rename, so ``path`` never holds part of it; an OSError
+    names ``path``, and no temporary file is left."""
+    tmp = None
     try:
+        directory = os.path.dirname(os.path.abspath(path))
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".nbc-", suffix=".tmp")
         with os.fdopen(fd, "wb") as f:
             f.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 

@@ -101,6 +101,7 @@ __all__ = [
     "MODES",
     "MODE_MAPS",
     "HEAVY_CHANNEL",
+    "OUTLIER_THRESHOLD",
     "OutlierSpec",
     "ToyModel",
     "QuantizedToyModel",
@@ -150,6 +151,9 @@ _MODE_BY_MAP = {name: mode for mode, name in MODE_MAPS.items()}
 # per-row weight quantization do not see, so the seed covers what it varies.
 HEAVY_CHANNEL = 0
 
+# |activation| past which a position is an outlier: error metrics and slope gaps
+OUTLIER_THRESHOLD = 10.0
+
 
 def gelu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Smooth asymmetric activation (tanh-form gelu, constants frozen).
@@ -178,19 +182,16 @@ class OutlierSpec:
 
     ``outlier_fraction`` of input rows get the heavy channel's coordinate
     multiplied by ``outlier_scale``; fraction 0 yields pure inlier data.
-    ``outlier_threshold`` is the absolute activation value past which a
-    position counts as an outlier in the error metrics. The bounds of all
-    three are stated here only, for the run configuration too."""
+    The bounds of both are stated here only, for the run configuration too.
+    Which positions count as outliers is ``OUTLIER_THRESHOLD``."""
 
     outlier_fraction: float = 0.1
     outlier_scale: float = 12.0
-    outlier_threshold: float = 10.0
 
     def __post_init__(self):
         for key, ok, rule in (
             ("outlier_fraction", 0.0 <= self.outlier_fraction <= 0.2, "in [0, 0.2]"),
             ("outlier_scale", self.outlier_scale >= 1.0, ">= 1"),
-            ("outlier_threshold", self.outlier_threshold > 0.0, "> 0"),
         ):
             if not ok:
                 raise ValueError(f"{key} must be {rule}, got {getattr(self, key)!r}")
@@ -247,8 +248,8 @@ def build_toy_model(
     n_blocks: int,
     seed: int,
     *,
-    heavy_scale: float = 1.0,
-    heavy_input_scale: float = 1.0,
+    heavy_scale: float = 1.3,
+    heavy_input_scale: float = 3.0,
 ) -> ToyModel:
     """Draw block weights from a seeded zero-mean normal distribution.
 
@@ -257,6 +258,7 @@ def build_toy_model(
     (fan-in) by ``heavy_input_scale``. The first gives the residual stream a
     heavy-tailed channel; the second makes the hidden layer's response, and
     with it the weight-quantization error, grow with that channel's value.
+    The two defaults are the run configuration's, which reads them here.
     """
     check_model_shape(d, h, n_blocks)
     rng = np.random.default_rng(seed)
@@ -540,7 +542,7 @@ def search_exponent(model: ToyModel, calib: CalibrationSet, cfg: FlsConfig) -> F
     """The hold-out search for the ``blt`` exponent over the calibration
     rows, which fits no kept module. Too few fit rows raise ValueError
     before any fit (``fls.check_fit_rows``)."""
-    check_fit_rows(calib.n_samples, cfg.holdout_fraction, model.d)
+    check_fit_rows(calib.n_samples, model.d)
     return search_n_for_pipeline(list(range(calib.n_samples)), cfg, _RowSearchPipeline(calib))
 
 
@@ -629,7 +631,7 @@ def slope_gap_analysis(x, r, threshold: float, kind: TransformKind) -> tuple[flo
 
 
 def channel_slope_gap(
-    rec: CalibrationRecord, threshold: float, n_exp: float
+    rec: CalibrationRecord, n_exp: float
 ) -> tuple[int, float | None, float | None] | None:
     """``slope_gap_analysis`` of one block on its maximal-kurtosis channel.
 
@@ -637,17 +639,17 @@ def channel_slope_gap(
     the same column of the residual. Returns ``(channel, gap_before,
     gap_after)`` at the ``blt`` exponent ``n_exp``, with both gaps None when
     a slope on the channel is undefined (a constant partition), or None when
-    the channel has no outliers or no inliers under ``threshold``.
+    the channel has no outliers or no inliers under ``OUTLIER_THRESHOLD``.
     """
     x_q = rec.x_q
     channel = int(np.argmax(excess_kurtosis(x_q)))
     xs = x_q[:, channel]
-    outliers = np.abs(xs) > threshold
+    outliers = np.abs(xs) > OUTLIER_THRESHOLD
     if not outliers.any() or outliers.all():
         return None
     kind = TransformKind("blt", n_exp)
     try:
-        return (channel, *slope_gap_analysis(xs, rec.residual[:, channel], threshold, kind))
+        return (channel, *slope_gap_analysis(xs, rec.residual[:, channel], OUTLIER_THRESHOLD, kind))
     except FitError:  # a slope is undefined on this channel: report absent
         return channel, None, None
 
@@ -726,7 +728,7 @@ def evaluate_pipeline(
     (``_row_chunks``): each chunk goes through every block of both forwards
     before the next one starts, and leaves only sums of its errors
     ``y - y_hat``: squared per block, absolute over the outlier
-    (``|x_q| > threshold``) and inlier positions. The means are
+    (``|x_q| > OUTLIER_THRESHOLD``) and inlier positions. The means are
     deterministic for a fixed ``EVAL_CHUNK_ROWS``, not whole-array means.
 
     Slope gaps use the calibration records of the last block (see
@@ -741,11 +743,7 @@ def evaluate_pipeline(
         raise ValueError(f"mode {mode!r} applies {label}, the modules apply {MODE_MAPS[found]}")
     chosen_n = modules[-1].kind.n_exp if modules else None
     # before the inputs are drawn, so its temporaries do not add to theirs
-    gap = channel_slope_gap(
-        calib.records[-1],
-        calib.spec.outlier_threshold,
-        chosen_n if chosen_n is not None else gap_reference_n,
-    )
+    gap = channel_slope_gap(calib.records[-1], chosen_n if chosen_n is not None else gap_reference_n)
     gap_before, gap_after = gap[1:] if gap is not None else (None, None)
 
     n_rows = EVAL_SET_MULTIPLIER * calib.n_samples
@@ -762,7 +760,7 @@ def evaluate_pipeline(
             # zc may be overwritten: in block 0 it is the evaluation set,
             # which the full-precision step has read by now
             zq, zc = calib.qmodel.block_step(k, zc, None if modules is None else modules[k])
-            outlier = np.abs(zq, out=zq) > calib.spec.outlier_threshold
+            outlier = np.abs(zq, out=zq) > OUTLIER_THRESHOLD
             # |y - y_hat| goes over zq, read for the last time above;
             # |e| * |e| has the bits of (y - y_hat) ** 2
             e = np.abs(np.subtract(as_tensor(z, "y"), as_tensor(zc, "y_hat"), out=zq), out=zq)

@@ -254,7 +254,7 @@ def test_criterion_10_int8_storage(tmp_path, desk_runs):
     # scales and record headers are amortized; at the default d=16 the
     # fixed per-block overhead dominates and no encoding can reach the
     # bound (int8 payload + scales alone exceed 0.55x of the f16 payload)
-    model = build_toy_model(64, 128, 4, seed=0, heavy_scale=1.3, heavy_input_scale=3.0)
+    model = build_toy_model(64, 128, 4, seed=0)
     calib = generate_calibration(model, 512, OutlierSpec(), seed=1)
     modules = [fit_nbc(rec, TransformKind("blt", 2.0)) for rec in calib.records]
     p16 = str(tmp_path / "m_f16.nbcb")

@@ -422,6 +422,14 @@ class TestAnalyzeOutliers:
         slopes = [abs(float(line.split(",")[1])) for line in sweep[1:]]
         assert slopes[-1] < slopes[0]
 
+    def test_block_without_outliers_gets_no_row(self, tmp_path, capsys):
+        # desk defaults with no amplified rows: no block's channel passes the threshold
+        path = tmp_path / "run.cfg"
+        path.write_text("outlier_fraction = 0\n")
+        out_dir = tmp_path / "analysis"
+        code, _, err = run_cli(["analyze-outliers", "--config", str(path), "--out", str(out_dir)], capsys)
+        assert code == 0, err
+        assert (out_dir / "slope_gap.csv").read_text() == "block,channel,n_exp,gap_before,gap_after\n"
 
     def test_undefined_slope_writes_empty_gap_cells(self, cfg_path, tmp_path, capsys, monkeypatch):
         import nbcq.harness as harness_mod
@@ -460,11 +468,7 @@ class TestAnalyzeOutliers:
 
 
 class TestSearchRowValidation:
-    @pytest.mark.parametrize(
-        "extra",
-        ["d = 16\nn_samples = 18\n", "d = 16\nn_samples = 64\nholdout_fraction = 0.9\n"],
-        ids=["n18-d16", "holdout0.9-n64"],
-    )
+    @pytest.mark.parametrize("extra", ["d = 16\nn_samples = 18\n"], ids=["n18-d16"])
     @pytest.mark.parametrize("command", ["calibrate", "search-n", "eval"])
     def test_too_few_fit_rows_exit_2_naming_keys(self, tmp_path, capsys, extra, command):
         path = tmp_path / "small.cfg"
@@ -474,7 +478,7 @@ class TestSearchRowValidation:
             args += ["--bundle", str(tmp_path / "absent.nbcb")]
         code, out, err = run_cli(args, capsys)
         assert_failed(code, err, 2, "config")
-        assert "n_samples" in err and "holdout_fraction" in err
+        assert "n_samples = 18" in err and "d + 1 = 17" in err
         assert out == ""
 
 
@@ -482,8 +486,6 @@ class TestSearchRowValidation:
 BAD_VALUES = [
     ("outlier_fraction = 0.5", "outlier_fraction"),
     ("outlier_scale = 0.5", "outlier_scale"),
-    ("outlier_threshold = 0", "outlier_threshold"),
-    ("holdout_fraction = 0.0", "holdout_fraction"),
     ("step = 0", "step"),
     ("n_init = 20", "n_init"),
     ("n_init = 15\nn_max = 20", "n_max"),
@@ -510,20 +512,13 @@ LIBRARY_RULE_LINES = [
     ("bits_a = 9", "bits_a must be in [2, 8], got 9"),
     ("outlier_fraction = 0.5", "outlier_fraction must be in [0, 0.2], got 0.5"),
     ("outlier_scale = 0.5", "outlier_scale must be >= 1, got 0.5"),
-    ("outlier_threshold = 0", "outlier_threshold must be > 0, got 0.0"),
     ("n_min = -14", "n_min must be >= -10.0, got -14.0"),
     ("n_max = 10.5", "n_max must be <= 10.0, got 10.5"),
     ("n_init = 20", "n_init must be in [n_min, n_max], got 20.0"),
     ("step = 1e-300", "step must be >= 0.015625, got 1e-300"),
-    ("holdout_fraction = 0.0", "holdout_fraction must be in (0, 1), got 0.0"),
     (
         "d = 16\nn_samples = 18",
-        "n_samples = 18 with holdout_fraction = 0.25 leaves 14 rows to fit on; "
-        "the search needs at least d + 1 = 17",
-    ),
-    (
-        "d = 16\nn_samples = 64\nholdout_fraction = 0.9",
-        "n_samples = 64 with holdout_fraction = 0.9 leaves 7 rows to fit on; "
+        "n_samples = 18 leaves 14 rows to fit on after the hold-out quarter; "
         "the search needs at least d + 1 = 17",
     ),
 ]
@@ -607,10 +602,13 @@ class TestConfigValues:
         assert err == f"error\tconfig\t{path}:{line}: unknown configuration key 'transform'\n"
         assert out == ""
 
-    @pytest.mark.parametrize("line", ["heavy_channel = 0", "out_dir = ."])
+    @pytest.mark.parametrize(
+        "line", ["heavy_channel = 0", "out_dir = .", "holdout_fraction = 0.25", "outlier_threshold = 10"]
+    )
     @pytest.mark.parametrize("command", ["calibrate", "search-n", "eval", "analyze-outliers", "export"])
     def test_removed_key_is_unknown_before_setup(self, tmp_path, capsys, monkeypatch, command, line):
-        # the heavy channel is fixed, and --out alone names an output path
+        # the heavy channel, the hold-out fraction and the outlier threshold
+        # are fixed, and --out alone names an output path
         import nbcq.cli as cli_mod
 
         def no_run(*args, **kwargs):
@@ -733,6 +731,44 @@ class TestEmptyOut:
         assert_failed(code, err, 2, "config")
         assert err == "error\tconfig\t--out must be a non-empty path, got ''\n"
         assert out == "" and os.listdir(tmp_path) == []
+
+
+class TestOutPath:
+    """A bad ``--out`` fails the same way on every run: the message names
+    the path given, never a temporary file, and no temporary file is left."""
+
+    def run_twice(self, tmp_path, capsys, args):
+        results = [run_cli(args, capsys) for _ in range(2)]
+        assert results[0] == results[1]
+        leftovers = [name for _, _, names in os.walk(tmp_path) for name in names if name.startswith(".nbc-")]
+        assert leftovers == []
+        return results[0]
+
+    @pytest.mark.parametrize("command", ["calibrate", "eval"])
+    def test_directory_rejected_before_setup_exit_2(self, tmp_path, capsys, monkeypatch, cfg_path, command):
+        import nbcq.cli as cli_mod
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run was set up")
+
+        monkeypatch.setattr(cli_mod, "_build_setup", no_run)
+        monkeypatch.setattr(cli_mod, "read_bundle", no_run)
+        out = tmp_path / "existing"
+        out.mkdir()
+        args = [command, "--config", cfg_path, "--out", str(out)]
+        if command == "eval":
+            args += ["--bundle", str(tmp_path / "comp.nbcb")]
+        code, stdout, err = self.run_twice(tmp_path, capsys, args)
+        assert_failed(code, err, 2, "config")
+        assert err == f"error\tconfig\t--out names a directory, {command} writes a file: {out}\n"
+        assert stdout == "" and os.listdir(out) == []
+
+    def test_missing_parent_directory_exit_1_naming_the_path(self, tmp_path, capsys, cfg_path):
+        out = str(tmp_path / "missing" / "b.nbcb")
+        code, stdout, err = self.run_twice(tmp_path, capsys, ["calibrate", "--config", cfg_path, "--out", out])
+        assert_failed(code, err, 1, "io")
+        assert err == f"error\tio\t[Errno 2] No such file or directory: {out!r}\n"
+        assert not (tmp_path / "missing").exists()
 
 
 class TestConfigEncoding:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,22 @@ class TestCalibrationRecord:
         rec = CalibrationRecord(codes, self.LEVELS, np.zeros((3, 1)))
         assert rec.codes.dtype == np.uint8 and rec.n_rows == 3
         assert rec.x_q.tobytes() == np.array([[3.0, -1.5], [0.0, 1.5], [3.0, 3.0]]).tobytes()
+
+
+class TestCompensationModule:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"storage": "f8"}, "unknown storage 'f8'"),
+            ({"weight": np.zeros((3, 3))}, "weight rows must match bias length"),
+            ({"storage": STORAGE_I8, "scales": np.ones(3)}, "per-row scales must match the weight row count"),
+        ],
+        ids=["unknown-storage", "weight-rows", "i8-scales-shape"],
+    )
+    def test_invalid_module_rejected(self, kwargs, message):
+        fields = {"kind": IDENTITY, "weight": np.zeros((2, 3)), "bias": np.zeros(2), **kwargs}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CompensationModule(**fields)
 
 
 class TestFitLinear:
@@ -238,6 +256,11 @@ class TestApply:
             expected = old_apply(mod, rec.x_q, y_q)
             assert out.shape == expected.shape
             assert out.tobytes() == expected.tobytes()
+
+    def test_y_q_of_another_width_rejected(self):
+        mod = CompensationModule(kind=IDENTITY, weight=np.zeros((2, 3)), bias=np.zeros(2))
+        with pytest.raises(ValueError, match="^y_q has 3 columns, module expects 2$"):
+            apply(mod, np.zeros((5, 3)), np.zeros((5, 3)))
 
     def test_dimension_checks(self):
         mod = CompensationModule(kind=IDENTITY, weight=np.zeros((2, 3)), bias=np.zeros(2))

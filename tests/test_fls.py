@@ -10,10 +10,12 @@ from nbcq.fls import (
     TERMINATED_BOUNDS,
     TERMINATED_LOCAL_MINIMUM,
     MIN_STEP,
+    HOLDOUT_FRACTION,
     FlsConfig,
     check_fit_rows,
     compute_feature_loss,
     fls_search,
+    holdout_count,
     holdout_split,
     search_n_for_pipeline,
 )
@@ -72,8 +74,9 @@ class TestHoldoutSplit:
         assert len(fit) == 3 and len(hold) == 1
 
     def test_minimum_one_holdout(self):
-        fit, hold = holdout_split(list(range(3)), FlsConfig(seed=0, holdout_fraction=0.01))
-        assert len(hold) == 1
+        # a quarter of 3 records floors to 0
+        fit, hold = holdout_split(list(range(3)), FlsConfig(seed=0))
+        assert len(fit) == 2 and len(hold) == 1
 
     def test_fewer_than_two_records(self):
         with pytest.raises(ValueError, match="at least 2"):
@@ -225,8 +228,6 @@ class TestFlsSearch:
             FlsConfig(n_init=11.0)
         with pytest.raises(ValueError):
             FlsConfig(step=0.0)
-        with pytest.raises(ValueError):
-            FlsConfig(holdout_fraction=1.0)
 
     def test_grid_outside_the_transform_range_rejected_naming_the_bound(self):
         # the transform takes n in [-10, 10]; a wider grid would only fail in the fit
@@ -249,32 +250,32 @@ class TestConfigMessages:
             ({"n_init": 11.0}, "n_init must be in [n_min, n_max], got 11.0"),
             ({"n_init": -3.0, "n_min": -2.0}, "n_init must be in [n_min, n_max], got -3.0"),
             ({"step": 0.0}, "step must be >= 0.015625, got 0.0"),
-            ({"holdout_fraction": 1.0}, "holdout_fraction must be in (0, 1), got 1.0"),
-            ({"holdout_fraction": 0.0}, "holdout_fraction must be in (0, 1), got 0.0"),
         ],
-        ids=["n_min", "n_max", "n_init-above", "n_init-below", "step", "holdout-1", "holdout-0"],
+        ids=["n_min", "n_max", "n_init-above", "n_init-below", "step"],
     )
     def test_flsconfig_names_key_bound_and_value(self, overrides, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             FlsConfig(**overrides)
 
     @pytest.mark.parametrize(
-        "n_samples, holdout, d, fit_rows",
-        [(18, 0.25, 16, 14), (64, 0.9, 16, 7), (2, 0.5, 1, 1)],
-        ids=["n18-d16", "holdout0.9-n64", "n2-d1"],
+        "n_samples, d, fit_rows", [(18, 16, 14), (2, 1, 1)], ids=["n18-d16", "n2-d1"]
     )
-    def test_too_few_fit_rows_named_with_the_keys(self, n_samples, holdout, d, fit_rows):
+    def test_too_few_fit_rows_named_with_the_keys(self, n_samples, d, fit_rows):
         message = (
-            f"n_samples = {n_samples} with holdout_fraction = {holdout} leaves {fit_rows} rows "
-            f"to fit on; the search needs at least d + 1 = {d + 1}"
+            f"n_samples = {n_samples} leaves {fit_rows} rows to fit on after the hold-out "
+            f"quarter; the search needs at least d + 1 = {d + 1}"
         )
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            check_fit_rows(n_samples, holdout, d)
+            check_fit_rows(n_samples, d)
 
     def test_smallest_accepted_fit_rows(self):
-        # 24 rows at 0.25 hold out 6 and fit on 18 = d + 1; 3 rows hold out 1 and fit on 2
-        assert check_fit_rows(24, 0.25, 17) is None
-        assert check_fit_rows(3, 0.01, 1) is None
+        # 24 rows hold out a quarter, 6, and fit on 18 = d + 1; 3 rows hold out 1 and fit on 2
+        assert check_fit_rows(24, 17) is None
+        assert check_fit_rows(3, 1) is None
+
+    def test_the_hold_out_is_a_fixed_quarter(self):
+        assert HOLDOUT_FRACTION == 0.25
+        assert [holdout_count(n) for n in (2, 4, 7, 8, 512)] == [1, 1, 1, 2, 128]
 
 
 class _RecordPipeline:

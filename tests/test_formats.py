@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import os
 import re
 import struct
@@ -23,11 +24,20 @@ from nbcq.errors import (
     TruncatedFileError,
 )
 from nbcq.fls import FlsConfig
-from nbcq.formats import BUNDLE_MAGIC, read_bundle, read_tensor, write_bundle, write_tensor
-from nbcq.harness import OutlierSpec
+from nbcq.formats import (
+    BUNDLE_MAGIC,
+    MAX_BUNDLE_BLOCKS,
+    atomic_write,
+    read_bundle,
+    read_tensor,
+    write_bundle,
+    write_tensor,
+)
+from nbcq.harness import OutlierSpec, build_toy_model, generate_calibration
 from nbcq.transform import IDENTITY, TransformKind
 
 from helpers import (
+    desk_setup,
     f16_roundtrip_struct,
     f32_roundtrip_struct,
     oversized_bundle_bytes,
@@ -133,6 +143,29 @@ class TestTensorFiles:
         path.write_bytes(oversized_tensor_header() + bytes(4))
         with pytest.raises(TruncatedFileError, match=f"tensor payload; expected {4 << 33} bytes, got 4$"):
             read_tensor(str(path))
+
+    def test_unsupported_dtype_rejected_before_writing(self, tmp_path):
+        path = tmp_path / "t.nbct"
+        with pytest.raises(ValueError, match="^unsupported tensor dtype int32$"):
+            write_tensor(str(path), np.zeros(3, dtype=np.int32))
+        assert os.listdir(tmp_path) == []
+
+
+class TestAtomicWrite:
+    def test_failed_rename_names_the_target_and_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "existing"
+        target.mkdir()
+        with pytest.raises(IsADirectoryError) as info:
+            atomic_write(str(target), b"data")
+        assert str(info.value) == f"[Errno 21] Is a directory: {str(target)!r}"
+        assert os.listdir(tmp_path) == ["existing"] and os.listdir(target) == []
+
+    def test_missing_directory_names_the_target(self, tmp_path):
+        target = str(tmp_path / "missing" / "b.nbcb")
+        with pytest.raises(FileNotFoundError) as info:
+            atomic_write(target, b"data")
+        assert str(info.value) == f"[Errno 2] No such file or directory: {target!r}"
+        assert os.listdir(tmp_path) == []
 
 
 class TestBundles:
@@ -377,6 +410,20 @@ def tensor_record(tmp_path, arr) -> bytes:
     return open(path, "rb").read()
 
 
+class TestBundleBlockCount:
+    def test_more_blocks_than_the_count_holds_rejected_before_encoding(self, tmp_path, monkeypatch):
+        import nbcq.formats as formats_mod
+
+        def no_encode(*args, **kwargs):
+            raise AssertionError("a block was encoded")
+
+        monkeypatch.setattr(formats_mod, "stored_tensors", no_encode)
+        mod = CompensationModule(kind=IDENTITY, weight=np.ones((1, 1)), bias=np.zeros(1))
+        with pytest.raises(ValueError, match=f"^bundle supports at most {MAX_BUNDLE_BLOCKS} blocks$"):
+            write_bundle(str(tmp_path / "b.nbcb"), [mod] * (MAX_BUNDLE_BLOCKS + 1))
+        assert MAX_BUNDLE_BLOCKS + 1 == 65536 and os.listdir(tmp_path) == []
+
+
 class TestRecordDtypes:
     """A bundle block's tensor records must have the file dtypes its storage
     keeps; a record of another dtype is refused, naming the block and role.
@@ -447,16 +494,33 @@ class TestRunConfigFile:
         assert dataclasses.asdict(RunConfig()) == {
             "d": 16, "h": 32, "n_blocks": 4, "n_samples": 512, "seed": 0, "bits_w": 4, "bits_a": 4,
             "mode": "nbc", "storage": "f32",
-            "n_init": 2.0, "n_min": -10.0, "n_max": 10.0, "step": 1.0, "holdout_fraction": 0.25,
-            "outlier_fraction": 0.1, "outlier_scale": 12.0, "outlier_threshold": 10.0,
+            "n_init": 2.0, "n_min": -10.0, "n_max": 10.0, "step": 1.0,
+            "outlier_fraction": 0.1, "outlier_scale": 12.0,
             "heavy_scale": 1.3, "heavy_input_scale": 3.0,
         }
 
+    def test_no_default_restates_a_library_default(self):
+        # a key named as a field or keyword of the library takes its default from there
+        library = {f.name: f.default for cls in (OutlierSpec, FlsConfig) for f in dataclasses.fields(cls)}
+        for fn in (build_toy_model, generate_calibration):
+            for param in inspect.signature(fn).parameters.values():
+                if param.default is not inspect.Parameter.empty:
+                    library[param.name] = param.default
+        shared = [f for f in dataclasses.fields(RunConfig) if f.name in library]
+        assert {f.name for f in shared} >= {"heavy_scale", "heavy_input_scale", "outlier_scale", "step"}
+        assert {f.name: f.default for f in shared} == {f.name: library[f.name] for f in shared}
+
+    def test_library_default_model_is_the_run_default_model(self):
+        run_model = desk_setup(0)[0]
+        library_model = build_toy_model(16, 32, 4, 0)
+        for a, b in zip(run_model.w1 + run_model.w2, library_model.w1 + library_model.w2):
+            assert a.tobytes() == b.tobytes()
+
     def test_builds_the_library_configs(self):
-        cfg = RunConfig(seed=5, outlier_threshold=4.0, n_init=1.0, step=0.5, holdout_fraction=0.5)
-        assert cfg.outlier_spec() == OutlierSpec(outlier_threshold=4.0)
+        cfg = RunConfig(seed=5, outlier_scale=4.0, n_init=1.0, step=0.5)
+        assert cfg.outlier_spec() == OutlierSpec(outlier_scale=4.0)
         # a run at seed s splits its hold-out at s + 2
-        assert cfg.search_config() == FlsConfig(n_init=1.0, step=0.5, holdout_fraction=0.5, seed=7)
+        assert cfg.search_config() == FlsConfig(n_init=1.0, step=0.5, seed=7)
 
     def test_unknown_key_named(self, tmp_path):
         path = tmp_path / "run.cfg"

@@ -18,6 +18,7 @@ from nbcq.harness import (
     HEAVY_CHANNEL,
     MODE_MAPS,
     MODES,
+    OUTLIER_THRESHOLD,
     OutlierSpec,
     QuantizedToyModel,
     ToyModel,
@@ -30,6 +31,7 @@ from nbcq.harness import (
     gelu,
     mode_of_modules,
     ols_scalar_bias,
+    scalar_slope,
     search_exponent,
     slope_gap_analysis,
     split_error_metrics,
@@ -117,10 +119,8 @@ class TestOutlierSpec:
             ({"outlier_fraction": -0.1}, "outlier_fraction must be in [0, 0.2], got -0.1"),
             ({"outlier_fraction": math.nan}, "outlier_fraction must be in [0, 0.2], got nan"),
             ({"outlier_scale": 0.5}, "outlier_scale must be >= 1, got 0.5"),
-            ({"outlier_threshold": 0.0}, "outlier_threshold must be > 0, got 0.0"),
-            ({"outlier_threshold": -2.5}, "outlier_threshold must be > 0, got -2.5"),
         ],
-        ids=["fraction-high", "fraction-negative", "fraction-nan", "scale", "threshold-0", "threshold-negative"],
+        ids=["fraction-high", "fraction-negative", "fraction-nan", "scale"],
     )
     def test_names_key_bound_and_value(self, overrides, message):
         # the words the command line prints after the config path
@@ -128,9 +128,14 @@ class TestOutlierSpec:
             OutlierSpec(**overrides)
 
     def test_bounds_themselves_accepted(self):
-        spec = OutlierSpec(outlier_fraction=0.2, outlier_scale=1.0, outlier_threshold=1e-300)
-        assert (spec.outlier_fraction, spec.outlier_scale, spec.outlier_threshold) == (0.2, 1.0, 1e-300)
+        spec = OutlierSpec(outlier_fraction=0.2, outlier_scale=1.0)
+        assert (spec.outlier_fraction, spec.outlier_scale) == (0.2, 1.0)
         assert OutlierSpec(outlier_fraction=0.0).outlier_fraction == 0.0
+
+    def test_the_outlier_threshold_is_fixed(self):
+        # the spec says how calibration data is made; which positions count as outliers is fixed
+        assert [f.name for f in dataclasses.fields(OutlierSpec)] == ["outlier_fraction", "outlier_scale"]
+        assert OUTLIER_THRESHOLD == 10.0
 
 
 class TestGenerateCalibration:
@@ -139,7 +144,7 @@ class TestGenerateCalibration:
             model, calib, _ = desk_setup(seed, outlier_fraction=0.0)
             assert calib.spec.outlier_fraction == 0.0
             peak = max(float(np.abs(rec.x_q).max()) for rec in calib.records)
-            assert peak < calib.spec.outlier_threshold
+            assert peak < OUTLIER_THRESHOLD
 
     def test_row_counts(self):
         model, calib, _ = desk_setup(0)
@@ -158,7 +163,7 @@ class TestGenerateCalibration:
     def test_outliers_present_under_default_spec(self):
         model, calib, _ = desk_setup(0)
         last = calib.records[-1]
-        assert (np.abs(last.x_q) > calib.spec.outlier_threshold).any()
+        assert (np.abs(last.x_q) > OUTLIER_THRESHOLD).any()
 
     def test_minimum_samples(self):
         # calibration records any row count; the fit rejects fewer than d + 1 rows
@@ -217,7 +222,7 @@ class TestCalibrationMemory:
         self, n_blocks, bits_a
     ):
         d, n_samples = 16, 512
-        model = build_toy_model(d, 32, n_blocks, seed=0, heavy_scale=1.3, heavy_input_scale=3.0)
+        model = build_toy_model(d, 32, n_blocks, seed=0)
         calib = generate_calibration(model, n_samples, OutlierSpec(), seed=1, bits_a=bits_a)
         held = [getattr(calib, f.name) for f in dataclasses.fields(calib)]
         held += [getattr(rec, f.name) for rec in calib.records for f in dataclasses.fields(rec)]
@@ -233,11 +238,11 @@ class TestCalibrationMemory:
 
     def test_search_peak_above_the_set_is_the_codes_and_a_few_arrays(self):
         d, h, n_blocks, n_samples = 16, 32, 8, 512
-        model = build_toy_model(d, h, n_blocks, seed=0, heavy_scale=1.3, heavy_input_scale=3.0)
+        model = build_toy_model(d, h, n_blocks, seed=0)
         calib = generate_calibration(model, n_samples, OutlierSpec(), seed=1)
         cfg = FlsConfig(seed=3)
         search_exponent(model, calib, cfg)  # one-off set-up stays out of the measurement
-        fit_rows = n_samples - holdout_count(n_samples, cfg.holdout_fraction)
+        fit_rows = n_samples - holdout_count(n_samples)
         codes = n_blocks * fit_rows * d  # the fit rows' codes as uint8
         tracemalloc.start()
         try:
@@ -303,7 +308,7 @@ class TestForwardCounts:
     def test_holdout_targets_equal_a_fresh_fp_forward(self, d, h, n_blocks, n_samples):
         # what the search relies on when it takes the recorded targets of
         # the hold-out rows: the forward of those rows alone has the same bits
-        model = build_toy_model(d, h, n_blocks, seed=5, heavy_scale=1.3, heavy_input_scale=3.0)
+        model = build_toy_model(d, h, n_blocks, seed=5)
         calib = generate_calibration(model, n_samples, OutlierSpec(), seed=6)
         _, rows = holdout_split(list(range(n_samples)), FlsConfig(seed=7))
         inputs = draw_inputs(model, n_samples, calib.spec, calib.seed)
@@ -465,7 +470,7 @@ def report_from_whole_forwards(model, calib, modules, report):
     losses, outlier_sums, inlier_sums, n_outliers = [], [], [], 0
     for (_, y), (x_q, y_hat) in zip(fp_io, comp_io):
         err = np.abs(y - y_hat)
-        outlier = np.abs(x_q) > calib.spec.outlier_threshold
+        outlier = np.abs(x_q) > OUTLIER_THRESHOLD
         losses.append(math.fsum(np.sum((y[c] - y_hat[c]) ** 2) for c in chunks) / y.size)
         outlier_sums += [np.sum(err[c][outlier[c]]) for c in chunks]
         inlier_sums += [np.sum(err[c][~outlier[c]]) for c in chunks]
@@ -491,7 +496,7 @@ class TestStreamedEvaluation:
         assert report.mae_outlier is not None and report.mae_inlier is not None
 
     def test_eight_block_report_equals_whole_forward_report(self):
-        model = build_toy_model(12, 40, 8, seed=21, heavy_scale=1.3, heavy_input_scale=3.0)
+        model = build_toy_model(12, 40, 8, seed=21)
         calib = generate_calibration(model, 96, OutlierSpec(), seed=22)
         cfg = FlsConfig(n_init=1.0, n_min=0.0, n_max=3.0, seed=23)
         modules, _ = fit_compensation(model, calib, "nbc", cfg=cfg)
@@ -501,7 +506,7 @@ class TestStreamedEvaluation:
 
     @staticmethod
     def chunk_setup(n_samples: int):
-        model = build_toy_model(12, 40, 4, seed=51, heavy_scale=1.3, heavy_input_scale=3.0)
+        model = build_toy_model(12, 40, 4, seed=51)
         calib = generate_calibration(model, n_samples, OutlierSpec(), seed=52)
         return model, calib, FlsConfig(n_init=1.0, n_min=0.0, n_max=3.0, seed=53)
 
@@ -551,7 +556,7 @@ class TestStreamedEvaluation:
 
     @staticmethod
     def eval_peak_bytes(n_blocks: int) -> int:
-        model = build_toy_model(8, 128, n_blocks, seed=31, heavy_scale=1.3, heavy_input_scale=3.0)
+        model = build_toy_model(8, 128, n_blocks, seed=31)
         calib = generate_calibration(model, 256, OutlierSpec(), seed=32)
         modules, _ = fit_compensation(model, calib, "linear", cfg=FlsConfig())
         return traced_eval_peak(model, calib, modules, "linear")
@@ -571,7 +576,7 @@ class TestStreamedEvaluation:
         # 32 MiB) outweighs the evaluation inputs (8192 x 8 float64,
         # 0.5 MiB) many times; a chunk's is an eighth of it
         d, h, n_samples = 8, 512, 2048
-        model = build_toy_model(d, h, 2, seed=61, heavy_scale=1.3, heavy_input_scale=3.0)
+        model = build_toy_model(d, h, 2, seed=61)
         calib = generate_calibration(model, n_samples, OutlierSpec(), seed=62)
         modules, _ = fit_compensation(model, calib, "linear", cfg=FlsConfig())
         hidden_bytes = EVAL_SET_MULTIPLIER * n_samples * h * 8
@@ -592,7 +597,7 @@ class TestStreamedEvaluation:
         # temporaries. No rows x d array besides the inputs is left: one
         # more would cost eight chunk arrays.
         d, h, n_blocks, n_samples = 64, 32, 4, 2048
-        model = build_toy_model(d, h, n_blocks, seed=41, heavy_scale=1.3, heavy_input_scale=3.0)
+        model = build_toy_model(d, h, n_blocks, seed=41)
         calib = generate_calibration(model, n_samples, OutlierSpec(), seed=42)
         cfg = FlsConfig(n_init=1.0, n_min=0.0, n_max=2.0, seed=43)
         modules, _ = fit_compensation(model, calib, mode, cfg=cfg)
@@ -637,15 +642,13 @@ class TestSearchRowValidation:
             monkeypatch.setattr(harness_mod, name, counting)
         return calls
 
-    @pytest.mark.parametrize(
-        "n_samples, holdout", [(18, 0.25), (64, 0.9)], ids=["n18-d16", "holdout0.9-n64"]
-    )
-    def test_too_few_fit_rows_rejected_before_any_fit(self, monkeypatch, n_samples, holdout):
+    @pytest.mark.parametrize("n_samples", [18], ids=["n18-d16"])
+    def test_too_few_fit_rows_rejected_before_any_fit(self, monkeypatch, n_samples):
         model = build_toy_model(16, 32, 2, seed=0)
         calib = generate_calibration(model, n_samples, OutlierSpec(), seed=1)
         calls = self.count_calls(monkeypatch, "fit_nbc", "fit_nbc_levels", "level_codes")
-        with pytest.raises(ValueError, match="n_samples.*holdout_fraction"):
-            fit_compensation(model, calib, "nbc", cfg=FlsConfig(holdout_fraction=holdout, seed=2))
+        with pytest.raises(ValueError, match=r"^n_samples = 18 leaves 14 rows .* d \+ 1 = 17$"):
+            fit_compensation(model, calib, "nbc", cfg=FlsConfig(seed=2))
         assert calls == []
 
     def test_smallest_accepted_split_fits(self, monkeypatch):
@@ -849,7 +852,7 @@ class TestSearchOracle:
         ids=["desk", "mid"],
     )
     def test_search_equals_reference_bit_for_bit(self, d, h, n_blocks, n_samples, cfg, bits_a):
-        model = build_toy_model(d, h, n_blocks, seed=0, heavy_scale=1.3, heavy_input_scale=3.0)
+        model = build_toy_model(d, h, n_blocks, seed=0)
         calib = generate_calibration(model, n_samples, OutlierSpec(), seed=1, bits_a=bits_a)
         modules, result = fit_compensation(model, calib, "nbc", cfg=cfg)
         ref_modules, ref = reference_search(model, calib, cfg)
@@ -905,6 +908,10 @@ class TestSlopeGapAnalysis:
         res = fls_search(FlsConfig(), gap_after_of)
         before, after = slope_gap_analysis(x, r, 5.0, TransformKind("blt", res.chosen_n))
         assert after < before
+
+    def test_scalar_slope_of_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="^x and r must have equal length$"):
+            scalar_slope([1.0, 2.0, 3.0], [1.0, 2.0])
 
     def test_empty_partitions_rejected(self):
         with pytest.raises(ValueError, match="outlier"):
@@ -995,7 +1002,7 @@ class TestKurtosisChannelSelection:
         model, calib, _ = desk_setup(0)
         channel = int(np.argmax(excess_kurtosis(calib.records[-1].x_q)))
         xs = calib.records[-1].x_q[:, channel]
-        assert (np.abs(xs) > calib.spec.outlier_threshold).any()
+        assert (np.abs(xs) > OUTLIER_THRESHOLD).any()
 
     def test_constant_column_never_chosen(self):
         rng = np.random.default_rng(75)

@@ -65,6 +65,10 @@ class TestSolveLeastSquares:
         with pytest.raises(FitError, match="at least"):
             solve_least_squares(np.ones((3, 3)), np.ones((3, 1)))
 
+    def test_design_and_targets_of_other_row_counts_rejected(self):
+        with pytest.raises(ValueError, match="^design has 4 rows but targets has 3$"):
+            solve_least_squares(np.ones((4, 1)), np.ones((3, 1)))
+
     def test_negative_ridge_rejected(self):
         with pytest.raises(ValueError):
             solve_least_squares(np.ones((4, 1)), np.ones((4, 1)), ridge=-1.0)
