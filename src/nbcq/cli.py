@@ -45,13 +45,15 @@ n_exp, gap_before, gap_after) and ``wstar_sweep.csv`` (outlier_magnitude,
 slope) into the ``--out`` directory; it and export write to the working
 directory without ``--out``. A block whose slope is undefined on its
 analysis channel gets empty gap cells, and a block with no outliers on it
-no row. ``calibrate`` and ``eval`` reject an ``--out`` directory before setup.
+no row. A bad ``--out`` (a directory where a file goes, a missing parent
+directory, a file in the way) fails before setup.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import math
 import os
@@ -219,8 +221,6 @@ def _fmt(value) -> str:
 
 
 def cmd_calibrate(cfg: RunConfig, out_path: str) -> int:
-    if cfg.mode == "none":
-        raise ConfigError("mode=none has no compensation to calibrate")
     model, calib, fls_cfg = _build_setup(cfg)
     modules, fls_result = fit_compensation(model, calib, cfg.mode, cfg=fls_cfg)
     # A parameter beyond the range of its storage type fails here, naming
@@ -243,8 +243,8 @@ def cmd_search_n(cfg: RunConfig) -> int:
     model, calib, fls_cfg = _build_setup(cfg)
     fls_result = search_exponent(model, calib, fls_cfg)
     for n in sorted(fls_result.history):
-        print(f"{_fmt(float(n))}\t{_fmt(fls_result.history[n])}")
-    print(f"chosen\t{_fmt(float(fls_result.chosen_n))}")
+        print(f"{_fmt(n)}\t{_fmt(fls_result.history[n])}")
+    print(f"chosen\t{_fmt(fls_result.chosen_n)}")
     return 0
 
 
@@ -315,7 +315,7 @@ def cmd_analyze_outliers(cfg: RunConfig, directory: str) -> int:
         if gap is None:  # no outliers on its channel: the block gets no row
             continue
         channel, before, after = gap
-        values = [block, channel, _fmt(float(n_exp)), _fmt(before), _fmt(after)]
+        values = [block, channel, _fmt(n_exp), _fmt(before), _fmt(after)]
         gap_rows.append(dict(zip(gap_columns, values)))
 
     # Sweep the closed-form two-population slope over the outlier magnitude
@@ -391,6 +391,16 @@ def _dispatch(args: argparse.Namespace) -> int:
     cfg = read_run_config(config)
     if seed is not None:
         cfg = replace(cfg, seed=seed)
+    if args.command == "calibrate" and cfg.mode == "none":
+        raise ConfigError("mode=none has no compensation to calibrate")
+    # An --out the write would fail on fails here, before setup, with the
+    # OSError the write would raise.
+    if out is not None and args.command in ("calibrate", "eval"):
+        if not os.path.exists(os.path.dirname(os.path.abspath(out))):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
+    elif out is not None and args.command in ("analyze-outliers", "export"):
+        if os.path.exists(out) and not os.path.isdir(out):
+            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), out)
     if args.command == "calibrate":
         return cmd_calibrate(cfg, out)
     if args.command == "search-n":

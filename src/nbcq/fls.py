@@ -1,13 +1,13 @@
 """Feature-loss driven local search for the threshold exponent.
 
 The search walks a one-dimensional grid n_init + k * step inside
-[n_min, n_max] with a FIFO queue. It seeds the queue with the initial
-point and its two neighbors, then expands rightward from points above the
-start and leftward from points below it, one step per dequeue. After each
-evaluation it checks whether the just-completed neighborhood certifies a
-local minimum (a point strictly below both grid neighbors); once one is
-certified, expansion stops but candidates already queued still get
-evaluated. The reported exponent is the argmin over everything evaluated,
+[n_min, n_max] in a fixed order: the offsets k = 0, +1, -1, +2, -2, ...,
+each side ending at its bound. After scoring an offset it checks the grid
+point one step from it toward n_init, which is a certified local minimum
+once it and both its neighbours are scored and it lies strictly below
+both. At the first certificate the walk scores at most one more
+candidate, the next in the order if it lies on the other side of n_init,
+and stops. The reported exponent is the argmin over everything evaluated,
 with ties broken toward the earliest-explored candidate so runs are
 reproducible. The search is local by design: a deeper valley beyond an
 intervening rise is never visited.
@@ -20,9 +20,9 @@ set) plugs in through the same ``evaluator`` callable.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from itertools import chain, count, takewhile, zip_longest
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -31,8 +31,6 @@ from .numerics import as_tensor
 from .transform import N_EXP_RANGE
 
 __all__ = [
-    "TERMINATED_LOCAL_MINIMUM",
-    "TERMINATED_BOUNDS",
     "MIN_STEP",
     "HOLDOUT_FRACTION",
     "FlsConfig",
@@ -44,9 +42,6 @@ __all__ = [
     "fls_search",
     "search_n_for_pipeline",
 ]
-
-TERMINATED_LOCAL_MINIMUM = "local_minimum"
-TERMINATED_BOUNDS = "bounds_exhausted"
 
 # The finest grid step: N_EXP_RANGE then holds at most 1,281 grid points, and
 # n_init + k * step moves with every k, so the walk ends. A step so small that
@@ -90,8 +85,11 @@ class FlsResult:
 
     chosen_n: float
     history: dict[float, float] = field(repr=False)
-    evaluations: int
-    terminated_by: str
+
+    @property
+    def evaluations(self) -> int:
+        """How many candidates the search scored."""
+        return len(self.history)
 
 
 def compute_feature_loss(f_full, f_quant) -> float:
@@ -118,28 +116,42 @@ def check_fit_rows(n_samples: int, d: int) -> None:
         )
 
 
-def holdout_split(records: Sequence, cfg: FlsConfig) -> tuple[list, list]:
-    """Split a record list into disjoint (fit_set, holdout_set) lists.
+def holdout_split(n_records: int, cfg: FlsConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Split the record indices ``0 .. n_records - 1`` into disjoint
+    (fit, holdout) index arrays.
 
     A seeded permutation picks the hold-out quarter, floor(n *
     HOLDOUT_FRACTION) records and at least 1, so the 512-record default
-    splits 384/128. Each side keeps the records in their input order.
+    splits 384/128. Each array is sorted ascending.
     """
-    n_records = len(records)
     if n_records < 2:
         raise ValueError(f"need at least 2 records to split, got {n_records}")
     n_hold = holdout_count(n_records)
     perm = np.random.default_rng(cfg.seed).permutation(n_records)
-    hold = np.sort(perm[:n_hold])
-    fit = np.sort(perm[n_hold:])
-    return [records[i] for i in fit], [records[i] for i in hold]
+    return np.sort(perm[n_hold:]), np.sort(perm[:n_hold])
+
+
+def _visit_order(cfg: FlsConfig) -> Iterator[int]:
+    """The grid offsets k = 0, +1, -1, +2, -2, ..., each side ending at its bound."""
+    up = takewhile(lambda k: cfg.n_init + k * cfg.step <= cfg.n_max, count(1))
+    down = takewhile(lambda k: cfg.n_init + k * cfg.step >= cfg.n_min, count(-1, -1))
+    return chain([0], (k for k in chain.from_iterable(zip_longest(up, down)) if k is not None))
 
 
 def fls_search(cfg: FlsConfig, evaluator: Callable[[float], float]) -> FlsResult:
-    """Run the queue-driven neighborhood search over the exponent grid.
+    """Score the exponent grid in its visit order until a local minimum is certified.
+
+    The order is n_init, then one step up, one step down, two steps up, two
+    steps down and so on, each side ending at its bound. After scoring
+    offset k the walk takes j, the grid point one step from k toward
+    n_init: j is certified once j - 1, j and j + 1 are scored and j's loss
+    is strictly below both neighbours'. At the first certificate the walk
+    scores at most one more candidate, the next in the order if it lies on
+    the other side of n_init from k, and stops; without one it ends at both
+    bounds. The choice is the earliest-scored of the least finite losses.
 
     ``evaluator`` must be a pure function of the candidate exponent; calls
-    never overlap and queue order is part of the contract (it feeds the
+    never overlap and the visit order is part of the contract (it feeds the
     tie-break). The failures a pipeline raises on purpose, a ``ValueError``
     (such as a finiteness check) or a :class:`FitError`, propagate as
     :class:`EvaluatorError` with the offending exponent attached; any other
@@ -148,82 +160,52 @@ def fls_search(cfg: FlsConfig, evaluator: Callable[[float], float]) -> FlsResult
     """
     # Candidates are tracked as integer offsets k with N = n_init + k*step,
     # so grid points compare exactly and no point is evaluated twice.
-    def n_of(k: int) -> float:
-        return cfg.n_init + k * cfg.step
-
+    order = _visit_order(cfg)
     losses: dict[int, float] = {}
     history: dict[float, float] = {}
-    queue: deque[int] = deque()
-    found_local_min = False
 
-    queue.append(0)
-    if n_of(1) <= cfg.n_max:
-        queue.append(1)
-    if n_of(-1) >= cfg.n_min:
-        queue.append(-1)
-
-    def is_local_min(k: int) -> bool:
-        return (
-            k in losses
-            and k - 1 in losses
-            and k + 1 in losses
-            and losses[k] < losses[k - 1]
-            and losses[k] < losses[k + 1]
-        )
-
-    while queue:
-        k = queue.popleft()
-        n = n_of(k)
+    def score(k: int) -> None:
+        n = cfg.n_init + k * cfg.step
         try:
             loss = float(evaluator(n))
         except (ValueError, FitError) as exc:
             raise EvaluatorError(f"evaluator failed at n_exp={n!r}: {exc}") from exc
-        losses[k] = loss
-        history[n] = loss
+        losses[k] = history[n] = loss
 
-        if k > 1 and is_local_min(k - 1):
-            found_local_min = True
-        if k < 0 and is_local_min(k + 1):
-            found_local_min = True
+    for k in order:
+        score(k)
+        j = k - int(np.sign(k))  # at k = 0, j = 0 certifies nothing: no neighbour is scored yet
+        # an unscored neighbour reads NaN, and no comparison with NaN holds
+        if losses[j] < losses.get(j - 1, np.nan) and losses[j] < losses.get(j + 1, np.nan):
+            following = next(order, 0)  # an exhausted order gives 0, on neither side
+            if following * k < 0:
+                score(following)
+            break
 
-        if not found_local_min:
-            if k > 0 and n_of(k + 1) <= cfg.n_max:
-                queue.append(k + 1)
-            elif k < 0 and n_of(k - 1) >= cfg.n_min:
-                queue.append(k - 1)
-
-    chosen = None
-    best = np.inf
-    for n, loss in history.items():  # insertion order breaks ties
-        if loss < best:
-            best = loss
-            chosen = n
-    if chosen is None:
+    finite = [n for n, loss in history.items() if loss < np.inf]  # NaN is not below inf
+    if not finite:
         raise EvaluatorError(
             f"no candidate scored a finite loss: {len(history)} scored, "
             f"n_exp in [{min(history)!r}, {max(history)!r}]"
         )
-    return FlsResult(
-        chosen_n=chosen,
-        history=history,
-        evaluations=len(history),
-        terminated_by=TERMINATED_LOCAL_MINIMUM if found_local_min else TERMINATED_BOUNDS,
-    )
+    # min keeps the first of equal keys, so the earliest-scored candidate wins a tie
+    return FlsResult(chosen_n=min(finite, key=history.get), history=history)
 
 
-def search_n_for_pipeline(records: Sequence, cfg: FlsConfig, pipeline) -> FlsResult:
+def search_n_for_pipeline(n_records: int, cfg: FlsConfig, pipeline) -> FlsResult:
     """Select the exponent with the hold-out protocol.
 
-    The record list is split once into fit and hold-out sets; every
-    candidate is fitted on the former (``pipeline.fit(records, n_exp)``)
-    and scored on the latter (``pipeline.holdout_loss(fitted, records)``,
-    the feature loss of the fitted pipeline on those records). No call sees
-    the whole record list: the caller fits the chosen exponent on it.
+    The indices of ``n_records`` records are split once into fit and
+    hold-out index arrays (:func:`holdout_split`); every candidate is
+    fitted on the former (``pipeline.fit(rows, n_exp)``) and scored on the
+    latter (``pipeline.holdout_loss(fitted, rows)``, the feature loss of
+    the fitted pipeline on those records). No call sees every record: the
+    caller fits the chosen exponent on them all.
     """
-    fit_set, holdout_set = holdout_split(records, cfg)
+    fit_rows, holdout_rows = holdout_split(n_records, cfg)
 
     def evaluator(n_exp: float) -> float:
-        fitted = pipeline.fit(fit_set, n_exp)
-        return pipeline.holdout_loss(fitted, holdout_set)
+        fitted = pipeline.fit(fit_rows, n_exp)
+        return pipeline.holdout_loss(fitted, holdout_rows)
 
     return fls_search(cfg, evaluator)

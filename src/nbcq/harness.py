@@ -442,10 +442,10 @@ def generate_calibration(
 class _RowSearchPipeline:
     """Adapts blockwise fitting to the hold-out search over sample rows.
 
-    The search's record units are row indices into the calibration set; it
-    fits on the fit rows only and keeps no module, since
-    ``fit_compensation`` fits the kept ones on every row. A candidate does
-    only the work that depends on its exponent:
+    The search's rows are sorted ``intp`` index arrays into the calibration
+    set (``fls.holdout_split``); it fits on the fit rows only and keeps no
+    module, since ``fit_compensation`` fits the kept ones on every row. A
+    candidate does only the work that depends on its exponent:
 
     * Fit: each block input is held as codes into its level table, so the
       fit transforms the levels only and gathers them by the fit rows'
@@ -463,16 +463,14 @@ class _RowSearchPipeline:
     def __init__(self, calib: CalibrationSet):
         self.calib = calib
 
-    def fit(self, records: Sequence[int], n_exp: float) -> list[CompensationModule]:
-        rows = np.asarray(list(records), dtype=np.intp)
+    def fit(self, rows: np.ndarray, n_exp: float) -> list[CompensationModule]:
         kind = TransformKind("blt", n_exp)
         return [
             fit_nbc_levels(rec.levels, rec.codes[rows], rec.residual[rows], kind)
             for rec in self.calib.records
         ]
 
-    def holdout_loss(self, fitted: list[CompensationModule], records: Sequence[int]) -> float:
-        rows = np.asarray(list(records), dtype=np.intp)
+    def holdout_loss(self, fitted: list[CompensationModule], rows: np.ndarray) -> float:
         first = self.calib.records[0]
         z = apply(fitted[0], first.levels[first.codes[rows]], self.calib.y_q_first[rows])
         for k in range(1, len(fitted)):
@@ -543,7 +541,7 @@ def search_exponent(model: ToyModel, calib: CalibrationSet, cfg: FlsConfig) -> F
     rows, which fits no kept module. Too few fit rows raise ValueError
     before any fit (``fls.check_fit_rows``)."""
     check_fit_rows(calib.n_samples, model.d)
-    return search_n_for_pipeline(list(range(calib.n_samples)), cfg, _RowSearchPipeline(calib))
+    return search_n_for_pipeline(calib.n_samples, cfg, _RowSearchPipeline(calib))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ augmented system, fake quantization goes through int64 codes and a
 separate dequantize step, binary16 and binary32 rounding go through
 struct's codecs, the scalar no-intercept slope gets a grid scan
 refined by an exact three-point parabola vertex, and the exponent search
-gets an exhaustive walk of its grid. The blockwise training loss scores
+gets an exhaustive walk of its grid and, for its visit order and stop
+rule, a walk driven by a FIFO queue. The blockwise training loss scores
 each block's module on its own calibration record, apart from the
 forward that deploys the modules. The reference search runs each exponent
 candidate the direct way: ``fit_nbc`` on every block's sliced record, and
@@ -20,12 +21,14 @@ tests run the steps the command runs: setup, fit, evaluate.
 from __future__ import annotations
 
 import struct
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
 
 from nbcq.cli import RunConfig, _build_setup
 from nbcq.compensation import STORAGE_F32, CalibrationRecord, apply, fit_nbc, store_params
+from nbcq.errors import EvaluatorError, FitError
 from nbcq.fls import compute_feature_loss, search_n_for_pipeline
 from nbcq.harness import draw_inputs, evaluate_pipeline, fit_compensation
 from nbcq.transform import TransformKind
@@ -85,16 +88,14 @@ class _ReferenceRowSearch:
         self.calib = calib
         self.inputs = inputs
 
-    def fit(self, records, n_exp):
-        rows = np.asarray(list(records), dtype=np.intp)
+    def fit(self, rows, n_exp):
         kind = TransformKind("blt", n_exp)
         return [
             fit_nbc(record_of(rec.x_q[rows], rec.residual[rows]), kind)
             for rec in self.calib.records
         ]
 
-    def holdout_loss(self, fitted, records):
-        rows = np.asarray(list(records), dtype=np.intp)
+    def holdout_loss(self, fitted, rows):
         comp = self.calib.qmodel.compensated_block_io(self.inputs[rows], fitted)[-1][1]
         return compute_feature_loss(self.calib.y_last[rows], comp)
 
@@ -107,7 +108,7 @@ def reference_search(model, calib, cfg):
     against the recorded targets, then ``fit_nbc`` on every row at the
     chosen exponent."""
     inputs = draw_inputs(model, calib.n_samples, calib.spec, calib.seed)
-    result = search_n_for_pipeline(list(range(calib.n_samples)), cfg, _ReferenceRowSearch(calib, inputs))
+    result = search_n_for_pipeline(calib.n_samples, cfg, _ReferenceRowSearch(calib, inputs))
     kind = TransformKind("blt", result.chosen_n)
     return [fit_nbc(rec, kind) for rec in calib.records], result
 
@@ -203,3 +204,73 @@ def exhaustive_grid_minimum(cfg, loss) -> float:
         if value < best:
             best, best_n = value, n
     return best_n
+
+
+def queue_walk_search(cfg, evaluator) -> tuple[float, dict[float, float]]:
+    """``(chosen_n, history)`` of the exponent search run as a FIFO queue
+    walk, the oracle of ``fls.fls_search``'s visit order and stop rule.
+
+    The queue is seeded with offsets 0, +1 and -1 (those inside the
+    bounds); dequeuing k > 0 enqueues k + 1 and dequeuing k < 0 enqueues
+    k - 1, while inside the bounds and until a local minimum is certified.
+    After each evaluation the point one step back toward 0 is checked
+    (from k > 1 and from k < 0); once one is certified, nothing more is
+    enqueued but what is queued is still evaluated. Failures and the
+    choice follow ``fls_search``'s contract.
+    """
+    def n_of(k: int) -> float:
+        return cfg.n_init + k * cfg.step
+
+    losses: dict[int, float] = {}
+    history: dict[float, float] = {}
+    queue: deque[int] = deque()
+    found_local_min = False
+
+    queue.append(0)
+    if n_of(1) <= cfg.n_max:
+        queue.append(1)
+    if n_of(-1) >= cfg.n_min:
+        queue.append(-1)
+
+    def is_local_min(k: int) -> bool:
+        return (
+            k in losses
+            and k - 1 in losses
+            and k + 1 in losses
+            and losses[k] < losses[k - 1]
+            and losses[k] < losses[k + 1]
+        )
+
+    while queue:
+        k = queue.popleft()
+        n = n_of(k)
+        try:
+            loss = float(evaluator(n))
+        except (ValueError, FitError) as exc:
+            raise EvaluatorError(f"evaluator failed at n_exp={n!r}: {exc}") from exc
+        losses[k] = loss
+        history[n] = loss
+
+        if k > 1 and is_local_min(k - 1):
+            found_local_min = True
+        if k < 0 and is_local_min(k + 1):
+            found_local_min = True
+
+        if not found_local_min:
+            if k > 0 and n_of(k + 1) <= cfg.n_max:
+                queue.append(k + 1)
+            elif k < 0 and n_of(k - 1) >= cfg.n_min:
+                queue.append(k - 1)
+
+    chosen = None
+    best = np.inf
+    for n, loss in history.items():
+        if loss < best:
+            best = loss
+            chosen = n
+    if chosen is None:
+        raise EvaluatorError(
+            f"no candidate scored a finite loss: {len(history)} scored, "
+            f"n_exp in [{min(history)!r}, {max(history)!r}]"
+        )
+    return chosen, history

@@ -770,6 +770,46 @@ class TestOutPath:
         assert err == f"error\tio\t[Errno 2] No such file or directory: {out!r}\n"
         assert not (tmp_path / "missing").exists()
 
+    @pytest.mark.parametrize(
+        "command, out, message",
+        [
+            ("calibrate", "missing/b.nbcb", "[Errno 2] No such file or directory"),
+            ("eval", "missing/eval.csv", "[Errno 2] No such file or directory"),
+            ("analyze-outliers", "in_the_way", "[Errno 17] File exists"),
+            ("export", "in_the_way", "[Errno 17] File exists"),
+        ],
+        ids=["calibrate", "eval", "analyze-outliers", "export"],
+    )
+    def test_unwritable_out_rejected_before_setup_exit_1(
+        self, tmp_path, capsys, monkeypatch, cfg_path, command, out, message
+    ):
+        # the error the write would raise, without the setup and search before it
+        import nbcq.cli as cli_mod
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run was set up")
+
+        monkeypatch.setattr(cli_mod, "_build_setup", no_run)
+        monkeypatch.setattr(cli_mod, "read_bundle", no_run)
+        (tmp_path / "in_the_way").write_text("a file\n")
+        out = str(tmp_path / out)
+        args = [command, "--config", cfg_path, "--out", out]
+        if command in ("eval", "export"):
+            args += ["--bundle", str(tmp_path / "comp.nbcb")]
+        code, stdout, err = self.run_twice(tmp_path, capsys, args)
+        assert_failed(code, err, 1, "io")
+        assert err == f"error\tio\t{message}: {out!r}\n"
+        assert stdout == "" and not (tmp_path / "missing").exists()
+        assert (tmp_path / "in_the_way").read_text() == "a file\n"
+
+    @pytest.mark.parametrize("config_line", ["d = x", "mode = none"], ids=["bad-value", "mode-none"])
+    def test_config_error_reported_before_the_out_path(self, tmp_path, capsys, config_line):
+        path = tmp_path / "run.cfg"
+        path.write_text(config_line + "\n")
+        out = str(tmp_path / "missing" / "b.nbcb")
+        code, _, err = run_cli(["calibrate", "--config", str(path), "--out", out], capsys)
+        assert_failed(code, err, 2, "config")
+
 
 class TestConfigEncoding:
     def test_non_utf8_config_exits_2_naming_path(self, tmp_path, capsys, monkeypatch):

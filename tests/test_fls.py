@@ -7,8 +7,6 @@ import pytest
 from nbcq.compensation import CalibrationRecord
 from nbcq.errors import EvaluatorError, FitError
 from nbcq.fls import (
-    TERMINATED_BOUNDS,
-    TERMINATED_LOCAL_MINIMUM,
     MIN_STEP,
     HOLDOUT_FRACTION,
     FlsConfig,
@@ -20,7 +18,7 @@ from nbcq.fls import (
     search_n_for_pipeline,
 )
 
-from helpers import exhaustive_grid_minimum, grid_points
+from helpers import exhaustive_grid_minimum, grid_points, queue_walk_search
 
 
 class TestComputeFeatureLoss:
@@ -46,41 +44,39 @@ class TestComputeFeatureLoss:
 
 class TestHoldoutSplit:
     def test_512_records_split_384_128(self):
-        records = list(range(512))
-        fit, hold = holdout_split(records, FlsConfig(seed=5))
+        fit, hold = holdout_split(512, FlsConfig(seed=5))
+        assert fit.dtype == hold.dtype == np.intp
         assert len(fit) == 384 and len(hold) == 128
-        assert sorted(fit + hold) == records
+        assert sorted([*fit, *hold]) == list(range(512))
         assert not set(fit) & set(hold)
 
     def test_same_seed_identical_partition(self):
-        records = list(range(100))
         cfg = FlsConfig(seed=77)
-        assert holdout_split(records, cfg) == holdout_split(records, cfg)
+        for a, b in zip(holdout_split(100, cfg), holdout_split(100, cfg), strict=True):
+            assert np.array_equal(a, b)
 
     def test_different_seed_differs(self):
-        records = list(range(100))
-        a = holdout_split(records, FlsConfig(seed=1))
-        b = holdout_split(records, FlsConfig(seed=2))
-        assert a != b
+        a = holdout_split(100, FlsConfig(seed=1))
+        b = holdout_split(100, FlsConfig(seed=2))
+        assert not np.array_equal(a[1], b[1])
 
     def test_each_side_keeps_the_input_order(self):
-        records = list(range(101))
         for seed in range(5):
-            fit, hold = holdout_split(records, FlsConfig(seed=seed))
-            assert fit == sorted(fit) and hold == sorted(hold)
+            fit, hold = holdout_split(101, FlsConfig(seed=seed))
+            assert list(fit) == sorted(fit) and list(hold) == sorted(hold)
 
     def test_four_records_floor_rule(self):
-        fit, hold = holdout_split(list(range(4)), FlsConfig(seed=0))
+        fit, hold = holdout_split(4, FlsConfig(seed=0))
         assert len(fit) == 3 and len(hold) == 1
 
     def test_minimum_one_holdout(self):
         # a quarter of 3 records floors to 0
-        fit, hold = holdout_split(list(range(3)), FlsConfig(seed=0))
+        fit, hold = holdout_split(3, FlsConfig(seed=0))
         assert len(fit) == 2 and len(hold) == 1
 
     def test_fewer_than_two_records(self):
         with pytest.raises(ValueError, match="at least 2"):
-            holdout_split([1], FlsConfig())
+            holdout_split(1, FlsConfig())
 
 
 class TestFlsSearch:
@@ -89,12 +85,10 @@ class TestFlsSearch:
         assert list(res.history.keys()) == [2.0, 3.0, 1.0, 4.0, 0.0]
         assert res.chosen_n == 3.0
         assert res.evaluations == 5
-        assert res.terminated_by == TERMINATED_LOCAL_MINIMUM
 
     def test_increasing_loss_from_lower_bound(self):
         res = fls_search(FlsConfig(n_init=-10.0), lambda n: n)
         assert res.chosen_n == -10.0
-        assert res.terminated_by == TERMINATED_BOUNDS
 
     def test_flat_landscape_ties_to_first_explored(self):
         res = fls_search(FlsConfig(), lambda n: 42.0)
@@ -107,7 +101,6 @@ class TestFlsSearch:
         res = fls_search(FlsConfig(), lambda n: losses.get(n, 50.0))
         assert res.chosen_n == 3.0
         assert -8.0 not in res.history
-        assert res.terminated_by == TERMINATED_LOCAL_MINIMUM
 
     def test_unimodal_landscapes_find_grid_global_minimum(self):
         rng = np.random.default_rng(61)
@@ -139,14 +132,16 @@ class TestFlsSearch:
             assert res.evaluations <= grid_points(cfg)
 
     def test_local_minimum_certificate(self):
+        # a walk that stops short of the whole grid has certified a local minimum
         rng = np.random.default_rng(71)
+        cfg = FlsConfig()
         for _ in range(20):
             values = {}
             def evaluator(n):
                 values[n] = float(rng.uniform(0, 1))
                 return values[n]
-            res = fls_search(FlsConfig(), evaluator)
-            if res.terminated_by == TERMINATED_LOCAL_MINIMUM:
+            res = fls_search(cfg, evaluator)
+            if res.evaluations < grid_points(cfg):
                 certified = [
                     n
                     for n in res.history
@@ -238,6 +233,80 @@ class TestFlsSearch:
         FlsConfig(n_init=-10.0, n_min=-10.0, n_max=10.0)  # the bounds themselves are fine
 
 
+def _random_grid(rng) -> FlsConfig:
+    """A grid with random bounds (on the quarter grid half the time, so grid
+    points land on them), n_init inside or at a bound, and step >= MIN_STEP."""
+    def point():
+        return float(rng.integers(-40, 41)) / 4 if rng.random() < 0.5 else float(rng.uniform(-10, 10))
+
+    lo, hi = sorted((point(), point()))
+    inside = min(max(lo + (hi - lo) * float(rng.random()), lo), hi)
+    n_init = [lo, hi, inside, inside, inside][rng.integers(5)]
+    step = [MIN_STEP, 0.25, 1.0, 2.0**rng.uniform(-6, 2)][rng.integers(4)]
+    return FlsConfig(n_init=n_init, n_min=lo, n_max=hi, step=step, seed=0)
+
+
+def _random_landscape(rng, cfg):
+    """Outcomes over the grid offsets of ``cfg``: few loss levels (ties),
+    some inf, -inf and NaN, and some candidates that raise. Returns a
+    factory of pure evaluators, each logging its calls into the given list."""
+    reach = int(max(cfg.n_max - cfg.n_init, cfg.n_init - cfg.n_min) / cfg.step) + 2
+    size = 2 * reach + 1
+    losses = rng.integers(0, rng.integers(1, 6), size).astype(float)
+    share = [0.0, 0.05, 0.3][rng.integers(3)]
+    kinds = np.where(rng.random(size) < share, rng.integers(1, 7, size), 0)
+    losses[kinds == 1], losses[kinds == 2], losses[kinds == 3] = np.inf, -np.inf, np.nan
+    losses, raises = losses.tolist(), (kinds - 3).tolist()  # 1, 2, 3: ValueError, FitError, TypeError
+
+    def make(calls):
+        def evaluator(n):
+            calls.append(n)
+            i = reach + round((n - cfg.n_init) / cfg.step)
+            if raises[i] == 1:
+                raise ValueError(f"not finite at {n!r}")
+            if raises[i] == 2:
+                raise FitError("singular")
+            if raises[i] == 3:
+                raise TypeError("a bug")
+            return losses[i]
+
+        return evaluator
+
+    return make
+
+
+class TestWalkOracle:
+    """The visit-order walk calls the evaluator at the grid points the queue
+    walk in ``helpers`` calls, in the same order, and chooses, counts and
+    fails as it does."""
+
+    @staticmethod
+    def outcome(search, cfg, landscape):
+        calls = []
+        try:
+            chosen, history, evaluations = search(cfg, landscape(calls))
+        except (EvaluatorError, TypeError) as exc:
+            return calls, type(exc), str(exc)
+        # NaN losses compare equal through repr
+        return calls, chosen, repr(list(history.items())), evaluations
+
+    def test_random_grids_match_the_queue_walk(self):
+        def visit_order_walk(cfg, evaluator):
+            res = fls_search(cfg, evaluator)
+            return res.chosen_n, res.history, res.evaluations
+
+        def queue_walk(cfg, evaluator):
+            chosen, history = queue_walk_search(cfg, evaluator)
+            return chosen, history, len(history)
+
+        rng = np.random.default_rng(89)
+        for trial in range(5000):
+            cfg = _random_grid(rng)
+            landscape = _random_landscape(rng, cfg)
+            want = self.outcome(queue_walk, cfg, landscape)
+            assert self.outcome(visit_order_walk, cfg, landscape) == want, (trial, cfg)
+
+
 class TestConfigMessages:
     """Each rule's ValueError names the key, the bound and the value, in the
     words the command line prints after the config path."""
@@ -278,40 +347,43 @@ class TestConfigMessages:
         assert [holdout_count(n) for n in (2, 4, 7, 8, 512)] == [1, 1, 1, 2, 128]
 
 
-class _RecordPipeline:
-    """Minimal record-list pipeline: fits a scalar mean, scores on records."""
+class _RowPipeline:
+    """Minimal row-index pipeline: records the rows of each call, scores by exponent."""
 
     def __init__(self, loss_by_n=None):
         self.loss_by_n = loss_by_n or {}
         self.fit_calls = []
+        self.holdout_rows = []
 
-    def fit(self, records, n_exp):
-        self.fit_calls.append((len(records), n_exp))
+    def fit(self, rows, n_exp):
+        self.fit_calls.append((rows, n_exp))
         return n_exp
 
-    def holdout_loss(self, fitted, records):
+    def holdout_loss(self, fitted, rows):
+        self.holdout_rows.append(rows)
         return self.loss_by_n.get(fitted, 1.0)
 
 
 class TestSearchForPipeline:
     def test_flat_loss_returns_n_init_and_fits_only_the_fit_set(self):
-        records = [object() for _ in range(16)]
-        pipeline = _RecordPipeline()
-        res = search_n_for_pipeline(records, FlsConfig(seed=3), pipeline)
+        pipeline = _RowPipeline()
+        res = search_n_for_pipeline(16, FlsConfig(seed=3), pipeline)
         assert res.chosen_n == 2.0
         # one fit per candidate, each on the fit subset only: no refit on every record
         assert [n for _, n in pipeline.fit_calls] == list(res.history)
-        assert all(count == 12 for count, _ in pipeline.fit_calls)
+        assert all(len(rows) == 12 for rows, _ in pipeline.fit_calls)
 
     def test_evaluation_budget(self):
         cfg = FlsConfig()
-        pipeline = _RecordPipeline({n: abs(n - 4.0) for n in np.arange(-10.0, 11.0)})
-        res = search_n_for_pipeline(list(range(8)), cfg, pipeline)
+        pipeline = _RowPipeline({n: abs(n - 4.0) for n in np.arange(-10.0, 11.0)})
+        res = search_n_for_pipeline(8, cfg, pipeline)
         assert res.evaluations <= grid_points(cfg)
 
     def test_record_level_split_respected(self):
-        records = list(range(512))
-        pipeline = _RecordPipeline()
-        search_n_for_pipeline(records, FlsConfig(seed=11), pipeline)
-        search_sizes = {count for count, _ in pipeline.fit_calls}
-        assert search_sizes == {384}
+        pipeline = _RowPipeline()
+        search_n_for_pipeline(512, FlsConfig(seed=11), pipeline)
+        fit, hold = holdout_split(512, FlsConfig(seed=11))
+        assert pipeline.fit_calls and len(pipeline.holdout_rows) == len(pipeline.fit_calls)
+        assert all(np.array_equal(rows, fit) for rows, _ in pipeline.fit_calls)
+        assert all(np.array_equal(rows, hold) for rows in pipeline.holdout_rows)
+        assert len(fit) == 384

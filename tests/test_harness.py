@@ -310,7 +310,7 @@ class TestForwardCounts:
         # the hold-out rows: the forward of those rows alone has the same bits
         model = build_toy_model(d, h, n_blocks, seed=5)
         calib = generate_calibration(model, n_samples, OutlierSpec(), seed=6)
-        _, rows = holdout_split(list(range(n_samples)), FlsConfig(seed=7))
+        _, rows = holdout_split(n_samples, FlsConfig(seed=7))
         inputs = draw_inputs(model, n_samples, calib.spec, calib.seed)
         fresh = model.block_io(inputs[rows])[-1][1]
         assert fresh.tobytes() == calib.y_last[rows].tobytes()
@@ -859,9 +859,7 @@ class TestSearchOracle:
 
         assert result.evaluations >= 3
         assert list(result.history.items()) == list(ref.history.items())
-        assert (result.chosen_n, result.evaluations, result.terminated_by) == (
-            ref.chosen_n, ref.evaluations, ref.terminated_by
-        )
+        assert (result.chosen_n, result.evaluations) == (ref.chosen_n, ref.evaluations)
         for mod, want in zip(modules, ref_modules, strict=True):
             assert mod.kind == want.kind
             assert mod.weight.tobytes() == want.weight.tobytes()
