@@ -17,13 +17,14 @@ configuration errors; failures print one machine-parsable line to stderr,
 
 The run configuration is line-oriented ``key = value`` UTF-8 text (a
 leading byte order mark is skipped) with ``#`` comments, one key per
-``RunConfig`` field; the hold-out quarter (``fls.HOLDOUT_FRACTION``) and
-the outlier threshold (``harness.OUTLIER_THRESHOLD``) are fixed. Every
-command checks the whole config: unknown keys
-and every value the run would reject once it starts or a bundle cannot
-hold are rejected by name. The mode alone names the map; eval takes it
-from the bundle, where a block of another kind than block 0's is a
-``format`` error naming the block.
+``RunConfig`` field; the hold-out quarter (``fls.HOLDOUT_FRACTION``), the
+outlier threshold (``harness.OUTLIER_THRESHOLD``) and the toy model's
+heavy-channel gains (``harness.build_toy_model``) are fixed. Every command
+checks the whole config: unknown keys and every value the run would
+reject once it starts or a bundle cannot hold are rejected by name, and
+a shape too large to allocate fails before any fit. The mode alone names
+the map; eval takes it from the bundle, where a block of another kind
+than block 0's is a ``format`` error naming the block.
 
 The eval CSV has one row per block: the ``EvalReport`` fields in order,
 each repeated on every row, then the block index and the block's entry of
@@ -45,8 +46,9 @@ n_exp, gap_before, gap_after) and ``wstar_sweep.csv`` (outlier_magnitude,
 slope) into the ``--out`` directory; it and export write to the working
 directory without ``--out``. A block whose slope is undefined on its
 analysis channel gets empty gap cells, and a block with no outliers on it
-no row. A bad ``--out`` (a directory where a file goes, a missing parent
-directory, a file in the way) fails before setup.
+no row. search-n writes no file and takes no ``--out``. A bad ``--out``
+(a directory where a file goes, a missing parent directory, a file in
+the way) fails before setup.
 """
 
 from __future__ import annotations
@@ -112,8 +114,6 @@ class RunConfig:
     step: float = FlsConfig.step
     outlier_fraction: float = OutlierSpec.outlier_fraction
     outlier_scale: float = OutlierSpec.outlier_scale
-    heavy_scale: float = build_toy_model.__kwdefaults__["heavy_scale"]
-    heavy_input_scale: float = build_toy_model.__kwdefaults__["heavy_input_scale"]
 
     def outlier_spec(self) -> OutlierSpec:
         """The calibration's outlier spec; ValueError names a key out of its bounds."""
@@ -198,20 +198,22 @@ def read_run_config(path: str) -> RunConfig:
 
 def _build_setup(cfg: RunConfig) -> tuple[ToyModel, CalibrationSet, FlsConfig]:
     spec = cfg.outlier_spec()
-    model = build_toy_model(cfg.d, cfg.h, cfg.n_blocks, cfg.seed,
-                            heavy_scale=cfg.heavy_scale, heavy_input_scale=cfg.heavy_input_scale)
-    # Large scales can overflow the weights or the calibration forward; the
+    # A large outlier scale can overflow the calibration forward; the
     # finiteness checks turn that into the one ValueError an accepted config
-    # can still raise here.
+    # can still raise here. Arrays too large to allocate are a config error too.
     try:
+        model = build_toy_model(cfg.d, cfg.h, cfg.n_blocks, cfg.seed)
         calib = generate_calibration(
             model, cfg.n_samples, spec, cfg.seed + 1, bits_w=cfg.bits_w, bits_a=cfg.bits_a
         )
+    except MemoryError as exc:
+        raise ConfigError(
+            f"d = {cfg.d!r}, h = {cfg.h!r}, n_blocks = {cfg.n_blocks!r}, "
+            f"n_samples = {cfg.n_samples!r} do not fit in memory ({exc})"
+        ) from None
     except ValueError as exc:
         raise ConfigError(
-            f"the calibration forward overflows at outlier_scale = {cfg.outlier_scale!r}, "
-            f"heavy_scale = {cfg.heavy_scale!r}, heavy_input_scale = {cfg.heavy_input_scale!r} "
-            f"({exc})"
+            f"the calibration forward overflows at outlier_scale = {cfg.outlier_scale!r} ({exc})"
         ) from None
     return model, calib, cfg.search_config()
 
@@ -391,6 +393,8 @@ def _dispatch(args: argparse.Namespace) -> int:
     cfg = read_run_config(config)
     if seed is not None:
         cfg = replace(cfg, seed=seed)
+    if args.command == "search-n" and out is not None:
+        raise ConfigError(f"search-n writes no file, so it takes no --out: {out}")
     if args.command == "calibrate" and cfg.mode == "none":
         raise ConfigError("mode=none has no compensation to calibrate")
     # An --out the write would fail on fails here, before setup, with the

@@ -258,7 +258,8 @@ def build_toy_model(
     (fan-in) by ``heavy_input_scale``. The first gives the residual stream a
     heavy-tailed channel; the second makes the hidden layer's response, and
     with it the weight-quantization error, grow with that channel's value.
-    The two defaults are the run configuration's, which reads them here.
+    The two gains are the toy model's fixed values: no run configuration
+    key sets them.
     """
     check_model_shape(d, h, n_blocks)
     rng = np.random.default_rng(seed)
@@ -291,19 +292,11 @@ class QuantizedToyModel:
         float64 pass (``quantizer.fake_quantize``)."""
         return fake_quantize(x, p, out)
 
-    def block_io(self, x) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Quantized forward; per block (dequantized input, output)."""
-        return self._block_io(x, None)
-
     def compensated_block_io(
-        self, x, modules: Sequence[CompensationModule] | None
+        self, x, modules: Sequence[CompensationModule] | None = None
     ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Quantized forward with per-block compensation feeding forward."""
-        return self._block_io(x, modules)
-
-    def _block_io(
-        self, x, modules: Sequence[CompensationModule] | None
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Quantized forward, per block (dequantized input, output); with
+        ``modules``, each block's compensation feeds forward."""
         z = as_tensor(x, "inputs", ndim=2)
         pairs = []
         for k in range(len(self.w1q)):
@@ -312,6 +305,8 @@ class QuantizedToyModel:
             zq, z = self.block_step(k, z.copy(), None if modules is None else modules[k])
             pairs.append((zq, z))
         return pairs
+
+    block_io = compensated_block_io
 
     def block_step(
         self, k: int, z: np.ndarray, module: CompensationModule | None = None

@@ -172,8 +172,6 @@ def quantize_per_channel(w, bits: int) -> np.ndarray:
     """
     bits = check_bits(bits)
     arr = as_tensor(w, "weight", ndim=2)
-    if arr.shape[0] == 0:
-        return np.empty(arr.shape)
     if arr.shape[1] == 0:
         raise ValueError("calibration tensor is empty")
     scale, zero = _scale_zero(arr.min(axis=1), arr.max(axis=1), bits)

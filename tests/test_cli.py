@@ -161,9 +161,26 @@ class TestSearchN:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(harness_mod, name, counting)
-        code, _, err = run_cli([command, "--config", cfg_path, "--out", str(tmp_path / "out")], capsys)
+        out_args = [] if command == "search-n" else ["--out", str(tmp_path / "out")]
+        code, _, err = run_cli([command, "--config", cfg_path, *out_args], capsys)
         assert code == 0, err
         assert calls["fit_nbc"] == 0 and calls["fit_nbc_levels"] > 0
+
+    def test_out_rejected_before_setup_exit_2(self, cfg_path, tmp_path, capsys, monkeypatch):
+        # search-n prints its map and writes no file, so an --out would be ignored
+        import nbcq.cli as cli_mod
+
+        def no_setup(*args, **kwargs):
+            raise AssertionError("the run was set up")
+
+        monkeypatch.setattr(cli_mod, "_build_setup", no_setup)
+        out_path = tmp_path / "map.tsv"
+        results = [run_cli(["search-n", "--config", cfg_path, "--out", str(out_path)], capsys) for _ in range(2)]
+        assert results[0] == results[1]
+        code, out, err = results[0]
+        assert_failed(code, err, 2, "config")
+        assert err == f"error\tconfig\tsearch-n writes no file, so it takes no --out: {out_path}\n"
+        assert out == "" and not out_path.exists()
 
 
 class TestEval:
@@ -492,9 +509,6 @@ BAD_VALUES = [
     ("bits_w = 0", "bits_w"),
     ("d = 0", "d"),
     ("seed = -1", "seed"),
-    ("heavy_scale = nan", "heavy_scale"),
-    ("heavy_scale = inf", "heavy_scale"),
-    ("heavy_input_scale = -inf", "heavy_input_scale"),
     ("outlier_scale = inf", "outlier_scale"),
     ("step = inf", "step"),
     ("step = 1e-300", "step"),
@@ -603,12 +617,16 @@ class TestConfigValues:
         assert out == ""
 
     @pytest.mark.parametrize(
-        "line", ["heavy_channel = 0", "out_dir = .", "holdout_fraction = 0.25", "outlier_threshold = 10"]
+        "line",
+        [
+            "heavy_channel = 0", "out_dir = .", "holdout_fraction = 0.25", "outlier_threshold = 10",
+            "heavy_scale = nan", "heavy_input_scale = -inf",
+        ],
     )
     @pytest.mark.parametrize("command", ["calibrate", "search-n", "eval", "analyze-outliers", "export"])
     def test_removed_key_is_unknown_before_setup(self, tmp_path, capsys, monkeypatch, command, line):
-        # the heavy channel, the hold-out fraction and the outlier threshold
-        # are fixed, and --out alone names an output path
+        # the heavy channel and its gains, the hold-out fraction and the
+        # outlier threshold are fixed, and --out alone names an output path
         import nbcq.cli as cli_mod
 
         def no_run(*args, **kwargs):
@@ -646,8 +664,7 @@ class TestBundleBlockLimit:
 
     # every other rule passes: one fit row more than d, a linear fit
     LIMIT_CFG = (
-        "d = 1\nh = 1\nn_samples = 3\nmode = linear\nheavy_scale = 1\n"
-        "heavy_input_scale = 1\noutlier_fraction = 0\n"
+        "d = 1\nh = 1\nn_samples = 3\nmode = linear\noutlier_fraction = 0\n"
     )
 
     @pytest.mark.parametrize(
@@ -867,14 +884,13 @@ class TestRepeatedKey:
         assert out == ""
 
 
-# values that validation accepts but that overflow the weights or the
-# calibration forward of the desk defaults, each with the array its error names
+# outlier scales that validation accepts but that overflow the calibration
+# forward, each with the failed check's message
 OVERFLOWING = {
-    "heavy_input_scale = 1e300": "calibration tensor",
-    "heavy_scale = 1e150": "calibration tensor",
-    "heavy_scale = 1e100": "y",  # only the last block's output
-    "outlier_scale = 1.7e308": "inputs",  # the drawn inputs
-    "d = 1\nheavy_input_scale = 1.7e308": "weight",  # the model's weights
+    "outlier_scale = 1e308": "calibration tensor contains non-finite values",
+    "outlier_scale = 8e307": "scale must be positive and finite, got inf",  # an activation range
+    "d = 1\nh = 1\nn_blocks = 1\nseed = 1\noutlier_scale = 1e308": "y contains non-finite values",
+    "outlier_scale = 1.7e308": "inputs contains non-finite values",  # the drawn inputs
 }
 
 
@@ -889,11 +905,36 @@ class TestSetupOverflow:
         path = tmp_path / "overflow.cfg"
         path.write_text(extra + "\n")
         bundle = tmp_path / "comp.nbcb"
-        code, out, err = run_cli([command, "--config", str(path), "--out", str(bundle)], capsys)
+        out_args = ["--out", str(bundle)] if command == "calibrate" else []
+        code, out, err = run_cli([command, "--config", str(path), *out_args], capsys)
         assert_failed(code, err, 2, "config")
-        assert all(key in err for key in ("outlier_scale", "heavy_scale", "heavy_input_scale"))
-        assert err.endswith(f" ({OVERFLOWING[extra]} contains non-finite values)\n")
+        scale = float(extra.rsplit(" = ", 1)[1])
+        assert err.startswith(f"error\tconfig\tthe calibration forward overflows at outlier_scale = {scale!r} (")
+        assert err.endswith(f" ({OVERFLOWING[extra]})\n")
         assert fits == [] and out == "" and not bundle.exists()
+
+
+class TestSetupTooLargeForMemory:
+    """A shape the config accepts but no array of it can be allocated fails
+    before any fit with the one config line, naming the shape keys."""
+
+    @pytest.mark.parametrize("line", ["n_samples = 1000000000000000", "h = 1000000000000000"])
+    @pytest.mark.parametrize("command", ["calibrate", "search-n"])
+    def test_exit_2_with_one_config_line(self, tmp_path, command, line):
+        # a child process, so that a traceback would show on its stderr; each
+        # array is larger than a 2^47-byte address space, so its allocation
+        # fails at once and no memory is touched
+        path = tmp_path / "run.cfg"
+        path.write_text(line + "\n")
+        bundle = tmp_path / "comp.nbcb"
+        out_args = ["--out", str(bundle)] if command == "calibrate" else []
+        results = [run_module([command, "--config", str(path), *out_args], tmp_path) for _ in range(2)]
+        assert results[0] == results[1]
+        code, out, err = results[0]
+        assert_failed(code, err, 2, "config")
+        assert all(f"{key} = " in err for key in ("d", "h", "n_blocks", "n_samples"))
+        assert "do not fit in memory (Unable to allocate " in err
+        assert out == "" and os.listdir(tmp_path) == ["run.cfg"]
 
 
 class TestOverflowBeyondCalibration:
@@ -927,7 +968,8 @@ class TestOverflowBeyondCalibration:
         path = tmp_path / "run.cfg"
         path.write_text("outlier_scale = 1e5\n")
         bundle = tmp_path / "comp.nbcb"
-        code, out, err = run_module([command, "--config", str(path), "--out", str(bundle)], tmp_path)
+        out_args = ["--out", str(bundle)] if command == "calibrate" else []
+        code, out, err = run_module([command, "--config", str(path), *out_args], tmp_path)
         assert_failed(code, err, 1, "evaluator")
         assert "non-finite" in err
         assert out == "" and not bundle.exists()
@@ -941,7 +983,8 @@ class TestNoFiniteCandidate:
         path = tmp_path / "run.cfg"
         path.write_text("outlier_scale = 1e3\nseed = 2\nn_init = 4\nn_min = 4\nn_max = 4\n")
         bundle = tmp_path / "comp.nbcb"
-        code, out, err = run_module([command, "--config", str(path), "--out", str(bundle)], tmp_path)
+        out_args = ["--out", str(bundle)] if command == "calibrate" else []
+        code, out, err = run_module([command, "--config", str(path), *out_args], tmp_path)
         assert_failed(code, err, 1, "evaluator")
         assert "no candidate scored a finite loss" in err
         assert out == "" and not bundle.exists()

@@ -496,7 +496,6 @@ class TestRunConfigFile:
             "mode": "nbc", "storage": "f32",
             "n_init": 2.0, "n_min": -10.0, "n_max": 10.0, "step": 1.0,
             "outlier_fraction": 0.1, "outlier_scale": 12.0,
-            "heavy_scale": 1.3, "heavy_input_scale": 3.0,
         }
 
     def test_no_default_restates_a_library_default(self):
@@ -507,7 +506,7 @@ class TestRunConfigFile:
                 if param.default is not inspect.Parameter.empty:
                     library[param.name] = param.default
         shared = [f for f in dataclasses.fields(RunConfig) if f.name in library]
-        assert {f.name for f in shared} >= {"heavy_scale", "heavy_input_scale", "outlier_scale", "step"}
+        assert {f.name for f in shared} >= {"outlier_scale", "step"}
         assert {f.name: f.default for f in shared} == {f.name: library[f.name] for f in shared}
 
     def test_library_default_model_is_the_run_default_model(self):

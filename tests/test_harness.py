@@ -211,6 +211,22 @@ class TestGenerateCalibration:
         ev = draw_inputs(model, 512, calib.spec, calib.seed + EVAL_SEED_OFFSET)
         assert not np.array_equal(ev, draw_inputs(model, calib.n_samples, calib.spec, calib.seed))
 
+    @pytest.mark.parametrize(
+        "d, gains, array",
+        [
+            (16, {"heavy_input_scale": 1e300}, "calibration tensor"),
+            (16, {"heavy_scale": 1e150}, "calibration tensor"),
+            (16, {"heavy_scale": 1e100}, "y"),  # only the last block's output
+            (1, {"heavy_input_scale": 1.7e308}, "weight"),  # the model's weights
+        ],
+    )
+    def test_overflowing_gains_fail_a_finiteness_check(self, d, gains, array):
+        # desk shape and draws; the gains are not run configuration keys
+        with np.errstate(over="ignore", invalid="ignore"):
+            model = build_toy_model(d, 32, 4, seed=0, **gains)
+            with pytest.raises(ValueError, match=f"^{array} contains non-finite values$"):
+                generate_calibration(model, 512, OutlierSpec(), seed=1, bits_w=4, bits_a=4)
+
 
 class TestCalibrationMemory:
     """What calibration keeps and what the search adds to it, in bytes, so

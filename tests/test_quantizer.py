@@ -177,7 +177,11 @@ class TestPerChannelOracle:
     def test_zero_row_weight_still_checks_the_bit_width(self):
         with pytest.raises(ValueError, match=r"^bits must be in \[2, 8\], got 99$"):
             quantize_per_channel(np.zeros((0, 3)), 99)
-        assert quantize_per_channel(np.zeros((0, 3)), 4).shape == (0, 3)
+        empty = quantize_per_channel(np.zeros((0, 3)), 4)
+        assert empty.shape == (0, 3) and empty.dtype == np.float64
+        # a weight with no column is empty, with rows or without
+        with pytest.raises(ValueError, match="^calibration tensor is empty$"):
+            quantize_per_channel(np.zeros((0, 0)), 4)
 
 
 class TestProperties:
