@@ -47,8 +47,8 @@ slope) into the ``--out`` directory; it and export write to the working
 directory without ``--out``. A block whose slope is undefined on its
 analysis channel gets empty gap cells, and a block with no outliers on it
 no row. search-n writes no file and takes no ``--out``. A bad ``--out``
-(a directory where a file goes, a missing parent directory, a file in
-the way) fails before setup.
+(a directory where a file goes, a parent directory that is missing or a
+file, a file in the way) fails before setup.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ import numpy as np
 from .compensation import STORAGE_F32, STORAGE_NAMES, store_params, stored_tensors
 from .errors import ConfigError, EvaluatorError, FormatError, NbcError
 from .fls import FlsConfig, check_fit_rows
-from .formats import MAX_BUNDLE_BLOCKS, atomic_write, read_bundle, write_bundle, write_tensor
+from .formats import MAX_BUNDLE_BLOCKS, atomic_write, check_writable, read_bundle, write_bundle, write_tensor
 from .harness import (
     MODES,
     CalibrationSet,
@@ -197,6 +197,8 @@ def read_run_config(path: str) -> RunConfig:
 
 
 def _build_setup(cfg: RunConfig) -> tuple[ToyModel, CalibrationSet, FlsConfig]:
+    """The run's model, built at ``seed``; its calibration set, drawn at
+    ``seed + 1``; and its search, split at ``seed + 2`` (``search_config``)."""
     spec = cfg.outlier_spec()
     # A large outlier scale can overflow the calibration forward; the
     # finiteness checks turn that into the one ValueError an accepted config
@@ -400,8 +402,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     # An --out the write would fail on fails here, before setup, with the
     # OSError the write would raise.
     if out is not None and args.command in ("calibrate", "eval"):
-        if not os.path.exists(os.path.dirname(os.path.abspath(out))):
-            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
+        check_writable(out)
     elif out is not None and args.command in ("analyze-outliers", "export"):
         if os.path.exists(out) and not os.path.isdir(out):
             raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), out)

@@ -60,6 +60,7 @@ __all__ = [
     "FORMAT_VERSION",
     "MAX_BUNDLE_BLOCKS",
     "atomic_write",
+    "check_writable",
     "write_tensor",
     "read_tensor",
     "write_bundle",
@@ -100,8 +101,7 @@ def atomic_write(path: str, data: bytes) -> None:
     names ``path``, and no temporary file is left."""
     tmp = None
     try:
-        directory = os.path.dirname(os.path.abspath(path))
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".nbc-", suffix=".tmp")
+        fd, tmp = _temp_beside(path)
         with os.fdopen(fd, "wb") as f:
             f.write(data)
         os.replace(tmp, path)
@@ -112,6 +112,23 @@ def atomic_write(path: str, data: bytes) -> None:
         if isinstance(exc, OSError):
             raise OSError(exc.errno, exc.strerror, path) from None
         raise
+
+
+def check_writable(path: str) -> None:
+    """Make and remove the temporary file ``atomic_write(path, ...)`` starts
+    with, so that a path the write would fail on fails now, with an OSError
+    naming ``path``; ``path`` itself is not touched."""
+    try:
+        fd, tmp = _temp_beside(path)
+        os.close(fd)
+        os.unlink(tmp)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+
+
+def _temp_beside(path: str) -> tuple[int, str]:
+    """A new temporary file in the directory of ``path``: (descriptor, name)."""
+    return tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".nbc-", suffix=".tmp")
 
 
 def _read_exact(f, count: int, path: str, what: str) -> bytes:

@@ -43,10 +43,7 @@ the temporaries of a step and of a module's apply are chunk-sized; the
 quantized input is written over the compensated stream's input, and
 ``|y - y_hat|`` over the quantized input once its outlier flags are
 taken. Each block of a chunk is scored at once and leaves only sums, so
-at its peak evaluation holds the inputs and one chunk's arrays. gelu and
-fake-quant take an ``out=`` array, which may be their input itself; any
-other ``out=`` must not overlap the input, since the kernels run tile by
-tile.
+at its peak evaluation holds the inputs and one chunk's arrays.
 
 Conventions fixed here and relied on by the analyses:
 
@@ -54,10 +51,12 @@ Conventions fixed here and relied on by the analyses:
   (x + 0.044715*x^3))); the two constants are frozen. The cube is
   computed as the product x*x*x (numpy's power is far slower), and the
   rest of the expression in that order on one tile-sized scratch array.
-* seed derivation: a pipeline seed s builds the model at s, draws
-  calibration inputs at s + 1, splits the hold-out at s + 2 and draws the
-  evaluation set (4x the calibration size, disjoint by construction) at
-  calibration seed + 104729.
+* seed derivation: the evaluation set (4x the calibration size, disjoint
+  by construction) is drawn at the calibration seed + ``EVAL_SEED_OFFSET``.
+  The other seeds are the caller's: a command-line run builds the model
+  at its seed s, draws the calibration inputs at s + 1
+  (``cli._build_setup``) and splits the hold-out at s + 2
+  (``RunConfig.search_config``).
 * the channel-pair for slope-gap analysis is the column of the last
   block's quantized input with maximal excess kurtosis, paired with the
   same output column.
@@ -158,8 +157,8 @@ OUTLIER_THRESHOLD = 10.0
 def gelu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Smooth asymmetric activation (tanh-form gelu, constants frozen).
 
-    Computed tile by tile; the result goes to ``out`` if given, which may
-    be ``x`` itself (see ``numerics.map_tiles``).
+    Computed tile by tile into a new array; ``out``, if given, is ``x``,
+    which is written over (see ``numerics.map_tiles``).
     """
     return map_tiles(_gelu_tile, x, out)
 
@@ -289,7 +288,7 @@ class QuantizedToyModel:
         self, x: np.ndarray, p: QuantParams, out: np.ndarray | None = None
     ) -> np.ndarray:
         """``x`` quantized to ``p``'s integer grid and mapped back, in one
-        float64 pass (``quantizer.fake_quantize``)."""
+        float64 pass (``quantizer.fake_quantize``); ``out``, if given, is ``x``."""
         return fake_quantize(x, p, out)
 
     def compensated_block_io(
@@ -315,9 +314,13 @@ class QuantizedToyModel:
         the output, compensated by ``module`` if one is given.
 
         The dequantized input is written over ``z`` and returned as the
-        first array, so a caller that still reads ``z`` passes a copy.
+        first array, so a caller that still reads ``z`` passes a copy. A
+        ``z`` that is not finite raises ValueError naming the block.
         """
-        zq = self.fake_quant(z, self.p_in[k], out=z)
+        try:
+            zq = self.fake_quant(z, self.p_in[k], out=z)
+        except ValueError as exc:
+            raise ValueError(f"block {k}: {exc}") from None
         a = zq @ self.w1q[k].T
         self.fake_quant(gelu(a, out=a), self.p_hid[k], out=a)
         out = a @ self.w2q[k].T
@@ -729,11 +732,16 @@ def evaluate_pipeline(
     ``gap_reference_n`` if it has none. ``chosen_n`` is the last module's
     exponent; ``fls_evaluations`` is None, since modules do not record the
     search that chose them. The report's ``transform`` is the map ``mode``
-    names (``MODE_MAPS``); modules of another map raise ValueError first.
+    names (``MODE_MAPS``); modules of another map, or a module count other
+    than the block count, raise ValueError before the set is drawn. An
+    output of either forward that is not finite raises ValueError naming
+    its block.
     """
     label = _mode_map(mode, transform)
     if (found := mode_of_modules(modules)) != mode:
         raise ValueError(f"mode {mode!r} applies {label}, the modules apply {MODE_MAPS[found]}")
+    if modules is not None and len(modules) != model.n_blocks:
+        raise ValueError(f"got {len(modules)} modules for {model.n_blocks} blocks; each block takes one")
     chosen_n = modules[-1].kind.n_exp if modules else None
     # before the inputs are drawn, so its temporaries do not add to theirs
     gap = channel_slope_gap(calib.records[-1], chosen_n if chosen_n is not None else gap_reference_n)
@@ -756,7 +764,10 @@ def evaluate_pipeline(
             outlier = np.abs(zq, out=zq) > OUTLIER_THRESHOLD
             # |y - y_hat| goes over zq, read for the last time above;
             # |e| * |e| has the bits of (y - y_hat) ** 2
-            e = np.abs(np.subtract(as_tensor(z, "y"), as_tensor(zc, "y_hat"), out=zq), out=zq)
+            e = np.abs(
+                np.subtract(as_tensor(z, f"block {k}: y"), as_tensor(zc, f"block {k}: y_hat"), out=zq),
+                out=zq,
+            )
             squares[k].append(np.sum(e * e))
             outlier_sums.append(np.sum(e[outlier]))
             n_outliers += int(np.count_nonzero(outlier))

@@ -50,23 +50,18 @@ def map_tiles(kernel, x, out: np.ndarray | None = None) -> np.ndarray:
     """Apply an elementwise kernel to ``x`` in flat tiles; return ``out``.
 
     ``kernel(src, dst)`` is called on matching flat tiles of ``x`` (as a
-    C-contiguous float64 array) and ``out``, and fills ``dst``. ``out``
-    defaults to a new array; a given one must be a C-contiguous float64
-    array of the shape of ``x``. It may be ``x`` itself, so a kernel reads
-    all of ``src`` that it needs before it writes ``dst``, but must not
-    overlap ``x`` otherwise. An elementwise kernel gives the same bits tile
-    by tile as on the whole array.
+    C-contiguous float64 array) and ``out``, and fills ``dst``. ``out`` is
+    None, for a new array, or ``x`` itself, a C-contiguous float64 array,
+    to write over it; so a kernel reads all of ``src`` that it needs before
+    it writes ``dst``. Any other ``out`` raises ValueError before a tile
+    runs. An elementwise kernel gives the same bits tile by tile as on the
+    whole array.
     """
     arr = np.asarray(x, dtype=np.float64, order="C")
     if out is None:
         out = np.empty_like(arr)
-    elif not (
-        isinstance(out, np.ndarray)
-        and out.dtype == np.float64
-        and out.flags.c_contiguous
-        and out.shape == arr.shape
-    ):
-        raise ValueError(f"out must be a C-contiguous float64 array of shape {arr.shape}")
+    elif out is not x or arr is not x:
+        raise ValueError("out must be None or x itself, a C-contiguous float64 array")
     src = arr.reshape(-1)
     dst = out.reshape(-1)
     for start in range(0, src.size, TILE_ELEMENTS):

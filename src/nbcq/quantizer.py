@@ -118,10 +118,10 @@ def fake_quantize(x, p: QuantParams, out: np.ndarray | None = None) -> np.ndarra
 
     Applies the rounding, clip and affine map of the module docstring tile
     by tile. Rejects non-finite input before anything is written. The
-    result goes to ``out`` if given, which may be ``x`` itself (see
-    ``numerics.map_tiles``).
+    result goes to a new array; ``out``, if given, is ``x``, which is
+    written over (see ``numerics.map_tiles``).
     """
-    arr = as_tensor(x, "tensor")
+    arr = as_tensor(x, "input")
     top = p.n_levels - 1
     return map_tiles(lambda src, dst: _fake_quant(src, dst, p.scale, p.zero_point, top), arr, out)
 

@@ -792,10 +792,12 @@ class TestOutPath:
         [
             ("calibrate", "missing/b.nbcb", "[Errno 2] No such file or directory"),
             ("eval", "missing/eval.csv", "[Errno 2] No such file or directory"),
+            ("calibrate", "in_the_way/b.nbcb", "[Errno 20] Not a directory"),
+            ("eval", "in_the_way/eval.csv", "[Errno 20] Not a directory"),
             ("analyze-outliers", "in_the_way", "[Errno 17] File exists"),
             ("export", "in_the_way", "[Errno 17] File exists"),
         ],
-        ids=["calibrate", "eval", "analyze-outliers", "export"],
+        ids=["calibrate", "eval", "calibrate-parent-is-a-file", "eval-parent-is-a-file", "analyze-outliers", "export"],
     )
     def test_unwritable_out_rejected_before_setup_exit_1(
         self, tmp_path, capsys, monkeypatch, cfg_path, command, out, message

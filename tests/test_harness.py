@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from nbcq.errors import FitError
+from nbcq.errors import EvaluatorError, FitError
 from nbcq.fls import FlsConfig, fls_search, holdout_count, holdout_split
 from nbcq.harness import (
     EVAL_CHUNK_ROWS,
@@ -349,6 +349,13 @@ class TestQuantizedBlockStep:
             assert not np.shares_memory(out, z)
             z = out
 
+    def test_non_finite_input_raises_naming_the_block(self):
+        model, calib, _ = desk_setup(0)
+        z = draw_inputs(model, 64, calib.spec, seed=9)
+        z[5, 3] = np.inf
+        with pytest.raises(ValueError, match="^block 2: input contains non-finite values$"):
+            calib.qmodel.block_step(2, z)
+
     @pytest.mark.parametrize("compensated", [False, True], ids=["block_io", "compensated_block_io"])
     def test_list_forms_leave_the_callers_array_and_their_outputs_unchanged(self, compensated):
         model, calib, cfg = desk_setup(0)
@@ -641,6 +648,30 @@ def traced_eval_peak(model, calib, modules, mode) -> int:
         tracemalloc.stop()
 
 
+class TestNonFiniteForward:
+    """A forward that overflows raises ValueError naming the block."""
+
+    def test_holdout_forward_names_the_block_whose_input_is_not_finite(self):
+        # desk defaults at outlier scale 1e10: in the first candidate's
+        # hold-out forward, block 2's compensated output, block 3's input,
+        # overflows
+        model, calib, cfg = desk_setup(0, outlier_scale=1e10)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(EvaluatorError) as info:
+                search_exponent(model, calib, cfg)
+        assert str(info.value) == "evaluator failed at n_exp=2.0: block 3: input contains non-finite values"
+
+    def test_evaluation_names_the_block_whose_output_is_not_finite(self):
+        # modules calibrated at outlier scale 100 (seed 1, n = 3) on an
+        # evaluation set at 1e5: block 2's compensated output overflows
+        model, calib, cfg = desk_setup(1, outlier_scale=100.0)
+        modules, _ = fit_compensation(model, calib, "nbc", cfg=cfg)
+        model, calib, _ = desk_setup(0, outlier_scale=1e5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="^block 2: y_hat contains non-finite values$"):
+                evaluate_pipeline(model, calib, modules, mode="nbc")
+
+
 class TestSearchRowValidation:
     @staticmethod
     def count_calls(monkeypatch, *names):
@@ -792,6 +823,25 @@ class TestModeMaps:
         mixed = [*nbc[:-1], linear[-1]]
         with pytest.raises(ValueError, match="^block 3 is identity but block 0 is blt; "):
             evaluate_pipeline(model, calib, mixed, mode="nbc")
+
+    def test_module_count_other_than_the_block_count_raises_before_the_draw(self, monkeypatch):
+        import nbcq.harness as harness_mod
+
+        model, calib, cfg = desk_setup(0)
+        nbc, _ = fit_compensation(model, calib, "nbc", cfg=cfg)
+        linear, _ = fit_compensation(model, calib, "linear", cfg=cfg)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("the evaluation set was drawn")
+
+        monkeypatch.setattr(harness_mod, "draw_inputs", no_draw)
+        # short lists (an IndexError in the forward) and a long one (its
+        # extra module's exponent reported as chosen_n)
+        extra = dataclasses.replace(nbc[0], kind=TransformKind("blt", -7.0))
+        for modules, mode in [([], "none"), (linear[:2], "linear"), (nbc[:3], "nbc"), ([*nbc, extra], "nbc")]:
+            line = f"got {len(modules)} modules for 4 blocks; each block takes one"
+            with pytest.raises(ValueError, match=f"^{re.escape(line)}$"):
+                evaluate_pipeline(model, calib, modules, mode=mode)
 
     def test_mode_of_modules(self):
         model, calib, cfg = desk_setup(0)

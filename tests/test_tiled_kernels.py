@@ -232,12 +232,47 @@ class TestOutAliasing:
         assert calib.qmodel.fake_quant(y, p, out=y) is y
         assert bits(y) == bits(old_fake_quantize(x, p))
 
-    def test_separate_out_leaves_input(self):
+    @pytest.mark.parametrize("form", ["gelu", "fake_quantize", "fake_quant"])
+    def test_in_place_and_new_array_give_the_same_bits(self, form):
+        qmodel = desk_setup(0)[1].qmodel
+        p = qmodel.p_in[0]
+        call = {
+            "gelu": lambda x, out=None: gelu(x, out=out),
+            "fake_quantize": lambda x, out=None: fake_quantize(x, p, out=out),
+            "fake_quant": lambda x, out=None: qmodel.fake_quant(x, p, out=out),
+        }[form]
+        x = filled((2 * T + 3,), [0.0, -0.0, 1.0, -2.0, 30.0], seed=10)
+        keep = x.copy()
+        fresh = call(x)
+        assert fresh is not x and bits(x) == bits(keep)
+        assert call(x, out=x) is x
+        assert bits(x) == bits(fresh)
+
+    def test_separate_out_rejected(self):
+        # out is None or x itself; any other array raises before a tile runs
         x = filled((T + 1,), [1.0, -2.0], seed=8)
         keep = x.copy()
-        out = np.empty_like(x)
-        assert gelu(x, out=out) is out
-        assert bits(x) == bits(keep) and bits(out) == bits(old_gelu(x))
+        out = np.zeros_like(x)
+        qmodel = desk_setup(0)[1].qmodel
+        p = qmodel.p_in[0]
+        for call in (gelu, lambda a, out: fake_quantize(a, p, out), lambda a, out: qmodel.fake_quant(a, p, out)):
+            with pytest.raises(ValueError, match="^out must be None or x itself"):
+                call(x, out=out)
+        assert bits(x) == bits(keep) and not out.any()
+
+    @pytest.mark.parametrize("kernel", ["gelu", "fake_quantize"])
+    def test_overlapping_view_rejected_before_writing(self, kernel):
+        # out one element past x: tile by tile, a tile would read what the
+        # tile before it wrote
+        buf = filled((2 * T + 1,), [1.0, -2.0, 3.0], seed=9)
+        keep = buf.copy()
+        p = QuantParams(4, 0.5, 3)
+        with pytest.raises(ValueError, match="^out must be None or x itself"):
+            if kernel == "gelu":
+                gelu(buf[:-1], out=buf[1:])
+            else:
+                fake_quantize(buf[:-1], p, out=buf[1:])
+        assert bits(buf) == bits(keep)
 
     @pytest.mark.parametrize(
         "bad",
