@@ -378,6 +378,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_makedirs(path: str) -> None:
+    """Raise the NotADirectoryError ``os.makedirs(path, exist_ok=True)``
+    would raise when the nearest existing ancestor of ``path`` is not a
+    directory, making nothing: the same errno, naming the same path. The
+    walk up splits ``path`` as ``os.makedirs`` does."""
+    head, tail = os.path.split(path)
+    if not tail:
+        head, tail = os.path.split(head)
+    if head and tail and not os.path.exists(head):
+        _check_makedirs(head)
+    elif head and not os.path.isdir(head):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
+
+
 def _dispatch(args: argparse.Namespace) -> int:
     config = getattr(args, "config", None)
     seed = getattr(args, "seed", None)
@@ -406,6 +420,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     elif out is not None and args.command in ("analyze-outliers", "export"):
         if os.path.exists(out) and not os.path.isdir(out):
             raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), out)
+        _check_makedirs(out)
     if args.command == "calibrate":
         return cmd_calibrate(cfg, out)
     if args.command == "search-n":

@@ -14,36 +14,36 @@ activation), with activation ranges calibrated on the calibration inputs
 of the same run. Pipelines fit one compensation module per block on the
 uncompensated quantized stream and deploy it feeding forward.
 
-Memory: each model has one per-block step, which every forward runs: the
-list forms (``block_io``), calibration, the hold-out search and
-evaluation. A quantized step writes its quantized input over its input
-``z``, so a caller that still reads ``z`` passes a copy, as the list forms
-do. Calibration runs each product once: one full-precision loop
-calibrates the activation ranges and keeps every block's output, then the
-quantized steps run over all rows, each writing over its input; block 0's
-output, which the set keeps, is copied once, before block 1 writes over
-it. Each block's quantized input is coded (``level_codes``) right after
-its step and the float array let go, and its residual ``y - y_q`` is
-written over its output. The calibration set keeps what the fits and the
-search read, not the inputs: per block the residual and ``x_q`` as
-``uint8`` codes into its level table, plus the last block's ``y`` (the
-hold-out target, so the search runs no full-precision forward) and block
-0's ``y_q`` (so a hold-out candidate runs the quantized steps of blocks
-1..n-1 only): n_blocks + 2 float64
-arrays of the stream's shape and n_blocks byte arrays of it. The search
-caches nothing: each fit slices its block's codes and residual to the fit
-rows and drops the slices, and every fit, kept ones too, transforms the
-2^bits_a levels and gathers them by the codes, so no float ``x_q`` of the
-stream's shape is made outside the hold-out apply of block 0 and the
-slope-gap channel pick. A step computes the hidden activation in place in the fresh
-``z @ W1^T`` product and adds the residual in place to the ``W2`` product.
-Evaluation runs the rows in chunks of ``EVAL_CHUNK_ROWS``, each through
-every block of both forwards, so the streams, the hidden activation and
-the temporaries of a step and of a module's apply are chunk-sized; the
-quantized input is written over the compensated stream's input, and
-``|y - y_hat|`` over the quantized input once its outlier flags are
-taken. Each block of a chunk is scored at once and leaves only sums, so
-at its peak evaluation holds the inputs and one chunk's arrays.
+Memory: each model has one per-block step, ``block_io``, which every
+forward runs: calibration, the hold-out search, evaluation and the
+quantized list form (``compensated_block_io``). A quantized step writes
+its quantized input over its input ``z``, so a caller that still reads
+``z`` passes a copy, as the list form does. Calibration runs each product
+once: one full-precision loop calibrates the activation ranges and keeps
+every block's output, then the quantized steps run over all rows, each
+writing over its input; block 0's output, which the set keeps, is copied
+once, before block 1 writes over it. Each block's quantized input is coded
+(``level_codes``) right after its step and the float array let go, and its
+residual ``y - y_q`` is written over its output. The calibration set keeps
+what the fits and the search read, not the inputs: per block the residual
+and ``x_q`` as ``uint8`` codes into its level table, plus the last block's
+``y`` (the hold-out target, so the search runs no full-precision forward)
+and block 0's ``y_q`` (so a hold-out candidate runs the quantized steps of
+blocks 1..n-1 only): n_blocks + 2 float64 arrays of the stream's shape and
+n_blocks byte arrays of it. The search caches nothing: each fit slices its
+block's codes and residual to the fit rows and drops the slices, and every
+fit, kept ones too, transforms the 2^bits_a levels and gathers them by the
+codes, so no float ``x_q`` of the stream's shape is made outside the
+hold-out apply of block 0 and the slope-gap channel pick. A step computes
+the hidden activation in place in the fresh ``z @ W1^T`` product and adds
+the residual in place to the ``W2`` product. Evaluation runs the rows in
+chunks of ``EVAL_CHUNK_ROWS``, each through every block of both forwards,
+so the streams, the hidden activation and the temporaries of a step and of
+a module's apply are chunk-sized; the quantized input is written over the
+compensated stream's input, and ``|y - y_hat|`` over the quantized input
+once its outlier flags are taken. Each block of a chunk is scored at once
+and leaves only sums, so at its peak evaluation holds the inputs and one
+chunk's arrays.
 
 Conventions fixed here and relied on by the analyses:
 
@@ -198,7 +198,8 @@ class OutlierSpec:
 
 @dataclass(frozen=True)
 class ToyModel:
-    """Stack of residual blocks with a structurally heavy channel."""
+    """Stack of residual blocks with a structurally heavy channel; its one
+    forward is the per-block step ``block_io``."""
 
     d: int
     h: int
@@ -206,17 +207,7 @@ class ToyModel:
     w1: tuple[np.ndarray, ...]  # (h, d) per block
     w2: tuple[np.ndarray, ...]  # (d, h) per block
 
-    def block_io(self, x) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Full-precision forward; per block (input, output) of the stream."""
-        z = as_tensor(x, "inputs", ndim=2)
-        pairs = []
-        for k in range(self.n_blocks):
-            out = self.block_step(k, z)
-            pairs.append((z, out))
-            z = out
-        return pairs
-
-    def block_step(self, k: int, z: np.ndarray, on_hidden=None) -> np.ndarray:
+    def block_io(self, k: int, z: np.ndarray, on_hidden=None) -> np.ndarray:
         """Block ``k`` on its input ``z``: ``z + W2 @ gelu(W1 @ z)``.
 
         ``on_hidden`` sees the gelu output. The hidden activation is
@@ -275,7 +266,8 @@ def build_toy_model(
 
 @dataclass(frozen=True)
 class QuantizedToyModel:
-    """Fake-quantized twin of a ToyModel with frozen activation ranges."""
+    """Fake-quantized twin of a ToyModel with frozen activation ranges;
+    every forward runs its per-block step ``block_io``."""
 
     bits_w: int
     bits_a: int
@@ -295,19 +287,20 @@ class QuantizedToyModel:
         self, x, modules: Sequence[CompensationModule] | None = None
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Quantized forward, per block (dequantized input, output); with
-        ``modules``, each block's compensation feeds forward."""
+        ``modules``, one per block, each block's compensation feeds forward.
+        A module count other than the block count raises ValueError before
+        any step runs."""
+        _check_module_count(modules, len(self.w1q))
         z = as_tensor(x, "inputs", ndim=2)
         pairs = []
         for k in range(len(self.w1q)):
             # a copy: the step writes over it, and the caller's array or the
             # previous pair's output is still read
-            zq, z = self.block_step(k, z.copy(), None if modules is None else modules[k])
+            zq, z = self.block_io(k, z.copy(), None if modules is None else modules[k])
             pairs.append((zq, z))
         return pairs
 
-    block_io = compensated_block_io
-
-    def block_step(
+    def block_io(
         self, k: int, z: np.ndarray, module: CompensationModule | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Block ``k`` on its input ``z``; returns the dequantized input and
@@ -329,6 +322,12 @@ class QuantizedToyModel:
         if module is not None:
             out = apply(module, zq, out)
         return zq, out
+
+
+def _check_module_count(modules: Sequence[CompensationModule] | None, n_blocks: int) -> None:
+    """ValueError unless ``modules`` is None or holds one module per block."""
+    if modules is not None and len(modules) != n_blocks:
+        raise ValueError(f"got {len(modules)} modules for {n_blocks} blocks; each block takes one")
 
 
 def draw_inputs(model: ToyModel, n_samples: int, spec: OutlierSpec, seed: int) -> np.ndarray:
@@ -387,11 +386,11 @@ def generate_calibration(
     (x_q, y - y_q), with x_q as codes into its level table.
 
     Weights are quantized per output channel. One full-precision loop over
-    ``ToyModel.block_step`` calibrates each block's input and hidden
+    ``ToyModel.block_io`` calibrates each block's input and hidden
     activation ranges per tensor and keeps each block's output ``y``. The
     ranges are then frozen, which is how deployment reuses calibration
     statistics on unseen data, and the quantized forward runs block by block
-    (``QuantizedToyModel.block_step``) on all rows, giving ``x_q`` and
+    (``QuantizedToyModel.block_io``) on all rows, giving ``x_q`` and
     ``y_q``. Each ``x_q`` is coded (``level_codes``, ``uint8``) as soon as
     its step returns, and only the codes and ``level_table(p_in[k])`` are
     kept. Each step writes its quantized input over its input, so block 0's
@@ -407,7 +406,7 @@ def generate_calibration(
     z = inputs = as_tensor(draw_inputs(model, n_samples, spec, seed), "inputs", ndim=2)
     for k in range(model.n_blocks):
         p_in.append(calibrate_params(z, bits_a))
-        z = model.block_step(k, z, lambda a: p_hid.append(calibrate_params(a, bits_a)))
+        z = model.block_io(k, z, lambda a: p_hid.append(calibrate_params(a, bits_a)))
         targets.append(z)
     qmodel = QuantizedToyModel(
         bits_w=bits_w, bits_a=bits_a, w1q=w1q, w2q=w2q, p_in=tuple(p_in), p_hid=tuple(p_hid)
@@ -415,7 +414,7 @@ def generate_calibration(
     codes, residuals, z = [], [], inputs
     del inputs  # block 0 writes its quantized input over them, which is coded and let go
     for k, y in enumerate(targets):
-        x_q, z = qmodel.block_step(k, z)
+        x_q, z = qmodel.block_io(k, z)
         codes.append(level_codes(x_q, qmodel.p_in[k]))
         del x_q  # held as its codes from here on
         if k == 0:
@@ -454,7 +453,7 @@ class _RowSearchPipeline:
     * Hold-out: block 0's quantized step does not depend on the candidate
       either, and the set holds its input and output for every row. The
       hold-out forward applies the first module to those rows, runs blocks
-      1..n-1 through ``block_step`` and scores the last output against the
+      1..n-1 through ``block_io`` and scores the last output against the
       last block's full-precision output, which the set holds for every row.
     """
 
@@ -472,7 +471,7 @@ class _RowSearchPipeline:
         first = self.calib.records[0]
         z = apply(fitted[0], first.levels[first.codes[rows]], self.calib.y_q_first[rows])
         for k in range(1, len(fitted)):
-            _, z = self.calib.qmodel.block_step(k, z, fitted[k])
+            _, z = self.calib.qmodel.block_io(k, z, fitted[k])
         return compute_feature_loss(self.calib.y_last[rows], z)
 
 
@@ -722,10 +721,11 @@ def evaluate_pipeline(
     The evaluation set is four times the calibration size, drawn with an
     independent seed and the same outlier mechanism. It runs in row chunks
     (``_row_chunks``): each chunk goes through every block of both forwards
-    before the next one starts, and leaves only sums of its errors
-    ``y - y_hat``: squared per block, absolute over the outlier
-    (``|x_q| > OUTLIER_THRESHOLD``) and inlier positions. The means are
-    deterministic for a fixed ``EVAL_CHUNK_ROWS``, not whole-array means.
+    (the two models' ``block_io``) before the next one starts, and leaves
+    only sums of its errors ``y - y_hat``: squared per block, absolute over
+    the outlier (``|x_q| > OUTLIER_THRESHOLD``) and inlier positions. The
+    means are deterministic for a fixed ``EVAL_CHUNK_ROWS``, not whole-array
+    means.
 
     Slope gaps use the calibration records of the last block (see
     ``channel_slope_gap``), at the last module's exponent, or
@@ -740,8 +740,7 @@ def evaluate_pipeline(
     label = _mode_map(mode, transform)
     if (found := mode_of_modules(modules)) != mode:
         raise ValueError(f"mode {mode!r} applies {label}, the modules apply {MODE_MAPS[found]}")
-    if modules is not None and len(modules) != model.n_blocks:
-        raise ValueError(f"got {len(modules)} modules for {model.n_blocks} blocks; each block takes one")
+    _check_module_count(modules, model.n_blocks)
     chosen_n = modules[-1].kind.n_exp if modules else None
     # before the inputs are drawn, so its temporaries do not add to theirs
     gap = channel_slope_gap(calib.records[-1], chosen_n if chosen_n is not None else gap_reference_n)
@@ -757,10 +756,10 @@ def evaluate_pipeline(
     for r0, r1 in _row_chunks(n_rows):
         z = zc = inputs[r0:r1]
         for k in range(model.n_blocks):
-            z = model.block_step(k, z)
+            z = model.block_io(k, z)
             # zc may be overwritten: in block 0 it is the evaluation set,
             # which the full-precision step has read by now
-            zq, zc = calib.qmodel.block_step(k, zc, None if modules is None else modules[k])
+            zq, zc = calib.qmodel.block_io(k, zc, None if modules is None else modules[k])
             outlier = np.abs(zq, out=zq) > OUTLIER_THRESHOLD
             # |y - y_hat| goes over zq, read for the last time above;
             # |e| * |e| has the bits of (y - y_hat) ** 2

@@ -52,6 +52,16 @@ def fit_and_evaluate(model, calib, mode, cfg, *, storage=STORAGE_F32):
     return report, search
 
 
+def fp_block_io(model, x) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The full-precision forward of ``x`` as per block (input, output),
+    one ``ToyModel.block_io`` step per block."""
+    pairs, z = [], np.asarray(x, dtype=np.float64)
+    for k in range(model.n_blocks):
+        pairs.append((z, model.block_io(k, z)))
+        z = pairs[-1][1]
+    return pairs
+
+
 def record_of(x_q, residual) -> CalibrationRecord:
     """The record of a block input ``x_q`` of any values and its
     ``residual``: the codes index the distinct bit patterns of ``x_q``

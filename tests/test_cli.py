@@ -796,8 +796,19 @@ class TestOutPath:
             ("eval", "in_the_way/eval.csv", "[Errno 20] Not a directory"),
             ("analyze-outliers", "in_the_way", "[Errno 17] File exists"),
             ("export", "in_the_way", "[Errno 17] File exists"),
+            ("analyze-outliers", "in_the_way/sub", "[Errno 20] Not a directory"),
+            ("export", "in_the_way/sub", "[Errno 20] Not a directory"),
         ],
-        ids=["calibrate", "eval", "calibrate-parent-is-a-file", "eval-parent-is-a-file", "analyze-outliers", "export"],
+        ids=[
+            "calibrate",
+            "eval",
+            "calibrate-parent-is-a-file",
+            "eval-parent-is-a-file",
+            "analyze-outliers",
+            "export",
+            "analyze-outliers-parent-is-a-file",
+            "export-parent-is-a-file",
+        ],
     )
     def test_unwritable_out_rejected_before_setup_exit_1(
         self, tmp_path, capsys, monkeypatch, cfg_path, command, out, message

@@ -203,7 +203,7 @@ def desk_records():
     """Per block of the desk pipeline, its record and its quantized output
     from the list form of the quantized forward; outliers included."""
     model, calib, _ = desk_setup(0)
-    q_io = calib.qmodel.block_io(draw_inputs(model, calib.n_samples, calib.spec, calib.seed))
+    q_io = calib.qmodel.compensated_block_io(draw_inputs(model, calib.n_samples, calib.spec, calib.seed))
     return [(rec, y_q) for rec, (_, y_q) in zip(calib.records, q_io)]
 
 

@@ -45,6 +45,7 @@ from helpers import (
     brute_force_slope,
     desk_setup,
     fit_and_evaluate,
+    fp_block_io,
     grid_points,
     integer_round_trip,
     reference_search,
@@ -70,14 +71,14 @@ class TestBuildToyModel:
 
     def test_zeros_map_to_zeros(self):
         model = build_toy_model(8, 16, 2, seed=1)
-        out = model.block_io(np.zeros((4, 8)))[-1][1]
+        out = fp_block_io(model, np.zeros((4, 8)))[-1][1]
         assert np.array_equal(out, np.zeros((4, 8)))
 
     def test_heavy_channel_percentile_dominance(self):
         scale = 8.0
         model = build_toy_model(16, 32, 4, seed=3, heavy_scale=scale)
         x = np.random.default_rng(30).standard_normal((2048, 16))
-        acts = np.abs(model.block_io(x)[-1][1])
+        acts = np.abs(fp_block_io(model, x)[-1][1])
         p99 = np.percentile(acts, 99, axis=0)
         others = np.delete(p99, HEAVY_CHANNEL)
         assert p99[HEAVY_CHANNEL] - np.median(others) >= scale / 2
@@ -177,8 +178,8 @@ class TestGenerateCalibration:
         # the last y and block 0's y_q whole
         model, calib, _ = desk_setup(2)
         inputs = draw_inputs(model, calib.n_samples, calib.spec, calib.seed)
-        fp_io = model.block_io(inputs)
-        q_io = calib.qmodel.block_io(inputs)
+        fp_io = fp_block_io(model, inputs)
+        q_io = calib.qmodel.compensated_block_io(inputs)
         assert len(fp_io) == len(q_io) == len(calib.records)
         for rec, (_, y), (x_q, y_q) in zip(calib.records, fp_io, q_io):
             assert rec.x_q.tobytes() == x_q.tobytes()
@@ -189,7 +190,7 @@ class TestGenerateCalibration:
     @pytest.mark.parametrize("bits_a", [2, 8])
     def test_records_at_the_ends_of_the_bit_range_equal_block_io(self, bits_a):
         model, calib, _ = desk_setup(2, bits_a=bits_a)
-        q_io = calib.qmodel.block_io(draw_inputs(model, calib.n_samples, calib.spec, calib.seed))
+        q_io = calib.qmodel.compensated_block_io(draw_inputs(model, calib.n_samples, calib.spec, calib.seed))
         for rec, (x_q, _) in zip(calib.records, q_io, strict=True):
             assert rec.codes.dtype == np.uint8
             assert rec.x_q.tobytes() == x_q.tobytes()
@@ -292,31 +293,46 @@ def reports(runs):
 
 class TestForwardCounts:
     @staticmethod
-    def count_fp_steps(monkeypatch):
-        """The input shape of every full-precision block step; every
-        full-precision forward runs them."""
-        calls = []
-        original = ToyModel.block_step
+    def count_steps(monkeypatch):
+        """The input shape of every block step, per stream ("fp", "q"):
+        ``block_io`` of each model, the attribute the benchmark times, runs
+        every forward of the library."""
+        calls = {"fp": [], "q": []}
 
-        def counting(self, k, z, *args, **kwargs):
-            calls.append(np.shape(z))
-            return original(self, k, z, *args, **kwargs)
+        def counting(stream, original):
+            def step(self, k, z, *args, **kwargs):
+                calls[stream].append(np.shape(z))
+                return original(self, k, z, *args, **kwargs)
 
-        monkeypatch.setattr(ToyModel, "block_step", counting)
+            return step
+
+        monkeypatch.setattr(ToyModel, "block_io", counting("fp", ToyModel.block_io))
+        monkeypatch.setattr(QuantizedToyModel, "block_io", counting("q", QuantizedToyModel.block_io))
         return calls
 
     def test_generate_calibration_reuses_the_calibrating_forward(self, monkeypatch):
-        calls = self.count_fp_steps(monkeypatch)
+        calls = self.count_steps(monkeypatch)
         desk_setup(0)
-        assert calls == [(512, 16)] * 4
+        assert calls == {"fp": [(512, 16)] * 4, "q": [(512, 16)] * 4}
 
     def test_nbc_search_runs_no_fp_forward(self, monkeypatch):
-        # the hold-out rows are scored against the targets calibration recorded
+        # the hold-out rows are scored against the targets calibration
+        # recorded, and start from block 0's recorded quantized output
         model, calib, cfg = desk_setup(1)
-        calls = self.count_fp_steps(monkeypatch)
+        calls = self.count_steps(monkeypatch)
         modules, result = fit_compensation(model, calib, "nbc", cfg=cfg)
         assert result.evaluations >= 3 and len(modules) == len(calib.records)
-        assert calls == []
+        holdout_rows = holdout_count(calib.n_samples)
+        assert calls == {"fp": [], "q": [(holdout_rows, 16)] * (result.evaluations * (model.n_blocks - 1))}
+
+    def test_evaluation_runs_one_step_per_block_and_chunk_of_each_model(self, monkeypatch):
+        # 4 x 512 = 2048 evaluation rows run as two chunks
+        model, calib, cfg = desk_setup(0)
+        modules, _ = fit_compensation(model, calib, "linear", cfg=cfg)
+        calls = self.count_steps(monkeypatch)
+        evaluate_pipeline(model, calib, modules, mode="linear")
+        steps = [(EVAL_CHUNK_ROWS, 16)] * (2 * model.n_blocks)
+        assert calls == {"fp": steps, "q": steps}
 
     @pytest.mark.parametrize(
         "d, h, n_blocks, n_samples", [(16, 32, 4, 512), (64, 256, 8, 2048)], ids=["desk", "mid"]
@@ -328,13 +344,13 @@ class TestForwardCounts:
         calib = generate_calibration(model, n_samples, OutlierSpec(), seed=6)
         _, rows = holdout_split(n_samples, FlsConfig(seed=7))
         inputs = draw_inputs(model, n_samples, calib.spec, calib.seed)
-        fresh = model.block_io(inputs[rows])[-1][1]
+        fresh = fp_block_io(model, inputs[rows])[-1][1]
         assert fresh.tobytes() == calib.y_last[rows].tobytes()
 
 
 class TestQuantizedBlockStep:
     """A quantized step writes its quantized input over its input; the list
-    forms pass each step a copy, so what they return and what the caller
+    form passes each step a copy, so what it returns and what the caller
     passed stay intact."""
 
     def test_step_writes_the_quantized_input_over_z(self):
@@ -343,7 +359,7 @@ class TestQuantizedBlockStep:
         z = draw_inputs(model, 64, calib.spec, seed=9)
         for k, module in enumerate((None, *modules[1:])):
             expected = calib.qmodel.fake_quant(z, calib.qmodel.p_in[k])
-            zq, out = calib.qmodel.block_step(k, z, module)
+            zq, out = calib.qmodel.block_io(k, z, module)
             assert zq is z
             assert z.tobytes() == expected.tobytes()
             assert not np.shares_memory(out, z)
@@ -354,22 +370,27 @@ class TestQuantizedBlockStep:
         z = draw_inputs(model, 64, calib.spec, seed=9)
         z[5, 3] = np.inf
         with pytest.raises(ValueError, match="^block 2: input contains non-finite values$"):
-            calib.qmodel.block_step(2, z)
+            calib.qmodel.block_io(2, z)
 
-    @pytest.mark.parametrize("compensated", [False, True], ids=["block_io", "compensated_block_io"])
-    def test_list_forms_leave_the_callers_array_and_their_outputs_unchanged(self, compensated):
+    def test_list_form_leaves_the_callers_array_and_its_outputs_unchanged(self, monkeypatch):
         model, calib, cfg = desk_setup(0)
         qmodel = calib.qmodel
         modules, _ = fit_compensation(model, calib, "linear", cfg=cfg)
         x = draw_inputs(model, 64, calib.spec, seed=9)
         before = x.copy()
-        pairs = qmodel.compensated_block_io(x, modules) if compensated else qmodel.block_io(x)
+        pairs = qmodel.compensated_block_io(x, modules)
         assert x.tobytes() == before.tobytes()
         # each block's output is still its own array, the next input unquantized
         for k in range(1, len(pairs)):
             out = pairs[k - 1][1]
             assert not np.shares_memory(out, pairs[k][0])
             assert pairs[k][0].tobytes() == qmodel.fake_quant(out, qmodel.p_in[k]).tobytes()
+        # one module per block, checked before any step runs
+        monkeypatch.setattr(QuantizedToyModel, "block_io", lambda *args: pytest.fail("a step ran"))
+        for wrong in (modules + modules[:1], modules[:2]):
+            message = f"^got {len(wrong)} modules for 4 blocks; each block takes one$"
+            with pytest.raises(ValueError, match=message):
+                qmodel.compensated_block_io(x, wrong)
 
 
 class TestFitCompensationConfig:
@@ -478,7 +499,7 @@ class TestRunPipeline:
 def report_from_whole_forwards(model, calib, modules, report):
     """``report`` with every streamed field recomputed from whole forwards.
 
-    The oracle keeps all blocks of both forwards (``block_io`` and
+    The oracle keeps all blocks of both forwards (``fp_block_io`` and
     ``compensated_block_io``) and scores them as evaluation defines its
     metrics: every block's rows are cut into chunks of ``EVAL_CHUNK_ROWS``
     (the remainder joins the last chunk), each chunk gives a sum, and a
@@ -486,7 +507,7 @@ def report_from_whole_forwards(model, calib, modules, report):
     """
     n_rows = EVAL_SET_MULTIPLIER * calib.n_samples
     ev = draw_inputs(model, n_rows, calib.spec, calib.seed + EVAL_SEED_OFFSET)
-    fp_io = model.block_io(ev)
+    fp_io = fp_block_io(model, ev)
     comp_io = calib.qmodel.compensated_block_io(ev, modules)
     bounds = [i * EVAL_CHUNK_ROWS for i in range(max(1, n_rows // EVAL_CHUNK_ROWS))] + [n_rows]
     chunks = [slice(r0, r1) for r0, r1 in zip(bounds, bounds[1:])]
@@ -561,8 +582,8 @@ class TestStreamedEvaluation:
 
             return step
 
-        monkeypatch.setattr(ToyModel, "block_step", spy("fp", ToyModel.block_step))
-        monkeypatch.setattr(QuantizedToyModel, "block_step", spy("q", QuantizedToyModel.block_step))
+        monkeypatch.setattr(ToyModel, "block_io", spy("fp", ToyModel.block_io))
+        monkeypatch.setattr(QuantizedToyModel, "block_io", spy("q", QuantizedToyModel.block_io))
         evaluate_pipeline(model, calib, modules, mode="linear")
         n_rows = EVAL_SET_MULTIPLIER * n_samples
         assert all(rows >= min(EVAL_CHUNK_ROWS, n_rows) for _, _, rows in calls)
