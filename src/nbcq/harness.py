@@ -40,10 +40,10 @@ the residual in place to the ``W2`` product. Evaluation runs the rows in
 chunks of ``EVAL_CHUNK_ROWS``, each through every block of both forwards,
 so the streams, the hidden activation and the temporaries of a step and of
 a module's apply are chunk-sized; the quantized input is written over the
-compensated stream's input, and ``|y - y_hat|`` over the quantized input
-once its outlier flags are taken. Each block of a chunk is scored at once
-and leaves only sums, so at its peak evaluation holds the inputs and one
-chunk's arrays.
+compensated stream's input. Each block of a chunk is scored at once by
+``split_error_metrics``, which writes ``|y - y_hat|`` over the quantized
+input once its outlier flags are taken and leaves only sums, so at its
+peak evaluation holds the inputs and one chunk's arrays.
 
 Conventions fixed here and relied on by the analyses:
 
@@ -546,12 +546,12 @@ class EvalReport:
     """Evaluation-set metrics of one pipeline run.
 
     The losses (mean squared errors, per block) and the two mean absolute
-    errors are each their sums over the row chunks of evaluation added
+    errors are each their per-chunk sums (``split_error_metrics``) added
     exactly rounded, then divided by the count (``_mean_of_partials``).
     ``mae_outlier`` and ``mae_inlier`` are None when the respective
-    partition is empty; the slope gaps are None when the analysis channel
-    has no outliers to compare against, or when a slope on it is undefined
-    (a constant partition).
+    partition is empty, ``chosen_n`` unless all modules carry one exponent;
+    the slope gaps are None when the analysis channel has no outliers to
+    compare against, or when a slope on it is undefined (a constant one).
     """
 
     mode: str
@@ -603,21 +603,21 @@ def scalar_slope(x, r) -> float:
     return float(np.sum(xc * (rv - rv.mean())) / denom)
 
 
-def slope_gap_analysis(x, r, threshold: float, kind: TransformKind) -> tuple[float, float]:
+def slope_gap_analysis(x, r, n_exp: float) -> tuple[float, float] | None:
     """Outlier drag on one channel pair, before and after the transform.
 
     ``gap_before`` is |slope(all) - slope(inliers)| in the original space,
     ``gap_after`` the same computed on the pair mapped through the ``blt``
-    kind; the partition uses |x| > threshold in the original space in both
-    cases.
+    map at exponent ``n_exp``; the partition uses |x| > ``OUTLIER_THRESHOLD``
+    in the original space in both cases. None when one side of the
+    partition is empty.
     """
     xv = as_tensor(x, "x", ndim=1)
     rv = as_tensor(r, "r", ndim=1)
-    inlier = np.abs(xv) <= threshold
-    if not inlier.any():
-        raise ValueError("no inliers under the threshold")
-    if inlier.all():
-        raise ValueError("no outliers above the threshold")
+    inlier = np.abs(xv) <= OUTLIER_THRESHOLD
+    if inlier.all() or not inlier.any():
+        return None
+    kind = TransformKind("blt", n_exp)
     gap_before = abs(scalar_slope(xv, rv) - scalar_slope(xv[inlier], rv[inlier]))
     xf = blt_forward(xv, kind)
     rf = blt_forward(rv, kind)
@@ -634,19 +634,15 @@ def channel_slope_gap(
     the same column of the residual. Returns ``(channel, gap_before,
     gap_after)`` at the ``blt`` exponent ``n_exp``, with both gaps None when
     a slope on the channel is undefined (a constant partition), or None when
-    the channel has no outliers or no inliers under ``OUTLIER_THRESHOLD``.
+    the channel has no outliers or no inliers.
     """
     x_q = rec.x_q
     channel = int(np.argmax(excess_kurtosis(x_q)))
-    xs = x_q[:, channel]
-    outliers = np.abs(xs) > OUTLIER_THRESHOLD
-    if not outliers.any() or outliers.all():
-        return None
-    kind = TransformKind("blt", n_exp)
     try:
-        return (channel, *slope_gap_analysis(xs, rec.residual[:, channel], OUTLIER_THRESHOLD, kind))
+        gaps = slope_gap_analysis(x_q[:, channel], rec.residual[:, channel], n_exp)
     except FitError:  # a slope is undefined on this channel: report absent
         return channel, None, None
+    return None if gaps is None else (channel, *gaps)
 
 
 def ols_scalar_bias(
@@ -671,22 +667,27 @@ def ols_scalar_bias(
     return float(num / den)
 
 
-def split_error_metrics(
-    y, y_hat, x_q, threshold: float
-) -> tuple[float | None, float | None]:
-    """Mean |y - y_hat| over outlier and inlier positions of x_q.
+def split_error_metrics(y, y_hat, x_q) -> tuple[float, float, float, int]:
+    """(sum of e^2, sum of |e| over the outlier positions, sum of |e| over
+    the inlier ones, outlier count) of the errors e = y - y_hat, where a
+    position is an outlier when |x_q| exceeds ``OUTLIER_THRESHOLD``.
 
-    A position is an outlier when |x_q| exceeds the threshold. An empty
-    partition reports None for its metric rather than zero.
+    The arrays must be finite and of one shape, or ValueError names the
+    first that is not. |e| is written over ``x_q`` if it is a C-contiguous
+    float64 array, as a quantized step's input is.
     """
     yv = as_tensor(y, "y")
     hv = as_tensor(y_hat, "y_hat")
     xv = as_tensor(x_q, "x_q")
     if yv.shape != hv.shape or yv.shape != xv.shape:
         raise ValueError("y, y_hat and x_q must share one shape")
-    err = np.abs(yv - hv)
-    outlier = np.abs(xv) > threshold
-    return tuple(_mean_of_partials([np.sum(e)], e.size) for e in (err[outlier], err[~outlier]))
+    outlier = np.abs(xv, out=xv) > OUTLIER_THRESHOLD
+    e = np.abs(np.subtract(yv, hv, out=xv), out=xv)
+    square_sum = float(np.sum(e * e))  # |e| * |e| has the bits of (y - y_hat) ** 2
+    n_outliers = int(np.count_nonzero(outlier))
+    outlier_sum = float(np.sum(e[outlier]))
+    inlier_sum = float(np.sum(e[np.logical_not(outlier, out=outlier)]))
+    return square_sum, outlier_sum, inlier_sum, n_outliers
 
 
 def _mean_of_partials(partials: Sequence[float], count: int) -> float | None:
@@ -721,29 +722,29 @@ def evaluate_pipeline(
     The evaluation set is four times the calibration size, drawn with an
     independent seed and the same outlier mechanism. It runs in row chunks
     (``_row_chunks``): each chunk goes through every block of both forwards
-    (the two models' ``block_io``) before the next one starts, and leaves
-    only sums of its errors ``y - y_hat``: squared per block, absolute over
-    the outlier (``|x_q| > OUTLIER_THRESHOLD``) and inlier positions. The
-    means are deterministic for a fixed ``EVAL_CHUNK_ROWS``, not whole-array
-    means.
+    (the two models' ``block_io``) before the next one starts, and each
+    block of a chunk leaves only the sums of ``split_error_metrics``. The
+    means are deterministic for a fixed ``EVAL_CHUNK_ROWS``, not
+    whole-array means.
 
     Slope gaps use the calibration records of the last block (see
     ``channel_slope_gap``), at the last module's exponent, or
-    ``gap_reference_n`` if it has none. ``chosen_n`` is the last module's
-    exponent; ``fls_evaluations`` is None, since modules do not record the
-    search that chose them. The report's ``transform`` is the map ``mode``
-    names (``MODE_MAPS``); modules of another map, or a module count other
-    than the block count, raise ValueError before the set is drawn. An
-    output of either forward that is not finite raises ValueError naming
-    its block.
+    ``gap_reference_n`` if it has none. ``chosen_n`` is the exponent all
+    modules carry, None if they differ; ``fls_evaluations`` is None, since
+    modules do not record the search that chose them. The report's
+    ``transform`` is the map ``mode`` names (``MODE_MAPS``); modules of
+    another map, or a module count other than the block count, raise
+    ValueError before the set is drawn. An output of either forward that
+    is not finite raises ValueError naming its block.
     """
     label = _mode_map(mode, transform)
     if (found := mode_of_modules(modules)) != mode:
         raise ValueError(f"mode {mode!r} applies {label}, the modules apply {MODE_MAPS[found]}")
     _check_module_count(modules, model.n_blocks)
-    chosen_n = modules[-1].kind.n_exp if modules else None
+    last_n = modules[-1].kind.n_exp if modules else None
+    chosen_n = last_n if all(m.kind.n_exp == last_n for m in modules or ()) else None
     # before the inputs are drawn, so its temporaries do not add to theirs
-    gap = channel_slope_gap(calib.records[-1], chosen_n if chosen_n is not None else gap_reference_n)
+    gap = channel_slope_gap(calib.records[-1], last_n if last_n is not None else gap_reference_n)
     gap_before, gap_after = gap[1:] if gap is not None else (None, None)
 
     n_rows = EVAL_SET_MULTIPLIER * calib.n_samples
@@ -751,8 +752,7 @@ def evaluate_pipeline(
     inputs = as_tensor(
         draw_inputs(model, n_rows, calib.spec, calib.seed + EVAL_SEED_OFFSET), "inputs", ndim=2
     )
-    squares = [[] for _ in range(model.n_blocks)]  # per block: each chunk's sum of e * e
-    outlier_sums, inlier_sums, n_outliers = [], [], 0  # sums of |e| per chunk and block
+    sums = []  # split_error_metrics of each chunk's blocks, chunk after chunk
     for r0, r1 in _row_chunks(n_rows):
         z = zc = inputs[r0:r1]
         for k in range(model.n_blocks):
@@ -760,20 +760,17 @@ def evaluate_pipeline(
             # zc may be overwritten: in block 0 it is the evaluation set,
             # which the full-precision step has read by now
             zq, zc = calib.qmodel.block_io(k, zc, None if modules is None else modules[k])
-            outlier = np.abs(zq, out=zq) > OUTLIER_THRESHOLD
-            # |y - y_hat| goes over zq, read for the last time above;
-            # |e| * |e| has the bits of (y - y_hat) ** 2
-            e = np.abs(
-                np.subtract(as_tensor(z, f"block {k}: y"), as_tensor(zc, f"block {k}: y_hat"), out=zq),
-                out=zq,
-            )
-            squares[k].append(np.sum(e * e))
-            outlier_sums.append(np.sum(e[outlier]))
-            n_outliers += int(np.count_nonzero(outlier))
-            inlier_sums.append(np.sum(e[np.logical_not(outlier, out=outlier)]))
-            del zq, e, outlier  # not held while the next block runs
-    per_block = [_mean_of_partials(sums, n_rows * model.d) for sums in squares]
+            try:
+                sums.append(split_error_metrics(z, zc, zq))
+            except ValueError as exc:
+                raise ValueError(f"block {k}: {exc}") from None
+            del zq  # |y - y_hat| now; not held while the next block runs
+    squares, outlier_sums, inlier_sums, counts = zip(*sums)
+    # block k's chunk sums are every n_blocks-th entry from k on
+    per_block = [_mean_of_partials(squares[k :: model.n_blocks], n_rows * model.d)
+                 for k in range(model.n_blocks)]
     feature_loss = per_block[-1]  # the last block's output is the pre-head feature
+    n_outliers = sum(counts)
     mae_out = _mean_of_partials(outlier_sums, n_outliers)
     mae_in = _mean_of_partials(inlier_sums, model.n_blocks * n_rows * model.d - n_outliers)
 

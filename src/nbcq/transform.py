@@ -172,7 +172,9 @@ class TransformKind:
 
     @property
     def threshold(self) -> float:
-        """The seam 2^-n of a ``blt`` kind."""
+        """The seam 2^-n of a ``blt`` kind; ValueError for a kind without one."""
+        if self.n_exp is None:
+            raise ValueError(f"{self.name} kind has no threshold")
         return 2.0 ** (-self.n_exp)
 
 

@@ -322,12 +322,22 @@ class TestEval:
         bundle = str(tmp_path / "comp.nbcb")
         assert run_cli(["calibrate", "--config", cfg_path, "--out", bundle], capsys)[0] == 0
         first, last = read_bundle(bundle)
-        write_bundle(bundle, [replace(first, kind=TransformKind("blt", 0.5)),
-                              replace(last, kind=TransformKind("blt", 2.0))])
-        code, out, err = run_cli(["eval", "--config", cfg_path, "--bundle", bundle], capsys)
-        assert code == 0, err
-        rows = list(csv.DictReader(io.StringIO(out)))
-        assert [(r["mode"], r["transform"], r["chosen_n"]) for r in rows] == [("nbc", "blt", "2.0")] * 2
+
+        def eval_rows(first_n):
+            write_bundle(bundle, [replace(first, kind=TransformKind("blt", first_n)),
+                                  replace(last, kind=TransformKind("blt", 2.0))])
+            code, out, err = run_cli(["eval", "--config", cfg_path, "--bundle", bundle], capsys)
+            assert code == 0, err
+            return list(csv.DictReader(io.StringIO(out)))
+
+        mixed, uniform = eval_rows(0.5), eval_rows(2.0)
+        # no exponent was chosen for every block, so none is reported
+        assert [(r["mode"], r["transform"], r["chosen_n"]) for r in mixed] == [("nbc", "blt", "")] * 2
+        assert [r["chosen_n"] for r in uniform] == ["2.0"] * 2
+        # the slope gap is still taken at the last block's exponent
+        gap_cells = [(r["slope_gap_before"], r["slope_gap_after"]) for r in mixed]
+        assert gap_cells == [(r["slope_gap_before"], r["slope_gap_after"]) for r in uniform]
+        assert gap_cells[0][1] != ""
 
     @pytest.mark.parametrize("command", ["eval", "export"])
     def test_kind_byte_2_is_an_unknown_kind(self, cfg_path, tmp_path, capsys, command):

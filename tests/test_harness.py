@@ -598,6 +598,24 @@ class TestStreamedEvaluation:
         ev = draw_inputs(model, n_rows, calib.spec, calib.seed + EVAL_SEED_OFFSET)
         assert np.concatenate(first_inputs).tobytes() == ev.tobytes()
 
+    def test_each_chunk_and_block_is_scored_by_split_error_metrics(self, monkeypatch):
+        import nbcq.harness as harness_mod
+
+        model, calib, cfg = desk_setup(0)
+        modules, _ = fit_compensation(model, calib, "linear", cfg=cfg)
+        shapes = []
+        original = harness_mod.split_error_metrics
+
+        def spy(y, y_hat, x_q):
+            shapes.append((y.shape, y_hat.shape, x_q.shape))
+            return original(y, y_hat, x_q)
+
+        monkeypatch.setattr(harness_mod, "split_error_metrics", spy)
+        report = evaluate_pipeline(model, calib, modules, mode="linear")
+        # 4 x 512 evaluation rows run as 2 chunks through 4 blocks
+        assert shapes == [((EVAL_CHUNK_ROWS, model.d),) * 3] * 8
+        assert report == report_from_whole_forwards(model, calib, modules, report)
+
     @staticmethod
     def eval_peak_bytes(n_blocks: int) -> int:
         model = build_toy_model(8, 128, n_blocks, seed=31)
@@ -960,7 +978,7 @@ class TestSlopeGapAnalysis:
         rng = np.random.default_rng(80)
         x = np.concatenate([rng.uniform(-3, 3, 100), [20.0, -20.0]])
         r = 0.5 * x
-        before, after = slope_gap_analysis(x, r, 10.0, TransformKind("blt", 2.0))
+        before, after = slope_gap_analysis(x, r, 2.0)
         assert before <= 1e-9
         # multiplicative trends are offset-exact in transformed space too
         assert after <= 0.2
@@ -975,34 +993,31 @@ class TestSlopeGapAnalysis:
         assert abs(inlier_slope - 1.0) <= 1e-15
         assert abs(abs(all_slope - inlier_slope) - 100.0 / 103.0) <= 1e-12
 
+    # one point past OUTLIER_THRESHOLD (10) and three inliers on r = x
+    X_WORKED = np.array([20.0, 2.0, 4.0, 6.0])
+    R_WORKED = np.array([0.0, 2.0, 4.0, 6.0])
+
     def test_intercept_worked_example(self):
-        # centred, x is [6, -3, -2, -1] and r is [-1.5, -0.5, 0.5, 1.5]: the
-        # slope of all rows is -10 / 50, and the inliers lie on r = x
-        x = np.array([10.0, 1.0, 2.0, 3.0])
-        r = np.array([0.0, 1.0, 2.0, 3.0])
-        before, _ = slope_gap_analysis(x, r, 5.0, TransformKind("blt", 2.0))
+        # centred, x is [12, -6, -4, -2] and r is [-3, -1, 1, 3]: the slope
+        # of all rows is -40 / 200, and the inliers lie on r = x
+        before, _ = slope_gap_analysis(self.X_WORKED, self.R_WORKED, 2.0)
         assert abs(before - 1.2) <= 1e-12
 
     def test_transform_shrinks_gap_with_searched_exponent(self):
-        x = np.array([10.0, 1.0, 2.0, 3.0])
-        r = np.array([0.0, 1.0, 2.0, 3.0])
-
         def gap_after_of(n):
-            return slope_gap_analysis(x, r, 5.0, TransformKind("blt", n))[1]
+            return slope_gap_analysis(self.X_WORKED, self.R_WORKED, n)[1]
 
         res = fls_search(FlsConfig(), gap_after_of)
-        before, after = slope_gap_analysis(x, r, 5.0, TransformKind("blt", res.chosen_n))
+        before, after = slope_gap_analysis(self.X_WORKED, self.R_WORKED, res.chosen_n)
         assert after < before
 
     def test_scalar_slope_of_unequal_lengths_rejected(self):
         with pytest.raises(ValueError, match="^x and r must have equal length$"):
             scalar_slope([1.0, 2.0, 3.0], [1.0, 2.0])
 
-    def test_empty_partitions_rejected(self):
-        with pytest.raises(ValueError, match="outlier"):
-            slope_gap_analysis([1.0, 2.0], [0.1, 0.2], 10.0, TransformKind("blt", 2.0))
-        with pytest.raises(ValueError, match="inlier"):
-            slope_gap_analysis([20.0, 30.0], [0.1, 0.2], 10.0, TransformKind("blt", 2.0))
+    def test_one_sided_partition_reports_none(self):
+        assert slope_gap_analysis([1.0, 2.0], [0.1, 0.2], 2.0) is None  # no outliers
+        assert slope_gap_analysis([20.0, -30.0], [0.1, 0.2], 2.0) is None  # no inliers
 
 
 class TestOlsScalarBias:
@@ -1043,28 +1058,37 @@ class TestOlsScalarBias:
 
 
 class TestSplitErrorMetrics:
-    def test_equal_tensors(self):
+    """``(sum e^2, sum |e| over outliers, sum |e| over inliers, outlier count)``."""
+
+    def test_equal_arrays(self):
         y = np.array([[1.0, 20.0]])
-        x = np.array([[1.0, 20.0]])
-        assert split_error_metrics(y, y, x, 10.0) == (0.0, 0.0)
+        assert split_error_metrics(y, y.copy(), y.copy()) == (0.0, 0.0, 0.0, 1)
 
-    def test_no_outliers_reports_absent(self):
-        y = np.array([[1.0, 2.0]])
-        mae_out, mae_in = split_error_metrics(y, y + 1.0, y, 10.0)
-        assert mae_out is None
-        assert mae_in == 1.0
+    def test_no_outliers(self):
+        y = np.array([[1.0, -2.0]])
+        assert split_error_metrics(y, y + 1.0, y.copy()) == (2.0, 0.0, 2.0, 0)
 
-    def test_constructed_partition_means(self):
-        x = np.array([[20.0, 1.0], [30.0, 2.0]])
+    def test_constructed_partition_sums(self):
+        # |x_q| > 10 in column 0 only, the negative entry too
+        x_q = np.array([[20.0, 1.0], [-30.0, 10.0]])
         y = np.zeros((2, 2))
-        y_hat = np.array([[2.0, 0.5], [2.0, 0.5]])
-        mae_out, mae_in = split_error_metrics(y, y_hat, x, 10.0)
-        assert mae_out == 2.0
-        assert mae_in == 0.5
+        y_hat = np.array([[2.0, 0.5], [-3.0, -0.25]])
+        assert split_error_metrics(y, y_hat, x_q) == (4.0 + 0.25 + 9.0 + 0.0625, 5.0, 0.75, 2)
+
+    def test_error_is_left_in_x_q(self):
+        x_q = np.array([[20.0, 1.0], [-30.0, 2.0]])
+        y = np.array([[1.0, 2.0], [3.0, 4.0]])
+        y_hat = np.array([[1.5, 0.0], [4.0, 4.0]])
+        split_error_metrics(y, y_hat, x_q)
+        assert x_q.tolist() == [[0.5, 2.0], [1.0, 0.0]]
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            split_error_metrics(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 3)), 10.0)
+        with pytest.raises(ValueError, match="^y, y_hat and x_q must share one shape$"):
+            split_error_metrics(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 3)))
+
+    def test_non_finite_array_named(self):
+        with pytest.raises(ValueError, match="^y_hat contains non-finite values$"):
+            split_error_metrics(np.zeros((1, 2)), np.array([[0.0, np.inf]]), np.zeros((1, 2)))
 
 
 class TestMeanOfPartials:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nbcq.transform import (
+    IDENTITY,
     TransformKind,
     apply_kind_forward,
     apply_kind_inverse,
@@ -162,3 +163,12 @@ class TestTransformKinds:
         for name in ("asinh", "tanh", "sigmoid"):
             with pytest.raises(ValueError, match=name):
                 TransformKind(name)
+
+    @pytest.mark.parametrize("blt_map", [blt_forward, blt_inverse])
+    def test_blt_map_of_identity_kind_names_the_kind(self, blt_map):
+        with pytest.raises(ValueError, match="^identity kind has no threshold$"):
+            blt_map(np.array([1.0, -2.0]), IDENTITY)
+
+    def test_identity_kind_has_no_threshold(self):
+        with pytest.raises(ValueError, match="^identity kind has no threshold$"):
+            IDENTITY.threshold
