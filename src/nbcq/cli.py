@@ -24,7 +24,10 @@ checks the whole config: unknown keys and every value the run would
 reject once it starts or a bundle cannot hold are rejected by name, and
 a shape too large to allocate fails before any fit. The mode alone names
 the map; eval takes it from the bundle, where a block of another kind
-than block 0's is a ``format`` error naming the block.
+than block 0's is a ``format`` error naming the block. No command runs
+``mode = none``: calibrate rejects it (exit 2), eval scores only a bundle,
+and search-n and analyze-outliers do not read the mode; the uncompensated
+baseline is ``harness.evaluate_pipeline(model, calib, None, mode="none")``.
 
 The eval CSV has one row per block: the ``EvalReport`` fields in order,
 each repeated on every row, then the block index and the block's entry of

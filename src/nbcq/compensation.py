@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import as_tensor, solve_coefficients, solve_least_squares
-from .quantizer import round_half_away
+from .quantizer import grid_round
 from .transform import IDENTITY, TransformKind, apply_kind_forward, apply_kind_inverse
 
 __all__ = [
@@ -281,7 +281,7 @@ def store_params(mod: CompensationModule, storage: str) -> CompensationModule:
         # codes quantize against the scales storage will reproduce
         scales = narrow(np.abs(mod.weight).max(axis=1) / 127.0, storage, "scales")
         scales = np.maximum(scales.astype(np.float64), I8_SCALE_FLOOR)
-        wide["weight"] = np.clip(round_half_away(mod.weight / scales[:, None]), -127, 127)
+        wide["weight"] = grid_round(mod.weight, scales[:, None], -127, 127)
         wide["scales"] = scales
     tensors = {role: narrow(wide[role], storage, role) for role in STORED_DTYPES[storage]}
     return stored_module(mod.kind, storage, tensors, ridge_used=mod.ridge_used,

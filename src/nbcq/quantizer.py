@@ -7,15 +7,17 @@ Calibration takes one min/max pass over the tensor, no percentile clipping:
     code       q = clip(round(x / s) + z, 0, 2^b - 1)
     value      x_hat = s * (q - z)
 
-Rounding is half away from zero everywhere, which is deterministic and the
-convention most integer-quantization code bases use. Activations quantize
-per tensor (``fake_quantize``); weight matrices quantize per output row
-(``quantize_per_channel``). Both compute ``x_hat`` straight from ``x`` in
-float64, without materializing the integer codes ``q``. A per-tensor
-``x_hat`` takes one of 2^b values: ``level_table`` lists them by code and
-``level_codes`` recovers the code of each entry as one byte (b <= 8), so
-that ``x_hat`` can be held in an eighth of its float64 size and a map
-applied elementwise to it can run on the 2^b levels instead.
+Rounding is to the nearest integer, halves away from zero, exact for every
+finite input, and one function does it: ``grid_round(x, s, lo, hi)`` is
+``clip(round(x / s), lo, hi)``. Fake-quant (bounds [-z, 2^b - 1 - z]), the
+zero point, ``level_codes`` and the int8 codes of ``compensation.store_params``
+call it. Activations quantize per tensor (``fake_quantize``); weight matrices
+quantize per output row (``quantize_per_channel``). Both compute ``x_hat``
+straight from ``x`` in float64, without materializing ``q``, and never return
+-0.0. A per-tensor ``x_hat`` takes one of 2^b values: ``level_table`` lists
+them by code and ``level_codes`` recovers the code of each entry as one byte
+(b <= 8), so that ``x_hat`` can be held in an eighth of its float64 size and
+a map applied elementwise to it can run on the 2^b levels instead.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ __all__ = [
     "SCALE_FLOOR",
     "QuantParams",
     "check_bits",
-    "round_half_away",
+    "grid_round",
     "calibrate_params",
     "fake_quantize",
     "level_table",
@@ -43,10 +45,17 @@ __all__ = [
 SCALE_FLOOR = 1e-12
 
 
-def round_half_away(x) -> np.ndarray:
-    """Round to nearest integer with halves away from zero."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+def grid_round(x, scale, lo, hi, out: np.ndarray | None = None) -> np.ndarray:
+    """``clip(round(x / scale), lo, hi)`` in float64, halves rounded away from
+    zero; the arguments broadcast, ``scale > 0``, and ``out`` may be ``x``."""
+    t = np.asarray(np.divide(x, scale))  # a new array, with the sign of x
+    sign, out = (x, t) if out is None else (t, out)  # out may be x: then t keeps the sign
+    np.abs(t, out=out)
+    out += 0.49999999999999994  # + 0.5 rounds up 0.5 - 2^-54 and odd n in [2^52, 2^53)
+    np.floor(out, out=out)
+    np.copysign(out, sign, out=out)
+    np.maximum(out, lo, out=out)  # clip without np.clip's wrapper
+    return np.minimum(out, hi, out=out)
 
 
 @dataclass(frozen=True)
@@ -82,24 +91,15 @@ def _scale_zero(lo, hi, bits: int) -> tuple[np.ndarray, np.ndarray]:
     """Scale and zero point of the ranges [lo, hi], elementwise."""
     top = 2**bits - 1
     scale = np.maximum((hi - lo) / top, SCALE_FLOOR)
-    return scale, np.clip(round_half_away(-lo / scale), 0, top)
+    return scale, grid_round(-lo, scale, 0, top)
 
 
 def _fake_quant(src, dst, scale, zero, top: int) -> None:
-    """Write ``scale * (clip(round(src / scale) + zero, 0, top) - zero)`` to
+    """Write ``scale * clip(round(src / scale), -zero, top - zero)`` to
     ``dst``, which may be ``src``; ``scale`` and ``zero`` broadcast."""
-    t = src / scale  # keeps the sign of src (the scale is positive)
-    # round half away from zero: |t| rounded up from .5, then the sign put
-    # back from t, as dst may be src
-    np.abs(t, out=dst)
-    dst += 0.5
-    np.floor(dst, out=dst)
-    np.copysign(dst, t, out=dst)
-    dst += zero  # a negative zero becomes +0 here, as in integer codes
-    np.maximum(dst, 0, out=dst)  # clip to [0, top] without np.clip's wrapper
-    np.minimum(dst, top, out=dst)
-    dst -= zero
+    grid_round(src, scale, -zero, top - zero, out=dst)
     dst *= scale
+    dst += 0.0  # -0.0 becomes +0.0, the level of the zero point
 
 
 def calibrate_params(x, bits: int) -> QuantParams:
@@ -151,11 +151,8 @@ def level_codes(x_q, p: QuantParams) -> np.ndarray:
     arr = as_tensor(x_q, "x_q")
     # a level divided by the scale lies within a few ulps of its integer
     # code - zero_point, far closer than the 0.5 that rounding needs
-    t = arr / p.scale
-    np.rint(t, out=t)
+    t = grid_round(arr, p.scale, -p.zero_point, p.n_levels - 1 - p.zero_point)
     t += p.zero_point
-    np.maximum(t, 0, out=t)  # clip to the codes without np.clip's wrapper
-    np.minimum(t, p.n_levels - 1, out=t)
     codes = t.astype(np.uint8)
     # t holds the codes, exactly: their levels are level_table's entries
     if not np.array_equal(_levels_of(t, p).view(np.int64), arr.view(np.int64)):

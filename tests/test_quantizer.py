@@ -6,20 +6,44 @@ from nbcq.quantizer import (
     QuantParams,
     calibrate_params,
     fake_quantize,
+    grid_round,
     level_codes,
     level_table,
     quantize_per_channel,
-    round_half_away,
 )
 
 from helpers import integer_codes, integer_round_trip
+
+
+# the largest double below 0.5: + 0.5 is 1 - 2^-54, a tie that rounds to 1.0
+BELOW_HALF = 0.49999999999999994
 
 
 class TestRounding:
     def test_half_away_from_zero(self):
         values = [0.5, 1.5, 2.5, -0.5, -1.5, -2.5, 0.49, -0.49]
         expected = [1.0, 2.0, 3.0, -1.0, -2.0, -3.0, 0.0, -0.0]
-        assert np.array_equal(round_half_away(values), expected)
+        assert np.array_equal(grid_round(values, 1.0, -np.inf, np.inf), expected)
+
+    def test_clips_to_the_bounds_and_writes_out(self):
+        x = np.array([-7.0, -1.25, 0.75, 9.0])
+        # x / 0.5 is [-14, -2.5, 1.5, 18]
+        assert grid_round(x, 0.5, -3, 3).tolist() == [-3.0, -3.0, 2.0, 3.0]
+        assert grid_round(x, 0.5, -3, 3, out=x) is x and x.tolist() == [-3.0, -3.0, 2.0, 3.0]
+
+    def test_float_edges_round_to_nearest(self):
+        # a power-of-two scale, so x / scale is exact and only the rounding is tested
+        scale = 0.25
+        got = grid_round(np.array([BELOW_HALF, -BELOW_HALF, 2.0**52 + 1, -(2.0**52 + 1)]) * scale,
+                         scale, -np.inf, np.inf)
+        assert got.tolist() == [0.0, 0.0, 2.0**52 + 1, -(2.0**52 + 1)]
+        assert np.signbit(got).tolist() == [False, True, False, True]
+        k = np.arange(301, dtype=np.float64)
+        for sign in (1.0, -1.0):
+            ties = grid_round(sign * (k + 0.5) * scale, scale, -np.inf, np.inf)
+            assert np.array_equal(ties, sign * (k + 1.0))
+        assert fake_quantize([BELOW_HALF * 0.5], QuantParams(4, 0.5, 0)).tolist() == [0.0]
+        assert quantize_per_channel([[0.0, BELOW_HALF, 15.0]], 4).tolist() == [[0.0, 0.0, 15.0]]
 
 
 class TestCalibrateParams:
