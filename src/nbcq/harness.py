@@ -552,6 +552,7 @@ class EvalReport:
     partition is empty, ``chosen_n`` unless all modules carry one exponent;
     the slope gaps are None when the analysis channel has no outliers to
     compare against, or when a slope on it is undefined (a constant one).
+    No value is inf or NaN: ``evaluate_pipeline`` raises ValueError naming such fields.
     """
 
     mode: str
@@ -561,7 +562,6 @@ class EvalReport:
     seed: int
     storage: str
     chosen_n: float | None
-    fls_evaluations: int | None
     feature_loss: float
     mae_outlier: float | None
     mae_inlier: float | None
@@ -730,12 +730,12 @@ def evaluate_pipeline(
     Slope gaps use the calibration records of the last block (see
     ``channel_slope_gap``), at the last module's exponent, or
     ``gap_reference_n`` if it has none. ``chosen_n`` is the exponent all
-    modules carry, None if they differ; ``fls_evaluations`` is None, since
-    modules do not record the search that chose them. The report's
-    ``transform`` is the map ``mode`` names (``MODE_MAPS``); modules of
-    another map, or a module count other than the block count, raise
-    ValueError before the set is drawn. An output of either forward that
-    is not finite raises ValueError naming its block.
+    modules carry, None if they differ. The report's ``transform`` is the
+    map ``mode`` names (``MODE_MAPS``); modules of another map, or a module
+    count other than the block count, raise ValueError before the set is
+    drawn. An output of either forward that is not finite raises ValueError
+    naming its block, and a report value that is not (a loss whose sum
+    overflows) raises ValueError naming its fields.
     """
     label = _mode_map(mode, transform)
     if (found := mode_of_modules(modules)) != mode:
@@ -774,7 +774,7 @@ def evaluate_pipeline(
     mae_out = _mean_of_partials(outlier_sums, n_outliers)
     mae_in = _mean_of_partials(inlier_sums, model.n_blocks * n_rows * model.d - n_outliers)
 
-    return EvalReport(
+    report = EvalReport(
         mode=mode,
         transform=label,
         bits_w=calib.qmodel.bits_w,
@@ -782,7 +782,6 @@ def evaluate_pipeline(
         seed=calib.seed,
         storage=modules[0].storage if modules else "none",
         chosen_n=chosen_n,
-        fls_evaluations=None,
         feature_loss=feature_loss,
         mae_outlier=mae_out,
         mae_inlier=mae_in,
@@ -792,3 +791,8 @@ def evaluate_pipeline(
         ridge_used=tuple(m.ridge_used for m in modules) if modules else (),
         residual_rms=tuple(m.residual_rms for m in modules) if modules else (),
     )
+    bad = [key for key, value in vars(report).items()
+           if any(isinstance(v, float) and not math.isfinite(v) for v in np.ravel(value))]
+    if bad:
+        raise ValueError(f"{', '.join(bad)} not finite")
+    return report

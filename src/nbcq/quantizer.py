@@ -1,11 +1,15 @@
 """Uniform affine quantization.
 
-Calibration takes one min/max pass over the tensor, no percentile clipping:
+Calibration takes one min/max pass over the tensor, no percentile clipping,
+over the range widened to hold zero, [min(x, 0), max(x, 0)], so that every
+value of a one-sided tensor lies inside it:
 
-    scale      s = (max - min) / (2^b - 1), floored at 1e-12
-    zero point z = clip(round(-min / s), 0, 2^b - 1)
+    scale      s = (max(x, 0) - min(x, 0)) / (2^b - 1), floored at 1e-12
+    zero point z = round(-min(x, 0) / s)
     code       q = clip(round(x / s) + z, 0, 2^b - 1)
     value      x_hat = s * (q - z)
+
+A scale whose top level (2^b - 1) * s overflows float64 is a ValueError.
 
 Rounding is to the nearest integer, halves away from zero, exact for every
 finite input, and one function does it: ``grid_round(x, s, lo, hi)`` is
@@ -41,7 +45,8 @@ __all__ = [
     "quantize_per_channel",
 ]
 
-# Lower bound on the scale so constant tensors (max == min) stay encodable.
+# Lower bound on the scale; only an all-zero tensor, whose range holds zero
+# alone, reaches it.
 SCALE_FLOOR = 1e-12
 
 
@@ -68,8 +73,10 @@ class QuantParams:
 
     def __post_init__(self):
         check_bits(self.bits)
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise ValueError(f"scale must be positive and finite, got {self.scale}")
+        # the top level (2^bits - 1) * scale is inf where a finite scale is too wide
+        if not (self.scale > 0 and math.isfinite((2**self.bits - 1) * self.scale)):
+            also = ", and so must (2^bits - 1) * scale" if 0 < self.scale < math.inf else ""
+            raise ValueError(f"scale must be positive and finite{also}, got {self.scale}")
         if not 0 <= self.zero_point <= 2**self.bits - 1:
             raise ValueError(
                 f"zero_point {self.zero_point} outside [0, {2**self.bits - 1}]"
@@ -88,8 +95,9 @@ def check_bits(bits, key: str = "bits") -> int:
 
 
 def _scale_zero(lo, hi, bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Scale and zero point of the ranges [lo, hi], elementwise."""
+    """Scale and zero point of the ranges [min(lo, 0), max(hi, 0)], elementwise."""
     top = 2**bits - 1
+    lo, hi = np.minimum(lo, 0.0), np.maximum(hi, 0.0)
     scale = np.maximum((hi - lo) / top, SCALE_FLOOR)
     return scale, grid_round(-lo, scale, 0, top)
 
@@ -171,8 +179,10 @@ def quantize_per_channel(w, bits: int) -> np.ndarray:
     arr = as_tensor(w, "weight", ndim=2)
     if arr.shape[1] == 0:
         raise ValueError("calibration tensor is empty")
-    scale, zero = _scale_zero(arr.min(axis=1), arr.max(axis=1), bits)
-    if not np.isfinite(scale).all():
+    with np.errstate(over="ignore"):  # an overflow is the ValueError below
+        scale, zero = _scale_zero(arr.min(axis=1), arr.max(axis=1), bits)
+        top_levels = (2**bits - 1) * scale
+    if not np.isfinite(top_levels).all():
         raise ValueError("scale must be positive and finite: a row's range overflows float64")
     out = np.empty_like(arr)
     _fake_quant(arr, out, scale[:, None], zero[:, None], 2**bits - 1)

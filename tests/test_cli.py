@@ -33,7 +33,7 @@ outlier_scale = 12.0
 
 # the eval CSV columns in the order the README documents
 README_EVAL_COLUMNS = [
-    "mode", "transform", "bits_w", "bits_a", "seed", "storage", "chosen_n", "fls_evaluations",
+    "mode", "transform", "bits_w", "bits_a", "seed", "storage", "chosen_n",
     "feature_loss", "mae_outlier", "mae_inlier", "slope_gap_before", "slope_gap_after",
     "block", "block_loss", "ridge_used", "residual_rms",
 ]
@@ -965,16 +965,25 @@ class TestOverflowBeyondCalibration:
     forward (exp2 in the inverse map) or a loss. The run fails with the one
     error line and writes nothing."""
 
-    @pytest.mark.parametrize("scale", ["1e3", "1e5"])
-    def test_eval_exits_1_naming_outlier_scale(self, tmp_path, capsys, scale):
-        # desk defaults: the bundle's search picks n = 3 at scale 100, seed 1
+    @pytest.mark.parametrize(
+        "calibration, scale, failure",
+        [
+            # the bundle's search picks n = 3 at scale 100, seed 1; 1e3
+            # overflows block 2's loss, 1e5 the compensated forward itself
+            ("outlier_scale = 100\nseed = 1\n", "1e3", "per_block_losses not finite"),
+            ("outlier_scale = 100\nseed = 1\n", "1e5", "block 2: y_hat contains non-finite values"),
+            # desk defaults (n = 3): the last block's loss and so the feature loss
+            ("", "1e160", "feature_loss, per_block_losses not finite"),
+        ],
+        ids=["1e3", "1e5", "1e160"],
+    )
+    def test_eval_exits_1_naming_outlier_scale(self, tmp_path, capsys, calibration, scale, failure):
         calib_cfg = tmp_path / "calib.cfg"
-        calib_cfg.write_text("outlier_scale = 100\nseed = 1\n")
+        calib_cfg.write_text(calibration)
         bundle = str(tmp_path / "comp.nbcb")
         code, out, err = run_cli(["calibrate", "--config", str(calib_cfg), "--out", bundle], capsys)
         assert code == 0, err
         assert "chosen_n=3.0\t" in out
-        # 1e3 overflows block 2's loss; 1e5 the compensated forward itself
         eval_cfg = tmp_path / "eval.cfg"
         eval_cfg.write_text(f"outlier_scale = {scale}\n")
         csv_path = tmp_path / "report.csv"
@@ -982,7 +991,9 @@ class TestOverflowBeyondCalibration:
             ["eval", "--config", str(eval_cfg), "--bundle", bundle, "--out", str(csv_path)], capsys
         )
         assert_failed(code, err, 1, "evaluator")
-        assert f"outlier_scale = {float(scale)!r}" in err
+        assert err == (
+            f"error\tevaluator\tthe evaluation overflows at outlier_scale = {float(scale)!r} ({failure})\n"
+        )
         assert out == "" and not csv_path.exists()
 
     @pytest.mark.parametrize("command", ["calibrate", "search-n"])

@@ -710,6 +710,17 @@ class TestNonFiniteForward:
             with pytest.raises(ValueError, match="^block 2: y_hat contains non-finite values$"):
                 evaluate_pipeline(model, calib, modules, mode="nbc")
 
+    def test_evaluation_refuses_a_report_that_is_not_finite(self):
+        # modules fitted at desk defaults on an evaluation set at 1e160:
+        # every forward stays finite, but the squared errors of the last
+        # block sum past float64, so its loss, the feature loss, is inf
+        model, calib, cfg = desk_setup(0)
+        modules, _ = fit_compensation(model, calib, "nbc", cfg=cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            model, calib, _ = desk_setup(0, outlier_scale=1e160)
+            with pytest.raises(ValueError, match="^feature_loss, per_block_losses not finite$"):
+                evaluate_pipeline(model, calib, modules, mode="nbc")
+
 
 class TestSearchRowValidation:
     @staticmethod

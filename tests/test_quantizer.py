@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -57,10 +59,17 @@ class TestCalibrateParams:
         assert abs(p.scale - 0.01) <= 1e-15
         assert p.zero_point == 100
 
-    def test_constant_tensor_hits_scale_floor(self):
-        p = calibrate_params([5.0, 5.0, 5.0], bits=4)
-        assert p.scale == SCALE_FLOOR
-        assert 0 <= p.zero_point <= 15
+    @pytest.mark.parametrize("value", [5.0, -5.0])
+    def test_constant_tensor_comes_back_exactly(self, value):
+        # the range [min(x, 0), max(x, 0)] puts the constant at an end level
+        x = np.full(3, value)
+        p = calibrate_params(x, bits=4)
+        assert p.scale == 5.0 / 15 and p.zero_point == (0 if value > 0 else 15)
+        assert fake_quantize(x, p).tolist() == x.tolist()
+
+    def test_all_zero_tensor_hits_scale_floor(self):
+        p = calibrate_params([0.0, -0.0, 0.0], bits=4)
+        assert p.scale == SCALE_FLOOR and p.zero_point == 0
 
     def test_bits_out_of_range(self):
         for bits in (1, 9, 0, -2):
@@ -176,7 +185,7 @@ class TestPerChannelOracle:
     def test_matches_row_loop_with_constant_rows(self, bits):
         rng = np.random.default_rng(43)
         w = rng.standard_normal((9, 17)) * rng.uniform(0.01, 30.0, (9, 1))
-        w[2] = 3.25  # constant row: scale floor
+        w[2] = 3.25  # constant row: its value is the top level
         w[5] = 0.0
         w[7] = -np.abs(w[7])  # all-negative row: zero point at the top
         top = 2**bits - 1
@@ -217,6 +226,23 @@ class TestProperties:
                 p = calibrate_params(x, bits)
                 back = fake_quantize(x, p)
                 assert np.max(np.abs(back - x)) <= p.scale / 2 + 1e-12
+
+    @pytest.mark.parametrize("bits", [2, 4, 8])
+    def test_one_sided_tensors_and_rows_within_half_a_step(self, bits):
+        # the range widened to hold zero: scale max|x| / (2^bits - 1), every
+        # value inside it, so each comes back to within half a step
+        rng = np.random.default_rng(47)
+        top = 2**bits - 1
+        rows = [[10.0, 10.5, 11.0], [-3.0, -2.0, -1.0], [1e300, 1e300]]
+        rows += list(rng.uniform(0.5, 20.0, (6, 7)) * rng.choice([-1.0, 1.0], (6, 1)) + 1e-3)
+        for row in map(np.asarray, rows):
+            slack = np.spacing(np.abs(row))  # the rounding of x / scale and code * scale
+            half_step = np.abs(row).max() / top / 2
+            per_tensor = fake_quantize(row, calibrate_params(row, bits))
+            assert np.all(np.abs(per_tensor - row) <= half_step + slack)
+            per_channel = quantize_per_channel(row[None, :], bits)[0]
+            assert np.all(np.abs(per_channel - row) <= half_step + slack)
+        assert quantize_per_channel([[1e300, 1e300]], 4).tolist() == [[1e300, 1e300]]
 
     def test_quantize_idempotent_on_codes(self):
         rng = np.random.default_rng(31)
@@ -268,10 +294,13 @@ class TestLevelTable:
             self.assert_rebuilds(np.concatenate([x.ravel(), [0.0, -0.0, 1e-300, -1e-300]]), p)
 
     @pytest.mark.parametrize("value", [5.0, -5.0, 0.0, -0.0])
-    def test_constant_tensor_at_the_scale_floor(self, value):
+    def test_constant_tensor(self, value):
         x = np.full((4, 3), value)
         p = calibrate_params(x, 4)
-        assert p.scale == SCALE_FLOOR
+        if value == 0.0:  # only the all-zero tensor reaches the scale floor
+            assert p.scale == SCALE_FLOOR
+        else:  # a nonzero constant comes back exactly
+            assert fake_quantize(x, p).tolist() == x.tolist()
         self.assert_rebuilds(x, p)
 
     @pytest.mark.parametrize("bits", [2, 8])
@@ -313,3 +342,14 @@ class TestValidation:
                 calibrate_params(np.array([-1e308, 1e308]), 4)
             with pytest.raises(ValueError, match="scale"):
                 quantize_per_channel(np.array([[0.0, 1.0], [-1e308, 1e308]]), 4)
+        # max / 3 is a finite scale, but 3 * scale, the top level, rounds to
+        # inf; rejected without a warning
+        f64_max = float(np.finfo(np.float64).max)
+        assert math.isinf(3 * (f64_max / 3))
+        with pytest.raises(ValueError, match=r"^scale must be positive and finite: a row's range overflows"):
+            quantize_per_channel(np.array([[0.0, 1.0], [0.0, f64_max]]), 2)
+        with pytest.raises(ValueError, match=r"^scale must be positive and finite, and so must"):
+            calibrate_params(np.array([0.0, f64_max]), 2)
+        with pytest.raises(ValueError, match=r"got 5\.99"):
+            QuantParams(2, f64_max / 3, 0)
+        QuantParams(2, 5.99e307, 0)  # 3 * scale = 1.797e308, just inside float64

@@ -6,7 +6,8 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
-from nbcq.cli import RunConfig, main
+import nbcq.cli
+from nbcq.cli import EVAL_CSV_COLUMNS, RunConfig, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -46,3 +47,16 @@ def test_key_table_names_every_run_config_field_once():
         cells = [cell.strip() for cell in row.strip().strip("|").split("|")]
         assert len(cells) == 1 + len(commands), row
         assert any(cells[1:]), f"no command reads {cells[0]}"
+
+
+def column_list(text: str, intro: str) -> list[str]:
+    """The comma-separated names in the block that follows ``intro`` in ``text``."""
+    block = text.split(intro, 1)[1].strip().split("\n\n", 1)[0]
+    return [name.strip() for name in block.strip("`").split(",")]
+
+
+def test_eval_column_lists_are_the_csv_columns():
+    # README's and the cli docstring's lists, so that a column added to the
+    # CSV without them fails here
+    assert column_list(README.read_text(), "columns in this fixed order:") == EVAL_CSV_COLUMNS
+    assert column_list(nbcq.cli.__doc__, "column order:") == EVAL_CSV_COLUMNS

@@ -77,12 +77,18 @@ def test_every_rounding_matches_the_exact_oracle(draw):
     assert level_table(p)[level_codes(x_q, p)].tobytes() == x_q.tobytes()
 
     row = [x, y]
-    if math.isfinite(max(row) - min(row)):  # else the row's scale overflows
+    # the range widened to hold zero; its span or top level may overflow
+    low, high = min(*row, 0.0), max(*row, 0.0)
+    scale = max((high - low) / top, SCALE_FLOOR)
+    if math.isfinite(top * scale):
         rp = calibrate_params(row, p.bits)
-        assert rp.zero_point == oracle(-min(row), rp.scale, 0, top)
+        assert (rp.scale, rp.zero_point) == (scale, oracle(-low, scale, 0, top))
         got = quantize_per_channel([row], p.bits)[0]
         lo, hi = -rp.zero_point, top - rp.zero_point
-        assert [g.tobytes() for g in got] == [level(oracle(v, rp.scale, lo, hi), rp.scale) for v in row]
+        assert [g.tobytes() for g in got] == [level(oracle(v, scale, lo, hi), scale) for v in row]
+    else:
+        with pytest.raises(ValueError, match="^scale must be positive and finite"):
+            quantize_per_channel([row], p.bits)
 
     if max(abs(x), abs(y)) <= 1e38:  # else the int8 row scale overflows float32
         stored = store_params(CompensationModule(IDENTITY, np.array([row]), np.zeros(1)), STORAGE_I8)
