@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import as_tensor, solve_coefficients, solve_least_squares
+from .numerics import as_tensor, solve_least_squares
 from .quantizer import grid_round
 from .transform import IDENTITY, TransformKind, apply_kind_forward, apply_kind_inverse
 
@@ -123,7 +123,10 @@ class CompensationModule:
     storage; under int8 storage it is decoded once and ``scales`` holds the
     stored per-row scales, so the codes are ``weight / scales[:, None]``
     exactly. ``ridge_used`` and ``residual_rms`` carry the fit metadata
-    forward; a bundle does not store them, so modules read from one hold None.
+    forward. Every fit sets ``ridge_used``; only a kept fit (``fit_nbc``,
+    ``fit_linear``) takes the residual pass that sets ``residual_rms``, so
+    it is None after a candidate fit (``fit_nbc_levels``). A bundle stores
+    neither, so modules read from one hold None for both.
     """
 
     kind: TransformKind
@@ -161,30 +164,13 @@ class CompensationModule:
         return self.weight.shape[1]
 
 
-def _levels_design(levels: np.ndarray, codes: np.ndarray, kind: TransformKind) -> np.ndarray:
-    """The design of a fit on the block input ``levels[codes]``:
-    ``f(levels)[codes]``, the map run on the levels only. It is
-    elementwise, so this has the bits of ``f(levels[codes])``. The codes
-    are cast to ``intp`` first, which numpy gathers faster than narrower
-    indices."""
-    return apply_kind_forward(levels, kind)[codes.astype(np.intp)]
-
-
 def fit_nbc(rec: CalibrationRecord, kind: TransformKind) -> CompensationModule:
     """Fit compensation in the transformed space of ``kind``, on the design
     ``f(levels)[codes]``; the solve rejects a record with fewer than
-    d_in + 1 rows (FitError)."""
-    design = _levels_design(rec.levels, rec.codes, kind)
-    targets = apply_kind_forward(rec.residual, kind)
-    sol = solve_least_squares(design, targets)
-    return CompensationModule(
-        kind=kind,
-        weight=sol.weight,
-        bias=sol.bias,
-        storage=STORAGE_F32,
-        ridge_used=sol.ridge_used,
-        residual_rms=sol.residual_rms,
-    )
+    d_in + 1 rows (FitError). A kept fit: the module's ``residual_rms`` is
+    the RMS of ``f(residual) - (design @ W^T + b)``, the prediction
+    ``apply`` makes before the inverse."""
+    return _fit(rec.levels, rec.codes, rec.residual, kind, residual_pass=True)
 
 
 def fit_nbc_levels(
@@ -196,12 +182,24 @@ def fit_nbc_levels(
     Weight, bias and ``ridge_used`` are those of ``fit_nbc`` bit for bit;
     ``residual_rms`` is None.
     """
-    design = _levels_design(levels, codes, kind)
+    return _fit(levels, codes, residual, kind, residual_pass=False)
+
+
+def _fit(levels, codes, residual, kind: TransformKind, residual_pass: bool) -> CompensationModule:
+    """The fit of ``fit_nbc`` and ``fit_nbc_levels``. The design is
+    ``f(levels)[codes]``, the map run on the levels only; it is
+    elementwise, so this has the bits of ``f(levels[codes])``. The codes
+    are cast to ``intp`` first, which numpy gathers faster than narrower
+    indices."""
+    design = apply_kind_forward(levels, kind)[codes.astype(np.intp)]
     targets = apply_kind_forward(residual, kind)
-    sol = solve_coefficients(design, targets)
-    return CompensationModule(
-        kind=kind, weight=sol.weight, bias=sol.bias, storage=STORAGE_F32, ridge_used=sol.ridge_used
-    )
+    sol = solve_least_squares(design, targets)
+    residual_rms = None
+    if residual_pass:
+        resid = targets - (design @ sol.weight.T + sol.bias)
+        residual_rms = float(np.sqrt(np.mean(resid**2)))
+    return CompensationModule(kind=kind, weight=sol.weight, bias=sol.bias, storage=STORAGE_F32,
+                              ridge_used=sol.ridge_used, residual_rms=residual_rms)
 
 
 def fit_linear(rec: CalibrationRecord) -> CompensationModule:

@@ -65,7 +65,7 @@ Conventions fixed here and relied on by the analyses:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -158,9 +158,13 @@ def gelu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Smooth asymmetric activation (tanh-form gelu, constants frozen).
 
     Computed tile by tile into a new array; ``out``, if given, is ``x``,
-    which is written over (see ``numerics.map_tiles``).
+    which is written over (see ``numerics.map_tiles``). The cube overflows
+    for |x| > 5.6e102; tanh then saturates and gelu gives its limit, ``x``
+    or -0.0, as it does from |x| of about 10 on, so the overflow is not
+    reported.
     """
-    return map_tiles(_gelu_tile, x, out)
+    with np.errstate(over="ignore"):
+        return map_tiles(_gelu_tile, x, out)
 
 
 def _gelu_tile(x: np.ndarray, out: np.ndarray) -> None:
@@ -449,7 +453,8 @@ class _RowSearchPipeline:
       codes (``fit_nbc_levels``). Each fit slices its block's codes and
       residual to the fit rows and drops the slices, so the search keeps
       nothing of its own. A candidate's modules are scored and dropped, so
-      its fits skip the residual pass.
+      its fits skip the residual pass. The fits run through ``_fit_blocks``,
+      as the kept ones do, so a failing fit names its block.
     * Hold-out: block 0's quantized step does not depend on the candidate
       either, and the set holds its input and output for every row. The
       hold-out forward applies the first module to those rows, runs blocks
@@ -462,10 +467,10 @@ class _RowSearchPipeline:
 
     def fit(self, rows: np.ndarray, n_exp: float) -> list[CompensationModule]:
         kind = TransformKind("blt", n_exp)
-        return [
-            fit_nbc_levels(rec.levels, rec.codes[rows], rec.residual[rows], kind)
-            for rec in self.calib.records
-        ]
+        return _fit_blocks(
+            self.calib.records,
+            lambda rec: fit_nbc_levels(rec.levels, rec.codes[rows], rec.residual[rows], kind),
+        )
 
     def holdout_loss(self, fitted: list[CompensationModule], rows: np.ndarray) -> float:
         first = self.calib.records[0]
@@ -568,8 +573,8 @@ class EvalReport:
     slope_gap_before: float | None
     slope_gap_after: float | None
     per_block_losses: tuple[float, ...]
-    ridge_used: tuple[float | None, ...] = field(default=())
-    residual_rms: tuple[float | None, ...] = field(default=())
+    ridge_used: tuple[float | None, ...]
+    residual_rms: tuple[float | None, ...]
 
 
 def excess_kurtosis(x: np.ndarray) -> np.ndarray:

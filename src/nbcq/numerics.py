@@ -1,10 +1,11 @@
-"""Dense float64 tensor helpers and the closed-form least-squares solver.
+"""Dense float64 tensor helpers and the one closed-form least-squares solver.
 
 Everything downstream (quantization, compensation fitting, the synthetic
-harness) funnels through these few primitives. Arrays are numpy float64 in
-row-major order; reduced precision appears only at storage boundaries, which
-keeps precision out of the picture when comparing fits against independent
-oracles.
+harness) funnels through these few primitives. ``solve_least_squares`` is
+the one solver: every compensation fit, a search candidate's or a kept
+one, calls it. Arrays are numpy float64 in row-major order; reduced
+precision appears only at storage boundaries, which keeps precision out of
+the picture when comparing fits against independent oracles.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ __all__ = [
     "as_tensor",
     "map_tiles",
     "solve_least_squares",
-    "solve_coefficients",
     "RIDGE_FALLBACK_FACTOR",
 ]
 
@@ -76,12 +76,10 @@ class LstsqSolution:
 
     ``ridge_used`` records the effective penalty, which differs from the
     requested one only when the automatic singularity fallback engaged.
-    ``residual_rms`` is None for a fit that skipped the residual pass.
     """
 
     weight: np.ndarray  # (d_out, d_in)
     bias: np.ndarray  # (d_out,)
-    residual_rms: float | None
     ridge_used: float
 
 
@@ -96,39 +94,11 @@ def solve_least_squares(design, targets, ridge: float = 0.0) -> LstsqSolution:
     trace-scaled ridge added, and the effective value is recorded in
     ``ridge_used``.
 
-    Then a residual pass, ``t - aug @ coef`` over every row, gives
-    ``residual_rms``; it costs about as much as the solve itself. Only the
-    fits that are kept pay it: ``fit_nbc`` and ``fit_linear``, which fit
-    every block's whole record in every mode. The search's candidate fits,
-    which are scored and dropped, call :func:`solve_coefficients`, which
-    returns the same weight, bias and ``ridge_used`` bit for bit.
+    The solve makes no residual pass: it would cost about as much as the
+    solve itself, and the search's candidate fits, which are scored and
+    dropped, do not need one. The kept fits take their own
+    (``compensation.fit_nbc``).
     """
-    aug, t, coef, ridge_used = _solve(design, targets, ridge)
-    resid = t - aug @ coef
-    return _solution(coef, ridge_used, float(np.sqrt(np.mean(resid**2))))
-
-
-def solve_coefficients(design, targets) -> LstsqSolution:
-    """:func:`solve_least_squares` at ridge 0 without the residual pass:
-    the same weight, bias and ``ridge_used``, and ``residual_rms`` None."""
-    _, _, coef, ridge_used = _solve(design, targets, 0.0)
-    return _solution(coef, ridge_used, None)
-
-
-def _solution(coef: np.ndarray, ridge_used: float, residual_rms: float | None) -> LstsqSolution:
-    p = coef.shape[0] - 1
-    return LstsqSolution(
-        weight=coef[:p].T.copy(),
-        bias=coef[p].copy(),
-        residual_rms=residual_rms,
-        ridge_used=ridge_used,
-    )
-
-
-def _solve(design, targets, ridge: float):
-    """The checks and the solve of :func:`solve_least_squares`; returns the
-    augmented design, the targets, the coefficients (bias last) and the
-    effective ridge."""
     d = as_tensor(design, "design", ndim=2)
     t = as_tensor(targets, "targets", ndim=2)
     n, p = d.shape
@@ -158,5 +128,4 @@ def _solve(design, targets, ridge: float):
             coef = attempt(ridge_used)
         except np.linalg.LinAlgError:
             raise FitError("normal equations remain singular after the ridge fallback") from None
-    return aug, t, coef, ridge_used
-
+    return LstsqSolution(weight=coef[:p].T.copy(), bias=coef[p].copy(), ridge_used=ridge_used)

@@ -4,7 +4,8 @@ Each workload runs one tiny pass, shrunk as ``bench/test_smoke.py`` shrinks
 it. Every block step, full-precision or quantized, calls gelu once, so the
 steps the ``harness.fp_forward`` and ``harness.q_forward`` spans count add
 up to the gelu calls. A library forward that the benchmark does not wrap (a
-renamed step, say) makes the sum fall short instead of reading a silent 0.
+renamed step, say) makes the sum fall short instead of reading a silent 0;
+so does a fit whose solve the benchmark does not see.
 And every site the benchmark wraps is called by some workload, so no layer
 times a function that nothing runs.
 """
@@ -33,6 +34,17 @@ def test_forward_spans_count_every_block_step(name, tmp_path):
     fp, q = metrics["harness.fp_forward.calls"], metrics["harness.q_forward.calls"]
     assert fp > 0 and q > 0
     assert fp + q == metrics["harness.gelu.calls"]
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_solve_spans_count_every_fit(name, tmp_path):
+    # each block is solved once per search candidate and once per kept fit,
+    # which every op of a mode but none makes
+    wl = tiny(WORKLOADS[name])
+    metrics = run.measure(wl, 0, 0.0, True, tmp_path)["metrics"]
+    kept_fit_ops = wl.seeds_per_pass * sum(mode != "none" for mode in wl.modes)
+    assert metrics["fls.candidates"] > 0
+    assert metrics["numerics.solve.calls"] == wl.n_blocks * (metrics["fls.candidates"] + kept_fit_ops)
 
 
 def test_every_wrapped_site_is_called(monkeypatch, tmp_path):

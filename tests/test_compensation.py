@@ -12,6 +12,7 @@ from nbcq.compensation import (
     apply,
     fit_linear,
     fit_nbc,
+    fit_nbc_levels,
     narrow,
     store_params,
     stored_tensors,
@@ -115,6 +116,24 @@ class TestFitLinear:
         with pytest.raises(FitError):
             fit_linear(rec)
 
+    def test_exact_linear_relation_leaves_no_residual(self):
+        mod = fit_linear(record_of([[1.0], [2.0], [3.0]], [[2.0], [4.0], [6.0]]))
+        assert mod.residual_rms <= 1e-10
+
+    def test_consistent_system_leaves_no_residual(self):
+        rng = np.random.default_rng(9)
+        x_q = rng.standard_normal((40, 5))
+        w_true = rng.standard_normal((2, 5))
+        b_true = rng.standard_normal(2)
+        assert fit_linear(record_of(x_q, x_q @ w_true.T + b_true)).residual_rms <= 1e-10
+
+    def test_singular_design_fallback_leaves_a_small_residual(self):
+        x_q = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+        mod = fit_linear(record_of(x_q, [[1.0], [2.0], [3.0]]))
+        assert mod.ridge_used > 0.0
+        # the regularized fit still reproduces the consistent targets closely
+        assert mod.residual_rms <= 1e-4
+
 
 class TestFitNbc:
     def test_linear_region_equivalence(self):
@@ -205,6 +224,42 @@ def desk_records():
     model, calib, _ = desk_setup(0)
     q_io = calib.qmodel.compensated_block_io(draw_inputs(model, calib.n_samples, calib.spec, calib.seed))
     return [(rec, y_q) for rec, (_, y_q) in zip(calib.records, q_io)]
+
+
+@pytest.fixture(scope="module")
+def desk_and_mid_records():
+    """The calibration records of the desk setup and of a mid-scale one
+    (d64/h256/8 blocks/2048 samples), both at seed 0."""
+    _, desk, _ = desk_setup(0)
+    _, mid, _ = desk_setup(0, d=64, h=256, n_blocks=8, n_samples=2048)
+    return desk.records + mid.records
+
+
+class TestResidualPass:
+    @pytest.mark.parametrize(
+        "kind", [TransformKind("blt", 0.5), TransformKind("blt", 2.0), IDENTITY], ids=str
+    )
+    def test_kept_fit_residual_rms_is_the_augmented_formula_bit_for_bit(
+        self, desk_and_mid_records, kind
+    ):
+        for rec in desk_and_mid_records:
+            mod = fit_nbc(rec, kind)
+            design = apply_kind_forward(rec.x_q, kind)
+            targets = apply_kind_forward(rec.residual, kind)
+            aug = np.hstack([design, np.ones((rec.n_rows, 1))])
+            coef = np.vstack([mod.weight.T, mod.bias])
+            resid = targets - aug @ coef
+            assert mod.residual_rms == float(np.sqrt(np.mean(resid**2)))
+
+    def test_candidate_fit_skips_the_residual_pass(self):
+        rng = np.random.default_rng(15)
+        rec, _ = make_record(rng)
+        kind = TransformKind("blt", 2.0)
+        kept, candidate = fit_nbc(rec, kind), fit_nbc_levels(rec.levels, rec.codes, rec.residual, kind)
+        assert kept.residual_rms > 0.0 and candidate.residual_rms is None
+        assert candidate.weight.tobytes() == kept.weight.tobytes()
+        assert candidate.bias.tobytes() == kept.bias.tobytes()
+        assert candidate.ridge_used == kept.ridge_used
 
 
 class TestApply:

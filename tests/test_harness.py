@@ -111,6 +111,18 @@ class TestBuildToyModel:
             scale = abs(o) if v >= 0 else abs(v)
             assert abs(g - o) <= 1e-15 * scale, (v, g, o)
 
+    def test_gelu_gives_its_limit_where_the_cube_overflows(self):
+        # under the project's error::RuntimeWarning filter: no warning either
+        got = gelu(np.array([1e200, -1e200]))
+        assert got[0] == 1e200
+        assert got[1] == 0.0 and math.copysign(1.0, got[1]) == -1.0
+
+    def test_setup_whose_gelu_overflows_warns_nothing(self):
+        # the block inputs reach 1e160 and stay finite, but past |x| = 5.6e102
+        # the cube in gelu's tanh argument overflows, which gelu handles
+        _, calib, _ = desk_setup(0, outlier_scale=1e160)
+        assert max(np.abs(rec.levels).max() for rec in calib.records) > 1e150
+
 
 class TestOutlierSpec:
     @pytest.mark.parametrize(
@@ -819,6 +831,30 @@ class TestKeptFitFailure:
             fit_compensation(model, calib, "nbc", cfg=cfg)
 
 
+class TestCandidateFitFailure:
+    def test_failing_block_named(self, monkeypatch):
+        import nbcq.compensation as comp_mod
+
+        model, calib, cfg = desk_setup(0)
+        original = comp_mod.solve_least_squares
+        solves = []
+
+        def failing_on_second_solve(design, targets, ridge=0.0):
+            solves.append(design.shape[0])
+            if len(solves) == 2:  # block 1 of the first candidate
+                raise FitError("normal equations remain singular after the ridge fallback")
+            return original(design, targets, ridge)
+
+        monkeypatch.setattr(comp_mod, "solve_least_squares", failing_on_second_solve)
+        with pytest.raises(EvaluatorError) as info:
+            search_exponent(model, calib, cfg)
+        assert str(info.value) == (
+            "evaluator failed at n_exp=2.0: block 1: "
+            "normal equations remain singular after the ridge fallback"
+        )
+        assert solves == [384, 384]  # the fit rows of blocks 0 and 1
+
+
 class TestModeMaps:
     """The mode alone names the map its modules apply."""
 
@@ -909,11 +945,10 @@ class TestModeMaps:
 
 class TestSearchCost:
     """Guards the fits' cost by counting their work: every fit transforms
-    the 2^bits_a input levels, not rows x d inputs, and only the final
-    refit runs the least-squares residual pass."""
+    the 2^bits_a input levels, not rows x d inputs, and solves once."""
 
     @pytest.mark.parametrize("bits_a", [3, 4])
-    def test_design_transform_sees_the_levels_and_one_residual_pass_per_block(
+    def test_design_transform_sees_the_levels_and_every_fit_solves_once(
         self, monkeypatch, bits_a
     ):
         import nbcq.compensation as comp_mod
@@ -936,8 +971,7 @@ class TestSearchCost:
             return wrapper
 
         monkeypatch.setattr(comp_mod, "apply_kind_forward", counting_forward)
-        for name in ("solve_least_squares", "solve_coefficients"):
-            monkeypatch.setattr(comp_mod, name, counting(name))
+        monkeypatch.setattr(comp_mod, "solve_least_squares", counting("solve_least_squares"))
         _, result = fit_compensation(model, calib, "nbc", cfg=cfg)
         per_block = result.evaluations * len(calib.records)
         d, levels = 16, 2**bits_a
@@ -947,10 +981,7 @@ class TestSearchCost:
             128 * d: per_block,  # the hold-out apply
             512 * d: len(calib.records),  # the targets of the final refit
         }
-        assert Counter(solves) == {
-            "solve_coefficients": per_block,
-            "solve_least_squares": len(calib.records),  # the residual pass
-        }
+        assert Counter(solves) == {"solve_least_squares": per_block + len(calib.records)}
 
 
 class TestSearchOracle:
