@@ -22,7 +22,8 @@ outlier threshold (``harness.OUTLIER_THRESHOLD``) and the toy model's
 heavy-channel gains (``harness.build_toy_model``) are fixed. Every command
 checks the whole config: unknown keys and every value the run would
 reject once it starts or a bundle cannot hold are rejected by name, and
-a shape too large to allocate fails before any fit. The mode alone names
+a shape too large to allocate is a ``config`` error naming the shape
+keys, at whatever stage an allocation fails. The mode alone names
 the map; eval takes it from the bundle, where a block of another kind
 than block 0's is a ``format`` error naming the block. No command runs
 ``mode = none``: calibrate rejects it (exit 2), eval scores only a bundle,
@@ -204,17 +205,13 @@ def _build_setup(cfg: RunConfig) -> tuple[ToyModel, CalibrationSet, FlsConfig]:
     spec = cfg.outlier_spec()
     # A large outlier scale can overflow the calibration forward; the
     # finiteness checks turn that into the one ValueError an accepted config
-    # can still raise here. Arrays too large to allocate are a config error too.
+    # can still raise here. Arrays too large to allocate are a config error
+    # in every stage of a command (``_dispatch``).
     try:
         model = build_toy_model(cfg.d, cfg.h, cfg.n_blocks, cfg.seed)
         calib = generate_calibration(
             model, cfg.n_samples, spec, cfg.seed + 1, bits_w=cfg.bits_w, bits_a=cfg.bits_a
         )
-    except MemoryError as exc:
-        raise ConfigError(
-            f"d = {cfg.d!r}, h = {cfg.h!r}, n_blocks = {cfg.n_blocks!r}, "
-            f"n_samples = {cfg.n_samples!r} do not fit in memory ({exc})"
-        ) from None
     except ValueError as exc:
         raise ConfigError(
             f"the calibration forward overflows at outlier_scale = {cfg.outlier_scale!r} ({exc})"
@@ -419,6 +416,18 @@ def _dispatch(args: argparse.Namespace) -> int:
         if os.path.exists(out) and not os.path.isdir(out):
             raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), out)
         _check_makedirs(out)
+    # An array too large to allocate, in the setup, the search, the kept
+    # fits or the evaluation, is the one config line naming the shape.
+    try:
+        return _run_command(args, cfg, out)
+    except MemoryError as exc:
+        raise ConfigError(
+            f"d = {cfg.d!r}, h = {cfg.h!r}, n_blocks = {cfg.n_blocks!r}, "
+            f"n_samples = {cfg.n_samples!r} do not fit in memory ({exc})"
+        ) from None
+
+
+def _run_command(args: argparse.Namespace, cfg: RunConfig, out: str | None) -> int:
     if args.command == "calibrate":
         return cmd_calibrate(cfg, out)
     if args.command == "search-n":

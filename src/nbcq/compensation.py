@@ -196,8 +196,12 @@ def _fit(levels, codes, residual, kind: TransformKind, residual_pass: bool) -> C
     sol = solve_least_squares(design, targets)
     residual_rms = None
     if residual_pass:
-        resid = targets - (design @ sol.weight.T + sol.bias)
-        residual_rms = float(np.sqrt(np.mean(resid**2)))
+        # targets - (design @ W^T + b), squared, in the product's one array
+        resid = design @ sol.weight.T
+        resid += sol.bias
+        np.subtract(targets, resid, out=resid)
+        resid *= resid  # the bits of resid**2
+        residual_rms = float(np.sqrt(np.mean(resid)))
     return CompensationModule(kind=kind, weight=sol.weight, bias=sol.bias, storage=STORAGE_F32,
                               ridge_used=sol.ridge_used, residual_rms=residual_rms)
 

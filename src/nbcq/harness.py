@@ -16,13 +16,20 @@ uncompensated quantized stream and deploy it feeding forward.
 
 Memory: each model has one per-block step, ``block_io``, which every
 forward runs: calibration, the hold-out search, evaluation and the
-quantized list form (``compensated_block_io``). A quantized step writes
-its quantized input over its input ``z``, so a caller that still reads
-``z`` passes a copy, as the list form does. Calibration runs each product
-once: one full-precision loop calibrates the activation ranges and keeps
-every block's output, then the quantized steps run over all rows, each
-writing over its input; block 0's output, which the set keeps, is copied
-once, before block 1 writes over it. Each block's quantized input is coded
+quantized list form (``compensated_block_io``). A step runs its hidden
+layer in row tiles of ``HIDDEN_TILE_ELEMENTS // h`` rows, at least
+``MIN_TILE_ROWS`` (``_residual_step``): each tile's hidden activation is
+computed in place in its ``z @ W1^T`` product, and its ``W2`` product goes
+straight into its rows of the step's one output array, to which the
+residual is then added in place. So no step holds a ``rows x h`` array,
+whatever its row count. A quantized step writes its quantized input over
+its input ``z``, so a caller that still reads ``z`` passes a copy, as the
+list form does. Calibration runs each product once: one full-precision
+loop calibrates the activation ranges, the hidden one from the extremes
+of its tiles (``quantizer.range_params``), and keeps every block's
+output; then the quantized steps run over all rows, each writing over its
+input; block 0's output, which the set keeps, is copied once, before
+block 1 writes over it. Each block's quantized input is coded
 (``level_codes``) right after its step and the float array let go, and its
 residual ``y - y_q`` is written over its output. The calibration set keeps
 what the fits and the search read, not the inputs: per block the residual
@@ -34,16 +41,18 @@ n_blocks byte arrays of it. The search caches nothing: each fit slices its
 block's codes and residual to the fit rows and drops the slices, and every
 fit, kept ones too, transforms the 2^bits_a levels and gathers them by the
 codes, so no float ``x_q`` of the stream's shape is made outside the
-hold-out apply of block 0 and the slope-gap channel pick. A step computes
-the hidden activation in place in the fresh ``z @ W1^T`` product and adds
-the residual in place to the ``W2`` product. Evaluation runs the rows in
-chunks of ``EVAL_CHUNK_ROWS``, each through every block of both forwards,
-so the streams, the hidden activation and the temporaries of a step and of
-a module's apply are chunk-sized; the quantized input is written over the
-compensated stream's input. Each block of a chunk is scored at once by
-``split_error_metrics``, which writes ``|y - y_hat|`` over the quantized
-input once its outlier flags are taken and leaves only sums, so at its
-peak evaluation holds the inputs and one chunk's arrays.
+hold-out apply of block 0 and the slope-gap channel pick; a kept fit's
+residual pass works in its prediction's one array. Evaluation draws its
+inputs a chunk of ``EVAL_CHUNK_ROWS`` rows at a time
+(``draw_input_chunks``) and runs each chunk through every block of both
+forwards before it draws the next, so the streams and the temporaries of
+a module's apply are chunk-sized and a step's hidden tile is at most
+chunk-sized; the quantized input is written over the compensated
+stream's input, in block 0 the chunk's inputs. Each block of a chunk is
+scored at once by ``split_error_metrics``, which writes ``|y - y_hat|``
+over the quantized input once its outlier flags are taken and leaves only
+sums, so at its peak evaluation holds one chunk's arrays and a hidden
+tile, never the whole evaluation set.
 
 Conventions fixed here and relied on by the analyses:
 
@@ -66,7 +75,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -88,6 +97,8 @@ from .quantizer import (
     level_codes,
     level_table,
     quantize_per_channel,
+    range_params,
+    value_range,
 )
 from .transform import TransformKind, blt_forward
 
@@ -97,6 +108,8 @@ __all__ = [
     "EVAL_SEED_OFFSET",
     "EVAL_SET_MULTIPLIER",
     "EVAL_CHUNK_ROWS",
+    "MIN_TILE_ROWS",
+    "HIDDEN_TILE_ELEMENTS",
     "MODES",
     "MODE_MAPS",
     "HEAVY_CHANNEL",
@@ -110,6 +123,7 @@ __all__ = [
     "check_model_shape",
     "build_toy_model",
     "draw_inputs",
+    "draw_input_chunks",
     "generate_calibration",
     "fit_compensation",
     "mode_of_modules",
@@ -133,12 +147,20 @@ BLOCK_UPDATE_GAIN = 0.45
 EVAL_SEED_OFFSET = 104729
 EVAL_SET_MULTIPLIER = 4
 
-# Rows per chunk of the evaluation forward: a chunk's hidden activation and
-# temporaries stay in cache. OpenBLAS gives a row chunk of a product other
-# bits than the whole product at some small row counts (up to 100 rows at
-# the shapes measured, none from 128 on), so no chunk is smaller than this.
-# The chunks also fix the metrics' bits: each is a sum of per-chunk sums.
+# OpenBLAS gives a row slice of a product other bits than the whole product
+# at some small row counts (up to 100 rows at the shapes measured, none from
+# 128 on), so no row chunk or tile of a product is smaller than this.
+MIN_TILE_ROWS = 128
+
+# Rows per chunk of the evaluation forward, so that its streams and a
+# module's temporaries are chunk-sized. The chunks fix the metrics' bits:
+# each is a sum of per-chunk sums.
 EVAL_CHUNK_ROWS = 1024
+
+# Elements per row tile of a block step's hidden layer: 512 KiB of float64,
+# a quarter of the core's 2 MiB L2 cache. A tile has HIDDEN_TILE_ELEMENTS // h
+# rows, but never fewer than MIN_TILE_ROWS.
+HIDDEN_TILE_ELEMENTS = 65_536
 
 # mode -> the map its modules apply (none: no module), as the eval report names it
 MODE_MAPS = {"none": "none", "linear": "identity", "nbc": "blt"}
@@ -214,18 +236,41 @@ class ToyModel:
     def block_io(self, k: int, z: np.ndarray, on_hidden=None) -> np.ndarray:
         """Block ``k`` on its input ``z``: ``z + W2 @ gelu(W1 @ z)``.
 
-        ``on_hidden`` sees the gelu output. The hidden activation is
-        computed in place in the ``z @ W1^T`` product and the residual added
-        in place to the ``W2`` product, so a step allocates one array of
-        each width.
+        The hidden layer runs in row tiles (``_residual_step``), so the
+        step holds no ``rows x h`` array; ``on_hidden`` sees the gelu output
+        of each tile, in row order, and calibration takes the hidden range
+        from their extremes.
         """
-        a = z @ self.w1[k].T
-        gelu(a, out=a)
-        if on_hidden is not None:
-            on_hidden(a)
-        out = a @ self.w2[k].T
-        out += z  # the bits of z + out: IEEE addition commutes
-        return out
+
+        def hidden(a):
+            gelu(a, out=a)
+            if on_hidden is not None:
+                on_hidden(a)
+
+        return _residual_step(z, self.w1[k], self.w2[k], hidden)
+
+
+def _residual_step(z: np.ndarray, w1: np.ndarray, w2: np.ndarray, hidden) -> np.ndarray:
+    """``z + W2 @ hidden(W1 @ z)``, the one residual step of both models,
+    with ``hidden`` acting in place on its argument.
+
+    The hidden layer runs in row tiles of ``HIDDEN_TILE_ELEMENTS // h`` rows,
+    at least ``MIN_TILE_ROWS``, the remainder folded into the last tile
+    (``_row_chunks``). Each tile's ``z @ W1^T`` product is the hidden
+    activation, computed in place, and its ``W2`` product goes straight into
+    its rows of the step's one output array, to which ``z`` is then added in
+    place: no ``rows x h`` array is made. A row tile of a product has the
+    bits of those rows of the whole product from ``MIN_TILE_ROWS`` on, so a
+    step has the bits of the whole-array one.
+    """
+    h = w1.shape[0]
+    out = np.empty((z.shape[0], w2.shape[0]))
+    for r0, r1 in _row_chunks(z.shape[0], max(MIN_TILE_ROWS, HIDDEN_TILE_ELEMENTS // h)):
+        a = z[r0:r1] @ w1.T
+        hidden(a)
+        np.matmul(a, w2.T, out=out[r0:r1])
+    out += z  # the bits of z + out: IEEE addition commutes
+    return out
 
 
 def check_model_shape(d: int, h: int, n_blocks: int) -> None:
@@ -312,17 +357,19 @@ class QuantizedToyModel:
 
         The dequantized input is written over ``z`` and returned as the
         first array, so a caller that still reads ``z`` passes a copy. A
-        ``z`` that is not finite raises ValueError naming the block.
+        ``z`` that is not finite raises ValueError naming the block. The
+        hidden layer runs in row tiles (``_residual_step``), each tile's gelu
+        output fake-quantized in place; both maps are elementwise, so the
+        tiles have the bits of the whole activation.
         """
         try:
             zq = self.fake_quant(z, self.p_in[k], out=z)
         except ValueError as exc:
             raise ValueError(f"block {k}: {exc}") from None
-        a = zq @ self.w1q[k].T
-        self.fake_quant(gelu(a, out=a), self.p_hid[k], out=a)
-        out = a @ self.w2q[k].T
-        del a  # not held while the module applies
-        out += zq  # the bits of zq + out
+        out = _residual_step(
+            zq, self.w1q[k], self.w2q[k],
+            lambda a: self.fake_quant(gelu(a, out=a), self.p_hid[k], out=a),
+        )
         if module is not None:
             out = apply(module, zq, out)
         return zq, out
@@ -340,17 +387,45 @@ def draw_inputs(model: ToyModel, n_samples: int, spec: OutlierSpec, seed: int) -
     Amplified rows pin the heavy coordinate near the outlier magnitude
     (one-sided positive, 10% relative jitter), mirroring the two-population
     picture of channel outliers that cluster at a characteristic magnitude
-    well above the inlier scale.
+    well above the inlier scale. The one-chunk case of ``draw_input_chunks``.
+    """
+    return next(draw_input_chunks(model, n_samples, spec, seed, [(0, n_samples)]))
+
+
+def draw_input_chunks(
+    model: ToyModel, n_samples: int, spec: OutlierSpec, seed: int, bounds: Sequence[tuple[int, int]]
+) -> Iterator[np.ndarray]:
+    """The rows ``[r0, r1)`` of ``draw_inputs(model, n_samples, spec, seed)``
+    for each of ``bounds``, which tile ``[0, n_samples)`` in order, bit for
+    bit, each a new array; no array of all rows is made.
+
+    The seeded stream gives the normals of every row first, then the
+    amplified rows and their jitter. So the rows and jitter are drawn by
+    taking the stream past the normals a chunk at a time, and the stream is
+    then rewound to generate each chunk's normals again and set its
+    amplified rows; the first chunk is kept from the first pass. Without
+    amplified rows the stream is not taken past the normals.
     """
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n_samples, model.d))
+    # handed over by pop, so that nothing here holds a chunk it gave away
+    first = [rng.standard_normal((bounds[0][1] - bounds[0][0], model.d))]
+    rewind = rng.bit_generator.state
+    rows, values = np.empty(0, dtype=np.intp), np.empty(0)
     n_out = int(np.floor(spec.outlier_fraction * n_samples))
     if n_out > 0:
+        for r0, r1 in bounds[1:]:
+            rng.standard_normal((r1 - r0, model.d))
         rows = rng.choice(n_samples, size=n_out, replace=False)
-        x[rows, HEAVY_CHANNEL] = spec.outlier_scale * (
-            1.0 + 0.1 * rng.standard_normal(n_out)
-        )
-    return x
+        values = spec.outlier_scale * (1.0 + 0.1 * rng.standard_normal(n_out))
+        rng.bit_generator.state = rewind
+
+    def chunk(i: int, r0: int, r1: int) -> np.ndarray:
+        x = first.pop() if i == 0 else rng.standard_normal((r1 - r0, model.d))
+        hit = (rows >= r0) & (rows < r1)
+        x[rows[hit] - r0, HEAVY_CHANNEL] = values[hit]
+        return x
+
+    return (chunk(i, r0, r1) for i, (r0, r1) in enumerate(bounds))
 
 
 @dataclass(frozen=True)
@@ -392,17 +467,22 @@ def generate_calibration(
     Weights are quantized per output channel. One full-precision loop over
     ``ToyModel.block_io`` calibrates each block's input and hidden
     activation ranges per tensor and keeps each block's output ``y``. The
-    ranges are then frozen, which is how deployment reuses calibration
-    statistics on unseen data, and the quantized forward runs block by block
-    (``QuantizedToyModel.block_io``) on all rows, giving ``x_q`` and
-    ``y_q``. Each ``x_q`` is coded (``level_codes``, ``uint8``) as soon as
-    its step returns, and only the codes and ``level_table(p_in[k])`` are
-    kept. Each step writes its quantized input over its input, so block 0's
-    ``y_q``, which the set keeps, is copied before block 1 runs. Each
-    residual is written over its block's ``y``, except the last block's,
-    whose ``y`` the set keeps as the hold-out target. Each forward runs
-    once, and the set holds n_blocks + 2 float64 arrays and n_blocks byte
-    arrays of the stream's shape.
+    step makes the hidden activation a row tile at a time, so its range is
+    the least and greatest of its tiles' exact extremes, given to the one
+    range rule (``quantizer.range_params``) that ``calibrate_params`` also
+    applies: the parameters of the whole activation, with no ``rows x h``
+    array made. A tile that is not finite raises ValueError, as the whole
+    activation did. The ranges are then frozen, which is how deployment
+    reuses calibration statistics on unseen data, and the quantized forward
+    runs block by block (``QuantizedToyModel.block_io``) on all rows, giving
+    ``x_q`` and ``y_q``. Each ``x_q`` is coded (``level_codes``, ``uint8``)
+    as soon as its step returns, and only the codes and
+    ``level_table(p_in[k])`` are kept. Each step writes its quantized input
+    over its input, so block 0's ``y_q``, which the set keeps, is copied
+    before block 1 runs. Each residual is written over its block's ``y``,
+    except the last block's, whose ``y`` the set keeps as the hold-out
+    target. Each forward runs once, and the set holds n_blocks + 2 float64
+    arrays and n_blocks byte arrays of the stream's shape.
     """
     w1q = tuple(quantize_per_channel(w, bits_w) for w in model.w1)
     w2q = tuple(quantize_per_channel(w, bits_w) for w in model.w2)
@@ -410,7 +490,10 @@ def generate_calibration(
     z = inputs = as_tensor(draw_inputs(model, n_samples, spec, seed), "inputs", ndim=2)
     for k in range(model.n_blocks):
         p_in.append(calibrate_params(z, bits_a))
-        z = model.block_io(k, z, lambda a: p_hid.append(calibrate_params(a, bits_a)))
+        ranges = []  # (min, max) of each hidden tile
+        z = model.block_io(k, z, lambda a: ranges.append(value_range(a)))
+        lows, highs = zip(*ranges)
+        p_hid.append(range_params(min(lows), max(highs), bits_a))
         targets.append(z)
     qmodel = QuantizedToyModel(
         bits_w=bits_w, bits_a=bits_a, w1q=w1q, w2q=w2q, p_in=tuple(p_in), p_hid=tuple(p_hid)
@@ -706,10 +789,10 @@ def _mean_of_partials(partials: Sequence[float], count: int) -> float | None:
         return math.inf
 
 
-def _row_chunks(n_rows: int) -> list[tuple[int, int]]:
-    """``[r0, r1)`` bounds of ``EVAL_CHUNK_ROWS`` rows each, in order; the
-    remainder joins the last chunk, and fewer rows make one chunk."""
-    starts = list(range(0, n_rows - EVAL_CHUNK_ROWS + 1, EVAL_CHUNK_ROWS)) or [0]
+def _row_chunks(n_rows: int, size: int) -> list[tuple[int, int]]:
+    """``[r0, r1)`` bounds of ``size`` rows each, in order; the remainder
+    joins the last chunk, and fewer rows make one chunk."""
+    starts = list(range(0, n_rows - size + 1, size)) or [0]
     return list(zip(starts, starts[1:] + [n_rows]))
 
 
@@ -725,12 +808,13 @@ def evaluate_pipeline(
     """Score fitted modules on a fresh evaluation set.
 
     The evaluation set is four times the calibration size, drawn with an
-    independent seed and the same outlier mechanism. It runs in row chunks
-    (``_row_chunks``): each chunk goes through every block of both forwards
-    (the two models' ``block_io``) before the next one starts, and each
-    block of a chunk leaves only the sums of ``split_error_metrics``. The
-    means are deterministic for a fixed ``EVAL_CHUNK_ROWS``, not
-    whole-array means.
+    independent seed and the same outlier mechanism. It is drawn and run in
+    row chunks (``_row_chunks``, ``draw_input_chunks``), with the bits of
+    the whole draw: each chunk goes through every block of both forwards
+    (the two models' ``block_io``) before the next one is drawn, and each
+    block of a chunk leaves only the sums of ``split_error_metrics``. So
+    the whole set is never held. The means are deterministic for a fixed
+    ``EVAL_CHUNK_ROWS``, not whole-array means.
 
     Slope gaps use the calibration records of the last block (see
     ``channel_slope_gap``), at the last module's exponent, or
@@ -738,9 +822,10 @@ def evaluate_pipeline(
     modules carry, None if they differ. The report's ``transform`` is the
     map ``mode`` names (``MODE_MAPS``); modules of another map, or a module
     count other than the block count, raise ValueError before the set is
-    drawn. An output of either forward that is not finite raises ValueError
-    naming its block, and a report value that is not (a loss whose sum
-    overflows) raises ValueError naming its fields.
+    drawn. A chunk of inputs that is not finite raises ValueError naming
+    the inputs, an output of either forward that is not finite raises
+    ValueError naming its block, and a report value that is not (a loss
+    whose sum overflows) raises ValueError naming its fields.
     """
     label = _mode_map(mode, transform)
     if (found := mode_of_modules(modules)) != mode:
@@ -753,16 +838,14 @@ def evaluate_pipeline(
     gap_before, gap_after = gap[1:] if gap is not None else (None, None)
 
     n_rows = EVAL_SET_MULTIPLIER * calib.n_samples
-    # no other name holds the inputs: block 0 overwrites them
-    inputs = as_tensor(
-        draw_inputs(model, n_rows, calib.spec, calib.seed + EVAL_SEED_OFFSET), "inputs", ndim=2
-    )
+    chunks = draw_input_chunks(model, n_rows, calib.spec, calib.seed + EVAL_SEED_OFFSET,
+                               _row_chunks(n_rows, EVAL_CHUNK_ROWS))
     sums = []  # split_error_metrics of each chunk's blocks, chunk after chunk
-    for r0, r1 in _row_chunks(n_rows):
-        z = zc = inputs[r0:r1]
+    for z in chunks:
+        z = zc = as_tensor(z, "inputs", ndim=2)  # no other name holds the chunk
         for k in range(model.n_blocks):
             z = model.block_io(k, z)
-            # zc may be overwritten: in block 0 it is the evaluation set,
+            # zc may be overwritten: in block 0 it is the chunk's inputs,
             # which the full-precision step has read by now
             zq, zc = calib.qmodel.block_io(k, zc, None if modules is None else modules[k])
             try:

@@ -10,6 +10,9 @@ value of a one-sided tensor lies inside it:
     value      x_hat = s * (q - z)
 
 A scale whose top level (2^b - 1) * s overflows float64 is a ValueError.
+The rule from a range to ``QuantParams`` is ``range_params``; min and max
+are exact, so a tensor seen in parts (``value_range`` of each) calibrates
+from the least and greatest of the parts' extremes as it would whole.
 
 Rounding is to the nearest integer, halves away from zero, exact for every
 finite input, and one function does it: ``grid_round(x, s, lo, hi)`` is
@@ -38,6 +41,8 @@ __all__ = [
     "QuantParams",
     "check_bits",
     "grid_round",
+    "value_range",
+    "range_params",
     "calibrate_params",
     "fake_quantize",
     "level_table",
@@ -110,14 +115,27 @@ def _fake_quant(src, dst, scale, zero, top: int) -> None:
     dst += 0.0  # -0.0 becomes +0.0, the level of the zero point
 
 
-def calibrate_params(x, bits: int) -> QuantParams:
-    """Derive scale and zero point from the min/max of a calibration tensor."""
-    bits = check_bits(bits)
+def value_range(x) -> tuple[float, float]:
+    """``(min, max)`` of a calibration tensor, which must be finite and not empty."""
     arr = as_tensor(x, "calibration tensor")
     if arr.size == 0:
         raise ValueError("calibration tensor is empty")
-    scale, zero = _scale_zero(arr.min(), arr.max(), bits)
+    return float(arr.min()), float(arr.max())
+
+
+def range_params(lo: float, hi: float, bits: int) -> QuantParams:
+    """Scale and zero point of a tensor whose min is ``lo`` and max ``hi``:
+    the one rule from a range to ``QuantParams``, so a tensor seen in parts
+    calibrates as a whole one does from the extremes of its parts."""
+    bits = check_bits(bits)
+    scale, zero = _scale_zero(lo, hi, bits)
     return QuantParams(bits=bits, scale=float(scale), zero_point=int(zero))
+
+
+def calibrate_params(x, bits: int) -> QuantParams:
+    """Derive scale and zero point from the min/max of a calibration tensor."""
+    bits = check_bits(bits)
+    return range_params(*value_range(x), bits)
 
 
 def fake_quantize(x, p: QuantParams, out: np.ndarray | None = None) -> np.ndarray:

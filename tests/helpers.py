@@ -12,7 +12,10 @@ rule, a walk driven by a FIFO queue. The blockwise training loss scores
 each block's module on its own calibration record, apart from the
 forward that deploys the modules. The reference search runs each exponent
 candidate the direct way: ``fit_nbc`` on every block's sliced record, and
-the whole compensated forward of the hold-out inputs, drawn again.
+the whole compensated forward of the hold-out inputs, drawn again. The
+streamed input draw and the row-tiled block steps get whole-array twins:
+one draw of every row, and one step over every row that makes the whole
+hidden activation.
 
 The desk setup is the one ``nbcq`` builds from a run configuration, so the
 tests run the steps the command runs: setup, fit, evaluate.
@@ -30,7 +33,8 @@ from nbcq.cli import RunConfig, _build_setup
 from nbcq.compensation import STORAGE_F32, CalibrationRecord, apply, fit_nbc, store_params
 from nbcq.errors import EvaluatorError, FitError
 from nbcq.fls import compute_feature_loss, search_n_for_pipeline
-from nbcq.harness import draw_inputs, evaluate_pipeline, fit_compensation
+from nbcq.harness import HEAVY_CHANNEL, evaluate_pipeline, fit_compensation, gelu
+from nbcq.quantizer import fake_quantize
 from nbcq.transform import TransformKind
 
 
@@ -60,6 +64,37 @@ def fp_block_io(model, x) -> list[tuple[np.ndarray, np.ndarray]]:
         pairs.append((z, model.block_io(k, z)))
         z = pairs[-1][1]
     return pairs
+
+
+def whole_draw(model, n_samples, spec, seed) -> np.ndarray:
+    """``harness.draw_inputs`` as one array of every row, drawn in the
+    stream's order: all normals, then the amplified rows and their jitter."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n_samples, model.d))
+    n_out = int(np.floor(spec.outlier_fraction * n_samples))
+    if n_out > 0:
+        rows = rng.choice(n_samples, size=n_out, replace=False)
+        x[rows, HEAVY_CHANNEL] = spec.outlier_scale * (1.0 + 0.1 * rng.standard_normal(n_out))
+    return x
+
+
+def whole_hidden(w1, z, hidden=gelu) -> np.ndarray:
+    """The hidden activation ``hidden(z @ W1^T)`` of every row, one array."""
+    return hidden(z @ w1.T)
+
+
+def whole_fp_step(model, k, z) -> np.ndarray:
+    """``ToyModel.block_io`` over every row at once: ``z + W2 @ gelu(W1 @ z)``."""
+    return z + whole_hidden(model.w1[k], z) @ model.w2[k].T
+
+
+def whole_q_step(qmodel, k, z, module=None) -> tuple[np.ndarray, np.ndarray]:
+    """``QuantizedToyModel.block_io`` over every row at once, leaving ``z``
+    as it is: the dequantized input and the output, compensated by ``module``."""
+    zq = fake_quantize(z, qmodel.p_in[k])
+    a = whole_hidden(qmodel.w1q[k], zq, lambda t: fake_quantize(gelu(t), qmodel.p_hid[k]))
+    out = zq + a @ qmodel.w2q[k].T
+    return zq, out if module is None else apply(module, zq, out)
 
 
 def record_of(x_q, residual) -> CalibrationRecord:
@@ -117,7 +152,7 @@ def reference_search(model, calib, cfg):
     inputs of ``model`` run through the whole compensated forward and scored
     against the recorded targets, then ``fit_nbc`` on every row at the
     chosen exponent."""
-    inputs = draw_inputs(model, calib.n_samples, calib.spec, calib.seed)
+    inputs = whole_draw(model, calib.n_samples, calib.spec, calib.seed)
     result = search_n_for_pipeline(calib.n_samples, cfg, _ReferenceRowSearch(calib, inputs))
     kind = TransformKind("blt", result.chosen_n)
     return [fit_nbc(rec, kind) for rec in calib.records], result

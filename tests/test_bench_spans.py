@@ -1,17 +1,22 @@
 """The benchmark's per-layer figures see what the library runs.
 
 Each workload runs one tiny pass, shrunk as ``bench/test_smoke.py`` shrinks
-it. Every block step, full-precision or quantized, calls gelu once, so the
-steps the ``harness.fp_forward`` and ``harness.q_forward`` spans count add
-up to the gelu calls. A library forward that the benchmark does not wrap (a
-renamed step, say) makes the sum fall short instead of reading a silent 0;
-so does a fit whose solve the benchmark does not see.
+it. Every block step, full-precision or quantized, calls gelu once per row
+tile of its hidden layer, so in the spans a traced run writes, every
+``harness.gelu`` span has a ``harness.fp_forward`` or ``harness.q_forward``
+parent and every such step span has a gelu child. A library forward that
+the benchmark does not wrap (a renamed step, say) leaves gelu spans without
+a step parent instead of reading a silent 0. A shrunken mid-nbc pass whose
+steps all take several tiles checks that each tile is seen. The solves
+add up to the fits, so a fit whose solve the benchmark does not see fails.
 And every site the benchmark wraps is called by some workload, so no layer
 times a function that nothing runs.
 """
 
+import json
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -28,12 +33,33 @@ from workloads import WORKLOADS, run_pass  # noqa: E402
 NEVER_CALLED_SITES = {"QuantizedToyModel.compensated_block_io"}
 
 
-@pytest.mark.parametrize("name", sorted(WORKLOADS))
+STEP_SPANS = ("harness.fp_forward", "harness.q_forward")
+
+# (workload, the fewest hidden tiles a step takes): the tiny shapes run every
+# step as one tile; at h = 512 a tile has 128 rows, and the 256 hold-out
+# rows, the 1024 calibration rows and every 1024-row eval chunk take 2 or more
+SPAN_RUNS = {name: (tiny(wl), 1) for name, wl in WORKLOADS.items()}
+SPAN_RUNS["mid-nbc-tiled"] = (replace(WORKLOADS["mid-nbc"], d=8, h=512, n_blocks=2, n_samples=1024), 2)
+
+
+@pytest.mark.parametrize("name", sorted(SPAN_RUNS))
 def test_forward_spans_count_every_block_step(name, tmp_path):
-    metrics = run.measure(tiny(WORKLOADS[name]), 0, 0.0, True, tmp_path)["metrics"]
-    fp, q = metrics["harness.fp_forward.calls"], metrics["harness.q_forward.calls"]
-    assert fp > 0 and q > 0
-    assert fp + q == metrics["harness.gelu.calls"]
+    wl, min_tiles = SPAN_RUNS[name]
+    metrics = run.measure(wl, 0, 0.0, True, tmp_path)["metrics"]
+    assert metrics["harness.fp_forward.calls"] > 0 and metrics["harness.q_forward.calls"] > 0
+    passes = {}
+    with open(tmp_path / f"{wl.name}-seed0-spans.jsonl") as f:
+        for line in f:
+            span = json.loads(line)
+            passes.setdefault(span["pass"], {})[span["id"]] = span
+    assert passes
+    for spans in passes.values():
+        gelu_parents = [spans[s["parent"]]["name"] if s["parent"] >= 0 else None
+                        for s in spans.values() if s["name"] == "harness.gelu"]
+        assert gelu_parents and set(gelu_parents) <= set(STEP_SPANS), Counter(gelu_parents)
+        tiles = Counter(s["parent"] for s in spans.values() if s["name"] == "harness.gelu")
+        steps = [i for i, s in spans.items() if s["name"] in STEP_SPANS]
+        assert min(tiles[i] for i in steps) >= min_tiles
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))

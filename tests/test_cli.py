@@ -959,6 +959,35 @@ class TestSetupTooLargeForMemory:
         assert "do not fit in memory (Unable to allocate " in err
         assert out == "" and os.listdir(tmp_path) == ["run.cfg"]
 
+    @pytest.mark.parametrize(
+        "command, stage",
+        [("calibrate", "fit_compensation"), ("search-n", "search_exponent"),
+         ("eval", "evaluate_pipeline"), ("analyze-outliers", "search_exponent"),
+         ("export", "read_bundle")],
+    )
+    def test_after_setup_the_same_config_line(self, tmp_path, capsys, monkeypatch, cfg_path, command, stage):
+        # the stage raises as numpy does when an allocation fails, allocating nothing
+        import nbcq.cli as cli_mod
+
+        bundle = str(tmp_path / "comp.nbcb")
+        assert main(["calibrate", "--config", cfg_path, "--out", bundle]) == 0
+        capsys.readouterr()
+
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 PiB for an array with shape (1024, 1000000000000000)")
+
+        monkeypatch.setattr(cli_mod, stage, refuse)
+        out_args = {"calibrate": ["--out", str(tmp_path / "new.nbcb")], "eval": ["--bundle", bundle],
+                    "analyze-outliers": ["--out", str(tmp_path / "plots")],
+                    "export": ["--bundle", bundle, "--out", str(tmp_path / "tensors")]}
+        code, out, err = run_cli([command, "--config", cfg_path, *out_args.get(command, [])], capsys)
+        assert_failed(code, err, 2, "config")
+        assert err == (
+            "error\tconfig\td = 8, h = 12, n_blocks = 2, n_samples = 80 do not fit in memory "
+            "(Unable to allocate 7.28 PiB for an array with shape (1024, 1000000000000000))\n"
+        )
+        assert out == "" and sorted(os.listdir(tmp_path)) == ["comp.nbcb", "run.cfg"]
+
 
 class TestOverflowBeyondCalibration:
     """Outliers far beyond the calibration range overflow the compensated

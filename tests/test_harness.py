@@ -22,7 +22,10 @@ from nbcq.harness import (
     OutlierSpec,
     QuantizedToyModel,
     ToyModel,
+    HIDDEN_TILE_ELEMENTS,
+    MIN_TILE_ROWS,
     build_toy_model,
+    draw_input_chunks,
     draw_inputs,
     evaluate_pipeline,
     excess_kurtosis,
@@ -38,7 +41,7 @@ from nbcq.harness import (
 )
 from nbcq.harness import _mean_of_partials
 from nbcq.numerics import TILE_ELEMENTS
-from nbcq.quantizer import QuantParams
+from nbcq.quantizer import QuantParams, calibrate_params
 from nbcq.transform import TransformKind
 
 from helpers import (
@@ -50,6 +53,10 @@ from helpers import (
     integer_round_trip,
     reference_search,
     training_fit_loss,
+    whole_draw,
+    whole_fp_step,
+    whole_hidden,
+    whole_q_step,
 )
 
 # Frozen regression envelope: W8A8 feature losses on the default desk
@@ -265,6 +272,23 @@ class TestCalibrationMemory:
         for i, a in enumerate(arrays):
             assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
 
+    def test_calibration_peak_above_its_set_is_below_one_whole_hidden_activation(self):
+        # h >> d: the hidden activation of all rows (2048 x 512 float64,
+        # 8 MiB) outweighs the stream (2048 x 8 float64, 128 KiB) 64 times;
+        # each step makes it one row tile at a time (128 rows, 512 KiB)
+        d, h, n_samples = 8, 512, 2048
+        model = build_toy_model(d, h, 2, seed=71)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            calib = generate_calibration(model, n_samples, OutlierSpec(), seed=72)
+            held, peak = (m - before for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert calib.n_samples == n_samples
+        hidden_bytes = n_samples * h * 8
+        assert peak - held < hidden_bytes, (peak - held, hidden_bytes)
+
     def test_search_peak_above_the_set_is_the_codes_and_a_few_arrays(self):
         d, h, n_blocks, n_samples = 16, 32, 8, 512
         model = build_toy_model(d, h, n_blocks, seed=0)
@@ -405,6 +429,99 @@ class TestQuantizedBlockStep:
                 qmodel.compensated_block_io(x, wrong)
 
 
+class TestStreamedDraw:
+    """``draw_input_chunks`` gives the rows of the whole-array draw, byte for
+    byte, whether or not an amplified row sits on a chunk's edge."""
+
+    # each seed puts an amplified row on the first and the last row of every
+    # chunk at fraction 0.2, which the test checks on the whole draw
+    @pytest.mark.parametrize(
+        "bounds, seed",
+        [([(0, 1024), (1024, 2120)], 1052), ([(0, 1024), (1024, 2048)], 1007), ([(0, 400)], 3)],
+        ids=["2120-rows", "2048-rows", "400-rows"],
+    )
+    @pytest.mark.parametrize("fraction", [0.0, 0.2])
+    def test_chunks_equal_the_whole_draw(self, bounds, seed, fraction):
+        model = build_toy_model(8, 16, 1, seed=0)
+        spec = OutlierSpec(outlier_fraction=fraction)
+        n_rows = bounds[-1][1]
+        whole = whole_draw(model, n_rows, spec, seed)
+        edges = [row for r0, r1 in bounds for row in (r0, r1 - 1)]
+        amplified = whole[edges, HEAVY_CHANNEL] > 0.5 * spec.outlier_scale
+        assert amplified.all() if fraction else not amplified.any()
+        chunks = list(draw_input_chunks(model, n_rows, spec, seed, bounds))
+        assert [len(c) for c in chunks] == [r1 - r0 for r0, r1 in bounds]
+        assert np.concatenate(chunks).tobytes() == whole.tobytes()
+        assert draw_inputs(model, n_rows, spec, seed).tobytes() == whole.tobytes()
+
+
+class TestTiledSteps:
+    """Both models' steps run the hidden layer in row tiles of
+    ``HIDDEN_TILE_ELEMENTS // h`` rows, at least ``MIN_TILE_ROWS``, and give
+    the bits of the whole-array steps."""
+
+    @staticmethod
+    def wide_setup():
+        # h = 512 makes tiles of 128 rows: 2120 rows run as 15 tiles of 128
+        # and a last one of 200, which takes the remainder
+        model = build_toy_model(16, 512, 2, seed=81)
+        calib = generate_calibration(model, 530, OutlierSpec(), seed=82)
+        assert max(MIN_TILE_ROWS, HIDDEN_TILE_ELEMENTS // 512) == 128
+        return model, calib, whole_draw(model, 2120, calib.spec, seed=83)
+
+    TILES = [(128, 512)] * 15 + [(200, 512)]
+
+    def test_fp_step_equals_the_whole_array_step(self):
+        model, _, z = self.wide_setup()
+        for k in range(model.n_blocks):
+            tiles = []
+            out = model.block_io(k, z, lambda a: tiles.append(a.copy()))
+            assert [t.shape for t in tiles] == self.TILES
+            assert np.concatenate(tiles).tobytes() == whole_hidden(model.w1[k], z).tobytes()
+            assert out.tobytes() == whole_fp_step(model, k, z).tobytes()
+            z = out
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_q_step_equals_the_whole_array_step(self, monkeypatch, mode):
+        import nbcq.harness as harness_mod
+
+        model, calib, z = self.wide_setup()
+        cfg = FlsConfig(n_init=1.0, n_min=0.0, n_max=2.0, seed=84)
+        modules, _ = fit_compensation(model, calib, mode, cfg=cfg)
+        shapes = []
+        original = harness_mod.gelu
+        monkeypatch.setattr(harness_mod, "gelu", lambda a, out=None: shapes.append(a.shape) or original(a, out))
+        for k in range(model.n_blocks):
+            module = None if modules is None else modules[k]
+            zq_whole, out_whole = whole_q_step(calib.qmodel, k, z, module)
+            zq, out = calib.qmodel.block_io(k, z.copy(), module)
+            assert shapes == self.TILES
+            assert zq.tobytes() == zq_whole.tobytes()
+            assert out.tobytes() == out_whole.tobytes()
+            shapes.clear()
+            z = out
+
+    def test_hidden_ranges_equal_calibrate_params_of_the_whole_activation(self):
+        # 530 calibration rows run as tiles of 128, 128, 128 and 146 rows
+        model, calib, _ = self.wide_setup()
+        z = whole_draw(model, calib.n_samples, calib.spec, calib.seed)
+        for k in range(model.n_blocks):
+            assert calib.qmodel.p_in[k] == calibrate_params(z, calib.qmodel.bits_a)
+            whole = whole_hidden(model.w1[k], z)
+            assert calib.qmodel.p_hid[k] == calibrate_params(whole, calib.qmodel.bits_a)
+            z = whole_fp_step(model, k, z)
+
+    def test_a_hidden_tile_that_is_not_finite_is_named(self):
+        # one block, so the hidden tiles are the only calibration tensors
+        # but the finite inputs: at this gain z @ W1^T overflows, and the
+        # first of the four tiles of 128 rows fails its range
+        with np.errstate(over="ignore", invalid="ignore"):
+            model = build_toy_model(16, 512, 1, seed=0, heavy_input_scale=1e308)
+            assert np.isfinite(model.w1[0]).all()
+            with pytest.raises(ValueError, match="^calibration tensor contains non-finite values$"):
+                generate_calibration(model, 512, OutlierSpec(), seed=1)
+
+
 class TestFitCompensationConfig:
     @pytest.mark.parametrize("mode", MODES)
     def test_a_call_without_cfg_raises_type_error_in_every_mode(self, mode):
@@ -480,12 +597,17 @@ class TestRunPipeline:
         # modes then reduce to the same affine fit end to end
         import nbcq.harness as harness_mod
 
-        original = harness_mod.draw_inputs
+        original = harness_mod.draw_input_chunks
+        draws = []  # row counts of every draw: calibration's and evaluation's run through it
+
+        def tiny_chunks(model, n_samples, spec, seed, bounds):
+            draws.append(n_samples)
+            return (1e-5 * chunk for chunk in original(model, n_samples, spec, seed, bounds))
 
         def tiny_inputs(model, n_samples, spec, seed):
-            return 1e-5 * original(model, n_samples, spec, seed)
+            return next(tiny_chunks(model, n_samples, spec, seed, [(0, n_samples)]))
 
-        monkeypatch.setattr(harness_mod, "draw_inputs", tiny_inputs)
+        monkeypatch.setattr(harness_mod, "draw_input_chunks", tiny_chunks)
         model = build_toy_model(6, 8, 2, seed=11)
         spec = OutlierSpec(outlier_fraction=0.0)
         calib = generate_calibration(model, 64, spec, seed=12, bits_w=8, bits_a=8)
@@ -495,6 +617,7 @@ class TestRunPipeline:
         cfg = FlsConfig(seed=13)
         rep_lin, _ = fit_and_evaluate(model, calib, "linear", cfg)
         rep_nbc, _ = fit_and_evaluate(model, calib, "nbc", cfg)
+        assert draws == [64, EVAL_SET_MULTIPLIER * 64, EVAL_SET_MULTIPLIER * 64]
         assert abs(rep_nbc.feature_loss - rep_lin.feature_loss) <= 1e-9
         for a, b in zip(rep_nbc.per_block_losses, rep_lin.per_block_losses):
             assert abs(a - b) <= 1e-9
@@ -518,7 +641,7 @@ def report_from_whole_forwards(model, calib, modules, report):
     mean is the exactly rounded sum of its chunk sums over its count.
     """
     n_rows = EVAL_SET_MULTIPLIER * calib.n_samples
-    ev = draw_inputs(model, n_rows, calib.spec, calib.seed + EVAL_SEED_OFFSET)
+    ev = whole_draw(model, n_rows, calib.spec, calib.seed + EVAL_SEED_OFFSET)
     fp_io = fp_block_io(model, ev)
     comp_io = calib.qmodel.compensated_block_io(ev, modules)
     bounds = [i * EVAL_CHUNK_ROWS for i in range(max(1, n_rows // EVAL_CHUNK_ROWS))] + [n_rows]
@@ -607,7 +730,7 @@ class TestStreamedEvaluation:
             for stream in ("fp", "q")
         ]
         # and the chunks tile the evaluation set in row order
-        ev = draw_inputs(model, n_rows, calib.spec, calib.seed + EVAL_SEED_OFFSET)
+        ev = whole_draw(model, n_rows, calib.spec, calib.seed + EVAL_SEED_OFFSET)
         assert np.concatenate(first_inputs).tobytes() == ev.tobytes()
 
     def test_each_chunk_and_block_is_scored_by_split_error_metrics(self, monkeypatch):
@@ -659,27 +782,27 @@ class TestStreamedEvaluation:
 
     @pytest.mark.parametrize("mode, arrays", [("none", 4), ("linear", 5), ("nbc", 5)])
     def test_peak_memory_bounded_by_block_arrays(self, mode, arrays):
-        # Eval holds the evaluation inputs, which block 0 overwrites a
-        # chunk at a time, and the partial sums of its metrics. Beside them
-        # it holds one chunk's arrays: its hidden activation and four
-        # d-wide arrays (the full-precision stream, the quantized input
+        # Eval draws the evaluation inputs a chunk at a time, and block 0
+        # overwrites each chunk's; beside the partial sums of its metrics it
+        # holds one chunk's arrays: a hidden tile (here the whole chunk's
+        # hidden activation, since h is small) and four d-wide arrays (the
+        # chunk's inputs or the full-precision stream, the quantized input
         # written over the compensated stream, the step's output and one
         # temporary, or the squares when the chunk is scored), and the
         # chunk's outlier flags; a module's apply adds one more, since it
         # holds its product with the weight and the inverse beside the
         # step's output. The elementwise kernels add tile-sized
-        # temporaries. No rows x d array besides the inputs is left: one
-        # more would cost eight chunk arrays.
+        # temporaries. No rows x d array is made: the whole evaluation set
+        # would cost eight chunk arrays.
         d, h, n_blocks, n_samples = 64, 32, 4, 2048
         model = build_toy_model(d, h, n_blocks, seed=41)
         calib = generate_calibration(model, n_samples, OutlierSpec(), seed=42)
         cfg = FlsConfig(n_init=1.0, n_min=0.0, n_max=2.0, seed=43)
         modules, _ = fit_compensation(model, calib, mode, cfg=cfg)
-        rows = EVAL_SET_MULTIPLIER * n_samples
+        assert EVAL_SET_MULTIPLIER * n_samples == 8 * EVAL_CHUNK_ROWS
         chunk_bytes = EVAL_CHUNK_ROWS * d * 8
         bound = (
-            rows * d * 8
-            + EVAL_CHUNK_ROWS * h * 8
+            EVAL_CHUNK_ROWS * h * 8
             + arrays * chunk_bytes
             + EVAL_CHUNK_ROWS * d
             + 2 * TILE_ELEMENTS * 8
@@ -875,12 +998,17 @@ class TestModeMaps:
             raise AssertionError("the call did work")
 
         monkeypatch.setattr(harness_mod, "search_exponent", no_work)
-        monkeypatch.setattr(harness_mod, "draw_inputs", no_work)
+        monkeypatch.setattr(harness_mod, "draw_input_chunks", no_work)
         line = f"transform must be 'blt', got {transform!r}: the mode names the map"
         with pytest.raises(ValueError, match=re.escape(line)):
             fit_compensation(model, calib, "nbc", transform=transform, cfg=cfg)
         with pytest.raises(ValueError, match=re.escape(line)):
             evaluate_pipeline(model, calib, modules, mode="nbc", transform=transform)
+        # the patched functions are the ones the calls run
+        with pytest.raises(AssertionError, match="^the call did work$"):
+            fit_compensation(model, calib, "nbc", cfg=cfg)
+        with pytest.raises(AssertionError, match="^the call did work$"):
+            evaluate_pipeline(model, calib, modules, mode="nbc")
 
     def test_unknown_mode_raises(self):
         model, calib, cfg = desk_setup(0)
@@ -900,7 +1028,7 @@ class TestModeMaps:
         def no_forward(*args, **kwargs):
             raise AssertionError("the evaluation set was drawn")
 
-        monkeypatch.setattr(harness_mod, "draw_inputs", no_forward)
+        monkeypatch.setattr(harness_mod, "draw_input_chunks", no_forward)
         for modules, mode, found in [(linear, "nbc", "identity"), (nbc, "linear", "blt"),
                                      (None, "nbc", "none"), (nbc, "none", "blt")]:
             line = f"mode {mode!r} applies {MODE_MAPS[mode]}, the modules apply {found}"
@@ -909,6 +1037,9 @@ class TestModeMaps:
         mixed = [*nbc[:-1], linear[-1]]
         with pytest.raises(ValueError, match="^block 3 is identity but block 0 is blt; "):
             evaluate_pipeline(model, calib, mixed, mode="nbc")
+        # the patched draw is the one evaluation runs
+        with pytest.raises(AssertionError, match="^the evaluation set was drawn$"):
+            evaluate_pipeline(model, calib, nbc, mode="nbc")
 
     def test_module_count_other_than_the_block_count_raises_before_the_draw(self, monkeypatch):
         import nbcq.harness as harness_mod
@@ -920,7 +1051,7 @@ class TestModeMaps:
         def no_draw(*args, **kwargs):
             raise AssertionError("the evaluation set was drawn")
 
-        monkeypatch.setattr(harness_mod, "draw_inputs", no_draw)
+        monkeypatch.setattr(harness_mod, "draw_input_chunks", no_draw)
         # short lists (an IndexError in the forward) and a long one (its
         # extra module's exponent reported as chosen_n)
         extra = dataclasses.replace(nbc[0], kind=TransformKind("blt", -7.0))
@@ -928,6 +1059,9 @@ class TestModeMaps:
             line = f"got {len(modules)} modules for 4 blocks; each block takes one"
             with pytest.raises(ValueError, match=f"^{re.escape(line)}$"):
                 evaluate_pipeline(model, calib, modules, mode=mode)
+        # the patched draw is the one evaluation runs
+        with pytest.raises(AssertionError, match="^the evaluation set was drawn$"):
+            evaluate_pipeline(model, calib, linear, mode="linear")
 
     def test_mode_of_modules(self):
         model, calib, cfg = desk_setup(0)
