@@ -25,10 +25,10 @@ reject once it starts or a bundle cannot hold are rejected by name, and
 a shape too large to allocate is a ``config`` error naming the shape
 keys, at whatever stage an allocation fails. The mode alone names
 the map; eval takes it from the bundle, where a block of another kind
-than block 0's is a ``format`` error naming the block. No command runs
-``mode = none``: calibrate rejects it (exit 2), eval scores only a bundle,
-and search-n and analyze-outliers do not read the mode; the uncompensated
-baseline is ``harness.evaluate_pipeline(model, calib, None, mode="none")``.
+than block 0's is a ``format`` error naming the block. A config's mode is
+one whose map fits a module (``_FIT_MODES``), so every command rejects
+``mode = none`` (exit 2); the uncompensated baseline is
+``harness.evaluate_pipeline(model, calib, None, mode="none")``.
 
 The eval CSV has one row per block: the ``EvalReport`` fields in order,
 each repeated on every row, then the block index and the block's entry of
@@ -72,7 +72,7 @@ from .errors import ConfigError, EvaluatorError, FormatError, NbcError
 from .fls import FlsConfig, check_fit_rows
 from .formats import MAX_BUNDLE_BLOCKS, atomic_write, check_writable, read_bundle, write_bundle, write_tensor
 from .harness import (
-    MODES,
+    MODE_MAPS,
     CalibrationSet,
     EvalReport,
     OutlierSpec,
@@ -131,6 +131,9 @@ class RunConfig:
         return {f.name: getattr(self, f.name) for f in fields(cls)}
 
 
+# the modes a config may name: those whose map fits a module
+_FIT_MODES = tuple(mode for mode, name in MODE_MAPS.items() if name != "none")
+
 # key -> parser of its value text, from the field's annotation
 _PARSERS = {f.name: {"int": int, "float": float, "str": str}[f.type] for f in fields(RunConfig)}
 
@@ -178,7 +181,7 @@ def read_run_config(path: str) -> RunConfig:
     for key, value in values.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{path}: {key} must be finite, got {value!r}")
-    for key, names in (("mode", MODES), ("storage", STORAGE_NAMES)):
+    for key, names in (("mode", _FIT_MODES), ("storage", STORAGE_NAMES)):
         if getattr(cfg, key) not in names:
             raise ConfigError(f"{path}: {key} must be one of {names}, got '{getattr(cfg, key)}'")
     # Every command checks the whole config, the keys it does not read too,
@@ -406,8 +409,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         cfg = replace(cfg, seed=seed)
     if args.command == "search-n" and out is not None:
         raise ConfigError(f"search-n writes no file, so it takes no --out: {out}")
-    if args.command == "calibrate" and cfg.mode == "none":
-        raise ConfigError("mode=none has no compensation to calibrate")
     # An --out the write would fail on fails here, before setup, with the
     # OSError the write would raise.
     if out is not None and args.command in ("calibrate", "eval"):

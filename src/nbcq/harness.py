@@ -28,31 +28,30 @@ list form does. Calibration runs each product once: one full-precision
 loop calibrates the activation ranges, the hidden one from the extremes
 of its tiles (``quantizer.range_params``), and keeps every block's
 output; then the quantized steps run over all rows, each writing over its
-input; block 0's output, which the set keeps, is copied once, before
-block 1 writes over it. Each block's quantized input is coded
-(``level_codes``) right after its step and the float array let go, and its
-residual ``y - y_q`` is written over its output. The calibration set keeps
-what the fits and the search read, not the inputs: per block the residual
-and ``x_q`` as ``uint8`` codes into its level table, plus the last block's
-``y`` (the hold-out target, so the search runs no full-precision forward)
-and block 0's ``y_q`` (so a hold-out candidate runs the quantized steps of
-blocks 1..n-1 only): n_blocks + 2 float64 arrays of the stream's shape and
-n_blocks byte arrays of it. The search caches nothing: each fit slices its
-block's codes and residual to the fit rows and drops the slices, and every
-fit, kept ones too, transforms the 2^bits_a levels and gathers them by the
-codes, so no float ``x_q`` of the stream's shape is made outside the
-hold-out apply of block 0 and the slope-gap channel pick; a kept fit's
-residual pass works in its prediction's one array. Evaluation draws its
-inputs a chunk of ``EVAL_CHUNK_ROWS`` rows at a time
-(``draw_input_chunks``) and runs each chunk through every block of both
-forwards before it draws the next, so the streams and the temporaries of
-a module's apply are chunk-sized and a step's hidden tile is at most
-chunk-sized; the quantized input is written over the compensated
-stream's input, in block 0 the chunk's inputs. Each block of a chunk is
-scored at once by ``split_error_metrics``, which writes ``|y - y_hat|``
-over the quantized input once its outlier flags are taken and leaves only
-sums, so at its peak evaluation holds one chunk's arrays and a hidden
-tile, never the whole evaluation set.
+input. Each block's quantized input is coded (``level_codes``) right after
+its step and the float array let go, and its residual ``y - y_q`` is
+written over its output. The calibration set keeps what the fits and the
+search read, not the inputs: per block the residual and ``x_q`` as
+``uint8`` codes into its level table, plus the last block's ``y`` (the
+hold-out target, so the search runs no full-precision forward):
+n_blocks + 1 float64 arrays of the stream's shape and n_blocks byte
+arrays of it. A hold-out candidate runs every quantized step from block
+0's input, gathered from its codes. The search caches nothing: each fit
+slices its block's codes and residual to the fit rows and drops the
+slices, and every fit, kept ones too, transforms the 2^bits_a levels and
+gathers them by the codes, so no float ``x_q`` of the stream's shape is
+made outside the hold-out forward's block 0 input and the slope-gap
+channel pick; a kept fit's residual pass works in its prediction's one
+array. Evaluation draws its inputs a chunk of ``EVAL_CHUNK_ROWS`` rows at
+a time (``draw_input_chunks``) and runs each chunk through every block of
+both forwards before it draws the next, so the streams and the
+temporaries of a module's apply are chunk-sized and a step's hidden tile
+is at most chunk-sized; the quantized input is written over the
+compensated stream's input, in block 0 the chunk's inputs. Each block of
+a chunk is scored at once by ``split_error_metrics``, which writes
+``|y - y_hat|`` over the quantized input once its outlier flags are taken
+and leaves only sums, so at its peak evaluation holds one chunk's arrays
+and a hidden tile, never the whole evaluation set.
 
 Conventions fixed here and relied on by the analyses:
 
@@ -434,10 +433,8 @@ class CalibrationSet:
 
     Each block's record holds its quantized input as ``uint8`` codes into
     its level table, and its residual. Besides the records, the set keeps
-    the two arrays the hold-out search reads, for every row: ``y_last``,
-    the last block's full-precision output (the hold-out target), and
-    ``y_q_first``, block 0's quantized output (where the hold-out forward
-    starts).
+    ``y_last``, the last block's full-precision output for every row: the
+    hold-out search's target.
     """
 
     records: tuple[CalibrationRecord, ...]  # one per block
@@ -445,7 +442,6 @@ class CalibrationSet:
     spec: OutlierSpec
     seed: int
     y_last: np.ndarray  # (T, d)
-    y_q_first: np.ndarray  # (T, d)
 
     @property
     def n_samples(self) -> int:
@@ -478,11 +474,10 @@ def generate_calibration(
     ``x_q`` and ``y_q``. Each ``x_q`` is coded (``level_codes``, ``uint8``)
     as soon as its step returns, and only the codes and
     ``level_table(p_in[k])`` are kept. Each step writes its quantized input
-    over its input, so block 0's ``y_q``, which the set keeps, is copied
-    before block 1 runs. Each residual is written over its block's ``y``,
-    except the last block's, whose ``y`` the set keeps as the hold-out
-    target. Each forward runs once, and the set holds n_blocks + 2 float64
-    arrays and n_blocks byte arrays of the stream's shape.
+    over its input. Each residual is written over its block's ``y``, except
+    the last block's, whose ``y`` the set keeps as the hold-out target. Each
+    forward runs once, and the set holds n_blocks + 1 float64 arrays and
+    n_blocks byte arrays of the stream's shape.
     """
     w1q = tuple(quantize_per_channel(w, bits_w) for w in model.w1)
     w2q = tuple(quantize_per_channel(w, bits_w) for w in model.w2)
@@ -504,8 +499,6 @@ def generate_calibration(
         x_q, z = qmodel.block_io(k, z)
         codes.append(level_codes(x_q, qmodel.p_in[k]))
         del x_q  # held as its codes from here on
-        if k == 0:
-            y_q_first = z.copy()  # block 1 writes its quantized input over z
         if k < model.n_blocks - 1:
             residuals.append(np.subtract(y, z, out=y))  # z is checked as block k+1's input
     # the last block's outputs are no step's input: checked here, before any record
@@ -519,7 +512,6 @@ def generate_calibration(
         spec=spec,
         seed=seed,
         y_last=y_last,
-        y_q_first=y_q_first,
     )
 
 
@@ -538,11 +530,12 @@ class _RowSearchPipeline:
       nothing of its own. A candidate's modules are scored and dropped, so
       its fits skip the residual pass. The fits run through ``_fit_blocks``,
       as the kept ones do, so a failing fit names its block.
-    * Hold-out: block 0's quantized step does not depend on the candidate
-      either, and the set holds its input and output for every row. The
-      hold-out forward applies the first module to those rows, runs blocks
-      1..n-1 through ``block_io`` and scores the last output against the
-      last block's full-precision output, which the set holds for every row.
+    * Hold-out: the plain quantized forward of the hold-out rows. Block 0's
+      quantized input is gathered from its codes (fake-quantizing a level
+      gives the level back, so block 0's step sees what calibration's
+      did); every block runs through ``block_io`` with the candidate's
+      module, and the last output is scored against the last block's
+      full-precision output, which the set holds for every row.
     """
 
     def __init__(self, calib: CalibrationSet):
@@ -557,9 +550,9 @@ class _RowSearchPipeline:
 
     def holdout_loss(self, fitted: list[CompensationModule], rows: np.ndarray) -> float:
         first = self.calib.records[0]
-        z = apply(fitted[0], first.levels[first.codes[rows]], self.calib.y_q_first[rows])
-        for k in range(1, len(fitted)):
-            _, z = self.calib.qmodel.block_io(k, z, fitted[k])
+        z = first.levels[first.codes[rows]]
+        for k, module in enumerate(fitted):
+            _, z = self.calib.qmodel.block_io(k, z, module)
         return compute_feature_loss(self.calib.y_last[rows], z)
 
 

@@ -42,8 +42,9 @@ not ``copysign``: sign(-0.0) is 0, so -0.0 maps to +0.0, where
 ``copysign`` would give -0.0.
 
 One table maps each kind name to its (forward, inverse) pair: ``blt``, and
-``identity``, which makes the compensation plain linear. A run's mode
-names its kind (``harness.MODE_MAPS``).
+``identity``, which returns its argument itself, not a copy, and makes the
+compensation plain linear. A run's mode names its kind
+(``harness.MODE_MAPS``).
 """
 
 from __future__ import annotations
@@ -129,16 +130,15 @@ def blt_inverse(v, kind: TransformKind):
     return _mirrored(v, inv)
 
 
-def _copy(x, kind: TransformKind):
-    """A float64 copy with bit-identical values."""
-    arr = np.array(x, dtype=np.float64)
-    return float(arr) if arr.ndim == 0 else arr
+def _unchanged(x, kind: TransformKind):
+    """``x`` itself: no caller writes into a map's result."""
+    return x
 
 
 # name -> (forward, inverse), each called as map(x, kind)
 _MAPS = {
     "blt": (blt_forward, blt_inverse),
-    "identity": (_copy, _copy),
+    "identity": (_unchanged, _unchanged),
 }
 
 

@@ -12,7 +12,8 @@ rule, a walk driven by a FIFO queue. The blockwise training loss scores
 each block's module on its own calibration record, apart from the
 forward that deploys the modules. The reference search runs each exponent
 candidate the direct way: ``fit_nbc`` on every block's sliced record, and
-the whole compensated forward of the hold-out inputs, drawn again. The
+the whole compensated forward of the hold-out inputs, drawn again, each
+block a whole-array step (``whole_q_step``), not the library's. The
 streamed input draw and the row-tiled block steps get whole-array twins:
 one draw of every row, and one step over every row that makes the whole
 hidden activation.
@@ -141,17 +142,19 @@ class _ReferenceRowSearch:
         ]
 
     def holdout_loss(self, fitted, rows):
-        comp = self.calib.qmodel.compensated_block_io(self.inputs[rows], fitted)[-1][1]
-        return compute_feature_loss(self.calib.y_last[rows], comp)
+        z = self.inputs[rows]
+        for k, module in enumerate(fitted):
+            _, z = whole_q_step(self.calib.qmodel, k, z, module)
+        return compute_feature_loss(self.calib.y_last[rows], z)
 
 
 def reference_search(model, calib, cfg):
     """``(modules, result)`` of the blt exponent search on ``calib`` with
     every candidate run in full: each block fitted by ``fit_nbc`` on its
     record sliced to the fit rows, the hold-out rows of the calibration
-    inputs of ``model`` run through the whole compensated forward and scored
-    against the recorded targets, then ``fit_nbc`` on every row at the
-    chosen exponent."""
+    inputs of ``model`` run through every block's ``whole_q_step`` with its
+    module and scored against the recorded targets, then ``fit_nbc`` on
+    every row at the chosen exponent."""
     inputs = whole_draw(model, calib.n_samples, calib.spec, calib.seed)
     result = search_n_for_pipeline(calib.n_samples, cfg, _ReferenceRowSearch(calib, inputs))
     kind = TransformKind("blt", result.chosen_n)

@@ -132,7 +132,7 @@ class TestCalibrate:
             ["calibrate", "--config", str(path), "--out", str(tmp_path / "x.nbcb")], capsys
         )
         assert_failed(code, err, 2, "config")
-        assert "mode=none" in err
+        assert err == f"error\tconfig\t{path}: mode must be one of ('linear', 'nbc'), got 'none'\n"
 
 
 class TestSearchN:
@@ -584,6 +584,32 @@ class TestConfigValues:
         assert code == 2
         assert err == f"error\tconfig\t{path}: {line}\n"
         assert out == ""
+
+    @pytest.mark.parametrize("command", ["calibrate", "search-n", "eval", "analyze-outliers", "export"])
+    def test_mode_none_is_invalid_for_every_command(self, tmp_path, capsys, monkeypatch, cfg_path, command):
+        # one config is valid or invalid for all five; eval and export get a
+        # bundle they could read, so only the mode can fail them
+        import nbcq.cli as cli_mod
+
+        bundle = str(tmp_path / "comp.nbcb")
+        assert run_cli(["calibrate", "--config", cfg_path, "--out", bundle], capsys)[0] == 0
+
+        def no_setup(*args, **kwargs):
+            raise AssertionError("the run was set up")
+
+        monkeypatch.setattr(cli_mod, "_build_setup", no_setup)
+        path = tmp_path / "none.cfg"
+        path.write_text(small_cfg_with("mode = none"))
+        args = [command, "--config", str(path)]
+        if command != "search-n":
+            args += ["--out", str(tmp_path / "out")]
+        if command in ("eval", "export"):
+            args += ["--bundle", bundle]
+        code, out, err = run_cli(args, capsys)
+        assert_failed(code, err, 2, "config")
+        assert err == f"error\tconfig\t{path}: mode must be one of ('linear', 'nbc'), got 'none'\n"
+        assert out == ""
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["calibrate", "search-n", "eval", "analyze-outliers", "export"])
     def test_transform_key_is_unknown_before_setup(self, tmp_path, capsys, monkeypatch, command):

@@ -127,6 +127,14 @@ class TestFitLinear:
         b_true = rng.standard_normal(2)
         assert fit_linear(record_of(x_q, x_q @ w_true.T + b_true)).residual_rms <= 1e-10
 
+    def test_fit_leaves_the_residual_intact(self):
+        # the identity map returns its argument itself, so the fit's targets
+        # are the record's residual array
+        rec, _ = make_record(np.random.default_rng(15))
+        before = rec.residual.copy()
+        fit_linear(rec)
+        assert rec.residual.tobytes() == before.tobytes()
+
     def test_singular_design_fallback_leaves_a_small_residual(self):
         x_q = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         mod = fit_linear(record_of(x_q, [[1.0], [2.0], [3.0]]))
@@ -311,6 +319,17 @@ class TestApply:
             expected = old_apply(mod, rec.x_q, y_q)
             assert out.shape == expected.shape
             assert out.tobytes() == expected.tobytes()
+
+    def test_identity_apply_leaves_its_inputs_intact(self):
+        # the identity map returns x_q and the prediction themselves
+        rng = np.random.default_rng(16)
+        rec, y_q = make_record(rng)
+        x_q = rec.x_q
+        x_before, y_before = x_q.copy(), y_q.copy()
+        out = apply(fit_linear(rec), x_q, y_q)
+        assert x_q.tobytes() == x_before.tobytes()
+        assert y_q.tobytes() == y_before.tobytes()
+        assert not np.shares_memory(out, x_q) and not np.shares_memory(out, y_q)
 
     def test_y_q_of_another_width_rejected(self):
         mod = CompensationModule(kind=IDENTITY, weight=np.zeros((2, 3)), bias=np.zeros(2))

@@ -178,7 +178,6 @@ class TestGenerateCalibration:
             assert ra.x_q.tobytes() == rb.x_q.tobytes()
             assert ra.residual.tobytes() == rb.residual.tobytes()
         assert a.y_last.tobytes() == b.y_last.tobytes()
-        assert a.y_q_first.tobytes() == b.y_q_first.tobytes()
 
     def test_outliers_present_under_default_spec(self):
         model, calib, _ = desk_setup(0)
@@ -194,7 +193,7 @@ class TestGenerateCalibration:
 
     def test_fp_records_equal_block_io(self):
         # the records against both list forms: x_q and y - y_q per block,
-        # the last y and block 0's y_q whole
+        # and the last y whole
         model, calib, _ = desk_setup(2)
         inputs = draw_inputs(model, calib.n_samples, calib.spec, calib.seed)
         fp_io = fp_block_io(model, inputs)
@@ -204,7 +203,6 @@ class TestGenerateCalibration:
             assert rec.x_q.tobytes() == x_q.tobytes()
             assert rec.residual.tobytes() == (y - y_q).tobytes()
         assert calib.y_last.tobytes() == fp_io[-1][1].tobytes()
-        assert calib.y_q_first.tobytes() == q_io[0][1].tobytes()
 
     @pytest.mark.parametrize("bits_a", [2, 8])
     def test_records_at_the_ends_of_the_bit_range_equal_block_io(self, bits_a):
@@ -254,7 +252,7 @@ class TestCalibrationMemory:
 
     @pytest.mark.parametrize("bits_a", [2, 4, 8])
     @pytest.mark.parametrize("n_blocks", [1, 4])
-    def test_set_holds_codes_levels_and_residual_per_block_and_the_two_boundary_arrays(
+    def test_set_holds_codes_levels_and_residual_per_block_and_the_holdout_target(
         self, n_blocks, bits_a
     ):
         d, n_samples = 16, 512
@@ -263,9 +261,9 @@ class TestCalibrationMemory:
         held = [getattr(calib, f.name) for f in dataclasses.fields(calib)]
         held += [getattr(rec, f.name) for rec in calib.records for f in dataclasses.fields(rec)]
         arrays = [a for a in held if isinstance(a, np.ndarray)]
-        assert len(arrays) == 3 * n_blocks + 2
+        assert len(arrays) == 3 * n_blocks + 1
         assert sum(a.nbytes for a in arrays) == (
-            (n_blocks + 2) * n_samples * d * 8  # the residuals, y_last and y_q_first
+            (n_blocks + 1) * n_samples * d * 8  # the residuals and y_last
             + n_blocks * n_samples * d  # the uint8 codes of the block inputs
             + n_blocks * 2**bits_a * 8  # the level tables
         )
@@ -353,13 +351,13 @@ class TestForwardCounts:
 
     def test_nbc_search_runs_no_fp_forward(self, monkeypatch):
         # the hold-out rows are scored against the targets calibration
-        # recorded, and start from block 0's recorded quantized output
+        # recorded, and run every quantized step from block 0's codes
         model, calib, cfg = desk_setup(1)
         calls = self.count_steps(monkeypatch)
         modules, result = fit_compensation(model, calib, "nbc", cfg=cfg)
         assert result.evaluations >= 3 and len(modules) == len(calib.records)
         holdout_rows = holdout_count(calib.n_samples)
-        assert calls == {"fp": [], "q": [(holdout_rows, 16)] * (result.evaluations * (model.n_blocks - 1))}
+        assert calls == {"fp": [], "q": [(holdout_rows, 16)] * (result.evaluations * model.n_blocks)}
 
     def test_evaluation_runs_one_step_per_block_and_chunk_of_each_model(self, monkeypatch):
         # 4 x 512 = 2048 evaluation rows run as two chunks
@@ -1121,7 +1119,8 @@ class TestSearchCost:
 class TestSearchOracle:
     """The search keeps the bits of the reference search in ``helpers``,
     which fits each candidate with ``fit_nbc`` on sliced records and scores
-    the whole compensated forward of the hold-out inputs."""
+    the whole compensated forward of the hold-out inputs, a whole-array
+    step per block."""
 
     @pytest.mark.parametrize("bits_a", [2, 4, 8])
     @pytest.mark.parametrize(
