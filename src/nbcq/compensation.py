@@ -79,8 +79,8 @@ class CalibrationRecord:
     """Per-block calibration data: rows are samples, aligned across fields.
 
     The dequantized block input ``x_q`` seen by the quantized forward is
-    held as ``codes``, integers into ``levels``, and gathered
-    (``levels[codes]``) only when read; calibration stores the codes as
+    held only as ``codes``, integers into ``levels``, from which a reader
+    gathers the rows or column it needs; calibration stores the codes as
     ``uint8``, since a per-tensor quantized input has at most 2^8 levels.
     ``residual`` is the quantization error ``y - y_q`` of the block outputs,
     full-precision minus quantized-path, on identical input samples. The
@@ -104,11 +104,6 @@ class CalibrationRecord:
             raise ValueError(f"codes must be in [0, {self.levels.size}), the indices of the levels")
         if codes.shape[0] != self.residual.shape[0]:
             raise ValueError("codes and residual must have equal row counts")
-
-    @property
-    def x_q(self) -> np.ndarray:
-        """The dequantized block inputs, ``levels[codes]``: a new array."""
-        return self.levels[self.codes]
 
     @property
     def n_rows(self) -> int:

@@ -40,8 +40,8 @@ arrays of it. A hold-out candidate runs every quantized step from block
 slices its block's codes and residual to the fit rows and drops the
 slices, and every fit, kept ones too, transforms the 2^bits_a levels and
 gathers them by the codes, so no float ``x_q`` of the stream's shape is
-made outside the hold-out forward's block 0 input and the slope-gap
-channel pick; a kept fit's residual pass works in its prediction's one
+made outside the hold-out forward's block 0 input (the slope-gap pick
+ranks codes); a kept fit's residual pass works in its prediction's one
 array. Evaluation draws its inputs a chunk of ``EVAL_CHUNK_ROWS`` rows at
 a time (``draw_input_chunks``) and runs each chunk through every block of
 both forwards before it draws the next, so the streams and the
@@ -66,8 +66,8 @@ Conventions fixed here and relied on by the analyses:
   (``cli._build_setup``) and splits the hold-out at s + 2
   (``RunConfig.search_config``).
 * the channel-pair for slope-gap analysis is the column of the last
-  block's quantized input with maximal excess kurtosis, paired with the
-  same output column.
+  block's quantized input with maximal excess kurtosis, the first such
+  column on an exact tie, paired with the same output column.
 """
 
 from __future__ import annotations
@@ -656,7 +656,8 @@ class EvalReport:
 def excess_kurtosis(x: np.ndarray) -> np.ndarray:
     """Columnwise excess kurtosis, m4 / m2^2 - 3.
 
-    A column without spread (m2^2 is zero in float64, as for a constant
+    ``channel_slope_gap`` passes integer codes, so no moment overflows. A
+    column without spread (m2^2 is zero in float64, as for a constant
     column) has no kurtosis; it gets -inf, so it is never the maximal column.
     """
     arr = as_tensor(x, "x", ndim=2)
@@ -711,16 +712,18 @@ def channel_slope_gap(
 ) -> tuple[int, float | None, float | None] | None:
     """``slope_gap_analysis`` of one block on its maximal-kurtosis channel.
 
-    The pair is the column of ``rec.x_q`` with maximal excess kurtosis and
-    the same column of the residual. Returns ``(channel, gap_before,
-    gap_after)`` at the ``blt`` exponent ``n_exp``, with both gaps None when
-    a slope on the channel is undefined (a constant partition), or None when
-    the channel has no outliers or no inliers.
+    The pair is the column of ``x_q`` with maximal excess kurtosis and the
+    same residual column, ranked on sorted codes: the increasing affine map
+    from code to level keeps kurtosis, no code moment overflows, and
+    columns of one distribution tie to the bit, the first winning. Returns
+    ``(channel, gap_before, gap_after)`` at the ``blt`` exponent ``n_exp``,
+    both gaps None when a slope on the channel is undefined (a constant
+    partition), or None when the channel has no outliers or inliers.
     """
-    x_q = rec.x_q
-    channel = int(np.argmax(excess_kurtosis(x_q)))
+    # stable: a radix sort on uint8 codes, 4x faster than quicksort at mid
+    channel = int(np.argmax(excess_kurtosis(np.sort(rec.codes, axis=0, kind="stable"))))
     try:
-        gaps = slope_gap_analysis(x_q[:, channel], rec.residual[:, channel], n_exp)
+        gaps = slope_gap_analysis(rec.levels[rec.codes[:, channel]], rec.residual[:, channel], n_exp)
     except FitError:  # a slope is undefined on this channel: report absent
         return channel, None, None
     return None if gaps is None else (channel, *gaps)

@@ -106,7 +106,7 @@ def record_of(x_q, residual) -> CalibrationRecord:
     x_q = np.ascontiguousarray(x_q, dtype=np.float64)
     bits, codes = np.unique(x_q.view(np.int64), return_inverse=True)
     rec = CalibrationRecord(codes.reshape(x_q.shape), bits.view(np.float64), residual)
-    assert rec.x_q.tobytes() == x_q.tobytes()
+    assert rec.levels[rec.codes].tobytes() == x_q.tobytes()
     return rec
 
 
@@ -121,7 +121,7 @@ def training_fit_loss(records, modules) -> float:
     for i, rec in enumerate(records):
         # the correction alone: the module's output over a zero y_q
         zero = np.zeros_like(rec.residual)
-        correction = zero if modules is None else apply(modules[i], rec.x_q, zero)
+        correction = zero if modules is None else apply(modules[i], rec.levels[rec.codes], zero)
         total += compute_feature_loss(rec.residual, correction)
     return total / len(records)
 
@@ -137,7 +137,7 @@ class _ReferenceRowSearch:
     def fit(self, rows, n_exp):
         kind = TransformKind("blt", n_exp)
         return [
-            fit_nbc(record_of(rec.x_q[rows], rec.residual[rows]), kind)
+            fit_nbc(record_of(rec.levels[rec.codes[rows]], rec.residual[rows]), kind)
             for rec in self.calib.records
         ]
 

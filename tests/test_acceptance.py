@@ -121,13 +121,15 @@ def test_criterion_3_ols_oracle_equivalence():
         kind = [TransformKind("blt", float(rng.uniform(-8, 8))), TransformKind("identity")][i % 2]
 
         lin = fit_linear(rec)
-        w_ref, b_ref = pinv_affine_fit(rec.x_q, rec.residual)
+        w_ref, b_ref = pinv_affine_fit(rec.levels[rec.codes], rec.residual)
         worst = max(worst, float(np.max(np.abs(lin.weight - w_ref))), float(np.max(np.abs(lin.bias - b_ref))))
 
         nbc = fit_nbc(rec, kind)
         from nbcq.transform import apply_kind_forward
 
-        w_ref, b_ref = pinv_affine_fit(apply_kind_forward(rec.x_q, kind), apply_kind_forward(rec.residual, kind))
+        w_ref, b_ref = pinv_affine_fit(
+            apply_kind_forward(rec.levels[rec.codes], kind), apply_kind_forward(rec.residual, kind)
+        )
         worst = max(worst, float(np.max(np.abs(nbc.weight - w_ref))), float(np.max(np.abs(nbc.bias - b_ref))))
     elapsed = time.perf_counter() - t0
     verdict(
@@ -198,8 +200,8 @@ def test_criterion_6_linear_region_equivalence():
         y_q = rng.standard_normal((n, d_out))
         resid = rng.uniform(-0.5 * region, 0.5 * region, (n, d_out))
         rec = record_of(x_q, (y_q + resid) - y_q)
-        out_nbc = apply(fit_nbc(rec, TransformKind("blt", n_exp)), rec.x_q, y_q)
-        out_lin = apply(fit_linear(rec), rec.x_q, y_q)
+        out_nbc = apply(fit_nbc(rec, TransformKind("blt", n_exp)), rec.levels[rec.codes], y_q)
+        out_lin = apply(fit_linear(rec), rec.levels[rec.codes], y_q)
         worst = max(worst, float(np.max(np.abs(out_nbc - out_lin))))
     verdict("criterion-6 linear-region-equivalence", worst <= 1e-9, f"worst diff {worst:.2e}")
 

@@ -66,7 +66,8 @@ class TestCalibrationRecord:
         codes = np.array([[3, 0], [1, 2], [3, 3]], dtype=np.uint8)
         rec = CalibrationRecord(codes, self.LEVELS, np.zeros((3, 1)))
         assert rec.codes.dtype == np.uint8 and rec.n_rows == 3
-        assert rec.x_q.tobytes() == np.array([[3.0, -1.5], [0.0, 1.5], [3.0, 3.0]]).tobytes()
+        expected = np.array([[3.0, -1.5], [0.0, 1.5], [3.0, 3.0]])
+        assert rec.levels[rec.codes].tobytes() == expected.tobytes()
 
 
 class TestCompensationModule:
@@ -106,7 +107,7 @@ class TestFitLinear:
         rng = np.random.default_rng(4)
         rec, _ = make_record(rng, n=80, d_in=6, d_out=5)
         mod = fit_linear(rec)
-        w_ref, b_ref = pinv_affine_fit(rec.x_q, rec.residual)
+        w_ref, b_ref = pinv_affine_fit(rec.levels[rec.codes], rec.residual)
         assert np.max(np.abs(mod.weight - w_ref)) <= 1e-8
         assert np.max(np.abs(mod.bias - b_ref)) <= 1e-8
 
@@ -152,15 +153,15 @@ class TestFitNbc:
         y_q = rng.standard_normal((64, 4))
         residual = rng.uniform(-0.9 * region, 0.9 * region, (64, 4))
         rec = record_of(x_q, (y_q + residual) - y_q)
-        out_nbc = apply(fit_nbc(rec, TransformKind("blt", n_exp)), rec.x_q, y_q)
-        out_lin = apply(fit_linear(rec), rec.x_q, y_q)
+        out_nbc = apply(fit_nbc(rec, TransformKind("blt", n_exp)), rec.levels[rec.codes], y_q)
+        out_lin = apply(fit_linear(rec), rec.levels[rec.codes], y_q)
         assert np.max(np.abs(out_nbc - out_lin)) <= 1e-9
 
     def test_zero_residual_is_noop(self):
         rng = np.random.default_rng(7)
         rec, y_q = make_record(rng, residual=np.zeros((60, 3)))
         mod = fit_nbc(rec, TransformKind("blt", 2.0))
-        out = apply(mod, rec.x_q, y_q)
+        out = apply(mod, rec.levels[rec.codes], y_q)
         assert np.max(np.abs(out - y_q)) <= 1e-9
 
     def test_outlier_channel_slope_closer_to_inlier_oracle(self):
@@ -190,7 +191,7 @@ class TestFitNbc:
         rec, _ = make_record(rng, n=90, d_in=5, d_out=4)
         for kind in (TransformKind("blt", 1.5), IDENTITY):
             mod = fit_nbc(rec, kind)
-            design = apply_kind_forward(rec.x_q, kind)
+            design = apply_kind_forward(rec.levels[rec.codes], kind)
             targets = apply_kind_forward(rec.residual, kind)
             w_ref, b_ref = pinv_affine_fit(design, targets)
             assert np.max(np.abs(mod.weight - w_ref)) <= 1e-8
@@ -201,7 +202,7 @@ class TestFitNbc:
         rec, _ = make_record(rng, n=70, d_in=5, d_out=3)
         kind = TransformKind("blt", 2.0)
         mod = fit_nbc(rec, kind)
-        design = apply_kind_forward(rec.x_q, kind)
+        design = apply_kind_forward(rec.levels[rec.codes], kind)
         targets = apply_kind_forward(rec.residual, kind)
         aug = np.hstack([design, np.ones((70, 1))])
         resid = targets - design @ mod.weight.T - mod.bias
@@ -252,7 +253,7 @@ class TestResidualPass:
     ):
         for rec in desk_and_mid_records:
             mod = fit_nbc(rec, kind)
-            design = apply_kind_forward(rec.x_q, kind)
+            design = apply_kind_forward(rec.levels[rec.codes], kind)
             targets = apply_kind_forward(rec.residual, kind)
             aug = np.hstack([design, np.ones((rec.n_rows, 1))])
             coef = np.vstack([mod.weight.T, mod.bias])
@@ -294,7 +295,7 @@ class TestApply:
         y = y_q + residual
         rec = record_of(x_q, y - y_q)
         for mod in (fit_linear(rec), fit_nbc(rec, TransformKind("blt", 2.0))):
-            out = apply(mod, rec.x_q, y_q)
+            out = apply(mod, rec.levels[rec.codes], y_q)
             assert compute_feature_loss(y, out) < compute_feature_loss(y, y_q)
 
     @pytest.mark.parametrize("storage", ["f32", STORAGE_F16, STORAGE_I8])
@@ -315,8 +316,8 @@ class TestApply:
             mod = fit_nbc(rec, kind)
             if storage != "f32":
                 mod = store_params(mod, storage)
-            out = apply(mod, rec.x_q, y_q)
-            expected = old_apply(mod, rec.x_q, y_q)
+            out = apply(mod, rec.levels[rec.codes], y_q)
+            expected = old_apply(mod, rec.levels[rec.codes], y_q)
             assert out.shape == expected.shape
             assert out.tobytes() == expected.tobytes()
 
@@ -324,7 +325,7 @@ class TestApply:
         # the identity map returns x_q and the prediction themselves
         rng = np.random.default_rng(16)
         rec, y_q = make_record(rng)
-        x_q = rec.x_q
+        x_q = rec.levels[rec.codes]
         x_before, y_before = x_q.copy(), y_q.copy()
         out = apply(fit_linear(rec), x_q, y_q)
         assert x_q.tobytes() == x_before.tobytes()
@@ -406,8 +407,8 @@ class TestStoreParams:
         assert codes.dtype == np.int8
         assert i8.weight.dtype == np.float64
         assert i8.weight.tobytes() == (codes.astype(np.float64) * i8.scales[:, None]).tobytes()
-        out_full = apply(mod, rec.x_q, y_q)
-        out_i8 = apply(i8, rec.x_q, y_q)
+        out_full = apply(mod, rec.levels[rec.codes], y_q)
+        out_i8 = apply(i8, rec.levels[rec.codes], y_q)
         # coarse storage still approximates the working-precision output
         assert np.max(np.abs(out_full - out_i8)) <= 0.1
 

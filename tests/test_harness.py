@@ -2,11 +2,13 @@ import dataclasses
 import math
 import re
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from nbcq.compensation import CalibrationRecord
 from nbcq.errors import EvaluatorError, FitError
 from nbcq.fls import FlsConfig, fls_search, holdout_count, holdout_split
 from nbcq.harness import (
@@ -25,6 +27,7 @@ from nbcq.harness import (
     HIDDEN_TILE_ELEMENTS,
     MIN_TILE_ROWS,
     build_toy_model,
+    channel_slope_gap,
     draw_input_chunks,
     draw_inputs,
     evaluate_pipeline,
@@ -163,7 +166,7 @@ class TestGenerateCalibration:
         for seed in range(5):
             model, calib, _ = desk_setup(seed, outlier_fraction=0.0)
             assert calib.spec.outlier_fraction == 0.0
-            peak = max(float(np.abs(rec.x_q).max()) for rec in calib.records)
+            peak = max(float(np.abs(rec.levels[rec.codes]).max()) for rec in calib.records)
             assert peak < OUTLIER_THRESHOLD
 
     def test_row_counts(self):
@@ -175,14 +178,14 @@ class TestGenerateCalibration:
         _, a, _ = desk_setup(7)
         _, b, _ = desk_setup(7)
         for ra, rb in zip(a.records, b.records):
-            assert ra.x_q.tobytes() == rb.x_q.tobytes()
+            assert ra.levels[ra.codes].tobytes() == rb.levels[rb.codes].tobytes()
             assert ra.residual.tobytes() == rb.residual.tobytes()
         assert a.y_last.tobytes() == b.y_last.tobytes()
 
     def test_outliers_present_under_default_spec(self):
         model, calib, _ = desk_setup(0)
         last = calib.records[-1]
-        assert (np.abs(last.x_q) > OUTLIER_THRESHOLD).any()
+        assert (np.abs(last.levels[last.codes]) > OUTLIER_THRESHOLD).any()
 
     def test_minimum_samples(self):
         # calibration records any row count; the fit rejects fewer than d + 1 rows
@@ -200,7 +203,7 @@ class TestGenerateCalibration:
         q_io = calib.qmodel.compensated_block_io(inputs)
         assert len(fp_io) == len(q_io) == len(calib.records)
         for rec, (_, y), (x_q, y_q) in zip(calib.records, fp_io, q_io):
-            assert rec.x_q.tobytes() == x_q.tobytes()
+            assert rec.levels[rec.codes].tobytes() == x_q.tobytes()
             assert rec.residual.tobytes() == (y - y_q).tobytes()
         assert calib.y_last.tobytes() == fp_io[-1][1].tobytes()
 
@@ -210,7 +213,7 @@ class TestGenerateCalibration:
         q_io = calib.qmodel.compensated_block_io(draw_inputs(model, calib.n_samples, calib.spec, calib.seed))
         for rec, (x_q, _) in zip(calib.records, q_io, strict=True):
             assert rec.codes.dtype == np.uint8
-            assert rec.x_q.tobytes() == x_q.tobytes()
+            assert rec.levels[rec.codes].tobytes() == x_q.tobytes()
         # the lowest and the highest code both occur and survive uint8
         codes = np.concatenate([rec.codes.ravel() for rec in calib.records])
         assert (codes.min(), codes.max()) == (0, 2**bits_a - 1)
@@ -609,7 +612,7 @@ class TestRunPipeline:
         model = build_toy_model(6, 8, 2, seed=11)
         spec = OutlierSpec(outlier_fraction=0.0)
         calib = generate_calibration(model, 64, spec, seed=12, bits_w=8, bits_a=8)
-        peak = max(float(np.abs(rec.x_q).max()) for rec in calib.records)
+        peak = max(float(np.abs(rec.levels[rec.codes]).max()) for rec in calib.records)
         assert peak < 2.0**-10  # inside the smallest grid region
 
         cfg = FlsConfig(seed=13)
@@ -1284,9 +1287,34 @@ class TestMeanOfPartials:
 class TestKurtosisChannelSelection:
     def test_heavy_channel_wins_on_outlier_config(self):
         model, calib, _ = desk_setup(0)
-        channel = int(np.argmax(excess_kurtosis(calib.records[-1].x_q)))
-        xs = calib.records[-1].x_q[:, channel]
+        last = calib.records[-1]
+        channel = int(np.argmax(excess_kurtosis(last.levels[last.codes])))
+        xs = last.levels[last.codes][:, channel]
         assert (np.abs(xs) > OUTLIER_THRESHOLD).any()
+
+    @pytest.mark.parametrize("scale", [1e78, 1e150])
+    def test_extreme_outlier_scale_warns_nothing_and_keeps_the_picks(self, scale):
+        # the levels' fourth moments overflow float64 from about 1e78 on;
+        # the picks are the ones made at 1e60, where none does
+        model, calib, _ = desk_setup(0, outlier_scale=scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            picks = [channel_slope_gap(rec, FlsConfig.n_init) for rec in calib.records]
+            evaluate_pipeline(model, calib, None, mode="none")
+        assert [pick[0] for pick in picks] == [0, 6, 4, 2]
+
+    def test_exact_tie_goes_to_the_first_column(self):
+        # column 1 is a row permutation of column 0: one distribution, so
+        # one kurtosis; 60 rows, so a column's mean is not a dyadic fraction
+        # and a sum in row order rounds differently for the two columns
+        rng = np.random.default_rng(3)
+        column = rng.integers(0, 16, 60)
+        codes = np.stack([column, rng.permutation(column)], axis=1).astype(np.uint8)
+        levels = (np.arange(16.0) - 6.0) * 1.3  # -7.8 .. 11.7
+        assert (np.abs(levels[column]) > OUTLIER_THRESHOLD).any()
+        assert (np.abs(levels[column]) <= OUTLIER_THRESHOLD).any()
+        rec = CalibrationRecord(codes, levels, rng.standard_normal((60, 2)))
+        assert channel_slope_gap(rec, FlsConfig.n_init)[0] == 0
 
     def test_constant_column_never_chosen(self):
         rng = np.random.default_rng(75)

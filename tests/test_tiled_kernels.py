@@ -153,7 +153,7 @@ def desk_block_inputs():
     """The fake-quantized block inputs of the desk pipeline: a few levels on
     both sides of the seam, so the branch changes from element to element."""
     _, calib, _ = desk_setup(0)
-    return [rec.x_q for rec in calib.records]
+    return [rec.levels[rec.codes] for rec in calib.records]
 
 
 @pytest.mark.parametrize("n_exp", N_EXPS)
