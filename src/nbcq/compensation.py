@@ -17,7 +17,17 @@ two, so a ``CalibrationRecord`` holds the residual y - y_q, computed once,
 and x_q as integer codes into a table of its levels: a per-tensor
 quantized x_q takes one of 2^bits values. Every fit builds its design as
 ``f(levels)[codes]``, so the map runs on the levels, not on rows x d
-inputs; it is elementwise, so that has the bits of ``f(x_q)``.
+inputs; it is elementwise, so that has the bits of ``f(x_q)``. The design
+is gathered a row chunk at a time into the first columns of one array
+whose last column is ones, which the solver takes whole
+(``numerics.solve_least_squares``), so a fit holds that array and its
+targets and no other rows x d copy. The targets are the residual mapped in
+place: a candidate fit (``fit_nbc_levels``) writes over the residual slice
+it is handed, and a kept fit copies its record's residual first, so no fit
+writes over a record. A kept fit's residual pass subtracts the prediction
+from its targets in row chunks of at least ``numerics.MIN_TILE_ROWS``
+rows, which keep the bits of the whole product, and ``apply`` inverts its
+prediction in place.
 
 Fitted parameters are narrowed for storage (``STORED_DTYPES``): f32 and
 f16 round W and b; i8_per_channel stores W as symmetric int8 codes with
@@ -35,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import as_tensor, solve_least_squares
+from .numerics import MIN_TILE_ROWS, TILE_ELEMENTS, as_tensor, row_chunks, solve_least_squares
 from .quantizer import grid_round
 from .transform import IDENTITY, TransformKind, apply_kind_forward, apply_kind_inverse
 
@@ -164,8 +174,9 @@ def fit_nbc(rec: CalibrationRecord, kind: TransformKind) -> CompensationModule:
     ``f(levels)[codes]``; the solve rejects a record with fewer than
     d_in + 1 rows (FitError). A kept fit: the module's ``residual_rms`` is
     the RMS of ``f(residual) - (design @ W^T + b)``, the prediction
-    ``apply`` makes before the inverse."""
-    return _fit(rec.levels, rec.codes, rec.residual, kind, residual_pass=True)
+    ``apply`` makes before the inverse. The record is left as it is: the
+    fit maps a copy of its residual."""
+    return _fit(rec.levels, rec.codes, rec.residual.copy(), kind, residual_pass=True)
 
 
 def fit_nbc_levels(
@@ -174,31 +185,52 @@ def fit_nbc_levels(
     """``fit_nbc`` on the record ``(codes, levels, residual)`` without the
     residual pass, for candidate fits, which are scored and dropped.
 
-    Weight, bias and ``ridge_used`` are those of ``fit_nbc`` bit for bit;
-    ``residual_rms`` is None.
+    ``residual`` is the caller's private copy, a C-contiguous float64
+    array: the fit writes its transform over it. Weight, bias and
+    ``ridge_used`` are those of ``fit_nbc`` bit for bit; ``residual_rms``
+    is None.
     """
     return _fit(levels, codes, residual, kind, residual_pass=False)
 
 
 def _fit(levels, codes, residual, kind: TransformKind, residual_pass: bool) -> CompensationModule:
-    """The fit of ``fit_nbc`` and ``fit_nbc_levels``. The design is
-    ``f(levels)[codes]``, the map run on the levels only; it is
-    elementwise, so this has the bits of ``f(levels[codes])``. The codes
-    are cast to ``intp`` first, which numpy gathers faster than narrower
-    indices."""
-    design = apply_kind_forward(levels, kind)[codes.astype(np.intp)]
-    targets = apply_kind_forward(residual, kind)
+    """The fit of ``fit_nbc`` and ``fit_nbc_levels``, which writes over
+    ``residual``: its transform is the targets, and a kept fit's residual
+    pass leaves its squared errors there. The design is
+    ``f(levels)[codes]`` with a last column of ones, the map run on the
+    levels only; it is elementwise, so this has the bits of
+    ``f(levels[codes])``."""
+    targets = apply_kind_forward(residual, kind, out=residual)
+    n, d = np.shape(codes)
+    chunks = row_chunks(n, max(MIN_TILE_ROWS, TILE_ELEMENTS // max(d, 1)))
+    design = _augmented_design(apply_kind_forward(levels, kind), codes, chunks)
     sol = solve_least_squares(design, targets)
     residual_rms = None
     if residual_pass:
-        # targets - (design @ W^T + b), squared, in the product's one array
-        resid = design @ sol.weight.T
-        resid += sol.bias
-        np.subtract(targets, resid, out=resid)
-        resid *= resid  # the bits of resid**2
-        residual_rms = float(np.sqrt(np.mean(resid)))
+        # targets - (design @ W^T + b), a row chunk at a time, each chunk of
+        # the product with the bits of its rows of the whole one
+        inputs = design[:, :-1]
+        for r0, r1 in chunks:
+            pred = inputs[r0:r1] @ sol.weight.T
+            pred += sol.bias
+            np.subtract(targets[r0:r1], pred, out=targets[r0:r1])
+        targets *= targets  # the bits of resid**2
+        residual_rms = float(np.sqrt(np.mean(targets)))
     return CompensationModule(kind=kind, weight=sol.weight, bias=sol.bias, storage=STORAGE_F32,
                               ridge_used=sol.ridge_used, residual_rms=residual_rms)
+
+
+def _augmented_design(mapped_levels: np.ndarray, codes: np.ndarray, chunks) -> np.ndarray:
+    """``mapped_levels[codes]`` in the first columns of one new array whose
+    last column is ones, gathered a row chunk at a time; each chunk's codes
+    are cast to ``intp``, which numpy gathers faster than narrower indices,
+    so no rows x d index array is made."""
+    n, d = codes.shape
+    design = np.empty((n, d + 1))
+    design[:, d] = 1.0
+    for r0, r1 in chunks:
+        design[r0:r1, :d] = mapped_levels[codes[r0:r1].astype(np.intp)]
+    return design
 
 
 def fit_linear(rec: CalibrationRecord) -> CompensationModule:
@@ -219,7 +251,7 @@ def apply(mod: CompensationModule, x_q, y_q) -> np.ndarray:
         raise ValueError("x_q and y_q must have equal row counts")
     pred = apply_kind_forward(x, mod.kind) @ mod.weight.T
     pred += mod.bias
-    out = apply_kind_inverse(pred, mod.kind)
+    out = apply_kind_inverse(pred, mod.kind, out=pred)
     out += yq  # IEEE addition commutes: the bits of yq + out
     return out
 

@@ -22,7 +22,10 @@ layer in row tiles of ``HIDDEN_TILE_ELEMENTS // h`` rows, at least
 computed in place in its ``z @ W1^T`` product, and its ``W2`` product goes
 straight into its rows of the step's one output array, to which the
 residual is then added in place. So no step holds a ``rows x h`` array,
-whatever its row count. A quantized step writes its quantized input over
+whatever its row count. The quantized twin holds its weights as one-byte
+codes with per-row scales and zero points (``quantizer.WeightCodes``), an
+eighth of their float64 size; each quantized step dequantizes its block's
+two weights and lets them go. A quantized step writes its quantized input over
 its input ``z``, so a caller that still reads ``z`` passes a copy, as the
 list form does. Calibration runs each product once: one full-precision
 loop calibrates the activation ranges, the hidden one from the extremes
@@ -30,7 +33,8 @@ of its tiles (``quantizer.range_params``), and keeps every block's
 output; then the quantized steps run over all rows, each writing over its
 input. Each block's quantized input is coded (``level_codes``) right after
 its step and the float array let go, and its residual ``y - y_q`` is
-written over its output. The calibration set keeps what the fits and the
+written over its output, the last block's over its quantized output. The
+calibration set keeps what the fits and the
 search read, not the inputs: per block the residual and ``x_q`` as
 ``uint8`` codes into its level table, plus the last block's ``y`` (the
 hold-out target, so the search runs no full-precision forward):
@@ -39,10 +43,13 @@ arrays of it. A hold-out candidate runs every quantized step from block
 0's input, gathered from its codes. The search caches nothing: each fit
 slices its block's codes and residual to the fit rows and drops the
 slices, and every fit, kept ones too, transforms the 2^bits_a levels and
-gathers them by the codes, so no float ``x_q`` of the stream's shape is
-made outside the hold-out forward's block 0 input (the slope-gap pick
-ranks codes); a kept fit's residual pass works in its prediction's one
-array. Evaluation draws its inputs a chunk of ``EVAL_CHUNK_ROWS`` rows at
+gathers them by the codes a row chunk at a time into its one augmented
+design (``compensation.fit_nbc``), so no float ``x_q`` of the stream's
+shape is made outside the hold-out forward's block 0 input (the slope-gap
+pick ranks codes). A candidate fit maps its residual slice in place into
+its targets; a kept fit maps a copy of its record's residual and its
+residual pass subtracts the prediction from it a row chunk at a time.
+Evaluation draws its inputs a chunk of ``EVAL_CHUNK_ROWS`` rows at
 a time (``draw_input_chunks``) and runs each chunk through every block of
 both forwards before it draws the next, so the streams and the
 temporaries of a module's apply are chunk-sized and a step's hidden tile
@@ -88,9 +95,10 @@ from .compensation import (
 )
 from .errors import FitError
 from .fls import FlsConfig, FlsResult, check_fit_rows, compute_feature_loss, search_n_for_pipeline
-from .numerics import as_tensor, map_tiles
+from .numerics import MIN_TILE_ROWS, as_tensor, map_tiles, row_chunks
 from .quantizer import (
     QuantParams,
+    WeightCodes,
     calibrate_params,
     fake_quantize,
     level_codes,
@@ -107,7 +115,6 @@ __all__ = [
     "EVAL_SEED_OFFSET",
     "EVAL_SET_MULTIPLIER",
     "EVAL_CHUNK_ROWS",
-    "MIN_TILE_ROWS",
     "HIDDEN_TILE_ELEMENTS",
     "MODES",
     "MODE_MAPS",
@@ -146,11 +153,6 @@ BLOCK_UPDATE_GAIN = 0.45
 EVAL_SEED_OFFSET = 104729
 EVAL_SET_MULTIPLIER = 4
 
-# OpenBLAS gives a row slice of a product other bits than the whole product
-# at some small row counts (up to 100 rows at the shapes measured, none from
-# 128 on), so no row chunk or tile of a product is smaller than this.
-MIN_TILE_ROWS = 128
-
 # Rows per chunk of the evaluation forward, so that its streams and a
 # module's temporaries are chunk-sized. The chunks fix the metrics' bits:
 # each is a sum of per-chunk sums.
@@ -158,7 +160,7 @@ EVAL_CHUNK_ROWS = 1024
 
 # Elements per row tile of a block step's hidden layer: 512 KiB of float64,
 # a quarter of the core's 2 MiB L2 cache. A tile has HIDDEN_TILE_ELEMENTS // h
-# rows, but never fewer than MIN_TILE_ROWS.
+# rows, but never fewer than numerics.MIN_TILE_ROWS.
 HIDDEN_TILE_ELEMENTS = 65_536
 
 # mode -> the map its modules apply (none: no module), as the eval report names it
@@ -255,7 +257,7 @@ def _residual_step(z: np.ndarray, w1: np.ndarray, w2: np.ndarray, hidden) -> np.
 
     The hidden layer runs in row tiles of ``HIDDEN_TILE_ELEMENTS // h`` rows,
     at least ``MIN_TILE_ROWS``, the remainder folded into the last tile
-    (``_row_chunks``). Each tile's ``z @ W1^T`` product is the hidden
+    (``numerics.row_chunks``). Each tile's ``z @ W1^T`` product is the hidden
     activation, computed in place, and its ``W2`` product goes straight into
     its rows of the step's one output array, to which ``z`` is then added in
     place: no ``rows x h`` array is made. A row tile of a product has the
@@ -264,7 +266,7 @@ def _residual_step(z: np.ndarray, w1: np.ndarray, w2: np.ndarray, hidden) -> np.
     """
     h = w1.shape[0]
     out = np.empty((z.shape[0], w2.shape[0]))
-    for r0, r1 in _row_chunks(z.shape[0], max(MIN_TILE_ROWS, HIDDEN_TILE_ELEMENTS // h)):
+    for r0, r1 in row_chunks(z.shape[0], max(MIN_TILE_ROWS, HIDDEN_TILE_ELEMENTS // h)):
         a = z[r0:r1] @ w1.T
         hidden(a)
         np.matmul(a, w2.T, out=out[r0:r1])
@@ -315,12 +317,13 @@ def build_toy_model(
 @dataclass(frozen=True)
 class QuantizedToyModel:
     """Fake-quantized twin of a ToyModel with frozen activation ranges;
-    every forward runs its per-block step ``block_io``."""
+    every forward runs its per-block step ``block_io``. The weights are
+    held as their per-row codes, one byte per entry."""
 
     bits_w: int
     bits_a: int
-    w1q: tuple[np.ndarray, ...]
-    w2q: tuple[np.ndarray, ...]
+    w1q: tuple[WeightCodes, ...]  # (h, d) per block
+    w2q: tuple[WeightCodes, ...]  # (d, h) per block
     p_in: tuple[QuantParams, ...]
     p_hid: tuple[QuantParams, ...]
 
@@ -357,6 +360,8 @@ class QuantizedToyModel:
         The dequantized input is written over ``z`` and returned as the
         first array, so a caller that still reads ``z`` passes a copy. A
         ``z`` that is not finite raises ValueError naming the block. The
+        step dequantizes the block's two weights from their codes
+        (``WeightCodes.dequantize``) and lets them go when it returns. The
         hidden layer runs in row tiles (``_residual_step``), each tile's gelu
         output fake-quantized in place; both maps are elementwise, so the
         tiles have the bits of the whole activation.
@@ -366,7 +371,7 @@ class QuantizedToyModel:
         except ValueError as exc:
             raise ValueError(f"block {k}: {exc}") from None
         out = _residual_step(
-            zq, self.w1q[k], self.w2q[k],
+            zq, self.w1q[k].dequantize(), self.w2q[k].dequantize(),
             lambda a: self.fake_quant(gelu(a, out=a), self.p_hid[k], out=a),
         )
         if module is not None:
@@ -475,7 +480,8 @@ def generate_calibration(
     as soon as its step returns, and only the codes and
     ``level_table(p_in[k])`` are kept. Each step writes its quantized input
     over its input. Each residual is written over its block's ``y``, except
-    the last block's, whose ``y`` the set keeps as the hold-out target. Each
+    the last block's, whose ``y`` the set keeps as the hold-out target: that
+    residual is written over the last quantized output. Each
     forward runs once, and the set holds n_blocks + 1 float64 arrays and
     n_blocks byte arrays of the stream's shape.
     """
@@ -501,9 +507,11 @@ def generate_calibration(
         del x_q  # held as its codes from here on
         if k < model.n_blocks - 1:
             residuals.append(np.subtract(y, z, out=y))  # z is checked as block k+1's input
-    # the last block's outputs are no step's input: checked here, before any record
+    # the last block's outputs are no step's input: checked here, before any
+    # record; the last residual is written over the last quantized output
     y_last = as_tensor(targets[-1], "y")
-    residuals.append(y_last - as_tensor(z, "y_q"))
+    z = as_tensor(z, "y_q")
+    residuals.append(np.subtract(y_last, z, out=z))
     return CalibrationSet(
         records=tuple(
             CalibrationRecord(c, level_table(p), r) for c, p, r in zip(codes, p_in, residuals)
@@ -785,13 +793,6 @@ def _mean_of_partials(partials: Sequence[float], count: int) -> float | None:
         return math.inf
 
 
-def _row_chunks(n_rows: int, size: int) -> list[tuple[int, int]]:
-    """``[r0, r1)`` bounds of ``size`` rows each, in order; the remainder
-    joins the last chunk, and fewer rows make one chunk."""
-    starts = list(range(0, n_rows - size + 1, size)) or [0]
-    return list(zip(starts, starts[1:] + [n_rows]))
-
-
 def evaluate_pipeline(
     model: ToyModel,
     calib: CalibrationSet,
@@ -805,7 +806,7 @@ def evaluate_pipeline(
 
     The evaluation set is four times the calibration size, drawn with an
     independent seed and the same outlier mechanism. It is drawn and run in
-    row chunks (``_row_chunks``, ``draw_input_chunks``), with the bits of
+    row chunks (``numerics.row_chunks``, ``draw_input_chunks``), with the bits of
     the whole draw: each chunk goes through every block of both forwards
     (the two models' ``block_io``) before the next one is drawn, and each
     block of a chunk leaves only the sums of ``split_error_metrics``. So
@@ -835,7 +836,7 @@ def evaluate_pipeline(
 
     n_rows = EVAL_SET_MULTIPLIER * calib.n_samples
     chunks = draw_input_chunks(model, n_rows, calib.spec, calib.seed + EVAL_SEED_OFFSET,
-                               _row_chunks(n_rows, EVAL_CHUNK_ROWS))
+                               row_chunks(n_rows, EVAL_CHUNK_ROWS))
     sums = []  # split_error_metrics of each chunk's blocks, chunk after chunk
     for z in chunks:
         z = zc = as_tensor(z, "inputs", ndim=2)  # no other name holds the chunk

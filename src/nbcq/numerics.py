@@ -19,8 +19,10 @@ from .errors import FitError
 __all__ = [
     "LstsqSolution",
     "TILE_ELEMENTS",
+    "MIN_TILE_ROWS",
     "as_tensor",
     "map_tiles",
+    "row_chunks",
     "solve_least_squares",
     "RIDGE_FALLBACK_FACTOR",
 ]
@@ -34,6 +36,11 @@ RIDGE_FALLBACK_FACTOR = 1e-10
 # few tile-sized temporaries of a kernel stay in the core's L2 cache
 # instead of making full-size passes through memory.
 TILE_ELEMENTS = 16384
+
+# OpenBLAS gives a row slice of a product other bits than the whole product
+# at some small row counts (up to 100 rows at the shapes measured, none from
+# 128 on), so no row chunk or tile of a product is smaller than this.
+MIN_TILE_ROWS = 128
 
 
 def as_tensor(x, name: str = "tensor", ndim: int | None = None) -> np.ndarray:
@@ -70,6 +77,13 @@ def map_tiles(kernel, x, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
+def row_chunks(n_rows: int, size: int) -> list[tuple[int, int]]:
+    """``[r0, r1)`` bounds of ``size`` rows each, in order; the remainder
+    joins the last chunk, and fewer rows make one chunk."""
+    starts = list(range(0, n_rows - size + 1, size)) or [0]
+    return list(zip(starts, starts[1:] + [n_rows]))
+
+
 @dataclass(frozen=True)
 class LstsqSolution:
     """Affine least-squares fit ``targets ~ design @ weight.T + bias``.
@@ -86,30 +100,34 @@ class LstsqSolution:
 def solve_least_squares(design, targets, ridge: float = 0.0) -> LstsqSolution:
     """Minimize ``sum_i ||t_i - W d_i - b||^2 + ridge * ||W||_F^2``.
 
-    The design matrix is augmented with a constant-1 column so the bias
-    falls out of the same normal-equations solve; the ridge penalty skips
-    that column. The system is solved by Cholesky factorization of the
-    normal matrix. If factorization fails (rank-deficient design, e.g.
-    duplicated channels), the solve is retried once with a small
-    trace-scaled ridge added, and the effective value is recorded in
-    ``ridge_used``.
+    ``design`` is the augmented design: the p inputs of each row in its
+    first p columns and a last column of ones, so the bias falls out of the
+    same normal-equations solve; the ridge penalty skips that column. A
+    last column that is not all ones raises ValueError. The caller builds
+    the augmented array once (``compensation.fit_nbc`` gathers its inputs
+    into it), so the solve copies no rows x p array. The system is solved
+    by Cholesky factorization of the normal matrix. If factorization fails
+    (rank-deficient design, e.g. duplicated channels), the solve is retried
+    once with a small trace-scaled ridge added, and the effective value is
+    recorded in ``ridge_used``.
 
     The solve makes no residual pass: it would cost about as much as the
     solve itself, and the search's candidate fits, which are scored and
     dropped, do not need one. The kept fits take their own
     (``compensation.fit_nbc``).
     """
-    d = as_tensor(design, "design", ndim=2)
+    aug = as_tensor(design, "design", ndim=2)
     t = as_tensor(targets, "targets", ndim=2)
-    n, p = d.shape
+    n, p = aug.shape[0], aug.shape[1] - 1
     if t.shape[0] != n:
         raise ValueError(f"design has {n} rows but targets has {t.shape[0]}")
+    if p < 0 or not (aug[:, p] == 1.0).all():
+        raise ValueError("design must end in a column of ones, the bias column")
     if ridge < 0:
         raise ValueError("ridge must be >= 0")
     if n < p + 1:
         raise FitError(f"need at least {p + 1} rows to fit {p} weights plus a bias, got {n}")
 
-    aug = np.hstack([d, np.ones((n, 1))])
     gram = aug.T @ aug
     rhs = aug.T @ t
     penalty = np.ones(p + 1)

@@ -18,13 +18,18 @@ Rounding is to the nearest integer, halves away from zero, exact for every
 finite input, and one function does it: ``grid_round(x, s, lo, hi)`` is
 ``clip(round(x / s), lo, hi)``. Fake-quant (bounds [-z, 2^b - 1 - z]), the
 zero point, ``level_codes`` and the int8 codes of ``compensation.store_params``
-call it. Activations quantize per tensor (``fake_quantize``); weight matrices
-quantize per output row (``quantize_per_channel``). Both compute ``x_hat``
-straight from ``x`` in float64, without materializing ``q``, and never return
--0.0. A per-tensor ``x_hat`` takes one of 2^b values: ``level_table`` lists
-them by code and ``level_codes`` recovers the code of each entry as one byte
-(b <= 8), so that ``x_hat`` can be held in an eighth of its float64 size and
-a map applied elementwise to it can run on the 2^b levels instead.
+call it. Activations quantize per tensor (``fake_quantize``), which computes
+``x_hat`` straight from ``x`` in float64, without materializing ``q``, and
+never returns -0.0. A per-tensor ``x_hat`` takes one of 2^b values:
+``level_table`` lists them by code and ``level_codes`` recovers the code of
+each entry as one byte (b <= 8), so that ``x_hat`` can be held in an eighth
+of its float64 size and a map applied elementwise to it can run on the 2^b
+levels instead. Weight matrices quantize per output row
+(``quantize_per_channel``) to ``WeightCodes``: ``q`` as one byte per entry
+and each row's scale and zero point, an eighth of the float64 matrix.
+``WeightCodes.dequantize`` gives ``s * (q - z)`` with the float64 operations
+``level_table`` applies to a code, so each row has the bits of
+``fake_quantize`` under that row's own parameters.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ __all__ = [
     "fake_quantize",
     "level_table",
     "level_codes",
+    "WeightCodes",
     "quantize_per_channel",
 ]
 
@@ -186,12 +192,31 @@ def level_codes(x_q, p: QuantParams) -> np.ndarray:
     return codes
 
 
-def quantize_per_channel(w, bits: int) -> np.ndarray:
-    """Quantize a rank-2 tensor row by row over the output-channel axis and
-    map it back to real values.
+@dataclass(frozen=True, eq=False)
+class WeightCodes:
+    """A weight matrix quantized per output row: ``codes`` (``uint8``, one
+    byte per entry) and each row's ``scale`` and ``zero_point`` (float64,
+    the zero point a whole number in [0, 2^bits - 1])."""
 
-    Each row comes out as ``fake_quantize(row, calibrate_params(row, bits))``
-    would give it, bit for bit; all rows are computed at once.
+    codes: np.ndarray  # (rows, cols) uint8
+    scale: np.ndarray  # (rows,)
+    zero_point: np.ndarray  # (rows,)
+
+    def dequantize(self) -> np.ndarray:
+        """The float64 matrix ``(codes - zero_point) * scale``, row by row:
+        the bits of ``fake_quantize(row, calibrate_params(row, bits))``. A
+        code equal to its zero point gives +0.0, so no -0.0 is cleared."""
+        w = np.subtract(self.codes, self.zero_point[:, None])
+        w *= self.scale[:, None]
+        return w
+
+
+def quantize_per_channel(w, bits: int) -> WeightCodes:
+    """Quantize a rank-2 tensor row by row over the output-channel axis.
+
+    Each row's scale and zero point are ``calibrate_params(row, bits)``'s,
+    and ``dequantize`` gives it as ``fake_quantize`` would under them, bit
+    for bit; all rows are computed at once.
     """
     bits = check_bits(bits)
     arr = as_tensor(w, "weight", ndim=2)
@@ -202,6 +227,7 @@ def quantize_per_channel(w, bits: int) -> np.ndarray:
         top_levels = (2**bits - 1) * scale
     if not np.isfinite(top_levels).all():
         raise ValueError("scale must be positive and finite: a row's range overflows float64")
-    out = np.empty_like(arr)
-    _fake_quant(arr, out, scale[:, None], zero[:, None], 2**bits - 1)
-    return out
+    # code - zero point, a whole number, so adding the zero point is exact
+    t = grid_round(arr, scale[:, None], -zero[:, None], (2**bits - 1) - zero[:, None])
+    t += zero[:, None]
+    return WeightCodes(codes=t.astype(np.uint8), scale=scale, zero_point=zero)

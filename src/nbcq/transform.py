@@ -20,7 +20,8 @@ mirror it with the sign, so odd symmetry holds bit-exactly, and the linear
 branch divides/multiplies by the threshold itself so the seam values land
 exactly on +-1 and +-2^-n. The map is continuous but not differentiable at
 the seams. log2/exp2 use the platform's native base-2 primitives. Each map
-runs in cache-sized tiles (see ``numerics.map_tiles``).
+runs in cache-sized tiles (see ``numerics.map_tiles``), into a new array or,
+given ``out=x``, over its input, which a caller does with a private copy.
 
 Both branches are computed for every element and blended without a branch
 or a masked copy: the log branch is multiplied by the 0/1 "outside the
@@ -70,18 +71,21 @@ __all__ = [
 N_EXP_RANGE = (-10.0, 10.0)
 
 
-def _mirrored(x, magnitude_map):
+def _mirrored(x, magnitude_map, out=None):
     """Odd extension ``sign(x) * m(|x|)`` of a map on magnitudes.
 
     ``magnitude_map(mag, out)`` writes m(mag) into ``out`` and may overwrite
-    ``mag``; it runs on one tile at a time (see ``numerics.map_tiles``).
+    ``mag``; it runs on one tile at a time (see ``numerics.map_tiles``). The
+    result goes to a new array, or over ``x`` if ``out`` is ``x``, so each
+    tile's sign is read before its output is written.
     """
 
     def kernel(src, dst):
+        sign = np.sign(src)
         magnitude_map(np.abs(src), dst)
-        dst *= np.sign(src)
+        dst *= sign
 
-    out = map_tiles(kernel, x)
+    out = map_tiles(kernel, x, out)
     return float(out) if out.ndim == 0 else out
 
 
@@ -97,8 +101,9 @@ def _blend(out, lin, linear):
     out += lin
 
 
-def blt_forward(x, kind: TransformKind):
-    """Apply the bipolar logarithmic map of a ``blt`` kind elementwise."""
+def blt_forward(x, kind: TransformKind, out=None):
+    """Apply the bipolar logarithmic map of a ``blt`` kind elementwise,
+    to a new array or, if ``out`` is ``x``, over ``x``."""
     thr = kind.threshold
     offset = kind.n_exp + 1.0
 
@@ -111,11 +116,12 @@ def blt_forward(x, kind: TransformKind):
         mag /= thr
         _blend(out, mag, linear)
 
-    return _mirrored(x, fwd)
+    return _mirrored(x, fwd, out)
 
 
-def blt_inverse(v, kind: TransformKind):
-    """Invert the bipolar logarithmic map of a ``blt`` kind elementwise."""
+def blt_inverse(v, kind: TransformKind, out=None):
+    """Invert the bipolar logarithmic map of a ``blt`` kind elementwise,
+    to a new array or, if ``out`` is ``v``, over ``v``."""
     thr = kind.threshold
     offset = kind.n_exp + 1.0
 
@@ -127,15 +133,16 @@ def blt_inverse(v, kind: TransformKind):
         mag *= thr
         _blend(out, mag, linear)
 
-    return _mirrored(v, inv)
+    return _mirrored(v, inv, out)
 
 
-def _unchanged(x, kind: TransformKind):
-    """``x`` itself: no caller writes into a map's result."""
+def _unchanged(x, kind: TransformKind, out=None):
+    """``x`` itself, whatever ``out`` is: a caller that writes into the
+    result of a map it did not give ``out`` copies ``x`` first."""
     return x
 
 
-# name -> (forward, inverse), each called as map(x, kind)
+# name -> (forward, inverse), each called as map(x, kind, out)
 _MAPS = {
     "blt": (blt_forward, blt_inverse),
     "identity": (_unchanged, _unchanged),
@@ -181,11 +188,14 @@ class TransformKind:
 IDENTITY = TransformKind("identity")
 
 
-def apply_kind_forward(x, kind: TransformKind):
-    """Apply the forward transform of ``kind`` elementwise."""
-    return _MAPS[kind.name][0](x, kind)
+def apply_kind_forward(x, kind: TransformKind, out: np.ndarray | None = None):
+    """Apply the forward transform of ``kind`` elementwise. ``out`` is None,
+    for a new array, or ``x`` itself, to write over it (the rule of
+    ``numerics.map_tiles``); the identity returns ``x`` either way."""
+    return _MAPS[kind.name][0](x, kind, out)
 
 
-def apply_kind_inverse(v, kind: TransformKind):
-    """Apply the inverse transform of ``kind`` elementwise."""
-    return _MAPS[kind.name][1](v, kind)
+def apply_kind_inverse(v, kind: TransformKind, out: np.ndarray | None = None):
+    """Apply the inverse transform of ``kind`` elementwise; ``out`` is None
+    or ``v`` itself, as for ``apply_kind_forward``."""
+    return _MAPS[kind.name][1](v, kind, out)

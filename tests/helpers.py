@@ -13,7 +13,9 @@ each block's module on its own calibration record, apart from the
 forward that deploys the modules. The reference search runs each exponent
 candidate the direct way: ``fit_nbc`` on every block's sliced record, and
 the whole compensated forward of the hold-out inputs, drawn again, each
-block a whole-array step (``whole_q_step``), not the library's. The
+block a whole-array step (``whole_q_step``), not the library's, on
+weights quantized a row at a time from the full-precision ones
+(``row_by_row_quantized``), not from the model's weight codes. The
 streamed input draw and the row-tiled block steps get whole-array twins:
 one draw of every row, and one step over every row that makes the whole
 hidden activation.
@@ -35,7 +37,7 @@ from nbcq.compensation import STORAGE_F32, CalibrationRecord, apply, fit_nbc, st
 from nbcq.errors import EvaluatorError, FitError
 from nbcq.fls import compute_feature_loss, search_n_for_pipeline
 from nbcq.harness import HEAVY_CHANNEL, evaluate_pipeline, fit_compensation, gelu
-from nbcq.quantizer import fake_quantize
+from nbcq.quantizer import calibrate_params, fake_quantize
 from nbcq.transform import TransformKind
 
 
@@ -89,12 +91,22 @@ def whole_fp_step(model, k, z) -> np.ndarray:
     return z + whole_hidden(model.w1[k], z) @ model.w2[k].T
 
 
-def whole_q_step(qmodel, k, z, module=None) -> tuple[np.ndarray, np.ndarray]:
+def row_by_row_quantized(w, bits) -> np.ndarray:
+    """``w`` quantized per output row by a loop over its rows, each
+    ``fake_quantize(row, calibrate_params(row, bits))``."""
+    w = np.asarray(w, dtype=np.float64)
+    return np.array([fake_quantize(row, calibrate_params(row, bits)) for row in w]).reshape(w.shape)
+
+
+def whole_q_step(model, qmodel, k, z, module=None) -> tuple[np.ndarray, np.ndarray]:
     """``QuantizedToyModel.block_io`` over every row at once, leaving ``z``
-    as it is: the dequantized input and the output, compensated by ``module``."""
+    as it is: the dequantized input and the output, compensated by
+    ``module``. The weights are ``model``'s, quantized row by row
+    (``row_by_row_quantized``) at ``qmodel.bits_w``."""
+    w1q, w2q = (row_by_row_quantized(w[k], qmodel.bits_w) for w in (model.w1, model.w2))
     zq = fake_quantize(z, qmodel.p_in[k])
-    a = whole_hidden(qmodel.w1q[k], zq, lambda t: fake_quantize(gelu(t), qmodel.p_hid[k]))
-    out = zq + a @ qmodel.w2q[k].T
+    a = whole_hidden(w1q, zq, lambda t: fake_quantize(gelu(t), qmodel.p_hid[k]))
+    out = zq + a @ w2q.T
     return zq, out if module is None else apply(module, zq, out)
 
 
@@ -130,7 +142,8 @@ class _ReferenceRowSearch:
     """Search pipeline over calibration rows that fits and scores each
     candidate in full (see :func:`reference_search`)."""
 
-    def __init__(self, calib, inputs):
+    def __init__(self, model, calib, inputs):
+        self.model = model
         self.calib = calib
         self.inputs = inputs
 
@@ -144,7 +157,7 @@ class _ReferenceRowSearch:
     def holdout_loss(self, fitted, rows):
         z = self.inputs[rows]
         for k, module in enumerate(fitted):
-            _, z = whole_q_step(self.calib.qmodel, k, z, module)
+            _, z = whole_q_step(self.model, self.calib.qmodel, k, z, module)
         return compute_feature_loss(self.calib.y_last[rows], z)
 
 
@@ -156,7 +169,7 @@ def reference_search(model, calib, cfg):
     module and scored against the recorded targets, then ``fit_nbc`` on
     every row at the chosen exponent."""
     inputs = whole_draw(model, calib.n_samples, calib.spec, calib.seed)
-    result = search_n_for_pipeline(calib.n_samples, cfg, _ReferenceRowSearch(calib, inputs))
+    result = search_n_for_pipeline(calib.n_samples, cfg, _ReferenceRowSearch(model, calib, inputs))
     kind = TransformKind("blt", result.chosen_n)
     return [fit_nbc(rec, kind) for rec in calib.records], result
 

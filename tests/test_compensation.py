@@ -264,11 +264,43 @@ class TestResidualPass:
         rng = np.random.default_rng(15)
         rec, _ = make_record(rng)
         kind = TransformKind("blt", 2.0)
-        kept, candidate = fit_nbc(rec, kind), fit_nbc_levels(rec.levels, rec.codes, rec.residual, kind)
+        kept = fit_nbc(rec, kind)
+        candidate = fit_nbc_levels(rec.levels, rec.codes, rec.residual.copy(), kind)
         assert kept.residual_rms > 0.0 and candidate.residual_rms is None
         assert candidate.weight.tobytes() == kept.weight.tobytes()
         assert candidate.bias.tobytes() == kept.bias.tobytes()
         assert candidate.ridge_used == kept.ridge_used
+
+
+def record_bytes(rec) -> tuple[bytes, bytes, bytes]:
+    return rec.codes.tobytes(), rec.levels.tobytes(), rec.residual.tobytes()
+
+
+class TestFitsLeaveTheRecords:
+    """A fit maps and subtracts in place only in arrays it owns: a kept fit
+    leaves its record as it was, bit for bit, under the identity map too,
+    which returns the residual itself; a candidate fit writes only over the
+    residual copy it is handed."""
+
+    KINDS = [TransformKind("blt", 0.5), TransformKind("blt", 2.0), IDENTITY]
+
+    @pytest.mark.parametrize("kind", KINDS, ids=str)
+    def test_kept_fits_leave_every_record_unchanged(self, desk_and_mid_records, kind):
+        for rec in desk_and_mid_records:
+            before = record_bytes(rec)
+            fit_nbc(rec, kind)
+            if kind == IDENTITY:
+                fit_linear(rec)
+            assert record_bytes(rec) == before
+
+    @pytest.mark.parametrize("kind", KINDS, ids=str)
+    def test_candidate_fit_writes_only_over_its_residual_copy(self, kind):
+        rec, _ = make_record(np.random.default_rng(16), n=300, d_in=6, d_out=5)
+        before = record_bytes(rec)
+        residual = rec.residual.copy()
+        fit_nbc_levels(rec.levels, rec.codes, residual, kind)
+        assert record_bytes(rec) == before
+        assert residual.tobytes() == apply_kind_forward(rec.residual.copy(), kind).tobytes()
 
 
 class TestApply:

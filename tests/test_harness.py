@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from nbcq.compensation import CalibrationRecord
+from nbcq.compensation import CalibrationRecord, fit_nbc
 from nbcq.errors import EvaluatorError, FitError
 from nbcq.fls import FlsConfig, fls_search, holdout_count, holdout_split
 from nbcq.harness import (
@@ -25,7 +25,6 @@ from nbcq.harness import (
     QuantizedToyModel,
     ToyModel,
     HIDDEN_TILE_ELEMENTS,
-    MIN_TILE_ROWS,
     build_toy_model,
     channel_slope_gap,
     draw_input_chunks,
@@ -43,7 +42,7 @@ from nbcq.harness import (
     split_error_metrics,
 )
 from nbcq.harness import _mean_of_partials
-from nbcq.numerics import TILE_ELEMENTS
+from nbcq.numerics import MIN_TILE_ROWS, TILE_ELEMENTS
 from nbcq.quantizer import QuantParams, calibrate_params
 from nbcq.transform import TransformKind
 
@@ -55,6 +54,7 @@ from helpers import (
     grid_points,
     integer_round_trip,
     reference_search,
+    row_by_row_quantized,
     training_fit_loss,
     whole_draw,
     whole_fp_step,
@@ -227,6 +227,16 @@ class TestGenerateCalibration:
         with pytest.raises(ValueError, match="non-finite"):
             calib.qmodel.fake_quant(np.array([[1.0, np.nan]]), calib.qmodel.p_in[0])
 
+    @pytest.mark.parametrize("bits_w", range(2, 9))
+    def test_weights_are_held_as_one_byte_codes_of_the_row_by_row_rule(self, bits_w):
+        model = build_toy_model(16, 32, 2, seed=0)
+        calib = generate_calibration(model, 256, OutlierSpec(), seed=1, bits_w=bits_w)
+        held = calib.qmodel.w1q + calib.qmodel.w2q
+        assert [w.codes.dtype for w in held] == [np.uint8] * 4
+        assert sum(w.codes.nbytes for w in held) == sum(w.size for w in model.w1 + model.w2)
+        for w, q in zip(model.w1 + model.w2, held):
+            assert q.dequantize().tobytes() == row_by_row_quantized(w, bits_w).tobytes()
+
     def test_eval_inputs_disjoint_seed(self):
         model, calib, _ = desk_setup(0)
         ev = draw_inputs(model, 512, calib.spec, calib.seed + EVAL_SEED_OFFSET)
@@ -306,11 +316,53 @@ class TestCalibrationMemory:
         finally:
             tracemalloc.stop()
         # a candidate's transients, block by block: the codes and residual
-        # slices, the design and targets of one fit, and the hold-out stream
-        # with its hidden activation. A cache of the fit rows' codes as intp
-        # would add 8 blocks x 384 rows x 8 bytes, another 6 arrays; one of
-        # their residuals another 6.
-        assert peak <= codes + 6 * n_samples * d * 8, (peak, codes)
+        # slices (the residual mapped in place into the fit's targets), the
+        # fit's augmented design, and the hold-out stream with its hidden
+        # activation; 2.85 arrays at numpy 2.4. A cache of the fit rows'
+        # codes as intp would add 8 blocks x 384 rows x 8 bytes, another 6
+        # arrays; one of their residuals another 6; an intp cast of one
+        # fit's codes or a copy of its design, another 0.75.
+        assert peak <= codes + 3 * n_samples * d * 8, (peak, codes)
+
+    def test_op_peak_above_the_model_and_the_set_is_a_few_rows_x_d_arrays(self):
+        # A small mid-like op, setup -> search -> kept fits -> eval, each
+        # stage's peak above what is held when it starts, after setup above
+        # the model and the calibration set, in arrays of rows x d float64
+        # (1024 x 64, 512 KiB):
+        # * setup: the stream, the block outputs and the residual written
+        #   over the last quantized output (3.38 at numpy 2.4);
+        # * search and kept fits: a fit's residual copy, mapped in place into
+        #   its targets, its augmented design and a row chunk of its
+        #   product (2.65 each); an intp cast of the codes or a copy of the
+        #   design for the bias column would each add one more;
+        # * eval: the chunked forward of 4096 rows (5.52; see
+        #   TestStreamedEvaluation).
+        d, h, n_blocks, n_samples = 64, 256, 2, 1024
+        array = n_samples * d * 8
+        bounds = {"setup": 3.5, "search": 3, "kept fits": 3, "eval": 6}
+        model = build_toy_model(d, h, n_blocks, seed=5)
+        cfg = FlsConfig(n_init=0.0, n_min=0.0, n_max=3.0, step=0.5, seed=7)
+        peaks = {}
+
+        def traced(name, fn):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = fn()
+            peaks[name] = (tracemalloc.get_traced_memory()[1] - base) / array
+            return out
+
+        tracemalloc.start()
+        try:
+            calib = generate_calibration(model, n_samples, OutlierSpec(), seed=6)
+            held, peak = tracemalloc.get_traced_memory()
+            peaks["setup"] = (peak - held) / array
+            result = traced("search", lambda: search_exponent(model, calib, cfg))
+            kind = TransformKind("blt", result.chosen_n)
+            modules = traced("kept fits", lambda: [fit_nbc(rec, kind) for rec in calib.records])
+            traced("eval", lambda: evaluate_pipeline(model, calib, modules, mode="nbc"))
+        finally:
+            tracemalloc.stop()
+        assert all(peaks[stage] <= bound for stage, bound in bounds.items()), peaks
 
 
 @pytest.fixture(scope="module")
@@ -494,7 +546,7 @@ class TestTiledSteps:
         monkeypatch.setattr(harness_mod, "gelu", lambda a, out=None: shapes.append(a.shape) or original(a, out))
         for k in range(model.n_blocks):
             module = None if modules is None else modules[k]
-            zq_whole, out_whole = whole_q_step(calib.qmodel, k, z, module)
+            zq_whole, out_whole = whole_q_step(model, calib.qmodel, k, z, module)
             zq, out = calib.qmodel.block_io(k, z.copy(), module)
             assert shapes == self.TILES
             assert zq.tobytes() == zq_whole.tobytes()
@@ -1092,9 +1144,9 @@ class TestSearchCost:
         sizes, solves = [], []
         forward = comp_mod.apply_kind_forward
 
-        def counting_forward(x, kind):
+        def counting_forward(x, kind, out=None):
             sizes.append(np.size(x))
-            return forward(x, kind)
+            return forward(x, kind, out)
 
         def counting(name):
             original = getattr(comp_mod, name)
@@ -1117,6 +1169,18 @@ class TestSearchCost:
             512 * d: len(calib.records),  # the targets of the final refit
         }
         assert Counter(solves) == {"solve_least_squares": per_block + len(calib.records)}
+
+
+class TestSearchLeavesTheRecords:
+    def test_search_and_kept_fits_leave_every_record_unchanged(self):
+        # the fits map and subtract in place only in arrays of their own
+        model, calib, cfg = desk_setup(0)
+        before = [(r.codes.tobytes(), r.levels.tobytes(), r.residual.tobytes()) for r in calib.records]
+        y_last = calib.y_last.tobytes()
+        for mode in ("linear", "nbc"):
+            fit_compensation(model, calib, mode, cfg=cfg)
+            after = [(r.codes.tobytes(), r.levels.tobytes(), r.residual.tobytes()) for r in calib.records]
+            assert after == before and calib.y_last.tobytes() == y_last
 
 
 class TestSearchOracle:

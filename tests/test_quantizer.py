@@ -45,7 +45,7 @@ class TestRounding:
             ties = grid_round(sign * (k + 0.5) * scale, scale, -np.inf, np.inf)
             assert np.array_equal(ties, sign * (k + 1.0))
         assert fake_quantize([BELOW_HALF * 0.5], QuantParams(4, 0.5, 0)).tolist() == [0.0]
-        assert quantize_per_channel([[0.0, BELOW_HALF, 15.0]], 4).tolist() == [[0.0, 0.0, 15.0]]
+        assert quantize_per_channel([[0.0, BELOW_HALF, 15.0]], 4).dequantize().tolist() == [[0.0, 0.0, 15.0]]
 
 
 class TestCalibrateParams:
@@ -116,18 +116,22 @@ class TestPerChannel:
         # scales 1 and 10: 1.2 and 12 both round down one step
         w = np.array([[0.0, 1.2, 2.0, 3.0], [0.0, 12.0, 20.0, 30.0]])
         q = quantize_per_channel(w, bits=2)
-        assert np.array_equal(q, [[0.0, 1.0, 2.0, 3.0], [0.0, 10.0, 20.0, 30.0]])
+        assert q.codes.tolist() == [[0, 1, 2, 3], [0, 1, 2, 3]]
+        assert q.scale.tolist() == [1.0, 10.0] and q.zero_point.tolist() == [0.0, 0.0]
+        assert np.array_equal(q.dequantize(), [[0.0, 1.0, 2.0, 3.0], [0.0, 10.0, 20.0, 30.0]])
 
     def test_single_row_matches_per_tensor(self):
         rng = np.random.default_rng(23)
         row = rng.standard_normal((1, 32))
-        per_channel = quantize_per_channel(row, bits=6)
+        per_channel = quantize_per_channel(row, bits=6).dequantize()
         per_tensor = integer_round_trip(row[0], calibrate_params(row[0], 6))
         assert per_channel[0].tobytes() == per_tensor.tobytes()
 
     def test_all_zero_rows_code_at_zero_point(self):
         q = quantize_per_channel(np.zeros((3, 5)), bits=4)
-        assert np.array_equal(q, np.zeros((3, 5))) and not np.signbit(q).any()
+        assert np.array_equal(q.codes, np.broadcast_to(q.zero_point[:, None], (3, 5)))
+        w = q.dequantize()
+        assert np.array_equal(w, np.zeros((3, 5))) and not np.signbit(w).any()
 
     def test_rank_enforced(self):
         with pytest.raises(ValueError):
@@ -181,21 +185,31 @@ class TestPerChannelOracle:
     def loop(w, bits):
         return [fake_quantize(row, calibrate_params(row, bits)) for row in w]
 
-    @pytest.mark.parametrize("bits", [2, 4, 8])
+    @pytest.mark.parametrize("bits", range(2, 9))
     def test_matches_row_loop_with_constant_rows(self, bits):
         rng = np.random.default_rng(43)
-        w = rng.standard_normal((9, 17)) * rng.uniform(0.01, 30.0, (9, 1))
+        w = rng.standard_normal((10, 17)) * rng.uniform(0.01, 30.0, (10, 1))
         w[2] = 3.25  # constant row: its value is the top level
+        w[3] = -0.75  # constant negative row: its value is the bottom level
         w[5] = 0.0
         w[7] = -np.abs(w[7])  # all-negative row: zero point at the top
+        w[8] = np.abs(w[8])  # all-positive row: zero point 0
         top = 2**bits - 1
         w[0] = np.linspace(-0.5, top - 0.5, 17)  # scale 1, -min/scale an exact half
         w[1] = np.linspace(-2.5, top - 2.5, 17)
         q = quantize_per_channel(w, bits)
-        assert q.dtype == np.float64 and q.shape == w.shape
-        for got, row, want in zip(q, w, self.loop(w, bits)):
+        # one byte per entry, and the codes and zero points span [0, 2^bits - 1]
+        assert q.codes.dtype == np.uint8 and q.codes.shape == w.shape
+        assert q.codes.nbytes == w.size and q.codes.max() == top
+        assert q.zero_point[7] == top and q.zero_point[3] == top and q.zero_point[8] == 0
+        deq = q.dequantize()
+        assert deq.dtype == np.float64 and deq.shape == w.shape
+        for i, (got, row, want) in enumerate(zip(deq, w, self.loop(w, bits))):
+            p = calibrate_params(row, bits)
+            assert (q.scale[i], q.zero_point[i]) == (p.scale, p.zero_point)
             assert got.tobytes() == want.tobytes()
-            assert got.tobytes() == integer_round_trip(row, calibrate_params(row, bits)).tobytes()
+            assert got.tobytes() == integer_round_trip(row, p).tobytes()
+            assert q.codes[i].tolist() == integer_codes(row, p).tolist()
 
     def test_validation_errors_unchanged(self):
         with pytest.raises(ValueError, match="bits"):
@@ -211,7 +225,8 @@ class TestPerChannelOracle:
         with pytest.raises(ValueError, match=r"^bits must be in \[2, 8\], got 99$"):
             quantize_per_channel(np.zeros((0, 3)), 99)
         empty = quantize_per_channel(np.zeros((0, 3)), 4)
-        assert empty.shape == (0, 3) and empty.dtype == np.float64
+        assert empty.codes.shape == (0, 3) and empty.codes.dtype == np.uint8
+        assert empty.dequantize().shape == (0, 3)
         # a weight with no column is empty, with rows or without
         with pytest.raises(ValueError, match="^calibration tensor is empty$"):
             quantize_per_channel(np.zeros((0, 0)), 4)
@@ -240,9 +255,9 @@ class TestProperties:
             half_step = np.abs(row).max() / top / 2
             per_tensor = fake_quantize(row, calibrate_params(row, bits))
             assert np.all(np.abs(per_tensor - row) <= half_step + slack)
-            per_channel = quantize_per_channel(row[None, :], bits)[0]
+            per_channel = quantize_per_channel(row[None, :], bits).dequantize()[0]
             assert np.all(np.abs(per_channel - row) <= half_step + slack)
-        assert quantize_per_channel([[1e300, 1e300]], 4).tolist() == [[1e300, 1e300]]
+        assert quantize_per_channel([[1e300, 1e300]], 4).dequantize().tolist() == [[1e300, 1e300]]
 
     def test_quantize_idempotent_on_codes(self):
         rng = np.random.default_rng(31)
