@@ -21,13 +21,13 @@ inputs; it is elementwise, so that has the bits of ``f(x_q)``. The design
 is gathered a row chunk at a time into the first columns of one array
 whose last column is ones, which the solver takes whole
 (``numerics.solve_least_squares``), so a fit holds that array and its
-targets and no other rows x d copy. The targets are the residual mapped in
-place: a candidate fit (``fit_nbc_levels``) writes over the residual slice
-it is handed, and a kept fit copies its record's residual first, so no fit
-writes over a record. A kept fit's residual pass subtracts the prediction
-from its targets in row chunks of at least ``numerics.MIN_TILE_ROWS``
-rows, which keep the bits of the whole product, and ``apply`` inverts its
-prediction in place.
+targets and no other rows x d copy. One function fits, ``fit_nbc``: a kept
+fit reads every row, a search candidate only the rows it is given. The
+targets are the residual mapped in place in the fit's own copy (a
+candidate's is its rows' slice), so no fit writes over a record. A kept
+fit's residual pass subtracts the prediction from its targets in row
+chunks of at least ``numerics.MIN_TILE_ROWS`` rows, which keep the bits of
+the whole product, and ``apply`` inverts its prediction in place.
 
 Fitted parameters are narrowed for storage (``STORED_DTYPES``): f32 and
 f16 round W and b; i8_per_channel stores W as symmetric int8 codes with
@@ -60,7 +60,6 @@ __all__ = [
     "CompensationModule",
     "fit_linear",
     "fit_nbc",
-    "fit_nbc_levels",
     "apply",
     "narrow",
     "stored_module",
@@ -128,9 +127,9 @@ class CompensationModule:
     storage; under int8 storage it is decoded once and ``scales`` holds the
     stored per-row scales, so the codes are ``weight / scales[:, None]``
     exactly. ``ridge_used`` and ``residual_rms`` carry the fit metadata
-    forward. Every fit sets ``ridge_used``; only a kept fit (``fit_nbc``,
-    ``fit_linear``) takes the residual pass that sets ``residual_rms``, so
-    it is None after a candidate fit (``fit_nbc_levels``). A bundle stores
+    forward. Every fit sets ``ridge_used``; only a kept fit (``fit_nbc``
+    without ``rows``, ``fit_linear``) takes the residual pass that sets
+    ``residual_rms``, so it is None after a candidate fit. A bundle stores
     neither, so modules read from one hold None for both.
     """
 
@@ -169,44 +168,35 @@ class CompensationModule:
         return self.weight.shape[1]
 
 
-def fit_nbc(rec: CalibrationRecord, kind: TransformKind) -> CompensationModule:
-    """Fit compensation in the transformed space of ``kind``, on the design
-    ``f(levels)[codes]``; the solve rejects a record with fewer than
-    d_in + 1 rows (FitError). A kept fit: the module's ``residual_rms`` is
-    the RMS of ``f(residual) - (design @ W^T + b)``, the prediction
-    ``apply`` makes before the inverse. The record is left as it is: the
-    fit maps a copy of its residual."""
-    return _fit(rec.levels, rec.codes, rec.residual.copy(), kind, residual_pass=True)
-
-
-def fit_nbc_levels(
-    levels: np.ndarray, codes: np.ndarray, residual: np.ndarray, kind: TransformKind
+def fit_nbc(
+    rec: CalibrationRecord, kind: TransformKind, rows: np.ndarray | None = None
 ) -> CompensationModule:
-    """``fit_nbc`` on the record ``(codes, levels, residual)`` without the
-    residual pass, for candidate fits, which are scored and dropped.
-
-    ``residual`` is the caller's private copy, a C-contiguous float64
-    array: the fit writes its transform over it. Weight, bias and
-    ``ridge_used`` are those of ``fit_nbc`` bit for bit; ``residual_rms``
-    is None.
-    """
-    return _fit(levels, codes, residual, kind, residual_pass=False)
-
-
-def _fit(levels, codes, residual, kind: TransformKind, residual_pass: bool) -> CompensationModule:
-    """The fit of ``fit_nbc`` and ``fit_nbc_levels``, which writes over
-    ``residual``: its transform is the targets, and a kept fit's residual
-    pass leaves its squared errors there. The design is
+    """Fit compensation in the transformed space of ``kind``, on the design
     ``f(levels)[codes]`` with a last column of ones, the map run on the
     levels only; it is elementwise, so this has the bits of
-    ``f(levels[codes])``."""
+    ``f(levels[codes])``. The solve rejects fewer than d_in + 1 rows
+    (FitError). The record is left as it is: the fit maps a copy of its
+    residual into the targets.
+
+    Without ``rows`` this is a kept fit: the module's ``residual_rms`` is
+    the RMS of ``f(residual) - (design @ W^T + b)``, the prediction
+    ``apply`` makes before the inverse. With ``rows``, a sorted index array,
+    it is a search candidate, fitted on those rows only, which is scored
+    and dropped: it skips the residual pass, so ``residual_rms`` is None.
+    Weight, bias and ``ridge_used`` on every row are those of the kept fit
+    bit for bit.
+    """
+    if rows is None:
+        codes, residual = rec.codes, rec.residual.copy()
+    else:
+        codes, residual = rec.codes[rows], rec.residual[rows]
     targets = apply_kind_forward(residual, kind, out=residual)
-    n, d = np.shape(codes)
+    n, d = codes.shape
     chunks = row_chunks(n, max(MIN_TILE_ROWS, TILE_ELEMENTS // max(d, 1)))
-    design = _augmented_design(apply_kind_forward(levels, kind), codes, chunks)
+    design = _augmented_design(apply_kind_forward(rec.levels, kind), codes, chunks)
     sol = solve_least_squares(design, targets)
     residual_rms = None
-    if residual_pass:
+    if rows is None:
         # targets - (design @ W^T + b), a row chunk at a time, each chunk of
         # the product with the bits of its rows of the whole one
         inputs = design[:, :-1]

@@ -81,6 +81,7 @@ _DTYPE_BY_CODE = {
     2: np.dtype("<f2"),
     3: np.dtype("<i1"),
 }
+_CODE_BY_DTYPE = {v: k for k, v in _DTYPE_BY_CODE.items()}
 # Codes 2, 3 and 4 stay unassigned: older bundles used them for maps the library dropped.
 _CODE_BY_KIND = {"identity": 0, "blt": 1}
 _KIND_BY_CODE = {v: k for k, v in _CODE_BY_KIND.items()}
@@ -89,10 +90,10 @@ _STORAGE_BY_CODE = {v: k for k, v in _CODE_BY_STORAGE.items()}
 
 
 def _dtype_code(dtype: np.dtype) -> int:
-    for code, dt in _DTYPE_BY_CODE.items():
-        if dt == dtype.newbyteorder("<"):
-            return code
-    raise ValueError(f"unsupported tensor dtype {dtype}")
+    code = _CODE_BY_DTYPE.get(dtype.newbyteorder("<"))  # dtypes hash by value: "=f4" finds "<f4"
+    if code is None:
+        raise ValueError(f"unsupported tensor dtype {dtype}")
+    return code
 
 
 def atomic_write(path: str, data: bytes) -> None:

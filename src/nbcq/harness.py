@@ -46,9 +46,10 @@ slices, and every fit, kept ones too, transforms the 2^bits_a levels and
 gathers them by the codes a row chunk at a time into its one augmented
 design (``compensation.fit_nbc``), so no float ``x_q`` of the stream's
 shape is made outside the hold-out forward's block 0 input (the slope-gap
-pick ranks codes). A candidate fit maps its residual slice in place into
-its targets; a kept fit maps a copy of its record's residual and its
-residual pass subtracts the prediction from it a row chunk at a time.
+pick ranks codes). A candidate fit, ``fit_nbc`` given the fit rows, maps
+its residual slice in place into its targets; a kept fit, given no rows,
+maps a copy of its record's residual and its residual pass subtracts the
+prediction from it a row chunk at a time.
 Evaluation draws its inputs a chunk of ``EVAL_CHUNK_ROWS`` rows at
 a time (``draw_input_chunks``) and runs each chunk through every block of
 both forwards before it draws the next, so the streams and the
@@ -91,7 +92,6 @@ from .compensation import (
     apply,
     fit_linear,
     fit_nbc,
-    fit_nbc_levels,
 )
 from .errors import FitError
 from .fls import FlsConfig, FlsResult, check_fit_rows, compute_feature_loss, search_n_for_pipeline
@@ -531,13 +531,14 @@ class _RowSearchPipeline:
     module, since ``fit_compensation`` fits the kept ones on every row. A
     candidate does only the work that depends on its exponent:
 
-    * Fit: each block input is held as codes into its level table, so the
-      fit transforms the levels only and gathers them by the fit rows'
-      codes (``fit_nbc_levels``). Each fit slices its block's codes and
-      residual to the fit rows and drops the slices, so the search keeps
-      nothing of its own. A candidate's modules are scored and dropped, so
-      its fits skip the residual pass. The fits run through ``_fit_blocks``,
-      as the kept ones do, so a failing fit names its block.
+    * Fit: the one fit, ``fit_nbc``, on the fit rows (its ``rows``). Each
+      block input is held as codes into its level table, so the fit
+      transforms the levels only and gathers them by the fit rows' codes.
+      Each fit slices its block's codes and residual to the fit rows and
+      drops the slices, so the search keeps nothing of its own. A
+      candidate's modules are scored and dropped, so its fits skip the
+      residual pass. The fits run through ``_fit_blocks``, as the kept ones
+      do, so a failing fit names its block.
     * Hold-out: the plain quantized forward of the hold-out rows. Block 0's
       quantized input is gathered from its codes (fake-quantizing a level
       gives the level back, so block 0's step sees what calibration's
@@ -551,10 +552,7 @@ class _RowSearchPipeline:
 
     def fit(self, rows: np.ndarray, n_exp: float) -> list[CompensationModule]:
         kind = TransformKind("blt", n_exp)
-        return _fit_blocks(
-            self.calib.records,
-            lambda rec: fit_nbc_levels(rec.levels, rec.codes[rows], rec.residual[rows], kind),
-        )
+        return _fit_blocks(self.calib.records, lambda rec: fit_nbc(rec, kind, rows))
 
     def holdout_loss(self, fitted: list[CompensationModule], rows: np.ndarray) -> float:
         first = self.calib.records[0]

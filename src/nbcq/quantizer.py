@@ -17,19 +17,23 @@ from the least and greatest of the parts' extremes as it would whole.
 Rounding is to the nearest integer, halves away from zero, exact for every
 finite input, and one function does it: ``grid_round(x, s, lo, hi)`` is
 ``clip(round(x / s), lo, hi)``. Fake-quant (bounds [-z, 2^b - 1 - z]), the
-zero point, ``level_codes`` and the int8 codes of ``compensation.store_params``
-call it. Activations quantize per tensor (``fake_quantize``), which computes
-``x_hat`` straight from ``x`` in float64, without materializing ``q``, and
-never returns -0.0. A per-tensor ``x_hat`` takes one of 2^b values:
-``level_table`` lists them by code and ``level_codes`` recovers the code of
-each entry as one byte (b <= 8), so that ``x_hat`` can be held in an eighth
-of its float64 size and a map applied elementwise to it can run on the 2^b
-levels instead. Weight matrices quantize per output row
+zero point, the codes below and the int8 codes of
+``compensation.store_params`` call it. Activations quantize per tensor
+(``fake_quantize``), which computes ``x_hat`` straight from ``x`` in
+float64, without materializing ``q``, and never returns -0.0.
+
+One rule turns values into codes, ``grid_round`` plus the zero point cast
+to one byte (b <= 8), and one turns codes into levels, ``(q - z) * s`` in
+float64; both broadcast, so per tensor and per row share them. A per-tensor
+``x_hat`` takes one of 2^b values: ``level_table`` lists them by code and
+``level_codes`` gives the code of each entry, so that ``x_hat`` can be held
+in an eighth of its float64 size and a map applied elementwise to it can
+run on the 2^b levels instead. Weight matrices quantize per output row
 (``quantize_per_channel``) to ``WeightCodes``: ``q`` as one byte per entry
 and each row's scale and zero point, an eighth of the float64 matrix.
-``WeightCodes.dequantize`` gives ``s * (q - z)`` with the float64 operations
-``level_table`` applies to a code, so each row has the bits of
-``fake_quantize`` under that row's own parameters.
+``WeightCodes.dequantize`` gives ``s * (q - z)`` by the rule
+``level_table`` applies, so each row has the bits of ``fake_quantize``
+under that row's own parameters.
 """
 
 from __future__ import annotations
@@ -158,38 +162,37 @@ def fake_quantize(x, p: QuantParams, out: np.ndarray | None = None) -> np.ndarra
     return map_tiles(lambda src, dst: _fake_quant(src, dst, p.scale, p.zero_point, top), arr, out)
 
 
+def _codes(x, scale, zero, top: int) -> np.ndarray:
+    """The ``uint8`` codes ``clip(round(x / scale), -zero, top - zero) + zero``;
+    ``scale`` and ``zero`` broadcast. The rounded value is a whole number
+    ``code - zero``, so adding the zero point is exact."""
+    t = grid_round(x, scale, -zero, top - zero)
+    t += zero
+    return t.astype(np.uint8)
+
+
+def _levels(codes, scale, zero) -> np.ndarray:
+    """The float64 levels ``(codes - zero) * scale``; ``scale`` and ``zero``
+    broadcast. A code equal to its zero point gives +0.0, never -0.0."""
+    levels = np.subtract(codes, zero)
+    levels *= scale
+    return levels
+
+
 def level_table(p: QuantParams) -> np.ndarray:
     """The 2^bits values ``fake_quantize`` maps to under ``p``, indexed by
     code: ``(code - zero_point) * scale``, with the float64 operations
     ``fake_quantize`` applies to a code, so each level has its bits."""
-    return _levels_of(np.arange(p.n_levels, dtype=np.float64), p)
-
-
-def _levels_of(codes: np.ndarray, p: QuantParams) -> np.ndarray:
-    """The levels of float64 ``codes`` under ``p``, written over them."""
-    codes -= p.zero_point
-    codes *= p.scale
-    return codes
+    return _levels(np.arange(p.n_levels, dtype=np.float64), p.scale, p.zero_point)
 
 
 def level_codes(x_q, p: QuantParams) -> np.ndarray:
     """The integer codes (``uint8``; ``check_bits`` bounds the bit width to
     8) of a tensor that ``fake_quantize`` made under ``p``:
-    ``level_table(p)[codes]`` has the bits of ``x_q``.
-
-    Raises ValueError if an entry of ``x_q`` is not bit for bit a level of
-    ``p``, such as a value quantized under other parameters.
-    """
-    arr = as_tensor(x_q, "x_q")
-    # a level divided by the scale lies within a few ulps of its integer
-    # code - zero_point, far closer than the 0.5 that rounding needs
-    t = grid_round(arr, p.scale, -p.zero_point, p.n_levels - 1 - p.zero_point)
-    t += p.zero_point
-    codes = t.astype(np.uint8)
-    # t holds the codes, exactly: their levels are level_table's entries
-    if not np.array_equal(_levels_of(t, p).view(np.int64), arr.view(np.int64)):
-        raise ValueError(f"x_q holds values that are not levels of {p}")
-    return codes
+    ``level_table(p)[codes]`` has the bits of ``x_q``, since a level divided
+    by the scale lies within a few ulps of its integer ``code - zero_point``,
+    far closer than the 0.5 that rounding needs."""
+    return _codes(as_tensor(x_q, "x_q"), p.scale, p.zero_point, p.n_levels - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,9 +209,7 @@ class WeightCodes:
         """The float64 matrix ``(codes - zero_point) * scale``, row by row:
         the bits of ``fake_quantize(row, calibrate_params(row, bits))``. A
         code equal to its zero point gives +0.0, so no -0.0 is cleared."""
-        w = np.subtract(self.codes, self.zero_point[:, None])
-        w *= self.scale[:, None]
-        return w
+        return _levels(self.codes, self.scale[:, None], self.zero_point[:, None])
 
 
 def quantize_per_channel(w, bits: int) -> WeightCodes:
@@ -227,7 +228,5 @@ def quantize_per_channel(w, bits: int) -> WeightCodes:
         top_levels = (2**bits - 1) * scale
     if not np.isfinite(top_levels).all():
         raise ValueError("scale must be positive and finite: a row's range overflows float64")
-    # code - zero point, a whole number, so adding the zero point is exact
-    t = grid_round(arr, scale[:, None], -zero[:, None], (2**bits - 1) - zero[:, None])
-    t += zero[:, None]
-    return WeightCodes(codes=t.astype(np.uint8), scale=scale, zero_point=zero)
+    codes = _codes(arr, scale[:, None], zero[:, None], 2**bits - 1)
+    return WeightCodes(codes=codes, scale=scale, zero_point=zero)

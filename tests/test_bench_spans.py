@@ -65,12 +65,14 @@ def test_forward_spans_count_every_block_step(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_solve_spans_count_every_fit(name, tmp_path):
     # each block is solved once per search candidate and once per kept fit,
-    # which every op of a mode but none makes
+    # which every op of a mode but none makes; every fit, candidates too,
+    # is a compensation.fit span
     wl = tiny(WORKLOADS[name])
     metrics = run.measure(wl, 0, 0.0, True, tmp_path)["metrics"]
     kept_fit_ops = wl.seeds_per_pass * sum(mode != "none" for mode in wl.modes)
     assert metrics["fls.candidates"] > 0
     assert metrics["numerics.solve.calls"] == wl.n_blocks * (metrics["fls.candidates"] + kept_fit_ops)
+    assert metrics["compensation.fit.calls"] == metrics["numerics.solve.calls"]
 
 
 def test_every_wrapped_site_is_called(monkeypatch, tmp_path):

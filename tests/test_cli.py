@@ -149,22 +149,21 @@ class TestSearchN:
 
     @pytest.mark.parametrize("command", ["search-n", "analyze-outliers"])
     def test_fits_no_kept_module(self, cfg_path, tmp_path, capsys, monkeypatch, command):
-        # both commands read only the search; the candidates fit through fit_nbc_levels
+        # both commands read only the search: every fit is a candidate, given rows
         import nbcq.harness as harness_mod
 
-        calls = {"fit_nbc": 0, "fit_nbc_levels": 0}
-        for name in calls:
-            original = getattr(harness_mod, name)
+        calls = {"kept": 0, "candidate": 0}
+        original = harness_mod.fit_nbc
 
-            def counting(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
+        def counting(rec, kind, rows=None):
+            calls["kept" if rows is None else "candidate"] += 1
+            return original(rec, kind, rows)
 
-            monkeypatch.setattr(harness_mod, name, counting)
+        monkeypatch.setattr(harness_mod, "fit_nbc", counting)
         out_args = [] if command == "search-n" else ["--out", str(tmp_path / "out")]
         code, _, err = run_cli([command, "--config", cfg_path, *out_args], capsys)
         assert code == 0, err
-        assert calls["fit_nbc"] == 0 and calls["fit_nbc_levels"] > 0
+        assert calls["kept"] == 0 and calls["candidate"] > 0
 
     def test_out_rejected_before_setup_exit_2(self, cfg_path, tmp_path, capsys, monkeypatch):
         # search-n prints its map and writes no file, so an --out would be ignored

@@ -12,7 +12,6 @@ from nbcq.compensation import (
     apply,
     fit_linear,
     fit_nbc,
-    fit_nbc_levels,
     narrow,
     store_params,
     stored_tensors,
@@ -265,11 +264,20 @@ class TestResidualPass:
         rec, _ = make_record(rng)
         kind = TransformKind("blt", 2.0)
         kept = fit_nbc(rec, kind)
-        candidate = fit_nbc_levels(rec.levels, rec.codes, rec.residual.copy(), kind)
+        candidate = fit_nbc(rec, kind, np.arange(rec.n_rows))
         assert kept.residual_rms > 0.0 and candidate.residual_rms is None
         assert candidate.weight.tobytes() == kept.weight.tobytes()
         assert candidate.bias.tobytes() == kept.bias.tobytes()
         assert candidate.ridge_used == kept.ridge_used
+
+    def test_candidate_fit_on_rows_is_the_fit_of_those_rows(self):
+        rec, _ = make_record(np.random.default_rng(17), n=90)
+        rows = np.flatnonzero(np.arange(rec.n_rows) % 4 != 1)
+        kind = TransformKind("blt", 0.5)
+        sliced = CalibrationRecord(rec.codes[rows], rec.levels, rec.residual[rows])
+        kept, candidate = fit_nbc(sliced, kind), fit_nbc(rec, kind, rows)
+        assert candidate.weight.tobytes() == kept.weight.tobytes()
+        assert candidate.bias.tobytes() == kept.bias.tobytes()
 
 
 def record_bytes(rec) -> tuple[bytes, bytes, bytes]:
@@ -297,10 +305,9 @@ class TestFitsLeaveTheRecords:
     def test_candidate_fit_writes_only_over_its_residual_copy(self, kind):
         rec, _ = make_record(np.random.default_rng(16), n=300, d_in=6, d_out=5)
         before = record_bytes(rec)
-        residual = rec.residual.copy()
-        fit_nbc_levels(rec.levels, rec.codes, residual, kind)
-        assert record_bytes(rec) == before
-        assert residual.tobytes() == apply_kind_forward(rec.residual.copy(), kind).tobytes()
+        for rows in (np.arange(rec.n_rows), np.arange(0, rec.n_rows, 3)):
+            fit_nbc(rec, kind, rows)
+            assert record_bytes(rec) == before
 
 
 class TestApply:

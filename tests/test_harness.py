@@ -912,26 +912,31 @@ class TestNonFiniteForward:
 
 class TestSearchRowValidation:
     @staticmethod
-    def count_calls(monkeypatch, *names):
-        """Names of the ``nbcq.harness`` functions in ``names`` in call order."""
+    def count_calls(monkeypatch):
+        """The ``nbcq.harness`` fits and codings in call order: ``fit_nbc``
+        given rows (a candidate) or not (a kept fit), and ``level_codes``."""
         import nbcq.harness as harness_mod
 
         calls = []
-        for name in names:
-            original = getattr(harness_mod, name)
+        fit, codes = harness_mod.fit_nbc, harness_mod.level_codes
 
-            def counting(*args, _name=name, _original=original, **kwargs):
-                calls.append(_name)
-                return _original(*args, **kwargs)
+        def counting_fit(rec, kind, rows=None):
+            calls.append("kept fit" if rows is None else "candidate fit")
+            return fit(rec, kind, rows)
 
-            monkeypatch.setattr(harness_mod, name, counting)
+        def counting_codes(*args):
+            calls.append("level_codes")
+            return codes(*args)
+
+        monkeypatch.setattr(harness_mod, "fit_nbc", counting_fit)
+        monkeypatch.setattr(harness_mod, "level_codes", counting_codes)
         return calls
 
     @pytest.mark.parametrize("n_samples", [18], ids=["n18-d16"])
     def test_too_few_fit_rows_rejected_before_any_fit(self, monkeypatch, n_samples):
         model = build_toy_model(16, 32, 2, seed=0)
         calib = generate_calibration(model, n_samples, OutlierSpec(), seed=1)
-        calls = self.count_calls(monkeypatch, "fit_nbc", "fit_nbc_levels", "level_codes")
+        calls = self.count_calls(monkeypatch)
         with pytest.raises(ValueError, match=r"^n_samples = 18 leaves 14 rows .* d \+ 1 = 17$"):
             fit_compensation(model, calib, "nbc", cfg=FlsConfig(seed=2))
         assert calls == []
@@ -940,20 +945,20 @@ class TestSearchRowValidation:
         # 24 rows at 0.25 hold out 6 and fit on 18 >= d + 1 = 17
         model = build_toy_model(16, 32, 2, seed=0)
         calib = generate_calibration(model, 24, OutlierSpec(), seed=1)
-        calls = self.count_calls(monkeypatch, "fit_nbc", "fit_nbc_levels", "level_codes")
+        calls = self.count_calls(monkeypatch)
         modules, result = fit_compensation(model, calib, "nbc", cfg=FlsConfig(n_min=0.0, n_max=3.0, seed=2))
         assert len(modules) == 2 and result.evaluations >= 2
         # every candidate fits each block on the fit rows, and the final
         # refit fits each block on every row; the codes come from calibration
-        assert calls == ["fit_nbc_levels"] * 2 * result.evaluations + ["fit_nbc"] * 2
+        assert calls == ["candidate fit"] * 2 * result.evaluations + ["kept fit"] * 2
 
     def test_search_exponent_fits_no_kept_module(self, monkeypatch):
         model = build_toy_model(16, 32, 2, seed=0)
         calib = generate_calibration(model, 24, OutlierSpec(), seed=1)
         cfg = FlsConfig(n_min=0.0, n_max=3.0, seed=2)
-        calls = self.count_calls(monkeypatch, "fit_nbc", "fit_nbc_levels", "level_codes")
+        calls = self.count_calls(monkeypatch)
         result = search_exponent(model, calib, cfg)
-        assert calls == ["fit_nbc_levels"] * 2 * result.evaluations
+        assert calls == ["candidate fit"] * 2 * result.evaluations
         # the search fit_compensation runs before its kept fits
         _, searched = fit_compensation(model, calib, "nbc", cfg=cfg)
         assert searched == result
@@ -997,10 +1002,10 @@ class TestKeptFitFailure:
         model, calib, cfg = desk_setup(0)
         original = harness_mod.fit_nbc
 
-        def failing_on_block_2(rec, kind):
-            if rec is calib.records[2]:  # the calibration record, so only a kept fit
+        def failing_on_block_2(rec, kind, rows=None):
+            if rec is calib.records[2] and rows is None:  # only a kept fit
                 raise ValueError("bias contains non-finite values")
-            return original(rec, kind)
+            return original(rec, kind, rows)
 
         monkeypatch.setattr(harness_mod, "fit_nbc", failing_on_block_2)
         with pytest.raises(FitError, match="^block 2: bias contains non-finite values$"):
