@@ -28,8 +28,10 @@ files with distinct errors for bad magic, bad version and truncation; a
 bundle block whose bytes decode to an invalid module (a non-finite value,
 an exponent outside the operational range or under identity) is
 a FormatError naming the block, and so is a tensor record whose dtype is
-not the one its role has under the block's storage. All writes go through
-a temp file and an atomic rename.
+not the one its role has under the block's storage. Any numpy array's rank
+fits the ndim byte (numpy's limit is 64, or 32 under numpy 1); a record of
+a rank the reading numpy cannot build is a FormatError. All writes go
+through a temp file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -89,13 +91,6 @@ _CODE_BY_STORAGE = {STORAGE_F32: 0, STORAGE_F16: 1, STORAGE_I8: 2}
 _STORAGE_BY_CODE = {v: k for k, v in _CODE_BY_STORAGE.items()}
 
 
-def _dtype_code(dtype: np.dtype) -> int:
-    code = _CODE_BY_DTYPE.get(dtype.newbyteorder("<"))  # dtypes hash by value: "=f4" finds "<f4"
-    if code is None:
-        raise ValueError(f"unsupported tensor dtype {dtype}")
-    return code
-
-
 def atomic_write(path: str, data: bytes) -> None:
     """Write ``data`` to ``path`` through a temporary file in the same
     directory and a rename, so ``path`` never holds part of it; an OSError
@@ -143,9 +138,9 @@ def _read_exact(f, count: int, path: str, what: str) -> bytes:
 
 def _write_tensor_stream(out: io.BytesIO, arr: np.ndarray) -> None:
     dtype = np.dtype(arr.dtype).newbyteorder("<")
-    code = _dtype_code(dtype)
-    if arr.ndim > 255:
-        raise ValueError("tensor rank exceeds the format limit of 255")
+    code = _CODE_BY_DTYPE.get(dtype)  # dtypes hash by value: "=f4" finds "<f4"
+    if code is None:
+        raise ValueError(f"unsupported tensor dtype {dtype}")
     out.write(TENSOR_MAGIC)
     out.write(bytes([FORMAT_VERSION, code, arr.ndim, 0]))
     for extent in arr.shape:
@@ -182,7 +177,10 @@ def _read_tensor_stream(f, path: str) -> np.ndarray:
             f"{path}: truncated while reading tensor payload; expected {nbytes} bytes, got {left}"
         )
     payload = _read_exact(f, nbytes, path, "tensor payload")
-    return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+    try:
+        return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+    except ValueError as exc:  # a rank past numpy's limit
+        raise FormatError(f"{path}: tensor of rank {ndim}: {exc}") from None
 
 
 def write_tensor(path: str, arr) -> None:

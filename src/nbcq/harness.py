@@ -28,14 +28,14 @@ eighth of their float64 size; each quantized step dequantizes its block's
 two weights and lets them go. A quantized step writes its quantized input over
 its input ``z``, so a caller that still reads ``z`` passes a copy, as the
 list form does. Calibration runs each product once: one full-precision
-loop calibrates the activation ranges, the hidden one from the extremes
-of its tiles (``quantizer.range_params``), and keeps every block's
-output; then the quantized steps run over all rows, each writing over its
-input. Each block's quantized input is coded (``level_codes``) right after
-its step and the float array let go, and its residual ``y - y_q`` is
-written over its output, the last block's over its quantized output. The
-calibration set keeps what the fits and the
-search read, not the inputs: per block the residual and ``x_q`` as
+loop calibrates both activation ranges by one rule,
+``quantizer.range_params`` of the extremes of the block input and of the
+hidden tiles, and keeps every block's output; then the quantized steps
+run over all rows, each writing over its input. Each block's quantized
+input is coded (``level_codes``) right after its step and the float array
+let go, and its residual ``y - y_q`` is written over its output, the last
+block's over its quantized output. The calibration set keeps what the
+fits and the search read, not the inputs: per block the residual and ``x_q`` as
 ``uint8`` codes into its level table, plus the last block's ``y`` (the
 hold-out target, so the search runs no full-precision forward):
 n_blocks + 1 float64 arrays of the stream's shape and n_blocks byte
@@ -99,7 +99,6 @@ from .numerics import MIN_TILE_ROWS, as_tensor, map_tiles, row_chunks
 from .quantizer import (
     QuantParams,
     WeightCodes,
-    calibrate_params,
     fake_quantize,
     level_codes,
     level_table,
@@ -467,16 +466,16 @@ def generate_calibration(
 
     Weights are quantized per output channel. One full-precision loop over
     ``ToyModel.block_io`` calibrates each block's input and hidden
-    activation ranges per tensor and keeps each block's output ``y``. The
-    step makes the hidden activation a row tile at a time, so its range is
-    the least and greatest of its tiles' exact extremes, given to the one
-    range rule (``quantizer.range_params``) that ``calibrate_params`` also
-    applies: the parameters of the whole activation, with no ``rows x h``
-    array made. A tile that is not finite raises ValueError, as the whole
-    activation did. The ranges are then frozen, which is how deployment
-    reuses calibration statistics on unseen data, and the quantized forward
-    runs block by block (``QuantizedToyModel.block_io``) on all rows, giving
-    ``x_q`` and ``y_q``. Each ``x_q`` is coded (``level_codes``, ``uint8``)
+    activation ranges per tensor by one rule, ``quantizer.range_params`` of
+    exact extremes (``value_range``), and keeps each block's output ``y``.
+    The step makes the hidden activation a row tile at a time, so its range
+    is the least and greatest of its tiles' extremes: the parameters of the
+    whole activation, with no ``rows x h`` array made. A tile that is not
+    finite raises ValueError, as the whole activation did. The ranges are
+    then frozen, which is how deployment reuses calibration statistics on
+    unseen data, and the quantized forward runs block by block
+    (``QuantizedToyModel.block_io``) on all rows, giving ``x_q`` and
+    ``y_q``. Each ``x_q`` is coded (``level_codes``, ``uint8``)
     as soon as its step returns, and only the codes and
     ``level_table(p_in[k])`` are kept. Each step writes its quantized input
     over its input. Each residual is written over its block's ``y``, except
@@ -490,7 +489,7 @@ def generate_calibration(
     p_in, p_hid, targets = [], [], []
     z = inputs = as_tensor(draw_inputs(model, n_samples, spec, seed), "inputs", ndim=2)
     for k in range(model.n_blocks):
-        p_in.append(calibrate_params(z, bits_a))
+        p_in.append(range_params(*value_range(z), bits_a))
         ranges = []  # (min, max) of each hidden tile
         z = model.block_io(k, z, lambda a: ranges.append(value_range(a)))
         lows, highs = zip(*ranges)
@@ -559,7 +558,10 @@ class _RowSearchPipeline:
         z = first.levels[first.codes[rows]]
         for k, module in enumerate(fitted):
             _, z = self.calib.qmodel.block_io(k, z, module)
-        return compute_feature_loss(self.calib.y_last[rows], z)
+        try:
+            return compute_feature_loss(self.calib.y_last[rows], z)
+        except ValueError as exc:
+            raise ValueError(f"block {k}: {exc}") from None
 
 
 def _fit_blocks(records: Sequence[CalibrationRecord], fit) -> list[CompensationModule]:

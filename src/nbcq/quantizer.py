@@ -52,7 +52,6 @@ __all__ = [
     "grid_round",
     "value_range",
     "range_params",
-    "calibrate_params",
     "fake_quantize",
     "level_table",
     "level_codes",
@@ -142,12 +141,6 @@ def range_params(lo: float, hi: float, bits: int) -> QuantParams:
     return QuantParams(bits=bits, scale=float(scale), zero_point=int(zero))
 
 
-def calibrate_params(x, bits: int) -> QuantParams:
-    """Derive scale and zero point from the min/max of a calibration tensor."""
-    bits = check_bits(bits)
-    return range_params(*value_range(x), bits)
-
-
 def fake_quantize(x, p: QuantParams, out: np.ndarray | None = None) -> np.ndarray:
     """Quantize ``x`` per tensor and map it back to real values in one
     float64 pass.
@@ -206,18 +199,18 @@ class WeightCodes:
     zero_point: np.ndarray  # (rows,)
 
     def dequantize(self) -> np.ndarray:
-        """The float64 matrix ``(codes - zero_point) * scale``, row by row:
-        the bits of ``fake_quantize(row, calibrate_params(row, bits))``. A
-        code equal to its zero point gives +0.0, so no -0.0 is cleared."""
+        """The float64 matrix ``(codes - zero_point) * scale``, row by row: the
+        bits of ``fake_quantize(row, range_params(*value_range(row), bits))``.
+        A code equal to its zero point gives +0.0, so no -0.0 is cleared."""
         return _levels(self.codes, self.scale[:, None], self.zero_point[:, None])
 
 
 def quantize_per_channel(w, bits: int) -> WeightCodes:
     """Quantize a rank-2 tensor row by row over the output-channel axis.
 
-    Each row's scale and zero point are ``calibrate_params(row, bits)``'s,
-    and ``dequantize`` gives it as ``fake_quantize`` would under them, bit
-    for bit; all rows are computed at once.
+    Each row's scale and zero point are those ``range_params`` gives its
+    ``value_range``, and ``dequantize`` gives it as ``fake_quantize`` would
+    under them, bit for bit; all rows are computed at once.
     """
     bits = check_bits(bits)
     arr = as_tensor(w, "weight", ndim=2)

@@ -37,7 +37,7 @@ from nbcq.compensation import STORAGE_F32, CalibrationRecord, apply, fit_nbc, st
 from nbcq.errors import EvaluatorError, FitError
 from nbcq.fls import compute_feature_loss, search_n_for_pipeline
 from nbcq.harness import HEAVY_CHANNEL, evaluate_pipeline, fit_compensation, gelu
-from nbcq.quantizer import calibrate_params, fake_quantize
+from nbcq.quantizer import fake_quantize, range_params, value_range
 from nbcq.transform import TransformKind
 
 
@@ -93,9 +93,10 @@ def whole_fp_step(model, k, z) -> np.ndarray:
 
 def row_by_row_quantized(w, bits) -> np.ndarray:
     """``w`` quantized per output row by a loop over its rows, each
-    ``fake_quantize(row, calibrate_params(row, bits))``."""
+    ``fake_quantize(row, range_params(*value_range(row), bits))``."""
     w = np.asarray(w, dtype=np.float64)
-    return np.array([fake_quantize(row, calibrate_params(row, bits)) for row in w]).reshape(w.shape)
+    rows = [fake_quantize(row, range_params(*value_range(row), bits)) for row in w]
+    return np.array(rows).reshape(w.shape)
 
 
 def whole_q_step(model, qmodel, k, z, module=None) -> tuple[np.ndarray, np.ndarray]:
@@ -180,12 +181,24 @@ def oversized_tensor_header() -> bytes:
     return b"NBCT" + bytes([1, 0, 2, 0]) + struct.pack("<QQ", 1 << 16, 1 << 17)
 
 
-def oversized_bundle_bytes() -> bytes:
-    """A 60-byte one-block bundle (identity kind, f32 storage) whose weight
-    header declares an ``oversized_tensor_header`` payload."""
+def one_block_bundle(weight_record: bytes) -> bytes:
+    """The bytes of a one-block bundle (identity kind, f32 storage) up to
+    and including its weight record, ``weight_record``."""
     block = struct.pack("<H", 0) + bytes([0]) + struct.pack("<d", 0.0) + bytes([0])
-    data = b"NBCB" + bytes([1]) + struct.pack("<H", 1) + block + oversized_tensor_header()
+    return b"NBCB" + bytes([1]) + struct.pack("<H", 1) + block + weight_record
+
+
+def oversized_bundle_bytes() -> bytes:
+    """A 60-byte one-block bundle whose weight header declares an
+    ``oversized_tensor_header`` payload."""
+    data = one_block_bundle(oversized_tensor_header())
     return data + bytes(60 - len(data))
+
+
+def deep_tensor_record() -> bytes:
+    """An f32 tensor record of rank 65, every extent 1, with its 4-byte
+    payload: deeper than numpy builds an array (64 under numpy 2, 32 under 1)."""
+    return b"NBCT" + bytes([1, 0, 65, 0]) + struct.pack("<Q", 1) * 65 + bytes(4)
 
 
 def pinv_affine_fit(design: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,7 @@ from nbcq.cli import EVAL_CSV_COLUMNS, main, read_run_config
 from nbcq.errors import FitError
 from nbcq.formats import BUNDLE_MAGIC, read_bundle, read_tensor
 
-from helpers import oversized_bundle_bytes
+from helpers import deep_tensor_record, one_block_bundle, oversized_bundle_bytes
 
 SMALL_CFG = """
 d = 8
@@ -431,6 +431,17 @@ class TestEval:
         assert "expected 34359738368 bytes, got 17" in err
         assert out == ""
 
+    @pytest.mark.parametrize("command", ["eval", "export"])
+    def test_weight_deeper_than_numpy_allows_exits_1_with_one_format_line(self, cfg_path, tmp_path, capsys, command):
+        bundle = tmp_path / "deep.nbcb"
+        bundle.write_bytes(one_block_bundle(deep_tensor_record()))
+        out_dir = tmp_path / "out"
+        args = [command, "--config", cfg_path, "--bundle", str(bundle), "--out", str(out_dir)]
+        code, out, err = run_cli(args, capsys)
+        assert_failed(code, err, 1, "format")
+        assert err.startswith(f"error\tformat\t{bundle}: tensor of rank 65: ")
+        assert out == "" and not out_dir.exists()
+
 
 class TestAnalyzeOutliers:
     def test_writes_two_csvs(self, cfg_path, tmp_path, capsys):
@@ -823,16 +834,20 @@ class TestOutPath:
         assert not (tmp_path / "missing").exists()
 
     @pytest.mark.parametrize(
-        "command, out, message",
+        "command, out, message, named",
         [
-            ("calibrate", "missing/b.nbcb", "[Errno 2] No such file or directory"),
-            ("eval", "missing/eval.csv", "[Errno 2] No such file or directory"),
-            ("calibrate", "in_the_way/b.nbcb", "[Errno 20] Not a directory"),
-            ("eval", "in_the_way/eval.csv", "[Errno 20] Not a directory"),
-            ("analyze-outliers", "in_the_way", "[Errno 17] File exists"),
-            ("export", "in_the_way", "[Errno 17] File exists"),
-            ("analyze-outliers", "in_the_way/sub", "[Errno 20] Not a directory"),
-            ("export", "in_the_way/sub", "[Errno 20] Not a directory"),
+            ("calibrate", "missing/b.nbcb", "[Errno 2] No such file or directory", "missing/b.nbcb"),
+            ("eval", "missing/eval.csv", "[Errno 2] No such file or directory", "missing/eval.csv"),
+            ("calibrate", "in_the_way/b.nbcb", "[Errno 20] Not a directory", "in_the_way/b.nbcb"),
+            ("eval", "in_the_way/eval.csv", "[Errno 20] Not a directory", "in_the_way/eval.csv"),
+            ("analyze-outliers", "in_the_way", "[Errno 17] File exists", "in_the_way"),
+            ("export", "in_the_way", "[Errno 17] File exists", "in_the_way"),
+            ("analyze-outliers", "in_the_way/sub", "[Errno 20] Not a directory", "in_the_way/sub"),
+            ("export", "in_the_way/sub", "[Errno 20] Not a directory", "in_the_way/sub"),
+            # the path os.makedirs names: the trailing separator kept, or
+            # the missing directory right below the file
+            ("export", "in_the_way/sub/", "[Errno 20] Not a directory", "in_the_way/sub/"),
+            ("analyze-outliers", "in_the_way/sub/deeper", "[Errno 20] Not a directory", "in_the_way/sub"),
         ],
         ids=[
             "calibrate",
@@ -843,10 +858,12 @@ class TestOutPath:
             "export",
             "analyze-outliers-parent-is-a-file",
             "export-parent-is-a-file",
+            "export-trailing-separator",
+            "analyze-outliers-missing-parent-under-a-file",
         ],
     )
     def test_unwritable_out_rejected_before_setup_exit_1(
-        self, tmp_path, capsys, monkeypatch, cfg_path, command, out, message
+        self, tmp_path, capsys, monkeypatch, cfg_path, command, out, message, named
     ):
         # the error the write would raise, without the setup and search before it
         import nbcq.cli as cli_mod
@@ -857,13 +874,14 @@ class TestOutPath:
         monkeypatch.setattr(cli_mod, "_build_setup", no_run)
         monkeypatch.setattr(cli_mod, "read_bundle", no_run)
         (tmp_path / "in_the_way").write_text("a file\n")
-        out = str(tmp_path / out)
+        # joined by parts, so a trailing separator stays
+        out, named = (os.path.join(tmp_path, *path.split("/")) for path in (out, named))
         args = [command, "--config", cfg_path, "--out", out]
         if command in ("eval", "export"):
             args += ["--bundle", str(tmp_path / "comp.nbcb")]
         code, stdout, err = self.run_twice(tmp_path, capsys, args)
         assert_failed(code, err, 1, "io")
-        assert err == f"error\tio\t{message}: {out!r}\n"
+        assert err == f"error\tio\t{message}: {named!r}\n"
         assert stdout == "" and not (tmp_path / "missing").exists()
         assert (tmp_path / "in_the_way").read_text() == "a file\n"
 
@@ -1061,6 +1079,16 @@ class TestOverflowBeyondCalibration:
         assert_failed(code, err, 1, "evaluator")
         assert "non-finite" in err
         assert out == "" and not bundle.exists()
+
+    def test_search_names_the_last_block_whose_output_is_not_finite(self, tmp_path):
+        # desk defaults at scale 1e3, seed 4: at n = 9 the hold-out forward's
+        # last output, the scored feature, overflows
+        path = tmp_path / "run.cfg"
+        path.write_text("outlier_scale = 1e3\n")
+        code, out, err = run_module(["search-n", "--config", str(path), "--seed", "4"], tmp_path)
+        assert_failed(code, err, 1, "evaluator")
+        assert err == "error\tevaluator\tevaluator failed at n_exp=9.0: block 3: f_quant contains non-finite values\n"
+        assert out == ""
 
 
 class TestNoFiniteCandidate:

@@ -37,9 +37,11 @@ from nbcq.harness import OutlierSpec, build_toy_model, generate_calibration
 from nbcq.transform import IDENTITY, TransformKind
 
 from helpers import (
+    deep_tensor_record,
     desk_setup,
     f16_roundtrip_struct,
     f32_roundtrip_struct,
+    one_block_bundle,
     oversized_bundle_bytes,
     oversized_tensor_header,
 )
@@ -144,6 +146,14 @@ class TestTensorFiles:
         with pytest.raises(TruncatedFileError, match=f"tensor payload; expected {4 << 33} bytes, got 4$"):
             read_tensor(str(path))
 
+    def test_rank_past_numpys_limit_is_a_format_error(self, tmp_path):
+        for name, data, read in [("deep.nbct", deep_tensor_record(), read_tensor),
+                                 ("deep.nbcb", one_block_bundle(deep_tensor_record()), read_bundle)]:
+            path = str(tmp_path / name)
+            open(path, "wb").write(data)
+            with pytest.raises(FormatError, match=f"^{re.escape(path)}: tensor of rank 65: "):
+                read(path)
+
     def test_unsupported_dtype_rejected_before_writing(self, tmp_path):
         path = tmp_path / "t.nbct"
         with pytest.raises(ValueError, match="^unsupported tensor dtype int32$"):
@@ -166,6 +176,18 @@ class TestAtomicWrite:
             atomic_write(target, b"data")
         assert str(info.value) == f"[Errno 2] No such file or directory: {target!r}"
         assert os.listdir(tmp_path) == []
+
+    def test_an_interrupt_propagates_and_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "b.nbcb"
+        target.write_bytes(b"before")
+
+        def interrupt(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "replace", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            atomic_write(str(target), b"data")
+        assert os.listdir(tmp_path) == ["b.nbcb"] and target.read_bytes() == b"before"
 
 
 class TestBundles:

@@ -43,7 +43,7 @@ from nbcq.harness import (
 )
 from nbcq.harness import _mean_of_partials
 from nbcq.numerics import MIN_TILE_ROWS, TILE_ELEMENTS
-from nbcq.quantizer import QuantParams, calibrate_params
+from nbcq.quantizer import QuantParams, range_params, value_range
 from nbcq.transform import TransformKind
 
 from helpers import (
@@ -554,14 +554,14 @@ class TestTiledSteps:
             shapes.clear()
             z = out
 
-    def test_hidden_ranges_equal_calibrate_params_of_the_whole_activation(self):
+    def test_hidden_ranges_equal_range_params_of_the_whole_activation(self):
         # 530 calibration rows run as tiles of 128, 128, 128 and 146 rows
         model, calib, _ = self.wide_setup()
         z = whole_draw(model, calib.n_samples, calib.spec, calib.seed)
         for k in range(model.n_blocks):
-            assert calib.qmodel.p_in[k] == calibrate_params(z, calib.qmodel.bits_a)
+            assert calib.qmodel.p_in[k] == range_params(*value_range(z), calib.qmodel.bits_a)
             whole = whole_hidden(model.w1[k], z)
-            assert calib.qmodel.p_hid[k] == calibrate_params(whole, calib.qmodel.bits_a)
+            assert calib.qmodel.p_hid[k] == range_params(*value_range(whole), calib.qmodel.bits_a)
             z = whole_fp_step(model, k, z)
 
     def test_a_hidden_tile_that_is_not_finite_is_named(self):
@@ -887,6 +887,16 @@ class TestNonFiniteForward:
             with pytest.raises(EvaluatorError) as info:
                 search_exponent(model, calib, cfg)
         assert str(info.value) == "evaluator failed at n_exp=2.0: block 3: input contains non-finite values"
+
+    def test_holdout_loss_names_the_last_block_whose_output_is_not_finite(self):
+        # desk defaults at outlier scale 1e3, seed 4: every block input of
+        # the hold-out forward at n = 9 is finite, but the last block's
+        # compensated output, the scored feature, overflows
+        model, calib, cfg = desk_setup(4, outlier_scale=1e3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(EvaluatorError) as info:
+                search_exponent(model, calib, cfg)
+        assert str(info.value) == "evaluator failed at n_exp=9.0: block 3: f_quant contains non-finite values"
 
     def test_evaluation_names_the_block_whose_output_is_not_finite(self):
         # modules calibrated at outlier scale 100 (seed 1, n = 3) on an

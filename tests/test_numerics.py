@@ -56,6 +56,14 @@ class TestSolveLeastSquares:
         sol = solve_least_squares(augmented(design), targets)
         assert sol.ridge_used > 0.0
 
+    def test_singular_after_the_ridge_fallback_is_a_fit_error(self, monkeypatch):
+        def never_factors(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", never_factors)
+        with pytest.raises(FitError, match="^normal equations remain singular after the ridge fallback$"):
+            solve_least_squares(augmented([[1.0], [2.0], [3.0]]), [[2.0], [4.0], [6.0]])
+
     def test_too_few_rows(self):
         with pytest.raises(FitError, match="at least"):
             solve_least_squares(np.ones((3, 4)), np.ones((3, 1)))

@@ -6,12 +6,13 @@ import pytest
 from nbcq.quantizer import (
     SCALE_FLOOR,
     QuantParams,
-    calibrate_params,
     fake_quantize,
     grid_round,
     level_codes,
     level_table,
     quantize_per_channel,
+    range_params,
+    value_range,
 )
 
 from helpers import integer_codes, integer_round_trip
@@ -50,12 +51,12 @@ class TestRounding:
 
 class TestCalibrateParams:
     def test_range_spanning_exact_steps(self):
-        p = calibrate_params([0.0, 1.0, 2.0, 3.0], bits=2)
+        p = range_params(*value_range([0.0, 1.0, 2.0, 3.0]), bits=2)
         assert p.scale == 1.0
         assert p.zero_point == 0
 
     def test_asymmetric_range_eight_bits(self):
-        p = calibrate_params([-1.0, 0.3, 1.55], bits=8)
+        p = range_params(*value_range([-1.0, 0.3, 1.55]), bits=8)
         assert abs(p.scale - 0.01) <= 1e-15
         assert p.zero_point == 100
 
@@ -63,22 +64,22 @@ class TestCalibrateParams:
     def test_constant_tensor_comes_back_exactly(self, value):
         # the range [min(x, 0), max(x, 0)] puts the constant at an end level
         x = np.full(3, value)
-        p = calibrate_params(x, bits=4)
+        p = range_params(*value_range(x), bits=4)
         assert p.scale == 5.0 / 15 and p.zero_point == (0 if value > 0 else 15)
         assert fake_quantize(x, p).tolist() == x.tolist()
 
     def test_all_zero_tensor_hits_scale_floor(self):
-        p = calibrate_params([0.0, -0.0, 0.0], bits=4)
+        p = range_params(*value_range([0.0, -0.0, 0.0]), bits=4)
         assert p.scale == SCALE_FLOOR and p.zero_point == 0
 
     def test_bits_out_of_range(self):
         for bits in (1, 9, 0, -2):
             with pytest.raises(ValueError, match="bits"):
-                calibrate_params([0.0, 1.0], bits=bits)
+                range_params(*value_range([0.0, 1.0]), bits=bits)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            calibrate_params([], bits=4)
+            range_params(*value_range([]), bits=4)
 
 
 class TestQuantizeDequantize:
@@ -124,7 +125,7 @@ class TestPerChannel:
         rng = np.random.default_rng(23)
         row = rng.standard_normal((1, 32))
         per_channel = quantize_per_channel(row, bits=6).dequantize()
-        per_tensor = integer_round_trip(row[0], calibrate_params(row[0], 6))
+        per_tensor = integer_round_trip(row[0], range_params(*value_range(row[0]), 6))
         assert per_channel[0].tobytes() == per_tensor.tobytes()
 
     def test_all_zero_rows_code_at_zero_point(self):
@@ -164,7 +165,7 @@ class TestFakeQuantizeOracle:
         rng = np.random.default_rng(41)
         x = rng.standard_normal((64, 48)) * 5.0 - 2.0
         for bits in (2, 3, 4, 8):
-            self.assert_same_bits(x, calibrate_params(x[:8], bits))
+            self.assert_same_bits(x, range_params(*value_range(x[:8]), bits))
 
     def test_input_not_modified(self):
         x = np.array([[-1.5, 0.5], [2.5, 7.0]])
@@ -183,7 +184,7 @@ class TestPerChannelOracle:
 
     @staticmethod
     def loop(w, bits):
-        return [fake_quantize(row, calibrate_params(row, bits)) for row in w]
+        return [fake_quantize(row, range_params(*value_range(row), bits)) for row in w]
 
     @pytest.mark.parametrize("bits", range(2, 9))
     def test_matches_row_loop_with_constant_rows(self, bits):
@@ -205,7 +206,7 @@ class TestPerChannelOracle:
         deq = q.dequantize()
         assert deq.dtype == np.float64 and deq.shape == w.shape
         for i, (got, row, want) in enumerate(zip(deq, w, self.loop(w, bits))):
-            p = calibrate_params(row, bits)
+            p = range_params(*value_range(row), bits)
             assert (q.scale[i], q.zero_point[i]) == (p.scale, p.zero_point)
             assert got.tobytes() == want.tobytes()
             assert got.tobytes() == integer_round_trip(row, p).tobytes()
@@ -238,7 +239,7 @@ class TestProperties:
         for bits in (2, 4, 8):
             for _ in range(20):
                 x = rng.standard_normal(200) * rng.uniform(0.1, 50.0)
-                p = calibrate_params(x, bits)
+                p = range_params(*value_range(x), bits)
                 back = fake_quantize(x, p)
                 assert np.max(np.abs(back - x)) <= p.scale / 2 + 1e-12
 
@@ -253,7 +254,7 @@ class TestProperties:
         for row in map(np.asarray, rows):
             slack = np.spacing(np.abs(row))  # the rounding of x / scale and code * scale
             half_step = np.abs(row).max() / top / 2
-            per_tensor = fake_quantize(row, calibrate_params(row, bits))
+            per_tensor = fake_quantize(row, range_params(*value_range(row), bits))
             assert np.all(np.abs(per_tensor - row) <= half_step + slack)
             per_channel = quantize_per_channel(row[None, :], bits).dequantize()[0]
             assert np.all(np.abs(per_channel - row) <= half_step + slack)
@@ -262,7 +263,7 @@ class TestProperties:
     def test_quantize_idempotent_on_codes(self):
         rng = np.random.default_rng(31)
         x = rng.standard_normal(500) * 3.0
-        p = calibrate_params(x, 4)
+        p = range_params(*value_range(x), 4)
         q1 = fake_quantize(x, p)
         q2 = fake_quantize(q1, p)
         assert q1.tobytes() == q2.tobytes()
@@ -305,13 +306,13 @@ class TestLevelTable:
         x = rng.standard_normal((96, 24)) * 3.0 - 1.0
         x[::9, 0] *= 40.0  # an outlier channel
         # ranges from a part of the rows, so the rest also clips at both ends
-        for p in (calibrate_params(x[:12], bits), calibrate_params(x, bits)):
+        for p in (range_params(*value_range(x[:12]), bits), range_params(*value_range(x), bits)):
             self.assert_rebuilds(np.concatenate([x.ravel(), [0.0, -0.0, 1e-300, -1e-300]]), p)
 
     @pytest.mark.parametrize("value", [5.0, -5.0, 0.0, -0.0])
     def test_constant_tensor(self, value):
         x = np.full((4, 3), value)
-        p = calibrate_params(x, 4)
+        p = range_params(*value_range(x), 4)
         if value == 0.0:  # only the all-zero tensor reaches the scale floor
             assert p.scale == SCALE_FLOOR
         else:  # a nonzero constant comes back exactly
@@ -346,7 +347,7 @@ class TestValidation:
             with pytest.raises(ValueError, match="scale"):
                 quantize_per_channel(np.array([[-1e308, 1e308]]), 4)
             with pytest.raises(ValueError, match="scale"):
-                calibrate_params(np.array([-1e308, 1e308]), 4)
+                range_params(*value_range(np.array([-1e308, 1e308])), 4)
             with pytest.raises(ValueError, match="scale"):
                 quantize_per_channel(np.array([[0.0, 1.0], [-1e308, 1e308]]), 4)
         # max / 3 is a finite scale, but 3 * scale, the top level, rounds to
@@ -356,7 +357,7 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"^scale must be positive and finite: a row's range overflows"):
             quantize_per_channel(np.array([[0.0, 1.0], [0.0, f64_max]]), 2)
         with pytest.raises(ValueError, match=r"^scale must be positive and finite, and so must"):
-            calibrate_params(np.array([0.0, f64_max]), 2)
+            range_params(*value_range(np.array([0.0, f64_max])), 2)
         with pytest.raises(ValueError, match=r"got 5\.99"):
             QuantParams(2, f64_max / 3, 0)
         QuantParams(2, 5.99e307, 0)  # 3 * scale = 1.797e308, just inside float64

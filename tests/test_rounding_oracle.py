@@ -16,12 +16,13 @@ from nbcq.compensation import STORAGE_I8, CompensationModule, store_params, stor
 from nbcq.quantizer import (  # noqa: E402
     SCALE_FLOOR,
     QuantParams,
-    calibrate_params,
     fake_quantize,
     grid_round,
     level_codes,
     level_table,
     quantize_per_channel,
+    range_params,
+    value_range,
 )
 from nbcq.transform import IDENTITY  # noqa: E402
 
@@ -81,7 +82,7 @@ def test_every_rounding_matches_the_exact_oracle(draw):
     low, high = min(*row, 0.0), max(*row, 0.0)
     scale = max((high - low) / top, SCALE_FLOOR)
     if math.isfinite(top * scale):
-        rp = calibrate_params(row, p.bits)
+        rp = range_params(*value_range(row), p.bits)
         assert (rp.scale, rp.zero_point) == (scale, oracle(-low, scale, 0, top))
         got = quantize_per_channel([row], p.bits).dequantize()[0]
         lo, hi = -rp.zero_point, top - rp.zero_point

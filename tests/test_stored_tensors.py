@@ -1,5 +1,9 @@
-"""Stored tensors survive a module bit for bit, under every storage; a
-property test over drawn tensors, skipped where hypothesis is absent."""
+"""Stored tensors survive a module bit for bit, under every storage, and
+every tensor record header reads back or is a FormatError; property tests
+over drawn tensors and headers, skipped where hypothesis is absent."""
+
+import math
+import struct
 
 import numpy as np
 import pytest
@@ -17,6 +21,8 @@ from nbcq.compensation import (  # noqa: E402
     stored_module,
     stored_tensors,
 )
+from nbcq.errors import FormatError  # noqa: E402
+from nbcq.formats import read_tensor  # noqa: E402
 from nbcq.transform import IDENTITY, TransformKind, apply_kind_forward, apply_kind_inverse  # noqa: E402
 
 
@@ -72,3 +78,24 @@ class TestStoredTensors:
         with np.errstate(over="ignore"):  # a weight near the largest f32 scale overflows the inverse map
             expected = y_q + apply_kind_inverse(apply_kind_forward(x_q, kind) @ weight.T + bias, kind)
             assert apply(mod, x_q, y_q).tobytes() == expected.tobytes()
+
+
+class TestTensorRecordHeaders:
+    # item sizes of the dtype codes 0..3 (f32, f64, f16, i8); other codes are unknown
+    ITEMSIZE = {0: 4, 1: 8, 2: 2, 3: 1}
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(ndim=st.integers(0, 255), dcode=st.integers(0, 255), pad=st.integers(0, 255), data=st.data())
+    def test_a_header_reads_back_or_is_a_format_error(self, tmp_path_factory, ndim, dcode, pad, data):
+        # small extents, mostly 1, so a deep record can still hold its
+        # payload; a count too large to write gets none
+        shape = data.draw(st.lists(st.sampled_from([1, 1, 1, 0, 2]), min_size=ndim, max_size=ndim))
+        count = math.prod(shape)
+        payload = bytes(count * self.ITEMSIZE.get(dcode, 1)) if count <= 64 else b""
+        path = tmp_path_factory.mktemp("headers") / "t.nbct"
+        path.write_bytes(b"NBCT" + bytes([1, dcode, ndim, pad]) + struct.pack(f"<{ndim}Q", *shape) + payload)
+        try:
+            arr = read_tensor(str(path))
+        except FormatError:
+            return
+        assert pad == 0 and arr.shape == tuple(shape) and arr.dtype.itemsize == self.ITEMSIZE[dcode]
